@@ -300,7 +300,8 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
 
     Each out-port is computed exactly once per run; fan-out shares the same
     immutable column.  With ``parallel=True`` ready vertices run on a thread
-    pool; the result is identical to the single-threaded reference.
+    pool, except a lone one, which runs in the calling thread; the result is
+    identical to the single-threaded reference.
     """
     input_columns = _bind_inputs(c, inputs)
     order, deps, consumers = _toposort(c)
@@ -339,20 +340,31 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
             args = _gather_vertex_inputs(c, vid, port_values, input_columns)
             futures[pool.submit(_run_vertex, c, vid, args)] = vid
 
-        for vid in order:
-            if pending[vid] == 0:
-                submit(vid)
+        ready = [vid for vid in order if pending[vid] == 0]
         remaining = len(order)
         while remaining:
-            done, _ = wait(list(futures), return_when="FIRST_COMPLETED")
-            for fut in done:
-                vid = futures.pop(fut)
-                record_outputs(vid, fut.result())
+            if len(ready) == 1 and not futures:
+                # nothing to overlap with: a pool round trip would only add latency
+                vid = ready.pop()
+                propagate(vid)
+                record_outputs(vid, _run_vertex(c, vid, _gather_vertex_inputs(c, vid, port_values, input_columns)))
+                finished = [vid]
+            else:
+                for vid in ready:
+                    submit(vid)
+                ready = []
+                done, _ = wait(list(futures), return_when="FIRST_COMPLETED")
+                finished = []
+                for fut in done:
+                    vid = futures.pop(fut)
+                    record_outputs(vid, fut.result())
+                    finished.append(vid)
+            for vid in finished:
                 remaining -= 1
                 for u in sorted(consumers[vid]):
                     pending[u] -= 1
                     if pending[u] == 0:
-                        submit(u)
+                        ready.append(u)
 
     for port, col in input_columns.items():
         port_values.setdefault(port, col)

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 from .bundle import read_bundle, write_bundle
 from .circuit import (
@@ -20,7 +21,7 @@ from .circuit import (
     evaluate_ports,
     validate_circuit,
 )
-from .codec import SchemeInstance, codec as codec_entry, compression_ratio, decode, encode, verify
+from .codec import SchemeInstance, codec as codec_entry, decode, encode, verify
 from .column import (
     Column,
     frequency_distribution,
@@ -104,7 +105,7 @@ def cmd_decode(args):
     if not verify(inst):
         print(f"reject: {inst.scheme_id} encoded form is invalid", file=sys.stderr)
         return EXIT_VERIFY_REJECT
-    out = decode(inst)
+    out = decode(inst, check=False)  # verified just above
     os.makedirs(args.out, exist_ok=True)
     for label, col in out.items():
         write_col_file(os.path.join(args.out, label.replace(":", "_") + ".col"), col)
@@ -164,12 +165,14 @@ def cmd_stats(args):
         if not verify(inst):
             print("reject: encoded form is invalid", file=sys.stderr)
             return EXIT_VERIFY_REJECT
-        decoded = decode(inst)
-        ratio = compression_ratio(inst)
+        decoded = decode(inst, check=False)  # verified just above
+        encoded_size = representation_size_bytes(inst.columns)
+        decoded_size = representation_size_bytes(decoded)
+        ratio = Fraction(decoded_size, encoded_size)
         report = {
             "scheme": inst.scheme_id,
-            "encoded_size_bytes": representation_size_bytes(inst.columns),
-            "decoded_size_bytes": representation_size_bytes(decoded),
+            "encoded_size_bytes": encoded_size,
+            "decoded_size_bytes": decoded_size,
             "compression_ratio": [ratio.numerator, ratio.denominator],
             "columns": [_col_report(lb, c) for lb, c in sorted(inst.columns.items())],
         }

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .circuit import ColumnarCircuit, evaluate_circuit
 from .column import Column, representation_size_bytes
-from .errors import NotEncodable, RegistryError, VerificationFailed
+from .errors import ColcircError, NotEncodable, RegistryError, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,19 @@ def compression_ratio(inst: SchemeInstance) -> Fraction:
 # -- simple declarative entry construction ----------------------------------------
 
 
+class _SchemeParams(dict):
+    """Params as a scheme's callables see them: a missing one is a ColcircError."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        raise ColcircError(f"missing scheme param {key!r}")
+
+
+def _scheme_params(params) -> _SchemeParams:
+    return params if type(params) is _SchemeParams else _SchemeParams(params)
+
+
 class SimpleCodec(CodecEntry):
     """CodecEntry assembled from callables; used for most builtin schemes."""
 
@@ -300,46 +313,48 @@ class SimpleCodec(CodecEntry):
         self._fit_additive = fit_additive
 
     def form_spec(self, params):
-        return self._form_spec(params)
+        return self._form_spec(_scheme_params(params))
 
     def decoded_labels(self, params):
-        return self._decoded_labels(params)
+        return self._decoded_labels(_scheme_params(params))
 
     def build_decoder(self, params):
-        return self._build_decoder(params)
+        return self._build_decoder(_scheme_params(params))
 
     def encode(self, params, family):
-        return self._encode(params, family)
+        return self._encode(_scheme_params(params), family)
 
     def host_verify(self, params, columns):
         if self._host_verify is None:
             raise NotImplementedError
-        return self._host_verify(params, columns)
+        return self._host_verify(_scheme_params(params), columns)
 
     def build_verifier(self, params):
         if self._build_verifier is None:
             raise NotImplementedError
-        return self._build_verifier(params)
+        return self._build_verifier(_scheme_params(params))
 
     def equivalent(self, params, a, b):
         if self._equivalent is None:
             return a == b
-        return self._equivalent(params, a, b)
+        return self._equivalent(_scheme_params(params), a, b)
 
     def normalize_params(self, params):
-        return dict(params) if self._normalize is None else self._normalize(params)
+        if self._normalize is None:
+            return _SchemeParams(params)
+        return _SchemeParams(self._normalize(_scheme_params(params)))
 
     def encoded_lengths(self, params, n):
         if self._encoded_lengths is None:
             return None
-        return self._encoded_lengths(params, n)
+        return self._encoded_lengths(_scheme_params(params), n)
 
     def fit(self, params, family):
         if self._fit is None:
             return super().fit(params, family)
-        return self._fit(params, family)
+        return self._fit(_scheme_params(params), family)
 
     def fit_additive(self, params, col):
         if self._fit_additive is None:
             return super().fit_additive(params, col)
-        return self._fit_additive(params, col)
+        return self._fit_additive(_scheme_params(params), col)

@@ -7,7 +7,8 @@ scalars throughout the package.
 
 from __future__ import annotations
 
-import struct
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,11 +26,7 @@ class Column:
     __slots__ = ("element_type", "values", "_hash")
 
     def __init__(self, element_type: ElementType, values):
-        vals = tuple(values)
-        for i, v in enumerate(vals):
-            element_type.check_value(v, index=i)
-        if element_type.kind is Kind.BIT:
-            vals = tuple(int(v) for v in vals)  # normalize bools
+        vals = element_type.check_values(tuple(values))
         object.__setattr__(self, "element_type", element_type)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_hash", None)
@@ -173,6 +170,20 @@ _KIND_TAGS = {
     Kind.BOTTOM: 5,
 }
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_HEADER_BYTES = 15  # magic, kind tag, width, u64 length
+
+# array typecodes by (kind, bytes per element); odd sizes such as u24's have none
+_TYPECODES = {
+    (kind, array(code).itemsize): code
+    for kind, codes in ((Kind.UNSIGNED, "QLIHB"), (Kind.SIGNED, "qlihb"), (Kind.FLOAT, "df"))
+    for code in codes
+}
+
+
+def _native_array(et: ElementType, values=()):
+    """A native-order array of ``et`` values, or None for odd byte widths."""
+    code = _TYPECODES.get((et.kind, et.byte_width))
+    return None if code is None else array(code, values)
 
 
 def _pack_values(col: Column) -> bytes:
@@ -186,9 +197,11 @@ def _pack_values(col: Column) -> bytes:
         return bytes(out)
     if k is Kind.UNIT:
         return b""
-    if k is Kind.FLOAT:
-        fmt = "<f" if et.width_bits == 32 else "<d"
-        return b"".join(struct.pack(fmt, v) for v in col.values)
+    packed = _native_array(et, col.values)
+    if packed is not None:
+        if sys.byteorder == "big":
+            packed.byteswap()  # .col payloads are little-endian
+        return packed.tobytes()
     width = et.byte_width
     if k is Kind.SIGNED:
         return b"".join(v.to_bytes(width, "little", signed=True) for v in col.values)
@@ -206,11 +219,16 @@ def write_col_bytes(col: Column) -> bytes:
 def read_col_bytes(data: bytes) -> Column:
     if data[:5] != _MAGIC:
         raise ColcircError("not a .col file (bad magic)")
+    if len(data) < _HEADER_BYTES:
+        raise ColcircError(f"truncated .col header: {len(data)} of {_HEADER_BYTES} bytes")
     kind = _TAG_KINDS.get(data[5])
     if kind is None:
         raise ColcircError(f"unknown element-type tag {data[5]}")
     width = data[6]
-    et = ElementType(kind, width)
+    try:
+        et = ElementType(kind, width)
+    except ValueError as exc:
+        raise ColcircError(f"bad .col element type: {exc}") from None
     n = int.from_bytes(data[7:15], "little")
     payload = data[15:]
     if kind is Kind.BIT:
@@ -227,16 +245,15 @@ def read_col_bytes(data: bytes) -> Column:
         if n or payload:
             raise ColcircError("bottom columns are empty")
         return Column(et, [])
-    if kind is Kind.FLOAT:
-        fmt = "<f" if width == 32 else "<d"
-        step = width // 8
-        if len(payload) != step * n:
-            raise ColcircError("float payload length mismatch")
-        vals = [struct.unpack(fmt, payload[i * step : (i + 1) * step])[0] for i in range(n)]
-        return Column(et, vals)
     step = et.byte_width
     if len(payload) != step * n:
-        raise ColcircError("integer payload length mismatch")
+        raise ColcircError(f"{'float' if kind is Kind.FLOAT else 'integer'} payload length mismatch")
+    unpacked = _native_array(et)
+    if unpacked is not None:
+        unpacked.frombytes(payload)
+        if sys.byteorder == "big":
+            unpacked.byteswap()
+        return Column(et, unpacked.tolist())
     signed = kind is Kind.SIGNED
     vals = [int.from_bytes(payload[i * step : (i + 1) * step], "little", signed=signed) for i in range(n)]
     return Column(et, vals)

@@ -11,7 +11,11 @@ the params, so circuits can be type-checked structurally.
 
 from __future__ import annotations
 
+import math
+import operator
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .column import Column, scalar_column
 from .errors import OperatorError, RegistryError
@@ -91,6 +95,21 @@ def _check_int(et: ElementType, value, what="result"):
     return value
 
 
+def _in_bounds(et: ElementType, values) -> bool:
+    if not values:
+        return True
+    lo, hi = et.bounds()
+    return lo <= min(values) and max(values) <= hi
+
+
+def _check_ints(et: ElementType, values, what="result"):
+    """Range-check integer results in one pass; name the first offender."""
+    if not _in_bounds(et, values):
+        for v in values:
+            _check_int(et, v, what)
+    return values
+
+
 # -- elementwise functions ---------------------------------------------------
 #
 # Each builtin is described by (derive_signature, vectorized apply).  The
@@ -106,10 +125,9 @@ def _binary_arith(fn_name, pyop):
     def run(inst, cols):
         t = inst.signature.outputs["result"]
         lhs, rhs = cols["lhs"].values, cols["rhs"].values
-        if t.kind is Kind.FLOAT:
-            vals = [pyop(a, b) for a, b in zip(lhs, rhs)]
-        else:
-            vals = [_check_int(t, pyop(a, b)) for a, b in zip(lhs, rhs)]
+        vals = list(map(pyop, lhs, rhs))
+        if t.kind is not Kind.FLOAT:
+            _check_ints(t, vals)
         return {"result": Column(t, vals)}
 
     return sig, run
@@ -196,26 +214,41 @@ def _fn_const_compare():
     return sig, run
 
 
-def _cast_value(v, src: ElementType, dst: ElementType):
-    if dst.kind is Kind.FLOAT:
-        f = float(v)
-        if src.is_integer and abs(v) > (1 << 53):
-            raise OperatorError("overflow", f"{v} not exactly representable as a float")
-        if dst.width_bits == 32:
-            import struct as _s
+_F64_EXACT = 1 << 53
 
-            f32 = _s.unpack("<f", _s.pack("<f", f))[0]
-            if src.kind is Kind.FLOAT and src.width_bits == 64 and f32 != f and f == f:
-                raise OperatorError("overflow", f"{v} not exactly representable as f32")
-            f = f32
-        return f
+
+def _cast_values(vals, src: ElementType, dst: ElementType):
+    """Cast a column's values; the (src, dst) case is chosen once per column."""
+    if dst.kind is Kind.FLOAT:
+        if src.is_integer and vals and (min(vals) < -_F64_EXACT or max(vals) > _F64_EXACT):
+            for v in vals:
+                if abs(v) > _F64_EXACT:
+                    raise OperatorError("overflow", f"{v} not exactly representable as a float")
+        out = list(map(float, vals))
+        if dst.width_bits == 32:
+            f32 = array("f", out).tolist()
+            if src.kind is Kind.FLOAT and src.width_bits == 64 and f32 != out:
+                for v, f in zip(out, f32):
+                    if f != v and v == v:
+                        raise OperatorError("overflow", f"{v} not exactly representable as f32")
+            out = f32
+        return out
     if dst.is_integer:
         if src.kind is Kind.FLOAT:
-            iv = int(v)  # truncation toward zero
+            try:
+                out = list(map(int, vals))  # truncation toward zero
+            except (ValueError, OverflowError):
+                bad = next(v for v in vals if not math.isfinite(v))
+                raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
         else:
-            iv = v
-        return _check_int(dst, iv, what=f"cast of {v}")
-    raise OperatorError("bad-params", f"cannot cast to {dst}")
+            out = vals
+        if not _in_bounds(dst, out):
+            for v, iv in zip(vals, out):
+                _check_int(dst, iv, what=f"cast of {v}")
+        return out
+    if vals:
+        raise OperatorError("bad-params", f"cannot cast to {dst}")
+    return []
 
 
 def _fn_cast():
@@ -227,8 +260,7 @@ def _fn_cast():
     def run(inst, cols):
         src = inst.signature.inputs["arguments"]
         dst = inst.signature.outputs["result"]
-        vals = [_cast_value(v, src, dst) for v in cols["arguments"].values]
-        return {"result": Column(dst, vals)}
+        return {"result": Column(dst, _cast_values(cols["arguments"].values, src, dst))}
 
     return sig, run
 
@@ -256,7 +288,10 @@ def _fn_scale():
     def run(inst, cols):
         k = inst.params["k"]
         t = inst.signature.outputs["result"]
-        return {"result": Column(t, [_check_int(t, v * k) for v in cols["arguments"].values])}
+        vals = [v * k for v in cols["arguments"].values]
+        if t.kind is not Kind.FLOAT:
+            _check_ints(t, vals)
+        return {"result": Column(t, vals)}
 
     return sig, run
 
@@ -305,9 +340,9 @@ def _fn_carve():
 
 
 _ELEMENTWISE_FNS = {
-    "add": _binary_arith("add", lambda a, b: a + b),
-    "sub": _binary_arith("sub", lambda a, b: a - b),
-    "mul": _binary_arith("mul", lambda a, b: a * b),
+    "add": _binary_arith("add", operator.add),
+    "sub": _binary_arith("sub", operator.sub),
+    "mul": _binary_arith("mul", operator.mul),
     "and": _binary_bool(lambda a, b: a & b),
     "or": _binary_bool(lambda a, b: a | b),
     "not": _fn_not(),
@@ -741,10 +776,9 @@ def _derivative_run(inst, cols):
         raise OperatorError("empty-input", "derivative needs at least one element")
     out_t = inst.signature.outputs["differences"]
     vals = col.values
-    if out_t.kind is Kind.FLOAT:
-        diffs = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    else:
-        diffs = [_check_int(out_t, vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
+    diffs = list(map(operator.sub, vals[1:], vals[:-1]))
+    if out_t.kind is not Kind.FLOAT:
+        _check_ints(out_t, diffs)
     return {"differences": Column(out_t, diffs)}
 
 
@@ -752,7 +786,7 @@ _simple("derivative", _derivative_sig, _derivative_run)
 
 
 _AGG_OPS = {
-    "add": (lambda a, b: a + b, lambda t: 0 if t.is_integer else 0.0),
+    "add": (operator.add, lambda t: 0 if t.is_integer else 0.0),
     "max": (lambda a, b: a if a >= b else b, lambda t: t.bounds()[0] if t.is_integer else float("-inf")),
     "min": (lambda a, b: a if a <= b else b, lambda t: t.bounds()[1] if t.is_integer else float("inf")),
     "and": (lambda a, b: a & b, lambda t: 1),
@@ -773,18 +807,12 @@ def _prefix_run(inst, cols):
     mode = inst.params.get("mode", "inclusive")
     t = inst.signature.outputs["aggregates"]
     combine, neutral = _AGG_OPS[op]
-    acc = neutral(t)
-    checked = op == "add" and t.is_integer
-    out = []
-    for v in cols["data"].values:
-        if mode == "exclusive":
-            out.append(acc)
-            acc = combine(acc, v)
-        else:
-            acc = combine(acc, v)
-            out.append(acc)
-        if checked:
-            _check_int(t, acc, what="prefix aggregate")
+    # acc[0] is the neutral element, acc[-1] the total; exclusive mode drops
+    # the total, but an overflowing total is still an overflow
+    acc = list(accumulate(cols["data"].values, combine, initial=neutral(t)))
+    if op == "add" and t.is_integer:
+        _check_ints(t, acc, what="prefix aggregate")
+    out = acc[:-1] if mode == "exclusive" else acc[1:]
     return {"aggregates": Column(t, out)}
 
 

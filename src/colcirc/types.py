@@ -9,8 +9,10 @@ blocks; they are capped at 512 bits and are not file-serializable.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import TypeDomainError
 
@@ -110,7 +112,10 @@ class ElementType:
             if self.width_bits == 64:
                 return True
             # f32 domain: values that survive a round-trip through 4 bytes
-            packed = struct.pack("<f", value)
+            try:
+                packed = struct.pack("<f", value)
+            except OverflowError:  # finite, but beyond the f32 range
+                return False
             return struct.unpack("<f", packed)[0] == value or value != value
         if k is Kind.UNIT:
             return value == ()
@@ -132,6 +137,48 @@ class ElementType:
                 index=index,
                 value=value,
             )
+
+    def check_values(self, vals: tuple) -> tuple:
+        """Check a whole column against the domain; return it normalized.
+
+        One C-level pass settles the common case.  Only when it fails does
+        the per-value :meth:`check_value` loop run, raising for the first bad
+        value; bit columns that needed it come back with bools as plain ints.
+        """
+        if not self._all_contained(vals):
+            for i, v in enumerate(vals):
+                self.check_value(v, index=i)
+            if self.kind is Kind.BIT:
+                vals = tuple(map(int, vals))
+        return vals
+
+    def _all_contained(self, vals: tuple) -> bool:
+        """True if every value is in the domain, decided without a Python loop.
+
+        False only means "look closer": bools, int and float subclasses, NaN
+        and out-of-range values all take the per-value path.
+        """
+        if not vals:
+            return True
+        k = self.kind
+        if k in (Kind.UNSIGNED, Kind.SIGNED, Kind.BIT):
+            if set(map(type, vals)) != {int}:
+                return False
+            lo, hi = self.bounds()
+            return lo <= min(vals) and max(vals) <= hi
+        if k is Kind.FLOAT:
+            if set(map(type, vals)) != {float}:
+                return False
+            return self.width_bits == 64 or array("f", vals).tolist() == list(vals)
+        if k is Kind.UNIT:
+            return vals.count(()) == len(vals)
+        if k is Kind.PRODUCT:
+            return (
+                set(map(type, vals)) == {tuple}
+                and set(map(len, vals)) == {len(self.components)}
+                and all(c._all_contained(col) for c, col in zip(self.components, zip(*vals)))
+            )
+        return False
 
     def zero(self):
         """A canonical filler value (used for scatter bases and padding)."""
@@ -170,6 +217,7 @@ class ElementType:
         return k.value
 
 
+@lru_cache(maxsize=256)  # types are immutable; schemes re-parse the same few names per call
 def parse_type(name: str) -> ElementType:
     """Parse the textual type names used in circuit/bundle JSON files."""
     name = name.strip()

@@ -202,3 +202,55 @@ class TestGen:
         assert main(["gen", "--kind", "geometric-widths", "--seed", "1", "--n", "30", vw]) == 0
         inst = read_bundle(vw)
         assert inst.scheme_id == "varwidth.std"
+
+
+class TestFaultsExitOne:
+    def test_missing_scheme_param_names_it(self, tmp_path, runs_col, capsys):
+        code = main(["encode", "--scheme", "for", runs_col, str(tmp_path / "b")])
+        assert code == 1
+        assert "offset_type" in capsys.readouterr().err
+
+    def test_truncated_col_in_bundle(self, tmp_path, runs_col, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["encode", "--scheme", "run.rle", runs_col, str(bundle)]) == 0
+        (bundle / "value.col").write_bytes(b"CCOL1")
+        capsys.readouterr()
+        assert main(["verify", str(bundle)]) == 1
+        assert "truncated" in capsys.readouterr().err
+
+
+class TestVerifiesOnce:
+    @pytest.fixture()
+    def verify_calls(self, monkeypatch):
+        from colcirc.codec import CodecEntry
+
+        calls = []
+        original = CodecEntry.verify_columns
+
+        def counting(self, params, columns):
+            calls.append(self.scheme_id)
+            return original(self, params, columns)
+
+        monkeypatch.setattr(CodecEntry, "verify_columns", counting)
+        return calls
+
+    @pytest.fixture()
+    def bundle(self, tmp_path, runs_col):
+        path = str(tmp_path / "bundle")
+        assert main(["encode", "--scheme", "run.rle", runs_col, path]) == 0
+        return path
+
+    def test_decode(self, tmp_path, bundle, runs_col, verify_calls):
+        out = str(tmp_path / "decoded")
+        assert main(["decode", bundle, out]) == 0
+        assert verify_calls == ["run.rle"]
+        assert sha(os.path.join(out, "col.col")) == sha(runs_col)
+
+    def test_stats(self, bundle, verify_calls, capsys):
+        capsys.readouterr()
+        assert main(["stats", bundle]) == 0
+        assert verify_calls == ["run.rle"]
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["decoded_size_bytes"] == 13 * 4
+        ratio = doc["encoded_size_bytes"], doc["decoded_size_bytes"]
+        assert doc["compression_ratio"][0] * ratio[0] == doc["compression_ratio"][1] * ratio[1]
