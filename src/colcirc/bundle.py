@@ -38,7 +38,13 @@ def read_bundle(directory) -> SchemeInstance:
     for key in ("scheme", "params", "columns"):
         if key not in manifest:
             raise ColcircError(f"manifest is missing the {key!r} field")
+    root = os.path.realpath(directory)
     columns = {}
     for label, rel in manifest["columns"].items():
-        columns[label] = read_col_file(os.path.join(directory, rel))
+        if not isinstance(rel, str) or os.path.isabs(rel):
+            raise ColcircError(f"manifest path {rel!r} for {label!r} is not relative to the bundle")
+        path = os.path.realpath(os.path.join(root, rel))
+        if os.path.commonpath([root, path]) != root:
+            raise ColcircError(f"manifest path {rel!r} for {label!r} leaves the bundle directory")
+        columns[label] = read_col_file(path)
     return SchemeInstance(manifest["scheme"], manifest["params"], columns)

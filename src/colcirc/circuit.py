@@ -11,8 +11,6 @@ order.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .column import Column
@@ -239,7 +237,7 @@ def _toposort(c: ColumnarCircuit):
                 ready.append(u)
     if len(order) != len(c.vertices):
         raise InvalidCircuitError(ValidationReport((Violation("cycle", "cannot order vertices"),)))
-    return order, deps, consumers
+    return order
 
 
 def _gather_vertex_inputs(c, vid, port_values, input_columns):
@@ -275,41 +273,25 @@ def _run_vertex(c, vid, args):
         raise EvaluationError(vid, exc) from exc
 
 
-def max_threads() -> int:
-    env = os.environ.get("COLCIRC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
-_POOL = None
-
-
-def _pool():
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=max_threads())
-    return _POOL
-
-
 def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> dict:
     """Evaluate the circuit and return the column observed at every port.
 
     Each out-port is computed exactly once per run; fan-out shares the same
-    immutable column.  With ``parallel=True`` ready vertices run on a thread
-    pool, except a lone one, which runs in the calling thread; the result is
-    identical to the single-threaded reference.
+    immutable column.  Vertices run one at a time in a fixed topological
+    order.  ``parallel`` is accepted for compatibility and ignored: under
+    the GIL a thread pool only added hand-off latency.
     """
     input_columns = _bind_inputs(c, inputs)
-    order, deps, consumers = _toposort(c)
     edge_by_target = {dst: src for src, dst in c.edges}
     port_values = {}
-
-    def record_outputs(vid, outs):
+    for vid in _toposort(c):
         op = c.vertices[vid]
+        for label in op.signature.inputs:
+            tgt = PortRef(vid, label, IN)
+            src = edge_by_target.get(tgt)
+            if src is not None:
+                port_values[tgt] = port_values[src]
+        outs = _run_vertex(c, vid, _gather_vertex_inputs(c, vid, port_values, input_columns))
         for label, col in outs.items():
             if not isinstance(col, Column):
                 raise EvaluationError(vid, OperatorError("bad-output", f"{label} is not a column"))
@@ -317,54 +299,6 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
         for label in op.signature.outputs:
             if label not in outs:
                 raise EvaluationError(vid, OperatorError("bad-output", f"missing output {label}"))
-
-    def propagate(vid):
-        for label in c.vertices[vid].signature.inputs:
-            tgt = PortRef(vid, label, IN)
-            src = edge_by_target.get(tgt)
-            if src is not None:
-                port_values[tgt] = port_values[src]
-
-    if not parallel:
-        for vid in order:
-            propagate(vid)
-            args = _gather_vertex_inputs(c, vid, port_values, input_columns)
-            record_outputs(vid, _run_vertex(c, vid, args))
-    else:
-        pool = _pool()
-        pending = {v: len(d) for v, d in deps.items()}
-        futures = {}
-
-        def submit(vid):
-            propagate(vid)
-            args = _gather_vertex_inputs(c, vid, port_values, input_columns)
-            futures[pool.submit(_run_vertex, c, vid, args)] = vid
-
-        ready = [vid for vid in order if pending[vid] == 0]
-        remaining = len(order)
-        while remaining:
-            if len(ready) == 1 and not futures:
-                # nothing to overlap with: a pool round trip would only add latency
-                vid = ready.pop()
-                propagate(vid)
-                record_outputs(vid, _run_vertex(c, vid, _gather_vertex_inputs(c, vid, port_values, input_columns)))
-                finished = [vid]
-            else:
-                for vid in ready:
-                    submit(vid)
-                ready = []
-                done, _ = wait(list(futures), return_when="FIRST_COMPLETED")
-                finished = []
-                for fut in done:
-                    vid = futures.pop(fut)
-                    record_outputs(vid, fut.result())
-                    finished.append(vid)
-            for vid in finished:
-                remaining -= 1
-                for u in sorted(consumers[vid]):
-                    pending[u] -= 1
-                    if pending[u] == 0:
-                        ready.append(u)
 
     for port, col in input_columns.items():
         port_values.setdefault(port, col)

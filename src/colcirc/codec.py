@@ -12,13 +12,14 @@ the canonical one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import ColumnarCircuit, evaluate_circuit
-from .column import Column, representation_size_bytes
-from .errors import ColcircError, NotEncodable, RegistryError, VerificationFailed
+from .column import Column, representation_size_bytes, scalar_column
+from .errors import ColcircError, NotEncodable, OperatorError, RegistryError, VerificationFailed
+from .ops import REGISTRY_LOCK, OperatorInstance, Signature, register_operator
+from .types import BIT
 
 
 @dataclass(frozen=True)
@@ -36,60 +37,103 @@ class SchemeInstance:
 
 
 def params_key(params: dict) -> str:
-    return json.dumps(params, sort_keys=True)
+    # equal keys mean equal params; a third of the cost of a sorted
+    # ``json.dumps``, which ``encode`` and ``decode`` would each pay per call
+    return repr(sorted(params.items()))
+
+
+class _SchemeParams(dict):
+    """Params as a scheme's callables see them: a missing one is a ColcircError."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        raise ColcircError(f"missing scheme param {key!r}")
+
+
+def _scheme_params(params) -> _SchemeParams:
+    return params if type(params) is _SchemeParams else _SchemeParams(params)
 
 
 class CodecEntry:
-    """Registry record binding a scheme id to its codec constructors.
+    """Registry record binding a scheme id to its codec callables.
 
-    Subclasses (or instances configured with callables) provide:
+    Builtin schemes pass callables, each called with params whose missing
+    keys raise :class:`ColcircError`; composed codecs override the methods.
 
     - ``form_spec(params)``: ordered ``{label: ElementType}`` of the encoded
       form, used for well-typedness checks and bundle file ordering.
     - ``decoded_labels(params)``: output labels of the decoder.
     - ``build_decoder(params)``: the decoder circuit.
-    - ``host_verify(params, columns)``: total decision procedure, or
-      ``build_verifier(params)`` returning a decision circuit.
+    - ``host_verify(params, columns)``: total decision procedure.
     - ``encode(params, family)``: canonical encoded columns, or raises
       :class:`NotEncodable`.
     - ``equivalent(params, a, b)``: the scheme's ``~`` relation over decoded
       families (defaults to exact equality).
+    - ``normalize_params``, ``encoded_lengths``, ``fit`` and ``fit_additive``:
+      see the methods of the same names.
     """
 
-    scheme_id: str = ""
+    # callables left out stay at these class defaults, so a subclass's
+    # instances carry none of them in their own ``__dict__``
+    _equivalent = _normalize = _encoded_lengths = _fit = _fit_additive = None
 
-    def __init__(self, scheme_id=None):
-        if scheme_id is not None:
-            self.scheme_id = scheme_id
+    def __init__(
+        self,
+        scheme_id,
+        form_spec=None,
+        decoded_labels=None,
+        build_decoder=None,
+        encode=None,
+        host_verify=None,
+        equivalent=None,
+        normalize_params=None,
+        encoded_lengths=None,
+        fit=None,
+        fit_additive=None,
+    ):
+        self.scheme_id = scheme_id
         self._decoder_cache = {}
-
-    # -- mandatory surface ---------------------------------------------------
+        callables = {
+            "_form_spec": form_spec,
+            "_decoded_labels": decoded_labels,
+            "_build_decoder": build_decoder,
+            "_encode": encode,
+            "_host_verify": host_verify,
+            "_equivalent": equivalent,
+            "_normalize": normalize_params,
+            "_encoded_lengths": encoded_lengths,
+            "_fit": fit,
+            "_fit_additive": fit_additive,
+        }
+        for attr, fn in callables.items():
+            if fn is not None:
+                setattr(self, attr, fn)
 
     def form_spec(self, params) -> dict:
-        raise NotImplementedError
+        return self._form_spec(_scheme_params(params))
 
     def decoded_labels(self, params) -> list:
-        raise NotImplementedError
+        return self._decoded_labels(_scheme_params(params))
 
     def build_decoder(self, params) -> ColumnarCircuit:
-        raise NotImplementedError
+        return self._build_decoder(_scheme_params(params))
 
     def encode(self, params, family: dict) -> dict:
-        raise NotImplementedError
-
-    # -- optional hooks --------------------------------------------------------
+        return self._encode(_scheme_params(params), family)
 
     def host_verify(self, params, columns: dict) -> bool:
-        raise NotImplementedError
-
-    def build_verifier(self, params) -> ColumnarCircuit:
-        raise NotImplementedError
+        return self._host_verify(_scheme_params(params), columns)
 
     def equivalent(self, params, a: dict, b: dict) -> bool:
-        return a == b
+        if self._equivalent is None:
+            return a == b
+        return self._equivalent(_scheme_params(params), a, b)
 
     def normalize_params(self, params: dict) -> dict:
-        return dict(params)
+        if self._normalize is None:
+            return _SchemeParams(params)
+        return _SchemeParams(self._normalize(_scheme_params(params)))
 
     def encoded_lengths(self, params, n: int) -> dict | None:
         """Per-label encoded lengths when they depend only on ``n``.
@@ -97,7 +141,9 @@ class CodecEntry:
         Schemes with data-dependent encoded lengths return None; such
         schemes only admit variable-length segmentization.
         """
-        return None
+        if self._encoded_lengths is None:
+            return None
+        return self._encoded_lengths(_scheme_params(params), n)
 
     def fit(self, params, family: dict):
         """Best effort ``(encodable_family, patches)`` decomposition.
@@ -107,7 +153,9 @@ class CodecEntry:
         the patching composition; schemes without a natural notion of a
         nearest encodable column simply do not implement it.
         """
-        raise NotEncodable(f"{self.scheme_id} offers no outlier-removal fit")
+        if self._fit is None:
+            raise NotEncodable(f"{self.scheme_id} offers no outlier-removal fit")
+        return self._fit(_scheme_params(params), family)
 
     def fit_additive(self, params, col):
         """Best-effort modeled column whose residual another scheme absorbs.
@@ -115,7 +163,9 @@ class CodecEntry:
         Used by the elementwise-add composition.  The returned column must
         be exactly encodable by this scheme, with length equal to the input.
         """
-        raise NotEncodable(f"{self.scheme_id} offers no additive fit")
+        if self._fit_additive is None:
+            raise NotEncodable(f"{self.scheme_id} offers no additive fit")
+        return self._fit_additive(_scheme_params(params), col)
 
     # -- shared behavior -------------------------------------------------------
 
@@ -134,50 +184,20 @@ class CodecEntry:
         return all(columns[label].element_type == t for label, t in spec.items())
 
     def verify_columns(self, params, columns: dict) -> bool:
-        if not self.check_form(params, columns):
-            return False
-        try:
-            return bool(self.host_verify(params, columns))
-        except NotImplementedError:
-            pass
-        from .circuit import evaluate_decision_circuit
+        return self.check_form(params, columns) and bool(self.host_verify(params, columns))
 
-        return evaluate_decision_circuit(self.build_verifier(params), columns)
-
-    def verifier_circuit(self, params) -> "ColumnarCircuit":
+    def verifier_circuit(self, params) -> ColumnarCircuit:
         """The verifier as a complete decision circuit.
 
-        Host decision procedures are registered as single catalog operators
-        and lifted; either way the circuit's input signature equals the
-        decoder's input signature.
+        The host decision procedure is lifted through the catalog's single
+        ``host_verify`` operator, so the circuit's input signature equals
+        the decoder's input signature.
         """
-        try:
-            return self.build_verifier(params)
-        except NotImplementedError:
-            pass
-        from . import ops
         from .builder import CircuitBuilder
-        from .column import Column, scalar_column
-        from .ops import OperatorInstance, Signature
-        from .types import BIT
 
-        key = params_key(params)
-        op_name = f"verify:{self.scheme_id}:{key}"
-        if not ops.is_registered(op_name):
-            spec = self.form_spec(params)
-            entry = self
-
-            def inst_fn(op_params):
-                return OperatorInstance(op_name, dict(op_params), Signature(dict(spec), {"accept": BIT}))
-
-            def run_fn(inst, cols):
-                ok = entry.host_verify(params, cols)
-                return {"accept": scalar_column(BIT, 1 if ok else 0)}
-
-            ops.register_operator(op_name, inst_fn, run_fn)
         b = CircuitBuilder()
         wired = {label: b.input(label) for label in self.form_spec(params)}
-        b.output("accept", b.add(op_name, {}, **wired))
+        b.output("accept", b.add("host_verify", {"scheme": self.scheme_id, "params": dict(params)}, **wired))
         return b.build()
 
 
@@ -187,9 +207,10 @@ _REGISTRY: dict[str, CodecEntry] = {}
 def register_codec(entry: CodecEntry) -> CodecEntry:
     if not entry.scheme_id:
         raise RegistryError("codec entries need a scheme_id")
-    if entry.scheme_id in _REGISTRY:
-        raise RegistryError(f"scheme {entry.scheme_id!r} already registered")
-    _REGISTRY[entry.scheme_id] = entry
+    with REGISTRY_LOCK:
+        if entry.scheme_id in _REGISTRY:
+            raise RegistryError(f"scheme {entry.scheme_id!r} already registered")
+        _REGISTRY[entry.scheme_id] = entry
     return entry
 
 
@@ -211,9 +232,16 @@ _builtins_loaded = False
 
 def _ensure_builtins():
     global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        from . import comp_schemes, rep_schemes  # noqa: F401  (registration side effect)
+    if _builtins_loaded:
+        return
+    # the flag is set only once both modules have registered everything, so
+    # no thread can look up a half-filled registry; the lock is reentrant
+    # because the imports call ``register_codec``
+    with REGISTRY_LOCK:
+        if not _builtins_loaded:
+            from . import comp_schemes, rep_schemes  # noqa: F401  (registration side effect)
+
+            _builtins_loaded = True
 
 
 # -- uniform entry points --------------------------------------------------------
@@ -252,6 +280,11 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
             raise NotEncodable(f"{scheme_id} expects the labeled family {labels}")
         family = {labels[0]: family}
     columns = entry.encode(raw, dict(family))
+    decoded = entry.decoder(normalized).signature.outputs
+    for label, col in family.items():
+        t = decoded.get(DECODED_PREFIX + label) or decoded.get(label)
+        if col.element_type != t:
+            raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {col.element_type}")
     return SchemeInstance(scheme_id, normalized, columns)
 
 
@@ -265,96 +298,29 @@ def compression_ratio(inst: SchemeInstance) -> Fraction:
     return Fraction(representation_size_bytes(decoded), representation_size_bytes(inst.columns))
 
 
-# -- simple declarative entry construction ----------------------------------------
+# ``CodecEntry`` takes the callables itself; the old name stays importable.
+SimpleCodec = CodecEntry
 
 
-class _SchemeParams(dict):
-    """Params as a scheme's callables see them: a missing one is a ColcircError."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        raise ColcircError(f"missing scheme param {key!r}")
+# -- the lifted host verifier --------------------------------------------------------
 
 
-def _scheme_params(params) -> _SchemeParams:
-    return params if type(params) is _SchemeParams else _SchemeParams(params)
+def _host_verify_target(params):
+    for key in ("scheme", "params"):
+        if key not in params:
+            raise OperatorError("bad-params", f"missing {key!r} parameter")
+    return codec(params["scheme"]), params["params"]
 
 
-class SimpleCodec(CodecEntry):
-    """CodecEntry assembled from callables; used for most builtin schemes."""
+def _host_verify_instantiate(params):
+    entry, scheme_params = _host_verify_target(params)
+    spec = entry.form_spec(scheme_params)
+    return OperatorInstance("host_verify", dict(params), Signature(dict(spec), {"accept": BIT}))
 
-    def __init__(
-        self,
-        scheme_id,
-        form_spec,
-        decoded_labels,
-        build_decoder,
-        encode,
-        host_verify=None,
-        build_verifier=None,
-        equivalent=None,
-        normalize_params=None,
-        encoded_lengths=None,
-        fit=None,
-        fit_additive=None,
-    ):
-        super().__init__(scheme_id)
-        self._form_spec = form_spec
-        self._decoded_labels = decoded_labels
-        self._build_decoder = build_decoder
-        self._encode = encode
-        self._host_verify = host_verify
-        self._build_verifier = build_verifier
-        self._equivalent = equivalent
-        self._normalize = normalize_params
-        self._encoded_lengths = encoded_lengths
-        self._fit = fit
-        self._fit_additive = fit_additive
 
-    def form_spec(self, params):
-        return self._form_spec(_scheme_params(params))
+def _host_verify_apply(inst, cols):
+    entry, scheme_params = _host_verify_target(inst.params)
+    return {"accept": scalar_column(BIT, 1 if entry.host_verify(scheme_params, cols) else 0)}
 
-    def decoded_labels(self, params):
-        return self._decoded_labels(_scheme_params(params))
 
-    def build_decoder(self, params):
-        return self._build_decoder(_scheme_params(params))
-
-    def encode(self, params, family):
-        return self._encode(_scheme_params(params), family)
-
-    def host_verify(self, params, columns):
-        if self._host_verify is None:
-            raise NotImplementedError
-        return self._host_verify(_scheme_params(params), columns)
-
-    def build_verifier(self, params):
-        if self._build_verifier is None:
-            raise NotImplementedError
-        return self._build_verifier(_scheme_params(params))
-
-    def equivalent(self, params, a, b):
-        if self._equivalent is None:
-            return a == b
-        return self._equivalent(_scheme_params(params), a, b)
-
-    def normalize_params(self, params):
-        if self._normalize is None:
-            return _SchemeParams(params)
-        return _SchemeParams(self._normalize(_scheme_params(params)))
-
-    def encoded_lengths(self, params, n):
-        if self._encoded_lengths is None:
-            return None
-        return self._encoded_lengths(_scheme_params(params), n)
-
-    def fit(self, params, family):
-        if self._fit is None:
-            return super().fit(params, family)
-        return self._fit(_scheme_params(params), family)
-
-    def fit_additive(self, params, col):
-        if self._fit_additive is None:
-            return super().fit_additive(params, col)
-        return self._fit_additive(_scheme_params(params), col)
+register_operator("host_verify", _host_verify_instantiate, _host_verify_apply)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
-from .codec import SimpleCodec, register_codec
+from .codec import CodecEntry, register_codec
 from .column import Column, scalar_column
 from .errors import NotEncodable
 from .rep_schemes import (
@@ -220,7 +220,7 @@ def _generated_fit_additive(params, col):
 
 def _register_generated(scheme_id, normalize=None):
     register_codec(
-        SimpleCodec(
+        CodecEntry(
             scheme_id,
             form_spec=lambda p: {"length": INT, "coefficients": _et(p)},
             decoded_labels=lambda p: ["col"],
@@ -285,7 +285,7 @@ def _constant_fit_additive(params, col):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "constant",
         form_spec=lambda p: {"value": _et(p), "length": _int_et(p)},
         decoded_labels=lambda p: ["col"],
@@ -359,7 +359,7 @@ def _fit_float_least_squares(values, degrees):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "noisy.generated",
         form_spec=lambda p: {"coefficients": _et(p), "noise": parse_type(_noise_t(p))},
         decoded_labels=lambda p: ["col"],
@@ -394,7 +394,7 @@ def _nullsup_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "nullsup",
         form_spec=lambda p: {"narrow": parse_type(_narrow_t(p))},
         decoded_labels=lambda p: ["col"],
@@ -453,7 +453,7 @@ for _variant, _verifier in (
     ("dict.monotone", _dict_verify_monotone),
 ):
     register_codec(
-        SimpleCodec(
+        CodecEntry(
             _variant,
             form_spec=lambda p: {"dictionary": _et(p), "indices": INT},
             decoded_labels=lambda p: ["col"],
@@ -523,7 +523,7 @@ def _run_full_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "run.full",
         form_spec=lambda p: {"start_position": INT, "length": INT, "value": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -586,7 +586,7 @@ def rpe_encoder_circuit(params):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "run.rpe",
         form_spec=lambda p: {"start_position": INT, "value": _et(p), "overall_length": INT},
         decoded_labels=lambda p: ["col"],
@@ -626,7 +626,7 @@ def _rle_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "run.rle",
         form_spec=lambda p: {"length": _int_et(p), "value": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -684,7 +684,7 @@ def _capped_rle_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "run.rle.capped",
         form_spec=lambda p: {"cap": INT, "length": _int_et(p), "value": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -784,7 +784,7 @@ def _spline_generalized_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "spline.generalized",
         form_spec=lambda p: {"segment_start_pos": INT, "segment_length": INT, "coefficients": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -886,7 +886,7 @@ def _knotted_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "spline.knotted",
         form_spec=lambda p: {
             "knots": parse_type("f64") if _knots_float(p) else INT,
@@ -963,7 +963,7 @@ def _equiknotted_fit_additive(params, col):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "spline.equiknotted",
         form_spec=lambda p: {"interval_length": INT, "length": INT, "coefficients": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -1028,7 +1028,7 @@ def _for_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "for",
         form_spec=lambda p: {
             "segment_length": INT,
@@ -1080,7 +1080,7 @@ def _naive_delta_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "delta.naive",
         form_spec=lambda p: {"base": _et(p), "delta": parse_type(_delta_t(p))},
         decoded_labels=lambda p: ["col"],
@@ -1152,7 +1152,7 @@ def _delta_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "delta",
         form_spec=lambda p: {"segment_length": INT, "base": _et(p), "delta": parse_type(_delta_t(p))},
         decoded_labels=lambda p: ["col"],
@@ -1211,7 +1211,7 @@ def _patched_delta_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "delta.patched",
         form_spec=lambda p: {
             "segment_length": INT,
@@ -1300,7 +1300,7 @@ def _segdict_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "segdict",
         form_spec=lambda p: {"segment_length": INT, "dictionary_entries": _et(p), "indices": INT},
         decoded_labels=lambda p: ["col"],
@@ -1328,7 +1328,7 @@ def _segdict2_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "segdict.two_level",
         form_spec=lambda p: {
             "segment_length": INT,
@@ -1430,7 +1430,7 @@ def _cascade_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "cascade",
         form_spec=_cascade_spec,
         decoded_labels=lambda p: ["col"],
@@ -1485,7 +1485,7 @@ def _subdict_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "subdict",
         form_spec=lambda p: {
             "dictionary": _et(p),
@@ -1581,7 +1581,7 @@ def _common_prefix_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "idx.common_prefix",
         form_spec=lambda p: {
             "prefix": _cp_types(p)[0],
@@ -1666,7 +1666,7 @@ def _common_upper_half_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "idx.common_upper_half",
         form_spec=lambda p: {
             "naive": ElementType.unsigned(int(p["w"])),
@@ -1771,7 +1771,7 @@ def _pvw_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "pvw",
         form_spec=lambda p: {"period": INT, "widths": INT, "length": INT, "data": _et(p)},
         decoded_labels=lambda p: ["start_position", "length", "data"],
@@ -1864,7 +1864,7 @@ for _variant, _vverify in (
     ("vwdict.monotone", _vwdict_verify_monotone),
 ):
     register_codec(
-        SimpleCodec(
+        CodecEntry(
             _variant,
             form_spec=lambda p: {
                 "indices": INT,

@@ -3,9 +3,9 @@
 Each recipe manufactures a new :class:`CodecEntry` out of registered inner
 schemes.  Except for the segmentize kinds, composed decoders are assembled
 from the inner decoder circuits with ``circuit_union`` and ``assign_input``;
-segmentization instead fuses the inner decoder into a catalog operator and
-runs it per segment (the number of segments is data-dependent, so it cannot
-be unrolled into a fixed circuit).
+segmentization instead lifts the catalog's ``segmentized`` operator, which
+runs the inner decoder per segment (the number of segments is
+data-dependent, so it cannot be unrolled into a fixed circuit).
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def compose(recipe: CompositionRecipe) -> CodecEntry:
         raise NotEncodable(f"unknown composition kind {recipe.kind!r}")
     entry = builder(recipe)
     return register_codec(entry)
-
-
-def _decoded_column_entry(scheme_id):
-    entry = codec(scheme_id)
-    return entry
 
 
 def _single_output_decoder(entry, params) -> ColumnarCircuit:
@@ -433,8 +428,6 @@ class _SegmentizedCodec(_ComposedCodec):
             )
         if uniform:
             self.ell = int(recipe.options["segment_length"])
-        self._op_name = f"segmentized:{recipe.scheme_id}"
-        self._register_op()
 
     def extra_spec(self):
         if self.uniform:
@@ -464,36 +457,24 @@ class _SegmentizedCodec(_ComposedCodec):
                 raise OperatorError("length-mismatch", f"unconsumed data in segmented label {lb}")
         return pieces
 
-    def _register_op(self):
-        me = self
-
-        def inst_fn(params):
-            spec = me.form_spec({})
-            ins = {lb: t for lb, t in spec.items()}
-            outs = {"result": parse_type(me.data_type)}
-            return OperatorInstance(me._op_name, dict(params), Signature(ins, outs))
-
-        def run_fn(inst, cols):
-            entry, iparams = me.inners[0]
-            segments = me._segments(cols)
-            pieces = me._split(cols, segments)
-            out = []
-            for seg_len, piece in zip(segments, pieces):
-                decoded = _inner_decode(entry, iparams, piece)["col"]
-                if len(decoded) != seg_len:
-                    raise OperatorError(
-                        "length-mismatch", f"segment decoded to {len(decoded)} elements, wanted {seg_len}"
-                    )
-                out.extend(decoded.values)
-            return {"result": Column(parse_type(me.data_type), out)}
-
-        register_operator(self._op_name, inst_fn, run_fn)
+    def decode_segments(self, columns) -> Column:
+        """Run the inner decoder on each segment and concatenate the results."""
+        entry, iparams = self.inners[0]
+        segments = self._segments(columns)
+        out = []
+        for seg_len, piece in zip(segments, self._split(columns, segments)):
+            decoded = _inner_decode(entry, iparams, piece)["col"]
+            if len(decoded) != seg_len:
+                raise OperatorError(
+                    "length-mismatch", f"segment decoded to {len(decoded)} elements, wanted {seg_len}"
+                )
+            out.extend(decoded.values)
+        return Column(parse_type(self.data_type), out)
 
     def build_decoder(self, params):
         b = CircuitBuilder()
-        spec = self.form_spec({})
-        wired = {lb: b.input(lb) for lb in spec}
-        out = b.add(self._op_name, {}, **wired)
+        wired = {lb: b.input(lb) for lb in self.form_spec({})}
+        out = b.add("segmentized", {"scheme": self.scheme_id}, **wired)
         b.result("col", b.noop(out, self.data_type))
         return b.build()
 
@@ -543,6 +524,31 @@ class _SegmentizedCodec(_ComposedCodec):
         else:
             out["segment_lengths"] = Column(INT, segments)
         return out
+
+
+# -- the segmentized operator: one catalog entry serving every segmentized scheme ----------
+
+
+def _segmentized_codec(params):
+    if "scheme" not in params:
+        raise OperatorError("bad-params", "missing 'scheme' parameter")
+    entry = codec(params["scheme"])
+    if not isinstance(entry, _SegmentizedCodec):
+        raise OperatorError("bad-params", f"{entry.scheme_id} is not a segmentized scheme")
+    return entry
+
+
+def _segmentized_instantiate(params):
+    entry = _segmentized_codec(params)
+    outs = {"result": parse_type(entry.data_type)}
+    return OperatorInstance("segmentized", dict(params), Signature(entry.form_spec({}), outs))
+
+
+def _segmentized_apply(inst, cols):
+    return {"result": _segmentized_codec(inst.params).decode_segments(cols)}
+
+
+register_operator("segmentized", _segmentized_instantiate, _segmentized_apply)
 
 
 _KINDS = {

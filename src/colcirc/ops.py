@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -58,11 +59,16 @@ class _OpDef:
 
 _CATALOG: dict[str, _OpDef] = {}
 
+# guards the check-and-insert of this catalog and of the codec registry;
+# reentrant because loading the builtin schemes registers codecs under it
+REGISTRY_LOCK = threading.RLock()
+
 
 def register_operator(name, instantiate, apply, replace=False):
-    if name in _CATALOG and not replace:
-        raise RegistryError(f"operator {name!r} already registered")
-    _CATALOG[name] = _OpDef(name, instantiate, apply)
+    with REGISTRY_LOCK:
+        if name in _CATALOG and not replace:
+            raise RegistryError(f"operator {name!r} already registered")
+        _CATALOG[name] = _OpDef(name, instantiate, apply)
 
 
 def catalog_names():
@@ -218,7 +224,7 @@ _F64_EXACT = 1 << 53
 
 
 def _cast_values(vals, src: ElementType, dst: ElementType):
-    """Cast a column's values; the (src, dst) case is chosen once per column."""
+    """Cast numeric values; the (src, dst) case is chosen once per column."""
     if dst.kind is Kind.FLOAT:
         if src.is_integer and vals and (min(vals) < -_F64_EXACT or max(vals) > _F64_EXACT):
             for v in vals:
@@ -233,28 +239,26 @@ def _cast_values(vals, src: ElementType, dst: ElementType):
                         raise OperatorError("overflow", f"{v} not exactly representable as f32")
             out = f32
         return out
-    if dst.is_integer:
-        if src.kind is Kind.FLOAT:
-            try:
-                out = list(map(int, vals))  # truncation toward zero
-            except (ValueError, OverflowError):
-                bad = next(v for v in vals if not math.isfinite(v))
-                raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
-        else:
-            out = vals
-        if not _in_bounds(dst, out):
-            for v, iv in zip(vals, out):
-                _check_int(dst, iv, what=f"cast of {v}")
-        return out
-    if vals:
-        raise OperatorError("bad-params", f"cannot cast to {dst}")
-    return []
+    if src.kind is Kind.FLOAT:
+        try:
+            out = list(map(int, vals))  # truncation toward zero
+        except (ValueError, OverflowError):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
+    else:
+        out = vals
+    if not _in_bounds(dst, out):
+        for v, iv in zip(vals, out):
+            _check_int(dst, iv, what=f"cast of {v}")
+    return out
 
 
 def _fn_cast():
     def sig(params):
         src = _typ(params, "from")
         dst = _typ(params, "to")
+        if not (src.is_numeric and dst.is_numeric):
+            raise OperatorError("bad-params", f"cast needs numeric types, got {src} to {dst}")
         return {"arguments": src}, {"result": dst}
 
     def run(inst, cols):
@@ -867,9 +871,6 @@ def register_fused(name: str, circuit) -> None:
     """Register a composite operator whose evaluation runs a captured circuit."""
     from .circuit import evaluate_circuit  # local import to avoid a cycle
 
-    if name in _CATALOG:
-        raise RegistryError(f"operator {name!r} already registered")
-
     def inst_fn(params):
         return OperatorInstance(name, dict(params), circuit.signature, inner=circuit)
 
@@ -877,10 +878,6 @@ def register_fused(name: str, circuit) -> None:
         return evaluate_circuit(circuit, cols)
 
     register_operator(name, inst_fn, run_fn)
-
-
-def is_registered(name: str) -> bool:
-    return name in _CATALOG
 
 
 # -- convenience wrappers (direct library calls, mirrors of the catalog) -------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import CircuitBuilder, expand_ranges
-from .codec import SimpleCodec, SchemeInstance, decode, register_codec
+from .codec import CodecEntry, SchemeInstance, decode, register_codec
 from .column import Column, scalar_column
 from .errors import NotEncodable, OperatorError
 from .types import BIT, INT, ElementType, parse_type
@@ -140,7 +140,7 @@ def _indexed_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "indexed",
         form_spec=lambda p: {"pos": INT, "data": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -173,7 +173,7 @@ def _subcol_std_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "subcolumn.std",
         form_spec=lambda p: {"pos": INT, "data": _et(p)},
         decoded_labels=lambda p: ["pos", "data"],
@@ -235,7 +235,7 @@ def _overlay_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "subcolumn.overlay",
         form_spec=_two_subcolumn_spec,
         decoded_labels=lambda p: ["pos", "data"],
@@ -268,7 +268,7 @@ def _disjoint_union_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "subcolumn.union.disjoint",
         form_spec=_two_subcolumn_spec,
         decoded_labels=lambda p: ["pos", "data"],
@@ -314,7 +314,7 @@ def _complementing_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "column.complementing",
         form_spec=lambda p: {"pos": INT, "data_1": _et(p), "data_2": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -349,7 +349,7 @@ def _overlaid_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "column.overlaid",
         form_spec=lambda p: {"data": _et(p), "overlay_pos": INT, "overlay_data": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -394,7 +394,7 @@ def _segmentation_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "segmentation",
         form_spec=lambda p: {"start": INT, "length": INT},
         decoded_labels=lambda p: ["col"],
@@ -421,7 +421,7 @@ def _uniform_segmentation_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "segmentation.uniform",
         form_spec=lambda p: {"segment_length": INT, "overall_length": INT},
         decoded_labels=lambda p: ["col"],
@@ -453,7 +453,7 @@ def _segmented_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "segmented",
         form_spec=lambda p: {"data": _et(p), "segment_start_pos": INT, "segment_length": INT},
         decoded_labels=lambda p: ["col"],
@@ -480,7 +480,7 @@ def _uniformly_segmented_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "segmented.uniform",
         form_spec=lambda p: {"data": _et(p), "segment_length": INT},
         decoded_labels=lambda p: ["col"],
@@ -549,7 +549,7 @@ def _segmented_subcolumn_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "subcolumn.segmented",
         form_spec=lambda p: {"segment_length": INT, "segment_pos": INT, "data": _et(p)},
         decoded_labels=lambda p: ["pos", "data"],
@@ -599,7 +599,7 @@ def _sparse_indexset_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "indexset.sparse",
         form_spec=lambda p: {"full_length": INT, "elements": INT},
         decoded_labels=lambda p: ["full_length", "elements"],
@@ -628,7 +628,7 @@ def _dense_indexset_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "indexset.dense",
         form_spec=lambda p: {"characteristic": BIT},
         decoded_labels=lambda p: ["full_length", "elements"],
@@ -674,7 +674,7 @@ def _contiguous_indexset_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "indexset.contiguous",
         form_spec=lambda p: {"start": INT, "length": INT, "full_length": INT},
         decoded_labels=lambda p: ["full_length", "elements"],
@@ -736,7 +736,7 @@ def _partition_equivalent(params, a, b):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "partition",
         form_spec=lambda p: {"partition": INT},
         decoded_labels=lambda p: [
@@ -811,7 +811,7 @@ def _partitioned_k_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "partition.k",
         form_spec=_partitioned_k_spec,
         decoded_labels=lambda p: ["col"],
@@ -872,7 +872,7 @@ def _components_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "components",
         form_spec=lambda p: {
             f"component_{i + 1}": t for i, t in enumerate(_components_types(p))
@@ -920,7 +920,7 @@ def _concat_components_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "components.concatenated",
         form_spec=lambda p: {"segment_length": INT, "components": _et(p)},
         decoded_labels=lambda p: ["composed"],
@@ -961,7 +961,7 @@ def _shattered_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "components.shattered",
         form_spec=lambda p: {"segment_length": INT, "components": _et(p)},
         decoded_labels=lambda p: ["composed"],
@@ -1015,7 +1015,7 @@ def _value_indicators_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "value.indicators",
         form_spec=lambda p: {"domain_size": INT, "bitmaps": BIT},
         decoded_labels=lambda p: ["col"],
@@ -1088,7 +1088,7 @@ def _varwidth_std_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "varwidth.std",
         form_spec=lambda p: {"start_position": INT, "length": INT, "data": _et(p)},
         decoded_labels=lambda p: ["start_position", "length", "data"],
@@ -1148,7 +1148,7 @@ def _capped_width_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "varwidth.capped",
         form_spec=lambda p: {"max_length": INT, "lengths": INT, "data": _et(p)},
         decoded_labels=lambda p: ["start_position", "length", "data"],
@@ -1196,7 +1196,7 @@ def _nullable_complementing_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "nullable.complementing",
         form_spec=lambda p: {"pos": INT, "data": _et(p), "length": INT, "null_value": _et(p)},
         decoded_labels=lambda p: ["col"],
@@ -1237,7 +1237,7 @@ def _nullable_patched_encode(params, family):
 
 
 register_codec(
-    SimpleCodec(
+    CodecEntry(
         "nullable.patched",
         form_spec=lambda p: {"data": _et(p), "overlay_pos": INT, "null_value": _et(p)},
         decoded_labels=lambda p: ["col"],

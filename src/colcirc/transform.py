@@ -21,8 +21,8 @@ from .circuit import (
     circuit,
     validate_circuit,
 )
-from .errors import ColcircError, InvalidCircuitError, OperatorError, RegistryError
-from .ops import OperatorInstance, instantiate, is_registered, register_fused
+from .errors import ColcircError, InvalidCircuitError, OperatorError
+from .ops import OperatorInstance, instantiate, register_fused
 
 
 def _retag(c: ColumnarCircuit, tag: str, relabel: bool) -> ColumnarCircuit:
@@ -216,8 +216,6 @@ def fuse_subcircuit(c: ColumnarCircuit, vertex_set, fused_name: str | None = Non
         raise ColcircError("cannot fuse an empty vertex set")
     if fused_name is None:
         fused_name = f"fused:{next(_fused_counter)}"
-    if is_registered(fused_name):
-        raise RegistryError(f"operator {fused_name!r} already registered")
     inner = induced_subcircuit(c, keep)
     register_fused(fused_name, inner)
     op = instantiate(fused_name)

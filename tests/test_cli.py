@@ -254,3 +254,64 @@ class TestVerifiesOnce:
         assert doc["decoded_size_bytes"] == 13 * 4
         ratio = doc["encoded_size_bytes"], doc["decoded_size_bytes"]
         assert doc["compression_ratio"][0] * ratio[0] == doc["compression_ratio"][1] * ratio[1]
+
+
+class TestEncodeChecksFamilyTypes:
+    @pytest.fixture()
+    def varwidth_files(self, tmp_path):
+        files = {
+            "start_position": make_column(INT, [0, 2]),
+            "length": make_column(INT, [2, 1]),
+            "data": make_column(U8, [1, 2, 3]),
+        }
+        paths = []
+        for label, col in files.items():
+            path = str(tmp_path / f"{label}.col")
+            write_col_file(path, col)
+            paths.append(path)
+        return paths
+
+    def test_ill_typed_family_exit_2_and_no_bundle(self, tmp_path, varwidth_files, capsys):
+        bundle = tmp_path / "b"
+        assert main(["encode", "--scheme", "varwidth.std", *varwidth_files, str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "'data'" in err and "u64" in err and "u8" in err
+        assert not bundle.exists()
+
+    def test_well_typed_family_roundtrips(self, tmp_path, varwidth_files):
+        bundle = str(tmp_path / "b")
+        args = ["encode", "--scheme", "varwidth.std", "--params", '{"type": "u8"}', *varwidth_files, bundle]
+        assert main(args) == 0
+        assert main(["verify", bundle]) == 0
+
+
+class TestManifestPathsStayInBundle:
+    @pytest.fixture()
+    def bundle(self, tmp_path, runs_col):
+        path = tmp_path / "bundle"
+        assert main(["encode", "--scheme", "run.rle", runs_col, str(path)]) == 0
+        return path
+
+    def point_value_at(self, bundle, rel):
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["columns"]["value"] = rel
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_escaping_path_is_rejected(self, tmp_path, bundle, where, capsys):
+        from colcirc.errors import ColcircError
+
+        outside = tmp_path / "secret.col"
+        outside.write_bytes((bundle / "value.col").read_bytes())
+        self.point_value_at(bundle, "../secret.col" if where == "parent" else str(outside))
+        with pytest.raises(ColcircError, match="bundle"):
+            read_bundle(str(bundle))
+        capsys.readouterr()
+        assert main(["verify", str(bundle)]) == 1
+        assert "manifest path" in capsys.readouterr().err
+
+    def test_path_through_a_subdirectory_is_read(self, bundle):
+        (bundle / "sub").mkdir()
+        (bundle / "value.col").rename(bundle / "sub" / "value.col")
+        self.point_value_at(bundle, "sub/../sub/value.col")
+        assert read_bundle(str(bundle)).columns["value"].values == (5, 9, 5)

@@ -268,3 +268,12 @@ class TestAlgebraicProperties:
         head = [col[0]] * len(sums)
         restored = [h + s for h, s in zip(head, sums.values)]
         assert restored == list(col.values[1:])
+
+
+class TestCastTypes:
+    @pytest.mark.parametrize("src,dst,value", [("unit", "u8", ()), ("u8", "unit", 1)])
+    def test_non_numeric_cast_is_bad_params(self, src, dst, value):
+        from colcirc.types import parse_type
+
+        with pytest.raises(OperatorError, match="bad-params"):
+            ops.elementwise("cast", [make_column(parse_type(src), [value])], **{"from": src, "to": dst})
