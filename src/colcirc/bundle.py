@@ -35,9 +35,13 @@ def read_bundle(directory) -> SchemeInstance:
         directory = os.path.dirname(directory)
     with open(path) as f:
         manifest = json.load(f)
-    for key in ("scheme", "params", "columns"):
+    if not isinstance(manifest, dict):
+        raise ColcircError("manifest is not a JSON object")
+    for key, kind, what in (("scheme", str, "a string"), ("params", dict, "an object"), ("columns", dict, "an object")):
         if key not in manifest:
             raise ColcircError(f"manifest is missing the {key!r} field")
+        if not isinstance(manifest[key], kind):
+            raise ColcircError(f"manifest field {key!r} is not {what}")
     root = os.path.realpath(directory)
     columns = {}
     for label, rel in manifest["columns"].items():

@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .column import Column
@@ -72,6 +73,10 @@ class ColumnarCircuit:
     edges: frozenset  # of (PortRef out, PortRef in)
     interface: dict  # circuit label -> PortRef
     signature: Signature
+
+    # the evaluation plan, compiled on first evaluation; not a field, so
+    # equality, repr and JSON ignore it
+    _plan = None
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -219,6 +224,10 @@ def check_valid(c: ColumnarCircuit) -> ColumnarCircuit:
 # -- evaluation ----------------------------------------------------------------
 
 
+def _invalid(kind, detail):
+    return InvalidCircuitError(ValidationReport((Violation(kind, detail),)))
+
+
 def _toposort(c: ColumnarCircuit):
     deps = {vid: set() for vid in c.vertices}
     consumers = {vid: set() for vid in c.vertices}
@@ -236,79 +245,158 @@ def _toposort(c: ColumnarCircuit):
             if pending[u] == 0:
                 ready.append(u)
     if len(order) != len(c.vertices):
-        raise InvalidCircuitError(ValidationReport((Violation("cycle", "cannot order vertices"),)))
+        raise _invalid("cycle", "cannot order vertices")
     return order
 
 
-def _gather_vertex_inputs(c, vid, port_values, input_columns):
-    op = c.vertices[vid]
-    args = {}
-    for label in op.signature.inputs:
-        port = PortRef(vid, label, IN)
-        if port in port_values:
-            args[label] = port_values[port]
-        else:
-            args[label] = input_columns[port]
-    return args
+class _Plan:
+    """A circuit compiled for evaluation: every port is an index into a slot list.
+
+    ``inputs`` holds ``(label, element type, slot)`` in signature order,
+    ``steps`` holds ``(vertex id, operator, ((in label, slot), ...),
+    ((out label, slot), ...))`` in topological order, and ``outputs`` holds
+    ``(label, slot)``.  An engaged in-port shares the slot of its source
+    out-port.
+    """
+
+    __slots__ = ("inputs", "steps", "outputs", "n_slots")
+
+    def __init__(self, inputs, steps, outputs, n_slots):
+        self.inputs = inputs
+        self.steps = steps
+        self.outputs = outputs
+        self.n_slots = n_slots
 
 
-def _bind_inputs(c: ColumnarCircuit, inputs: dict) -> dict:
-    bound = {}
+def _compile(c: ColumnarCircuit) -> _Plan:
+    order = _toposort(c)
+    source = {(dst.vertex_id, dst.port_label): src for src, dst in c.edges}
+    in_slot, out_slot = {}, {}
+    inputs = []
     for label, t in c.signature.inputs.items():
+        port = c.interface[label]
+        in_slot[port.vertex_id, port.port_label] = len(inputs)
+        inputs.append((label, t, len(inputs)))
+    n_slots = len(inputs)
+    steps = []
+    for vid in order:
+        op = c.vertices[vid]
+        ins = []
+        for label in op.signature.inputs:
+            src = source.get((vid, label))
+            if src is not None:
+                slot = out_slot.get((src.vertex_id, src.port_label))
+                if slot is None:
+                    raise _invalid("bad-edge-source", f"{src} is not a vertex out-port")
+            else:
+                slot = in_slot.get((vid, label))
+                if slot is None:
+                    raise _invalid("unmapped-disengaged-input", f"{vid}.{label} has no circuit input label")
+            ins.append((label, slot))
+        outs = []
+        for label in op.signature.outputs:
+            out_slot[vid, label] = n_slots
+            outs.append((label, n_slots))
+            n_slots += 1
+        steps.append((vid, op, tuple(ins), tuple(outs)))
+    outputs = []
+    for label in c.signature.outputs:
+        port = c.interface[label]
+        outputs.append((label, out_slot[port.vertex_id, port.port_label]))
+    return _Plan(tuple(inputs), tuple(steps), tuple(outputs), n_slots)
+
+
+def _check_outputs(vid, op, outs):
+    for label, col in outs.items():
+        if not isinstance(col, Column):
+            raise EvaluationError(vid, OperatorError("bad-output", f"{label} is not a column"))
+    for label in op.signature.outputs:
+        if label not in outs:
+            raise EvaluationError(vid, OperatorError("bad-output", f"missing output {label}"))
+
+
+class PortValues(Mapping):
+    """The column observed at every port of one evaluation, read-only.
+
+    Keys are the out-ports, the fed in-ports and the input in-ports; values
+    are read from the evaluation's slot list.  The ``PortRef`` index is
+    built on the first lookup by port.
+    """
+
+    __slots__ = ("_plan", "_slots", "_index")
+
+    def __init__(self, plan, slots):
+        self._plan = plan
+        self._slots = slots
+        self._index = None
+
+    def _ports(self):
+        if self._index is None:
+            index = {}
+            for vid, _, ins, outs in self._plan.steps:
+                for label, slot in ins:
+                    index[PortRef(vid, label, IN)] = slot
+                for label, slot in outs:
+                    index[PortRef(vid, label, OUT)] = slot
+            self._index = index
+        return self._index
+
+    def __getitem__(self, port):
+        return self._slots[self._ports()[port]]
+
+    def __iter__(self):
+        return iter(self._ports())
+
+    def __len__(self):
+        return len(self._ports())
+
+
+def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> PortValues:
+    """Evaluate the circuit and return the column observed at every port.
+
+    The circuit is compiled into a slot plan on its first evaluation and the
+    plan is cached on it, so a circuit must not be mutated after
+    construction.  Each out-port is computed exactly once per run; fan-out
+    shares the same immutable column.  Vertices run one at a time in a
+    fixed topological order.  ``parallel`` is accepted for compatibility
+    and ignored: under the GIL a thread pool only added hand-off latency.
+    """
+    plan = c._plan
+    if plan is None:
+        # no lock: threads racing here compile equal plans, and either may stay
+        plan = _compile(c)
+        object.__setattr__(c, "_plan", plan)
+    slots = [None] * plan.n_slots
+    for label, t, slot in plan.inputs:
         if label not in inputs:
             raise MissingInputError(f"no column supplied for input {label!r}")
         col = inputs[label]
         if col.element_type != t:
-            raise MissingInputError(
-                f"input {label!r} expects element type {t}, got {col.element_type}"
-            )
-        bound[c.interface[label]] = col
-    return bound
-
-
-def _run_vertex(c, vid, args):
-    try:
-        return c.vertices[vid].apply(args)
-    except OperatorError as exc:
-        raise EvaluationError(vid, exc) from exc
-
-
-def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> dict:
-    """Evaluate the circuit and return the column observed at every port.
-
-    Each out-port is computed exactly once per run; fan-out shares the same
-    immutable column.  Vertices run one at a time in a fixed topological
-    order.  ``parallel`` is accepted for compatibility and ignored: under
-    the GIL a thread pool only added hand-off latency.
-    """
-    input_columns = _bind_inputs(c, inputs)
-    edge_by_target = {dst: src for src, dst in c.edges}
-    port_values = {}
-    for vid in _toposort(c):
-        op = c.vertices[vid]
-        for label in op.signature.inputs:
-            tgt = PortRef(vid, label, IN)
-            src = edge_by_target.get(tgt)
-            if src is not None:
-                port_values[tgt] = port_values[src]
-        outs = _run_vertex(c, vid, _gather_vertex_inputs(c, vid, port_values, input_columns))
-        for label, col in outs.items():
+            raise MissingInputError(f"input {label!r} expects element type {t}, got {col.element_type}")
+        slots[slot] = col
+    for vid, op, ins, outs in plan.steps:
+        args = {}
+        for label, slot in ins:
+            args[label] = slots[slot]
+        try:
+            result = op.apply(args)
+        except OperatorError as exc:
+            raise EvaluationError(vid, exc) from exc
+        if len(result) != len(outs):
+            _check_outputs(vid, op, result)
+        for label, slot in outs:
+            col = result.get(label)
             if not isinstance(col, Column):
-                raise EvaluationError(vid, OperatorError("bad-output", f"{label} is not a column"))
-            port_values[PortRef(vid, label, OUT)] = col
-        for label in op.signature.outputs:
-            if label not in outs:
-                raise EvaluationError(vid, OperatorError("bad-output", f"missing output {label}"))
-
-    for port, col in input_columns.items():
-        port_values.setdefault(port, col)
-    return port_values
+                _check_outputs(vid, op, result)
+            slots[slot] = col
+    return PortValues(plan, slots)
 
 
 def evaluate_circuit(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> dict:
     """The circuit-computed function: labeled inputs to labeled outputs."""
-    port_values = evaluate_ports(c, inputs, parallel=parallel)
-    return {label: port_values[c.interface[label]] for label in c.signature.outputs}
+    ports = evaluate_ports(c, inputs, parallel=parallel)
+    slots = ports._slots
+    return {label: slots[slot] for label, slot in ports._plan.outputs}
 
 
 def evaluate_decision_circuit(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> bool:
@@ -363,33 +451,56 @@ def circuit_to_json(c: ColumnarCircuit) -> dict:
     }
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json_check(value, kind, what):
+    if not isinstance(value, kind):
+        raise ColcircError(f"circuit JSON: {what} is not {_JSON_KINDS[kind]}")
+    return value
+
+
+def _json_get(obj, key, kind, what, default=None):
+    if key not in obj:
+        if default is None:
+            raise ColcircError(f"circuit JSON: {what} lacks {key!r}")
+        return default
+    return _json_check(obj[key], kind, f"{key!r} of {what}")
+
+
 def circuit_from_json(doc: dict) -> ColumnarCircuit:
+    _json_check(doc, dict, "the document")
     vertices = {}
-    for v in doc["vertices"]:
-        vid = v["id"]
+    for v in _json_get(doc, "vertices", list, "the document"):
+        _json_check(v, dict, "a vertex")
+        vid = _json_get(v, "id", str, "a vertex")
         if "." in vid:
             raise ColcircError(f"vertex id {vid!r} may not contain '.'")
         if vid in vertices:
             raise ColcircError(f"duplicate vertex id {vid!r}")
-        vertices[vid] = instantiate(v["op"], v.get("params", {}))
+        what = f"vertex {vid!r}"
+        vertices[vid] = instantiate(_json_get(v, "op", str, what), _json_get(v, "params", dict, what, {}))
     edges = set()
-    for e in doc.get("edges", []):
-        src = _port_from_str(e["from"], vertices, OUT)
-        dst = _port_from_str(e["to"], vertices, IN)
+    for e in _json_get(doc, "edges", list, "the document", []):
+        _json_check(e, dict, "an edge")
+        src = _port_from_str(_json_get(e, "from", str, "an edge"), vertices, OUT)
+        dst = _port_from_str(_json_get(e, "to", str, "an edge"), vertices, IN)
         edges.add((src, dst))
     interface = {}
-    sig_ins = doc.get("signature", {}).get("inputs", {})
-    for label, pstr in doc.get("interface", {}).items():
+    signature = _json_get(doc, "signature", dict, "the document", {})
+    sig_ins = _json_get(signature, "inputs", dict, "the signature", {})
+    sig_outs = _json_get(signature, "outputs", dict, "the signature", {})
+    for label, pstr in _json_get(doc, "interface", dict, "the document", {}).items():
         hint = IN if label in sig_ins else None
-        interface[label] = _port_from_str(pstr, vertices, hint)
+        interface[label] = _port_from_str(_json_check(pstr, str, f"interface label {label!r}"), vertices, hint)
     c = circuit(vertices, edges, interface)
     for label, tname in sig_ins.items():
-        declared = parse_type(tname)
+        declared = parse_type(_json_check(tname, str, f"the type of input {label!r}"))
         actual = c.signature.inputs.get(label)
         if actual != declared:
             raise ColcircError(f"declared input {label!r}: {tname} but ports imply {actual}")
-    for label, tname in doc.get("signature", {}).get("outputs", {}).items():
-        declared = parse_type(tname)
+    for label, tname in sig_outs.items():
+        declared = parse_type(_json_check(tname, str, f"the type of output {label!r}"))
         actual = c.signature.outputs.get(label)
         if actual != declared:
             raise ColcircError(f"declared output {label!r}: {tname} but ports imply {actual}")

@@ -315,3 +315,91 @@ class TestManifestPathsStayInBundle:
         (bundle / "value.col").rename(bundle / "sub" / "value.col")
         self.point_value_at(bundle, "sub/../sub/value.col")
         assert read_bundle(str(bundle)).columns["value"].values == (5, 9, 5)
+
+
+_NO_OP = {"id": "a", "op": "no_op", "params": {"type": "u8"}}
+
+
+class TestMalformedCircuitJsonExitOne:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [_NO_OP],
+            {"vertices": {"a": _NO_OP}},
+            {"vertices": ["a"]},
+            {"vertices": [{"id": "a"}]},
+            {"vertices": [{"op": "no_op", "params": {"type": "u8"}}]},
+            {"vertices": [{"id": 1, "op": "no_op", "params": {"type": "u8"}}]},
+            {"vertices": [{"id": "a", "op": "no_op", "params": ["u8"]}]},
+            {"vertices": [_NO_OP], "edges": {"from": "a.result", "to": "a.arguments"}},
+            {"vertices": [_NO_OP], "edges": ["a.result"]},
+            {"vertices": [_NO_OP], "edges": [{"from": "a.result"}]},
+            {"vertices": [_NO_OP], "edges": [{"to": "a.arguments"}]},
+            {"vertices": [_NO_OP], "edges": [{"from": ["a", "result"], "to": "a.arguments"}]},
+            {"vertices": [_NO_OP], "interface": {"x": 3}},
+        ],
+    )
+    def test_eval_exits_1(self, tmp_path, doc, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert "circuit JSON" in capsys.readouterr().err
+
+
+class TestMalformedManifestExitOne:
+    @pytest.fixture()
+    def bundle(self, tmp_path, runs_col):
+        path = tmp_path / "bundle"
+        assert main(["encode", "--scheme", "run.rle", runs_col, str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("columns", ["value.col", "length.col"]), ("params", "u32"), ("scheme", ["run.rle"]), (None, ["run.rle"])],
+    )
+    def test_verify_exits_1(self, bundle, field, value, capsys):
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if field is None:
+            manifest = value
+        else:
+            manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", str(bundle)]) == 1
+        assert "manifest" in capsys.readouterr().err
+
+
+class TestEvalTraceFiles:
+    # one file per port of double_plus_three on [1, 5], plus the output
+    EXPECTED = {
+        "add.lhs.in.col": "43434f4c3100200200000000000000020000000a000000",
+        "add.result.out.col": "43434f4c3100200200000000000000050000000d000000",
+        "add.rhs.in.col": "43434f4c31002002000000000000000300000003000000",
+        "len.col.in.col": "43434f4c31002002000000000000000100000005000000",
+        "len.result.out.col": "43434f4c31004001000000000000000200000000000000",
+        "mul.lhs.in.col": "43434f4c31002002000000000000000100000005000000",
+        "mul.result.out.col": "43434f4c3100200200000000000000020000000a000000",
+        "mul.rhs.in.col": "43434f4c31002002000000000000000200000002000000",
+        "relay.arguments.in.col": "43434f4c31002002000000000000000100000005000000",
+        "relay.result.out.col": "43434f4c31002002000000000000000100000005000000",
+        "rep_three.factor.in.col": "43434f4c31004001000000000000000200000000000000",
+        "rep_three.replicated.out.col": "43434f4c31002002000000000000000300000003000000",
+        "rep_three.value.in.col": "43434f4c310020010000000000000003000000",
+        "rep_two.factor.in.col": "43434f4c31004001000000000000000200000000000000",
+        "rep_two.replicated.out.col": "43434f4c31002002000000000000000200000002000000",
+        "rep_two.value.in.col": "43434f4c310020010000000000000002000000",
+        "result.col": "43434f4c3100200200000000000000050000000d000000",
+        "three.value.out.col": "43434f4c310020010000000000000003000000",
+        "two.value.out.col": "43434f4c310020010000000000000002000000",
+    }
+
+    def test_same_files_and_bytes(self, tmp_path):
+        cpath = tmp_path / "circuit.json"
+        cpath.write_text(json.dumps(circuit_to_json(double_plus_three())))
+        inpath = tmp_path / "in.col"
+        write_col_file(inpath, make_column(U32, [1, 5]))
+        out = tmp_path / "trace"
+        assert main(["eval", str(cpath), "--input", f"col={inpath}", "-o", str(out), "--trace"]) == 0
+        written = {p.name: p.read_bytes().hex() for p in out.iterdir()}
+        assert written == self.EXPECTED
