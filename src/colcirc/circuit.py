@@ -231,7 +231,17 @@ def _invalid(kind, detail):
 def _toposort(c: ColumnarCircuit):
     deps = {vid: set() for vid in c.vertices}
     consumers = {vid: set() for vid in c.vertices}
+    fed = set()
     for src, dst in c.edges:
+        # ``circuit()`` does not check edges, so an edge may name no port, and
+        # an in-port fed twice would take whichever edge the hash order puts last
+        if src.direction != OUT or c.port_type(src) is None:
+            raise _invalid("bad-edge-source", f"{src} is not a vertex out-port")
+        if dst.direction != IN or c.port_type(dst) is None:
+            raise _invalid("bad-edge-target", f"{dst} is not a vertex in-port")
+        if dst in fed:
+            raise _invalid("multi-fed-port", f"{dst} is the target of more than one edge")
+        fed.add(dst)
         deps[dst.vertex_id].add(src.vertex_id)
         consumers[src.vertex_id].add(dst.vertex_id)
     order = []
@@ -284,10 +294,8 @@ def _compile(c: ColumnarCircuit) -> _Plan:
         ins = []
         for label in op.signature.inputs:
             src = source.get((vid, label))
-            if src is not None:
-                slot = out_slot.get((src.vertex_id, src.port_label))
-                if slot is None:
-                    raise _invalid("bad-edge-source", f"{src} is not a vertex out-port")
+            if src is not None:  # an out-port of a vertex ordered before this one
+                slot = out_slot[src.vertex_id, src.port_label]
             else:
                 slot = in_slot.get((vid, label))
                 if slot is None:

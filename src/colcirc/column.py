@@ -31,6 +31,19 @@ class Column:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, element_type: ElementType, values) -> "Column":
+        """A column whose values the caller has already proved in the domain.
+
+        Skips :meth:`ElementType.check_values`; only catalog operators whose
+        own logic establishes the output domain may call it.
+        """
+        col = object.__new__(cls)
+        object.__setattr__(col, "element_type", element_type)
+        object.__setattr__(col, "values", tuple(values))
+        object.__setattr__(col, "_hash", None)
+        return col
+
     def __setattr__(self, name, value):
         raise AttributeError("columns are immutable")
 

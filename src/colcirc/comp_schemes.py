@@ -45,10 +45,17 @@ def _fits(et: ElementType, value) -> bool:
 
 
 def _checked_narrow(et: ElementType, values, what):
+    values = list(values)
+    if values and et.kind is not Kind.FLOAT:
+        # one pass settles an integer target; a float among the values could
+        # be a NaN, which min/max can skip, so that takes the loop below
+        lo, hi = et.bounds()
+        if lo <= min(values) and max(values) <= hi and float not in map(type, values):
+            return values
     for i, v in enumerate(values):
         if not _fits(et, v):
             raise NotEncodable(f"{what}: value {v} at index {i} does not fit {et}")
-    return list(values)
+    return values
 
 
 def _is_float(params) -> bool:

@@ -16,7 +16,7 @@ import operator
 import threading
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .column import Column, scalar_column
 from .errors import OperatorError, RegistryError
@@ -116,6 +116,28 @@ def _check_ints(et: ElementType, values, what="result"):
     return values
 
 
+# An operator output skips the domain re-check of ``Column(...)`` only where
+# the operator itself proves every value in the output type's domain: values
+# copied from well-typed inputs, 0/1 results, and integers the operator has
+# range-checked.  The well-typed guard is what keeps a type-mismatched edge of
+# an unvalidated circuit, or a direct ``apply`` on a mismatched column,
+# raising ``TypeDomainError`` from the checked constructor.
+
+
+def _well_typed(inst, cols) -> bool:
+    """True if every input column has the element type the signature declares."""
+    for label, t in inst.signature.inputs.items():
+        et = cols[label].element_type
+        if et is not t and et != t:
+            return False
+    return True
+
+
+def _out(t: ElementType, values, proved: bool) -> Column:
+    """The output column: unchecked if ``proved`` in ``t``'s domain, else checked."""
+    return Column._trusted(t, values) if proved else Column(t, values)
+
+
 # -- elementwise functions ---------------------------------------------------
 #
 # Each builtin is described by (derive_signature, vectorized apply).  The
@@ -132,9 +154,10 @@ def _binary_arith(fn_name, pyop):
         t = inst.signature.outputs["result"]
         lhs, rhs = cols["lhs"].values, cols["rhs"].values
         vals = list(map(pyop, lhs, rhs))
-        if t.kind is not Kind.FLOAT:
-            _check_ints(t, vals)
-        return {"result": Column(t, vals)}
+        if t.kind is Kind.FLOAT:
+            return {"result": Column(t, vals)}
+        _check_ints(t, vals)
+        return {"result": _out(t, vals, _well_typed(inst, cols))}
 
     return sig, run
 
@@ -145,7 +168,7 @@ def _binary_bool(pyop):
 
     def run(inst, cols):
         vals = [pyop(a, b) for a, b in zip(cols["lhs"].values, cols["rhs"].values)]
-        return {"result": Column(BIT, vals)}
+        return {"result": _out(BIT, vals, _well_typed(inst, cols))}
 
     return sig, run
 
@@ -157,7 +180,7 @@ def _comparison(pyop):
 
     def run(inst, cols):
         vals = [1 if pyop(a, b) else 0 for a, b in zip(cols["lhs"].values, cols["rhs"].values)]
-        return {"result": Column(BIT, vals)}
+        return {"result": Column._trusted(BIT, vals)}
 
     return sig, run
 
@@ -167,7 +190,8 @@ def _fn_not():
         return {"arguments": BIT}, {"result": BIT}
 
     def run(inst, cols):
-        return {"result": Column(BIT, [1 - v for v in cols["arguments"].values])}
+        vals = [1 - v for v in cols["arguments"].values]
+        return {"result": _out(BIT, vals, _well_typed(inst, cols))}
 
     return sig, run
 
@@ -191,7 +215,7 @@ def _fn_in_range():
     def run(inst, cols):
         lo, hi = inst.params["lo"], inst.params["hi"]
         vals = [1 if lo <= v <= hi else 0 for v in cols["arguments"].values]
-        return {"result": Column(BIT, vals)}
+        return {"result": Column._trusted(BIT, vals)}
 
     return sig, run
 
@@ -215,7 +239,7 @@ def _fn_const_compare():
         cmp = _CMPS[inst.params.get("cmp", "eq")]
         ref = inst.params["value"]
         vals = [1 if cmp(v, ref) else 0 for v in cols["arguments"].values]
-        return {"result": Column(BIT, vals)}
+        return {"result": Column._trusted(BIT, vals)}
 
     return sig, run
 
@@ -264,7 +288,9 @@ def _fn_cast():
     def run(inst, cols):
         src = inst.signature.inputs["arguments"]
         dst = inst.signature.outputs["result"]
-        return {"result": Column(dst, _cast_values(cols["arguments"].values, src, dst))}
+        vals = _cast_values(cols["arguments"].values, src, dst)
+        # an integer cast is range-checked; a float one may still leave f32
+        return {"result": _out(dst, vals, dst.is_integer and _well_typed(inst, cols))}
 
     return sig, run
 
@@ -279,7 +305,9 @@ def _fn_clip_by():
         if k <= 0:
             raise OperatorError("bad-params", "clip_by needs a positive k")
         t = inst.signature.outputs["result"]
-        return {"result": Column(t, [v // k for v in cols["arguments"].values])}
+        vals = [v // k for v in cols["arguments"].values]
+        # 0 <= v // k <= v for v >= 0, and v <= v // k < 0 otherwise
+        return {"result": _out(t, vals, type(k) is int and t.is_integer and _well_typed(inst, cols))}
 
     return sig, run
 
@@ -293,9 +321,10 @@ def _fn_scale():
         k = inst.params["k"]
         t = inst.signature.outputs["result"]
         vals = [v * k for v in cols["arguments"].values]
-        if t.kind is not Kind.FLOAT:
-            _check_ints(t, vals)
-        return {"result": Column(t, vals)}
+        if t.kind is Kind.FLOAT:
+            return {"result": Column(t, vals)}
+        _check_ints(t, vals)
+        return {"result": _out(t, vals, type(k) is int and _well_typed(inst, cols))}
 
     return sig, run
 
@@ -310,7 +339,7 @@ def _fn_tuple_make():
         labels = list(inst.signature.inputs)
         t = inst.signature.outputs["result"]
         vals = list(zip(*(cols[lb].values for lb in labels))) if labels else []
-        return {"result": Column(t, vals)}
+        return {"result": _out(t, vals, _well_typed(inst, cols))}
 
     return sig, run
 
@@ -335,9 +364,11 @@ def _fn_carve():
                 raise OperatorError("out-of-range", f"value {v} exceeds {w} bits")
             pre.append(v >> shift)
             suf.append(v & mask)
+        # an int v with v >> w == 0 lies in [0, 2**w): both parts fit
+        proved = _well_typed(inst, cols)
         return {
-            "prefixes": Column(inst.signature.outputs["prefixes"], pre),
-            "suffixes": Column(inst.signature.outputs["suffixes"], suf),
+            "prefixes": _out(inst.signature.outputs["prefixes"], pre, proved),
+            "suffixes": _out(inst.signature.outputs["suffixes"], suf, proved),
         }
 
     return sig, run
@@ -440,7 +471,7 @@ def _replicate_run(inst, cols):
     if factor < 0:
         raise OperatorError("negative-factor", f"cannot replicate {factor} times")
     t = inst.signature.outputs["replicated"]
-    return {"replicated": Column(t, [value] * factor)}
+    return {"replicated": _out(t, (value,) * factor, _well_typed(inst, cols))}
 
 
 _simple("replicate", _replicate_sig, _replicate_run)
@@ -457,8 +488,8 @@ def _select_run(inst, cols):
     # of the selected elements; this implementation keeps the original order
     # in both modes, which satisfies the weaker contract.
     t = inst.signature.outputs["selected"]
-    vals = [d for d, s in zip(cols["data"].values, cols["selection"].values) if s]
-    return {"selected": Column(t, vals)}
+    vals = compress(cols["data"].values, cols["selection"].values)
+    return {"selected": _out(t, vals, _well_typed(inst, cols))}
 
 
 _simple("select", _select_sig, _select_run)
@@ -478,7 +509,7 @@ def _iota_run(inst, cols):
     t = inst.signature.outputs["result"]
     if n:
         _check_int(t, n - 1, what="iota maximum")
-    return {"result": Column(t, range(n))}
+    return {"result": Column._trusted(t, range(n))}  # 0 and n - 1 are in t
 
 
 _simple("iota", _iota_sig, _iota_run)
@@ -501,7 +532,7 @@ def _permute_run(inst, cols):
             raise OperatorError("not-a-permutation", f"position {p} at index {i} is invalid or repeated")
         seen[p] = True
         out[p] = data[i]
-    return {"permuted": Column(inst.signature.outputs["permuted"], out)}
+    return {"permuted": _out(inst.signature.outputs["permuted"], out, _well_typed(inst, cols))}
 
 
 _simple("permute", _permute_sig, _permute_run)
@@ -513,7 +544,7 @@ def _length_sig(params):
 
 
 def _length_run(inst, cols):
-    return {"result": scalar_column(INT, len(cols["col"]))}
+    return {"result": Column._trusted(INT, (len(cols["col"]),))}
 
 
 _simple("length", _length_sig, _length_run)
@@ -532,7 +563,7 @@ def _concat_run(inst, cols):
     vals = []
     for label in inst.signature.inputs:
         vals.extend(cols[label].values)
-    return {"result": Column(t, vals)}
+    return {"result": _out(t, vals, _well_typed(inst, cols))}
 
 
 _simple("concatenate", _concat_sig, _concat_run)
@@ -555,7 +586,7 @@ def _scatter_run(inst, cols):
             raise OperatorError("duplicate-position", f"scatter position {p} repeated")
         seen.add(p)
         base[p] = d
-    return {"result": Column(inst.signature.outputs["result"], base)}
+    return {"result": _out(inst.signature.outputs["result"], base, _well_typed(inst, cols))}
 
 
 _simple("scatter", _scatter_sig, _scatter_run)
@@ -569,12 +600,17 @@ def _gather_sig(params):
 def _gather_run(inst, cols):
     data = cols["data"].values
     n = len(data)
-    out = []
-    for p in cols["pos"].values:
-        if not 0 <= p < n:
-            raise OperatorError("out-of-range", f"gather position {p} beyond length {n}")
-        out.append(data[p])
-    return {"result": Column(inst.signature.outputs["result"], out)}
+    pos_col = cols["pos"]
+    pos = pos_col.values
+    if pos and not ((pos_col.element_type.kind is Kind.UNSIGNED or 0 <= min(pos)) and max(pos) < n):
+        for p in pos:
+            if not 0 <= p < n:
+                raise OperatorError("out-of-range", f"gather position {p} beyond length {n}")
+    if len(pos) > 1:
+        out = operator.itemgetter(*pos)(data)
+    else:  # itemgetter of one key returns the bare value
+        out = [data[p] for p in pos]
+    return {"result": _out(inst.signature.outputs["result"], out, _well_typed(inst, cols))}
 
 
 _simple("gather", _gather_sig, _gather_run)
@@ -585,8 +621,8 @@ def _select_indices_sig(params):
 
 
 def _select_indices_run(inst, cols):
-    vals = [i for i, v in enumerate(cols["characteristic"].values) if v]
-    return {"indices": Column(INT, vals)}
+    flags = cols["characteristic"].values
+    return {"indices": Column._trusted(INT, compress(range(len(flags)), flags))}
 
 
 _simple("select_indices", _select_indices_sig, _select_indices_run)
@@ -617,7 +653,7 @@ def _transpose_run(inst, cols):
     vals = col.values
     out = [vals[j * ell + i] for i in range(ell) for j in range(k)]
     return {
-        "transposed": Column(inst.signature.outputs["transposed"], out),
+        "transposed": _out(inst.signature.outputs["transposed"], out, _well_typed(inst, cols)),
         "transposed_segment_length": scalar_column(INT, k),
     }
 
@@ -645,7 +681,7 @@ def _replicate_segments_run(inst, cols):
         seg = col.values[j * ell : (j + 1) * ell]
         out.extend(seg * factor)
     return {
-        "replicated": Column(inst.signature.outputs["replicated"], out),
+        "replicated": _out(inst.signature.outputs["replicated"], out, _well_typed(inst, cols)),
         "out_segment_length": scalar_column(INT, ell),
     }
 
@@ -672,7 +708,7 @@ def _replicate_within_run(inst, cols):
     for v in col.values:
         out.extend([v] * factor)
     return {
-        "replicated": Column(inst.signature.outputs["replicated"], out),
+        "replicated": _out(inst.signature.outputs["replicated"], out, _well_typed(inst, cols)),
         "out_segment_length": scalar_column(INT, ell * factor),
     }
 
@@ -693,7 +729,7 @@ def _zip_run(inst, cols):
     _require_equal_lengths(cols, labels)
     t = inst.signature.outputs["zipped"]
     vals = list(zip(*(cols[lb].values for lb in labels)))
-    return {"zipped": Column(t, vals)}
+    return {"zipped": _out(t, vals, _well_typed(inst, cols))}
 
 
 _simple("zip", _zip_sig, _zip_run)
@@ -720,7 +756,7 @@ def _compose_segments_run(inst, cols):
         )
     vals = col.values
     out = [tuple(vals[j * ell + i] for j in range(k)) for i in range(ell)]
-    return {"composed": Column(inst.signature.outputs["composed"], out)}
+    return {"composed": _out(inst.signature.outputs["composed"], out, _well_typed(inst, cols))}
 
 
 _simple("compose_segments", _compose_segments_sig, _compose_segments_run)
@@ -745,7 +781,7 @@ def _assemble_run(inst, cols):
     _seg_divisible(col, k)
     vals = col.values
     out = [tuple(vals[i * k : (i + 1) * k]) for i in range(len(col) // k)]
-    return {"composed": Column(inst.signature.outputs["composed"], out)}
+    return {"composed": _out(inst.signature.outputs["composed"], out, _well_typed(inst, cols))}
 
 
 _simple("assemble", _assemble_sig, _assemble_run)
@@ -781,9 +817,12 @@ def _derivative_run(inst, cols):
     out_t = inst.signature.outputs["differences"]
     vals = col.values
     diffs = list(map(operator.sub, vals[1:], vals[:-1]))
-    if out_t.kind is not Kind.FLOAT:
-        _check_ints(out_t, diffs)
-    return {"differences": Column(out_t, diffs)}
+    if out_t.kind is Kind.FLOAT:
+        return {"differences": Column(out_t, diffs)}
+    _check_ints(out_t, diffs)
+    # float inputs with an integer out_type leave floats: those stay checked
+    proved = inst.signature.inputs["col"].is_integer and _well_typed(inst, cols)
+    return {"differences": _out(out_t, diffs, proved)}
 
 
 _simple("derivative", _derivative_sig, _derivative_run)
@@ -817,7 +856,8 @@ def _prefix_run(inst, cols):
     if op == "add" and t.is_integer:
         _check_ints(t, acc, what="prefix aggregate")
     out = acc[:-1] if mode == "exclusive" else acc[1:]
-    return {"aggregates": Column(t, out)}
+    # integer max/min pick inputs or t's bounds, and/or of bits stay bits
+    return {"aggregates": _out(t, out, t.is_integer and _well_typed(inst, cols))}
 
 
 _simple("prefix_aggregate", _prefix_sig, _prefix_run)
@@ -833,7 +873,7 @@ def _same_as_prev_run(inst, cols):
     out = [0] * len(vals)
     for i in range(1, len(vals)):
         out[i] = 1 if vals[i] == vals[i - 1] else 0
-    return {"result": Column(BIT, out)}
+    return {"result": Column._trusted(BIT, out)}
 
 
 _simple("is_same_as_previous", _same_as_prev_sig, _same_as_prev_run)
@@ -849,7 +889,8 @@ def _split_first_run(inst, cols):
     if len(col) == 0:
         raise OperatorError("empty-input", "split_first needs a non-empty column")
     t = inst.signature.outputs["head"]
-    return {"head": scalar_column(t, col[0]), "tail": Column(t, col.values[1:])}
+    proved = _well_typed(inst, cols)
+    return {"head": _out(t, col.values[:1], proved), "tail": _out(t, col.values[1:], proved)}
 
 
 _simple("split_first", _split_first_sig, _split_first_run)

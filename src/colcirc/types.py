@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .errors import TypeDomainError
+from .errors import ColcircError, TypeDomainError
 
 
 class Kind(Enum):
@@ -219,8 +219,18 @@ class ElementType:
 
 @lru_cache(maxsize=256)  # types are immutable; schemes re-parse the same few names per call
 def parse_type(name: str) -> ElementType:
-    """Parse the textual type names used in circuit/bundle JSON files."""
-    name = name.strip()
+    """Parse the textual type names used in circuit/bundle JSON files.
+
+    An unknown name, or a known form that no element type has (``u65``,
+    ``prod()``), raises :class:`ColcircError` naming it.
+    """
+    try:
+        return _parse_type(name.strip())
+    except ValueError as exc:  # ElementType's width and product checks
+        raise ColcircError(f"bad element type name {name!r}: {exc}") from None
+
+
+def _parse_type(name: str) -> ElementType:
     if name == "bit":
         return BIT
     if name == "unit":
@@ -243,7 +253,7 @@ def parse_type(name: str) -> ElementType:
         if cur:
             parts.append("".join(cur))
         return ElementType.product(*(parse_type(p) for p in parts))
-    prefix, rest = name[0], name[1:]
+    prefix, rest = name[:1], name[1:]
     if prefix in ("u", "i", "f") and rest.isdigit():
         width = int(rest)
         if prefix == "u":
@@ -251,7 +261,7 @@ def parse_type(name: str) -> ElementType:
         if prefix == "i":
             return ElementType.signed(width)
         return ElementType.float_(width)
-    raise ValueError(f"unknown element type name {name!r}")
+    raise ColcircError(f"unknown element type name {name!r}")
 
 
 BIT = ElementType(Kind.BIT, 1)

@@ -346,6 +346,23 @@ class TestMalformedCircuitJsonExitOne:
         assert "circuit JSON" in capsys.readouterr().err
 
 
+class TestUnknownTypeNameExitOne:
+    @pytest.mark.parametrize("name", ["zz", "prod(u8,", "u65", "", "prod(u8,zz)"])
+    def test_vertex_param(self, tmp_path, name, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"vertices": [{"id": "a", "op": "no_op", "params": {"type": name}}]}))
+        assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert "element type name" in capsys.readouterr().err
+
+    def test_declared_signature_type(self, tmp_path, capsys):
+        doc = circuit_to_json(double_plus_three())
+        doc["signature"]["inputs"]["col"] = "zz"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert "'zz'" in capsys.readouterr().err
+
+
 class TestMalformedManifestExitOne:
     @pytest.fixture()
     def bundle(self, tmp_path, runs_col):

@@ -581,3 +581,30 @@ class TestBatteries:
         rng = random.Random(hash(scheme_id) & 0xFFFF)
         roundtrip_battery(scheme_id, CASES[scheme_id], rng, 25)
         corruption_battery(scheme_id, CASES[scheme_id], rng, 25)
+
+
+class TestCheckedNarrow:
+    """The one-pass range check of encoders agrees with the per-value one."""
+
+    @pytest.mark.parametrize(
+        "et, values, index",
+        [
+            (U8, [0, 255, 256, 300], 2),
+            (U8, [-1, 5], 0),
+            (I8, [-128, 127, 128], 2),
+            (ElementType.unsigned(64), [2**64 - 1, 2**64], 1),
+            (I8, [1.0, float("nan"), 2.0], 1),
+            (ElementType.float_(32), [0.5, 0.1], 1),
+        ],
+    )
+    def test_first_value_that_does_not_fit_is_named(self, et, values, index):
+        with pytest.raises(NotEncodable) as exc:
+            cs._checked_narrow(et, values, "delta")
+        assert str(exc.value) == f"delta: value {values[index]} at index {index} does not fit {et}"
+
+    @pytest.mark.parametrize(
+        "et, values",
+        [(U8, (0, 255)), (ElementType.unsigned(64), (0, 2**63, 2**64 - 1)), (I8, [1.0, -2.5]), (U8, [])],
+    )
+    def test_fitting_values_come_back_as_a_list(self, et, values):
+        assert cs._checked_narrow(et, values, "delta") == list(values)

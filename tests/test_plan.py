@@ -154,6 +154,32 @@ class TestPlanErrors:
             evaluate_circuit(c, {"x": make_column(U32, [1])})
         assert [v.kind for v in exc.value.report.violations] == ["cycle"]
 
+    @pytest.mark.parametrize(
+        "edge, kind, port",
+        [
+            ((out_port("zz", "result"), in_port("add", "rhs")), "bad-edge-source", r"zz\.result"),
+            ((out_port("add", "result"), in_port("zz", "arguments")), "bad-edge-target", r"zz\.arguments"),
+            ((out_port("add", "zz"), in_port("add", "rhs")), "bad-edge-source", r"add\.zz"),
+            ((out_port("add", "result"), in_port("add", "zz")), "bad-edge-target", r"add\.zz"),
+            ((in_port("add", "lhs"), in_port("add", "rhs")), "bad-edge-source", r"add\.lhs"),
+        ],
+    )
+    def test_edge_naming_an_unknown_port_is_an_invalid_circuit(self, edge, kind, port):
+        verts = {"add": instantiate("elementwise", {"fn": "add", "type": "u32"})}
+        interface = {"x": in_port("add", "lhs"), "y": in_port("add", "rhs"), "sum": out_port("add", "result")}
+        c = circuit(verts, {edge}, interface)
+        with pytest.raises(InvalidCircuitError, match=port) as exc:
+            evaluate_circuit(c, {"x": make_column(U32, [1]), "y": make_column(U32, [2])})
+        assert [v.kind for v in exc.value.report.violations] == [kind]
+
+    def test_in_port_fed_twice_is_an_invalid_circuit(self):
+        verts = {name: instantiate("no_op", {"type": "u32"}) for name in "abc"}
+        edges = {(out_port("a", "result"), in_port("c", "arguments")), (out_port("b", "result"), in_port("c", "arguments"))}
+        interface = {"x": in_port("a", "arguments"), "w": in_port("b", "arguments"), "y": out_port("c", "result")}
+        with pytest.raises(InvalidCircuitError, match=r"c\.arguments") as exc:
+            evaluate_circuit(circuit(verts, edges, interface), {"x": make_column(U32, [1]), "w": make_column(U32, [2])})
+        assert [v.kind for v in exc.value.report.violations] == ["multi-fed-port"]
+
 
 def test_threads_share_one_fresh_circuit():
     c = q6_circuit()
