@@ -1,12 +1,13 @@
 """A small fluent helper for wiring up circuits vertex by vertex.
 
 Decoder and verifier circuits throughout the scheme modules are assembled
-with this; it only produces plain :class:`ColumnarCircuit` values.
+with this; it only produces plain :class:`ColumnarCircuit` values.  Circuit
+input labels biject onto in-ports, so the builder owns input relays: an
+input wired into one in-port maps onto that port, and an input wired into
+several gets exactly one ``no_op`` relay that fans it out.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .circuit import IN, OUT, ColumnarCircuit, PortRef, check_valid, circuit
 from .errors import ColcircError
@@ -37,23 +38,20 @@ class CircuitBuilder:
     def __init__(self):
         self._vertices = {}
         self._edges = set()
-        self._inputs = {}  # label -> PortRef (in)
+        self._inputs = {}  # label -> [PortRef (in), ...] it feeds
         self._outputs = {}  # label -> PortRef (out)
-        self._fresh = itertools.count(1)
 
     def input(self, label: str) -> Input:
         return Input(label)
 
-    def add(self, op_name: str, params: dict | None = None, _id: str | None = None, **wired):
+    def add(self, op_name: str, params: dict | None = None, **wired):
         """Add a vertex; ``wired`` connects its in-ports to wires or inputs.
 
         Returns a single :class:`Wire` when the operator has one output,
         else a dict of them.
         """
         inst = instantiate(op_name, params or {})
-        vid = _id or f"v{next(self._fresh)}_{op_name}"
-        if vid in self._vertices:
-            raise ColcircError(f"duplicate vertex id {vid!r}")
+        vid = f"v{len(self._vertices) + 1}_{op_name}"
         self._vertices[vid] = inst
         for label, src in wired.items():
             if label not in inst.signature.inputs:
@@ -62,9 +60,7 @@ class CircuitBuilder:
             if isinstance(src, Wire):
                 self._edges.add((src.port, tgt))
             elif isinstance(src, Input):
-                if src.label in self._inputs:
-                    raise ColcircError(f"input {src.label!r} already feeds {self._inputs[src.label]}")
-                self._inputs[src.label] = tgt
+                self._inputs.setdefault(src.label, []).append(tgt)
             else:
                 raise ColcircError(f"cannot wire {src!r} into {tgt}")
         missing = set(inst.signature.inputs) - set(wired)
@@ -118,9 +114,9 @@ class CircuitBuilder:
     def sub_cols(self, type_name: str, lhs, rhs) -> Wire:
         return self.ew("sub", {"type": type_name}, lhs=lhs, rhs=rhs)
 
-    def cast(self, src: str, dst: str, arguments) -> Wire:
+    def cast(self, src: str, dst: str, arguments) -> Wire | Input:
         if src == dst:
-            return self.noop(arguments, src)
+            return arguments
         return self.ew("cast", {"from": src, "to": dst}, arguments=arguments)
 
     def last_element(self, type_name: str, col: Wire, length: Wire | None = None) -> Wire:
@@ -155,6 +151,8 @@ class CircuitBuilder:
         return self.last_element(type_name, agg)
 
     def output(self, label: str, wire: Wire) -> None:
+        if not isinstance(wire, Wire):
+            raise ColcircError(f"output {label!r} needs a vertex out-port, not {wire!r}")
         if label in self._outputs:
             raise ColcircError(f"output {label!r} already defined")
         self._outputs[label] = wire.port
@@ -165,13 +163,24 @@ class CircuitBuilder:
         self.output(f"out:{label}", wire)
 
     def build(self, validate: bool = True) -> ColumnarCircuit:
-        interface = {}
-        interface.update(self._inputs)
+        vertices, edges, interface = dict(self._vertices), set(self._edges), {}
+        for label, targets in self._inputs.items():
+            if len(targets) == 1:
+                interface[label] = targets[0]
+                continue
+            types = {vertices[p.vertex_id].signature.inputs[p.port_label] for p in targets}
+            if len(types) > 1:
+                names = ", ".join(sorted(map(str, types)))
+                raise ColcircError(f"input {label!r} feeds ports of different types ({names})")
+            vid = f"v{len(vertices) + 1}_no_op"
+            vertices[vid] = instantiate("no_op", {"type": str(types.pop())})
+            edges.update((PortRef(vid, "result", OUT), p) for p in targets)
+            interface[label] = PortRef(vid, "arguments", IN)
         for label, port in self._outputs.items():
             if label in interface:
                 raise ColcircError(f"label {label!r} used for both an input and an output")
             interface[label] = port
-        c = circuit(self._vertices, self._edges, interface)
+        c = circuit(vertices, edges, interface)
         return check_valid(c) if validate else c
 
 

@@ -298,10 +298,6 @@ def compression_ratio(inst: SchemeInstance) -> Fraction:
     return Fraction(representation_size_bytes(decoded), representation_size_bytes(inst.columns))
 
 
-# ``CodecEntry`` takes the callables itself; the old name stays importable.
-SimpleCodec = CodecEntry
-
-
 # -- the lifted host verifier --------------------------------------------------------
 
 

@@ -109,11 +109,10 @@ def _poly_eval_wires(b: CircuitBuilder, params, rel: Wire, coeff_of, n: Wire) ->
 
 
 def _generated_decoder(params):
-    t = _t(params)
     ct = _compute_t(params)
     b = CircuitBuilder()
-    length = b.noop(b.input("length"), _INT)
-    coeffs = _widen(b, params, b.noop(b.input("coefficients"), t))
+    length = b.input("length")
+    coeffs = _widen(b, params, b.input("coefficients"))
     idx = b.iota(length)
     rel = b.cast(_INT, ct, idx)
 
@@ -255,7 +254,7 @@ def _constant_decoder(params):
     t = _t(params)
     int_t = _int_t(params)
     b = CircuitBuilder()
-    value = b.noop(b.input("value"), t)
+    value = b.input("value")
     length = b.cast(int_t, _INT, b.input("length"))
     b.result("col", b.replicate(t, value, length))
     return b.build()
@@ -311,11 +310,10 @@ def _noise_t(params):
 
 
 def _noisy_decoder(params):
-    t = _t(params)
     ct = _compute_t(params)
     b = CircuitBuilder()
-    noise = b.noop(b.input("noise"), _noise_t(params))
-    coeffs = _widen(b, params, b.noop(b.input("coefficients"), t))
+    noise = b.input("noise")
+    coeffs = _widen(b, params, b.input("coefficients"))
     n = b.length(noise, _noise_t(params))
     idx = b.iota(n)
     rel = b.cast(_INT, ct, idx)
@@ -386,10 +384,11 @@ def _narrow_t(params):
 
 
 def _nullsup_decoder(params):
-    t = _t(params)
+    t, narrow_t = _t(params), _narrow_t(params)
     b = CircuitBuilder()
-    narrow = b.noop(b.input("narrow"), _narrow_t(params))
-    b.result("col", b.cast(_narrow_t(params), t, narrow))
+    narrow = b.input("narrow")
+    # an identity narrowing decodes to the input itself, which takes a relay
+    b.result("col", b.cast(narrow_t, t, narrow) if narrow_t != t else b.noop(narrow, t))
     return b.build()
 
 
@@ -417,7 +416,7 @@ def _dict_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
     out = b.gather(t, b.input("indices"), b.input("dictionary"))
-    b.result("col", b.noop(out, t))
+    b.result("col", out)
     return b.build()
 
 
@@ -490,11 +489,10 @@ def _run_decode_tail(b, params, starts: Wire, overall: Wire, values: Wire) -> Wi
 
 
 def _run_full_decoder(params):
-    t = _t(params)
     b = CircuitBuilder()
-    starts = b.noop(b.input("start_position"), _INT)
-    lengths = b.noop(b.input("length"), _INT)
-    values = b.noop(b.input("value"), t)
+    starts = b.input("start_position")
+    lengths = b.input("length")
+    values = b.input("value")
     ends = b.add_cols(_INT, starts, lengths)
     overall = b.last_element(_INT, b.concat(_INT, b.scalar(_INT, 0), ends))
     b.result("col", _run_decode_tail(b, params, starts, overall, values))
@@ -542,11 +540,10 @@ register_codec(
 
 
 def _rpe_decoder(params):
-    t = _t(params)
     b = CircuitBuilder()
-    starts = b.noop(b.input("start_position"), _INT)
-    values = b.noop(b.input("value"), t)
-    overall = b.noop(b.input("overall_length"), _INT)
+    starts = b.input("start_position")
+    values = b.input("value")
+    overall = b.input("overall_length")
     b.result("col", _run_decode_tail(b, params, starts, overall, values))
     return b.build()
 
@@ -582,7 +579,7 @@ def rpe_encoder_circuit(params):
     """The run-position encoder circuit: run starts via IsSameAsPrevious."""
     t = _t(params)
     b = CircuitBuilder()
-    col = b.noop(b.input("col"), t)
+    col = b.input("col")
     same = b.add("is_same_as_previous", {"type": t}, col=col)
     boundary = b.ew("not", {}, arguments=same)
     starts = b.add("select_indices", {}, characteristic=boundary)
@@ -605,11 +602,10 @@ register_codec(
 
 
 def _rle_decoder(params):
-    t = _t(params)
     int_t = _int_t(params)
     b = CircuitBuilder()
     lengths = b.cast(int_t, _INT, b.input("length"))
-    values = b.noop(b.input("value"), t)
+    values = b.input("value")
     starts = b.prefix(_INT, "add", lengths, mode="exclusive")
     overall = b.total(_INT, lengths)
     b.result("col", _run_decode_tail(b, params, starts, overall, values))
@@ -645,12 +641,11 @@ register_codec(
 
 
 def _capped_rle_decoder(params):
-    t = _t(params)
     int_t = _int_t(params)
     b = CircuitBuilder()
     b.sink(b.input("cap"), _INT)
     lengths = b.cast(int_t, _INT, b.input("length"))
-    values = b.noop(b.input("value"), t)
+    values = b.input("value")
     starts = b.prefix(_INT, "add", lengths, mode="exclusive")
     overall = b.total(_INT, lengths)
     b.result("col", _run_decode_tail(b, params, starts, overall, values))
@@ -723,12 +718,11 @@ def _segment_poly_tail(b, params, idx: Wire, seg: Wire, seg_start_ct: Wire, coef
 
 
 def _spline_generalized_decoder(params):
-    t = _t(params)
     ct = _compute_t(params)
     b = CircuitBuilder()
-    starts = b.noop(b.input("segment_start_pos"), _INT)
-    lengths = b.noop(b.input("segment_length"), _INT)
-    coeffs = _widen(b, params, b.noop(b.input("coefficients"), t))
+    starts = b.input("segment_start_pos")
+    lengths = b.input("segment_length")
+    coeffs = _widen(b, params, b.input("coefficients"))
     ends = b.add_cols(_INT, starts, lengths)
     n = b.last_element(_INT, b.concat(_INT, b.scalar(_INT, 0), ends))
     idx = b.iota(n)
@@ -808,13 +802,12 @@ def _knots_float(params) -> bool:
 
 
 def _knotted_decoder(params):
-    t = _t(params)
     ct = _compute_t(params)
     b = CircuitBuilder()
     if _knots_float(params):
         if ct != "f64":
             raise NotEncodable("float knots require a float decoded type")
-        knots = b.noop(b.input("knots"), "f64")
+        knots = b.input("knots")
         m = b.sub_cols(_INT, b.length(knots, "f64"), b.scalar(_INT, 1))
         fstarts = b.gather("f64", b.iota(m), knots)
         # ceil(x) = -trunc(-x); the float-to-int cast truncates toward zero
@@ -827,14 +820,14 @@ def _knotted_decoder(params):
         seg = run_index_wires(b, starts, n)
         seg_start_ct = b.gather("f64", seg, fstarts)
     else:
-        knots = b.noop(b.input("knots"), _INT)
+        knots = b.input("knots")
         m = b.sub_cols(_INT, b.length(knots, _INT), b.scalar(_INT, 1))
         starts = b.gather(_INT, b.iota(m), knots)
         n = b.add_cols(_INT, b.last_element(_INT, knots), b.scalar(_INT, 1))
         idx = b.iota(n)
         seg = run_index_wires(b, starts, n)
         seg_start_ct = b.cast(_INT, ct, b.gather(_INT, seg, starts))
-    coeffs = _widen(b, params, b.noop(b.input("coefficients"), t))
+    coeffs = _widen(b, params, b.input("coefficients"))
     acc = _segment_poly_tail(b, params, idx, seg, seg_start_ct, coeffs, n)
     b.result("col", _narrow_out(b, params, acc))
     return b.build()
@@ -909,13 +902,12 @@ register_codec(
 
 
 def _equiknotted_decoder(params):
-    t = _t(params)
     ct = _compute_t(params)
     ell = int(params["interval_length"])
     b = CircuitBuilder()
     b.sink(b.input("interval_length"), _INT)
-    n = b.noop(b.input("length"), _INT)
-    coeffs = _widen(b, params, b.noop(b.input("coefficients"), t))
+    n = b.input("length")
+    coeffs = _widen(b, params, b.input("coefficients"))
     idx = b.iota(n)
     seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=idx)
     seg_start_ct = b.cast(_INT, ct, b.ew("scale", {"type": _INT, "k": ell}, arguments=seg))
@@ -992,13 +984,12 @@ def _offset_t(params):
 
 
 def _for_decoder(params):
-    t = _t(params)
     ct = _compute_t(params)
     ell = int(params["segment_length"])
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
-    offsets = b.noop(b.input("offsets"), _offset_t(params))
-    reference = _widen(b, params, b.noop(b.input("reference"), t))
+    offsets = b.input("offsets")
+    reference = _widen(b, params, b.input("reference"))
     n = b.length(offsets, _offset_t(params))
     seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=b.iota(n))
     ref_i = b.gather(ct, seg, reference)
@@ -1119,7 +1110,7 @@ def _delta_pipeline(b, params, widened: Wire, base, n: Wire) -> Wire:
 def _delta_decoder(params):
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
-    delta = b.noop(b.input("delta"), _delta_t(params))
+    delta = b.input("delta")
     n = b.length(delta, _delta_t(params))
     widened = b.cast(_delta_t(params), _WIDE, delta)
     b.result("col", _delta_pipeline(b, params, widened, b.input("base"), n))
@@ -1178,7 +1169,7 @@ register_codec(
 def _patched_delta_decoder(params):
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
-    delta = b.noop(b.input("delta"), _delta_t(params))
+    delta = b.input("delta")
     n = b.length(delta, _delta_t(params))
     widened = b.cast(_delta_t(params), _WIDE, delta)
     patched = b.scatter(_WIDE, widened, b.input("patch_pos"), b.input("patch_data"))
@@ -1245,16 +1236,16 @@ def _segdict_decoder(params, two_level=False):
     entry_t = _INT if two_level else t
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
-    entries = b.noop(b.input("dictionary_entries"), entry_t)
-    indices = b.noop(b.input("indices"), _INT)
+    entries = b.input("dictionary_entries")
+    indices = b.input("indices")
     n = b.length(indices, _INT)
     seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=b.iota(n))
     slot = b.add_cols(_INT, indices, b.ew("scale", {"type": _INT, "k": d}, arguments=seg))
     codes = b.gather(entry_t, slot, entries)
     if two_level:
-        b.result("col", b.gather(t, codes, b.noop(b.input("global_dictionary"), t)))
+        b.result("col", b.gather(t, codes, b.input("global_dictionary")))
     else:
-        b.result("col", b.noop(codes, t))
+        b.result("col", codes)
     return b.build()
 
 
@@ -1372,18 +1363,18 @@ def _cascade_decoder(params):
     bits = _cascade_bits(params)
     b = CircuitBuilder()
     idx1_t = str(ElementType.unsigned(bits[0]))
-    first = b.noop(b.input("indices_1"), idx1_t)
+    first = b.input("indices_1")
     n = b.length(first, idx1_t)
     residual = b.iota(n)
     out = b.replicate(t, b.scalar(t, _et(params).zero()), n)
     for i, b_i in enumerate(bits):
         it = str(ElementType.unsigned(b_i))
-        codes = first if i == 0 else b.noop(b.input(f"indices_{i + 1}"), it)
+        codes = first if i == 0 else b.input(f"indices_{i + 1}")
         codes_w = b.cast(it, _INT, codes)
         covered = b.ew("const_compare", {"type": _INT, "cmp": "ne", "value": 0}, arguments=codes_w)
         pos_i = b.add("select", {"type": _INT}, data=residual, selection=covered)
         sel_codes = b.add("select", {"type": _INT}, data=codes_w, selection=covered)
-        data_i = b.gather(t, sel_codes, b.noop(b.input(f"dictionary_{i + 1}"), t))
+        data_i = b.gather(t, sel_codes, b.input(f"dictionary_{i + 1}"))
         out = b.scatter(t, out, pos_i, data_i)
         residual = b.add(
             "select", {"type": _INT}, data=residual, selection=b.ew("not", {}, arguments=covered)
@@ -1459,7 +1450,7 @@ def _subdict_decoder(params):
     indices = b.cast(it, _INT, b.input("indices"))
     zero_mask = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": 0}, arguments=indices)
     pos_z = b.add("select_indices", {}, characteristic=zero_mask)
-    base = b.gather(t, indices, b.noop(b.input("dictionary"), t))
+    base = b.gather(t, indices, b.input("dictionary"))
     b.result("col", b.scatter(t, base, pos_z, b.input("residual_data")))
     return b.build()
 
@@ -1698,9 +1689,9 @@ def _pvw_decoder(params):
     period = int(params["period"])
     b = CircuitBuilder()
     b.sink(b.input("period"), _INT)
-    widths = b.noop(b.input("widths"), _INT)
-    length = b.noop(b.input("length"), _INT)
-    data = b.noop(b.input("data"), t)
+    widths = b.input("widths")
+    length = b.input("length")
+    data = b.input("data")
     idx = b.iota(length)
     group = b.ew("clip_by", {"type": _INT, "k": period}, arguments=idx)
     lengths = b.gather(_INT, group, widths)
@@ -1713,7 +1704,7 @@ def _pvw_decoder(params):
     src_starts = b.add_cols(_INT, base, offset)
     out_starts, out_data = expand_ranges(b, t, src_starts, lengths, data)
     b.result("start_position", out_starts)
-    b.result("length", b.noop(lengths, _INT))
+    b.result("length", lengths)
     b.result("data", out_data)
     return b.build()
 
@@ -1793,15 +1784,15 @@ register_codec(
 def _vwdict_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    indices = b.noop(b.input("indices"), _INT)
-    entry_starts = b.noop(b.input("entry_start_positions"), _INT)
-    entry_lengths = b.noop(b.input("entry_lengths"), _INT)
-    data = b.noop(b.input("entry_data"), t)
+    indices = b.input("indices")
+    entry_starts = b.input("entry_start_positions")
+    entry_lengths = b.input("entry_lengths")
+    data = b.input("entry_data")
     lengths = b.gather(_INT, indices, entry_lengths)
     src_starts = b.gather(_INT, indices, entry_starts)
     out_starts, out_data = expand_ranges(b, t, src_starts, lengths, data)
     b.result("start_position", out_starts)
-    b.result("length", b.noop(lengths, _INT))
+    b.result("length", lengths)
     b.result("data", out_data)
     return b.build()
 

@@ -91,19 +91,15 @@ class _ComposedCodec(CodecEntry):
         return {k: v for k, v in params.items() if k not in ("partition", "segments")}
 
 
-def _compose_base_plus(recipe, tail_builder, out_type):
-    """Inner decoder output feeds a correction stage built by ``tail_builder``.
+def _compose_base_plus(entry, params, prefix, tail):
+    """The inner decoder's output feeds the correction stage ``tail``.
 
-    The tail circuit must expose a ``__base`` input of the decoded type and
-    an ``out:col`` output.
+    The inner decoder's encoded-form labels take ``prefix``.  The tail
+    circuit must expose a ``__base`` input of the decoded type and an
+    ``out:col`` output.
     """
-    entry, params = codec(recipe.inner[0][0]), dict(recipe.inner[0][1])
-    inner_dec = _single_output_decoder(entry, params)
-    renamed = rename_labels(inner_dec, {"out:col": "__inner"})
-    renamed = rename_labels(
-        renamed, {label: f"base:{label}" for label in entry.form_spec(params)}
-    )
-    tail = tail_builder()
+    renamed = rename_labels(_single_output_decoder(entry, params), {"out:col": "__inner"})
+    renamed = rename_labels(renamed, {label: f"{prefix}{label}" for label in entry.form_spec(params)})
     u = circuit_union(renamed, tail)
     u = assign_input(u, "__base", u.interface["__inner"])
     return drop_output(u, "__inner")
@@ -123,14 +119,9 @@ class _PatchedCodec(_ComposedCodec):
 
     def build_decoder(self, params):
         t = self.data_type
-
-        def tail():
-            b = CircuitBuilder()
-            out = b.scatter(t, b.input("__base"), b.input("patch_pos"), b.input("patch_data"))
-            b.result("col", b.noop(out, t))
-            return b.build()
-
-        return _compose_base_plus(self.recipe, tail, t)
+        b = CircuitBuilder()
+        b.result("col", b.scatter(t, b.input("__base"), b.input("patch_pos"), b.input("patch_data")))
+        return _compose_base_plus(*self.inners[0], "base:", b.build())
 
     def host_verify(self, params, columns):
         entry, iparams = self.inners[0]
@@ -226,23 +217,15 @@ class _DifferentiateCodec(_ComposedCodec):
 
     def build_decoder(self, params):
         t = self.data_type
-        dt = self.diff_type
-        entry, iparams = self.inners[0]
-        inner_dec = _single_output_decoder(entry, iparams)
-        renamed = rename_labels(inner_dec, {"out:col": "__inner"})
-        renamed = rename_labels(renamed, {lb: f"diff:{lb}" for lb in entry.form_spec(iparams)})
         b = CircuitBuilder()
-        diffs = b.cast(dt, _WIDE, b.input("__diffs"))
+        diffs = b.cast(self.diff_type, _WIDE, b.input("__base"))
         first = b.cast(t, _WIDE, b.input("first"))
         ps = b.prefix(_WIDE, "add", diffs)
         n1 = b.length(ps, _WIDE)
         shifted = b.add_cols(_WIDE, b.replicate(_WIDE, first, n1), ps)
         full = b.concat(_WIDE, first, shifted)
         b.result("col", b.cast(_WIDE, t, full))
-        tail = b.build()
-        u = circuit_union(renamed, tail)
-        u = assign_input(u, "__diffs", u.interface["__inner"])
-        return drop_output(u, "__inner")
+        return _compose_base_plus(*self.inners[0], "diff:", b.build())
 
     def host_verify(self, params, columns):
         if len(columns["first"]) != 1:
@@ -287,20 +270,13 @@ class _SmallDictFitCodec(_ComposedCodec):
     def build_decoder(self, params):
         t = self.data_type
         it = str(parse_type(f"u{self.bits}"))
-        entry, iparams = self.inners[0]
-        inner_dec = _single_output_decoder(entry, iparams)
-        renamed = rename_labels(inner_dec, {"out:col": "__inner"})
-        renamed = rename_labels(renamed, {lb: f"residual:{lb}" for lb in entry.form_spec(iparams)})
         b = CircuitBuilder()
         idx = b.cast(it, _INT, b.input("indices"))
         zero_mask = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": 0}, arguments=idx)
         pos_z = b.add("select_indices", {}, characteristic=zero_mask)
-        base = b.gather(t, idx, b.noop(b.input("dictionary"), t))
-        b.result("col", b.scatter(t, base, pos_z, b.input("__residual")))
-        tail = b.build()
-        u = circuit_union(renamed, tail)
-        u = assign_input(u, "__residual", u.interface["__inner"])
-        return drop_output(u, "__inner")
+        base = b.gather(t, idx, b.input("dictionary"))
+        b.result("col", b.scatter(t, base, pos_z, b.input("__base")))
+        return _compose_base_plus(*self.inners[0], "residual:", b.build())
 
     def host_verify(self, params, columns):
         entry, iparams = self.inners[0]
@@ -352,14 +328,14 @@ class _AlternatingCodec(_ComposedCodec):
             d = rename_labels(d, {lb: f"s{i}:{lb}" for lb in entry.form_spec(iparams)})
             pieces.append(d)
         b = CircuitBuilder()
-        part = b.noop(b.input("partition"), _INT)
+        part = b.input("partition")
         et = parse_type(t)
         out = b.replicate(t, b.scalar(t, et.zero()), b.length(part, _INT))
         for i in range(k):
             match = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": i}, arguments=part)
             pos = b.add("select_indices", {}, characteristic=match)
             out = b.scatter(t, out, pos, b.input(f"__data{i}"))
-        b.result("col", b.noop(out, t))
+        b.result("col", out)
         tail = b.build()
         u = tail
         for piece in pieces:
@@ -475,7 +451,7 @@ class _SegmentizedCodec(_ComposedCodec):
         b = CircuitBuilder()
         wired = {lb: b.input(lb) for lb in self.form_spec({})}
         out = b.add("segmentized", {"scheme": self.scheme_id}, **wired)
-        b.result("col", b.noop(out, self.data_type))
+        b.result("col", out)
         return b.build()
 
     def host_verify(self, params, columns):

@@ -64,10 +64,10 @@ def q6_circuit(
     extraction.
     """
     b = CircuitBuilder()
-    shipdate = b.noop(b.input("shipdate"), _INT)
-    discount = b.noop(b.input("discount"), _INT)
-    quantity = b.noop(b.input("quantity"), _INT)
-    price = b.noop(b.input("extended_price"), _INT)
+    shipdate = b.input("shipdate")
+    discount = b.input("discount")
+    quantity = b.input("quantity")
+    price = b.input("extended_price")
 
     in_dates = b.ew("in_range", {"type": _INT, "lo": date_lo, "hi": date_hi}, arguments=shipdate)
     in_disc = b.ew("in_range", {"type": _INT, "lo": discount_lo, "hi": discount_hi}, arguments=discount)

@@ -167,7 +167,7 @@ def _binary_bool(pyop):
         return {"lhs": BIT, "rhs": BIT}, {"result": BIT}
 
     def run(inst, cols):
-        vals = [pyop(a, b) for a, b in zip(cols["lhs"].values, cols["rhs"].values)]
+        vals = list(map(pyop, cols["lhs"].values, cols["rhs"].values))
         return {"result": _out(BIT, vals, _well_typed(inst, cols))}
 
     return sig, run
@@ -378,8 +378,8 @@ _ELEMENTWISE_FNS = {
     "add": _binary_arith("add", operator.add),
     "sub": _binary_arith("sub", operator.sub),
     "mul": _binary_arith("mul", operator.mul),
-    "and": _binary_bool(lambda a, b: a & b),
-    "or": _binary_bool(lambda a, b: a | b),
+    "and": _binary_bool(operator.and_),
+    "or": _binary_bool(operator.or_),
     "not": _fn_not(),
     "eq": _comparison(lambda a, b: a == b),
     "lt": _comparison(lambda a, b: a < b),

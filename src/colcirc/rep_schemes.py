@@ -96,21 +96,11 @@ def subcolumn_family_equivalent(params, a: dict, b: dict) -> bool:
 # -- scheme helpers ---------------------------------------------------------------
 
 
-def _relay_inputs(b: CircuitBuilder, spec: dict) -> dict:
-    """NoOp every encoded-form input; returns label -> Wire for fan-out."""
-    return {label: b.noop(b.input(label), str(t)) for label, t in spec.items()}
-
-
 def _membership_bitmap(b: CircuitBuilder, domain_size, pos):
     """Bit column of ``domain_size`` with ones at the given positions."""
     zeros = b.replicate("bit", b.scalar("bit", 0), domain_size)
     ones = b.replicate("bit", b.scalar("bit", 1), b.length(pos, _INT))
     return b.scatter("bit", zeros, pos, ones)
-
-
-def _with_noop_tail(b: CircuitBuilder, outputs: dict) -> None:
-    for label, wire in outputs.items():
-        b.output(label, wire)
 
 
 # -- Indexed ----------------------------------------------------------------------
@@ -120,7 +110,7 @@ def _indexed_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
     permuted = b.add("permute", {"type": t}, permutation=b.input("pos"), data=b.input("data"))
-    b.result("col", b.noop(permuted, t))
+    b.result("col", permuted)
     return b.build()
 
 
@@ -193,10 +183,10 @@ def _two_subcolumn_spec(params):
 def _overlay_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    pos1 = b.noop(b.input("pos_1"), _INT)
-    data1 = b.noop(b.input("data_1"), t)
-    pos2 = b.noop(b.input("pos_2"), _INT)
-    data2 = b.noop(b.input("data_2"), t)
+    pos1 = b.input("pos_1")
+    data1 = b.input("data_1")
+    pos2 = b.input("pos_2")
+    data2 = b.input("data_2")
     # bound on the domain so membership can be materialized densely
     zero = b.scalar(_INT, 0)
     all_pos = b.concat(_INT, zero, pos1, pos2)
@@ -286,9 +276,9 @@ register_codec(
 def _complementing_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    pos = b.noop(b.input("pos"), _INT)
-    data1 = b.noop(b.input("data_1"), t)
-    data2 = b.noop(b.input("data_2"), t)
+    pos = b.input("pos")
+    data1 = b.input("data_1")
+    data2 = b.input("data_2")
     n = b.add_cols(_INT, b.length(data1, t), b.length(data2, t))
     membership = _membership_bitmap(b, n, pos)
     complement = b.add("select_indices", {}, characteristic=b.ew("not", {}, arguments=membership))
@@ -329,7 +319,7 @@ def _overlaid_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
     out = b.scatter(t, b.input("data"), b.input("overlay_pos"), b.input("overlay_data"))
-    b.result("col", b.noop(out, t))
+    b.result("col", out)
     return b.build()
 
 
@@ -378,8 +368,8 @@ def _segmentation_ok(start, length, n=None):
 
 def _segmentation_decoder(params):
     b = CircuitBuilder()
-    start = b.noop(b.input("start"), _INT)
-    length = b.noop(b.input("length"), _INT)
+    start = b.input("start")
+    length = b.input("length")
     ends = b.add_cols(_INT, start, length)
     n = b.last_element(_INT, ends)
     b.result("col", b.iota(n))
@@ -408,7 +398,7 @@ register_codec(
 def _uniform_segmentation_decoder(params):
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
-    b.result("col", b.iota(b.noop(b.input("overall_length"), _INT)))
+    b.result("col", b.iota(b.input("overall_length")))
     return b.build()
 
 
@@ -496,7 +486,7 @@ def _segmented_subcolumn_decoder(params):
     ell = int(params["segment_length"])
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
-    segment_pos = b.noop(b.input("segment_pos"), _INT)
+    segment_pos = b.input("segment_pos")
     data = b.noop(b.input("data"), t)
     n = b.length(data, t)
     idx = b.iota(n)
@@ -574,7 +564,7 @@ def indexset_equivalent(params, a, b):
 def _sparse_indexset_decoder(params):
     b = CircuitBuilder()
     full = b.noop(b.input("full_length"), _INT)
-    elements = b.noop(b.input("elements"), _INT)
+    elements = b.input("elements")
     membership = _membership_bitmap(b, full, elements)
     b.result("full_length", full)
     b.result("elements", b.add("select_indices", {}, characteristic=membership))
@@ -613,7 +603,7 @@ register_codec(
 
 def _dense_indexset_decoder(params):
     b = CircuitBuilder()
-    char = b.noop(b.input("characteristic"), "bit")
+    char = b.input("characteristic")
     b.result("full_length", b.length(char, "bit"))
     b.result("elements", b.add("select_indices", {}, characteristic=char))
     return b.build()
@@ -642,8 +632,8 @@ register_codec(
 
 def _contiguous_indexset_decoder(params):
     b = CircuitBuilder()
-    start = b.noop(b.input("start"), _INT)
-    length = b.noop(b.input("length"), _INT)
+    start = b.input("start")
+    length = b.input("length")
     full = b.noop(b.input("full_length"), _INT)
     base = b.iota(length)
     shift = b.replicate(_INT, start, length)
@@ -696,12 +686,12 @@ def _partition_k(params) -> int:
 def _partition_decoder(params):
     k = _partition_k(params)
     b = CircuitBuilder()
-    part = b.noop(b.input("partition"), _INT)
+    part = b.input("partition")
     for j in range(k):
         match = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": j}, arguments=part)
         pos = b.add("select_indices", {}, characteristic=match)
         b.result(f"pos_{j + 1}", pos)
-        b.result(f"data_{j + 1}", b.noop(pos, _INT))
+        b.result(f"data_{j + 1}", pos)
     return b.build()
 
 
@@ -764,8 +754,8 @@ def _partitioned_k_decoder(params):
     k = _partition_k(params)
     t = _t(params)
     b = CircuitBuilder()
-    poss = [b.noop(b.input(f"pos_{j + 1}"), _INT) for j in range(k)]
-    datas = [b.noop(b.input(f"data_{j + 1}"), t) for j in range(k)]
+    poss = [b.input(f"pos_{j + 1}") for j in range(k)]
+    datas = [b.input(f"data_{j + 1}") for j in range(k)]
     n = b.length(poss[0], _INT)
     for j in range(1, k):
         n = b.add_cols(_INT, n, b.length(poss[j], _INT))
@@ -847,10 +837,7 @@ def _components_types(params):
 def _components_decoder(params):
     types = _components_types(params)
     b = CircuitBuilder()
-    wired = {
-        f"component_{i + 1}": b.noop(b.input(f"component_{i + 1}"), str(t))
-        for i, t in enumerate(types)
-    }
+    wired = {f"component_{i + 1}": b.input(f"component_{i + 1}") for i in range(len(types))}
     zipped = b.add("zip", {"types": [str(t) for t in types]}, **wired)
     b.result("zipped", zipped)
     return b.build()
@@ -895,7 +882,7 @@ def _concat_components_decoder(params):
         segment_length=b.input("segment_length"),
         components=b.input("components"),
     )
-    b.result("composed", b.noop(comp, str(ElementType.product(*([_et(params)] * k)))))
+    b.result("composed", comp)
     return b.build()
 
 
@@ -941,7 +928,7 @@ def _shattered_decoder(params):
         segment_length=b.input("segment_length"),
         components=b.input("components"),
     )
-    b.result("composed", b.noop(comp, str(ElementType.product(*([_et(params)] * k)))))
+    b.result("composed", comp)
     return b.build()
 
 
@@ -976,7 +963,7 @@ def _value_indicators_decoder(params):
     d = int(params["domain_size"])
     b = CircuitBuilder()
     b.sink(b.input("domain_size"), _INT)
-    bitmaps = b.noop(b.input("bitmaps"), "bit")
+    bitmaps = b.input("bitmaps")
     total = b.length(bitmaps, "bit")
     n = b.ew("clip_by", {"type": _INT, "k": d}, arguments=total)
     acc = None
@@ -1062,12 +1049,12 @@ def canonical_varwidth(elements, base_type: ElementType) -> dict:
 def _varwidth_std_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    starts = b.noop(b.input("start_position"), _INT)
+    starts = b.input("start_position")
     lengths = b.noop(b.input("length"), _INT)
-    data = b.noop(b.input("data"), t)
+    data = b.input("data")
     out_starts, out_data = expand_ranges(b, t, starts, lengths, data)
     b.result("start_position", out_starts)
-    b.result("length", b.noop(lengths, _INT))
+    b.result("length", lengths)
     b.result("data", out_data)
     return b.build()
 
@@ -1103,15 +1090,15 @@ register_codec(
 def _capped_width_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    max_len = b.noop(b.input("max_length"), _INT)
+    max_len = b.input("max_length")
     lengths = b.noop(b.input("lengths"), _INT)
-    data = b.noop(b.input("data"), t)
+    data = b.input("data")
     n = b.length(lengths, _INT)
     slot = b.replicate(_INT, max_len, n)
     starts = b.ew("mul", {"type": _INT}, lhs=b.iota(n), rhs=slot)
     out_starts, out_data = expand_ranges(b, t, starts, lengths, data)
     b.result("start_position", out_starts)
-    b.result("length", b.noop(lengths, _INT))
+    b.result("length", lengths)
     b.result("data", out_data)
     return b.build()
 
@@ -1166,10 +1153,10 @@ register_codec(
 def _nullable_complementing_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    pos = b.noop(b.input("pos"), _INT)
-    data = b.noop(b.input("data"), t)
-    n = b.noop(b.input("length"), _INT)
-    null_value = b.noop(b.input("null_value"), t)
+    pos = b.input("pos")
+    data = b.input("data")
+    n = b.input("length")
+    null_value = b.input("null_value")
     base = b.replicate(t, null_value, n)
     b.result("col", b.scatter(t, base, pos, data))
     return b.build()
@@ -1210,9 +1197,9 @@ register_codec(
 def _nullable_patched_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
-    data = b.noop(b.input("data"), t)
-    pos = b.noop(b.input("overlay_pos"), _INT)
-    null_value = b.noop(b.input("null_value"), t)
+    data = b.input("data")
+    pos = b.input("overlay_pos")
+    null_value = b.input("null_value")
     fill = b.replicate(t, null_value, b.length(pos, _INT))
     b.result("col", b.scatter(t, data, pos, fill))
     return b.build()

@@ -18,7 +18,7 @@ from colcirc import (
     scalar_column,
     verify,
 )
-from colcirc.codec import SimpleCodec
+from colcirc.codec import CodecEntry
 from colcirc.errors import NotEncodable, RegistryError, VerificationFailed
 from colcirc.types import INT, U8, U16, U32
 
@@ -32,7 +32,7 @@ def unique_id(tag):
 class TestRegistry:
     def test_register_and_resolve(self):
         sid = unique_id("reg")
-        entry = SimpleCodec(
+        entry = CodecEntry(
             sid,
             form_spec=lambda p: {},
             decoded_labels=lambda p: ["col"],
@@ -44,7 +44,7 @@ class TestRegistry:
 
     def test_duplicate_rejected(self):
         sid = unique_id("dup")
-        entry = SimpleCodec(
+        entry = CodecEntry(
             sid,
             form_spec=lambda p: {},
             decoded_labels=lambda p: ["col"],
