@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .column import Column
 from .errors import (
@@ -31,8 +32,10 @@ IN = "in"
 OUT = "out"
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
+    """A vertex port.  A named tuple, so it hashes and compares at C speed and
+    equals the plain tuple ``(vertex_id, port_label, direction)``."""
+
     vertex_id: str
     port_label: str
     direction: str  # IN or OUT
@@ -74,9 +77,11 @@ class ColumnarCircuit:
     interface: dict  # circuit label -> PortRef
     signature: Signature
 
-    # the evaluation plan, compiled on first evaluation; not a field, so
-    # equality, repr and JSON ignore it
+    # the evaluation plan, compiled on first evaluation, and the structural
+    # pass (``_structure``) until then; not fields, so equality, repr and JSON
+    # ignore them
     _plan = None
+    _structure = None
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -120,95 +125,115 @@ def circuit(vertices, edges, interface) -> ColumnarCircuit:
     interface = dict(interface)
     ins, outs = {}, {}
     for label, port in interface.items():
-        op = vertices.get(port.vertex_id)
+        vid, port_label, direction = port
+        op = vertices.get(vid)
         if op is None:
-            raise ColcircError(f"interface label {label!r} points at unknown vertex {port.vertex_id!r}")
-        if port.direction == IN:
-            t = op.signature.inputs.get(port.port_label)
+            raise ColcircError(f"interface label {label!r} points at unknown vertex {vid!r}")
+        if direction == IN:
+            t = op.signature.inputs.get(port_label)
             if t is None:
                 raise ColcircError(f"interface label {label!r} points at unknown in-port {port}")
             ins[label] = t
         else:
-            t = op.signature.outputs.get(port.port_label)
+            t = op.signature.outputs.get(port_label)
             if t is None:
                 raise ColcircError(f"interface label {label!r} points at unknown out-port {port}")
             outs[label] = t
     return ColumnarCircuit(vertices, edges, interface, Signature(ins, outs))
 
 
-def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
-    """Full structural check; violations are data, not failures."""
-    violations = []
+def _structure(c: ColumnarCircuit):
+    """One walk over the circuit's edges, shared by validation and plan compilation.
 
-    known_in = set(c.in_ports())
-    known_out = set(c.out_ports())
-
-    # ports named by edges must exist and obey the in/out orientation
-    fed = {}
+    Returns ``(types, sources, violations, order)``: the element type of every
+    vertex port keyed by ``(vertex id, port label, direction)``, the source of
+    every engaged in-port, the edge violations, and the vertex ids in
+    topological order (``None`` when the layout graph has a cycle).  Cached
+    on the circuit until its plan is compiled.
+    """
+    found = c._structure
+    if found is not None:
+        return found
+    types = {}
+    for vid, op in c.vertices.items():
+        for label, t in op.signature.inputs.items():
+            types[vid, label, IN] = t
+        for label, t in op.signature.outputs.items():
+            types[vid, label, OUT] = t
+    sources, fed_again, violations = {}, {}, []
+    pending = dict.fromkeys(c.vertices, 0)  # vertex -> edges from vertices not yet ordered
+    consumers = {}
     for src, dst in c.edges:
-        if src.direction != OUT or src not in known_out:
+        if src[0] in pending and dst[0] in pending:
+            pending[dst[0]] += 1
+            consumers.setdefault(src[0], []).append(dst[0])
+        t_src = types.get(src) if src[2] == OUT else None
+        if t_src is None:
             violations.append(Violation("bad-edge-source", f"{src} is not a vertex out-port"))
             continue
-        if dst.direction != IN or dst not in known_in:
+        t_dst = types.get(dst) if dst[2] == IN else None
+        if t_dst is None:
             violations.append(Violation("bad-edge-target", f"{dst} is not a vertex in-port"))
             continue
-        fed.setdefault(dst, []).append(src)
-        t_src, t_dst = c.port_type(src), c.port_type(dst)
-        if t_src != t_dst:
-            violations.append(
-                Violation("type-mismatch", f"edge {src} ({t_src}) -> {dst} ({t_dst})")
-            )
-    for dst, srcs in fed.items():
-        if len(srcs) > 1:
-            violations.append(Violation("multi-fed-port", f"{dst} is the target of {len(srcs)} edges"))
+        if dst in sources:
+            fed_again[dst] = fed_again.get(dst, 1) + 1
+        else:
+            sources[dst] = src
+        if t_src is not t_dst and t_src != t_dst:
+            violations.append(Violation("type-mismatch", f"edge {src} ({t_src}) -> {dst} ({t_dst})"))
+    for dst, n in fed_again.items():
+        violations.append(Violation("multi-fed-port", f"{dst} is the target of {n} edges"))
+    order = []
+    ready = sorted(v for v, n in pending.items() if not n)
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for u in sorted(consumers.get(v, ())):
+            pending[u] -= 1
+            if not pending[u]:
+                ready.append(u)
+    found = (types, sources, tuple(violations), order if len(order) == len(pending) else None)
+    if c._plan is None:
+        object.__setattr__(c, "_structure", found)
+    return found
 
-    # acyclicity of the vertex-level dependency graph
-    deps = {vid: set() for vid in c.vertices}
-    for src, dst in c.edges:
-        if src.vertex_id in deps and dst.vertex_id in deps:
-            deps[dst.vertex_id].add(src.vertex_id)
-    state = {}
 
-    def has_cycle(v):
-        state[v] = 1
-        for u in deps[v]:
-            s = state.get(u)
-            if s == 1 or (s is None and has_cycle(u)):
-                return True
-        state[v] = 2
-        return False
-
-    if any(state.get(v) is None and has_cycle(v) for v in deps):
+def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
+    """Full structural check; violations are data, not failures."""
+    types, sources, edge_violations, order = _structure(c)
+    violations = list(edge_violations)
+    if order is None:
         violations.append(Violation("cycle", "layout graph contains a directed cycle"))
 
     # interface: inputs biject onto disengaged in-ports, outputs hit out-ports
-    disengaged = known_in - set(fed)
     seen_ports = {}
-    for label in c.signature.inputs:
+    for label, t in c.signature.inputs.items():
         port = c.interface.get(label)
         if port is None:
             violations.append(Violation("dangling-interface", f"input label {label!r} is unmapped"))
             continue
-        if port not in known_in:
+        t_port = types.get(port) if port[2] == IN else None
+        if t_port is None:
             violations.append(Violation("dangling-interface", f"input label {label!r} -> missing port {port}"))
             continue
-        if port not in disengaged:
+        if port in sources:
             violations.append(Violation("engaged-input", f"input label {label!r} -> engaged port {port}"))
         if port in seen_ports:
             violations.append(
                 Violation("input-not-injective", f"labels {seen_ports[port]!r} and {label!r} share {port}")
             )
         seen_ports[port] = label
-        if c.port_type(port) != c.signature.inputs[label]:
+        if t_port is not t and t_port != t:
             violations.append(Violation("type-mismatch", f"input label {label!r} type differs from {port}"))
-    unmapped = disengaged - set(seen_ports)
+    unmapped = (PortRef._make(p) for p in types if p[2] == IN and p not in sources and p not in seen_ports)
     for port in sorted(unmapped, key=str):
         violations.append(Violation("unmapped-disengaged-input", f"{port} has no circuit input label"))
-    for label in c.signature.outputs:
+    for label, t in c.signature.outputs.items():
         port = c.interface.get(label)
-        if port is None or port not in known_out:
+        t_port = types.get(port) if port is not None and port[2] == OUT else None
+        if t_port is None:
             violations.append(Violation("dangling-interface", f"output label {label!r} -> {port}"))
-        elif c.port_type(port) != c.signature.outputs[label]:
+        elif t_port is not t and t_port != t:
             violations.append(Violation("type-mismatch", f"output label {label!r} type differs from {port}"))
 
     return ValidationReport(tuple(violations))
@@ -229,32 +254,14 @@ def _invalid(kind, detail):
 
 
 def _toposort(c: ColumnarCircuit):
-    deps = {vid: set() for vid in c.vertices}
-    consumers = {vid: set() for vid in c.vertices}
-    fed = set()
-    for src, dst in c.edges:
-        # ``circuit()`` does not check edges, so an edge may name no port, and
-        # an in-port fed twice would take whichever edge the hash order puts last
-        if src.direction != OUT or c.port_type(src) is None:
-            raise _invalid("bad-edge-source", f"{src} is not a vertex out-port")
-        if dst.direction != IN or c.port_type(dst) is None:
-            raise _invalid("bad-edge-target", f"{dst} is not a vertex in-port")
-        if dst in fed:
-            raise _invalid("multi-fed-port", f"{dst} is the target of more than one edge")
-        fed.add(dst)
-        deps[dst.vertex_id].add(src.vertex_id)
-        consumers[src.vertex_id].add(dst.vertex_id)
-    order = []
-    ready = sorted(v for v, d in deps.items() if not d)
-    pending = {v: len(d) for v, d in deps.items()}
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for u in sorted(consumers[v]):
-            pending[u] -= 1
-            if pending[u] == 0:
-                ready.append(u)
-    if len(order) != len(c.vertices):
+    # ``circuit()`` does not check edges, so an edge may name no port, and an
+    # in-port fed twice would take whichever edge the hash order puts last; a
+    # type mismatch is left to the operator, which rejects the column
+    _, _, violations, order = _structure(c)
+    broken = tuple(v for v in violations if v.kind != "type-mismatch")
+    if broken:
+        raise InvalidCircuitError(ValidationReport(broken))
+    if order is None:
         raise _invalid("cycle", "cannot order vertices")
     return order
 
@@ -280,12 +287,11 @@ class _Plan:
 
 def _compile(c: ColumnarCircuit) -> _Plan:
     order = _toposort(c)
-    source = {(dst.vertex_id, dst.port_label): src for src, dst in c.edges}
-    in_slot, out_slot = {}, {}
+    sources = _structure(c)[1]
+    slot_of = {}  # port -> slot: an input's in-port, every out-port
     inputs = []
     for label, t in c.signature.inputs.items():
-        port = c.interface[label]
-        in_slot[port.vertex_id, port.port_label] = len(inputs)
+        slot_of[c.interface[label]] = len(inputs)
         inputs.append((label, t, len(inputs)))
     n_slots = len(inputs)
     steps = []
@@ -293,25 +299,20 @@ def _compile(c: ColumnarCircuit) -> _Plan:
         op = c.vertices[vid]
         ins = []
         for label in op.signature.inputs:
-            src = source.get((vid, label))
-            if src is not None:  # an out-port of a vertex ordered before this one
-                slot = out_slot[src.vertex_id, src.port_label]
-            else:
-                slot = in_slot.get((vid, label))
-                if slot is None:
-                    raise _invalid("unmapped-disengaged-input", f"{vid}.{label} has no circuit input label")
+            port = (vid, label, IN)
+            # an engaged port reads its source, an out-port of a vertex ordered before this one
+            slot = slot_of.get(sources.get(port, port))
+            if slot is None:
+                raise _invalid("unmapped-disengaged-input", f"{vid}.{label} has no circuit input label")
             ins.append((label, slot))
         outs = []
         for label in op.signature.outputs:
-            out_slot[vid, label] = n_slots
+            slot_of[vid, label, OUT] = n_slots
             outs.append((label, n_slots))
             n_slots += 1
         steps.append((vid, op, tuple(ins), tuple(outs)))
-    outputs = []
-    for label in c.signature.outputs:
-        port = c.interface[label]
-        outputs.append((label, out_slot[port.vertex_id, port.port_label]))
-    return _Plan(tuple(inputs), tuple(steps), tuple(outputs), n_slots)
+    outputs = tuple((label, slot_of[c.interface[label]]) for label in c.signature.outputs)
+    return _Plan(tuple(inputs), tuple(steps), outputs, n_slots)
 
 
 def _check_outputs(vid, op, outs):
@@ -374,6 +375,7 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
         # no lock: threads racing here compile equal plans, and either may stay
         plan = _compile(c)
         object.__setattr__(c, "_plan", plan)
+        object.__setattr__(c, "_structure", None)  # the plan holds all later calls need
     slots = [None] * plan.n_slots
     for label, t, slot in plan.inputs:
         if label not in inputs:

@@ -9,7 +9,9 @@ supported up to 63 bits of magnitude.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from itertools import repeat
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
 from .codec import CodecEntry, register_codec
@@ -130,8 +132,13 @@ def _generated_verify(params, cols):
 
 
 def _eval_basis(params, coeffs, n):
-    degrees = _basis_degrees(params)
-    return [sum(c * (i**d) for c, d in zip(coeffs, degrees)) for i in range(n)]
+    # one degree at a time, each term added in the order ``sum(c * i**d for
+    # c, d in ...)`` would add it, so float results are the same bits
+    values = [0] * n
+    for c, d in zip(coeffs, _basis_degrees(params)):
+        terms = map(operator.mul, repeat(c, n), map(pow, range(n), repeat(d, n)))
+        values = list(map(operator.add, values, terms))
+    return values
 
 
 def _generated_encode(params, family):

@@ -28,13 +28,9 @@ from .ops import OperatorInstance, instantiate, register_fused
 def _retag(c: ColumnarCircuit, tag: str, relabel: bool) -> ColumnarCircuit:
     vmap = {vid: f"{tag}{vid}" for vid in c.vertices}
     vertices = {vmap[vid]: op for vid, op in c.vertices.items()}
-    edges = {
-        (PortRef(vmap[s.vertex_id], s.port_label, OUT), PortRef(vmap[t.vertex_id], t.port_label, IN))
-        for s, t in c.edges
-    }
+    edges = {(PortRef(vmap[s[0]], s[1], OUT), PortRef(vmap[t[0]], t[1], IN)) for s, t in c.edges}
     interface = {
-        (f"{tag}{label}" if relabel else label): PortRef(vmap[p.vertex_id], p.port_label, p.direction)
-        for label, p in c.interface.items()
+        (f"{tag}{label}" if relabel else label): PortRef(vmap[p[0]], p[1], p[2]) for label, p in c.interface.items()
     }
     return circuit(vertices, edges, interface)
 
@@ -46,16 +42,13 @@ def circuit_union(c1: ColumnarCircuit, c2: ColumnarCircuit) -> ColumnarCircuit:
     if vertex_clash or label_clash:
         c1 = _retag(c1, "1:", relabel=bool(label_clash))
         c2 = _retag(c2, "2:", relabel=bool(label_clash))
-    vertices = {**c1.vertices, **c2.vertices}
-    edges = set(c1.edges) | set(c2.edges)
-    interface = {**c1.interface, **c2.interface}
-    return circuit(vertices, edges, interface)
+    return circuit({**c1.vertices, **c2.vertices}, c1.edges | c2.edges, {**c1.interface, **c2.interface})
 
 
 def _reaches(c: ColumnarCircuit, start_vertex: str, goal_vertex: str) -> bool:
     consumers = {}
     for s, t in c.edges:
-        consumers.setdefault(s.vertex_id, set()).add(t.vertex_id)
+        consumers.setdefault(s[0], set()).add(t[0])
     seen, stack = set(), [start_vertex]
     while stack:
         v = stack.pop()
@@ -82,10 +75,8 @@ def assign_input(c: ColumnarCircuit, input_label: str, source: PortRef) -> Colum
         )
     if _reaches(c, target.vertex_id, source.vertex_id):
         raise OperatorError("would-create-cycle", f"{source} depends on {target}")
-    vertices = dict(c.vertices)
-    edges = set(c.edges) | {(source, target)}
     interface = {k: v for k, v in c.interface.items() if k != input_label}
-    return circuit(vertices, edges, interface)
+    return circuit(c.vertices, c.edges | {(source, target)}, interface)
 
 
 def cut_label(port: PortRef) -> str:
@@ -229,27 +220,30 @@ def fuse_subcircuit(c: ColumnarCircuit, vertex_set, fused_name: str | None = Non
 
 def rename_label(c: ColumnarCircuit, old: str, new: str) -> ColumnarCircuit:
     """Rename one interface label; the port mapping is unchanged."""
-    if old not in c.interface:
-        raise ColcircError(f"no interface label {old!r}")
-    if new in c.interface:
-        raise ColcircError(f"label {new!r} already in use")
-    interface = {(new if label == old else label): port for label, port in c.interface.items()}
-    return circuit(dict(c.vertices), set(c.edges), interface)
+    return rename_labels(c, {old: new})
 
 
 def rename_labels(c: ColumnarCircuit, mapping: dict) -> ColumnarCircuit:
-    out = c
+    """Rename interface labels as if one ``old: new`` pair at a time, in one pass.
+
+    Each renamed label keeps its place in the interface.
+    """
+    original = {label: label for label in c.interface}  # current name -> label in ``c``
     for old, new in mapping.items():
-        out = rename_label(out, old, new)
-    return out
+        if old not in original:
+            raise ColcircError(f"no interface label {old!r}")
+        if new in original:
+            raise ColcircError(f"label {new!r} already in use")
+        original[new] = original.pop(old)
+    final = {label: name for name, label in original.items()}
+    return circuit(c.vertices, c.edges, {final[label]: port for label, port in c.interface.items()})
 
 
 def drop_output(c: ColumnarCircuit, label: str) -> ColumnarCircuit:
     """Remove an output label from the interface (the vertex stays)."""
     if label not in c.signature.outputs:
         raise ColcircError(f"{label!r} is not an output label")
-    interface = {k: v for k, v in c.interface.items() if k != label}
-    return circuit(dict(c.vertices), set(c.edges), interface)
+    return circuit(c.vertices, c.edges, {k: v for k, v in c.interface.items() if k != label})
 
 
 def _params_key(params: dict) -> str:

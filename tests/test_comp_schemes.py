@@ -1,4 +1,7 @@
+import math
 import random
+import struct
+import sys
 
 import pytest
 
@@ -608,3 +611,55 @@ class TestCheckedNarrow:
     )
     def test_fitting_values_come_back_as_a_list(self, et, values):
         assert cs._checked_narrow(et, values, "delta") == list(values)
+
+
+def _per_element_basis(params, coeffs, n):
+    """The per-element formula ``_eval_basis`` replaced."""
+    degrees = cs._basis_degrees(params)
+    return [sum(c * (i**d) for c, d in zip(coeffs, degrees)) for i in range(n)]
+
+
+def _bits(values):
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+class TestEvalBasis:
+    """The basis is evaluated a degree at a time with the old formula's additions."""
+
+    @pytest.mark.parametrize(
+        "params, coeffs",
+        [
+            ({"basis": [0]}, [7]),
+            ({"degree": 1}, [3, -2]),
+            ({"degree": 3}, [1, 0, -5, 2]),
+            ({"basis": [2, 0, 1]}, [2**40, -(2**63), 9]),
+            ({"basis": []}, []),
+        ],
+    )
+    def test_integer_params(self, params, coeffs):
+        for n in (0, 1, 2, 17):
+            got = cs._eval_basis(params, coeffs, n)
+            assert got == _per_element_basis(params, coeffs, n)
+            assert all(type(v) is int for v in got)
+
+    # from Python 3.12 on, ``sum`` adds floats with compensation, so the old
+    # formula itself no longer adds term by term
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() compensates float additions")
+    @pytest.mark.parametrize(
+        "params, coeffs",
+        [
+            ({"degree": 1}, [0.1, 0.7]),
+            ({"degree": 2}, [1e16, 1.0, -0.3]),
+            ({"basis": [3, 0, 1]}, [-1e-3, 0.2, 1e300]),
+            ({"basis": [0, 1]}, [-0.0, -0.0]),
+            ({"degree": 1}, [math.inf, -math.inf]),
+            ({"degree": 2}, [math.nan, 0.5, 2]),
+        ],
+    )
+    def test_float_params_give_the_same_bits(self, params, coeffs):
+        rng = random.Random(7)
+        cases = [(params, coeffs)]
+        cases += [(params, [rng.uniform(-1e6, 1e6) for _ in coeffs]) for _ in range(20)]
+        for p, cf in cases:
+            got = cs._eval_basis(p, cf, 40)
+            assert _bits(got) == _bits(_per_element_basis(p, cf, 40))
