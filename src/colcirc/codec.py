@@ -55,15 +55,26 @@ def _scheme_params(params) -> _SchemeParams:
     return params if type(params) is _SchemeParams else _SchemeParams(params)
 
 
+DECODED_PREFIX = "out:"
+
+
+def _without_out_prefix(outputs: dict) -> dict:
+    """A decoder's outputs (columns or types) keyed without the ``out:`` namespace."""
+    n = len(DECODED_PREFIX)
+    return {label[n:] if label.startswith(DECODED_PREFIX) else label: v for label, v in outputs.items()}
+
+
 class CodecEntry:
     """Registry record binding a scheme id to its codec callables.
 
     Builtin schemes pass callables, each called with params whose missing
     keys raise :class:`ColcircError`; composed codecs override the methods.
 
-    - ``form_spec(params)``: ordered ``{label: ElementType}`` of the encoded
-      form, used for well-typedness checks and bundle file ordering.
-    - ``decoded_labels(params)``: output labels of the decoder.
+    A scheme's interface is its decoder circuit's: ``form_spec(params)`` is
+    the decoder's input signature, the ordered ``{label: ElementType}`` of
+    the encoded form, and ``decoded_labels(params)`` lists the decoder's
+    outputs without their ``out:`` namespace.  Neither is declared apart.
+
     - ``build_decoder(params)``: the decoder circuit.
     - ``host_verify(params, columns)``: total decision procedure.
     - ``encode(params, family)``: canonical encoded columns, or raises
@@ -81,8 +92,6 @@ class CodecEntry:
     def __init__(
         self,
         scheme_id,
-        form_spec=None,
-        decoded_labels=None,
         build_decoder=None,
         encode=None,
         host_verify=None,
@@ -95,8 +104,6 @@ class CodecEntry:
         self.scheme_id = scheme_id
         self._decoder_cache = {}
         callables = {
-            "_form_spec": form_spec,
-            "_decoded_labels": decoded_labels,
             "_build_decoder": build_decoder,
             "_encode": encode,
             "_host_verify": host_verify,
@@ -109,12 +116,6 @@ class CodecEntry:
         for attr, fn in callables.items():
             if fn is not None:
                 setattr(self, attr, fn)
-
-    def form_spec(self, params) -> dict:
-        return self._form_spec(_scheme_params(params))
-
-    def decoded_labels(self, params) -> list:
-        return self._decoded_labels(_scheme_params(params))
 
     def build_decoder(self, params) -> ColumnarCircuit:
         return self._build_decoder(_scheme_params(params))
@@ -177,11 +178,22 @@ class CodecEntry:
             self._decoder_cache[key] = c
         return c
 
+    def form_spec(self, params) -> dict:
+        """The encoded form: the decoder's input signature (do not mutate it)."""
+        return self.decoder(params).signature.inputs
+
+    def decoded_labels(self, params) -> list:
+        return list(_without_out_prefix(self.decoder(params).signature.outputs))
+
     def check_form(self, params, columns: dict) -> bool:
         spec = self.form_spec(params)
-        if set(spec) != set(columns):
+        if spec.keys() != columns.keys():
             return False
-        return all(columns[label].element_type == t for label, t in spec.items())
+        for label, t in spec.items():
+            found = columns[label].element_type
+            if found is not t and found != t:
+                return False
+        return True
 
     def verify_columns(self, params, columns: dict) -> bool:
         return self.check_form(params, columns) and bool(self.host_verify(params, columns))
@@ -253,36 +265,26 @@ def verify(inst: SchemeInstance) -> bool:
     return entry.verify_columns(params, inst.columns)
 
 
-DECODED_PREFIX = "out:"
-
-
 def decode(inst: SchemeInstance, check: bool = True) -> dict:
     entry = codec(inst.scheme_id)
     params = entry.normalize_params(inst.params)
     if check and not entry.verify_columns(params, inst.columns):
         raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
-    raw = evaluate_circuit(entry.decoder(params), inst.columns)
-    out = {}
-    for label, col in raw.items():
-        if label.startswith(DECODED_PREFIX):
-            label = label[len(DECODED_PREFIX) :]
-        out[label] = col
-    return out
+    return _without_out_prefix(evaluate_circuit(entry.decoder(params), inst.columns))
 
 
 def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
     entry = codec(scheme_id)
     raw = dict(params)
     normalized = entry.normalize_params(raw)  # encoder-only hints are dropped here
+    decoded = _without_out_prefix(entry.decoder(normalized).signature.outputs)
     if isinstance(family, Column):
-        labels = entry.decoded_labels(normalized)
-        if len(labels) != 1:
-            raise NotEncodable(f"{scheme_id} expects the labeled family {labels}")
-        family = {labels[0]: family}
+        if len(decoded) != 1:
+            raise NotEncodable(f"{scheme_id} expects the labeled family {list(decoded)}")
+        family = dict.fromkeys(decoded, family)
     columns = entry.encode(raw, dict(family))
-    decoded = entry.decoder(normalized).signature.outputs
     for label, col in family.items():
-        t = decoded.get(DECODED_PREFIX + label) or decoded.get(label)
+        t = decoded.get(label)
         if col.element_type != t:
             raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {col.element_type}")
     return SchemeInstance(scheme_id, normalized, columns)

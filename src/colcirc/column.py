@@ -184,6 +184,10 @@ _KIND_TAGS = {
 }
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 _HEADER_BYTES = 15  # magic, kind tag, width, u64 length
+# a unit column has no payload to bound its header's length, so the length
+# itself is capped: a reader checks it before allocating, and a writer
+# refuses what a reader would
+MAX_UNIT_LENGTH = 1 << 24
 
 # array typecodes by (kind, bytes per element); odd sizes such as u24's have none
 _TYPECODES = {
@@ -225,6 +229,8 @@ def write_col_bytes(col: Column) -> bytes:
     et = col.element_type
     if et.kind is Kind.PRODUCT:
         raise ColcircError("product-typed columns are not file-serializable")
+    if et.kind is Kind.UNIT and len(col) > MAX_UNIT_LENGTH:
+        raise ColcircError(f"unit column length {len(col)} exceeds the cap of {MAX_UNIT_LENGTH}")
     header = _MAGIC + bytes([_KIND_TAGS[et.kind], et.width_bits]) + len(col).to_bytes(8, "little")
     return header + _pack_values(col)
 
@@ -253,6 +259,8 @@ def read_col_bytes(data: bytes) -> Column:
     if kind is Kind.UNIT:
         if payload:
             raise ColcircError("unit column carries no payload")
+        if n > MAX_UNIT_LENGTH:
+            raise ColcircError(f"unit column length {n} exceeds the cap of {MAX_UNIT_LENGTH}")
         return Column(et, [()] * n)
     if kind is Kind.BOTTOM:
         if n or payload:

@@ -235,8 +235,6 @@ def _register_generated(scheme_id, normalize=None):
     register_codec(
         CodecEntry(
             scheme_id,
-            form_spec=lambda p: {"length": INT, "coefficients": _et(p)},
-            decoded_labels=lambda p: ["col"],
             build_decoder=_generated_decoder,
             encode=_generated_encode,
             host_verify=_generated_verify,
@@ -300,8 +298,6 @@ def _constant_fit_additive(params, col):
 register_codec(
     CodecEntry(
         "constant",
-        form_spec=lambda p: {"value": _et(p), "length": _int_et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_constant_decoder,
         encode=_constant_encode,
         host_verify=lambda p, cols: len(cols["value"]) == 1 and len(cols["length"]) == 1,
@@ -373,8 +369,6 @@ def _fit_float_least_squares(values, degrees):
 register_codec(
     CodecEntry(
         "noisy.generated",
-        form_spec=lambda p: {"coefficients": _et(p), "noise": parse_type(_noise_t(p))},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_noisy_decoder,
         encode=_noisy_encode,
         host_verify=lambda p, cols: len(cols["coefficients"]) == len(_basis_degrees(p)),
@@ -409,8 +403,6 @@ def _nullsup_encode(params, family):
 register_codec(
     CodecEntry(
         "nullsup",
-        form_spec=lambda p: {"narrow": parse_type(_narrow_t(p))},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_nullsup_decoder,
         encode=_nullsup_encode,
         host_verify=lambda p, cols: True,
@@ -468,8 +460,6 @@ for _variant, _verifier in (
     register_codec(
         CodecEntry(
             _variant,
-            form_spec=lambda p: {"dictionary": _et(p), "indices": INT},
-            decoded_labels=lambda p: ["col"],
             build_decoder=_dict_decoder,
             encode=_dict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
             host_verify=_verifier,
@@ -537,8 +527,6 @@ def _run_full_encode(params, family):
 register_codec(
     CodecEntry(
         "run.full",
-        form_spec=lambda p: {"start_position": INT, "length": INT, "value": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_run_full_decoder,
         encode=_run_full_encode,
         host_verify=_run_full_verify,
@@ -599,8 +587,6 @@ def rpe_encoder_circuit(params):
 register_codec(
     CodecEntry(
         "run.rpe",
-        form_spec=lambda p: {"start_position": INT, "value": _et(p), "overall_length": INT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_rpe_decoder,
         encode=_rpe_encode,
         host_verify=_rpe_verify,
@@ -638,8 +624,6 @@ def _rle_encode(params, family):
 register_codec(
     CodecEntry(
         "run.rle",
-        form_spec=lambda p: {"length": _int_et(p), "value": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_rle_decoder,
         encode=_rle_encode,
         host_verify=_rle_verify,
@@ -695,8 +679,6 @@ def _capped_rle_encode(params, family):
 register_codec(
     CodecEntry(
         "run.rle.capped",
-        form_spec=lambda p: {"cap": INT, "length": _int_et(p), "value": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_capped_rle_decoder,
         encode=_capped_rle_encode,
         host_verify=_capped_rle_verify,
@@ -794,8 +776,6 @@ def _spline_generalized_encode(params, family):
 register_codec(
     CodecEntry(
         "spline.generalized",
-        form_spec=lambda p: {"segment_start_pos": INT, "segment_length": INT, "coefficients": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_spline_generalized_decoder,
         encode=_spline_generalized_encode,
         host_verify=_spline_generalized_verify,
@@ -895,11 +875,6 @@ def _knotted_encode(params, family):
 register_codec(
     CodecEntry(
         "spline.knotted",
-        form_spec=lambda p: {
-            "knots": parse_type("f64") if _knots_float(p) else INT,
-            "coefficients": _et(p),
-        },
-        decoded_labels=lambda p: ["col"],
         build_decoder=_knotted_decoder,
         encode=_knotted_encode,
         host_verify=_knotted_verify,
@@ -971,8 +946,6 @@ def _equiknotted_fit_additive(params, col):
 register_codec(
     CodecEntry(
         "spline.equiknotted",
-        form_spec=lambda p: {"interval_length": INT, "length": INT, "coefficients": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_equiknotted_decoder,
         encode=_equiknotted_encode,
         host_verify=_equiknotted_verify,
@@ -992,15 +965,16 @@ def _offset_t(params):
 
 def _for_decoder(params):
     ct = _compute_t(params)
+    off_t = _offset_t(params)
     ell = int(params["segment_length"])
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     offsets = b.input("offsets")
     reference = _widen(b, params, b.input("reference"))
-    n = b.length(offsets, _offset_t(params))
+    n = b.length(offsets, off_t)
     seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=b.iota(n))
     ref_i = b.gather(ct, seg, reference)
-    up = b.cast(_offset_t(params), ct, offsets)
+    up = b.cast(off_t, ct, offsets)
     b.result("col", _narrow_out(b, params, b.add_cols(ct, ref_i, up)))
     return b.build()
 
@@ -1035,12 +1009,6 @@ def _for_encode(params, family):
 register_codec(
     CodecEntry(
         "for",
-        form_spec=lambda p: {
-            "segment_length": INT,
-            "reference": _et(p),
-            "offsets": parse_type(_offset_t(p)),
-        },
-        decoded_labels=lambda p: ["col"],
         build_decoder=_for_decoder,
         encode=_for_encode,
         host_verify=_for_verify,
@@ -1087,8 +1055,6 @@ def _naive_delta_encode(params, family):
 register_codec(
     CodecEntry(
         "delta.naive",
-        form_spec=lambda p: {"base": _et(p), "delta": parse_type(_delta_t(p))},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_naive_delta_decoder,
         encode=_naive_delta_encode,
         host_verify=lambda p, cols: len(cols["base"]) == 1,
@@ -1159,8 +1125,6 @@ def _delta_encode(params, family):
 register_codec(
     CodecEntry(
         "delta",
-        form_spec=lambda p: {"segment_length": INT, "base": _et(p), "delta": parse_type(_delta_t(p))},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_delta_decoder,
         encode=_delta_encode,
         host_verify=_delta_verify,
@@ -1218,14 +1182,6 @@ def _patched_delta_encode(params, family):
 register_codec(
     CodecEntry(
         "delta.patched",
-        form_spec=lambda p: {
-            "segment_length": INT,
-            "base": _et(p),
-            "delta": parse_type(_delta_t(p)),
-            "patch_pos": INT,
-            "patch_data": parse_type(_WIDE),
-        },
-        decoded_labels=lambda p: ["col"],
         build_decoder=_patched_delta_decoder,
         encode=_patched_delta_encode,
         host_verify=_patched_delta_verify,
@@ -1307,8 +1263,6 @@ def _segdict_encode(params, family):
 register_codec(
     CodecEntry(
         "segdict",
-        form_spec=lambda p: {"segment_length": INT, "dictionary_entries": _et(p), "indices": INT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=lambda p: _segdict_decoder(p, two_level=False),
         encode=_segdict_encode,
         host_verify=lambda p, cols: _segdict_verify(p, cols, two_level=False),
@@ -1335,13 +1289,6 @@ def _segdict2_encode(params, family):
 register_codec(
     CodecEntry(
         "segdict.two_level",
-        form_spec=lambda p: {
-            "segment_length": INT,
-            "dictionary_entries": INT,
-            "indices": INT,
-            "global_dictionary": _et(p),
-        },
-        decoded_labels=lambda p: ["col"],
         build_decoder=lambda p: _segdict_decoder(p, two_level=True),
         encode=_segdict2_encode,
         host_verify=lambda p, cols: _segdict_verify(p, cols, two_level=True),
@@ -1354,15 +1301,6 @@ register_codec(
 
 def _cascade_bits(params):
     return [int(x) for x in params["bits"]]
-
-
-def _cascade_spec(params):
-    t = _et(params)
-    spec = {}
-    for i, bits in enumerate(_cascade_bits(params)):
-        spec[f"dictionary_{i + 1}"] = t
-        spec[f"indices_{i + 1}"] = ElementType.unsigned(bits)
-    return spec
 
 
 def _cascade_decoder(params):
@@ -1437,8 +1375,6 @@ def _cascade_encode(params, family):
 register_codec(
     CodecEntry(
         "cascade",
-        form_spec=_cascade_spec,
-        decoded_labels=lambda p: ["col"],
         build_decoder=_cascade_decoder,
         encode=_cascade_encode,
         host_verify=_cascade_verify,
@@ -1492,12 +1428,6 @@ def _subdict_encode(params, family):
 register_codec(
     CodecEntry(
         "subdict",
-        form_spec=lambda p: {
-            "dictionary": _et(p),
-            "indices": ElementType.unsigned(_subdict_bits(p)),
-            "residual_data": _et(p),
-        },
-        decoded_labels=lambda p: ["col"],
         build_decoder=_subdict_decoder,
         encode=_subdict_encode,
         host_verify=_subdict_verify,
@@ -1525,8 +1455,9 @@ def _common_prefix_decoder(params):
     group = run_index_wires(b, starts, total)
     pre_of = b.gather(_INT, group, prefix)
     shifted = b.ew("scale", {"type": _INT, "k": 1 << (w - p)}, arguments=pre_of)
-    b.result("elements", b.add_cols(_INT, shifted, suffix))
+    elements = b.add_cols(_INT, shifted, suffix)
     b.result("full_length", b.scalar(_INT, 1 << w))
+    b.result("elements", elements)
     return b.build()
 
 
@@ -1588,12 +1519,6 @@ def _common_prefix_encode(params, family):
 register_codec(
     CodecEntry(
         "idx.common_prefix",
-        form_spec=lambda p: {
-            "prefix": _cp_types(p)[0],
-            "suffix_count": _cp_types(p)[1],
-            "suffix": _cp_types(p)[1],
-        },
-        decoded_labels=lambda p: ["full_length", "elements"],
         build_decoder=_common_prefix_decoder,
         encode=_common_prefix_encode,
         host_verify=_common_prefix_verify,
@@ -1618,8 +1543,9 @@ def _common_upper_half_decoder(params):
     pre_of = b.gather(_INT, group, prefix)
     shifted = b.ew("scale", {"type": _INT, "k": 1 << half}, arguments=pre_of)
     grouped = b.add_cols(_INT, shifted, suffix)
-    b.result("elements", b.concat(_INT, naive, grouped))
+    elements = b.concat(_INT, naive, grouped)
     b.result("full_length", b.scalar(_INT, 1 << w))
+    b.result("elements", elements)
     return b.build()
 
 
@@ -1673,13 +1599,6 @@ def _common_upper_half_encode(params, family):
 register_codec(
     CodecEntry(
         "idx.common_upper_half",
-        form_spec=lambda p: {
-            "naive": ElementType.unsigned(int(p["w"])),
-            "prefix": ElementType.unsigned(int(p["w"]) // 2),
-            "suffix_count": ElementType.unsigned(int(p["w"]) // 2),
-            "suffix": ElementType.unsigned(int(p["w"]) // 2),
-        },
-        decoded_labels=lambda p: ["full_length", "elements"],
         build_decoder=_common_upper_half_decoder,
         encode=_common_upper_half_encode,
         host_verify=_common_upper_half_verify,
@@ -1778,8 +1697,6 @@ def _pvw_encode(params, family):
 register_codec(
     CodecEntry(
         "pvw",
-        form_spec=lambda p: {"period": INT, "widths": INT, "length": INT, "data": _et(p)},
-        decoded_labels=lambda p: ["start_position", "length", "data"],
         build_decoder=_pvw_decoder,
         encode=_pvw_encode,
         host_verify=_pvw_verify,
@@ -1871,13 +1788,6 @@ for _variant, _vverify in (
     register_codec(
         CodecEntry(
             _variant,
-            form_spec=lambda p: {
-                "indices": INT,
-                "entry_start_positions": INT,
-                "entry_lengths": INT,
-                "entry_data": _et(p),
-            },
-            decoded_labels=lambda p: ["start_position", "length", "data"],
             build_decoder=_vwdict_decoder,
             encode=_vwdict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
             host_verify=_vverify,

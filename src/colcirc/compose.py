@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .builder import CircuitBuilder
 from .circuit import ColumnarCircuit, evaluate_circuit
-from .codec import CodecEntry, codec, register_codec
+from .codec import CodecEntry, _without_out_prefix, codec, register_codec
 from .column import Column, scalar_column
 from .errors import NotEncodable, OperatorError
 from .ops import OperatorInstance, Signature, register_operator
@@ -58,8 +58,7 @@ def _strip(prefix, columns):
 
 
 def _inner_decode(entry, params, columns):
-    raw = evaluate_circuit(entry.decoder(params), columns)
-    return {label.split(":", 1)[1] if label.startswith("out:") else label: col for label, col in raw.items()}
+    return _without_out_prefix(evaluate_circuit(entry.decoder(params), columns))
 
 
 class _ComposedCodec(CodecEntry):
@@ -75,6 +74,8 @@ class _ComposedCodec(CodecEntry):
         return {}
 
     def form_spec(self, params):
+        # declared, not derived from the decoder: the segmentized decoder is
+        # built from this spec
         spec = dict(self.extra_spec())
         for (entry, iparams), prefix in zip(self.inners, self.prefixes):
             inner_spec = _prefixed(prefix, entry.form_spec(iparams))
@@ -83,9 +84,6 @@ class _ComposedCodec(CodecEntry):
                 raise NotEncodable(f"incompatible inner scheme labels: {sorted(clash)}")
             spec.update(inner_spec)
         return spec
-
-    def decoded_labels(self, params):
-        return ["col"]
 
     def normalize_params(self, params):
         return {k: v for k, v in params.items() if k not in ("partition", "segments")}

@@ -132,8 +132,6 @@ def _indexed_encode(params, family):
 register_codec(
     CodecEntry(
         "indexed",
-        form_spec=lambda p: {"pos": INT, "data": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_indexed_decoder,
         encode=_indexed_encode,
         host_verify=_indexed_verify,
@@ -165,19 +163,12 @@ def _subcol_std_encode(params, family):
 register_codec(
     CodecEntry(
         "subcolumn.std",
-        form_spec=lambda p: {"pos": INT, "data": _et(p)},
-        decoded_labels=lambda p: ["pos", "data"],
         build_decoder=_subcol_std_decoder,
         encode=_subcol_std_encode,
         host_verify=_subcol_std_verify,
         equivalent=subcolumn_family_equivalent,
     )
 )
-
-
-def _two_subcolumn_spec(params):
-    t = _et(params)
-    return {"pos_1": INT, "data_1": t, "pos_2": INT, "data_2": t}
 
 
 def _overlay_decoder(params):
@@ -227,8 +218,6 @@ def _overlay_encode(params, family):
 register_codec(
     CodecEntry(
         "subcolumn.overlay",
-        form_spec=_two_subcolumn_spec,
-        decoded_labels=lambda p: ["pos", "data"],
         build_decoder=_overlay_decoder,
         encode=_overlay_encode,
         host_verify=_overlay_verify,
@@ -260,8 +249,6 @@ def _disjoint_union_encode(params, family):
 register_codec(
     CodecEntry(
         "subcolumn.union.disjoint",
-        form_spec=_two_subcolumn_spec,
-        decoded_labels=lambda p: ["pos", "data"],
         build_decoder=_disjoint_union_decoder,
         encode=_disjoint_union_encode,
         host_verify=_disjoint_union_verify,
@@ -306,8 +293,6 @@ def _complementing_encode(params, family):
 register_codec(
     CodecEntry(
         "column.complementing",
-        form_spec=lambda p: {"pos": INT, "data_1": _et(p), "data_2": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_complementing_decoder,
         encode=_complementing_encode,
         host_verify=_complementing_verify,
@@ -341,8 +326,6 @@ def _overlaid_encode(params, family):
 register_codec(
     CodecEntry(
         "column.overlaid",
-        form_spec=lambda p: {"data": _et(p), "overlay_pos": INT, "overlay_data": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_overlaid_decoder,
         encode=_overlaid_encode,
         host_verify=_overlaid_verify,
@@ -386,8 +369,6 @@ def _segmentation_encode(params, family):
 register_codec(
     CodecEntry(
         "segmentation",
-        form_spec=lambda p: {"start": INT, "length": INT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_segmentation_decoder,
         encode=_segmentation_encode,
         host_verify=lambda p, cols: _segmentation_ok(cols["start"].values, cols["length"].values),
@@ -413,8 +394,6 @@ def _uniform_segmentation_encode(params, family):
 register_codec(
     CodecEntry(
         "segmentation.uniform",
-        form_spec=lambda p: {"segment_length": INT, "overall_length": INT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_uniform_segmentation_decoder,
         encode=_uniform_segmentation_encode,
         host_verify=lambda p, cols: len(cols["segment_length"]) == 1
@@ -445,8 +424,6 @@ def _segmented_encode(params, family):
 register_codec(
     CodecEntry(
         "segmented",
-        form_spec=lambda p: {"data": _et(p), "segment_start_pos": INT, "segment_length": INT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_segmented_decoder,
         encode=_segmented_encode,
         host_verify=lambda p, cols: _segmentation_ok(
@@ -472,8 +449,6 @@ def _uniformly_segmented_encode(params, family):
 register_codec(
     CodecEntry(
         "segmented.uniform",
-        form_spec=lambda p: {"data": _et(p), "segment_length": INT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_uniformly_segmented_decoder,
         encode=_uniformly_segmented_encode,
         host_verify=lambda p, cols: len(cols["segment_length"]) == 1 and cols["segment_length"][0] >= 1,
@@ -541,8 +516,6 @@ def _segmented_subcolumn_encode(params, family):
 register_codec(
     CodecEntry(
         "subcolumn.segmented",
-        form_spec=lambda p: {"segment_length": INT, "segment_pos": INT, "data": _et(p)},
-        decoded_labels=lambda p: ["pos", "data"],
         build_decoder=_segmented_subcolumn_decoder,
         encode=_segmented_subcolumn_encode,
         host_verify=_segmented_subcolumn_verify,
@@ -591,8 +564,6 @@ def _sparse_indexset_encode(params, family):
 register_codec(
     CodecEntry(
         "indexset.sparse",
-        form_spec=lambda p: {"full_length": INT, "elements": INT},
-        decoded_labels=lambda p: ["full_length", "elements"],
         build_decoder=_sparse_indexset_decoder,
         encode=_sparse_indexset_encode,
         host_verify=_sparse_indexset_verify,
@@ -620,8 +591,6 @@ def _dense_indexset_encode(params, family):
 register_codec(
     CodecEntry(
         "indexset.dense",
-        form_spec=lambda p: {"characteristic": BIT},
-        decoded_labels=lambda p: ["full_length", "elements"],
         build_decoder=_dense_indexset_decoder,
         encode=_dense_indexset_encode,
         host_verify=lambda p, cols: True,
@@ -666,8 +635,6 @@ def _contiguous_indexset_encode(params, family):
 register_codec(
     CodecEntry(
         "indexset.contiguous",
-        form_spec=lambda p: {"start": INT, "length": INT, "full_length": INT},
-        decoded_labels=lambda p: ["full_length", "elements"],
         build_decoder=_contiguous_indexset_decoder,
         encode=_contiguous_indexset_encode,
         host_verify=_contiguous_indexset_verify,
@@ -728,26 +695,12 @@ def _partition_equivalent(params, a, b):
 register_codec(
     CodecEntry(
         "partition",
-        form_spec=lambda p: {"partition": INT},
-        decoded_labels=lambda p: [
-            label for j in range(_partition_k(p)) for label in (f"pos_{j + 1}", f"data_{j + 1}")
-        ],
         build_decoder=_partition_decoder,
         encode=_partition_encode,
         host_verify=_partition_verify,
         equivalent=_partition_equivalent,
     )
 )
-
-
-def _partitioned_k_spec(params):
-    k = _partition_k(params)
-    t = _et(params)
-    spec = {}
-    for j in range(k):
-        spec[f"pos_{j + 1}"] = INT
-        spec[f"data_{j + 1}"] = t
-    return spec
 
 
 def _partitioned_k_decoder(params):
@@ -803,8 +756,6 @@ def _partitioned_k_encode(params, family):
 register_codec(
     CodecEntry(
         "partition.k",
-        form_spec=_partitioned_k_spec,
-        decoded_labels=lambda p: ["col"],
         build_decoder=_partitioned_k_decoder,
         encode=_partitioned_k_encode,
         host_verify=_partitioned_k_verify,
@@ -861,10 +812,6 @@ def _components_encode(params, family):
 register_codec(
     CodecEntry(
         "components",
-        form_spec=lambda p: {
-            f"component_{i + 1}": t for i, t in enumerate(_components_types(p))
-        },
-        decoded_labels=lambda p: ["zipped"],
         build_decoder=_components_decoder,
         encode=_components_encode,
         host_verify=_components_verify,
@@ -909,8 +856,6 @@ def _concat_components_encode(params, family):
 register_codec(
     CodecEntry(
         "components.concatenated",
-        form_spec=lambda p: {"segment_length": INT, "components": _et(p)},
-        decoded_labels=lambda p: ["composed"],
         build_decoder=_concat_components_decoder,
         encode=_concat_components_encode,
         host_verify=_concat_components_verify,
@@ -950,8 +895,6 @@ def _shattered_encode(params, family):
 register_codec(
     CodecEntry(
         "components.shattered",
-        form_spec=lambda p: {"segment_length": INT, "components": _et(p)},
-        decoded_labels=lambda p: ["composed"],
         build_decoder=_shattered_decoder,
         encode=_shattered_encode,
         host_verify=_shattered_verify,
@@ -1004,8 +947,6 @@ def _value_indicators_encode(params, family):
 register_codec(
     CodecEntry(
         "value.indicators",
-        form_spec=lambda p: {"domain_size": INT, "bitmaps": BIT},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_value_indicators_decoder,
         encode=_value_indicators_encode,
         host_verify=_value_indicators_verify,
@@ -1077,8 +1018,6 @@ def _varwidth_std_encode(params, family):
 register_codec(
     CodecEntry(
         "varwidth.std",
-        form_spec=lambda p: {"start_position": INT, "length": INT, "data": _et(p)},
-        decoded_labels=lambda p: ["start_position", "length", "data"],
         build_decoder=_varwidth_std_decoder,
         encode=_varwidth_std_encode,
         host_verify=_varwidth_std_verify,
@@ -1137,8 +1076,6 @@ def _capped_width_encode(params, family):
 register_codec(
     CodecEntry(
         "varwidth.capped",
-        form_spec=lambda p: {"max_length": INT, "lengths": INT, "data": _et(p)},
-        decoded_labels=lambda p: ["start_position", "length", "data"],
         build_decoder=_capped_width_decoder,
         encode=_capped_width_encode,
         host_verify=_capped_width_verify,
@@ -1185,8 +1122,6 @@ def _nullable_complementing_encode(params, family):
 register_codec(
     CodecEntry(
         "nullable.complementing",
-        form_spec=lambda p: {"pos": INT, "data": _et(p), "length": INT, "null_value": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_nullable_complementing_decoder,
         encode=_nullable_complementing_encode,
         host_verify=_nullable_complementing_verify,
@@ -1226,8 +1161,6 @@ def _nullable_patched_encode(params, family):
 register_codec(
     CodecEntry(
         "nullable.patched",
-        form_spec=lambda p: {"data": _et(p), "overlay_pos": INT, "null_value": _et(p)},
-        decoded_labels=lambda p: ["col"],
         build_decoder=_nullable_patched_decoder,
         encode=_nullable_patched_encode,
         host_verify=_nullable_patched_verify,

@@ -74,6 +74,22 @@ class TestEncodeDecodeVerify:
         assert sha(os.path.join(out, "col.col")) == sha(str(src))
 
 
+class TestEncodeInputOrder:
+    def test_common_prefix_reads_full_length_then_elements(self, tmp_path):
+        files = {"full_length": make_column(INT, [256]), "elements": make_column(INT, [3, 17, 18, 200])}
+        paths = []
+        for label, col in files.items():
+            paths.append(str(tmp_path / f"{label}.col"))
+            write_col_file(paths[-1], col)
+        bundle, out = str(tmp_path / "bundle"), str(tmp_path / "decoded")
+        args = ["encode", "--scheme", "idx.common_prefix", "--params", '{"w": 8, "p": 4}', *paths, bundle]
+        assert main(args) == 0
+        assert main(["decode", bundle, out]) == 0
+        assert sorted(os.listdir(out)) == ["elements.col", "full_length.col"]
+        for label, path in zip(files, paths):
+            assert sha(os.path.join(out, f"{label}.col")) == sha(path)
+
+
 class TestEval:
     def test_worked_example(self, tmp_path):
         cpath = tmp_path / "circuit.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from colcirc import (
+    Column,
     CompositionRecipe,
     SchemeInstance,
     codec,
@@ -19,8 +20,8 @@ from colcirc import (
     verify,
 )
 from colcirc.codec import CodecEntry
-from colcirc.errors import NotEncodable, RegistryError, VerificationFailed
-from colcirc.types import INT, U8, U16, U32
+from colcirc.errors import NotEncodable, RegistryError, TypeDomainError, VerificationFailed
+from colcirc.types import BIT, F32, F64, I8, I64, INT, U8, U16, U32
 
 _suffix = itertools.count()
 
@@ -34,8 +35,6 @@ class TestRegistry:
         sid = unique_id("reg")
         entry = CodecEntry(
             sid,
-            form_spec=lambda p: {},
-            decoded_labels=lambda p: ["col"],
             build_decoder=lambda p: None,
             encode=lambda p, f: {},
         )
@@ -46,8 +45,6 @@ class TestRegistry:
         sid = unique_id("dup")
         entry = CodecEntry(
             sid,
-            form_spec=lambda p: {},
-            decoded_labels=lambda p: ["col"],
             build_decoder=lambda p: None,
             encode=lambda p, f: {},
         )
@@ -410,3 +407,90 @@ class TestVerifierCircuits:
                 acc += d
                 staged.append(acc)
             assert list(decode(inst)["col"].values) == staged
+
+
+# -- ill-formed instances ---------------------------------------------------------------
+
+# (kind, inner schemes, options, params, decoded values): one instance of each
+# composition exercised above
+_COMPOSED_SAMPLES = [
+    ("patch", (("constant", {"type": "u8"}),), {}, {}, U8, [7, 7, 9, 7]),
+    ("segmentize-uniform", (("constant", {"type": "u8"}),), {"segment_length": 4}, {}, U8, [3] * 4 + [5] * 2),
+    (
+        "elementwise-add",
+        (("generated.poly", {"type": "u32", "degree": 1}), ("nullsup", {"type": "u32", "narrow_type": "u8"})),
+        {},
+        {},
+        U32,
+        [50, 52, 55, 57],
+    ),
+    (
+        "elementwise-add",
+        (
+            ("spline.equiknotted", {"type": "u32", "basis": [0], "interval_length": 4}),
+            ("nullsup", {"type": "u32", "narrow_type": "u8"}),
+        ),
+        {},
+        {},
+        U32,
+        [1000, 1010, 1100, 1050, 30, 40],
+    ),
+    ("small-dict-fit", (("nullsup", {"type": "u32", "narrow_type": "u8"}),), {"bits": 2}, {}, U32, [7, 7, 9, 100]),
+    ("differentiate", (("nullsup", {"type": "i16", "narrow_type": "i8"}),), {"type": "u32"}, {}, U32, [500, 510, 490]),
+    (
+        "alternate",
+        (("constant", {"type": "u8"}), ("nullsup", {"type": "u8", "narrow_type": "u8"})),
+        {},
+        {"partition": [0, 1, 0]},
+        U8,
+        [5, 100, 5],
+    ),
+    ("segmentize-variable", (("nullsup", {"type": "u32", "narrow_type": "u8"}),), {}, {"segments": [2, 1]}, U32, [1, 2, 3]),
+]
+
+
+def _retyped(col):
+    """The column's values under another element type, or an empty column of one."""
+    for t in (INT, I64, U32, U16, U8, I8, BIT, F64, F32):
+        if t != col.element_type:
+            try:
+                return Column(t, col.values)
+            except TypeDomainError:
+                pass
+    return Column(U8 if col.element_type == BIT else BIT, [])
+
+
+def _ill_formed(inst):
+    """Each instance with a label missing, an extra label or one column retyped."""
+    for label in inst.columns:
+        rest = {k: c for k, c in inst.columns.items() if k != label}
+        yield f"missing {label}", SchemeInstance(inst.scheme_id, inst.params, rest)
+        yield f"retyped {label}", inst.with_columns(**{label: _retyped(inst.columns[label])})
+    some = next(iter(inst.columns.values()))
+    yield "extra label", inst.with_columns(**{"extra:label": some})
+
+
+def _assert_ill_formed_rejected(inst):
+    assert verify(inst), inst.scheme_id
+    for what, bad in _ill_formed(inst):
+        assert not verify(bad), f"{inst.scheme_id}: {what} accepted"
+
+
+class TestIllFormedInstancesRejected:
+    def test_scheme_cases(self):
+        from scheme_cases import CASES
+
+        rng = random.Random(15)
+        for scheme_id, case in CASES.items():
+            for _ in range(3):
+                params, family = case.gen(rng)
+                _assert_ill_formed_rejected(encode(scheme_id, params, family))
+
+    @pytest.mark.parametrize(
+        "sample", _COMPOSED_SAMPLES, ids=[f"{s[0]}-{'+'.join(sid for sid, _ in s[1])}" for s in _COMPOSED_SAMPLES]
+    )
+    def test_composed(self, sample):
+        kind, inner, options, params, t, values = sample
+        sid = unique_id(f"illformed.{kind}")
+        compose(CompositionRecipe(kind, sid, inner, options))
+        _assert_ill_formed_rejected(encode(sid, params, make_column(t, values)))

@@ -13,8 +13,9 @@ from colcirc import (
     segmented_get,
     write_col_bytes,
 )
+from colcirc.column import MAX_UNIT_LENGTH
 from colcirc.errors import ColcircError, OperatorError, TypeDomainError
-from colcirc.types import BIT, F32, F64, I8, U8, U16, U32, ElementType, parse_type
+from colcirc.types import BIT, F32, F64, I8, U8, U16, U32, UNIT, ElementType, parse_type
 
 
 class TestElementTypes:
@@ -139,6 +140,18 @@ class TestColFiles:
     def test_signed_le(self):
         raw = write_col_bytes(make_column(I8, [-3]))
         assert raw[15:] == b"\xfd"
+
+    @pytest.mark.parametrize("n", [2**64 - 1, MAX_UNIT_LENGTH + 1])
+    def test_unit_length_is_capped_before_allocating(self, n):
+        header = write_col_bytes(Column(UNIT, []))[:7]
+        with pytest.raises(ColcircError, match="unit column length"):
+            read_col_bytes(header + n.to_bytes(8, "little"))
+
+    def test_unit_writer_refuses_what_the_reader_would(self, monkeypatch):
+        monkeypatch.setattr("colcirc.column.MAX_UNIT_LENGTH", 3)
+        assert read_col_bytes(write_col_bytes(Column(UNIT, [()] * 3))) == Column(UNIT, [()] * 3)
+        with pytest.raises(ColcircError, match="unit column length"):
+            write_col_bytes(Column(UNIT, [()] * 4))
 
     def test_product_not_serializable(self):
         col = Column(ElementType.product(U8, U8), [(1, 2)])

@@ -161,7 +161,7 @@ class TestThreadSafeRegistries:
         sid = unique_id("codec")
 
         def register():
-            return register_codec(CodecEntry(sid, form_spec=lambda p: {}, decoded_labels=lambda p: ["col"]))
+            return register_codec(CodecEntry(sid))
 
         results = race(register)
         winners = [r for r in results if isinstance(r, CodecEntry)]
