@@ -381,8 +381,9 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
         if label not in inputs:
             raise MissingInputError(f"no column supplied for input {label!r}")
         col = inputs[label]
-        if col.element_type != t:
-            raise MissingInputError(f"input {label!r} expects element type {t}, got {col.element_type}")
+        et = col.element_type
+        if et is not t and et != t:
+            raise MissingInputError(f"input {label!r} expects element type {t}, got {et}")
         slots[slot] = col
     for vid, op, ins, outs in plan.steps:
         args = {}

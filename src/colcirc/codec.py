@@ -52,7 +52,23 @@ class _SchemeParams(dict):
 
 
 def _scheme_params(params) -> _SchemeParams:
-    return params if type(params) is _SchemeParams else _SchemeParams(params)
+    return params if isinstance(params, _SchemeParams) else _SchemeParams(params)
+
+
+class _DecodeParams(_SchemeParams):
+    """The params of one checked ``decode``, remembering its entry's decoder.
+
+    ``decode`` hands one to ``verify_columns``: the decoder that the form
+    check looks up is then the one ``decode`` runs, for one ``params_key``.
+    It lives only for that call, so nothing can change it after the lookup.
+    """
+
+    __slots__ = ("_entry", "_decoder")
+
+    def __init__(self, entry, params):
+        super().__init__(params)
+        self._entry = entry
+        self._decoder = None
 
 
 DECODED_PREFIX = "out:"
@@ -171,11 +187,16 @@ class CodecEntry:
     # -- shared behavior -------------------------------------------------------
 
     def decoder(self, params) -> ColumnarCircuit:
+        remember = type(params) is _DecodeParams and params._entry is self
+        if remember and params._decoder is not None:
+            return params._decoder
         key = params_key(params)
         c = self._decoder_cache.get(key)
         if c is None:
             c = self.build_decoder(params)
             self._decoder_cache[key] = c
+        if remember:
+            params._decoder = c
         return c
 
     def form_spec(self, params) -> dict:
@@ -268,8 +289,10 @@ def verify(inst: SchemeInstance) -> bool:
 def decode(inst: SchemeInstance, check: bool = True) -> dict:
     entry = codec(inst.scheme_id)
     params = entry.normalize_params(inst.params)
-    if check and not entry.verify_columns(params, inst.columns):
-        raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
+    if check:
+        params = _DecodeParams(entry, params)
+        if not entry.verify_columns(params, inst.columns):
+            raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
     return _without_out_prefix(evaluate_circuit(entry.decoder(params), inst.columns))
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ColcircError, OperatorError
-from .types import ElementType, Kind
+from .types import ElementType, Kind, _interned
 
 
 class Column:
@@ -27,9 +27,9 @@ class Column:
 
     def __init__(self, element_type: ElementType, values):
         vals = element_type.check_values(tuple(values))
-        object.__setattr__(self, "element_type", element_type)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_hash", None)
+        _set_type(self, element_type)
+        _set_values(self, vals)
+        _set_hash(self, None)
 
     @classmethod
     def _trusted(cls, element_type: ElementType, values) -> "Column":
@@ -38,10 +38,10 @@ class Column:
         Skips :meth:`ElementType.check_values`; only catalog operators whose
         own logic establishes the output domain may call it.
         """
-        col = object.__new__(cls)
-        object.__setattr__(col, "element_type", element_type)
-        object.__setattr__(col, "values", tuple(values))
-        object.__setattr__(col, "_hash", None)
+        col = _new(cls)
+        _set_type(col, element_type)
+        _set_values(col, tuple(values))
+        _set_hash(col, None)
         return col
 
     def __setattr__(self, name, value):
@@ -68,7 +68,7 @@ class Column:
         h = self._hash
         if h is None:
             h = hash((self.element_type, self.values))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -95,6 +95,14 @@ class Column:
 
     def size_bits(self) -> int:
         return self.element_type.width_bits * len(self.values)
+
+
+# the slot descriptors' setters: they bypass the immutability guard in
+# ``__setattr__`` at half the cost of ``object.__setattr__``
+_new = object.__new__
+_set_type = Column.element_type.__set__
+_set_values = Column.values.__set__
+_set_hash = Column._hash.__set__
 
 
 def make_column(element_type: ElementType, values) -> Column:
@@ -245,7 +253,7 @@ def read_col_bytes(data: bytes) -> Column:
         raise ColcircError(f"unknown element-type tag {data[5]}")
     width = data[6]
     try:
-        et = ElementType(kind, width)
+        et = _interned(kind, width)
     except ValueError as exc:
         raise ColcircError(f"bad .col element type: {exc}") from None
     n = int.from_bytes(data[7:15], "little")

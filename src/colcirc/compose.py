@@ -69,13 +69,18 @@ class _ComposedCodec(CodecEntry):
         self.recipe = recipe
         self.prefixes = prefixes
         self.inners = [(codec(sid), dict(p)) for sid, p in recipe.inner]
+        self._form_spec = None
 
     def extra_spec(self):
         return {}
 
     def form_spec(self, params):
         # declared, not derived from the decoder: the segmentized decoder is
-        # built from this spec
+        # built from this spec.  It depends on the recipe alone, so it is
+        # built once; a label clash is not kept, and raises on every call
+        spec = self._form_spec
+        if spec is not None:
+            return spec
         spec = dict(self.extra_spec())
         for (entry, iparams), prefix in zip(self.inners, self.prefixes):
             inner_spec = _prefixed(prefix, entry.form_spec(iparams))
@@ -83,6 +88,7 @@ class _ComposedCodec(CodecEntry):
             if clash:
                 raise NotEncodable(f"incompatible inner scheme labels: {sorted(clash)}")
             spec.update(inner_spec)
+        self._form_spec = spec
         return spec
 
     def normalize_params(self, params):
@@ -515,7 +521,7 @@ def _segmentized_codec(params):
 def _segmentized_instantiate(params):
     entry = _segmentized_codec(params)
     outs = {"result": parse_type(entry.data_type)}
-    return OperatorInstance("segmentized", dict(params), Signature(entry.form_spec({}), outs))
+    return OperatorInstance("segmentized", dict(params), Signature(dict(entry.form_spec({})), outs))
 
 
 def _segmentized_apply(inst, cols):

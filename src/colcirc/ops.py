@@ -22,6 +22,10 @@ from .column import Column, scalar_column
 from .errors import OperatorError, RegistryError
 from .types import BIT, INT, ElementType, Kind, parse_type
 
+# an enum member is a descriptor lookup on its class; the hot paths read these
+_FLOAT = Kind.FLOAT
+_UNSIGNED = Kind.UNSIGNED
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -45,6 +49,10 @@ class OperatorInstance:
     signature: Signature
     # fused operators capture an inner circuit; everything else leaves this None
     inner: object = field(default=None, compare=False)
+
+    # a ``scalar`` instance's output column, made and checked on its first
+    # apply; not a field, so equality and repr ignore it
+    _constant = None
 
     def apply(self, inputs: dict) -> dict:
         return _CATALOG[self.op_name].apply(self, inputs)
@@ -89,9 +97,13 @@ def _typ(params, key="type", default=None):
 
 
 def _require_equal_lengths(cols, labels):
-    lengths = {label: len(cols[label]) for label in labels}
-    if len(set(lengths.values())) > 1:
-        raise OperatorError("length-mismatch", f"unequal input lengths {lengths}")
+    labels_left = iter(labels)
+    for first in labels_left:
+        n = len(cols[first].values)
+        for label in labels_left:
+            if len(cols[label].values) != n:
+                lengths = {label: len(cols[label]) for label in labels}
+                raise OperatorError("length-mismatch", f"unequal input lengths {lengths}")
 
 
 def _check_int(et: ElementType, value, what="result"):
@@ -154,7 +166,7 @@ def _binary_arith(fn_name, pyop):
         t = inst.signature.outputs["result"]
         lhs, rhs = cols["lhs"].values, cols["rhs"].values
         vals = list(map(pyop, lhs, rhs))
-        if t.kind is Kind.FLOAT:
+        if t.kind is _FLOAT:
             return {"result": Column(t, vals)}
         _check_ints(t, vals)
         return {"result": _out(t, vals, _well_typed(inst, cols))}
@@ -247,9 +259,18 @@ def _fn_const_compare():
 _F64_EXACT = 1 << 53
 
 
+def _widens(src: ElementType, dst: ElementType) -> bool:
+    """True if every value of integer type ``src`` lies in integer type ``dst``."""
+    if not (src.is_integer and dst.is_integer):
+        return False
+    lo, hi = dst.bounds()
+    src_lo, src_hi = src.bounds()
+    return lo <= src_lo and src_hi <= hi
+
+
 def _cast_values(vals, src: ElementType, dst: ElementType):
     """Cast numeric values; the (src, dst) case is chosen once per column."""
-    if dst.kind is Kind.FLOAT:
+    if dst.kind is _FLOAT:
         if src.is_integer and vals and (min(vals) < -_F64_EXACT or max(vals) > _F64_EXACT):
             for v in vals:
                 if abs(v) > _F64_EXACT:
@@ -257,13 +278,13 @@ def _cast_values(vals, src: ElementType, dst: ElementType):
         out = list(map(float, vals))
         if dst.width_bits == 32:
             f32 = array("f", out).tolist()
-            if src.kind is Kind.FLOAT and src.width_bits == 64 and f32 != out:
+            if src.kind is _FLOAT and src.width_bits == 64 and f32 != out:
                 for v, f in zip(out, f32):
                     if f != v and v == v:
                         raise OperatorError("overflow", f"{v} not exactly representable as f32")
             out = f32
         return out
-    if src.kind is Kind.FLOAT:
+    if src.kind is _FLOAT:
         try:
             out = list(map(int, vals))  # truncation toward zero
         except (ValueError, OverflowError):
@@ -288,9 +309,13 @@ def _fn_cast():
     def run(inst, cols):
         src = inst.signature.inputs["arguments"]
         dst = inst.signature.outputs["result"]
-        vals = _cast_values(cols["arguments"].values, src, dst)
+        vals = cols["arguments"].values
+        well_typed = _well_typed(inst, cols)
+        if well_typed and _widens(src, dst):  # src's domain lies in dst's: nothing to check
+            return {"result": Column._trusted(dst, vals)}
+        vals = _cast_values(vals, src, dst)
         # an integer cast is range-checked; a float one may still leave f32
-        return {"result": _out(dst, vals, dst.is_integer and _well_typed(inst, cols))}
+        return {"result": _out(dst, vals, dst.is_integer and well_typed)}
 
     return sig, run
 
@@ -321,7 +346,7 @@ def _fn_scale():
         k = inst.params["k"]
         t = inst.signature.outputs["result"]
         vals = [v * k for v in cols["arguments"].values]
-        if t.kind is Kind.FLOAT:
+        if t.kind is _FLOAT:
             return {"result": Column(t, vals)}
         _check_ints(t, vals)
         return {"result": _out(t, vals, type(k) is int and _well_typed(inst, cols))}
@@ -404,7 +429,7 @@ def _ew_instantiate(params):
 
 
 def _ew_apply(inst, cols):
-    _require_equal_lengths(cols, list(inst.signature.inputs))
+    _require_equal_lengths(cols, inst.signature.inputs)
     return _ELEMENTWISE_FNS[inst.params["fn"]][1](inst, cols)
 
 
@@ -441,8 +466,11 @@ def _scalar_sig(params):
 
 
 def _scalar_run(inst, cols):
-    t = inst.signature.outputs["value"]
-    return {"value": scalar_column(t, inst.params["value"])}
+    col = inst._constant
+    if col is None:  # a value outside the type raises here, on every call
+        col = scalar_column(inst.signature.outputs["value"], inst.params["value"])
+        object.__setattr__(inst, "_constant", col)
+    return {"value": col}
 
 
 _simple("scalar", _scalar_sig, _scalar_run)
@@ -483,7 +511,7 @@ def _select_sig(params):
 
 
 def _select_run(inst, cols):
-    _require_equal_lengths(cols, ["data", "selection"])
+    _require_equal_lengths(cols, ("data", "selection"))
     # The relaxed variant (ordered=False) is allowed to emit any permutation
     # of the selected elements; this implementation keeps the original order
     # in both modes, which satisfies the weaker contract.
@@ -521,7 +549,7 @@ def _permute_sig(params):
 
 
 def _permute_run(inst, cols):
-    _require_equal_lengths(cols, ["permutation", "data"])
+    _require_equal_lengths(cols, ("permutation", "data"))
     perm = cols["permutation"].values
     data = cols["data"].values
     n = len(perm)
@@ -575,7 +603,7 @@ def _scatter_sig(params):
 
 
 def _scatter_run(inst, cols):
-    _require_equal_lengths(cols, ["pos", "data"])
+    _require_equal_lengths(cols, ("pos", "data"))
     base = list(cols["col"].values)
     n = len(base)
     seen = set()
@@ -602,7 +630,7 @@ def _gather_run(inst, cols):
     n = len(data)
     pos_col = cols["pos"]
     pos = pos_col.values
-    if pos and not ((pos_col.element_type.kind is Kind.UNSIGNED or 0 <= min(pos)) and max(pos) < n):
+    if pos and not ((pos_col.element_type.kind is _UNSIGNED or 0 <= min(pos)) and max(pos) < n):
         for p in pos:
             if not 0 <= p < n:
                 raise OperatorError("out-of-range", f"gather position {p} beyond length {n}")
@@ -817,7 +845,7 @@ def _derivative_run(inst, cols):
     out_t = inst.signature.outputs["differences"]
     vals = col.values
     diffs = list(map(operator.sub, vals[1:], vals[:-1]))
-    if out_t.kind is Kind.FLOAT:
+    if out_t.kind is _FLOAT:
         return {"differences": Column(out_t, diffs)}
     _check_ints(out_t, diffs)
     # float inputs with an integer out_type leave floats: those stay checked

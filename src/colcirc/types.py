@@ -28,6 +28,16 @@ class Kind(Enum):
 
 
 _MAX_PRODUCT_BITS = 512
+_INTEGER_KINDS = frozenset((Kind.UNSIGNED, Kind.SIGNED, Kind.BIT))
+
+
+def _integer_bounds(k: Kind, w) -> tuple[int, int]:
+    if k is Kind.UNSIGNED:
+        return 0, (1 << w) - 1
+    if k is Kind.SIGNED:
+        half = 1 << (w - 1)
+        return -half, half - 1
+    return 0, 1  # bit
 
 
 @dataclass(frozen=True)
@@ -59,20 +69,30 @@ class ElementType:
                 raise ValueError(f"product width {w} exceeds the {_MAX_PRODUCT_BITS}-bit cap")
         if k is not Kind.PRODUCT and self.components:
             raise ValueError("only product types have components")
+        # facts every operator call asks for, computed once; set past the
+        # frozen guard and not fields, so ==, hash and repr ignore them
+        integer = k in _INTEGER_KINDS
+        object.__setattr__(self, "is_integer", integer)
+        object.__setattr__(self, "is_numeric", integer or k is Kind.FLOAT)
+        try:
+            bounds = _integer_bounds(k, w) if integer else None
+        except TypeError:  # a width that is no int (8.0) has no shifts, so no bounds
+            bounds = None
+        object.__setattr__(self, "_bounds", bounds)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def unsigned(width: int) -> "ElementType":
-        return ElementType(Kind.UNSIGNED, width)
+        return _interned(Kind.UNSIGNED, width)
 
     @staticmethod
     def signed(width: int) -> "ElementType":
-        return ElementType(Kind.SIGNED, width)
+        return _interned(Kind.SIGNED, width)
 
     @staticmethod
     def float_(width: int) -> "ElementType":
-        return ElementType(Kind.FLOAT, width)
+        return _interned(Kind.FLOAT, width)
 
     @staticmethod
     def product(*components: "ElementType") -> "ElementType":
@@ -80,28 +100,19 @@ class ElementType:
 
     # -- domain ------------------------------------------------------------
 
-    @property
-    def is_integer(self) -> bool:
-        return self.kind in (Kind.UNSIGNED, Kind.SIGNED, Kind.BIT)
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.is_integer or self.kind is Kind.FLOAT
+    # ``is_integer`` (unsigned, signed or bit) and ``is_numeric`` (integer or
+    # float) are plain attributes, set by ``__post_init__``
 
     def bounds(self) -> tuple[int, int]:
         """Inclusive integer bounds; only meaningful for integer kinds."""
-        if self.kind is Kind.UNSIGNED:
-            return 0, (1 << self.width_bits) - 1
-        if self.kind is Kind.SIGNED:
-            half = 1 << (self.width_bits - 1)
-            return -half, half - 1
-        if self.kind is Kind.BIT:
-            return 0, 1
-        raise TypeError(f"{self} has no integer bounds")
+        b = self._bounds
+        if b is None:
+            raise TypeError(f"{self} has no integer bounds")
+        return b
 
     def contains(self, value) -> bool:
         k = self.kind
-        if k in (Kind.UNSIGNED, Kind.SIGNED, Kind.BIT):
+        if self.is_integer:
             if isinstance(value, bool) or not isinstance(value, int):
                 return k is Kind.BIT and isinstance(value, bool)
             lo, hi = self.bounds()
@@ -160,16 +171,16 @@ class ElementType:
         """
         if not vals:
             return True
-        k = self.kind
-        if k in (Kind.UNSIGNED, Kind.SIGNED, Kind.BIT):
+        if self.is_integer:
             if set(map(type, vals)) != {int}:
                 return False
             lo, hi = self.bounds()
             return lo <= min(vals) and max(vals) <= hi
-        if k is Kind.FLOAT:
+        if self.is_numeric:  # float
             if set(map(type, vals)) != {float}:
                 return False
             return self.width_bits == 64 or array("f", vals).tolist() == list(vals)
+        k = self.kind
         if k is Kind.UNIT:
             return vals.count(()) == len(vals)
         if k is Kind.PRODUCT:
@@ -264,9 +275,26 @@ def _parse_type(name: str) -> ElementType:
     raise ColcircError(f"unknown element type name {name!r}")
 
 
-BIT = ElementType(Kind.BIT, 1)
-UNIT = ElementType(Kind.UNIT, 0)
-BOTTOM = ElementType(Kind.BOTTOM, 0)
+# One canonical instance per non-product type, so the usual ``is`` test
+# settles type checks; it stays a fast path ahead of ``==``, since a copied
+# or unpickled type is equal but not interned.  Only valid int widths get
+# in (8.0 == 8, but u8.0 must not stand for u8), so the table holds at most
+# 64 + 64 + 2 + 3 = 133 types; product types are built fresh.
+_INTERNED: dict = {}
+
+
+def _interned(kind: Kind, width) -> ElementType:
+    if type(width) is not int:
+        return ElementType(kind, width)
+    t = _INTERNED.get((kind, width))
+    if t is None:
+        t = _INTERNED.setdefault((kind, width), ElementType(kind, width))
+    return t
+
+
+BIT = _interned(Kind.BIT, 1)
+UNIT = _interned(Kind.UNIT, 0)
+BOTTOM = _interned(Kind.BOTTOM, 0)
 U8 = ElementType.unsigned(8)
 U16 = ElementType.unsigned(16)
 U32 = ElementType.unsigned(32)

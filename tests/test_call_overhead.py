@@ -1,0 +1,538 @@
+"""Per-call fast paths give what the checked paths give, and stay cheap.
+
+An operator call reads the facts of its element types from the type
+(interned, with bounds and kind predicates computed once), a ``scalar``
+vertex builds its column once, and a widening integer cast of a well-typed
+column passes the values through.  The differential tests run every
+elementwise function and the structural operators on boundary values twice:
+as they are, and with every shortcut turned off and the inputs rebuilt with
+``Column(...)`` over copied (so not interned) types.  The count guard at the
+end pins the number of checked ``Column`` constructions per evaluation, so a
+per-call check that comes back fails here deterministically, not by timing.
+"""
+
+import copy
+import dataclasses
+import importlib
+import math
+import random
+import sys
+from contextlib import contextmanager
+
+import pytest
+
+from colcirc import (
+    Column,
+    CompositionRecipe,
+    circuit,
+    codec,
+    encode,
+    evaluate_circuit,
+    in_port,
+    instantiate,
+    make_column,
+    out_port,
+)
+from colcirc import ops as ops_mod
+from colcirc import types as types_mod
+from colcirc.column import read_col_bytes, write_col_bytes
+from colcirc.errors import ColcircError, NotEncodable, OperatorError, TypeDomainError, VerificationFailed
+from colcirc.gallery import q6_circuit
+from colcirc.transform import assign_input, circuit_union, drop_output, rename_labels
+from colcirc.types import (
+    BIT,
+    BOTTOM,
+    F32,
+    F64,
+    I8,
+    I16,
+    I32,
+    I64,
+    U8,
+    U16,
+    U32,
+    U64,
+    UNIT,
+    ElementType,
+    parse_type,
+)
+
+# the package exports functions named after these modules
+codec_mod = importlib.import_module("colcirc.codec")
+compose_mod = importlib.import_module("colcirc.compose")
+
+F32_MAX = 3.4028234663852886e38
+F32_TINY = 1.401298464324817e-45  # the least positive f32 (subnormal)
+
+
+def edges(t):
+    """Boundary values of ``t``: 0, the maximum, the signed minimum, the f32 extremes."""
+    if t is F32:
+        return [0.0, -0.0, F32_MAX, -F32_MAX, F32_TINY, math.inf, -math.inf]
+    if t is F64:
+        return [0.0, sys.float_info.max, -sys.float_info.max, 5e-324, math.inf, -math.inf]
+    lo, hi = t.bounds()
+    return sorted({lo, 0, 1 if hi >= 1 else 0, hi - 1, hi})
+
+
+NUMERIC = [BIT, U8, U16, U32, U64, I8, I16, I32, I64, ElementType.unsigned(24), ElementType.signed(33), F32, F64]
+
+
+def col(t, values):
+    return make_column(t, values)
+
+
+def zeros(t, n):
+    return col(t, [t.zero()] * n)
+
+
+def idx(*values):
+    return col(U64, values)
+
+
+def count_checked_columns(monkeypatch):
+    """The element types of the checked ``Column(...)`` calls made from here on."""
+    built = []
+    init = Column.__init__
+
+    def counting(self, t, values):
+        built.append(t)
+        init(self, t, values)
+
+    monkeypatch.setattr(Column, "__init__", counting)
+    return built
+
+
+# -- the reference: every shortcut off ------------------------------------------------
+
+
+@contextmanager
+def checked_paths():
+    """Every output through ``Column(...)``, and every integer cast range-checked."""
+    saved = (ops_mod._well_typed, ops_mod._widens, Column.__dict__["_trusted"])
+    ops_mod._well_typed = lambda inst, cols: False
+    ops_mod._widens = lambda src, dst: False
+    Column._trusted = classmethod(lambda cls, t, values: Column(t, values))
+    try:
+        yield
+    finally:
+        ops_mod._well_typed, ops_mod._widens, Column._trusted = saved
+
+
+def rebuilt(inputs):
+    """The inputs rebuilt by the checked constructor over copied element types."""
+    return {label: Column(copy.deepcopy(c.element_type), c.values) for label, c in inputs.items()}
+
+
+def outcome(inst, inputs):
+    try:
+        out = inst.apply(inputs)
+    except ColcircError as exc:
+        return type(exc), str(exc)
+    return {label: (c.element_type, tuple(map(type, c.values)), c.values) for label, c in out.items()}
+
+
+def same(a, b):
+    """Equal outcomes, NaNs at the same places counted equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def cases():
+    """``(id, op, params, inputs)`` over boundary values of every numeric type."""
+    out = []
+
+    def add(case_id, op, params, inputs):
+        out.append(pytest.param(op, params, inputs, id=case_id))
+
+    for t in NUMERIC:
+        vals = edges(t)
+        n = len(vals)
+        c, z = col(t, vals), zeros(t, n)
+        rev = col(t, vals[::-1])
+        name = str(t)
+        if t is not BIT:
+            for fn in ("add", "sub", "mul"):
+                add(f"{fn}-{name}-zero", "elementwise", {"fn": fn, "type": name}, {"lhs": c, "rhs": z})
+                add(f"{fn}-{name}-self", "elementwise", {"fn": fn, "type": name}, {"lhs": c, "rhs": rev})
+            add(f"scale-{name}", "elementwise", {"fn": "scale", "type": name, "k": 2}, {"arguments": c})
+            add(f"scale-neg-{name}", "elementwise", {"fn": "scale", "type": name, "k": -1}, {"arguments": c})
+            add(f"clip_by-{name}", "elementwise", {"fn": "clip_by", "type": name, "k": 3}, {"arguments": c})
+        for fn in ("eq", "lt", "le"):
+            add(f"{fn}-{name}", "elementwise", {"fn": fn, "type": name}, {"lhs": c, "rhs": rev})
+        lo, hi = vals[0], vals[-1]
+        add(f"in_range-{name}", "elementwise", {"fn": "in_range", "type": name, "lo": lo, "hi": hi}, {"arguments": c})
+        params = {"fn": "const_compare", "type": name, "cmp": "ge", "value": vals[n // 2]}
+        add(f"const_compare-{name}", "elementwise", params, {"arguments": c})
+        add(f"identity-{name}", "elementwise", {"fn": "identity", "type": name}, {"arguments": c})
+        add(f"tuple_make-{name}", "elementwise", {"fn": "tuple_make", "types": [name, "u8"]}, {"component_1": c, "component_2": zeros(U8, n)})
+        add(f"gather-{name}", "gather", {"type": name}, {"pos": idx(*range(n - 1, -1, -1)), "data": c})
+        add(f"select-{name}", "select", {"type": name}, {"data": c, "selection": col(BIT, [i % 2 for i in range(n)])})
+        add(f"replicate-{name}", "replicate", {"type": name}, {"value": col(t, [hi]), "factor": idx(3)})
+        add(f"concatenate-{name}", "concatenate", {"type": name, "k": 2}, {"col_1": c, "col_2": rev})
+        add(f"scatter-{name}", "scatter", {"type": name}, {"col": z, "pos": idx(0, n - 1), "data": col(t, [hi, lo])})
+        add(f"permute-{name}", "permute", {"type": name}, {"permutation": idx(*range(n - 1, -1, -1)), "data": c})
+        add(f"transpose-{name}", "transpose", {"type": name}, {"segment_length": idx(1), "col": c})
+        add(f"split_first-{name}", "split_first", {"type": name}, {"col": c})
+        add(f"zip-{name}", "zip", {"types": [name, name]}, {"component_1": c, "component_2": rev})
+        add(f"compose_segments-{name}", "compose_segments", {"type": name, "k": n}, {"segment_length": idx(1), "components": c})
+        add(f"assemble-{name}", "assemble", {"type": name, "k": 1}, {"segment_length": idx(1), "components": c})
+        for op in ("replicate_segments", "replicate_within_segments"):
+            add(f"{op}-{name}", op, {"type": name}, {"col": c, "segment_length": idx(1), "factor": idx(2)})
+        add(f"derivative-{name}", "derivative", {"type": name}, {"col": c})
+        add(f"is_same_as_previous-{name}", "is_same_as_previous", {"type": name}, {"col": col(t, [hi, hi, lo])})
+        add(f"length-{name}", "length", {"type": name}, {"col": c})
+        add(f"no_op-{name}", "no_op", {"type": name}, {"arguments": c})
+        add(f"scalar-{name}", "scalar", {"type": name, "value": hi}, {})
+        for op in ("add", "max", "min"):
+            add(f"prefix-{op}-{name}", "prefix_aggregate", {"op": op, "type": name}, {"data": c})
+        if t.is_integer:
+            add(f"iota-{name}", "iota", {"type": name}, {"n": idx(min(hi, 5) + 1)})
+        if t.kind is types_mod.Kind.UNSIGNED and t.width_bits > 1:
+            params = {"w": t.width_bits, "p": t.width_bits // 2}
+            add(f"carve-{name}", "carve", params, {"arguments": c})
+        for dst in NUMERIC:
+            add(f"cast-{name}-{dst}", "elementwise", {"fn": "cast", "from": name, "to": str(dst)}, {"arguments": c})
+    bits = col(BIT, [0, 1, 1, 0])
+    for fn in ("and", "or"):
+        add(f"{fn}-bit", "elementwise", {"fn": fn}, {"lhs": bits, "rhs": col(BIT, [0, 0, 1, 1])})
+    add("not-bit", "elementwise", {"fn": "not"}, {"arguments": bits})
+    for op in ("and", "or"):
+        add(f"prefix-{op}-bit", "prefix_aggregate", {"op": op}, {"data": bits})
+    add("select_indices", "select_indices", {}, {"characteristic": bits})
+    return out
+
+
+@pytest.mark.parametrize("op, params, inputs", cases())
+def test_fast_path_equals_checked_path(op, params, inputs):
+    inst = instantiate(op, params)
+    fast = outcome(inst, inputs)
+    with checked_paths():
+        checked = outcome(instantiate(op, params), rebuilt(inputs))
+    assert same(fast, checked), (fast, checked)
+    if isinstance(fast, dict):
+        for t, _, values in fast.values():
+            assert t.check_values(values) is values  # every output, trusted or not, is in its domain
+
+
+# -- casts ---------------------------------------------------------------------------------
+
+
+def cast(src, dst, values):
+    inst = instantiate("elementwise", {"fn": "cast", "from": str(src), "to": str(dst)})
+    return inst.apply({"arguments": col(src, values)})["result"]
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [(U8, U16), (U8, U64), (U32, U64), (I8, I64), (U32, I64), (U8, I16), (BIT, U8), (U8, U8), (I32, I32), (U64, U64)],
+)
+def test_widening_cast_passes_values_through_unchecked(src, dst, monkeypatch):
+    values = col(src, edges(src))
+    built = count_checked_columns(monkeypatch)
+    out = instantiate("elementwise", {"fn": "cast", "from": str(src), "to": str(dst)}).apply({"arguments": values})
+    assert built == []
+    assert out["result"].element_type is dst
+    assert out["result"].values is values.values
+
+
+@pytest.mark.parametrize(
+    "src, dst, values, want",
+    [
+        (U16, U8, [0, 255], (0, 255)),  # narrowing, in range
+        (U16, U8, [0, 256], "overflow: cast of 256 256 outside u8 range [0, 255]"),
+        (U32, I32, [2**31 - 1], (2**31 - 1,)),  # same width, unsigned to signed
+        (U32, I32, [2**31], "overflow: cast of 2147483648 2147483648 outside i32 range [-2147483648, 2147483647]"),
+        (I8, U8, [0, 127], (0, 127)),  # signed to unsigned
+        (I8, U8, [5, -128], "overflow: cast of -128 -128 outside u8 range [0, 255]"),
+        (I8, U64, [-1], "overflow: cast of -1 -1 outside u64 range [0, 18446744073709551615]"),
+        (I64, BIT, [0, 1], (0, 1)),
+        (I64, BIT, [2], "overflow: cast of 2 2 outside bit range [0, 1]"),
+    ],
+)
+def test_cast_that_does_not_widen_is_range_checked(src, dst, values, want):
+    if isinstance(want, str):
+        with pytest.raises(OperatorError) as exc:
+            cast(src, dst, values)
+        assert str(exc.value) == want
+    else:
+        assert cast(src, dst, values) == col(dst, want)
+
+
+# Mistyped direct applies: the column's type is not the one the signature
+# declares, so no shortcut applies; outcomes and messages are the ones the
+# checked paths always gave.
+MISTYPED = [
+    ({"fn": "cast", "from": "u8", "to": "u16"}, {"arguments": col(U32, [70000])}, OperatorError,
+     "overflow: cast of 70000 70000 outside u16 range [0, 65535]"),
+    ({"fn": "cast", "from": "u8", "to": "u16"}, {"arguments": col(I32, [5, -1])}, OperatorError,
+     "overflow: cast of -1 -1 outside u16 range [0, 65535]"),
+    ({"fn": "cast", "from": "i8", "to": "u8"}, {"arguments": col(F64, [1.5])}, TypeDomainError,
+     "value 1.5 not in domain of u8 (at index 0)"),
+    ({"fn": "cast", "from": "u8", "to": "i16"}, {"arguments": col(I64, [-40000])}, OperatorError,
+     "overflow: cast of -40000 -40000 outside i16 range [-32768, 32767]"),
+    ({"fn": "cast", "from": "bit", "to": "u8"}, {"arguments": col(U16, [256])}, OperatorError,
+     "overflow: cast of 256 256 outside u8 range [0, 255]"),
+    ({"fn": "add", "type": "u8"}, {"lhs": col(U16, [300]), "rhs": col(U16, [0])}, OperatorError,
+     "overflow: result 300 outside u8 range [0, 255]"),
+]
+
+
+@pytest.mark.parametrize("params, inputs, error, message", MISTYPED)
+def test_mistyped_direct_apply_keeps_its_check(params, inputs, error, message):
+    with pytest.raises(error) as exc:
+        instantiate("elementwise", params).apply(inputs)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_mistyped_cast_in_range_is_built_checked(monkeypatch):
+    wide = col(U32, [300])
+    built = count_checked_columns(monkeypatch)
+    out = instantiate("elementwise", {"fn": "cast", "from": "u8", "to": "u64"}).apply({"arguments": wide})
+    assert out["result"].values == (300,) and out["result"].element_type is U64
+    assert built == [U64]
+
+
+def test_domain_and_length_messages_are_unchanged():
+    with pytest.raises(TypeDomainError, match=r"^value 300 not in domain of u8 \(at index 0\)$"):
+        instantiate("gather", {"type": "u8"}).apply({"pos": idx(0), "data": col(U32, [300])})
+    with pytest.raises(OperatorError) as exc:
+        instantiate("select", {"type": "u8"}).apply({"data": col(U32, [1, 2]), "selection": col(BIT, [1])})
+    assert str(exc.value) == "length-mismatch: unequal input lengths {'data': 2, 'selection': 1}"
+    add = instantiate("elementwise", {"fn": "add", "type": "u8"})
+    with pytest.raises(OperatorError) as exc:
+        add.apply({"lhs": col(U8, [1, 2]), "rhs": col(U8, [0])})
+    assert str(exc.value) == "length-mismatch: unequal input lengths {'lhs': 2, 'rhs': 1}"
+    zip3 = instantiate("zip", {"types": ["u8", "u8", "u8"]})
+    with pytest.raises(OperatorError) as exc:
+        zip3.apply({"component_1": col(U8, [1]), "component_2": col(U8, [1]), "component_3": col(U8, [])})
+    assert str(exc.value) == "length-mismatch: unequal input lengths {'component_1': 1, 'component_2': 1, 'component_3': 0}"
+
+
+# -- interned types ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 24, 33, 64])
+def test_parse_type_returns_the_interned_type(k):
+    assert parse_type(f"u{k}") is ElementType.unsigned(k)
+    assert parse_type(f"i{k}") is ElementType.signed(k)
+    assert parse_type(" u8 ") is U8
+
+
+def test_named_types_are_the_interned_ones():
+    assert parse_type("f32") is ElementType.float_(32) is F32
+    assert parse_type("f64") is F64
+    assert parse_type("bit") is BIT and parse_type("unit") is UNIT and parse_type("bottom") is BOTTOM
+    assert parse_type("prod(u8,i64)").components[0] is U8
+
+
+@pytest.mark.parametrize("t", [BIT, UNIT, U8, ElementType.unsigned(24), I16, I64, F32, F64])
+def test_read_col_bytes_returns_the_interned_type(t):
+    c = col(t, [t.zero()] * 3)
+    assert read_col_bytes(write_col_bytes(c)).element_type is t
+
+
+def test_bottom_col_reads_as_the_interned_bottom():
+    assert read_col_bytes(write_col_bytes(col(BOTTOM, []))).element_type is BOTTOM
+
+
+def test_product_types_leave_the_intern_table_bounded():
+    widths = [(a, b, c) for a in range(1, 65) for b in range(1, 65) for c in (1, 2, 3)]
+    made = {ElementType.product(ElementType.unsigned(a), ElementType.signed(b), ElementType.unsigned(c)) for a, b, c in widths}
+    assert len(made) >= 10_000
+    for a in range(1, 20):
+        parse_type(f"prod(u{a},prod(i{a},f64))")
+    assert len(types_mod._INTERNED) <= 133
+
+
+def test_bad_widths_stay_out_of_the_intern_table():
+    before = dict(types_mod._INTERNED)
+    for width in (0, 65, -1):
+        with pytest.raises(ValueError):
+            ElementType.unsigned(width)
+    with pytest.raises(ColcircError):
+        parse_type("u65")
+    assert types_mod._INTERNED == before
+
+
+def test_a_width_that_is_no_int_is_not_interned():
+    t = ElementType.unsigned(8.0)
+    assert t == U8 and t is not U8
+    assert ElementType.unsigned(8) is U8
+
+
+@pytest.mark.parametrize("t", [U8, I64, BIT, F32, ElementType.product(U8, I16)])
+def test_a_copied_type_is_equal_and_well_typed(t):
+    twin = copy.deepcopy(t)
+    assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+    assert twin.is_integer == t.is_integer and twin.is_numeric == t.is_numeric
+    inst = instantiate("no_op", {"type": str(t)})
+    assert ops_mod._well_typed(inst, {"arguments": Column(twin, [])})
+    values = [t.zero()] * 2
+    out = instantiate("gather", {"type": str(t)}).apply({"pos": idx(1, 0), "data": Column(twin, values)})
+    assert out["result"] == Column(t, values)
+
+
+def test_cached_facts_are_not_fields():
+    assert [f.name for f in dataclasses.fields(ElementType)] == ["kind", "width_bits", "components"]
+    assert repr(U8) == "ElementType(kind=<Kind.UNSIGNED: 'unsigned'>, width_bits=8, components=())"
+    assert U8.bounds() == (0, 255) and I8.bounds() == (-128, 127) and BIT.bounds() == (0, 1)
+    assert U64.is_integer and U64.is_numeric and not F32.is_integer and F32.is_numeric
+    assert not UNIT.is_numeric and not ElementType.product(U8).is_integer
+    with pytest.raises(TypeError, match="has no integer bounds"):
+        F64.bounds()
+
+
+# -- the scalar memo ---------------------------------------------------------------------------
+
+
+def scalar_circuit(value, type_name="u8"):
+    k = instantiate("scalar", {"type": type_name, "value": value})
+    add = instantiate("elementwise", {"fn": "add", "type": type_name})
+    wires = {(out_port("k", "value"), in_port("add", "rhs"))}
+    interface = {"x": in_port("add", "lhs"), "y": out_port("add", "result")}
+    return circuit({"k": k, "add": add}, wires, interface)
+
+
+def test_scalar_vertex_returns_one_column_built_once(monkeypatch):
+    x = col(U8, [1])
+    built = count_checked_columns(monkeypatch)
+    c = scalar_circuit(5)
+    k = c.vertices["k"]
+    for _ in range(3):
+        assert evaluate_circuit(c, {"x": x})["y"].values == (6,)
+    assert len({id(k.apply({})["value"]) for _ in range(3)}) == 1
+    assert k.apply({})["value"].values == (5,)
+    assert built == [U8]
+
+
+def test_scalar_instances_compare_as_before():
+    a = instantiate("scalar", {"type": "u8", "value": 5})
+    b = instantiate("scalar", {"type": "u8", "value": 5})
+    a.apply({})
+    assert a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("value", [256, -1, 1.0, "5"])
+def test_out_of_domain_scalar_raises_on_every_evaluation(value):
+    c = scalar_circuit(value)
+    for _ in range(3):
+        with pytest.raises(TypeDomainError):
+            evaluate_circuit(c, {"x": col(U8, [1])})
+    assert c.vertices["k"]._constant is None
+
+
+# -- one decoder lookup per decode, one composed form per codec ----------------------------------
+
+
+def test_checked_decode_looks_its_decoder_up_once(monkeypatch):
+    inst = encode("run.rle", {"type": "u32"}, col(U32, [3, 3, 7]))
+    keys, verifications = [], []
+    params_key = codec_mod.params_key
+    verify_columns = codec_mod.CodecEntry.verify_columns
+
+    def counting_key(params):
+        keys.append(params)
+        return params_key(params)
+
+    def counting_verify(self, params, columns):
+        verifications.append(self.scheme_id)
+        return verify_columns(self, params, columns)
+
+    monkeypatch.setattr(codec_mod, "params_key", counting_key)
+    monkeypatch.setattr(codec_mod.CodecEntry, "verify_columns", counting_verify)
+    assert codec_mod.decode(inst)["col"].values == (3, 3, 7)
+    assert len(keys) == 1 and verifications == ["run.rle"]
+    keys.clear()
+    codec_mod.decode(inst, check=False)
+    assert len(keys) == 1
+
+
+def test_checked_decode_of_a_bad_instance_still_fails_verification():
+    inst = encode("run.rle", {"type": "u32"}, col(U32, [3, 3, 7]))
+    bad = inst.with_columns(run_lengths=col(U64, [2]))
+    with pytest.raises(VerificationFailed):
+        codec_mod.decode(bad)  # lengths that do not add up
+    with pytest.raises(VerificationFailed):
+        codec_mod.decode(inst.with_columns(run_lengths=col(U32, [2, 1])))  # the wrong type
+
+
+def test_composed_form_spec_is_built_once(monkeypatch):
+    # built, not registered: the registry stays as the other tests expect it
+    entry = compose_mod._PatchedCodec(CompositionRecipe("patch", "compose.test.patch", (("constant", {"type": "u8"}),)))
+    first = entry.form_spec({})
+    lookups = []
+    inner = type(entry.inners[0][0])
+    form_spec = inner.form_spec
+    monkeypatch.setattr(inner, "form_spec", lambda self, params: lookups.append(params) or form_spec(self, params))
+    assert entry.form_spec({"anything": 1}) is first
+    assert lookups == []
+    assert list(first) == ["patch_pos", "patch_data", "base:value", "base:length"]
+
+
+def test_composed_label_clash_raises_on_every_call():
+    recipe = CompositionRecipe("patch", "compose.test.clash", (("constant", {"type": "u8"}),) * 2)
+    clashing = compose_mod._ComposedCodec(recipe, ["", ""])  # both inner forms keep their labels
+    for _ in range(3):
+        with pytest.raises(NotEncodable, match="incompatible inner scheme labels"):
+            clashing.form_spec({})
+    assert clashing._form_spec is None
+
+
+# -- the count guard: checked Column constructions per evaluation ------------------------------
+
+
+LINEITEM = {
+    "shipdate": ("for", {"type": "u64", "offset_type": "u16", "segment_length": 4}),
+    "discount": ("dict", {"type": "u64"}),
+    "quantity": ("nullsup", {"type": "u64", "narrow_type": "u8"}),
+    "extended_price": ("nullsup", {"type": "u64", "narrow_type": "u32"}),
+}
+
+
+def tiny_q6():
+    """Q6 with each lineitem column's decoder spliced in, over 9 rows, and its inputs."""
+    rng = random.Random(12)
+    ranges = {"shipdate": (8700, 9200), "discount": (0, 11), "quantity": (1, 50), "extended_price": (1000, 90000)}
+    plan, inputs = q6_circuit(), {}
+    for name, (sid, params) in LINEITEM.items():
+        entry = codec(sid)
+        p = entry.normalize_params(params)
+        mapping = {"out:col": f"dec:{name}", **{label: f"{name}:{label}" for label in entry.form_spec(p)}}
+        plan = circuit_union(plan, rename_labels(entry.decoder(p), mapping))
+        plan = drop_output(assign_input(plan, name, plan.interface[f"dec:{name}"]), f"dec:{name}")
+        inst = encode(sid, params, col(U64, [rng.randrange(*ranges[name]) for _ in range(9)]))
+        inputs.update({f"{name}:{label}": c for label, c in inst.columns.items()})
+    return plan, inputs
+
+
+def rle_decoder():
+    params = {"type": "u32"}
+    inst = encode("run.rle", params, col(U32, [3, 3, 3, 7, 7, 1]))
+    return codec("run.rle").decoder(inst.params), inst.columns
+
+
+@pytest.mark.parametrize("make", [rle_decoder, tiny_q6], ids=["run.rle", "q6"])
+def test_checked_constructions_per_evaluation(make, monkeypatch):
+    c, inputs = make()
+    want = evaluate_circuit(c, inputs)
+    scalars = sum(op.op_name == "scalar" for op in c.vertices.values())
+    built = count_checked_columns(monkeypatch)
+    for _ in range(50):
+        assert evaluate_circuit(c, inputs) == want
+    # each scalar's column was built by the first evaluation above; every
+    # other output is proved in its domain, and the Q6 casts only widen
+    assert built == []
+    fresh, fresh_inputs = make()
+    for vertex in fresh.vertices.values():
+        object.__setattr__(vertex, "_constant", None)
+    built.clear()
+    for _ in range(50):
+        evaluate_circuit(fresh, fresh_inputs)
+    assert len(built) <= scalars
