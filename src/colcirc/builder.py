@@ -4,7 +4,9 @@ Decoder and verifier circuits throughout the scheme modules are assembled
 with this; it only produces plain :class:`ColumnarCircuit` values.  Circuit
 input labels biject onto in-ports, so the builder owns input relays: an
 input wired into one in-port maps onto that port, and an input wired into
-several gets exactly one ``no_op`` relay that fans it out.
+several gets exactly one ``no_op`` relay that fans it out.  ``embed`` copies
+a whole circuit in as a subcircuit, so composed decoders are builder
+programs too.
 """
 
 from __future__ import annotations
@@ -51,18 +53,11 @@ class CircuitBuilder:
         else a dict of them.
         """
         inst = instantiate(op_name, params or {})
-        vid = f"v{len(self._vertices) + 1}_{op_name}"
-        self._vertices[vid] = inst
+        vid = self._place(inst)
         for label, src in wired.items():
             if label not in inst.signature.inputs:
                 raise ColcircError(f"{op_name} has no input port {label!r}")
-            tgt = PortRef(vid, label, IN)
-            if isinstance(src, Wire):
-                self._edges.add((src.port, tgt))
-            elif isinstance(src, Input):
-                self._inputs.setdefault(src.label, []).append(tgt)
-            else:
-                raise ColcircError(f"cannot wire {src!r} into {tgt}")
+            self._feed(src, PortRef(vid, label, IN))
         missing = set(inst.signature.inputs) - set(wired)
         if missing:
             raise ColcircError(f"{op_name} vertex {vid!r} left ports {sorted(missing)} unwired")
@@ -70,6 +65,54 @@ class CircuitBuilder:
         if len(outs) == 1:
             return next(iter(outs.values()))
         return outs
+
+    def _place(self, inst) -> str:
+        vid = f"v{len(self._vertices) + 1}_{inst.op_name}"
+        self._vertices[vid] = inst
+        return vid
+
+    def _feed(self, src, tgt: PortRef) -> None:
+        if isinstance(src, Wire):
+            self._edges.add((src.port, tgt))
+        elif isinstance(src, Input):
+            self._inputs.setdefault(src.label, []).append(tgt)
+        else:
+            raise ColcircError(f"cannot wire {src!r} into {tgt}")
+
+    def embed(self, c: ColumnarCircuit, inputs: dict) -> dict:
+        """Copy circuit ``c`` in under fresh vertex ids; returns its outputs by label.
+
+        ``inputs`` feeds every input label of ``c`` from a wire or an input.
+        A relay of ``c`` (a ``no_op`` on an input) is not copied unless it is
+        a sink: the ports it fed take the feed, so an output that only passes
+        an input through is the feed itself, and :meth:`build` places any
+        relay the feed then needs.
+        """
+        if inputs.keys() != c.signature.inputs.keys():
+            raise ColcircError(f"embedding feeds {sorted(inputs)}, not the inputs {sorted(c.signature.inputs)}")
+        used = {src for src, _ in c.edges} | {c.interface[label] for label in c.signature.outputs}
+        through = {}  # out-port of a relay left out -> its feed
+        for label, src in inputs.items():
+            if isinstance(src, Wire):
+                vid, port_label, _ = src.port
+                if self._vertices[vid].signature.outputs[port_label] != c.signature.inputs[label]:
+                    raise ColcircError(f"embedded input {label!r} takes {c.signature.inputs[label]}")
+            relay = PortRef(c.interface[label].vertex_id, "result", OUT)
+            if c.vertices[relay.vertex_id].op_name == "no_op" and relay in used:
+                through[relay] = src
+        dropped = {port.vertex_id for port in through}
+        ids = {vid: self._place(op) for vid, op in c.vertices.items() if vid not in dropped}
+
+        def copied(port):
+            return through.get(port) or Wire(self, PortRef(ids[port.vertex_id], port.port_label, OUT))
+
+        for src, dst in c.edges:
+            self._feed(copied(src), PortRef(ids[dst.vertex_id], dst.port_label, IN))
+        for label, src in inputs.items():
+            vid, port_label, _ = c.interface[label]
+            if vid not in dropped:
+                self._feed(src, PortRef(ids[vid], port_label, IN))
+        return {label: copied(c.interface[label]) for label in c.signature.outputs}
 
     # convenience micro-helpers used all over the scheme decoders
 

@@ -55,12 +55,14 @@ def _scheme_params(params) -> _SchemeParams:
     return params if isinstance(params, _SchemeParams) else _SchemeParams(params)
 
 
-class _DecodeParams(_SchemeParams):
-    """The params of one checked ``decode``, remembering its entry's decoder.
+class _ResolvedParams(_SchemeParams):
+    """Params that remember their entry's decoder once it is looked up.
 
-    ``decode`` hands one to ``verify_columns``: the decoder that the form
-    check looks up is then the one ``decode`` runs, for one ``params_key``.
-    It lives only for that call, so nothing can change it after the lookup.
+    ``decode`` hands one to ``verify_columns``, so the decoder that the form
+    check looks up is the one ``decode`` runs, for one ``params_key``; it
+    lives only for that call.  A composed codec keeps one per inner scheme,
+    made once from its recipe, so checking or decoding a part keys nothing.
+    Nothing changes the params after the lookup.
     """
 
     __slots__ = ("_entry", "_decoder")
@@ -187,7 +189,7 @@ class CodecEntry:
     # -- shared behavior -------------------------------------------------------
 
     def decoder(self, params) -> ColumnarCircuit:
-        remember = type(params) is _DecodeParams and params._entry is self
+        remember = type(params) is _ResolvedParams and params._entry is self
         if remember and params._decoder is not None:
             return params._decoder
         key = params_key(params)
@@ -290,7 +292,7 @@ def decode(inst: SchemeInstance, check: bool = True) -> dict:
     entry = codec(inst.scheme_id)
     params = entry.normalize_params(inst.params)
     if check:
-        params = _DecodeParams(entry, params)
+        params = _ResolvedParams(entry, params)
         if not entry.verify_columns(params, inst.columns):
             raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
     return _without_out_prefix(evaluate_circuit(entry.decoder(params), inst.columns))

@@ -1,24 +1,27 @@
 """Generic codec composition patterns.
 
 Each recipe manufactures a new :class:`CodecEntry` out of registered inner
-schemes.  Except for the segmentize kinds, composed decoders are assembled
-from the inner decoder circuits with ``circuit_union`` and ``assign_input``;
-segmentization instead lifts the catalog's ``segmentized`` operator, which
-runs the inner decoder per segment (the number of segments is
-data-dependent, so it cannot be unrolled into a fixed circuit).
+schemes.  Except for the segmentize kinds, a composed decoder is one builder
+program that embeds each inner decoder, fed from its encoded-form labels
+under a prefix ending in ``:`` (no recipe label has one), and derives its
+encoded form like any scheme.  Segmentization instead lifts the catalog's
+``segmentized`` operator, which runs the inner decoder per segment (the
+number of segments is data-dependent, so it cannot be unrolled into a fixed
+circuit); its encoded form is declared, since that decoder is built from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .builder import CircuitBuilder
-from .circuit import ColumnarCircuit, evaluate_circuit
-from .codec import CodecEntry, _without_out_prefix, codec, register_codec
+from .circuit import evaluate_circuit
+from .codec import CodecEntry, _ResolvedParams, codec, register_codec
 from .column import Column, scalar_column
-from .errors import NotEncodable, OperatorError
+from .errors import ColcircError, NotEncodable, OperatorError, TypeDomainError
 from .ops import OperatorInstance, Signature, register_operator
-from .transform import assign_input, circuit_union, drop_output, rename_labels
 from .types import INT, parse_type
 
 _INT = str(INT)
@@ -38,75 +41,77 @@ def compose(recipe: CompositionRecipe) -> CodecEntry:
     builder = _KINDS.get(recipe.kind)
     if builder is None:
         raise NotEncodable(f"unknown composition kind {recipe.kind!r}")
-    entry = builder(recipe)
-    return register_codec(entry)
+    return register_codec(builder(recipe))
 
 
-def _single_output_decoder(entry, params) -> ColumnarCircuit:
-    labels = entry.decoded_labels(params)
-    if labels != ["col"]:
-        raise NotEncodable(f"{entry.scheme_id} does not decode to a single column")
-    return entry.decoder(params)
-
-
-def _prefixed(prefix, spec):
-    return {f"{prefix}{label}": t for label, t in spec.items()}
+def _int_option(recipe, name, default=None, most=None):
+    value = recipe.options.get(name, default)
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1 or n > (most or n):
+        upto = f" up to {most}" if most else ""
+        raise NotEncodable(f"{recipe.kind} option {name!r} must be a positive integer{upto}, not {value!r}")
+    return n
 
 
 def _strip(prefix, columns):
     return {label[len(prefix) :]: col for label, col in columns.items() if label.startswith(prefix)}
 
 
-def _inner_decode(entry, params, columns):
-    return _without_out_prefix(evaluate_circuit(entry.decoder(params), columns))
+def _inner_decode(decoder, columns) -> Column:
+    return evaluate_circuit(decoder, columns)["out:col"]
 
 
 class _ComposedCodec(CodecEntry):
-    """Shared plumbing: prefixed inner labels plus recipe-specific columns."""
+    """Shared plumbing: the inner schemes, each under its label prefix.
+
+    ``inners`` holds ``(entry, iparams, decoder)`` per inner scheme, resolved
+    once: the params remember the decoder, so checking a part keys nothing.
+    """
 
     def __init__(self, recipe, prefixes):
         super().__init__(recipe.scheme_id)
+        if not prefixes or len(recipe.inner) != len(prefixes):
+            raise NotEncodable(f"{recipe.kind} cannot compose {len(recipe.inner)} inner schemes")
         self.recipe = recipe
         self.prefixes = prefixes
-        self.inners = [(codec(sid), dict(p)) for sid, p in recipe.inner]
-        self._form_spec = None
-
-    def extra_spec(self):
-        return {}
-
-    def form_spec(self, params):
-        # declared, not derived from the decoder: the segmentized decoder is
-        # built from this spec.  It depends on the recipe alone, so it is
-        # built once; a label clash is not kept, and raises on every call
-        spec = self._form_spec
-        if spec is not None:
-            return spec
-        spec = dict(self.extra_spec())
-        for (entry, iparams), prefix in zip(self.inners, self.prefixes):
-            inner_spec = _prefixed(prefix, entry.form_spec(iparams))
-            clash = set(spec) & set(inner_spec)
-            if clash:
-                raise NotEncodable(f"incompatible inner scheme labels: {sorted(clash)}")
-            spec.update(inner_spec)
-        self._form_spec = spec
-        return spec
+        self.inners = []
+        for sid, iparams in recipe.inner:
+            entry = codec(sid)
+            iparams = _ResolvedParams(entry, iparams)
+            try:
+                decoder = entry.decoder(iparams)
+            except ColcircError as e:
+                raise NotEncodable(f"inner scheme {sid}: {e}") from e
+            if list(decoder.signature.outputs) != ["out:col"]:
+                raise NotEncodable(f"{sid} does not decode to a single column")
+            self.inners.append((entry, iparams, decoder))
+        types = {str(decoder.signature.outputs["out:col"]) for _, _, decoder in self.inners}
+        if len(types) != 1:
+            raise NotEncodable(f"{recipe.kind} needs inner schemes of one decoded type, not {sorted(types)}")
+        self.data_type = types.pop()
 
     def normalize_params(self, params):
         return {k: v for k, v in params.items() if k not in ("partition", "segments")}
 
+    def _embed(self, b, i):
+        """Inner decoder ``i`` embedded in ``b``, fed from its prefixed labels: its decoded column."""
+        decoder = self.inners[i][2]
+        feeds = {label: b.input(self.prefixes[i] + label) for label in decoder.signature.inputs}
+        return b.embed(decoder, feeds)["out:col"]
 
-def _compose_base_plus(entry, params, prefix, tail):
-    """The inner decoder's output feeds the correction stage ``tail``.
+    def _decoded(self, i, columns):
+        """Part ``i`` of ``columns`` decoded by its inner scheme, or None if that rejects it."""
+        entry, iparams, decoder = self.inners[i]
+        part = _strip(self.prefixes[i], columns)
+        return _inner_decode(decoder, part) if entry.verify_columns(iparams, part) else None
 
-    The inner decoder's encoded-form labels take ``prefix``.  The tail
-    circuit must expose a ``__base`` input of the decoded type and an
-    ``out:col`` output.
-    """
-    renamed = rename_labels(_single_output_decoder(entry, params), {"out:col": "__inner"})
-    renamed = rename_labels(renamed, {label: f"{prefix}{label}" for label in entry.form_spec(params)})
-    u = circuit_union(renamed, tail)
-    u = assign_input(u, "__base", u.interface["__inner"])
-    return drop_output(u, "__inner")
+    def _encoded(self, i, family):
+        """Inner scheme ``i``'s encoding of ``family``, under its prefix."""
+        entry, iparams, _ = self.inners[i]
+        return {self.prefixes[i] + label: c for label, c in entry.encode(iparams, family).items()}
 
 
 # -- patching -------------------------------------------------------------------------
@@ -115,24 +120,16 @@ def _compose_base_plus(entry, params, prefix, tail):
 class _PatchedCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["base:"])
-        self.data_type = str(self.inners[0][1]["type"])
-
-    def extra_spec(self):
-        t = parse_type(self.data_type)
-        return {"patch_pos": INT, "patch_data": t}
 
     def build_decoder(self, params):
-        t = self.data_type
         b = CircuitBuilder()
-        b.result("col", b.scatter(t, b.input("__base"), b.input("patch_pos"), b.input("patch_data")))
-        return _compose_base_plus(*self.inners[0], "base:", b.build())
+        b.result("col", b.scatter(self.data_type, self._embed(b, 0), b.input("patch_pos"), b.input("patch_data")))
+        return b.build()
 
     def host_verify(self, params, columns):
-        entry, iparams = self.inners[0]
-        base = _strip("base:", columns)
-        if not entry.verify_columns(iparams, base):
+        decoded = self._decoded(0, columns)
+        if decoded is None:
             return False
-        decoded = _inner_decode(entry, iparams, base)["col"]
         pos = columns["patch_pos"].values
         if len(pos) != len(columns["patch_data"]) or len(set(pos)) != len(pos):
             return False
@@ -140,16 +137,14 @@ class _PatchedCodec(_ComposedCodec):
 
     def encode(self, params, family):
         col = family["col"]
-        entry, iparams = self.inners[0]
-        t = parse_type(self.data_type)
+        entry, iparams, _ = self.inners[0]
         try:
             base_family, patches = entry.fit(iparams, {"col": col})
         except NotEncodable:
             base_family, patches = {"col": col}, []
-        base_cols = entry.encode(iparams, base_family)
-        out = {f"base:{label}": c for label, c in base_cols.items()}
+        out = self._encoded(0, base_family)
         out["patch_pos"] = Column(INT, [p for p, _ in patches])
-        out["patch_data"] = Column(t, [v for _, v in patches])
+        out["patch_data"] = Column(parse_type(self.data_type), [v for _, v in patches])
         return out
 
 
@@ -159,51 +154,28 @@ class _PatchedCodec(_ComposedCodec):
 class _ElementwiseAddCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["a:", "b:"])
-        self.data_type = str(self.inners[0][1]["type"])
-        for entry, iparams in self.inners:
-            if entry.decoded_labels(iparams) != ["col"]:
-                raise NotEncodable("elementwise-add needs single-column inner schemes")
 
     def build_decoder(self, params):
         t = self.data_type
-        d1 = rename_labels(
-            _single_output_decoder(*self.inners[0]), {"out:col": "__lhs"}
-        )
-        d1 = rename_labels(d1, {lb: f"a:{lb}" for lb in self.inners[0][0].form_spec(self.inners[0][1])})
-        d2 = rename_labels(
-            _single_output_decoder(*self.inners[1]), {"out:col": "__rhs"}
-        )
-        d2 = rename_labels(d2, {lb: f"b:{lb}" for lb in self.inners[1][0].form_spec(self.inners[1][1])})
-        b = CircuitBuilder()
         wide = _WIDE if parse_type(t).is_integer else t
-        lhs = b.cast(t, wide, b.input("__l"))
-        rhs = b.cast(t, wide, b.input("__r"))
+        b = CircuitBuilder()
+        lhs = b.cast(t, wide, self._embed(b, 0))
+        rhs = b.cast(t, wide, self._embed(b, 1))
         b.result("col", b.cast(wide, t, b.add_cols(wide, lhs, rhs)))
-        adder = b.build()
-        u = circuit_union(circuit_union(d1, d2), adder)
-        u = assign_input(u, "__l", u.interface["__lhs"])
-        u = assign_input(u, "__r", u.interface["__rhs"])
-        return drop_output(drop_output(u, "__lhs"), "__rhs")
+        return b.build()
 
     def host_verify(self, params, columns):
-        for (entry, iparams), prefix in zip(self.inners, self.prefixes):
-            part = _strip(prefix, columns)
-            if not entry.verify_columns(iparams, part):
-                return False
-        a = _inner_decode(self.inners[0][0], self.inners[0][1], _strip("a:", columns))["col"]
-        b = _inner_decode(self.inners[1][0], self.inners[1][1], _strip("b:", columns))["col"]
-        return len(a) == len(b)
+        a = self._decoded(0, columns)
+        b = None if a is None else self._decoded(1, columns)
+        return b is not None and len(a) == len(b)
 
     def encode(self, params, family):
         col = family["col"]
-        entry1, p1 = self.inners[0]
-        entry2, p2 = self.inners[1]
-        base = entry1.fit_additive(p1, col)
+        entry, iparams, _ = self.inners[0]
+        base = entry.fit_additive(iparams, col)
         residual = Column(col.element_type, [v - m for v, m in zip(col.values, base.values)])
-        cols1 = entry1.encode(p1, {"col": base})
-        cols2 = entry2.encode(p2, {"col": residual})
-        out = {f"a:{lb}": c for lb, c in cols1.items()}
-        out.update({f"b:{lb}": c for lb, c in cols2.items()})
+        out = self._encoded(0, {"col": base})
+        out.update(self._encoded(1, {"col": residual}))
         return out
 
 
@@ -213,45 +185,35 @@ class _ElementwiseAddCodec(_ComposedCodec):
 class _DifferentiateCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["diff:"])
-        self.data_type = str(recipe.options["type"])
-        self.diff_type = str(self.inners[0][1]["type"])
-
-    def extra_spec(self):
-        return {"first": parse_type(self.data_type)}
+        if "type" not in recipe.options:
+            raise NotEncodable("differentiate needs the option 'type'")
+        self.diff_type, self.data_type = self.data_type, str(recipe.options["type"])
 
     def build_decoder(self, params):
         t = self.data_type
         b = CircuitBuilder()
-        diffs = b.cast(self.diff_type, _WIDE, b.input("__base"))
+        diffs = b.cast(self.diff_type, _WIDE, self._embed(b, 0))
         first = b.cast(t, _WIDE, b.input("first"))
         ps = b.prefix(_WIDE, "add", diffs)
         n1 = b.length(ps, _WIDE)
         shifted = b.add_cols(_WIDE, b.replicate(_WIDE, first, n1), ps)
         full = b.concat(_WIDE, first, shifted)
         b.result("col", b.cast(_WIDE, t, full))
-        return _compose_base_plus(*self.inners[0], "diff:", b.build())
+        return b.build()
 
     def host_verify(self, params, columns):
-        if len(columns["first"]) != 1:
-            return False
-        entry, iparams = self.inners[0]
-        return entry.verify_columns(iparams, _strip("diff:", columns))
+        entry, iparams, _ = self.inners[0]
+        return len(columns["first"]) == 1 and entry.verify_columns(iparams, _strip("diff:", columns))
 
     def encode(self, params, family):
         col = family["col"]
         if len(col) == 0:
             raise NotEncodable("differentiation needs at least one element")
-        entry, iparams = self.inners[0]
-        diff_et = parse_type(self.diff_type)
-        diffs = []
-        for i in range(len(col) - 1):
-            d = col.values[i + 1] - col.values[i]
-            lo, hi = diff_et.bounds()
-            if not lo <= d <= hi:
-                raise NotEncodable(f"difference {d} at index {i} does not fit {diff_et}")
-            diffs.append(d)
-        inner_cols = entry.encode(iparams, {"col": Column(diff_et, diffs)})
-        out = {f"diff:{lb}": c for lb, c in inner_cols.items()}
+        try:
+            diffs = Column(parse_type(self.diff_type), [b - a for a, b in zip(col.values, col.values[1:])])
+        except TypeDomainError as e:
+            raise NotEncodable(f"difference {e.value} at index {e.index} does not fit {self.diff_type}") from None
+        out = self._encoded(0, {"col": diffs})
         out["first"] = scalar_column(parse_type(self.data_type), col.values[0])
         return out
 
@@ -262,51 +224,36 @@ class _DifferentiateCodec(_ComposedCodec):
 class _SmallDictFitCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["residual:"])
-        self.data_type = str(self.inners[0][1]["type"])
-        self.bits = int(recipe.options.get("bits", 8))
-
-    def extra_spec(self):
-        t = parse_type(self.data_type)
-        from .types import ElementType
-
-        return {"dictionary": t, "indices": ElementType.unsigned(self.bits)}
+        self.bits = _int_option(recipe, "bits", 8, most=64)
 
     def build_decoder(self, params):
         t = self.data_type
-        it = str(parse_type(f"u{self.bits}"))
         b = CircuitBuilder()
-        idx = b.cast(it, _INT, b.input("indices"))
+        idx = b.cast(f"u{self.bits}", _INT, b.input("indices"))
         zero_mask = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": 0}, arguments=idx)
         pos_z = b.add("select_indices", {}, characteristic=zero_mask)
         base = b.gather(t, idx, b.input("dictionary"))
-        b.result("col", b.scatter(t, base, pos_z, b.input("__base")))
-        return _compose_base_plus(*self.inners[0], "residual:", b.build())
+        b.result("col", b.scatter(t, base, pos_z, self._embed(b, 0)))
+        return b.build()
 
     def host_verify(self, params, columns):
-        entry, iparams = self.inners[0]
-        residual_cols = _strip("residual:", columns)
-        if not entry.verify_columns(iparams, residual_cols):
+        residual = self._decoded(0, columns)
+        if residual is None:
             return False
         d = len(columns["dictionary"])
         vals = columns["indices"].values
         if d < 1 or any(v >= d for v in vals):
             return False
-        residual = _inner_decode(entry, iparams, residual_cols)["col"]
         return len(residual) == sum(1 for v in vals if v == 0)
 
     def encode(self, params, family):
-        from collections import Counter
-
         col = family["col"]
-        entry, iparams = self.inners[0]
         t = parse_type(self.data_type)
         room = (1 << self.bits) - 1
         freq = Counter(col.values)
         ranked = [v for v, _ in sorted(freq.items(), key=lambda kv: (-kv[1], repr(kv[0])))][:room]
         code = {v: j + 1 for j, v in enumerate(ranked)}
-        residual = Column(t, [v for v in col.values if v not in code])
-        inner_cols = entry.encode(iparams, {"col": residual})
-        out = {f"residual:{lb}": c for lb, c in inner_cols.items()}
+        out = self._encoded(0, {"col": Column(t, [v for v in col.values if v not in code])})
         out["dictionary"] = Column(t, [t.zero()] + ranked)
         out["indices"] = Column(parse_type(f"u{self.bits}"), [code.get(v, 0) for v in col.values])
         return out
@@ -318,48 +265,26 @@ class _SmallDictFitCodec(_ComposedCodec):
 class _AlternatingCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, [f"s{i}:" for i in range(len(recipe.inner))])
-        self.data_type = str(self.inners[0][1]["type"])
-
-    def extra_spec(self):
-        return {"partition": INT}
 
     def build_decoder(self, params):
         t = self.data_type
-        k = len(self.inners)
-        pieces = []
-        for i, (entry, iparams) in enumerate(self.inners):
-            d = rename_labels(_single_output_decoder(entry, iparams), {"out:col": f"__part{i}"})
-            d = rename_labels(d, {lb: f"s{i}:{lb}" for lb in entry.form_spec(iparams)})
-            pieces.append(d)
         b = CircuitBuilder()
         part = b.input("partition")
-        et = parse_type(t)
-        out = b.replicate(t, b.scalar(t, et.zero()), b.length(part, _INT))
-        for i in range(k):
+        out = b.replicate(t, b.scalar(t, parse_type(t).zero()), b.length(part, _INT))
+        for i in range(len(self.inners)):
             match = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": i}, arguments=part)
             pos = b.add("select_indices", {}, characteristic=match)
-            out = b.scatter(t, out, pos, b.input(f"__data{i}"))
+            out = b.scatter(t, out, pos, self._embed(b, i))
         b.result("col", out)
-        tail = b.build()
-        u = tail
-        for piece in pieces:
-            u = circuit_union(u, piece)
-        for i in range(k):
-            u = assign_input(u, f"__data{i}", u.interface[f"__part{i}"])
-            u = drop_output(u, f"__part{i}")
-        return u
+        return b.build()
 
     def host_verify(self, params, columns):
         part = columns["partition"].values
-        k = len(self.inners)
-        if any(v >= k for v in part):
+        if any(v >= len(self.inners) for v in part):
             return False
-        for i, (entry, iparams) in enumerate(self.inners):
-            cols = _strip(f"s{i}:", columns)
-            if not entry.verify_columns(iparams, cols):
-                return False
-            decoded = _inner_decode(entry, iparams, cols)["col"]
-            if len(decoded) != sum(1 for v in part if v == i):
+        for i in range(len(self.inners)):
+            decoded = self._decoded(i, columns)
+            if decoded is None or len(decoded) != sum(1 for v in part if v == i):
                 return False
         return True
 
@@ -370,10 +295,9 @@ class _AlternatingCodec(_ComposedCodec):
         if len(partition) != len(col) or any(v >= k for v in partition):
             raise NotEncodable("partition assignment does not match the column")
         out = {"partition": Column(INT, partition)}
-        for i, (entry, iparams) in enumerate(self.inners):
+        for i in range(k):
             piece = Column(col.element_type, [v for v, p in zip(col.values, partition) if p == i])
-            for lb, c in entry.encode(iparams, {"col": piece}).items():
-                out[f"s{i}:{lb}"] = c
+            out.update(self._encoded(i, {"col": piece}))
         return out
 
 
@@ -381,12 +305,8 @@ class _AlternatingCodec(_ComposedCodec):
 
 
 def _segment_lengths_uniform(ell, n):
-    out = []
-    at = 0
-    while at < n:
-        out.append(min(ell, n - at))
-        at += ell
-    return out
+    full, rest = divmod(n, ell)
+    return [ell] * full + ([rest] if rest else [])
 
 
 class _SegmentizedCodec(_ComposedCodec):
@@ -394,56 +314,60 @@ class _SegmentizedCodec(_ComposedCodec):
 
     The composed decoder is the lifting of a segmentized composite operator
     that runs the inner decoder circuit per segment; per-segment encoded
-    lengths come from the inner scheme's static length rule.
+    lengths come from the inner scheme's static length rule.  The encoded
+    form is declared (``spec``), since that decoder is built from it.
     """
 
     def __init__(self, recipe, uniform):
         super().__init__(recipe, ["seg:"])
         self.uniform = uniform
-        self.data_type = str(self.inners[0][1]["type"])
-        entry, iparams = self.inners[0]
-        if entry.encoded_lengths(iparams, 1) is None:
-            raise NotEncodable(
-                f"incompatible inner scheme {entry.scheme_id}: encoded lengths are data-dependent"
-            )
+        entry, iparams, decoder = self.inners[0]
+        self.lengths = partial(entry.encoded_lengths, iparams)  # of one segment's encoded form, by label
+        if self.lengths(1) is None:
+            raise NotEncodable(f"incompatible inner scheme {entry.scheme_id}: encoded lengths are data-dependent")
         if uniform:
-            self.ell = int(recipe.options["segment_length"])
+            self.ell = _int_option(recipe, "segment_length")
+        extra = {"segment_length": INT, "total_length": INT} if uniform else {"segment_lengths": INT}
+        self.spec = {**extra, **{f"seg:{label}": t for label, t in decoder.signature.inputs.items()}}
 
-    def extra_spec(self):
-        if self.uniform:
-            return {"segment_length": INT, "total_length": INT}
-        return {"segment_lengths": INT}
+    def form_spec(self, params):
+        return self.spec
 
     def _segments(self, columns):
-        if self.uniform:
-            return _segment_lengths_uniform(self.ell, columns["total_length"].scalar())
-        return list(columns["segment_lengths"].values)
+        if not self.uniform:
+            return list(columns["segment_lengths"].values)
+        # ``total_length`` implies each label's encoded length: a mismatch is
+        # rejected before its segments (maybe 2**40 of them) are listed
+        n = columns["total_length"].scalar()
+        rest = self.lengths(n % self.ell) if n % self.ell else {}
+        for label, count in self.lengths(self.ell).items():
+            if n // self.ell * count + rest.get(label, 0) != len(columns[f"seg:{label}"]):
+                raise OperatorError("length-mismatch", f"total_length {n} does not fit segmented label {label}")
+        return _segment_lengths_uniform(self.ell, n)
 
     def _split(self, columns, segments):
-        entry, iparams = self.inners[0]
-        cursors = {lb: 0 for lb in entry.form_spec(iparams)}
+        cursors = dict.fromkeys(self.inners[0][2].signature.inputs, 0)
         pieces = []
         for seg_len in segments:
-            need = entry.encoded_lengths(iparams, seg_len)
             piece = {}
-            for lb, count in need.items():
-                col = columns[f"seg:{lb}"]
-                at = cursors[lb]
-                piece[lb] = Column(col.element_type, col.values[at : at + count])
-                cursors[lb] = at + count
+            for label, count in self.lengths(seg_len).items():
+                col = columns[f"seg:{label}"]
+                at = cursors[label]
+                piece[label] = Column(col.element_type, col.values[at : at + count])
+                cursors[label] = at + count
             pieces.append(piece)
-        for lb, at in cursors.items():
-            if at != len(columns[f"seg:{lb}"]):
-                raise OperatorError("length-mismatch", f"unconsumed data in segmented label {lb}")
+        for label, at in cursors.items():
+            if at != len(columns[f"seg:{label}"]):
+                raise OperatorError("length-mismatch", f"unconsumed data in segmented label {label}")
         return pieces
 
     def decode_segments(self, columns) -> Column:
         """Run the inner decoder on each segment and concatenate the results."""
-        entry, iparams = self.inners[0]
+        decoder = self.inners[0][2]
         segments = self._segments(columns)
         out = []
         for seg_len, piece in zip(segments, self._split(columns, segments)):
-            decoded = _inner_decode(entry, iparams, piece)["col"]
+            decoded = _inner_decode(decoder, piece)
             if len(decoded) != seg_len:
                 raise OperatorError(
                     "length-mismatch", f"segment decoded to {len(decoded)} elements, wanted {seg_len}"
@@ -453,33 +377,26 @@ class _SegmentizedCodec(_ComposedCodec):
 
     def build_decoder(self, params):
         b = CircuitBuilder()
-        wired = {lb: b.input(lb) for lb in self.form_spec({})}
-        out = b.add("segmentized", {"scheme": self.scheme_id}, **wired)
-        b.result("col", out)
+        wired = {label: b.input(label) for label in self.spec}
+        b.result("col", b.add("segmentized", {"scheme": self.scheme_id}, **wired))
         return b.build()
 
     def host_verify(self, params, columns):
-        entry, iparams = self.inners[0]
-        if self.uniform:
-            if len(columns["segment_length"]) != 1 or columns["segment_length"][0] != self.ell:
-                return False
-            if len(columns["total_length"]) != 1:
-                return False
+        entry, iparams, decoder = self.inners[0]
+        if self.uniform and (columns["segment_length"].values != (self.ell,) or len(columns["total_length"]) != 1):
+            return False
         try:
             segments = self._segments(columns)
             pieces = self._split(columns, segments)
         except OperatorError:
             return False
         for seg_len, piece in zip(segments, pieces):
-            if not entry.verify_columns(iparams, piece):
-                return False
-            if len(_inner_decode(entry, iparams, piece)["col"]) != seg_len:
+            if not entry.verify_columns(iparams, piece) or len(_inner_decode(decoder, piece)) != seg_len:
                 return False
         return True
 
     def encode(self, params, family):
         col = family["col"]
-        entry, iparams = self.inners[0]
         if self.uniform:
             segments = _segment_lengths_uniform(self.ell, len(col))
         else:
@@ -488,16 +405,16 @@ class _SegmentizedCodec(_ComposedCodec):
                 segments = [len(col)] if len(col) else []
             if sum(segments) != len(col) or any(s < 1 for s in segments):
                 raise NotEncodable("segment lengths must be positive and cover the column")
-        spec = entry.form_spec(iparams)
-        gathered = {lb: [] for lb in spec}
+        entry, iparams, decoder = self.inners[0]
+        spec = decoder.signature.inputs
+        gathered = {label: [] for label in spec}
         at = 0
         for seg_len in segments:
-            piece = Column(col.element_type, col.values[at : at + seg_len])
-            enc = entry.encode(iparams, {"col": piece})
-            for lb in spec:
-                gathered[lb].extend(enc[lb].values)
+            enc = entry.encode(iparams, {"col": Column(col.element_type, col.values[at : at + seg_len])})
+            for label in spec:
+                gathered[label].extend(enc[label].values)
             at += seg_len
-        out = {f"seg:{lb}": Column(spec[lb], vals) for lb, vals in gathered.items()}
+        out = {f"seg:{label}": Column(spec[label], vals) for label, vals in gathered.items()}
         if self.uniform:
             out["segment_length"] = scalar_column(INT, self.ell)
             out["total_length"] = scalar_column(INT, len(col))
@@ -521,7 +438,7 @@ def _segmentized_codec(params):
 def _segmentized_instantiate(params):
     entry = _segmentized_codec(params)
     outs = {"result": parse_type(entry.data_type)}
-    return OperatorInstance("segmentized", dict(params), Signature(dict(entry.form_spec({})), outs))
+    return OperatorInstance("segmentized", dict(params), Signature(dict(entry.spec), outs))
 
 
 def _segmentized_apply(inst, cols):

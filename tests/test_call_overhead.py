@@ -14,6 +14,7 @@ per-call check that comes back fails here deterministically, not by timing.
 import copy
 import dataclasses
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -26,6 +27,7 @@ from colcirc import (
     CompositionRecipe,
     circuit,
     codec,
+    compose,
     encode,
     evaluate_circuit,
     in_port,
@@ -36,7 +38,7 @@ from colcirc import (
 from colcirc import ops as ops_mod
 from colcirc import types as types_mod
 from colcirc.column import read_col_bytes, write_col_bytes
-from colcirc.errors import ColcircError, NotEncodable, OperatorError, TypeDomainError, VerificationFailed
+from colcirc.errors import ColcircError, OperatorError, TypeDomainError, VerificationFailed
 from colcirc.gallery import q6_circuit
 from colcirc.transform import assign_input, circuit_union, drop_output, rename_labels
 from colcirc.types import (
@@ -59,7 +61,6 @@ from colcirc.types import (
 
 # the package exports functions named after these modules
 codec_mod = importlib.import_module("colcirc.codec")
-compose_mod = importlib.import_module("colcirc.compose")
 
 F32_MAX = 3.4028234663852886e38
 F32_TINY = 1.401298464324817e-45  # the least positive f32 (subnormal)
@@ -428,7 +429,7 @@ def test_out_of_domain_scalar_raises_on_every_evaluation(value):
     assert c.vertices["k"]._constant is None
 
 
-# -- one decoder lookup per decode, one composed form per codec ----------------------------------
+# -- one decoder lookup per decode, inner decoders resolved once ----------------------------------
 
 
 def test_checked_decode_looks_its_decoder_up_once(monkeypatch):
@@ -463,26 +464,26 @@ def test_checked_decode_of_a_bad_instance_still_fails_verification():
         codec_mod.decode(inst.with_columns(run_lengths=col(U32, [2, 1])))  # the wrong type
 
 
-def test_composed_form_spec_is_built_once(monkeypatch):
-    # built, not registered: the registry stays as the other tests expect it
-    entry = compose_mod._PatchedCodec(CompositionRecipe("patch", "compose.test.patch", (("constant", {"type": "u8"}),)))
-    first = entry.form_spec({})
-    lookups = []
-    inner = type(entry.inners[0][0])
-    form_spec = inner.form_spec
-    monkeypatch.setattr(inner, "form_spec", lambda self, params: lookups.append(params) or form_spec(self, params))
-    assert entry.form_spec({"anything": 1}) is first
-    assert lookups == []
-    assert list(first) == ["patch_pos", "patch_data", "base:value", "base:length"]
+_composed_ids = itertools.count()
 
 
-def test_composed_label_clash_raises_on_every_call():
-    recipe = CompositionRecipe("patch", "compose.test.clash", (("constant", {"type": "u8"}),) * 2)
-    clashing = compose_mod._ComposedCodec(recipe, ["", ""])  # both inner forms keep their labels
-    for _ in range(3):
-        with pytest.raises(NotEncodable, match="incompatible inner scheme labels"):
-            clashing.form_spec({})
-    assert clashing._form_spec is None
+@pytest.mark.parametrize(
+    "kind, inner, options, params, values",
+    [
+        ("segmentize-uniform", (("nullsup", {"type": "u32", "narrow_type": "u8"}),), {"segment_length": 2}, {}, [1, 2, 3, 4, 5]),
+        ("alternate", (("constant", {"type": "u32"}), ("run.rle", {"type": "u32"})), {}, {"partition": [0, 1, 1, 0]}, [4, 6, 6, 4]),
+    ],
+)
+def test_composed_decode_looks_no_inner_decoder_up(monkeypatch, kind, inner, options, params, values):
+    # each inner decoder is resolved once per composed codec, so a checked
+    # decode keys only its own params, however many parts and segments it has
+    entry = compose(CompositionRecipe(kind, f"compose.test.lookups.{kind}.{next(_composed_ids)}", inner, options))
+    inst = encode(entry.scheme_id, params, col(U32, values))
+    keys = []
+    params_key = codec_mod.params_key
+    monkeypatch.setattr(codec_mod, "params_key", lambda params: keys.append(params) or params_key(params))
+    assert codec_mod.decode(inst)["col"].values == tuple(values)
+    assert len(keys) == 1
 
 
 # -- the count guard: checked Column constructions per evaluation ------------------------------

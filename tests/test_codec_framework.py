@@ -339,6 +339,62 @@ class TestCompose:
         assert validate_circuit(dec).ok
 
 
+_NULLSUP = ("nullsup", {"type": "u32", "narrow_type": "u8"})
+
+
+class TestMalformedRecipes:
+    @pytest.mark.parametrize(
+        "kind, inner, options",
+        [
+            pytest.param("segmentize-uniform", (_NULLSUP,), {}, id="no-segment-length"),
+            pytest.param("segmentize-uniform", (_NULLSUP,), {"segment_length": 0}, id="segment-length-0"),
+            pytest.param("segmentize-uniform", (_NULLSUP,), {"segment_length": -3}, id="segment-length-negative"),
+            pytest.param("differentiate", (("nullsup", {"type": "i16", "narrow_type": "i8"}),), {}, id="no-type"),
+            pytest.param("small-dict-fit", (_NULLSUP,), {"bits": "two"}, id="bits-not-an-integer"),
+            pytest.param("small-dict-fit", (_NULLSUP,), {"bits": 65}, id="bits-too-wide"),
+            pytest.param("patch", (), {}, id="patch-of-nothing"),
+            pytest.param("elementwise-add", (("generated.poly", {"type": "u32", "degree": 1}),), {}, id="add-of-one"),
+            pytest.param("alternate", (), {}, id="alternate-of-nothing"),
+            pytest.param("patch", (("constant", {}),), {}, id="inner-params-without-type"),
+            pytest.param("alternate", (("constant", {"type": "u8"}), _NULLSUP), {}, id="inner-types-differ"),
+            pytest.param("patch", (("subcolumn.std", {"type": "u16"}),), {}, id="inner-not-single-column"),
+        ],
+    )
+    def test_compose_raises_not_encodable(self, kind, inner, options):
+        sid = unique_id(f"malformed.{kind}")
+        with pytest.raises(NotEncodable):
+            compose(CompositionRecipe(kind, sid, inner, options))
+        assert sid not in registered_schemes()
+
+
+class TestBoundedUniformSegments:
+    def test_a_huge_total_length_is_rejected_before_listing_segments(self):
+        import time
+
+        from colcirc.errors import ColcircError
+
+        sid = unique_id("hugeseg")
+        compose(CompositionRecipe("segmentize-uniform", sid, (_NULLSUP,), {"segment_length": 4}))
+        inst = encode(sid, {}, make_column(U32, [1, 2, 3, 4, 5, 6]))
+        huge = inst.with_columns(total_length=scalar_column(INT, 2**40))
+        t0 = time.perf_counter()
+        assert not verify(huge)
+        assert time.perf_counter() - t0 < 1
+        t0 = time.perf_counter()
+        with pytest.raises(ColcircError):
+            decode(huge, check=False)
+        assert time.perf_counter() - t0 < 1
+
+    def test_a_total_length_that_fits_still_decodes(self):
+        sid = unique_id("fitseg")
+        compose(CompositionRecipe("segmentize-uniform", sid, (_NULLSUP,), {"segment_length": 4}))
+        for n in range(10):
+            inst = encode(sid, {}, make_column(U32, list(range(n))))
+            assert verify(inst) and decode(inst)["col"].values == tuple(range(n))
+            for wrong in {n - 1, n + 1, n + 4} - {-1}:
+                assert not verify(inst.with_columns(total_length=scalar_column(INT, wrong)))
+
+
 class TestVerifierCircuits:
     def test_verifier_signature_matches_decoder_signature(self):
         from colcirc.circuit import evaluate_decision_circuit
