@@ -11,8 +11,8 @@ programs too.
 
 from __future__ import annotations
 
-from .circuit import IN, OUT, ColumnarCircuit, PortRef, check_valid, circuit
-from .errors import ColcircError
+from .circuit import IN, OUT, ColumnarCircuit, PortRef, ValidationReport, Violation, circuit, validate_circuit
+from .errors import ColcircError, InvalidCircuitError
 from .ops import instantiate
 from .types import INT
 
@@ -42,6 +42,9 @@ class CircuitBuilder:
         self._edges = set()
         self._inputs = {}  # label -> [PortRef (in), ...] it feeds
         self._outputs = {}  # label -> PortRef (out)
+        # ``add`` feeds each in-port once, from earlier vertices; a failed feed check or ``embed`` voids that
+        self._proven = True
+        self._flaws = []  # what validation cannot see: wires of another builder
 
     def input(self, label: str) -> Input:
         return Input(label)
@@ -53,14 +56,11 @@ class CircuitBuilder:
         else a dict of them.
         """
         inst = instantiate(op_name, params or {})
+        if wired.keys() != inst.signature.inputs.keys():
+            raise ColcircError(f"{op_name} wires ports {sorted(wired)}, not its inputs {sorted(inst.signature.inputs)}")
         vid = self._place(inst)
         for label, src in wired.items():
-            if label not in inst.signature.inputs:
-                raise ColcircError(f"{op_name} has no input port {label!r}")
             self._feed(src, PortRef(vid, label, IN))
-        missing = set(inst.signature.inputs) - set(wired)
-        if missing:
-            raise ColcircError(f"{op_name} vertex {vid!r} left ports {sorted(missing)} unwired")
         outs = {label: Wire(self, PortRef(vid, label, OUT)) for label in inst.signature.outputs}
         if len(outs) == 1:
             return next(iter(outs.values()))
@@ -73,10 +73,18 @@ class CircuitBuilder:
 
     def _feed(self, src, tgt: PortRef) -> None:
         if isinstance(src, Wire):
+            if src.builder is not self:
+                self._proven = False
+                self._flaws.append(Violation("bad-edge-source", f"{src.port} is an out-port of another builder"))
+            else:
+                t_src = self._vertices[src.port[0]].signature.outputs[src.port[1]]
+                t_dst = self._vertices[tgt[0]].signature.inputs[tgt[1]]
+                self._proven &= t_src is t_dst or t_src == t_dst
             self._edges.add((src.port, tgt))
         elif isinstance(src, Input):
             self._inputs.setdefault(src.label, []).append(tgt)
         else:
+            self._proven = False  # ``add`` placed the vertex, which stays unfed
             raise ColcircError(f"cannot wire {src!r} into {tgt}")
 
     def embed(self, c: ColumnarCircuit, inputs: dict) -> dict:
@@ -92,8 +100,9 @@ class CircuitBuilder:
             raise ColcircError(f"embedding feeds {sorted(inputs)}, not the inputs {sorted(c.signature.inputs)}")
         used = {src for src, _ in c.edges} | {c.interface[label] for label in c.signature.outputs}
         through = {}  # out-port of a relay left out -> its feed
+        self._proven = False  # ``c`` may hold flaws ``add`` rules out: a cycle, a port fed twice
         for label, src in inputs.items():
-            if isinstance(src, Wire):
+            if isinstance(src, Wire) and src.builder is self:
                 vid, port_label, _ = src.port
                 if self._vertices[vid].signature.outputs[port_label] != c.signature.inputs[label]:
                     raise ColcircError(f"embedded input {label!r} takes {c.signature.inputs[label]}")
@@ -194,8 +203,8 @@ class CircuitBuilder:
         return self.last_element(type_name, agg)
 
     def output(self, label: str, wire: Wire) -> None:
-        if not isinstance(wire, Wire):
-            raise ColcircError(f"output {label!r} needs a vertex out-port, not {wire!r}")
+        if not isinstance(wire, Wire) or wire.builder is not self:
+            raise ColcircError(f"output {label!r} needs a vertex out-port of this builder, not {wire!r}")
         if label in self._outputs:
             raise ColcircError(f"output {label!r} already defined")
         self._outputs[label] = wire.port
@@ -224,7 +233,11 @@ class CircuitBuilder:
                 raise ColcircError(f"label {label!r} used for both an input and an output")
             interface[label] = port
         c = circuit(vertices, edges, interface)
-        return check_valid(c) if validate else c
+        if validate and not self._proven:
+            violations = (*self._flaws, *validate_circuit(c).violations)
+            if violations:
+                raise InvalidCircuitError(ValidationReport(violations))
+        return c
 
 
 def run_index_wires(b: CircuitBuilder, starts: Wire, total: Wire, int_t: str = str(INT)) -> Wire:

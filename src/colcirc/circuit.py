@@ -121,7 +121,6 @@ class ColumnarCircuit:
 def circuit(vertices, edges, interface) -> ColumnarCircuit:
     """Build a circuit, deriving its signature from the interface mapping."""
     vertices = dict(vertices)
-    edges = frozenset(edges)
     interface = dict(interface)
     ins, outs = {}, {}
     for label, port in interface.items():

@@ -56,6 +56,14 @@ def _int_option(recipe, name, default=None, most=None):
     return n
 
 
+def _hint(params, name):
+    """A per-call encoder hint: absent, or a list of non-negative integers."""
+    values = params.get(name)
+    if values is None or isinstance(values, (list, tuple)) and all(isinstance(v, int) and v >= 0 for v in values):
+        return values
+    raise NotEncodable(f"hint {name!r} must be a list of non-negative integers, not {values!r}")
+
+
 def _strip(prefix, columns):
     return {label[len(prefix) :]: col for label, col in columns.items() if label.startswith(prefix)}
 
@@ -290,7 +298,7 @@ class _AlternatingCodec(_ComposedCodec):
 
     def encode(self, params, family):
         col = family["col"]
-        partition = params.get("partition") or [0] * len(col)
+        partition = _hint(params, "partition") or [0] * len(col)
         k = len(self.inners)
         if len(partition) != len(col) or any(v >= k for v in partition):
             raise NotEncodable("partition assignment does not match the column")
@@ -400,7 +408,7 @@ class _SegmentizedCodec(_ComposedCodec):
         if self.uniform:
             segments = _segment_lengths_uniform(self.ell, len(col))
         else:
-            segments = params.get("segments")
+            segments = _hint(params, "segments")
             if segments is None:
                 segments = [len(col)] if len(col) else []
             if sum(segments) != len(col) or any(s < 1 for s in segments):

@@ -2,8 +2,8 @@
 
 Union, input assignment, induced subcircuits, subcircuit replacement,
 operator lifting, fusion into composite operators, and duplicate-vertex
-elimination.  All transformations are pure: the input circuit is never
-modified and a new circuit is returned.
+elimination.  All transformations are pure: they return a new circuit,
+which may share its operands' vertex maps, since no circuit is mutated.
 """
 
 from __future__ import annotations
@@ -22,61 +22,69 @@ from .circuit import (
     validate_circuit,
 )
 from .errors import ColcircError, InvalidCircuitError, OperatorError
-from .ops import OperatorInstance, instantiate, register_fused
+from .ops import OperatorInstance, Signature, instantiate, register_fused
 
 
-def _retag(c: ColumnarCircuit, tag: str, relabel: bool) -> ColumnarCircuit:
-    vmap = {vid: f"{tag}{vid}" for vid in c.vertices}
-    vertices = {vmap[vid]: op for vid, op in c.vertices.items()}
-    edges = {(PortRef(vmap[s[0]], s[1], OUT), PortRef(vmap[t[0]], t[1], IN)) for s, t in c.edges}
-    interface = {
-        (f"{tag}{label}" if relabel else label): PortRef(vmap[p[0]], p[1], p[2]) for label, p in c.interface.items()
-    }
-    return circuit(vertices, edges, interface)
+def _retagged(c: ColumnarCircuit, tag: str) -> ColumnarCircuit:
+    """``c`` with every vertex id prefixed by ``tag``; labels and signature stay."""
+    vertices = {tag + vid: op for vid, op in c.vertices.items()}
+    edges = {(PortRef(tag + s[0], s[1], OUT), PortRef(tag + t[0], t[1], IN)) for s, t in c.edges}
+    interface = {label: PortRef(tag + p[0], p[1], p[2]) for label, p in c.interface.items()}
+    return ColumnarCircuit(vertices, edges, interface, c.signature)
+
+
+def _renamed(c: ColumnarCircuit, name) -> ColumnarCircuit:
+    """``c`` with every interface label ``label`` renamed ``name(label)``, in place."""
+    sides = (c.signature.inputs, c.signature.outputs, c.interface)
+    ins, outs, interface = ({name(label): v for label, v in side.items()} for side in sides)
+    return ColumnarCircuit(c.vertices, c.edges, interface, Signature(ins, outs))
 
 
 def circuit_union(c1: ColumnarCircuit, c2: ColumnarCircuit) -> ColumnarCircuit:
-    """Disjoint union; colliding vertex ids or labels are tag-disambiguated."""
-    vertex_clash = set(c1.vertices) & set(c2.vertices)
-    label_clash = set(c1.interface) & set(c2.interface)
-    if vertex_clash or label_clash:
-        c1 = _retag(c1, "1:", relabel=bool(label_clash))
-        c2 = _retag(c2, "2:", relabel=bool(label_clash))
-    return circuit({**c1.vertices, **c2.vertices}, c1.edges | c2.edges, {**c1.interface, **c2.interface})
+    """Disjoint union: ``c1`` keeps its vertex ids, and on a clash ``c2``'s take the first tag ``n:``
+    (n >= 2) that makes them disjoint.  On a label clash all labels are tagged ``1:`` or ``2:``."""
+    if not c1.vertices.keys().isdisjoint(c2.vertices):
+        n = next(k for k in itertools.count(2) if not any(f"{k}:{vid}" in c1.vertices for vid in c2.vertices))
+        c2 = _retagged(c2, f"{n}:")
+    if not c1.interface.keys().isdisjoint(c2.interface):
+        c1, c2 = _renamed(c1, "1:".__add__), _renamed(c2, "2:".__add__)
+    s1, s2 = c1.signature, c2.signature
+    signature = Signature({**s1.inputs, **s2.inputs}, {**s1.outputs, **s2.outputs})
+    interface = {**c1.interface, **c2.interface}
+    return ColumnarCircuit({**c1.vertices, **c2.vertices}, c1.edges | c2.edges, interface, signature)
 
 
 def _reaches(c: ColumnarCircuit, start_vertex: str, goal_vertex: str) -> bool:
     consumers = {}
     for s, t in c.edges:
         consumers.setdefault(s[0], set()).add(t[0])
-    seen, stack = set(), [start_vertex]
+    seen, stack = {start_vertex}, [start_vertex]
     while stack:
         v = stack.pop()
         if v == goal_vertex:
             return True
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(consumers.get(v, ()))
+        fresh = consumers.get(v, set()) - seen
+        seen |= fresh
+        stack.extend(fresh)
     return False
 
 
 def assign_input(c: ColumnarCircuit, input_label: str, source: PortRef) -> ColumnarCircuit:
     """Engage the in-port behind ``input_label`` with an existing out-port."""
-    if input_label not in c.signature.inputs:
+    inputs = c.signature.inputs
+    if input_label not in inputs:
         raise ColcircError(f"{input_label!r} is not a circuit input label")
     target = c.interface[input_label]
     src_type = c.port_type(source)
     if source.direction != OUT or src_type is None:
         raise ColcircError(f"{source} is not a vertex out-port of this circuit")
-    if src_type != c.signature.inputs[input_label]:
-        raise OperatorError(
-            "type-mismatch", f"{source} has type {src_type}, input expects {c.signature.inputs[input_label]}"
-        )
+    if src_type != inputs[input_label]:
+        raise OperatorError("type-mismatch", f"{source} has type {src_type}, input expects {inputs[input_label]}")
     if _reaches(c, target.vertex_id, source.vertex_id):
         raise OperatorError("would-create-cycle", f"{source} depends on {target}")
     interface = {k: v for k, v in c.interface.items() if k != input_label}
-    return circuit(c.vertices, c.edges | {(source, target)}, interface)
+    signature = Signature({k: t for k, t in inputs.items() if k != input_label}, c.signature.outputs)
+    return ColumnarCircuit(c.vertices, c.edges | {(source, target)}, interface, signature)
 
 
 def cut_label(port: PortRef) -> str:
@@ -139,7 +147,7 @@ def replace_subcircuit(
 
     clash = set(survivors) & set(replacement.vertices)
     if clash:
-        replacement = _retag(replacement, "r:", relabel=False)
+        replacement = _retagged(replacement, "r:")
         rho = {
             PortRef(f"r:{p.vertex_id}", p.port_label, p.direction): q for p, q in rho.items()
         }
@@ -236,14 +244,16 @@ def rename_labels(c: ColumnarCircuit, mapping: dict) -> ColumnarCircuit:
             raise ColcircError(f"label {new!r} already in use")
         original[new] = original.pop(old)
     final = {label: name for name, label in original.items()}
-    return circuit(c.vertices, c.edges, {final[label]: port for label, port in c.interface.items()})
+    return _renamed(c, final.__getitem__)
 
 
 def drop_output(c: ColumnarCircuit, label: str) -> ColumnarCircuit:
     """Remove an output label from the interface (the vertex stays)."""
     if label not in c.signature.outputs:
         raise ColcircError(f"{label!r} is not an output label")
-    return circuit(c.vertices, c.edges, {k: v for k, v in c.interface.items() if k != label})
+    outputs = {k: t for k, t in c.signature.outputs.items() if k != label}
+    interface = {k: v for k, v in c.interface.items() if k != label}
+    return ColumnarCircuit(c.vertices, c.edges, interface, Signature(c.signature.inputs, outputs))
 
 
 def _params_key(params: dict) -> str:

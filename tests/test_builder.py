@@ -10,10 +10,21 @@ from collections import Counter
 
 import pytest
 
-from colcirc import CompositionRecipe, codec, compose, decode, encode, evaluate_circuit, make_column, verify
+from colcirc import (
+    CompositionRecipe,
+    circuit,
+    codec,
+    compose,
+    decode,
+    encode,
+    evaluate_circuit,
+    instantiate,
+    make_column,
+    verify,
+)
 from colcirc.builder import CircuitBuilder, Wire
 from colcirc.circuit import IN, OUT, PortRef
-from colcirc.errors import ColcircError
+from colcirc.errors import ColcircError, InvalidCircuitError
 from colcirc.types import INT, U8, U32, parse_type
 
 from scheme_cases import CASES
@@ -268,6 +279,63 @@ class TestEmbed:
             b.embed(_scale_circuit(), {"x": b.input("a"), "w": b.input("b")})
         with pytest.raises(ColcircError, match="takes u32"):
             b.embed(_scale_circuit(), {"x": b.scalar("u8", 1)})
+
+
+def _violation_kinds(b):
+    with pytest.raises(InvalidCircuitError) as exc:
+        b.build()
+    return [v.kind for v in exc.value.report.violations]
+
+
+class TestBuildFailures:
+    """``build()`` returns a valid circuit or raises ``InvalidCircuitError``."""
+
+    def test_type_mismatched_edge(self):
+        b = CircuitBuilder()
+        b.output("y", b.ew("scale", {"type": "u32", "k": 2}, arguments=b.scalar("u8", 1)))
+        assert _violation_kinds(b) == ["type-mismatch"]
+        assert b.build(validate=False).signature.outputs["y"] == U32
+
+    def test_wire_of_another_builder(self):
+        other = CircuitBuilder()
+        foreign = other.scalar("u32", 7)
+        b = CircuitBuilder()
+        b.output("n", b.length(foreign, "u32"))
+        assert "bad-edge-source" in _violation_kinds(b)
+
+    def test_wire_of_another_builder_under_an_id_of_this_one(self):
+        other = CircuitBuilder()
+        foreign = other.scalar("u32", 7)
+        b = CircuitBuilder()
+        own = b.scalar("u32", 7)
+        assert own.port == foreign.port
+        b.output("n", b.length(foreign, "u32"))
+        assert _violation_kinds(b) == ["bad-edge-source"]
+        with pytest.raises(ColcircError, match="of this builder"):
+            b.output("m", foreign)
+
+    def test_a_failed_add_leaves_its_vertex_unfed(self):
+        b = CircuitBuilder()
+        with pytest.raises(ColcircError, match="cannot wire"):
+            b.add_cols("u32", b.input("x"), 42)
+        b.output("n", b.length(b.input("y"), "u32"))
+        assert _violation_kinds(b) == ["unmapped-disengaged-input"]
+
+    def test_embedded_circuit_with_a_type_mismatched_edge(self):
+        inner = CircuitBuilder()
+        inner.output("y", inner.add_cols("u32", inner.input("x"), inner.scalar("u8", 1)))
+        bad = inner.build(validate=False)
+        b = CircuitBuilder()
+        b.output("y", b.embed(bad, {"x": b.input("x")})["y"])
+        assert _violation_kinds(b) == ["type-mismatch"]
+
+    def test_embedded_circuit_with_a_cycle(self):
+        vertices = {"a": instantiate("elementwise", {"fn": "add", "type": "u32"}), "b": instantiate("no_op", {"type": "u32"})}
+        edges = {(PortRef("a", "result", OUT), PortRef("b", "arguments", IN)), (PortRef("b", "result", OUT), PortRef("a", "rhs", IN))}
+        looped = circuit(vertices, edges, {"x": PortRef("a", "lhs", IN), "y": PortRef("a", "result", OUT)})
+        b = CircuitBuilder()
+        b.output("y", b.embed(looped, {"x": b.input("x")})["y"])
+        assert _violation_kinds(b) == ["cycle"]
 
 
 # The encoded form each kind declared before composed forms were derived from

@@ -367,6 +367,23 @@ class TestMalformedRecipes:
         assert sid not in registered_schemes()
 
 
+class TestMalformedHints:
+    @pytest.mark.parametrize(
+        "kind, inner, hint, values",
+        [
+            pytest.param("segmentize-variable", (_NULLSUP,), {"segments": [1.5, 1.5]}, [1, 2, 3], id="segments-fractional"),
+            pytest.param("segmentize-variable", (_NULLSUP,), {"segments": "ab"}, [1, 2], id="segments-a-string"),
+            pytest.param("alternate", (("constant", {"type": "u32"}), _NULLSUP), {"partition": "ab"}, [1, 2], id="partition-a-string"),
+            pytest.param("alternate", (("constant", {"type": "u32"}), _NULLSUP), {"partition": [-1, 0]}, [1, 2], id="partition-negative"),
+        ],
+    )
+    def test_encode_raises_not_encodable(self, kind, inner, hint, values):
+        sid = unique_id(f"hint.{kind}")
+        compose(CompositionRecipe(kind, sid, inner))
+        with pytest.raises(NotEncodable):
+            encode(sid, hint, make_column(U32, values))
+
+
 class TestBoundedUniformSegments:
     def test_a_huge_total_length_is_rejected_before_listing_segments(self):
         import time

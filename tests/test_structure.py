@@ -248,7 +248,33 @@ def spliced_q6(columns):
     return plan, inputs
 
 
+def count_passes(monkeypatch):
+    """Circuits whose structural pass is computed from now on, one entry per pass."""
+    walks = []
+    original = circuit_mod._structure
+
+    def counting(c):
+        if c._structure is None:
+            walks.append(c)
+        return original(c)
+
+    monkeypatch.setattr(circuit_mod, "_structure", counting)
+    return walks
+
+
 class TestOnePass:
+    def test_building_and_splicing_walk_nothing(self, monkeypatch):
+        columns = {"shipdate": [8800, 9000], "discount": [6, 2], "quantity": [3, 30], "extended_price": [1000, 2000]}
+        walks = count_passes(monkeypatch)
+        plan, inputs = spliced_q6(columns)
+        # the builder proves ``q6_circuit`` valid as it wires it, and the
+        # algebra derives each signature from its operands'
+        assert walks == []
+        assert validate_circuit(plan).ok
+        for _ in range(3):
+            assert evaluate_circuit(plan, inputs)["revenue"].values == (6000,)
+        assert walks == [plan]
+
     def test_validate_then_three_evaluations_walk_the_plan_once(self, monkeypatch):
         rng = random.Random(4)
         n = 12
@@ -259,15 +285,7 @@ class TestOnePass:
             "extended_price": [rng.randrange(1000, 90000) for _ in range(n)],
         }
         plan, inputs = spliced_q6(columns)
-        walks = []
-        original = circuit_mod._structure
-
-        def counting(c):
-            if c._structure is None:
-                walks.append(c)
-            return original(c)
-
-        monkeypatch.setattr(circuit_mod, "_structure", counting)
+        walks = count_passes(monkeypatch)
         assert validate_circuit(plan).ok
         want = q6_reference(*(columns[k] for k in ("shipdate", "discount", "quantity", "extended_price")))
         for _ in range(3):

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from colcirc import (
     assign_input,
+    circuit,
     circuit_union,
     eliminate_duplicate_vertices,
     evaluate_circuit,
@@ -17,10 +19,11 @@ from colcirc import (
     validate_circuit,
 )
 from colcirc.builder import CircuitBuilder
-from colcirc.circuit import IN, OUT, PortRef
+from colcirc.circuit import IN, OUT, PortRef, dump_circuit
+from colcirc.cli import main
 from colcirc.errors import EvaluationError, OperatorError, RegistryError
 from colcirc.gallery import double_plus_three
-from colcirc.transform import cut_label
+from colcirc.transform import cut_label, drop_output, rename_labels
 from colcirc.types import INT, U32, U64
 
 from circuit_gen import convex_closure, random_circuit, random_inputs
@@ -81,6 +84,54 @@ class TestUnion:
             for label, col in r2.items():
                 assert out.get(f"2:{label}", out.get(label)) == col
 
+    def test_left_ids_stay_and_right_ids_take_the_first_free_tag(self):
+        left, right = double_plus_three(), rename_labels(double_plus_three(), {"col": "x", "result": "y"})
+        u = circuit_union(left, right)
+        assert {vid: u.vertices[vid] for vid in left.vertices} == left.vertices
+        assert set(u.vertices) == set(left.vertices) | {f"2:{vid}" for vid in right.vertices}
+        assert u.interface["col"] == left.interface["col"]
+        assert u.interface["x"] == PortRef("2:relay", "arguments", IN)
+        again = circuit_union(u, right)  # ``2:`` is taken now
+        assert set(again.vertices) == set(u.vertices) | {f"3:{vid}" for vid in right.vertices}
+        fresh = circuit_union(left, lift_operator(instantiate("no_op", {"type": "u32"}), "fresh"))
+        assert set(fresh.vertices) == set(left.vertices) | {"fresh"}  # no clash, no tag
+
+    def test_chained_unions_stay_disjoint(self):
+        def copy(i):
+            return rename_labels(double_plus_three(), {"col": f"x{i}", "result": f"y{i}"})
+
+        left, right = circuit_union(copy(0), copy(1)), circuit_union(copy(2), copy(3))
+        assert "2:relay" in left.vertices and "2:relay" in right.vertices
+        for u, tag, n in [(circuit_union(copy(4), right), "2:", 3), (circuit_union(left, right), "3:", 4)]:
+            assert {f"{tag}relay", f"{tag}2:relay"} <= set(u.vertices)
+            assert len(u.vertices) == 8 * n and validate_circuit(u).ok
+            inputs = {label: make_column(U32, [int(label[1:])]) for label in u.signature.inputs}
+            out = evaluate_circuit(u, inputs)
+            assert {label: col.values for label, col in out.items()} == {
+                f"y{label[1:]}": (2 * col.values[0] + 3,) for label, col in inputs.items()
+            }
+
+    def test_label_clashes_are_tagged_1_and_2(self):
+        u = circuit_union(double_plus_three(), double_plus_three())
+        assert set(u.signature.inputs) == {"1:col", "2:col"}
+        assert set(u.signature.outputs) == {"1:result", "2:result"}
+        assert u.interface["1:col"] == PortRef("relay", "arguments", IN)
+        assert u.interface["2:col"] == PortRef("2:relay", "arguments", IN)
+        out = evaluate_circuit(u, {"1:col": make_column(U32, [1]), "2:col": make_column(U32, [5])})
+        assert (out["1:result"].values, out["2:result"].values) == ((5,), (13,))
+
+    def test_cli_union_keeps_the_first_circuits_ids(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(dump_circuit(double_plus_three()))
+        second.write_text(dump_circuit(lift_operator(instantiate("no_op", {"type": "u32"}), "relay")))
+        out = tmp_path / "u.json"
+        assert main(["transform", str(first), "--op", "union", "--other", str(second), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        ids = {v["id"] for v in doc["vertices"]}
+        assert ids == set(double_plus_three().vertices) | {"2:relay"}
+        assert doc["interface"]["1:col"] == "relay.arguments"
+        assert doc["interface"]["2:arguments"] == "2:relay.arguments"
+
 
 class TestAssign:
     def test_iota_into_gather(self):
@@ -125,6 +176,35 @@ class TestAssign:
         )
         flat = evaluate_circuit(c, {"col": col, "v": other})
         assert flat["final"] == nested["final"]
+
+
+class TestDerivedSignatures:
+    """Union, assignment, renaming and dropping derive the result's signature
+    from their operands'; it must be the one ``circuit()`` derives from the
+    result's interface, in the same label order."""
+
+    def test_against_a_rebuilt_circuit(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            u = circuit_union(random_circuit(rng, n_inputs=2, n_steps=5), random_circuit(rng, n_inputs=1, n_steps=5))
+            results = [u, rename_labels(u, {label: f"r:{label}" for label in list(u.interface)[::2]})]
+            results += [drop_output(u, label) for label in u.signature.outputs]
+            for label, t in u.signature.inputs.items():
+                for src in u.out_ports():
+                    if u.port_type(src) != t:
+                        continue
+                    interface = {k: v for k, v in u.interface.items() if k != label}
+                    rebuilt = circuit(u.vertices, u.edges | {(src, u.interface[label])}, interface)
+                    if validate_circuit(rebuilt).ok:
+                        results.append(assign_input(u, label, src))
+                    else:
+                        with pytest.raises(OperatorError, match="would-create-cycle"):
+                            assign_input(u, label, src)
+            for r in results:
+                twin = circuit(r.vertices, r.edges, r.interface)
+                assert r == twin and validate_circuit(r).ok
+                assert list(r.signature.inputs) == list(twin.signature.inputs)
+                assert list(r.signature.outputs) == list(twin.signature.outputs)
 
 
 class TestInducedSubcircuit:
