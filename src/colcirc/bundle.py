@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 
+from .circuit import json_document
 from .codec import SchemeInstance, codec
 from .column import read_col_file, write_col_file
 from .errors import ColcircError
@@ -34,7 +35,7 @@ def read_bundle(directory) -> SchemeInstance:
         path = directory
         directory = os.path.dirname(directory)
     with open(path) as f:
-        manifest = json.load(f)
+        manifest = json_document(f.read(), "manifest")
     if not isinstance(manifest, dict):
         raise ColcircError("manifest is not a JSON object")
     for key, kind, what in (("scheme", str, "a string"), ("params", dict, "an object"), ("columns", dict, "an object")):

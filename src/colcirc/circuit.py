@@ -521,5 +521,13 @@ def dump_circuit(c: ColumnarCircuit) -> str:
     return json.dumps(circuit_to_json(c), indent=2, sort_keys=True)
 
 
+def json_document(text: str, what: str):
+    """``json.loads(text)``, with nesting past the recursion limit a ``ColcircError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ColcircError(f"{what} is nested too deeply") from None
+
+
 def load_circuit(text: str) -> ColumnarCircuit:
-    return circuit_from_json(json.loads(text))
+    return circuit_from_json(json_document(text, "circuit JSON"))

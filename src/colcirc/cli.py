@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from .bundle import read_bundle, write_bundle
 from .circuit import (
-    circuit_from_json,
     circuit_to_json,
     evaluate_circuit,
     evaluate_ports,
+    json_document,
+    load_circuit,
     validate_circuit,
 )
 from .codec import SchemeInstance, codec as codec_entry, decode, encode, verify
@@ -60,14 +61,13 @@ def _load_params(text):
         return {}
     if text.startswith("@"):
         with open(text[1:]) as f:
-            return json.load(f)
-    return json.loads(text)
+            text = f.read()
+    return json_document(text, "params JSON")
 
 
 def _load_circuit_file(path):
     with open(path) as f:
-        doc = json.load(f)
-    c = circuit_from_json(doc)
+        c = load_circuit(f.read())
     report = validate_circuit(c)
     if not report.ok:
         raise InvalidCircuitError(report)
@@ -300,7 +300,7 @@ def build_parser():
     p.add_argument("--vertices", help="comma-separated vertex ids (induce/replace/fuse)")
     p.add_argument("--replacement", help="replacement circuit file (replace)")
     p.add_argument("--rho", help="semicolon-separated rport=oport pairs (replace)")
-    p.add_argument("--name", help="fused operator name (fuse)")
+    p.add_argument("--name", help="fused vertex id (fuse; default fused)")
     p.add_argument("-o", "--out", default="-")
     p.set_defaults(fn=cmd_transform)
 

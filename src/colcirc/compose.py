@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 from .builder import CircuitBuilder
 from .circuit import evaluate_circuit
@@ -22,10 +23,11 @@ from .codec import CodecEntry, _ResolvedParams, codec, register_codec
 from .column import Column, scalar_column
 from .errors import ColcircError, NotEncodable, OperatorError, TypeDomainError
 from .ops import OperatorInstance, Signature, register_operator
-from .types import INT, parse_type
+from .types import INT, Kind, parse_type
 
 _INT = str(INT)
 _WIDE = "i64"
+_WIDE_LO, _WIDE_HI = parse_type(_WIDE).bounds()
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,12 @@ def _hint(params, name):
 
 def _strip(prefix, columns):
     return {label[len(prefix) :]: col for label, col in columns.items() if label.startswith(prefix)}
+
+
+def _wide_bounds(t):
+    """The values of integer type ``t`` that survive a decoder's trip through ``i64`` and back."""
+    lo, hi = t.bounds()
+    return max(lo, _WIDE_LO), min(hi, _WIDE_HI)
 
 
 def _inner_decode(decoder, columns) -> Column:
@@ -175,7 +183,7 @@ class _ElementwiseAddCodec(_ComposedCodec):
     def host_verify(self, params, columns):
         a = self._decoded(0, columns)
         b = None if a is None else self._decoded(1, columns)
-        return b is not None and len(a) == len(b)
+        return b is not None and len(a) == len(b) and _sums_fit(parse_type(self.data_type), a.values, b.values)
 
     def encode(self, params, family):
         col = family["col"]
@@ -187,6 +195,19 @@ class _ElementwiseAddCodec(_ComposedCodec):
         return out
 
 
+def _sums_fit(t, xs, ys) -> bool:
+    """True if every ``x + y`` survives the decoder's add (in ``i64`` for integers) and cast back to ``t``."""
+    if not xs:
+        return True
+    if t.kind is Kind.FLOAT:
+        return t.width_bits == 64 or all(t.contains(x + y) for x, y in zip(xs, ys))
+    lo, hi = _wide_bounds(t)
+    # non-negative values only need the upper bound
+    if max(xs) + max(ys) <= hi and (t.kind is Kind.UNSIGNED or lo <= min(xs) + min(ys)):
+        return True
+    return all(lo <= x + y <= hi for x, y in zip(xs, ys))
+
+
 # -- differentiation / integration ---------------------------------------------------------
 
 
@@ -196,6 +217,8 @@ class _DifferentiateCodec(_ComposedCodec):
         if "type" not in recipe.options:
             raise NotEncodable("differentiate needs the option 'type'")
         self.diff_type, self.data_type = self.data_type, str(recipe.options["type"])
+        if not (parse_type(self.diff_type).is_integer and parse_type(self.data_type).is_integer):
+            raise NotEncodable(f"differentiate needs integer types, not {self.diff_type} and {self.data_type}")
 
     def build_decoder(self, params):
         t = self.data_type
@@ -210,8 +233,10 @@ class _DifferentiateCodec(_ComposedCodec):
         return b.build()
 
     def host_verify(self, params, columns):
-        entry, iparams, _ = self.inners[0]
-        return len(columns["first"]) == 1 and entry.verify_columns(iparams, _strip("diff:", columns))
+        if len(columns["first"]) != 1:
+            return False
+        diffs = self._decoded(0, columns)
+        return diffs is not None and _running_sums_fit(parse_type(self.data_type), columns["first"].values[0], diffs.values)
 
     def encode(self, params, family):
         col = family["col"]
@@ -224,6 +249,20 @@ class _DifferentiateCodec(_ComposedCodec):
         out = self._encoded(0, {"col": diffs})
         out["first"] = scalar_column(parse_type(self.data_type), col.values[0])
         return out
+
+
+def _running_sums_fit(t, first, diffs) -> bool:
+    """True if the decoder's prefix sums of ``diffs`` and ``first`` plus each stay in ``i64``
+    and cast back to ``t``."""
+    lo, hi = _wide_bounds(t)
+    if not lo <= first <= hi:
+        return False
+    if not diffs:
+        return True
+    # only a u64 difference can exceed i64, and then so does its (non-negative) prefix sum
+    sums = list(accumulate(diffs))
+    low, high = min(sums), max(sums)
+    return _WIDE_LO <= low and high <= _WIDE_HI and lo <= first + low and first + high <= hi
 
 
 # -- small-dictionary fitting ------------------------------------------------------------

@@ -47,7 +47,7 @@ class OperatorInstance:
     op_name: str
     params: dict
     signature: Signature
-    # fused operators capture an inner circuit; everything else leaves this None
+    # a ``fused`` instance's parsed subcircuit; everything else leaves this None
     inner: object = field(default=None, compare=False)
 
     # a ``scalar`` instance's output column, made and checked on its first
@@ -72,9 +72,9 @@ _CATALOG: dict[str, _OpDef] = {}
 REGISTRY_LOCK = threading.RLock()
 
 
-def register_operator(name, instantiate, apply, replace=False):
+def register_operator(name, instantiate, apply):
     with REGISTRY_LOCK:
-        if name in _CATALOG and not replace:
+        if name in _CATALOG:
             raise RegistryError(f"operator {name!r} already registered")
         _CATALOG[name] = _OpDef(name, instantiate, apply)
 
@@ -488,6 +488,10 @@ def _noop_run(inst, cols):
 _simple("no_op", _noop_sig, _noop_run)
 
 
+def _too_long(n):
+    return OperatorError("too-long", f"a length of {n} does not fit an index")
+
+
 def _replicate_sig(params):
     t = _typ(params)
     return {"value": t, "factor": INT}, {"replicated": t}
@@ -499,7 +503,11 @@ def _replicate_run(inst, cols):
     if factor < 0:
         raise OperatorError("negative-factor", f"cannot replicate {factor} times")
     t = inst.signature.outputs["replicated"]
-    return {"replicated": _out(t, (value,) * factor, _well_typed(inst, cols))}
+    try:
+        values = (value,) * factor
+    except OverflowError:
+        raise _too_long(factor) from None
+    return {"replicated": _out(t, values, _well_typed(inst, cols))}
 
 
 _simple("replicate", _replicate_sig, _replicate_run)
@@ -537,7 +545,10 @@ def _iota_run(inst, cols):
     t = inst.signature.outputs["result"]
     if n:
         _check_int(t, n - 1, what="iota maximum")
-    return {"result": Column._trusted(t, range(n))}  # 0 and n - 1 are in t
+    try:
+        return {"result": Column._trusted(t, range(n))}  # 0 and n - 1 are in t
+    except OverflowError:
+        raise _too_long(n) from None
 
 
 _simple("iota", _iota_sig, _iota_run)
@@ -705,9 +716,12 @@ def _replicate_segments_run(inst, cols):
     if factor < 0:
         raise OperatorError("negative-factor", f"cannot replicate {factor} times")
     out = []
-    for j in range(len(col) // ell):
-        seg = col.values[j * ell : (j + 1) * ell]
-        out.extend(seg * factor)
+    try:
+        for j in range(len(col) // ell):
+            seg = col.values[j * ell : (j + 1) * ell]
+            out.extend(seg * factor)
+    except OverflowError:
+        raise _too_long(factor) from None
     return {
         "replicated": _out(inst.signature.outputs["replicated"], out, _well_typed(inst, cols)),
         "out_segment_length": scalar_column(INT, ell),
@@ -733,8 +747,11 @@ def _replicate_within_run(inst, cols):
     if factor < 0:
         raise OperatorError("negative-factor", f"cannot replicate {factor} times")
     out = []
-    for v in col.values:
-        out.extend([v] * factor)
+    try:
+        for v in col.values:
+            out.extend([v] * factor)
+    except OverflowError:
+        raise _too_long(factor) from None
     return {
         "replicated": _out(inst.signature.outputs["replicated"], out, _well_typed(inst, cols)),
         "out_segment_length": scalar_column(INT, ell * factor),
@@ -931,22 +948,6 @@ def _carve_inst(params):
 
 
 register_operator("carve", _carve_inst, _ew_apply)
-
-
-# -- fused (synthesized composite) operators ----------------------------------
-
-
-def register_fused(name: str, circuit) -> None:
-    """Register a composite operator whose evaluation runs a captured circuit."""
-    from .circuit import evaluate_circuit  # local import to avoid a cycle
-
-    def inst_fn(params):
-        return OperatorInstance(name, dict(params), circuit.signature, inner=circuit)
-
-    def run_fn(inst, cols):
-        return evaluate_circuit(circuit, cols)
-
-    register_operator(name, inst_fn, run_fn)
 
 
 # -- convenience wrappers (direct library calls, mirrors of the catalog) -------

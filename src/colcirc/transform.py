@@ -1,7 +1,7 @@
 """Structural algebra over circuits.
 
 Union, input assignment, induced subcircuits, subcircuit replacement,
-operator lifting, fusion into composite operators, and duplicate-vertex
+operator lifting, fusion into one ``fused`` vertex, and duplicate-vertex
 elimination.  All transformations are pure: they return a new circuit,
 which may share its operands' vertex maps, since no circuit is mutated.
 """
@@ -19,10 +19,13 @@ from .circuit import (
     PortRef,
     check_valid,
     circuit,
+    circuit_from_json,
+    circuit_to_json,
+    evaluate_circuit,
     validate_circuit,
 )
 from .errors import ColcircError, InvalidCircuitError, OperatorError
-from .ops import OperatorInstance, Signature, instantiate, register_fused
+from .ops import OperatorInstance, Signature, instantiate, register_operator
 
 
 def _retagged(c: ColumnarCircuit, tag: str) -> ColumnarCircuit:
@@ -145,12 +148,11 @@ def replace_subcircuit(
     removed = induced_subcircuit(c, keep)
     survivors = {vid: op for vid, op in c.vertices.items() if vid not in keep}
 
-    clash = set(survivors) & set(replacement.vertices)
-    if clash:
-        replacement = _retagged(replacement, "r:")
-        rho = {
-            PortRef(f"r:{p.vertex_id}", p.port_label, p.direction): q for p, q in rho.items()
-        }
+    if not replacement.vertices.keys().isdisjoint(survivors):
+        tags = itertools.chain(["r:"], (f"r{k}:" for k in itertools.count(2)))
+        tag = next(t for t in tags if not any(t + vid in survivors for vid in replacement.vertices))
+        replacement = _retagged(replacement, tag)
+        rho = {PortRef(tag + p.vertex_id, p.port_label, p.direction): q for p, q in rho.items()}
 
     # the cut ports of the removed region, and ports the outer circuit expects
     cut_ports = {port for label, port in removed.interface.items() if label.startswith(RESERVED_LABEL_PREFIX)}
@@ -201,29 +203,37 @@ def replace_subcircuit(
     return check_valid(result)
 
 
-_fused_counter = itertools.count(1)
-
-
 def fuse_subcircuit(c: ColumnarCircuit, vertex_set, fused_name: str | None = None) -> ColumnarCircuit:
-    """Replace ``vertex_set`` by one vertex running the captured subcircuit.
+    """Replace ``vertex_set`` by one ``fused`` vertex that carries the induced subcircuit.
 
-    The synthesized operator is registered in the catalog under
-    ``fused_name`` and interiors are evaluated without exposing their edges.
+    ``fused_name`` (default ``fused``, with dots replaced) names the vertex;
+    the interior is evaluated without exposing its edges.
     """
     keep = set(vertex_set)
     if not keep:
         raise ColcircError("cannot fuse an empty vertex set")
-    if fused_name is None:
-        fused_name = f"fused:{next(_fused_counter)}"
     inner = induced_subcircuit(c, keep)
-    register_fused(fused_name, inner)
-    op = instantiate(fused_name)
-    vid = fused_name.replace(".", "_")
+    op = instantiate("fused", {"circuit": circuit_to_json(inner)})
+    vid = (fused_name or "fused").replace(".", "_")
     lifted = lift_operator(op, vertex_id=vid)
     rho = {}
     for label, port in inner.interface.items():
         rho[PortRef(vid, label, port.direction)] = port
     return replace_subcircuit(c, keep, lifted, rho)
+
+
+def _fused_instantiate(params):
+    if "circuit" not in params:
+        raise OperatorError("bad-params", "missing 'circuit' parameter")
+    inner = check_valid(circuit_from_json(params["circuit"]))
+    return OperatorInstance("fused", dict(params), inner.signature, inner=inner)
+
+
+def _fused_apply(inst, cols):
+    return evaluate_circuit(inst.inner, cols)
+
+
+register_operator("fused", _fused_instantiate, _fused_apply)
 
 
 def rename_label(c: ColumnarCircuit, old: str, new: str) -> ColumnarCircuit:
@@ -266,8 +276,8 @@ def _params_key(params: dict) -> str:
 def eliminate_duplicate_vertices(c: ColumnarCircuit) -> ColumnarCircuit:
     """Merge vertices with identical operator, params, and input sources.
 
-    Runs to a fixpoint; the evaluated function is unchanged.  Fused
-    operators only merge when they are the same registered operator.
+    Runs to a fixpoint; the evaluated function is unchanged.  Two ``fused``
+    vertices merge when their subcircuits' JSON documents are equal.
     """
     current = c
     while True:

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import colcirc
 from colcirc import (
+    SchemeInstance,
     circuit_to_json,
     make_column,
     read_bundle,
@@ -14,7 +18,9 @@ from colcirc import (
 )
 from colcirc.cli import main
 from colcirc.gallery import double_plus_three
-from colcirc.types import INT, U8, U32
+from colcirc.types import INT, U8, U32, U64
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
 
 
 def sha(path):
@@ -179,6 +185,22 @@ class TestTransformCli:
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         assert main(["eval", str(cpath), "--input", f"col={inpath}", "-o", out1]) == 0
         assert main(["eval", fused_path, "--input", f"col={inpath}", "-o", out2]) == 0
+        assert sha(os.path.join(out1, "result.col")) == sha(os.path.join(out2, "result.col"))
+
+    def test_fused_circuit_evaluates_in_a_fresh_process(self, tmp_path):
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps(circuit_to_json(double_plus_three())))
+        fused_path = str(tmp_path / "fused.json")
+        vertices = "mul,add,rep_two,rep_three,len"
+        assert main(["transform", str(cpath), "--op", "fuse", "--vertices", vertices, "-o", fused_path]) == 0
+        inpath = tmp_path / "in.col"
+        write_col_file(inpath, make_column(U32, [4, 11, 0]))
+        out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        assert main(["eval", str(cpath), "--input", f"col={inpath}", "-o", out1]) == 0
+        env = dict(os.environ, PYTHONPATH=SRC)
+        cmd = [sys.executable, "-m", "colcirc.cli", "eval", fused_path, "--input", f"col={inpath}", "-o", out2]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
         assert sha(os.path.join(out1, "result.col")) == sha(os.path.join(out2, "result.col"))
 
     def test_dedup_idempotent(self, tmp_path):
@@ -362,6 +384,20 @@ class TestMalformedCircuitJsonExitOne:
         assert "circuit JSON" in capsys.readouterr().err
 
 
+class TestDeepJsonExitOne:
+    def test_circuit_file(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 100000)
+        assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_params_file(self, tmp_path, runs_col, capsys):
+        path = tmp_path / "params.json"
+        path.write_text("[" * 100000)
+        assert main(["encode", "--scheme", "run.rle", "--params", f"@{path}", runs_col, str(tmp_path / "b")]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 class TestUnknownTypeNameExitOne:
     @pytest.mark.parametrize("name", ["zz", "prod(u8,", "u65", "", "prod(u8,zz)"])
     def test_vertex_param(self, tmp_path, name, capsys):
@@ -377,6 +413,25 @@ class TestUnknownTypeNameExitOne:
         path.write_text(json.dumps(doc))
         assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
         assert "'zz'" in capsys.readouterr().err
+
+
+class TestLengthBeyondAnIndexExitFive:
+    # verify accepts these, so decoding reaches the operator that cannot allocate the length
+    @pytest.mark.parametrize(
+        "scheme, params, columns",
+        [
+            ("run.rpe", {"type": "u8"}, {"start_position": [0], "value": [7], "overall_length": [2**64 - 1]}),
+            ("indexset.sparse", {}, {"full_length": [2**64 - 1], "elements": [0, 3]}),
+            ("segmentation.uniform", {"segment_length": 4}, {"segment_length": [4], "overall_length": [2**64 - 1]}),
+        ],
+    )
+    def test_decode_exits_5(self, tmp_path, scheme, params, columns, capsys):
+        types = {"value": U8}
+        cols = {label: make_column(types.get(label, U64), values) for label, values in columns.items()}
+        bundle = str(tmp_path / "bundle")
+        write_bundle(SchemeInstance(scheme, params, cols), bundle)
+        assert main(["decode", bundle, str(tmp_path / "out")]) == 5
+        assert "too-long" in capsys.readouterr().err
 
 
 class TestMalformedManifestExitOne:

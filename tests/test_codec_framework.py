@@ -20,7 +20,7 @@ from colcirc import (
     verify,
 )
 from colcirc.codec import CodecEntry
-from colcirc.errors import NotEncodable, RegistryError, TypeDomainError, VerificationFailed
+from colcirc.errors import EvaluationError, NotEncodable, RegistryError, TypeDomainError, VerificationFailed
 from colcirc.types import BIT, F32, F64, I8, I64, INT, U8, U16, U32
 
 _suffix = itertools.count()
@@ -567,3 +567,95 @@ class TestIllFormedInstancesRejected:
         sid = unique_id(f"illformed.{kind}")
         compose(CompositionRecipe(kind, sid, inner, options))
         _assert_ill_formed_rejected(encode(sid, params, make_column(t, values)))
+
+
+def _decodes(inst) -> bool:
+    try:
+        decode(inst, check=False)
+    except (EvaluationError, TypeDomainError):  # an f32 add beyond f32 raises the latter
+        return False
+    return True
+
+
+class TestComposedVerifiersCheckTheFinalCast:
+    """``verify`` of an elementwise-add or differentiate instance holds exactly when its decoder succeeds."""
+
+    def test_elementwise_add_sum_beyond_the_type(self):
+        sid = unique_id("ewadd.u8")
+        inner = ("nullsup", {"type": "u8", "narrow_type": "u8"})
+        compose(CompositionRecipe("elementwise-add", sid, (inner, inner)))
+        bad = SchemeInstance(sid, {}, {"a:narrow": make_column(U8, [200]), "b:narrow": make_column(U8, [200])})
+        assert not verify(bad) and not _decodes(bad)
+        edge = bad.with_columns(**{"b:narrow": make_column(U8, [55])})
+        assert verify(edge) and decode(edge)["col"].values == (255,)
+
+    def test_elementwise_add_f32_sum_beyond_the_type(self):
+        sid = unique_id("ewadd.f32")
+        inner = ("constant", {"type": "f32"})
+        compose(CompositionRecipe("elementwise-add", sid, (inner, inner)))
+        big = 3.4028234663852886e38  # the largest f32
+        cols = {"a:value": make_column(F32, [big]), "b:value": make_column(F32, [big])}
+        cols.update({"a:length": make_column(INT, [2]), "b:length": make_column(INT, [2])})
+        bad = SchemeInstance(sid, {}, cols)
+        assert not verify(bad) and not _decodes(bad)
+        fine = bad.with_columns(**{"b:value": make_column(F32, [-big])})
+        assert verify(fine) and decode(fine)["col"].values == (0.0, 0.0)
+
+    @pytest.mark.parametrize("t", ["u8", "i8", "u64", "i64"])
+    def test_elementwise_add_agrees_with_decode(self, t):
+        sid = unique_id(f"ewadd.{t}")
+        inner = ("nullsup", {"type": t, "narrow_type": t})
+        compose(CompositionRecipe("elementwise-add", sid, (inner, inner)))
+        et = codec(sid).form_spec({})["a:narrow"]
+        lo, hi = et.bounds()
+        rng = random.Random(t)
+        picks = [lo, hi, lo // 2, hi // 2, hi // 2 + 1, 0, 1, -1, 2**63 - 1, 2**63]
+        picks = [v for v in picks if lo <= v <= hi]
+        for _ in range(200):
+            n = rng.randrange(0, 4)
+            a, b = ([rng.choice(picks) for _ in range(n)] for _ in range(2))
+            inst = SchemeInstance(sid, {}, {"a:narrow": make_column(et, a), "b:narrow": make_column(et, b)})
+            assert verify(inst) == _decodes(inst), (a, b)
+
+    def test_differentiate_sum_beyond_the_type(self):
+        sid = unique_id("diff.i8")
+        compose(CompositionRecipe("differentiate", sid, (("nullsup", {"type": "i8", "narrow_type": "i8"}),), {"type": "u8"}))
+        bad = SchemeInstance(sid, {}, {"diff:narrow": make_column(I8, [100, 100]), "first": make_column(U8, [200])})
+        assert not verify(bad) and not _decodes(bad)
+        edge = bad.with_columns(first=make_column(U8, [55]))
+        assert verify(edge) and decode(edge)["col"].values == (55, 155, 255)
+
+    @pytest.mark.parametrize("diff_type, t", [("i8", "u8"), ("i64", "u64"), ("u64", "i64"), ("i64", "i64")])
+    def test_differentiate_agrees_with_decode(self, diff_type, t):
+        sid = unique_id(f"diff.{diff_type}.{t}")
+        compose(CompositionRecipe("differentiate", sid, (("nullsup", {"type": diff_type, "narrow_type": diff_type}),), {"type": t}))
+        spec = codec(sid).form_spec({})
+        dt, ft = spec["diff:narrow"], spec["first"]
+        rng = random.Random(diff_type + t)
+        for _ in range(200):
+            d_lo, d_hi = dt.bounds()
+            f_lo, f_hi = ft.bounds()
+            diffs = [rng.choice([d_lo, d_hi, 0, 1, d_hi // 2, d_lo // 2]) for _ in range(rng.randrange(0, 4))]
+            first = rng.choice([f_lo, f_hi, 0, f_hi // 2, 2**63 - 1, 2**63])
+            first = min(max(first, f_lo), f_hi)
+            inst = SchemeInstance(sid, {}, {"diff:narrow": make_column(dt, diffs), "first": make_column(ft, [first])})
+            assert verify(inst) == _decodes(inst), (first, diffs)
+
+    def test_differentiate_needs_integer_types(self):
+        with pytest.raises(NotEncodable, match="integer"):
+            compose(CompositionRecipe("differentiate", unique_id("diff.f64"), (("nullsup", {"type": "i8", "narrow_type": "i8"}),), {"type": "f64"}))
+
+
+class TestLengthBeyondAnIndex:
+    @pytest.mark.parametrize(
+        "scheme, params, columns",
+        [
+            ("run.rpe", {"type": "u8"}, {"start_position": [0], "value": [7], "overall_length": [2**64 - 1]}),
+            ("indexset.sparse", {}, {"full_length": [2**64 - 1], "elements": [0, 3]}),
+            ("segmentation.uniform", {"segment_length": 4}, {"segment_length": [4], "overall_length": [2**64 - 1]}),
+        ],
+    )
+    def test_decode_raises_evaluation_error(self, scheme, params, columns):
+        cols = {label: make_column(U8 if label == "value" else INT, values) for label, values in columns.items()}
+        with pytest.raises(EvaluationError, match="too-long"):
+            decode(SchemeInstance(scheme, params, cols), check=False)

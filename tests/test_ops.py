@@ -113,6 +113,22 @@ class TestSimpleOps:
         assert ops.select_indices(bits([0, 1])).values == (1,)
 
 
+class TestLengthBeyondAnIndex:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: ops.replicate(u8([1]), n),
+            lambda n: ops.iota(n),
+            lambda n: ops.replicate_segments(u8([1, 2]), 1, n),
+            lambda n: ops.replicate_within_segments(u8([1, 2]), 1, n),
+        ],
+        ids=["replicate", "iota", "replicate_segments", "replicate_within_segments"],
+    )
+    def test_operator_error(self, call):
+        with pytest.raises(OperatorError, match="too-long"):
+            call(2**64 - 1)
+
+
 class TestSegmentedOps:
     def test_transpose_derived(self):
         col = u8(range(6))

@@ -6,7 +6,9 @@ import pytest
 
 from colcirc import (
     assign_input,
+    catalog_names,
     circuit,
+    circuit_to_json,
     circuit_union,
     eliminate_duplicate_vertices,
     evaluate_circuit,
@@ -19,9 +21,9 @@ from colcirc import (
     validate_circuit,
 )
 from colcirc.builder import CircuitBuilder
-from colcirc.circuit import IN, OUT, PortRef, dump_circuit
+from colcirc.circuit import IN, OUT, PortRef, dump_circuit, load_circuit
 from colcirc.cli import main
-from colcirc.errors import EvaluationError, OperatorError, RegistryError
+from colcirc.errors import ColcircError, EvaluationError, InvalidCircuitError, OperatorError
 from colcirc.gallery import double_plus_three
 from colcirc.transform import cut_label, drop_output, rename_labels
 from colcirc.types import INT, U32, U64
@@ -319,6 +321,34 @@ class TestReplace:
             assert evaluate_circuit(replaced, {"col": col2})["rebuilt"] == col2
 
 
+def _with_vertex_renamed(c, old, new):
+    def moved(p):
+        return PortRef(new, p.port_label, p.direction) if p.vertex_id == old else p
+
+    vertices = {new if vid == old else vid: op for vid, op in c.vertices.items()}
+    edges = {(moved(s), moved(t)) for s, t in c.edges}
+    return circuit(vertices, edges, {label: moved(p) for label, p in c.interface.items()})
+
+
+class TestReplaceIdClash:
+    def test_first_free_tag(self):
+        # the survivors hold both ``len`` and ``r:len``, so the replacement's ``len`` becomes ``r2:len``
+        c = _with_vertex_renamed(double_plus_three(), "add", "r:len")
+        lifted = lift_operator(c.vertices["mul"], vertex_id="len")
+        rho = {lifted.interface[label]: PortRef("mul", label, port.direction) for label, port in lifted.interface.items()}
+        out = replace_subcircuit(c, {"mul"}, lifted, rho)
+        assert out.vertices["r:len"] == c.vertices["r:len"]
+        assert out.vertices["r2:len"] == c.vertices["mul"]
+        col = make_column(U32, [6, 1])
+        assert evaluate_circuit(out, {"col": col}) == evaluate_circuit(double_plus_three(), {"col": col})
+
+    def test_first_tag_stays_r(self):
+        c = double_plus_three()
+        lifted = lift_operator(c.vertices["mul"], vertex_id="len")
+        rho = {lifted.interface[label]: PortRef("mul", label, port.direction) for label, port in lifted.interface.items()}
+        assert "r:len" in replace_subcircuit(c, {"mul"}, lifted, rho).vertices
+
+
 class TestLift:
     def test_lift_iota(self):
         c = lift_operator(instantiate("iota", {"type": _INT}))
@@ -375,11 +405,61 @@ class TestFuse:
         assert evaluate_circuit(fused, {"col": col}) == evaluate_circuit(c, {"col": col})
 
     def test_name_collision(self):
+        # a name only names the vertex, so reusing one is no error
         c = double_plus_three()
-        name = fresh_name("clash")
-        fuse_subcircuit(c, {"mul"}, name)
-        with pytest.raises(RegistryError):
-            fuse_subcircuit(c, {"mul"}, name)
+        first = fuse_subcircuit(c, {"mul"}, "clash")
+        again = fuse_subcircuit(c, {"mul"}, "clash")
+        assert circuit_to_json(first) == circuit_to_json(again)
+        twice = fuse_subcircuit(first, {"add"}, "clash")
+        assert {"clash", "r:clash"} <= set(twice.vertices)
+        col = make_column(U32, [5, 0])
+        assert evaluate_circuit(twice, {"col": col}) == evaluate_circuit(c, {"col": col})
+
+    def test_default_name_fusions_of_one_circuit(self):
+        c = double_plus_three()
+        fused = c
+        for region in ({"mul"}, {"add"}, {"len"}):
+            fused = fuse_subcircuit(fused, region)
+        assert {"fused", "r:fused", "r2:fused"} <= set(fused.vertices)
+        assert all(fused.vertices[v].op_name == "fused" for v in ("fused", "r:fused", "r2:fused"))
+        col = make_column(U32, [1, 7, 2])
+        assert evaluate_circuit(fused, {"col": col}) == evaluate_circuit(c, {"col": col})
+
+    def test_fusing_registers_nothing(self):
+        before = catalog_names()
+        c = double_plus_three()
+        for region in ({"mul", "add"}, {"len"}, {"rep_two"}):
+            c = fuse_subcircuit(c, region)
+        fuse_subcircuit(c, set(c.vertices), "named")
+        assert catalog_names() == before
+
+    def test_fused_vertex_carries_its_subcircuit(self):
+        c = double_plus_three()
+        fused = fuse_subcircuit(c, {"mul", "add"})
+        op = fused.vertices["fused"]
+        assert op == instantiate("fused", {"circuit": circuit_to_json(induced_subcircuit(c, {"mul", "add"}))})
+        assert op.signature == op.inner.signature
+
+    def test_nested_fusion_round_trips(self):
+        c = double_plus_three()
+        inner = fuse_subcircuit(c, {"rep_two", "mul"}, "inner")
+        outer = fuse_subcircuit(inner, {"inner", "add", "rep_three"}, "outer")
+        nested = outer.vertices["outer"].inner.vertices["inner"]
+        assert nested.op_name == "fused"
+        loaded = load_circuit(dump_circuit(outer))
+        assert circuit_to_json(loaded) == circuit_to_json(outer)
+        col = make_column(U32, [3, 0, 9])
+        assert evaluate_circuit(loaded, {"col": col}) == evaluate_circuit(c, {"col": col})
+
+    def test_bad_fused_params(self):
+        with pytest.raises(OperatorError, match="bad-params"):
+            instantiate("fused", {})
+        with pytest.raises(ColcircError, match="circuit JSON"):
+            instantiate("fused", {"circuit": {"vertices": ["a"]}})
+        invalid = circuit_to_json(double_plus_three())
+        invalid["edges"].append({"from": "add.result", "to": "relay.arguments"})
+        with pytest.raises(InvalidCircuitError):
+            instantiate("fused", {"circuit": invalid})
 
     def test_random_fusions_preserve_function(self):
         rng = random.Random(11)
