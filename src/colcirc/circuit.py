@@ -390,7 +390,9 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
             args[label] = slots[slot]
         try:
             result = op.apply(args)
-        except OperatorError as exc:
+        except EvaluationError:  # from a nested evaluation, which named its own vertex
+            raise
+        except ColcircError as exc:
             raise EvaluationError(vid, exc) from exc
         if len(result) != len(outs):
             _check_outputs(vid, op, result)
@@ -518,7 +520,10 @@ def circuit_from_json(doc: dict) -> ColumnarCircuit:
 
 
 def dump_circuit(c: ColumnarCircuit) -> str:
-    return json.dumps(circuit_to_json(c), indent=2, sort_keys=True)
+    try:
+        return json.dumps(circuit_to_json(c), indent=2, sort_keys=True)
+    except RecursionError:  # fused vertices nested past the recursion limit
+        raise ColcircError("circuit JSON is nested too deeply") from None
 
 
 def json_document(text: str, what: str):

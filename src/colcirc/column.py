@@ -16,17 +16,36 @@ from .errors import ColcircError, OperatorError
 from .types import ElementType, Kind, _interned
 
 
+# Below this many values a scan costs less than keeping a range, so no
+# shorter column records one (see ``Column._range``).
+_RANGED = 32
+
+
 class Column:
     """An immutable, fixed-element-type sequence of values.
 
     Columns compare equal iff they have the same element type, length and
     pointwise values.
+
+    ``_range`` is a private proven ``(lo, hi)`` around an integer column's
+    values, kept for columns of at least ``_RANGED`` values: the checked
+    constructor keeps the ``min``/``max`` its domain check found, and
+    catalog operators derive or record one where it is free (see
+    ``ops._interval``).  The slot stays unset while no range is known, so
+    building a column costs no extra store; read it with :func:`_range_of`.
+    It is a cache, not part of the value: ``==``, ``hash`` and every
+    serialization ignore it.
     """
 
-    __slots__ = ("element_type", "values", "_hash")
+    __slots__ = ("element_type", "values", "_hash", "_range")
 
     def __init__(self, element_type: ElementType, values):
-        vals = element_type.check_values(tuple(values))
+        vals = tuple(values)
+        found = element_type._contained(vals)
+        if found is False:
+            vals = element_type._walk(vals)
+        elif found is not None and len(vals) >= _RANGED:
+            _set_range(self, found)
         _set_type(self, element_type)
         _set_values(self, vals)
         _set_hash(self, None)
@@ -103,6 +122,12 @@ _new = object.__new__
 _set_type = Column.element_type.__set__
 _set_values = Column.values.__set__
 _set_hash = Column._hash.__set__
+_set_range = Column._range.__set__
+
+
+def _range_of(col: Column):
+    """The proven ``(lo, hi)`` recorded for ``col``, or None."""
+    return getattr(col, "_range", None)
 
 
 def make_column(element_type: ElementType, values) -> Column:

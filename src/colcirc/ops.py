@@ -18,13 +18,12 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 
-from .column import Column, scalar_column
+from .column import _RANGED, Column, _range_of, _set_range, scalar_column
 from .errors import OperatorError, RegistryError
 from .types import BIT, INT, ElementType, Kind, parse_type
 
 # an enum member is a descriptor lookup on its class; the hot paths read these
 _FLOAT = Kind.FLOAT
-_UNSIGNED = Kind.UNSIGNED
 
 
 @dataclass(frozen=True)
@@ -113,19 +112,77 @@ def _check_int(et: ElementType, value, what="result"):
     return value
 
 
-def _in_bounds(et: ElementType, values) -> bool:
+# -- value ranges ----------------------------------------------------------------
+#
+# An integer column may carry a proven ``(lo, hi)`` around its values
+# (``Column._range``).  A checked kernel derives an interval for its result
+# from its inputs' intervals and reads no value when that lies inside the
+# result type; otherwise it scans its result and records what it found,
+# so the next operator does not scan again.  Copy operators hand a
+# known data range on.  An interval only ever over-approximates, so a check
+# it skips could not have failed.
+#
+# Below ``_RANGED`` values a scan costs less than the bookkeeping, so short
+# outputs are only scanned and derive or inherit no range; an operator that
+# needs a short input's range reads it (``_known``).
+
+
+def _interval(col):
+    """A proven ``(lo, hi)`` around an integer column's values: its recorded
+    range, else its type's bounds; None for other columns."""
+    return _range_of(col) or col.element_type._bounds
+
+
+def _known(col, n):
+    """The recorded range of ``col``, or None.
+
+    An integer column with none and at most half as long as ``n``, the
+    length of the output it feeds, is scanned and keeps what it found.
+    """
+    rng = _range_of(col)
+    if rng is None and 0 < 2 * len(col.values) <= n and col.element_type._bounds is not None:
+        rng = min(col.values), max(col.values)
+        _set_range(col, rng)
+    return rng
+
+
+def _hull(ranges):
+    """The least interval around every one of ``ranges``; None if one is unknown."""
+    if None in ranges:
+        return None
+    return min(ranges)[0], max(map(_upper, ranges))
+
+
+_upper = operator.itemgetter(1)
+
+
+def _span(*ends):
+    return min(ends), max(ends)
+
+
+def _fit(t: ElementType, values, rng, what="result", sources=None):
+    """Prove integer results ``values`` inside ``t``; return a range around them.
+
+    ``rng`` is an interval around the values derived from the inputs', or
+    None.  When it lies inside ``t``'s bounds no value is read.  Otherwise
+    one ``min``/``max`` pass decides, and a value outside raises
+    ``OperatorError("overflow")`` naming the first one (as ``cast of <s>``
+    for the corresponding ``sources`` value, when given).  None for fewer
+    than ``_RANGED`` values, which keep no range.
+    """
     if not values:
-        return True
-    lo, hi = et.bounds()
-    return lo <= min(values) and max(values) <= hi
-
-
-def _check_ints(et: ElementType, values, what="result"):
-    """Range-check integer results in one pass; name the first offender."""
-    if not _in_bounds(et, values):
-        for v in values:
-            _check_int(et, v, what)
-    return values
+        return None
+    lo, hi = t._bounds or t.bounds()  # the call raises for a type without bounds
+    if rng is None or rng[0] < lo or hi < rng[1]:
+        rng = min(values), max(values)
+        if rng[0] < lo or hi < rng[1]:
+            if sources is None:
+                for v in values:
+                    _check_int(t, v, what)
+            else:
+                for s, v in zip(sources, values):
+                    _check_int(t, v, what=f"cast of {s}")
+    return rng if len(values) >= _RANGED else None
 
 
 # An operator output skips the domain re-check of ``Column(...)`` only where
@@ -145,9 +202,18 @@ def _well_typed(inst, cols) -> bool:
     return True
 
 
-def _out(t: ElementType, values, proved: bool) -> Column:
-    """The output column: unchecked if ``proved`` in ``t``'s domain, else checked."""
-    return Column._trusted(t, values) if proved else Column(t, values)
+def _out(t: ElementType, values, proved: bool, rng=None) -> Column:
+    """The output column: unchecked if ``proved`` in ``t``'s domain, else checked.
+
+    A proved column keeps ``rng``, a range around its values; a checked one
+    keeps what its check found.
+    """
+    if not proved:
+        return Column(t, values)
+    col = Column._trusted(t, values)
+    if rng is not None:
+        _set_range(col, rng)
+    return col
 
 
 # -- elementwise functions ---------------------------------------------------
@@ -157,19 +223,25 @@ def _out(t: ElementType, values, proved: bool) -> Column:
 # as ordered label->type dicts.
 
 
-def _binary_arith(fn_name, pyop):
+def _binary_arith(pyop, bound):
+    """A checked binary operator; ``bound`` maps the operands' intervals to the result's."""
+
     def sig(params):
         t = _typ(params)
         return {"lhs": t, "rhs": t}, {"result": t}
 
     def run(inst, cols):
         t = inst.signature.outputs["result"]
-        lhs, rhs = cols["lhs"].values, cols["rhs"].values
-        vals = list(map(pyop, lhs, rhs))
-        if t.kind is _FLOAT:
-            return {"result": Column(t, vals)}
-        _check_ints(t, vals)
-        return {"result": _out(t, vals, _well_typed(inst, cols))}
+        lhs, rhs = cols["lhs"], cols["rhs"]
+        vals = list(map(pyop, lhs.values, rhs.values))
+        if t.kind is _FLOAT:  # every Python float lies in f64; f32 results stay checked
+            return {"result": _out(t, vals, t.width_bits == 64 and _well_typed(inst, cols))}
+        rng = None
+        if len(vals) >= _RANGED:
+            a, b = _interval(lhs), _interval(rhs)
+            rng = a and b and bound(a, b)
+        rng = _fit(t, vals, rng)
+        return {"result": _out(t, vals, _well_typed(inst, cols), rng)}
 
     return sig, run
 
@@ -232,13 +304,14 @@ def _fn_in_range():
     return sig, run
 
 
-_CMPS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+# one comprehension per comparison, so no function is called per element
+_CONST_COMPARES = {
+    "eq": lambda vals, ref: [1 if v == ref else 0 for v in vals],
+    "ne": lambda vals, ref: [1 if v != ref else 0 for v in vals],
+    "lt": lambda vals, ref: [1 if v < ref else 0 for v in vals],
+    "le": lambda vals, ref: [1 if v <= ref else 0 for v in vals],
+    "gt": lambda vals, ref: [1 if v > ref else 0 for v in vals],
+    "ge": lambda vals, ref: [1 if v >= ref else 0 for v in vals],
 }
 
 
@@ -248,9 +321,8 @@ def _fn_const_compare():
         return {"arguments": t}, {"result": BIT}
 
     def run(inst, cols):
-        cmp = _CMPS[inst.params.get("cmp", "eq")]
-        ref = inst.params["value"]
-        vals = [1 if cmp(v, ref) else 0 for v in cols["arguments"].values]
+        compare = _CONST_COMPARES[inst.params.get("cmp", "eq")]
+        vals = compare(cols["arguments"].values, inst.params["value"])
         return {"result": Column._trusted(BIT, vals)}
 
     return sig, run
@@ -259,42 +331,25 @@ def _fn_const_compare():
 _F64_EXACT = 1 << 53
 
 
-def _widens(src: ElementType, dst: ElementType) -> bool:
-    """True if every value of integer type ``src`` lies in integer type ``dst``."""
-    if not (src.is_integer and dst.is_integer):
-        return False
-    lo, hi = dst.bounds()
-    src_lo, src_hi = src.bounds()
-    return lo <= src_lo and src_hi <= hi
-
-
-def _cast_values(vals, src: ElementType, dst: ElementType):
-    """Cast numeric values; the (src, dst) case is chosen once per column."""
-    if dst.kind is _FLOAT:
-        if src.is_integer and vals and (min(vals) < -_F64_EXACT or max(vals) > _F64_EXACT):
-            for v in vals:
-                if abs(v) > _F64_EXACT:
-                    raise OperatorError("overflow", f"{v} not exactly representable as a float")
-        out = list(map(float, vals))
-        if dst.width_bits == 32:
-            f32 = array("f", out).tolist()
-            if src.kind is _FLOAT and src.width_bits == 64 and f32 != out:
-                for v, f in zip(out, f32):
-                    if f != v and v == v:
-                        raise OperatorError("overflow", f"{v} not exactly representable as f32")
-            out = f32
-        return out
-    if src.kind is _FLOAT:
-        try:
-            out = list(map(int, vals))  # truncation toward zero
-        except (ValueError, OverflowError):
-            bad = next(v for v in vals if not math.isfinite(v))
-            raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
-    else:
-        out = vals
-    if not _in_bounds(dst, out):
-        for v, iv in zip(vals, out):
-            _check_int(dst, iv, what=f"cast of {v}")
+def _float_cast(arg: Column, src: ElementType, dst: ElementType):
+    """Cast numeric values to a float type; integers beyond 2**53 overflow."""
+    vals = arg.values
+    if src.is_integer and vals:
+        rng = _interval(arg)
+        if rng is None or rng[0] < -_F64_EXACT or rng[1] > _F64_EXACT:
+            rng = min(vals), max(vals)
+            if rng[0] < -_F64_EXACT or rng[1] > _F64_EXACT:
+                for v in vals:
+                    if abs(v) > _F64_EXACT:
+                        raise OperatorError("overflow", f"{v} not exactly representable as a float")
+    out = list(map(float, vals))
+    if dst.width_bits == 32:
+        f32 = array("f", out).tolist()
+        if src.kind is _FLOAT and src.width_bits == 64 and f32 != out:
+            for v, f in zip(out, f32):
+                if f != v and v == v:
+                    raise OperatorError("overflow", f"{v} not exactly representable as f32")
+        out = f32
     return out
 
 
@@ -309,13 +364,22 @@ def _fn_cast():
     def run(inst, cols):
         src = inst.signature.inputs["arguments"]
         dst = inst.signature.outputs["result"]
-        vals = cols["arguments"].values
-        well_typed = _well_typed(inst, cols)
-        if well_typed and _widens(src, dst):  # src's domain lies in dst's: nothing to check
-            return {"result": Column._trusted(dst, vals)}
-        vals = _cast_values(vals, src, dst)
-        # an integer cast is range-checked; a float one may still leave f32
-        return {"result": _out(dst, vals, dst.is_integer and well_typed)}
+        arg = cols["arguments"]
+        vals = arg.values
+        if dst.kind is _FLOAT:  # a float result may still leave f32: it stays checked
+            return {"result": Column(dst, _float_cast(arg, src, dst))}
+        if src.kind is _FLOAT:
+            try:
+                out = list(map(int, vals))  # truncation toward zero
+            except (ValueError, OverflowError):
+                bad = next(v for v in vals if not math.isfinite(v))
+                raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
+            rng = _fit(dst, out, None, sources=vals)
+        else:  # integers pass through; an interval inside dst (a widening cast) reads none
+            out = vals
+            rng = _interval(arg) if len(vals) >= _RANGED else arg.element_type._bounds
+            rng = _fit(dst, out, rng, sources=vals)
+        return {"result": _out(dst, out, _well_typed(inst, cols), rng)}
 
     return sig, run
 
@@ -330,9 +394,12 @@ def _fn_clip_by():
         if k <= 0:
             raise OperatorError("bad-params", "clip_by needs a positive k")
         t = inst.signature.outputs["result"]
-        vals = [v // k for v in cols["arguments"].values]
+        arg = cols["arguments"]
+        vals = [v // k for v in arg.values]
         # 0 <= v // k <= v for v >= 0, and v <= v // k < 0 otherwise
-        return {"result": _out(t, vals, type(k) is int and t.is_integer and _well_typed(inst, cols))}
+        proved = type(k) is int and t.is_integer and _well_typed(inst, cols)
+        rng = _interval(arg) if proved and len(vals) >= _RANGED else None
+        return {"result": _out(t, vals, proved, rng and (rng[0] // k, rng[1] // k))}
 
     return sig, run
 
@@ -345,11 +412,14 @@ def _fn_scale():
     def run(inst, cols):
         k = inst.params["k"]
         t = inst.signature.outputs["result"]
-        vals = [v * k for v in cols["arguments"].values]
-        if t.kind is _FLOAT:
-            return {"result": Column(t, vals)}
-        _check_ints(t, vals)
-        return {"result": _out(t, vals, type(k) is int and _well_typed(inst, cols))}
+        arg = cols["arguments"]
+        vals = [v * k for v in arg.values]
+        if t.kind is _FLOAT:  # as for _binary_arith; a float times an int or float is a float
+            f64 = t.width_bits == 64 and type(k) in (int, float)
+            return {"result": _out(t, vals, f64 and _well_typed(inst, cols))}
+        a = _interval(arg) if type(k) is int and len(vals) >= _RANGED else None
+        rng = _fit(t, vals, a and _span(a[0] * k, a[1] * k))
+        return {"result": _out(t, vals, type(k) is int and _well_typed(inst, cols), rng)}
 
     return sig, run
 
@@ -400,9 +470,9 @@ def _fn_carve():
 
 
 _ELEMENTWISE_FNS = {
-    "add": _binary_arith("add", operator.add),
-    "sub": _binary_arith("sub", operator.sub),
-    "mul": _binary_arith("mul", operator.mul),
+    "add": _binary_arith(operator.add, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+    "sub": _binary_arith(operator.sub, lambda a, b: (a[0] - b[1], a[1] - b[0])),
+    "mul": _binary_arith(operator.mul, lambda a, b: _span(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])),
     "and": _binary_bool(operator.and_),
     "or": _binary_bool(operator.or_),
     "not": _fn_not(),
@@ -507,7 +577,8 @@ def _replicate_run(inst, cols):
         values = (value,) * factor
     except OverflowError:
         raise _too_long(factor) from None
-    return {"replicated": _out(t, values, _well_typed(inst, cols))}
+    rng = (value, value) if factor >= _RANGED and t.is_integer else None
+    return {"replicated": _out(t, values, _well_typed(inst, cols), rng)}
 
 
 _simple("replicate", _replicate_sig, _replicate_run)
@@ -524,8 +595,10 @@ def _select_run(inst, cols):
     # of the selected elements; this implementation keeps the original order
     # in both modes, which satisfies the weaker contract.
     t = inst.signature.outputs["selected"]
-    vals = compress(cols["data"].values, cols["selection"].values)
-    return {"selected": _out(t, vals, _well_typed(inst, cols))}
+    data = cols["data"]
+    vals = compress(data.values, cols["selection"].values)
+    rng = _range_of(data) if len(data.values) >= _RANGED else None
+    return {"selected": _out(t, vals, _well_typed(inst, cols), rng)}
 
 
 _simple("select", _select_sig, _select_run)
@@ -546,7 +619,8 @@ def _iota_run(inst, cols):
     if n:
         _check_int(t, n - 1, what="iota maximum")
     try:
-        return {"result": Column._trusted(t, range(n))}  # 0 and n - 1 are in t
+        # 0 and n - 1 are in t
+        return {"result": _out(t, range(n), True, (0, n - 1) if n >= _RANGED else None)}
     except OverflowError:
         raise _too_long(n) from None
 
@@ -602,7 +676,9 @@ def _concat_run(inst, cols):
     vals = []
     for label in inst.signature.inputs:
         vals.extend(cols[label].values)
-    return {"result": _out(t, vals, _well_typed(inst, cols))}
+    n = len(vals)
+    rng = _hull([_known(cols[label], n) for label in inst.signature.inputs]) if n >= _RANGED else None
+    return {"result": _out(t, vals, _well_typed(inst, cols), rng)}
 
 
 _simple("concatenate", _concat_sig, _concat_run)
@@ -615,7 +691,8 @@ def _scatter_sig(params):
 
 def _scatter_run(inst, cols):
     _require_equal_lengths(cols, ("pos", "data"))
-    base = list(cols["col"].values)
+    col = cols["col"]
+    base = list(col.values)
     n = len(base)
     seen = set()
     for p, d in zip(cols["pos"].values, cols["data"].values):
@@ -625,7 +702,8 @@ def _scatter_run(inst, cols):
             raise OperatorError("duplicate-position", f"scatter position {p} repeated")
         seen.add(p)
         base[p] = d
-    return {"result": _out(inst.signature.outputs["result"], base, _well_typed(inst, cols))}
+    rng = _hull((_known(col, n), _known(cols["data"], n))) if n >= _RANGED else None
+    return {"result": _out(inst.signature.outputs["result"], base, _well_typed(inst, cols), rng)}
 
 
 _simple("scatter", _scatter_sig, _scatter_run)
@@ -637,19 +715,32 @@ def _gather_sig(params):
 
 
 def _gather_run(inst, cols):
-    data = cols["data"].values
+    data_col = cols["data"]
+    data = data_col.values
     n = len(data)
     pos_col = cols["pos"]
     pos = pos_col.values
-    if pos and not ((pos_col.element_type.kind is _UNSIGNED or 0 <= min(pos)) and max(pos) < n):
-        for p in pos:
-            if not 0 <= p < n:
-                raise OperatorError("out-of-range", f"gather position {p} beyond length {n}")
+    long = len(pos) >= _RANGED
+    if pos:
+        # only an end the interval leaves unproved is read; a long column keeps what was
+        rng = (_interval(pos_col) if long else pos_col.element_type._bounds) or (-1, n)
+        lo, hi = rng
+        if lo < 0:
+            lo = min(pos)
+        if hi >= n:
+            hi = max(pos)
+        if long and (lo, hi) != rng and pos_col.element_type._bounds is not None:
+            _set_range(pos_col, (lo, hi))
+        if lo < 0 or hi >= n:
+            for p in pos:
+                if not 0 <= p < n:
+                    raise OperatorError("out-of-range", f"gather position {p} beyond length {n}")
     if len(pos) > 1:
         out = operator.itemgetter(*pos)(data)
     else:  # itemgetter of one key returns the bare value
         out = [data[p] for p in pos]
-    return {"result": _out(inst.signature.outputs["result"], out, _well_typed(inst, cols))}
+    rng = _known(data_col, len(pos)) if long else None  # gathered values are data values
+    return {"result": _out(inst.signature.outputs["result"], out, _well_typed(inst, cols), rng)}
 
 
 _simple("gather", _gather_sig, _gather_run)
@@ -661,7 +752,8 @@ def _select_indices_sig(params):
 
 def _select_indices_run(inst, cols):
     flags = cols["characteristic"].values
-    return {"indices": Column._trusted(INT, compress(range(len(flags)), flags))}
+    rng = (0, len(flags) - 1) if len(flags) >= _RANGED else None
+    return {"indices": _out(INT, compress(range(len(flags)), flags), True, rng)}
 
 
 _simple("select_indices", _select_indices_sig, _select_indices_run)
@@ -864,10 +956,12 @@ def _derivative_run(inst, cols):
     diffs = list(map(operator.sub, vals[1:], vals[:-1]))
     if out_t.kind is _FLOAT:
         return {"differences": Column(out_t, diffs)}
-    _check_ints(out_t, diffs)
+    a = _interval(col) if len(diffs) >= _RANGED else None
+    # a difference of values in [lo, hi] lies in [lo - hi, hi - lo]
+    rng = _fit(out_t, diffs, a and (a[0] - a[1], a[1] - a[0]))
     # float inputs with an integer out_type leave floats: those stay checked
     proved = inst.signature.inputs["col"].is_integer and _well_typed(inst, cols)
-    return {"differences": _out(out_t, diffs, proved)}
+    return {"differences": _out(out_t, diffs, proved, rng)}
 
 
 _simple("derivative", _derivative_sig, _derivative_run)
@@ -897,12 +991,17 @@ def _prefix_run(inst, cols):
     combine, neutral = _AGG_OPS[op]
     # acc[0] is the neutral element, acc[-1] the total; exclusive mode drops
     # the total, but an overflowing total is still an overflow
-    acc = list(accumulate(cols["data"].values, combine, initial=neutral(t)))
+    data = cols["data"]
+    acc = list(accumulate(data.values, combine, initial=neutral(t)))
+    rng = None
     if op == "add" and t.is_integer:
-        _check_ints(t, acc, what="prefix aggregate")
+        # the k-th sum of values in [lo, hi] lies in [k*lo, k*hi], for k in 0..n
+        n = len(data.values)
+        a = _interval(data) if n >= _RANGED else None
+        rng = _fit(t, acc, a and (min(0, n * a[0]), max(0, n * a[1])), what="prefix aggregate")
     out = acc[:-1] if mode == "exclusive" else acc[1:]
     # integer max/min pick inputs or t's bounds, and/or of bits stay bits
-    return {"aggregates": _out(t, out, t.is_integer and _well_typed(inst, cols))}
+    return {"aggregates": _out(t, out, t.is_integer and _well_typed(inst, cols), rng)}
 
 
 _simple("prefix_aggregate", _prefix_sig, _prefix_run)

@@ -271,6 +271,8 @@ def _params_key(params: dict) -> str:
         return json.dumps(params, sort_keys=True)
     except TypeError:
         return repr(id(params))  # unserializable params never compare equal
+    except RecursionError:  # fused vertices nested past the recursion limit
+        raise ColcircError("operator params are nested too deeply") from None
 
 
 def eliminate_duplicate_vertices(c: ColumnarCircuit) -> ColumnarCircuit:

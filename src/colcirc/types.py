@@ -156,11 +156,16 @@ class ElementType:
         the per-value :meth:`check_value` loop run, raising for the first bad
         value; bit columns that needed it come back with bools as plain ints.
         """
-        if not self._all_contained(vals):
-            for i, v in enumerate(vals):
-                self.check_value(v, index=i)
-            if self.kind is Kind.BIT:
-                vals = tuple(map(int, vals))
+        if self._contained(vals) is False:
+            return self._walk(vals)
+        return vals
+
+    def _walk(self, vals: tuple) -> tuple:
+        """The per-value check of :meth:`check_values`, for a column its pass did not settle."""
+        for i, v in enumerate(vals):
+            self.check_value(v, index=i)
+        if self.kind is Kind.BIT:
+            vals = tuple(map(int, vals))
         return vals
 
     def _all_contained(self, vals: tuple) -> bool:
@@ -169,26 +174,33 @@ class ElementType:
         False only means "look closer": bools, int and float subclasses, NaN
         and out-of-range values all take the per-value path.
         """
+        return self._contained(vals) is not False
+
+    def _contained(self, vals: tuple):
+        """:meth:`_all_contained`, as False; else the ``(min, max)`` its pass
+        found for a non-empty integer column, or None."""
         if not vals:
-            return True
+            return None
         if self.is_integer:
             if set(map(type, vals)) != {int}:
                 return False
             lo, hi = self.bounds()
-            return lo <= min(vals) and max(vals) <= hi
+            vmin, vmax = min(vals), max(vals)
+            return (vmin, vmax) if lo <= vmin and vmax <= hi else False
         if self.is_numeric:  # float
             if set(map(type, vals)) != {float}:
                 return False
-            return self.width_bits == 64 or array("f", vals).tolist() == list(vals)
+            return None if self.width_bits == 64 or array("f", vals).tolist() == list(vals) else False
         k = self.kind
         if k is Kind.UNIT:
-            return vals.count(()) == len(vals)
+            return None if vals.count(()) == len(vals) else False
         if k is Kind.PRODUCT:
-            return (
+            ok = (
                 set(map(type, vals)) == {tuple}
                 and set(map(len, vals)) == {len(self.components)}
                 and all(c._all_contained(col) for c, col in zip(self.components, zip(*vals)))
             )
+            return None if ok else False
         return False
 
     def zero(self):

@@ -38,7 +38,7 @@ from colcirc import (
 from colcirc import ops as ops_mod
 from colcirc import types as types_mod
 from colcirc.column import read_col_bytes, write_col_bytes
-from colcirc.errors import ColcircError, OperatorError, TypeDomainError, VerificationFailed
+from colcirc.errors import ColcircError, EvaluationError, OperatorError, TypeDomainError, VerificationFailed
 from colcirc.gallery import q6_circuit
 from colcirc.transform import assign_input, circuit_union, drop_output, rename_labels
 from colcirc.types import (
@@ -109,15 +109,15 @@ def count_checked_columns(monkeypatch):
 
 @contextmanager
 def checked_paths():
-    """Every output through ``Column(...)``, and every integer cast range-checked."""
-    saved = (ops_mod._well_typed, ops_mod._widens, Column.__dict__["_trusted"])
+    """Every output through ``Column(...)``, and every integer result range-checked."""
+    saved = (ops_mod._well_typed, ops_mod._interval, Column.__dict__["_trusted"])
     ops_mod._well_typed = lambda inst, cols: False
-    ops_mod._widens = lambda src, dst: False
+    ops_mod._interval = lambda col: None
     Column._trusted = classmethod(lambda cls, t, values: Column(t, values))
     try:
         yield
     finally:
-        ops_mod._well_typed, ops_mod._widens, Column._trusted = saved
+        ops_mod._well_typed, ops_mod._interval, Column._trusted = saved
 
 
 def rebuilt(inputs):
@@ -424,8 +424,9 @@ def test_scalar_instances_compare_as_before():
 def test_out_of_domain_scalar_raises_on_every_evaluation(value):
     c = scalar_circuit(value)
     for _ in range(3):
-        with pytest.raises(TypeDomainError):
+        with pytest.raises(EvaluationError) as exc:
             evaluate_circuit(c, {"x": col(U8, [1])})
+        assert exc.value.vertex_id == "k" and type(exc.value.cause) is TypeDomainError
     assert c.vertices["k"]._constant is None
 
 

@@ -1,0 +1,354 @@
+"""Column ranges are sound, and they change nothing a caller can observe.
+
+An integer column may carry a private proven ``(lo, hi)`` around its values
+(``Column._range``).  The checked constructor records the ``min``/``max`` of
+its domain check, operators derive one from their inputs' ranges or hand a
+data range on, and a checked kernel whose derived interval lies inside its
+result type skips its ``min``/``max`` scan.  Columns shorter than
+``_RANGED`` values take no part in it; the tests here set that threshold to
+0, so short columns exercise every rule.
+
+* The soundness test applies every operator that records or derives a
+  range to random columns with random sound input ranges, and requires
+  every recorded range, on outputs and inputs alike, to hold its values.
+* The differential test decodes every scheme case, its corruptions and
+  instances edited to their type's bounds, and evaluates random spliced Q6
+  plans, three ways: with input ranges, with them stripped, and with every
+  range check replaced by a scan.  Outputs, error types and messages must
+  be identical.
+* The count guard pins that 8000-element ``for`` and composed
+  ``elementwise-add`` decodes read no full-length column with ``min`` or
+  ``max`` once their inputs are built.
+"""
+
+import builtins
+import contextlib
+import itertools
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import colcirc.column as column_mod
+import colcirc.ops as ops_mod
+import colcirc.types as types_mod
+from colcirc import Column, CompositionRecipe, codec, compose, encode, evaluate_circuit, instantiate, verify
+from colcirc.column import _range_of, _set_range
+from colcirc.errors import ColcircError
+from colcirc.types import BIT, INT, ElementType
+from scheme_cases import CASES
+from test_splice import encoded, random_query, splice_q6
+
+
+@contextlib.contextmanager
+def ranges_everywhere():
+    """Columns of every length record, derive and inherit ranges."""
+    saved = column_mod._RANGED, ops_mod._RANGED
+    column_mod._RANGED = ops_mod._RANGED = 0
+    try:
+        yield
+    finally:
+        column_mod._RANGED, ops_mod._RANGED = saved
+
+
+@contextlib.contextmanager
+def ranges_off():
+    """Every range check scans, and no operator reads a recorded range."""
+    saved = ops_mod._interval, ops_mod._known
+    ops_mod._interval = lambda col: None
+    ops_mod._known = lambda col, n: None
+    try:
+        yield
+    finally:
+        ops_mod._interval, ops_mod._known = saved
+
+
+def sound(col):
+    """True if ``col`` records no range, or one that holds all its values."""
+    rng = _range_of(col)
+    return rng is None or all(rng[0] <= v <= rng[1] for v in col.values)
+
+
+# -- soundness -------------------------------------------------------------------------------
+
+INT_TYPES = [BIT] + [ElementType.unsigned(w) for w in range(1, 65)] + [ElementType.signed(w) for w in range(1, 65)]
+
+
+def edge_values(t):
+    lo, hi = t.bounds()
+    picks = {lo, hi, 0, 1, -1, hi // 2, lo // 2, hi - 1, lo + 1, 2**63, 2**63 - 1, 2**63 + 1, 255, -128}
+    return sorted(v for v in picks if lo <= v <= hi)
+
+
+@st.composite
+def columns(draw, t, min_size=0, max_size=12):
+    """A column of ``t``, with no range, its exact range or a looser sound one."""
+    lo, hi = t.bounds()
+    value = st.one_of(st.sampled_from(edge_values(t)), st.integers(lo, hi))
+    values = draw(st.lists(value, min_size=min_size, max_size=max_size))
+    col = Column._trusted(t, values)
+    how = draw(st.sampled_from(["none", "exact", "loose"]))
+    if values and how != "none":
+        vmin, vmax = min(values), max(values)
+        if how == "loose":
+            vmin, vmax = draw(st.integers(lo, vmin)), draw(st.integers(vmax, hi))
+        _set_range(col, (vmin, vmax))
+    return col
+
+
+def positions(draw, n, size):
+    """A u64 position column of ``size`` values, in range when ``n``, with a sound range."""
+    if n:
+        return draw(columns_of(INT, st.integers(0, n - 1), size))
+    return draw(columns(INT, min_size=size, max_size=size))
+
+
+@st.composite
+def columns_of(draw, t, values, size):
+    col = Column._trusted(t, draw(st.lists(values, min_size=size, max_size=size)))
+    if col.values and draw(st.booleans()):
+        _set_range(col, (min(col.values), max(col.values)))
+    return col
+
+
+def _ew(fn, **params):
+    return "elementwise", dict(params, fn=fn)
+
+
+def _cases(draw):
+    """One operator call: (op, params, inputs)."""
+    t = draw(st.sampled_from(INT_TYPES))
+    name = str(t)
+    kind = draw(
+        st.sampled_from(
+            ["add", "sub", "mul", "scale", "clip_by", "cast", "derivative", "prefix", "gather", "select",
+             "concatenate", "scatter", "replicate", "no_op", "iota", "length", "select_indices", "checked"]
+        )
+    )
+    n = draw(st.integers(0, 12))
+    if kind in ("add", "sub", "mul"):
+        return (*_ew(kind, type=name), {"lhs": draw(columns(t, n, n)), "rhs": draw(columns(t, n, n))})
+    if kind == "scale":
+        return (*_ew("scale", type=name, k=draw(st.integers(-300, 300))), {"arguments": draw(columns(t, n, n))})
+    if kind == "clip_by":
+        return (*_ew("clip_by", type=name, k=draw(st.integers(1, 2**64))), {"arguments": draw(columns(t, n, n))})
+    if kind == "cast":
+        dst = draw(st.sampled_from(INT_TYPES))
+        return (*_ew("cast", **{"from": name, "to": str(dst)}), {"arguments": draw(columns(t, n, n))})
+    if kind == "derivative":
+        params = {"type": name}
+        if draw(st.booleans()):
+            params["out_type"] = str(draw(st.sampled_from(INT_TYPES)))
+        return "derivative", params, {"col": draw(columns(t, n, n))}
+    if kind == "prefix":
+        params = {"op": "add", "type": name, "mode": draw(st.sampled_from(["inclusive", "exclusive"]))}
+        return "prefix_aggregate", params, {"data": draw(columns(t, n, n))}
+    if kind == "gather":
+        data = draw(columns(t, 0, 12))
+        return "gather", {"type": name}, {"pos": positions(draw, len(data), n), "data": data}
+    if kind == "select":
+        flags = draw(columns_of(BIT, st.integers(0, 1), n))
+        return "select", {"type": name}, {"data": draw(columns(t, n, n)), "selection": flags}
+    if kind == "concatenate":
+        k = draw(st.integers(1, 3))
+        return "concatenate", {"type": name, "k": k}, {f"col_{i + 1}": draw(columns(t)) for i in range(k)}
+    if kind == "scatter":
+        base = draw(columns(t, 0, 12))
+        m = draw(st.integers(0, len(base)))
+        pos = Column._trusted(INT, draw(st.permutations(range(len(base))))[:m])
+        return "scatter", {"type": name}, {"col": base, "pos": pos, "data": draw(columns(t, m, m))}
+    if kind == "replicate":
+        value = draw(columns(t, 1, 1))
+        return "replicate", {"type": name}, {"value": value, "factor": Column(INT, [n])}
+    if kind == "no_op":
+        return "no_op", {"type": name}, {"arguments": draw(columns(t, n, n))}
+    if kind == "iota":
+        return "iota", {"type": name}, {"n": Column(INT, [n])}
+    if kind == "length":
+        return "length", {"type": name}, {"col": draw(columns(t, n, n))}
+    if kind == "select_indices":
+        return "select_indices", {}, {"characteristic": draw(columns_of(BIT, st.integers(0, 1), n))}
+    return "checked", {"type": name}, {"values": draw(columns(t, n, n)).values}
+
+
+@settings(max_examples=1500, deadline=None)
+@given(data=st.data())
+def test_every_recorded_range_holds_its_values(data):
+    op, params, inputs = _cases(data.draw)
+    with ranges_everywhere():
+        if op == "checked":
+            col = Column(parse_type(params["type"]), inputs["values"])
+            assert sound(col)
+            if col.values:
+                assert _range_of(col) == (min(col.values), max(col.values))
+            return
+        try:
+            out = instantiate(op, params).apply(inputs)
+        except ColcircError:
+            out = {}
+    for label, col in [*inputs.items(), *out.items()]:
+        assert sound(col), (op, params, label, col.values, _range_of(col))
+
+
+def parse_type(name):
+    return types_mod.parse_type(name)
+
+
+def test_u64_prefix_sums_of_lengths_are_proved_without_a_scan(monkeypatch):
+    lengths = Column(INT, [2**40 + i for i in range(64)])
+    reads = count_full_reads(monkeypatch, len(lengths) + 1)
+    sums = ops_mod.prefix_aggregate("add", lengths)
+    assert reads == []
+    assert _range_of(sums) == (0, 64 * (2**40 + 63))
+
+
+def test_an_unsigned_sub_of_correlated_positions_still_scans(monkeypatch):
+    starts = ops_mod.prefix_aggregate("add", Column(INT, [3] * 64), mode="exclusive")
+    ends = ops_mod.prefix_aggregate("add", Column(INT, [3] * 64))
+    reads = count_full_reads(monkeypatch, 64)
+    (diffs,) = ops_mod.elementwise("sub", [ends, starts])
+    assert reads == [64, 64]
+    assert diffs.values == (3,) * 64 and _range_of(diffs) == (3, 3)
+
+
+# -- differential: with ranges, stripped, off ---------------------------------------------------
+
+
+def outcome(fn):
+    try:
+        out = fn()
+    except ColcircError as exc:
+        return type(exc), str(exc), type(getattr(exc, "cause", None)), str(getattr(exc, "cause", None))
+    if isinstance(out, dict):
+        return {label: (col.element_type, col.values, tuple(map(type, col.values))) for label, col in out.items()}
+    return out
+
+
+def three_ways(run, inputs):
+    """``run(inputs)``'s outcome with input ranges, with them stripped, and with ranges off."""
+    with ranges_everywhere():
+        ranged = outcome(lambda: run({k: Column(c.element_type, c.values) for k, c in inputs.items()}))
+        stripped = outcome(lambda: run({k: Column._trusted(c.element_type, c.values) for k, c in inputs.items()}))
+        with ranges_off():
+            off = outcome(lambda: run({k: Column._trusted(c.element_type, c.values) for k, c in inputs.items()}))
+    return ranged, stripped, off
+
+
+def at_bounds(rng, inst):
+    """Copies of ``inst`` with one integer of one column moved to its type's bound, or by 300."""
+    out = []
+    for label, col in sorted(inst.columns.items()):
+        t = col.element_type
+        if not t.is_integer or not col.values:
+            continue
+        lo, hi = t.bounds()
+        i = rng.randrange(len(col))
+        for v in (lo, hi, col.values[i] + 300, col.values[i] - 300):
+            vals = list(col.values)
+            vals[i] = min(max(v, lo), hi)
+            out.append(inst.with_columns(**{label: Column(t, vals)}))
+    return out
+
+
+def battery(sid, case, rng):
+    """Three valid instances, each edited at its bounds, and the corruptions of the first."""
+    out = []
+    for round in range(3):
+        params, family = case.gen(rng)
+        inst = encode(sid, params, family)
+        out += [inst, *at_bounds(rng, inst)]
+        if round == 0:
+            out += [bad for bad in (fn(rng, inst) for fn in case.corruptions) if bad is not None]
+    return out
+
+
+@pytest.mark.parametrize("sid", sorted(CASES))
+def test_scheme_decoders_give_the_same_outcome_with_and_without_ranges(sid):
+    rng = random.Random(sid)
+    entry = codec(sid)
+    for inst in battery(sid, CASES[sid], rng):
+        decoder = entry.decoder(entry.normalize_params(inst.params))
+        ranged, stripped, off = three_ways(lambda cols: evaluate_circuit(decoder, cols), inst.columns)
+        assert ranged == stripped == off, (sid, inst.columns)
+        verdicts = three_ways(lambda cols: verify(inst.with_columns(**cols)), inst.columns)
+        assert verdicts[0] == verdicts[1] == verdicts[2], sid
+
+
+def test_spliced_queries_give_the_same_outcome_with_and_without_ranges():
+    rng = random.Random(16)
+    for _ in range(200):
+        table, constants = random_query(rng)
+        plan = splice_q6(constants)
+        inputs = encoded(table)
+        if inputs and rng.random() < 0.3:  # now and then a code past the dictionary, or a huge price
+            label = rng.choice(["discount:indices", "extended_price:narrow"])
+            col = inputs[label]
+            if col.values:
+                inputs[label] = Column(col.element_type, [*col.values[:-1], col.element_type.bounds()[1]])
+        ranged, stripped, off = three_ways(lambda cols: evaluate_circuit(plan, cols), inputs)
+        assert ranged == stripped == off, constants
+
+
+# -- count guard ---------------------------------------------------------------------------------
+
+
+def count_full_reads(monkeypatch, n):
+    """Lengths of the sequences of ``n`` or more values that ``min``/``max`` read from here on,
+    in the operators and in the checked constructor."""
+    reads = []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            if len(args) == 1 and hasattr(args[0], "__len__") and len(args[0]) >= n:
+                reads.append(len(args[0]))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for mod in (ops_mod, types_mod):
+        monkeypatch.setattr(mod, "min", counted(builtins.min), raising=False)
+        monkeypatch.setattr(mod, "max", counted(builtins.max), raising=False)
+    return reads
+
+
+def noisy_linear(n):
+    rng = random.Random(8000)
+    base, slope = rng.randrange(1000, 5000), rng.randrange(1, 9)
+    return [base + slope * i + rng.randrange(0, 16) for i in range(n)]
+
+
+_ids = itertools.count()
+
+
+def ewadd():
+    sid = f"testonly.ranges.ewadd.{next(_ids)}"
+    inner = (("generated.poly", {"type": "u32", "degree": 1}), ("nullsup", {"type": "u32", "narrow_type": "u8"}))
+    compose(CompositionRecipe("elementwise-add", sid, inner))
+    return sid, {}
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [lambda: ("for", {"type": "u32", "offset_type": "u16", "segment_length": 64}), ewadd],
+    ids=["for", "elementwise-add"],
+)
+def test_long_decodes_read_no_full_column(scheme, monkeypatch):
+    sid, params = scheme()
+    values = noisy_linear(8000)
+    inst = encode(sid, params, Column(ElementType.unsigned(32), values))
+    entry = codec(sid)
+    decoder = entry.decoder(entry.normalize_params(inst.params))
+    evaluate_circuit(decoder, inst.columns)  # scalar constants are built on a first evaluation
+    reads = count_full_reads(monkeypatch, 8000)
+    built = []
+    init = Column.__init__
+
+    def counting(self, t, vals):
+        built.append(t)
+        init(self, t, vals)
+
+    monkeypatch.setattr(Column, "__init__", counting)
+    out = evaluate_circuit(decoder, inst.columns)["out:col"]
+    assert out.values == tuple(values)
+    assert reads == [] and built == []

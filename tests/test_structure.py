@@ -29,7 +29,7 @@ from colcirc import (
 from colcirc.circuit import IN, OUT, PortRef, Violation, dump_circuit, load_circuit
 from colcirc.cli import main
 from colcirc.column import read_col_file, write_col_file
-from colcirc.errors import ColcircError, TypeDomainError
+from colcirc.errors import ColcircError, EvaluationError, TypeDomainError
 from colcirc.gallery import q6_circuit, q6_reference
 from colcirc.transform import assign_input, circuit_union, drop_output, rename_label, rename_labels
 from colcirc.types import BIT, U32, U64
@@ -222,8 +222,9 @@ class TestDifferentialValidation:
         interface = {"x": in_port("relay", "arguments"), "m": in_port("sel", "selection"), "y": out_port("sel", "selected")}
         c = circuit(verts, edges, interface)
         assert [v.kind for v in validate_circuit(c).violations] == ["type-mismatch"]
-        with pytest.raises(TypeDomainError):
+        with pytest.raises(EvaluationError) as exc:
             evaluate_circuit(c, {"x": make_column(U32, [300, 1]), "m": make_column(BIT, [1, 1])})
+        assert exc.value.vertex_id == "sel" and type(exc.value.cause) is TypeDomainError
 
 
 LINEITEM = {

@@ -6,8 +6,8 @@ every input column has the type the signature declares.  The differential
 test runs each such operator twice, once as it is and once with
 ``Column._trusted`` replaced by the checked constructor, and requires the
 same outcome.  The other tests pin the guard: a type-mismatched input still
-raises ``TypeDomainError``, both through ``apply`` and through an unvalidated
-circuit.
+raises ``TypeDomainError`` through ``apply``, and through an unvalidated
+circuit an ``EvaluationError`` naming the vertex, with that as its cause.
 """
 
 import contextlib
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from colcirc import Column, circuit, evaluate_circuit, in_port, instantiate, make_column, out_port
-from colcirc.errors import ColcircError, OperatorError, TypeDomainError
+from colcirc.errors import ColcircError, EvaluationError, OperatorError, TypeDomainError
 from colcirc.types import BIT, F32, F64, I64, INT, U8, U32, ElementType, Kind
 
 int_types = st.one_of(
@@ -343,8 +343,9 @@ def test_mismatched_edge_still_raises_in_an_unvalidated_circuit(op):
     interface["out"] = out_port("op", out_label)
     c = circuit(vertices, edges, interface)
     feeds = {label: col for label, col in inputs.items() if label != wide_label}
-    with pytest.raises(TypeDomainError):
+    with pytest.raises(EvaluationError) as exc:
         evaluate_circuit(c, dict(feeds, wide=inputs[wide_label]))
+    assert exc.value.vertex_id == "op" and type(exc.value.cause) is TypeDomainError
 
 
 def test_matching_types_take_the_trusted_path(monkeypatch):
