@@ -255,7 +255,8 @@ def _invalid(kind, detail):
 def _toposort(c: ColumnarCircuit):
     # ``circuit()`` does not check edges, so an edge may name no port, and an
     # in-port fed twice would take whichever edge the hash order puts last; a
-    # type mismatch is left to the operator, which rejects the column
+    # type mismatch is left to ``OperatorInstance.apply``, which then checks
+    # every output of the operator against its declared type
     _, _, violations, order = _structure(c)
     broken = tuple(v for v in violations if v.kind != "type-mismatch")
     if broken:
@@ -394,6 +395,8 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
             raise
         except ColcircError as exc:
             raise EvaluationError(vid, exc) from exc
+        except RecursionError:  # fused vertices nested past the recursion limit
+            raise EvaluationError(vid, ColcircError("circuits are nested too deeply")) from None
         if len(result) != len(outs):
             _check_outputs(vid, op, result)
         for label, slot in outs:

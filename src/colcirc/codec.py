@@ -12,6 +12,7 @@ the canonical one.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -303,16 +304,19 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
     raw = dict(params)
     normalized = entry.normalize_params(raw)  # encoder-only hints are dropped here
     decoded = _without_out_prefix(entry.decoder(normalized).signature.outputs)
-    if isinstance(family, Column):
-        if len(decoded) != 1:
-            raise NotEncodable(f"{scheme_id} expects the labeled family {list(decoded)}")
+    if isinstance(family, Column) and len(decoded) == 1:
         family = dict.fromkeys(decoded, family)
-    columns = entry.encode(raw, dict(family))
-    for label, col in family.items():
-        t = decoded.get(label)
+    # the family is checked before the encoder sees it, so an ill-typed one
+    # is NotEncodable whatever its values
+    if not isinstance(family, Mapping) or family.keys() != decoded.keys():
+        raise NotEncodable(f"{scheme_id} expects the labeled family {list(decoded)}")
+    for label, t in decoded.items():
+        col = family[label]
+        if not isinstance(col, Column):
+            raise NotEncodable(f"{scheme_id} family member {label!r} is not a column")
         if col.element_type != t:
             raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {col.element_type}")
-    return SchemeInstance(scheme_id, normalized, columns)
+    return SchemeInstance(scheme_id, normalized, entry.encode(raw, dict(family)))
 
 
 def equivalent(scheme_id: str, params: dict, a: dict, b: dict) -> bool:

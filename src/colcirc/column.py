@@ -54,8 +54,11 @@ class Column:
     def _trusted(cls, element_type: ElementType, values) -> "Column":
         """A column whose values the caller has already proved in the domain.
 
-        Skips :meth:`ElementType.check_values`; only catalog operators whose
-        own logic establishes the output domain may call it.
+        Skips :meth:`ElementType.check_values`; only a catalog kernel whose
+        own logic establishes the output domain, given inputs of their
+        declared types, may call it (through ``ops._out``).
+        ``OperatorInstance.apply`` rebuilds the outputs checked when an
+        input has another type.
         """
         col = _new(cls)
         _set_type(col, element_type)

@@ -15,6 +15,7 @@ import math
 import operator
 import threading
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 
@@ -54,7 +55,27 @@ class OperatorInstance:
     _constant = None
 
     def apply(self, inputs: dict) -> dict:
-        return _CATALOG[self.op_name].apply(self, inputs)
+        """Run the kernel: the one place that decides what it may trust.
+
+        A kernel assumes its input columns have their declared types, and
+        skips the domain re-check of ``Column(...)`` only for outputs its own
+        logic proves: values copied from the inputs, 0/1 results, integers it
+        has range-checked.  When an input has another type (a mismatched edge
+        of an unvalidated circuit, or a direct call), every output is rebuilt
+        by the checked constructor with its declared type.
+        """
+        try:
+            typed = _well_typed(self, inputs)
+        except (KeyError, AttributeError, TypeError):
+            raise _bad_input(self, inputs) from None
+        out = _CATALOG[self.op_name].apply(self, inputs)
+        if typed:
+            return out
+        declared = self.signature.outputs  # a missing or non-column output is the evaluation's to report
+        return {
+            label: Column(declared[label], col.values) if label in declared and isinstance(col, Column) else col
+            for label, col in out.items()
+        }
 
 
 class _OpDef:
@@ -185,14 +206,6 @@ def _fit(t: ElementType, values, rng, what="result", sources=None):
     return rng if len(values) >= _RANGED else None
 
 
-# An operator output skips the domain re-check of ``Column(...)`` only where
-# the operator itself proves every value in the output type's domain: values
-# copied from well-typed inputs, 0/1 results, and integers the operator has
-# range-checked.  The well-typed guard is what keeps a type-mismatched edge of
-# an unvalidated circuit, or a direct ``apply`` on a mismatched column,
-# raising ``TypeDomainError`` from the checked constructor.
-
-
 def _well_typed(inst, cols) -> bool:
     """True if every input column has the element type the signature declares."""
     for label, t in inst.signature.inputs.items():
@@ -202,14 +215,18 @@ def _well_typed(inst, cols) -> bool:
     return True
 
 
-def _out(t: ElementType, values, proved: bool, rng=None) -> Column:
-    """The output column: unchecked if ``proved`` in ``t``'s domain, else checked.
+def _bad_input(inst, inputs):
+    """The error for inputs that are no mapping of each declared label to a column."""
+    if isinstance(inputs, Mapping):
+        for label in inst.signature.inputs:
+            if not isinstance(inputs.get(label), Column):
+                what = "is not a column" if label in inputs else "is missing"
+                return OperatorError("bad-input", f"{inst.op_name} input {label!r} {what}")
+    return OperatorError("bad-input", f"{inst.op_name} inputs are not a mapping of labels to columns")
 
-    A proved column keeps ``rng``, a range around its values; a checked one
-    keeps what its check found.
-    """
-    if not proved:
-        return Column(t, values)
+
+def _out(t: ElementType, values, rng=None) -> Column:
+    """An output the kernel proved in ``t``'s domain, unchecked, keeping the range ``rng``."""
     col = Column._trusted(t, values)
     if rng is not None:
         _set_range(col, rng)
@@ -235,13 +252,12 @@ def _binary_arith(pyop, bound):
         lhs, rhs = cols["lhs"], cols["rhs"]
         vals = list(map(pyop, lhs.values, rhs.values))
         if t.kind is _FLOAT:  # every Python float lies in f64; f32 results stay checked
-            return {"result": _out(t, vals, t.width_bits == 64 and _well_typed(inst, cols))}
+            return {"result": _out(t, vals) if t.width_bits == 64 else Column(t, vals)}
         rng = None
         if len(vals) >= _RANGED:
             a, b = _interval(lhs), _interval(rhs)
             rng = a and b and bound(a, b)
-        rng = _fit(t, vals, rng)
-        return {"result": _out(t, vals, _well_typed(inst, cols), rng)}
+        return {"result": _out(t, vals, _fit(t, vals, rng))}
 
     return sig, run
 
@@ -252,7 +268,7 @@ def _binary_bool(pyop):
 
     def run(inst, cols):
         vals = list(map(pyop, cols["lhs"].values, cols["rhs"].values))
-        return {"result": _out(BIT, vals, _well_typed(inst, cols))}
+        return {"result": _out(BIT, vals)}
 
     return sig, run
 
@@ -264,7 +280,7 @@ def _comparison(pyop):
 
     def run(inst, cols):
         vals = [1 if pyop(a, b) else 0 for a, b in zip(cols["lhs"].values, cols["rhs"].values)]
-        return {"result": Column._trusted(BIT, vals)}
+        return {"result": _out(BIT, vals)}
 
     return sig, run
 
@@ -275,7 +291,7 @@ def _fn_not():
 
     def run(inst, cols):
         vals = [1 - v for v in cols["arguments"].values]
-        return {"result": _out(BIT, vals, _well_typed(inst, cols))}
+        return {"result": _out(BIT, vals)}
 
     return sig, run
 
@@ -299,7 +315,7 @@ def _fn_in_range():
     def run(inst, cols):
         lo, hi = inst.params["lo"], inst.params["hi"]
         vals = [1 if lo <= v <= hi else 0 for v in cols["arguments"].values]
-        return {"result": Column._trusted(BIT, vals)}
+        return {"result": _out(BIT, vals)}
 
     return sig, run
 
@@ -323,7 +339,7 @@ def _fn_const_compare():
     def run(inst, cols):
         compare = _CONST_COMPARES[inst.params.get("cmp", "eq")]
         vals = compare(cols["arguments"].values, inst.params["value"])
-        return {"result": Column._trusted(BIT, vals)}
+        return {"result": _out(BIT, vals)}
 
     return sig, run
 
@@ -379,7 +395,7 @@ def _fn_cast():
             out = vals
             rng = _interval(arg) if len(vals) >= _RANGED else arg.element_type._bounds
             rng = _fit(dst, out, rng, sources=vals)
-        return {"result": _out(dst, out, _well_typed(inst, cols), rng)}
+        return {"result": _out(dst, out, rng)}
 
     return sig, run
 
@@ -397,9 +413,9 @@ def _fn_clip_by():
         arg = cols["arguments"]
         vals = [v // k for v in arg.values]
         # 0 <= v // k <= v for v >= 0, and v <= v // k < 0 otherwise
-        proved = type(k) is int and t.is_integer and _well_typed(inst, cols)
+        proved = type(k) is int and t.is_integer
         rng = _interval(arg) if proved and len(vals) >= _RANGED else None
-        return {"result": _out(t, vals, proved, rng and (rng[0] // k, rng[1] // k))}
+        return {"result": _out(t, vals, rng and (rng[0] // k, rng[1] // k)) if proved else Column(t, vals)}
 
     return sig, run
 
@@ -416,10 +432,10 @@ def _fn_scale():
         vals = [v * k for v in arg.values]
         if t.kind is _FLOAT:  # as for _binary_arith; a float times an int or float is a float
             f64 = t.width_bits == 64 and type(k) in (int, float)
-            return {"result": _out(t, vals, f64 and _well_typed(inst, cols))}
+            return {"result": _out(t, vals) if f64 else Column(t, vals)}
         a = _interval(arg) if type(k) is int and len(vals) >= _RANGED else None
         rng = _fit(t, vals, a and _span(a[0] * k, a[1] * k))
-        return {"result": _out(t, vals, type(k) is int and _well_typed(inst, cols), rng)}
+        return {"result": _out(t, vals, rng) if type(k) is int else Column(t, vals)}
 
     return sig, run
 
@@ -434,7 +450,7 @@ def _fn_tuple_make():
         labels = list(inst.signature.inputs)
         t = inst.signature.outputs["result"]
         vals = list(zip(*(cols[lb].values for lb in labels))) if labels else []
-        return {"result": _out(t, vals, _well_typed(inst, cols))}
+        return {"result": _out(t, vals)}
 
     return sig, run
 
@@ -460,10 +476,9 @@ def _fn_carve():
             pre.append(v >> shift)
             suf.append(v & mask)
         # an int v with v >> w == 0 lies in [0, 2**w): both parts fit
-        proved = _well_typed(inst, cols)
         return {
-            "prefixes": _out(inst.signature.outputs["prefixes"], pre, proved),
-            "suffixes": _out(inst.signature.outputs["suffixes"], suf, proved),
+            "prefixes": _out(inst.signature.outputs["prefixes"], pre),
+            "suffixes": _out(inst.signature.outputs["suffixes"], suf),
         }
 
     return sig, run
@@ -578,7 +593,7 @@ def _replicate_run(inst, cols):
     except OverflowError:
         raise _too_long(factor) from None
     rng = (value, value) if factor >= _RANGED and t.is_integer else None
-    return {"replicated": _out(t, values, _well_typed(inst, cols), rng)}
+    return {"replicated": _out(t, values, rng)}
 
 
 _simple("replicate", _replicate_sig, _replicate_run)
@@ -598,7 +613,7 @@ def _select_run(inst, cols):
     data = cols["data"]
     vals = compress(data.values, cols["selection"].values)
     rng = _range_of(data) if len(data.values) >= _RANGED else None
-    return {"selected": _out(t, vals, _well_typed(inst, cols), rng)}
+    return {"selected": _out(t, vals, rng)}
 
 
 _simple("select", _select_sig, _select_run)
@@ -620,7 +635,7 @@ def _iota_run(inst, cols):
         _check_int(t, n - 1, what="iota maximum")
     try:
         # 0 and n - 1 are in t
-        return {"result": _out(t, range(n), True, (0, n - 1) if n >= _RANGED else None)}
+        return {"result": _out(t, range(n), (0, n - 1) if n >= _RANGED else None)}
     except OverflowError:
         raise _too_long(n) from None
 
@@ -645,7 +660,7 @@ def _permute_run(inst, cols):
             raise OperatorError("not-a-permutation", f"position {p} at index {i} is invalid or repeated")
         seen[p] = True
         out[p] = data[i]
-    return {"permuted": _out(inst.signature.outputs["permuted"], out, _well_typed(inst, cols))}
+    return {"permuted": _out(inst.signature.outputs["permuted"], out)}
 
 
 _simple("permute", _permute_sig, _permute_run)
@@ -657,7 +672,7 @@ def _length_sig(params):
 
 
 def _length_run(inst, cols):
-    return {"result": Column._trusted(INT, (len(cols["col"]),))}
+    return {"result": _out(INT, (len(cols["col"]),))}
 
 
 _simple("length", _length_sig, _length_run)
@@ -678,7 +693,7 @@ def _concat_run(inst, cols):
         vals.extend(cols[label].values)
     n = len(vals)
     rng = _hull([_known(cols[label], n) for label in inst.signature.inputs]) if n >= _RANGED else None
-    return {"result": _out(t, vals, _well_typed(inst, cols), rng)}
+    return {"result": _out(t, vals, rng)}
 
 
 _simple("concatenate", _concat_sig, _concat_run)
@@ -703,7 +718,7 @@ def _scatter_run(inst, cols):
         seen.add(p)
         base[p] = d
     rng = _hull((_known(col, n), _known(cols["data"], n))) if n >= _RANGED else None
-    return {"result": _out(inst.signature.outputs["result"], base, _well_typed(inst, cols), rng)}
+    return {"result": _out(inst.signature.outputs["result"], base, rng)}
 
 
 _simple("scatter", _scatter_sig, _scatter_run)
@@ -740,7 +755,7 @@ def _gather_run(inst, cols):
     else:  # itemgetter of one key returns the bare value
         out = [data[p] for p in pos]
     rng = _known(data_col, len(pos)) if long else None  # gathered values are data values
-    return {"result": _out(inst.signature.outputs["result"], out, _well_typed(inst, cols), rng)}
+    return {"result": _out(inst.signature.outputs["result"], out, rng)}
 
 
 _simple("gather", _gather_sig, _gather_run)
@@ -753,7 +768,7 @@ def _select_indices_sig(params):
 def _select_indices_run(inst, cols):
     flags = cols["characteristic"].values
     rng = (0, len(flags) - 1) if len(flags) >= _RANGED else None
-    return {"indices": _out(INT, compress(range(len(flags)), flags), True, rng)}
+    return {"indices": _out(INT, compress(range(len(flags)), flags), rng)}
 
 
 _simple("select_indices", _select_indices_sig, _select_indices_run)
@@ -784,7 +799,7 @@ def _transpose_run(inst, cols):
     vals = col.values
     out = [vals[j * ell + i] for i in range(ell) for j in range(k)]
     return {
-        "transposed": _out(inst.signature.outputs["transposed"], out, _well_typed(inst, cols)),
+        "transposed": _out(inst.signature.outputs["transposed"], out),
         "transposed_segment_length": scalar_column(INT, k),
     }
 
@@ -815,7 +830,7 @@ def _replicate_segments_run(inst, cols):
     except OverflowError:
         raise _too_long(factor) from None
     return {
-        "replicated": _out(inst.signature.outputs["replicated"], out, _well_typed(inst, cols)),
+        "replicated": _out(inst.signature.outputs["replicated"], out),
         "out_segment_length": scalar_column(INT, ell),
     }
 
@@ -845,7 +860,7 @@ def _replicate_within_run(inst, cols):
     except OverflowError:
         raise _too_long(factor) from None
     return {
-        "replicated": _out(inst.signature.outputs["replicated"], out, _well_typed(inst, cols)),
+        "replicated": _out(inst.signature.outputs["replicated"], out),
         "out_segment_length": scalar_column(INT, ell * factor),
     }
 
@@ -866,7 +881,7 @@ def _zip_run(inst, cols):
     _require_equal_lengths(cols, labels)
     t = inst.signature.outputs["zipped"]
     vals = list(zip(*(cols[lb].values for lb in labels)))
-    return {"zipped": _out(t, vals, _well_typed(inst, cols))}
+    return {"zipped": _out(t, vals)}
 
 
 _simple("zip", _zip_sig, _zip_run)
@@ -893,7 +908,7 @@ def _compose_segments_run(inst, cols):
         )
     vals = col.values
     out = [tuple(vals[j * ell + i] for j in range(k)) for i in range(ell)]
-    return {"composed": _out(inst.signature.outputs["composed"], out, _well_typed(inst, cols))}
+    return {"composed": _out(inst.signature.outputs["composed"], out)}
 
 
 _simple("compose_segments", _compose_segments_sig, _compose_segments_run)
@@ -918,7 +933,7 @@ def _assemble_run(inst, cols):
     _seg_divisible(col, k)
     vals = col.values
     out = [tuple(vals[i * k : (i + 1) * k]) for i in range(len(col) // k)]
-    return {"composed": _out(inst.signature.outputs["composed"], out, _well_typed(inst, cols))}
+    return {"composed": _out(inst.signature.outputs["composed"], out)}
 
 
 _simple("assemble", _assemble_sig, _assemble_run)
@@ -960,8 +975,8 @@ def _derivative_run(inst, cols):
     # a difference of values in [lo, hi] lies in [lo - hi, hi - lo]
     rng = _fit(out_t, diffs, a and (a[0] - a[1], a[1] - a[0]))
     # float inputs with an integer out_type leave floats: those stay checked
-    proved = inst.signature.inputs["col"].is_integer and _well_typed(inst, cols)
-    return {"differences": _out(out_t, diffs, proved, rng)}
+    proved = inst.signature.inputs["col"].is_integer
+    return {"differences": _out(out_t, diffs, rng) if proved else Column(out_t, diffs)}
 
 
 _simple("derivative", _derivative_sig, _derivative_run)
@@ -1001,7 +1016,7 @@ def _prefix_run(inst, cols):
         rng = _fit(t, acc, a and (min(0, n * a[0]), max(0, n * a[1])), what="prefix aggregate")
     out = acc[:-1] if mode == "exclusive" else acc[1:]
     # integer max/min pick inputs or t's bounds, and/or of bits stay bits
-    return {"aggregates": _out(t, out, t.is_integer and _well_typed(inst, cols), rng)}
+    return {"aggregates": _out(t, out, rng) if t.is_integer else Column(t, out)}
 
 
 _simple("prefix_aggregate", _prefix_sig, _prefix_run)
@@ -1017,7 +1032,7 @@ def _same_as_prev_run(inst, cols):
     out = [0] * len(vals)
     for i in range(1, len(vals)):
         out[i] = 1 if vals[i] == vals[i - 1] else 0
-    return {"result": Column._trusted(BIT, out)}
+    return {"result": _out(BIT, out)}
 
 
 _simple("is_same_as_previous", _same_as_prev_sig, _same_as_prev_run)
@@ -1033,8 +1048,7 @@ def _split_first_run(inst, cols):
     if len(col) == 0:
         raise OperatorError("empty-input", "split_first needs a non-empty column")
     t = inst.signature.outputs["head"]
-    proved = _well_typed(inst, cols)
-    return {"head": _out(t, col.values[:1], proved), "tail": _out(t, col.values[1:], proved)}
+    return {"head": _out(t, col.values[:1]), "tail": _out(t, col.values[1:])}
 
 
 _simple("split_first", _split_first_sig, _split_first_run)

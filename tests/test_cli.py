@@ -316,6 +316,14 @@ class TestEncodeChecksFamilyTypes:
         assert "'data'" in err and "u64" in err and "u8" in err
         assert not bundle.exists()
 
+    @pytest.mark.parametrize("values", [[3, 3, 5], [300, 300, 5]])
+    def test_a_narrower_type_param_exits_2_whatever_the_values(self, tmp_path, values, capsys):
+        path, bundle = str(tmp_path / "col.col"), tmp_path / "b"
+        write_col_file(path, make_column(U32, values))
+        assert main(["encode", "--scheme", "run.rle", "--params", '{"type": "u8"}', path, str(bundle)]) == 2
+        assert "decodes 'col' as u8, but the family gives u32" in capsys.readouterr().err
+        assert not bundle.exists()
+
     def test_well_typed_family_roundtrips(self, tmp_path, varwidth_files):
         bundle = str(tmp_path / "b")
         args = ["encode", "--scheme", "varwidth.std", "--params", '{"type": "u8"}', *varwidth_files, bundle]

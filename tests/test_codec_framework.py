@@ -92,6 +92,26 @@ class TestDispatch:
         inst = encode("constant", {"type": "u8"}, make_column(U8, []))
         assert decode(inst)["col"].values == ()
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"start_position": make_column(INT, [0]), "length": make_column(INT, [1])}, "expects the labeled family"),
+            ({"start_position": make_column(INT, [0]), "length": make_column(INT, [1]), "data": [5]}, "'data' is not a column"),
+            ([make_column(U8, [5])], "expects the labeled family"),
+            (make_column(U8, [5]), "expects the labeled family"),
+        ],
+    )
+    def test_encode_checks_the_family_shape_first(self, family, message):
+        with pytest.raises(NotEncodable, match=message):
+            encode("varwidth.std", {"type": "u8"}, family)
+
+    @pytest.mark.parametrize("values", [[3, 3, 5], [300, 300, 5]])
+    def test_an_ill_typed_family_is_not_encodable_whatever_its_values(self, values):
+        with pytest.raises(NotEncodable, match="decodes 'col' as u8, but the family gives u32"):
+            encode("run.rle", {"type": "u8"}, make_column(U32, values))
+        with pytest.raises(NotEncodable, match="expects the labeled family"):
+            encode("run.rle", {"type": "u8"}, {"col": make_column(U8, [3]), "extra": make_column(U8, [3])})
+
     def test_rle_is_total(self):
         rng = random.Random(0)
         for _ in range(10):

@@ -162,6 +162,18 @@ def test_deeply_nested_fusion_fails_as_a_colcirc_error():
         eliminate_duplicate_vertices(c)
 
 
+def test_evaluating_deep_fusion_from_a_deep_caller_fails_as_an_evaluation_error():
+    c = nested_fusion(120)
+    col = make_column(U32, [1])
+
+    def from_depth(n):
+        return from_depth(n - 1) if n else evaluate_circuit(c, {"col": col})
+
+    assert from_depth(0)["result"].values == (5,)
+    with pytest.raises(EvaluationError, match="nested too deeply"):
+        from_depth(sys.getrecursionlimit() - 400)  # 600 frames down under the default limit
+
+
 def test_shallow_fusion_still_dumps():
     c = nested_fusion(3)
     assert evaluate_circuit(c, {"col": make_column(U32, [1])})["result"].values == (5,)

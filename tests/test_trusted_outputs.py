@@ -1,13 +1,15 @@
 """Operator outputs that skip the domain re-check are the ones a check would accept.
 
 Catalog operators build an output with ``Column._trusted`` only where their
-own logic proves every value in the output type's domain, and only when
-every input column has the type the signature declares.  The differential
+own logic proves every value in the output type's domain, given inputs of
+the declared types; ``OperatorInstance.apply`` rebuilds every output with
+the checked constructor when an input has another type.  The differential
 test runs each such operator twice, once as it is and once with
 ``Column._trusted`` replaced by the checked constructor, and requires the
-same outcome.  The other tests pin the guard: a type-mismatched input still
-raises ``TypeDomainError`` through ``apply``, and through an unvalidated
-circuit an ``EvaluationError`` naming the vertex, with that as its cause.
+same outcome.  The other tests pin that boundary: a type-mismatched input
+still raises ``TypeDomainError`` through ``apply``, and through an
+unvalidated circuit an ``EvaluationError`` naming the vertex, with that as
+its cause; an output handed through unchanged gets its declared type.
 """
 
 import contextlib
@@ -319,6 +321,8 @@ def mismatched_cases():
         "concatenate": ({"type": "u8", "k": 2}, {"col_1": make_column(U8, [1]), "col_2": WIDE}),
         "scatter": ({"type": "u8"}, {"col": make_column(U8, [0, 0]), "pos": idx(1), "data": make_column(U32, [300])}),
         "replicate": ({"type": "u8"}, {"value": make_column(U32, [300]), "factor": idx(2)}),
+        "no_op": ({"type": "u8"}, {"arguments": WIDE}),
+        "split_first": ({"type": "u8"}, {"col": WIDE}),  # the head fits u8, the tail does not
     }
 
 
@@ -339,8 +343,7 @@ def test_mismatched_edge_still_raises_in_an_unvalidated_circuit(op):
     edges = {(out_port("relay", "result"), in_port("op", wide_label))}
     interface = {"wide": in_port("relay", "arguments")}
     interface.update({label: in_port("op", label) for label in inputs if label != wide_label})
-    (out_label,) = inst.signature.outputs
-    interface["out"] = out_port("op", out_label)
+    interface.update({f"out:{label}": out_port("op", label) for label in inst.signature.outputs})
     c = circuit(vertices, edges, interface)
     feeds = {label: col for label, col in inputs.items() if label != wide_label}
     with pytest.raises(EvaluationError) as exc:
@@ -349,25 +352,86 @@ def test_mismatched_edge_still_raises_in_an_unvalidated_circuit(op):
 
 
 def test_matching_types_take_the_trusted_path(monkeypatch):
-    calls = []
-    trusted = Column.__dict__["_trusted"].__func__
+    gather = instantiate("gather", {"type": "u8"})
+    split = instantiate("split_first", {"type": "u8"})
+    relay = instantiate("no_op", {"type": "u8"})
+    pos, narrow, wide = idx(1), make_column(U8, [4, 5]), make_column(U32, [4, 5])
+    built = []
+    init = Column.__init__
 
-    def counting(cls, t, values):
-        calls.append(t)
-        return trusted(cls, t, values)
+    def counting(self, t, values):
+        built.append(t)
+        init(self, t, values)
 
-    monkeypatch.setattr(Column, "_trusted", classmethod(counting))
-    inst = instantiate("gather", {"type": "u8"})
-    assert inst.apply({"pos": idx(1), "data": make_column(U8, [4, 5])})["result"].values == (5,)
-    assert calls == [U8]
-    inst.apply({"pos": idx(0), "data": make_column(U32, [4])})  # in range, so accepted; but checked
-    assert calls == [U8]
+    monkeypatch.setattr(Column, "__init__", counting)
+    assert gather.apply({"pos": pos, "data": narrow})["result"].values == (5,)
+    assert split.apply({"col": narrow})["tail"].values == (5,)
+    assert relay.apply({"arguments": narrow})["result"] is narrow
+    assert built == []
+    # in range, so accepted; but every output is built checked, with its declared type
+    out = gather.apply({"pos": pos, "data": wide})
+    assert built == [U8] and out["result"].element_type is U8 and out["result"].values == (5,)
+    built.clear()
+    out = split.apply({"col": wide})
+    assert built == [U8, U8] and [c.element_type for c in out.values()] == [U8, U8]
+    built.clear()
+    out = relay.apply({"arguments": wide})
+    assert built == [U8] and out["result"].element_type is U8 and out["result"].values == (4, 5)
+
+
+@pytest.mark.parametrize("op, params", [("no_op", {"type": "u8"}), ("elementwise", {"fn": "identity", "type": "u8"})])
+def test_an_output_handed_through_has_its_declared_type(op, params):
+    inst = instantiate(op, params)
+    assert inst.apply({"arguments": make_column(U32, [7])})["result"] == make_column(U8, [7])
+    with pytest.raises(TypeDomainError):
+        inst.apply({"arguments": make_column(U32, [300])})
+
+
+def test_a_mismatched_relay_chain_fails_at_the_narrow_relay():
+    vertices = {"wide": instantiate("no_op", {"type": "u32"}), "narrow": instantiate("no_op", {"type": "u8"})}
+    edges = {(out_port("wide", "result"), in_port("narrow", "arguments"))}
+    c = circuit(vertices, edges, {"x": in_port("wide", "arguments"), "y": out_port("narrow", "result")})
+    assert evaluate_circuit(c, {"x": make_column(U32, [7])})["y"] == make_column(U8, [7])
+    with pytest.raises(EvaluationError) as exc:
+        evaluate_circuit(c, {"x": make_column(U32, [300])})
+    assert exc.value.vertex_id == "narrow" and type(exc.value.cause) is TypeDomainError
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        ({}, "elementwise input 'lhs' is missing"),
+        ({"lhs": make_column(U8, [1])}, "elementwise input 'rhs' is missing"),
+        ({"lhs": [1], "rhs": make_column(U8, [1])}, "elementwise input 'lhs' is not a column"),
+        ([make_column(U8, [1]), make_column(U8, [1])], "elementwise inputs are not a mapping of labels to columns"),
+        (None, "elementwise inputs are not a mapping of labels to columns"),
+    ],
+)
+def test_a_missing_or_non_column_input_is_an_operator_error(inputs, message):
+    with pytest.raises(OperatorError) as exc:
+        instantiate("elementwise", {"fn": "add", "type": "u8"}).apply(inputs)
+    assert exc.value.code == "bad-input" and str(exc.value) == f"bad-input: {message}"
 
 
 def test_float_differences_stay_checked_under_an_integer_out_type():
     inst = instantiate("derivative", {"type": "f64", "out_type": "i8"})
     with pytest.raises(TypeDomainError):
         inst.apply({"col": make_column(F64, [1.0, 3.0])})
+
+
+@pytest.mark.parametrize(
+    "op, params, inputs, message",
+    [
+        ("elementwise", {"fn": "scale", "type": "u8", "k": 2.5}, {"arguments": make_column(U8, [1, 200])},
+         "overflow: result 500.0 outside u8 range [0, 255]"),
+        ("derivative", {"type": "f64", "out_type": "i8"}, {"col": make_column(F64, [0.0, 300.0])},
+         "overflow: result 300.0 outside i8 range [-128, 127]"),
+    ],
+)
+def test_a_float_result_outside_an_integer_type_is_range_checked_first(op, params, inputs, message):
+    with pytest.raises(OperatorError) as exc:
+        instantiate(op, params).apply(inputs)
+    assert str(exc.value) == message
 
 
 # -- gather ------------------------------------------------------------------------------
