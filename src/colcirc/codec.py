@@ -95,7 +95,10 @@ class CodecEntry:
     outputs without their ``out:`` namespace.  Neither is declared apart.
 
     - ``build_decoder(params)``: the decoder circuit.
-    - ``host_verify(params, columns)``: total decision procedure.
+    - ``host_verify(params, columns)``: total decision procedure, run
+      after the form check.  A builtin that passes ``host_verify=None``
+      declares that the form check alone decides (see
+      ``verifies_form_only``).
     - ``encode(params, family)``: canonical encoded columns, or raises
       :class:`NotEncodable`.
     - ``equivalent(params, a, b)``: the scheme's ``~`` relation over decoded
@@ -106,7 +109,7 @@ class CodecEntry:
 
     # callables left out stay at these class defaults, so a subclass's
     # instances carry none of them in their own ``__dict__``
-    _equivalent = _normalize = _encoded_lengths = _fit = _fit_additive = None
+    _host_verify = _equivalent = _normalize = _encoded_lengths = _fit = _fit_additive = None
 
     def __init__(
         self,
@@ -143,7 +146,13 @@ class CodecEntry:
         return self._encode(_scheme_params(params), family)
 
     def host_verify(self, params, columns: dict) -> bool:
+        if self._host_verify is None:  # the form check decides
+            return True
         return self._host_verify(_scheme_params(params), columns)
+
+    def verifies_form_only(self) -> bool:
+        """True if ``check_form`` alone decides membership: a builtin without ``host_verify``."""
+        return self._host_verify is None and type(self).host_verify is CodecEntry.host_verify
 
     def equivalent(self, params, a: dict, b: dict) -> bool:
         if self._equivalent is None:

@@ -54,11 +54,12 @@ class Column:
     def _trusted(cls, element_type: ElementType, values) -> "Column":
         """A column whose values the caller has already proved in the domain.
 
-        Skips :meth:`ElementType.check_values`; only a catalog kernel whose
-        own logic establishes the output domain, given inputs of their
-        declared types, may call it (through ``ops._out``).
+        Skips :meth:`ElementType.check_values`.  Only two kinds of caller
+        may use it: a catalog kernel whose own logic establishes the output
+        domain, given inputs of their declared types (through ``ops._out``;
         ``OperatorInstance.apply`` rebuilds the outputs checked when an
-        input has another type.
+        input has another type), and a host loop that slices or
+        concatenates columns already of ``element_type``.
         """
         col = _new(cls)
         _set_type(col, element_type)
@@ -233,6 +234,11 @@ _TYPECODES = {
 }
 
 
+# bit values 0/1 as the digits b"0"/b"1" of a binary literal, and back
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _native_array(et: ElementType, values=()):
     """A native-order array of ``et`` values, or None for odd byte widths."""
     code = _TYPECODES.get((et.kind, et.byte_width))
@@ -243,11 +249,10 @@ def _pack_values(col: Column) -> bytes:
     et = col.element_type
     k = et.kind
     if k is Kind.BIT:
-        out = bytearray((len(col) + 7) // 8)
-        for i, v in enumerate(col.values):
-            if v:
-                out[i >> 3] |= 1 << (i & 7)  # LSB-first within each byte
-        return bytes(out)
+        # value i is bit i of one little-endian integer: LSB-first within each byte
+        n = len(col)
+        bits = int(bytes(col.values[::-1]).translate(_BIT_DIGITS), 2) if n else 0
+        return bits.to_bytes((n + 7) // 8, "little")
     if k is Kind.UNIT:
         return b""
     packed = _native_array(et, col.values)
@@ -290,7 +295,8 @@ def read_col_bytes(data: bytes) -> Column:
         need = (n + 7) // 8
         if len(payload) != need:
             raise ColcircError(f"bit payload of {len(payload)} bytes, expected {need}")
-        vals = [(payload[i >> 3] >> (i & 7)) & 1 for i in range(n)]
+        bits = int.from_bytes(payload, "little") & ((1 << n) - 1)  # padding bits are ignored
+        vals = list(format(bits, "b").zfill(n)[::-1].encode().translate(_DIGIT_BITS)) if n else []
         return Column(et, vals)
     if kind is Kind.UNIT:
         if payload:

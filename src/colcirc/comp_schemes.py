@@ -405,7 +405,6 @@ register_codec(
         "nullsup",
         build_decoder=_nullsup_decoder,
         encode=_nullsup_encode,
-        host_verify=lambda p, cols: True,
         encoded_lengths=lambda p, n: {"narrow": n},
     )
 )

@@ -1,13 +1,16 @@
 """Generic codec composition patterns.
 
 Each recipe manufactures a new :class:`CodecEntry` out of registered inner
-schemes.  Except for the segmentize kinds, a composed decoder is one builder
-program that embeds each inner decoder, fed from its encoded-form labels
-under a prefix ending in ``:`` (no recipe label has one), and derives its
-encoded form like any scheme.  Segmentization instead lifts the catalog's
-``segmentized`` operator, which runs the inner decoder per segment (the
-number of segments is data-dependent, so it cannot be unrolled into a fixed
-circuit); its encoded form is declared, since that decoder is built from it.
+schemes.  A composed decoder is one builder program that embeds each inner
+decoder, fed from its encoded-form labels under a prefix ending in ``:`` (no
+recipe label has one).  Segmentization declares its encoded form instead of
+deriving it.  Over a position-wise inner scheme (see
+:class:`_SegmentizedCodec`) decoding commutes with segmentation, so its
+decoder embeds the inner decoder once over the concatenated segments and
+adds the length checks.  Over any other inner scheme it lifts the catalog's
+``segmentized`` operator, which runs the inner decoder per segment in a
+host loop: the number of segments is data-dependent, so that decoder
+cannot be unrolled into a fixed circuit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 
-from .builder import CircuitBuilder
+from .builder import CircuitBuilder, Input
 from .circuit import evaluate_circuit
 from .codec import CodecEntry, _ResolvedParams, codec, register_codec
 from .column import Column, scalar_column
@@ -356,13 +359,58 @@ def _segment_lengths_uniform(ell, n):
     return [ell] * full + ([rest] if rest else [])
 
 
+def _position_wise(entry, iparams, decoder, sizes) -> bool:
+    """True if ``entry`` decodes each position on its own, so decoding commutes with segmentation.
+
+    Every vertex of its decoder is ``elementwise`` or ``no_op``, its length
+    rule gives ``n`` for every encoded label (at each probed length in
+    ``sizes``), and its verifier is the form check alone.
+    """
+    if not entry.verifies_form_only():
+        return False
+    if any(op.op_name not in ("elementwise", "no_op") for op in decoder.vertices.values()):
+        return False
+    return all(entry.encoded_lengths(iparams, n) == dict.fromkeys(decoder.signature.inputs, n) for n in sizes)
+
+
+def _cannot_fail(op) -> bool:
+    """True for a relay or an integer cast into a type that holds every value of its source."""
+    if op.op_name == "no_op":
+        return True
+    if op.params.get("fn") != "cast":
+        return False
+    src, dst = op.signature.inputs["arguments"], op.signature.outputs["result"]
+    if not (src.is_integer and dst.is_integer):
+        return False
+    (lo, hi), (dst_lo, dst_hi) = src.bounds(), dst.bounds()
+    return dst_lo <= lo and hi <= dst_hi
+
+
+def _require_equal(b, x, y):
+    """Vertices that fail unless the ``u64`` columns ``x`` and ``y`` hold one equal value:
+    an unsigned difference either way overflows otherwise, and a length other than 1 is
+    an elementwise length mismatch."""
+    b.sub_cols(_INT, x, y)
+    b.sub_cols(_INT, y, x)
+
+
 class _SegmentizedCodec(_ComposedCodec):
     """Apply an inner scheme separately to consecutive segments.
 
-    The composed decoder is the lifting of a segmentized composite operator
-    that runs the inner decoder circuit per segment; per-segment encoded
-    lengths come from the inner scheme's static length rule.  The encoded
-    form is declared (``spec``), since that decoder is built from it.
+    Per-segment encoded lengths come from the inner scheme's static length
+    rule.  The encoded form is declared (``spec``), since the ``segmentized``
+    operator's signature is built from it.
+
+    Whether the inner scheme is *position-wise* (see :func:`_position_wise`)
+    is decided once, here.  If it is, ``lifted`` holds: the decoder embeds
+    the inner decoder once over the ``seg:`` columns and checks that each
+    holds ``total_length`` (uniform) or the sum of ``segment_lengths``
+    (variable) values, and the verifier checks those lengths in Python.  It
+    decodes, once, only if the inner decoder can fail on values of its input
+    types (``infallible`` is false): the host loop's verifier rejects what
+    some segment's decoding fails on.  Otherwise the decoder lifts the ``segmentized`` operator, which
+    runs the inner decoder per segment, and the verifier checks and decodes
+    every segment.
     """
 
     def __init__(self, recipe, uniform):
@@ -376,6 +424,8 @@ class _SegmentizedCodec(_ComposedCodec):
             self.ell = _int_option(recipe, "segment_length")
         extra = {"segment_length": INT, "total_length": INT} if uniform else {"segment_lengths": INT}
         self.spec = {**extra, **{f"seg:{label}": t for label, t in decoder.signature.inputs.items()}}
+        self.lifted = _position_wise(entry, iparams, decoder, {0, 1, 2, 3, self.ell if uniform else 4})
+        self.infallible = self.lifted and all(map(_cannot_fail, decoder.vertices.values()))
 
     def form_spec(self, params):
         return self.spec
@@ -400,7 +450,8 @@ class _SegmentizedCodec(_ComposedCodec):
             for label, count in self.lengths(seg_len).items():
                 col = columns[f"seg:{label}"]
                 at = cursors[label]
-                piece[label] = Column(col.element_type, col.values[at : at + count])
+                # a slice of a column holds values of its type
+                piece[label] = Column._trusted(col.element_type, col.values[at : at + count])
                 cursors[label] = at + count
             pieces.append(piece)
         for label, at in cursors.items():
@@ -420,24 +471,50 @@ class _SegmentizedCodec(_ComposedCodec):
                     "length-mismatch", f"segment decoded to {len(decoded)} elements, wanted {seg_len}"
                 )
             out.extend(decoded.values)
-        return Column(parse_type(self.data_type), out)
+        # the inner decoder's outputs hold values of ``data_type``
+        return Column._trusted(parse_type(self.data_type), out)
 
     def build_decoder(self, params):
         b = CircuitBuilder()
-        wired = {label: b.input(label) for label in self.spec}
-        b.result("col", b.add("segmentized", {"scheme": self.scheme_id}, **wired))
+        if not self.lifted:
+            wired = {label: b.input(label) for label in self.spec}
+            b.result("col", b.add("segmentized", {"scheme": self.scheme_id}, **wired))
+            return b.build()
+        if self.uniform:
+            b.sink(b.input("segment_length"), _INT)
+            total = b.input("total_length")
+        else:
+            total = b.total(_INT, b.input("segment_lengths"))
+        col = self._embed(b, 0)
+        measured = {}
+        if isinstance(col, Input):  # a pass-through decoder hands its input back: relay it out, measure the relay
+            measured[col.label] = col = b.noop(col, self.data_type)
+        for label, t in self.inners[0][2].signature.inputs.items():
+            label = f"seg:{label}"
+            _require_equal(b, total, b.length(measured.get(label) or b.input(label), str(t)))
+        b.result("col", col)
         return b.build()
 
     def host_verify(self, params, columns):
-        entry, iparams, decoder = self.inners[0]
         if self.uniform and (columns["segment_length"].values != (self.ell,) or len(columns["total_length"]) != 1):
             return False
         try:
-            segments = self._segments(columns)
-            pieces = self._split(columns, segments)
-        except OperatorError:
+            if self.lifted:
+                return self._lengths_fit(columns) and (self.infallible or self._decoded(0, columns) is not None)
+            return self._segments_verify(columns)
+        except ColcircError:  # a length mismatch, or values the inner decoder fails on
             return False
-        for seg_len, piece in zip(segments, pieces):
+
+    def _lengths_fit(self, columns) -> bool:
+        """The lifted decoder's length checks: every ``seg:`` column holds one value per element."""
+        n = columns["total_length"].values[0] if self.uniform else sum(columns["segment_lengths"].values)
+        return all(len(columns[f"seg:{label}"]) == n for label in self.inners[0][2].signature.inputs)
+
+    def _segments_verify(self, columns) -> bool:
+        """Check and decode every segment."""
+        entry, iparams, decoder = self.inners[0]
+        segments = self._segments(columns)
+        for seg_len, piece in zip(segments, self._split(columns, segments)):
             if not entry.verify_columns(iparams, piece) or len(_inner_decode(decoder, piece)) != seg_len:
                 return False
         return True

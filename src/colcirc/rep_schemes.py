@@ -593,7 +593,6 @@ register_codec(
         "indexset.dense",
         build_decoder=_dense_indexset_decoder,
         encode=_dense_indexset_encode,
-        host_verify=lambda p, cols: True,
         equivalent=indexset_equivalent,
     )
 )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -137,6 +139,27 @@ class TestColFiles:
         raw = write_col_bytes(make_column(BIT, [1, 0, 1, 1, 0, 0, 0, 0, 1]))
         assert raw[15:] == bytes([0b00001101, 0b00000001])
 
+    def test_bit_payload_matches_the_value_by_value_loop(self):
+        # every pattern of up to 10 bits, random ones up to 17, and 1000 random columns
+        rng = random.Random(18)
+        cols = [[(k >> i) & 1 for i in range(n)] for n in range(11) for k in range(1 << n)]
+        cols += [[rng.randrange(2) for _ in range(n)] for n in range(11, 18) for _ in range(40)]
+        cols += [[rng.randrange(2) for _ in range(rng.randrange(0, 300))] for _ in range(1000)]
+        for values in cols:
+            col = make_column(BIT, values)
+            raw = write_col_bytes(col)
+            assert raw[15:] == _pack_bits_reference(values)
+            assert read_col_bytes(raw) == col
+            if len(values) % 8:  # padding bits are ignored
+                padded = raw[:-1] + bytes([raw[-1] | (0xFF << len(values) % 8) & 0xFF])
+                assert read_col_bytes(padded).values == _unpack_bits_reference(padded[15:], len(values))
+
+    @pytest.mark.parametrize("n, payload", [(9, b"\x01"), (8, b"\x01\x02"), (0, b"\x00")])
+    def test_bit_payload_of_the_wrong_size(self, n, payload):
+        header = write_col_bytes(make_column(BIT, []))[:7] + n.to_bytes(8, "little")
+        with pytest.raises(ColcircError, match=f"bit payload of {len(payload)} bytes, expected {(n + 7) // 8}"):
+            read_col_bytes(header + payload)
+
     def test_signed_le(self):
         raw = write_col_bytes(make_column(I8, [-3]))
         assert raw[15:] == b"\xfd"
@@ -181,3 +204,16 @@ class TestColFiles:
         assert make_column(U8, [1, 2]) == make_column(U8, [1, 2])
         assert make_column(U8, [1, 2]) != make_column(U16, [1, 2])
         assert make_column(U8, [1, 2]) != make_column(U8, [1, 2, 3])
+
+
+def _pack_bits_reference(values):
+    """The value-by-value bit packing: value i sets bit i & 7 of byte i >> 3."""
+    out = bytearray((len(values) + 7) // 8)
+    for i, v in enumerate(values):
+        if v:
+            out[i >> 3] |= 1 << (i & 7)
+    return bytes(out)
+
+
+def _unpack_bits_reference(payload, n):
+    return tuple((payload[i >> 3] >> (i & 7)) & 1 for i in range(n))
