@@ -178,29 +178,13 @@ class CircuitBuilder:
         idx = self.sub_cols(str(INT), n, one)
         return self.gather(type_name, idx, col)
 
-    def total(self, type_name: str, col: Wire, via: str = "add") -> Wire:
-        """Total aggregate as prefix aggregate plus last-element extraction.
+    def total(self, type_name: str, col: Wire) -> Wire:
+        """Sum as prefix aggregate plus last-element extraction.
 
-        Empty inputs are handled by prepending the aggregation's neutral
-        element before reducing.
+        Empty inputs are handled by prepending a zero before reducing.
         """
-        from .types import parse_type
-
-        t = parse_type(type_name)
-        if via == "add":
-            neutral = 0
-        elif via == "max":
-            neutral = t.bounds()[0] if t.is_integer else float("-inf")
-        elif via == "min":
-            neutral = t.bounds()[1] if t.is_integer else float("inf")
-        elif via == "and":
-            neutral = 1
-        else:
-            neutral = 0
-        z = self.scalar(type_name, neutral)
-        padded = self.concat(type_name, z, col)
-        agg = self.prefix(type_name, via, padded)
-        return self.last_element(type_name, agg)
+        padded = self.concat(type_name, self.scalar(type_name, 0), col)
+        return self.last_element(type_name, self.prefix(type_name, "add", padded))
 
     def output(self, label: str, wire: Wire) -> None:
         if not isinstance(wire, Wire) or wire.builder is not self:

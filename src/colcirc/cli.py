@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .bundle import read_bundle, write_bundle
 from .circuit import (
+    check_valid,
     circuit_to_json,
     evaluate_circuit,
     evaluate_ports,
     json_document,
     load_circuit,
-    validate_circuit,
 )
 from .codec import SchemeInstance, codec as codec_entry, decode, encode, verify
 from .column import (
@@ -67,11 +67,7 @@ def _load_params(text):
 
 def _load_circuit_file(path):
     with open(path) as f:
-        c = load_circuit(f.read())
-    report = validate_circuit(c)
-    if not report.ok:
-        raise InvalidCircuitError(report)
-    return c
+        return check_valid(load_circuit(f.read()))
 
 
 def _dump_json(doc, path=None):
@@ -102,10 +98,7 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     inst = read_bundle(args.bundle)
-    if not verify(inst):
-        print(f"reject: {inst.scheme_id} encoded form is invalid", file=sys.stderr)
-        return EXIT_VERIFY_REJECT
-    out = decode(inst, check=False)  # verified just above
+    out = decode(inst)
     os.makedirs(args.out, exist_ok=True)
     for label, col in out.items():
         write_col_file(os.path.join(args.out, label.replace(":", "_") + ".col"), col)
@@ -162,10 +155,7 @@ def _col_report(label, col):
 def cmd_stats(args):
     if os.path.isdir(args.path):
         inst = read_bundle(args.path)
-        if not verify(inst):
-            print("reject: encoded form is invalid", file=sys.stderr)
-            return EXIT_VERIFY_REJECT
-        decoded = decode(inst, check=False)  # verified just above
+        decoded = decode(inst)
         encoded_size = representation_size_bytes(inst.columns)
         decoded_size = representation_size_bytes(decoded)
         ratio = Fraction(decoded_size, encoded_size)

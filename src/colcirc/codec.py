@@ -76,6 +76,9 @@ class _ResolvedParams(_SchemeParams):
 
 DECODED_PREFIX = "out:"
 
+# decoders one entry keeps; past that, new params build their decoder per call
+_DECODER_CACHE_KEYS = 256
+
 
 def _without_out_prefix(outputs: dict) -> dict:
     """A decoder's outputs (columns or types) keyed without the ``out:`` namespace."""
@@ -206,7 +209,8 @@ class CodecEntry:
         c = self._decoder_cache.get(key)
         if c is None:
             c = self.build_decoder(params)
-            self._decoder_cache[key] = c
+            if len(self._decoder_cache) < _DECODER_CACHE_KEYS:
+                self._decoder_cache[key] = c
         if remember:
             params._decoder = c
         return c

@@ -384,12 +384,28 @@ def _narrow_t(params):
     return str(params["narrow_type"])
 
 
+def _narrows(t: ElementType, narrow: ElementType) -> bool:
+    """True if ``narrow`` is an integer type inside integer ``t``'s bounds, or a float narrower than float ``t``."""
+    if t.is_integer and narrow.is_integer:
+        (lo, hi), (narrow_lo, narrow_hi) = t.bounds(), narrow.bounds()
+        return lo <= narrow_lo and narrow_hi <= hi
+    return t.kind is Kind.FLOAT is narrow.kind and narrow.width_bits < t.width_bits
+
+
 def _nullsup_decoder(params):
     t, narrow_t = _t(params), _narrow_t(params)
     b = CircuitBuilder()
     narrow = b.input("narrow")
-    # an identity narrowing decodes to the input itself, which takes a relay
-    b.result("col", b.cast(narrow_t, t, narrow) if narrow_t != t else b.noop(narrow, t))
+    if narrow_t == t:
+        # an identity narrowing decodes to the input itself, which takes a relay
+        b.result("col", b.noop(narrow, t))
+    elif _narrows(parse_type(t), parse_type(narrow_t)):
+        # the cast back cannot fail, so the form check alone decides membership
+        b.result("col", b.cast(narrow_t, t, narrow))
+    else:
+        raise NotEncodable(
+            f"nullsup narrow_type must be {t}, an integer type inside its bounds or a narrower float, not {narrow_t}"
+        )
     return b.build()
 
 

@@ -88,6 +88,10 @@ class _ComposedCodec(CodecEntry):
 
     ``inners`` holds ``(entry, iparams, decoder)`` per inner scheme, resolved
     once: the params remember the decoder, so checking a part keys nothing.
+
+    The verifier is the same for every recipe: each part must pass its inner
+    verifier and decode, and then the recipe's ``_relation`` over the columns
+    and the decoded parts decides.
     """
 
     def __init__(self, recipe, prefixes):
@@ -121,11 +125,24 @@ class _ComposedCodec(CodecEntry):
         feeds = {label: b.input(self.prefixes[i] + label) for label in decoder.signature.inputs}
         return b.embed(decoder, feeds)["out:col"]
 
-    def _decoded(self, i, columns):
-        """Part ``i`` of ``columns`` decoded by its inner scheme, or None if that rejects it."""
+    def _part_decoded(self, i, part):
+        """``part``, unprefixed, decoded by inner scheme ``i``; None if that rejects it or its decode fails."""
         entry, iparams, decoder = self.inners[i]
-        part = _strip(self.prefixes[i], columns)
-        return _inner_decode(decoder, part) if entry.verify_columns(iparams, part) else None
+        if not entry.verify_columns(iparams, part):
+            return None
+        try:
+            return _inner_decode(decoder, part)
+        except ColcircError:
+            return None
+
+    def host_verify(self, params, columns):
+        parts = []
+        for i, prefix in enumerate(self.prefixes):
+            decoded = self._part_decoded(i, _strip(prefix, columns))
+            if decoded is None:
+                return False
+            parts.append(decoded)
+        return self._relation(columns, parts)
 
     def _encoded(self, i, family):
         """Inner scheme ``i``'s encoding of ``family``, under its prefix."""
@@ -145,14 +162,11 @@ class _PatchedCodec(_ComposedCodec):
         b.result("col", b.scatter(self.data_type, self._embed(b, 0), b.input("patch_pos"), b.input("patch_data")))
         return b.build()
 
-    def host_verify(self, params, columns):
-        decoded = self._decoded(0, columns)
-        if decoded is None:
-            return False
+    def _relation(self, columns, parts):
         pos = columns["patch_pos"].values
         if len(pos) != len(columns["patch_data"]) or len(set(pos)) != len(pos):
             return False
-        return all(p < len(decoded) for p in pos)
+        return all(p < len(parts[0]) for p in pos)
 
     def encode(self, params, family):
         col = family["col"]
@@ -183,10 +197,9 @@ class _ElementwiseAddCodec(_ComposedCodec):
         b.result("col", b.cast(wide, t, b.add_cols(wide, lhs, rhs)))
         return b.build()
 
-    def host_verify(self, params, columns):
-        a = self._decoded(0, columns)
-        b = None if a is None else self._decoded(1, columns)
-        return b is not None and len(a) == len(b) and _sums_fit(parse_type(self.data_type), a.values, b.values)
+    def _relation(self, columns, parts):
+        a, b = parts
+        return len(a) == len(b) and _sums_fit(parse_type(self.data_type), a.values, b.values)
 
     def encode(self, params, family):
         col = family["col"]
@@ -235,11 +248,9 @@ class _DifferentiateCodec(_ComposedCodec):
         b.result("col", b.cast(_WIDE, t, full))
         return b.build()
 
-    def host_verify(self, params, columns):
-        if len(columns["first"]) != 1:
-            return False
-        diffs = self._decoded(0, columns)
-        return diffs is not None and _running_sums_fit(parse_type(self.data_type), columns["first"].values[0], diffs.values)
+    def _relation(self, columns, parts):
+        first = columns["first"].values
+        return len(first) == 1 and _running_sums_fit(parse_type(self.data_type), first[0], parts[0].values)
 
     def encode(self, params, family):
         col = family["col"]
@@ -286,15 +297,10 @@ class _SmallDictFitCodec(_ComposedCodec):
         b.result("col", b.scatter(t, base, pos_z, self._embed(b, 0)))
         return b.build()
 
-    def host_verify(self, params, columns):
-        residual = self._decoded(0, columns)
-        if residual is None:
-            return False
+    def _relation(self, columns, parts):
         d = len(columns["dictionary"])
         vals = columns["indices"].values
-        if d < 1 or any(v >= d for v in vals):
-            return False
-        return len(residual) == sum(1 for v in vals if v == 0)
+        return d >= 1 and all(v < d for v in vals) and len(parts[0]) == vals.count(0)
 
     def encode(self, params, family):
         col = family["col"]
@@ -328,15 +334,10 @@ class _AlternatingCodec(_ComposedCodec):
         b.result("col", out)
         return b.build()
 
-    def host_verify(self, params, columns):
-        part = columns["partition"].values
-        if any(v >= len(self.inners) for v in part):
-            return False
-        for i in range(len(self.inners)):
-            decoded = self._decoded(i, columns)
-            if decoded is None or len(decoded) != sum(1 for v in part if v == i):
-                return False
-        return True
+    def _relation(self, columns, parts):
+        partition = columns["partition"].values
+        k = len(parts)
+        return all(v < k for v in partition) and all(len(p) == partition.count(i) for i, p in enumerate(parts))
 
     def encode(self, params, family):
         col = family["col"]
@@ -364,26 +365,15 @@ def _position_wise(entry, iparams, decoder, sizes) -> bool:
 
     Every vertex of its decoder is ``elementwise`` or ``no_op``, its length
     rule gives ``n`` for every encoded label (at each probed length in
-    ``sizes``), and its verifier is the form check alone.
+    ``sizes``), and its verifier is the form check alone.  A complete
+    verifier of that kind means the decoder cannot fail on well-typed
+    columns, which is what lets the lifted verifier decode nothing.
     """
     if not entry.verifies_form_only():
         return False
     if any(op.op_name not in ("elementwise", "no_op") for op in decoder.vertices.values()):
         return False
     return all(entry.encoded_lengths(iparams, n) == dict.fromkeys(decoder.signature.inputs, n) for n in sizes)
-
-
-def _cannot_fail(op) -> bool:
-    """True for a relay or an integer cast into a type that holds every value of its source."""
-    if op.op_name == "no_op":
-        return True
-    if op.params.get("fn") != "cast":
-        return False
-    src, dst = op.signature.inputs["arguments"], op.signature.outputs["result"]
-    if not (src.is_integer and dst.is_integer):
-        return False
-    (lo, hi), (dst_lo, dst_hi) = src.bounds(), dst.bounds()
-    return dst_lo <= lo and hi <= dst_hi
 
 
 def _require_equal(b, x, y):
@@ -405,12 +395,11 @@ class _SegmentizedCodec(_ComposedCodec):
     is decided once, here.  If it is, ``lifted`` holds: the decoder embeds
     the inner decoder once over the ``seg:`` columns and checks that each
     holds ``total_length`` (uniform) or the sum of ``segment_lengths``
-    (variable) values, and the verifier checks those lengths in Python.  It
-    decodes, once, only if the inner decoder can fail on values of its input
-    types (``infallible`` is false): the host loop's verifier rejects what
-    some segment's decoding fails on.  Otherwise the decoder lifts the ``segmentized`` operator, which
-    runs the inner decoder per segment, and the verifier checks and decodes
-    every segment.
+    (variable) values, and the verifier checks those lengths in Python and
+    decodes nothing: a form check that decides membership leaves the inner
+    decoder nothing to fail on.  Otherwise the decoder lifts the
+    ``segmentized`` operator, which runs the inner decoder per segment, and
+    the verifier checks and decodes every segment.
     """
 
     def __init__(self, recipe, uniform):
@@ -425,7 +414,6 @@ class _SegmentizedCodec(_ComposedCodec):
         extra = {"segment_length": INT, "total_length": INT} if uniform else {"segment_lengths": INT}
         self.spec = {**extra, **{f"seg:{label}": t for label, t in decoder.signature.inputs.items()}}
         self.lifted = _position_wise(entry, iparams, decoder, {0, 1, 2, 3, self.ell if uniform else 4})
-        self.infallible = self.lifted and all(map(_cannot_fail, decoder.vertices.values()))
 
     def form_spec(self, params):
         return self.spec
@@ -498,11 +486,11 @@ class _SegmentizedCodec(_ComposedCodec):
     def host_verify(self, params, columns):
         if self.uniform and (columns["segment_length"].values != (self.ell,) or len(columns["total_length"]) != 1):
             return False
+        if self.lifted:
+            return self._lengths_fit(columns)
         try:
-            if self.lifted:
-                return self._lengths_fit(columns) and (self.infallible or self._decoded(0, columns) is not None)
             return self._segments_verify(columns)
-        except ColcircError:  # a length mismatch, or values the inner decoder fails on
+        except ColcircError:  # segment lengths that do not fit the columns
             return False
 
     def _lengths_fit(self, columns) -> bool:
@@ -512,10 +500,10 @@ class _SegmentizedCodec(_ComposedCodec):
 
     def _segments_verify(self, columns) -> bool:
         """Check and decode every segment."""
-        entry, iparams, decoder = self.inners[0]
         segments = self._segments(columns)
         for seg_len, piece in zip(segments, self._split(columns, segments)):
-            if not entry.verify_columns(iparams, piece) or len(_inner_decode(decoder, piece)) != seg_len:
+            decoded = self._part_decoded(0, piece)
+            if decoded is None or len(decoded) != seg_len:
                 return False
         return True
 

@@ -202,7 +202,8 @@ def _fit(t: ElementType, values, rng, what="result", sources=None):
                     _check_int(t, v, what)
             else:
                 for s, v in zip(sources, values):
-                    _check_int(t, v, what=f"cast of {s}")
+                    if not lo <= v <= hi:
+                        raise OperatorError("overflow", f"cast of {s} outside {t} range [{lo}, {hi}]")
     return rng if len(values) >= _RANGED else None
 
 
@@ -348,7 +349,7 @@ _F64_EXACT = 1 << 53
 
 
 def _float_cast(arg: Column, src: ElementType, dst: ElementType):
-    """Cast numeric values to a float type; integers beyond 2**53 overflow."""
+    """Cast numeric values to a float type; a value the result type cannot hold exactly overflows."""
     vals = arg.values
     if src.is_integer and vals:
         rng = _interval(arg)
@@ -361,10 +362,10 @@ def _float_cast(arg: Column, src: ElementType, dst: ElementType):
     out = list(map(float, vals))
     if dst.width_bits == 32:
         f32 = array("f", out).tolist()
-        if src.kind is _FLOAT and src.width_bits == 64 and f32 != out:
-            for v, f in zip(out, f32):
+        if src != dst and f32 != out:
+            for s, v, f in zip(vals, out, f32):
                 if f != v and v == v:
-                    raise OperatorError("overflow", f"{v} not exactly representable as f32")
+                    raise OperatorError("overflow", f"{s} not exactly representable as f32")
         out = f32
     return out
 

@@ -61,6 +61,8 @@ class TestEncodeDecodeVerify:
         write_bundle(bad, bundle)
         assert main(["verify", bundle]) == 3
         assert main(["decode", bundle, str(tmp_path / "d")]) == 3
+        assert main(["stats", bundle]) == 3
+        assert not os.path.exists(tmp_path / "d")
 
     def test_type_mismatched_column_file_exit_3(self, tmp_path, runs_col):
         bundle = str(tmp_path / "bundle")

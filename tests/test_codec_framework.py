@@ -19,7 +19,7 @@ from colcirc import (
     scalar_column,
     verify,
 )
-from colcirc.codec import CodecEntry
+from colcirc.codec import CodecEntry, params_key
 from colcirc.errors import EvaluationError, NotEncodable, RegistryError, TypeDomainError, VerificationFailed
 from colcirc.types import BIT, F32, F64, I8, I64, INT, U8, U16, U32
 
@@ -679,3 +679,17 @@ class TestLengthBeyondAnIndex:
         cols = {label: make_column(U8 if label == "value" else INT, values) for label, values in columns.items()}
         with pytest.raises(EvaluationError, match="too-long"):
             decode(SchemeInstance(scheme, params, cols), check=False)
+
+
+def test_decoder_cache_stops_growing_at_its_cap(monkeypatch):
+    entry = codec("run.rle.capped")
+    monkeypatch.setattr(entry, "_decoder_cache", {})  # the registry's entry gets its own cache back afterwards
+    col = make_column(U8, [3, 3, 3, 9])
+    for cap in range(1, 301):
+        inst = encode("run.rle.capped", {"type": "u8", "cap": cap}, col)
+        assert decode(inst)["col"] == col
+    assert len(entry._decoder_cache) == 256
+    # params past the cap still decode, through a decoder built for the call
+    inst = encode("run.rle.capped", {"type": "u8", "cap": 1000}, col)
+    assert params_key(inst.params) not in entry._decoder_cache
+    assert decode(inst)["col"] == col and decode(inst, check=False)["col"] == col

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import struct
@@ -7,19 +8,23 @@ import pytest
 
 from colcirc import (
     Column,
+    CompositionRecipe,
     SchemeInstance,
+    compose,
     decode,
     encode,
     evaluate_circuit,
     make_column,
     scalar_column,
     verify,
+    write_col_file,
 )
 from colcirc import comp_schemes as cs
 from colcirc import ops
+from colcirc.cli import main
 from colcirc.errors import NotEncodable
 from colcirc.rep_schemes import canonical_varwidth, varwidth_elements
-from colcirc.types import I8, INT, U8, U16, U32, ElementType
+from colcirc.types import I8, INT, U8, U16, U32, ElementType, parse_type
 
 from scheme_cases import CASES, corruption_battery, roundtrip_battery
 
@@ -105,6 +110,40 @@ class TestNarrowing:
 
         inst = encode("nullsup", {"type": "i16", "narrow_type": "i8"}, make_column(I16, [-3]))
         assert decode(inst)["col"].values == (-3,)
+
+    @pytest.mark.parametrize(
+        "t, narrow_t, values",
+        [
+            ("u32", "u8", [0, 255]),
+            ("u64", "u8", [7]),
+            ("u64", "u32", [2**32 - 1]),
+            ("i16", "i8", [-128, 127]),
+            ("u8", "u8", [0, 255]),
+            ("i8", "i8", [-128]),
+            ("i16", "u8", [255]),
+            ("f64", "f32", [0.5, -2.0]),
+        ],
+    )
+    def test_narrow_type_inside_type_round_trips(self, t, narrow_t, values):
+        col = make_column(parse_type(t), values)
+        inst = encode("nullsup", {"type": t, "narrow_type": narrow_t}, col)
+        assert verify(inst) and decode(inst)["col"] == col
+
+    @pytest.mark.parametrize(
+        "t, narrow_t",
+        [("u8", "u32"), ("u8", "i8"), ("i8", "u8"), ("u32", "f32"), ("f64", "i32"), ("f32", "f64")],
+    )
+    def test_narrow_type_whose_cast_back_could_fail_is_not_encodable(self, t, narrow_t, tmp_path):
+        params = {"type": t, "narrow_type": narrow_t}
+        et = parse_type(t)
+        col = make_column(et, [et.zero()])
+        with pytest.raises(NotEncodable, match="narrow_type must be"):
+            encode("nullsup", params, col)
+        with pytest.raises(NotEncodable, match="narrow_type must be"):
+            compose(CompositionRecipe("segmentize-variable", f"testonly.nullsup.{t}.{narrow_t}", (("nullsup", params),)))
+        write_col_file(tmp_path / "in.col", col)
+        argv = ["encode", "--scheme", "nullsup", "--params", json.dumps(params), str(tmp_path / "in.col")]
+        assert main([*argv, str(tmp_path / "out")]) == 2
 
 
 class TestRuns:
