@@ -198,7 +198,7 @@ class CircuitBuilder:
         scheme may decode to the same label names its encoded form uses."""
         self.output(f"out:{label}", wire)
 
-    def build(self, validate: bool = True) -> ColumnarCircuit:
+    def build(self) -> ColumnarCircuit:
         vertices, edges, interface = dict(self._vertices), set(self._edges), {}
         for label, targets in self._inputs.items():
             if len(targets) == 1:
@@ -217,7 +217,7 @@ class CircuitBuilder:
                 raise ColcircError(f"label {label!r} used for both an input and an output")
             interface[label] = port
         c = circuit(vertices, edges, interface)
-        if validate and not self._proven:
+        if not self._proven:
             violations = (*self._flaws, *validate_circuit(c).violations)
             if violations:
                 raise InvalidCircuitError(ValidationReport(violations))

@@ -111,12 +111,6 @@ class ColumnarCircuit:
     def disengaged_in_ports(self):
         return set(self.in_ports()) - self.engaged_in_ports()
 
-    def input_labels(self):
-        return list(self.signature.inputs)
-
-    def output_labels(self):
-        return list(self.signature.outputs)
-
 
 def circuit(vertices, edges, interface) -> ColumnarCircuit:
     """Build a circuit, deriving its signature from the interface mapping."""

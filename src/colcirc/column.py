@@ -100,10 +100,6 @@ class Column:
             shown += ", ..."
         return f"Column({self.element_type}, [{shown}])"
 
-    @property
-    def is_scalar(self) -> bool:
-        return len(self.values) == 1
-
     def scalar(self):
         """The single value of a length-1 column."""
         if len(self.values) != 1:
@@ -178,10 +174,6 @@ class SegmentedViewSpec:
     @property
     def segment_count(self) -> int:
         return -(-self.column_length // self.segment_length)
-
-    @property
-    def has_slack(self) -> bool:
-        return self.column_length % self.segment_length != 0
 
 
 def segmented_get(col: Column, spec: SegmentedViewSpec, i: int, j: int):

@@ -79,11 +79,24 @@ def _narrow_out(b: CircuitBuilder, params, wire) -> Wire:
 # -- generated columns ------------------------------------------------------------
 
 
+# 2.0 ** 1024 overflows f64, so at a higher degree position 2 overflows every type
+_MAX_DEGREE = 1023
+
+
+def _degree(d):
+    if type(d) is not int or not 0 <= d <= _MAX_DEGREE:
+        raise NotEncodable(f"basis degree {d!r} is not an integer in 0..{_MAX_DEGREE}")
+    return d
+
+
 def _basis_degrees(params):
+    """The degrees of ``params``' basis: ``basis``, or 0 to ``degree``."""
     basis = params.get("basis")
     if basis is None:
-        basis = list(range(int(params["degree"]) + 1))
-    return [int(d) for d in basis]
+        return list(range(_degree(params["degree"]) + 1))
+    if not isinstance(basis, (list, tuple)):
+        raise NotEncodable(f"basis {basis!r} is not a list of degrees")
+    return [_degree(d) for d in basis]
 
 
 def _poly_eval_wires(b: CircuitBuilder, params, rel: Wire, coeff_of, n: Wire) -> Wire:
@@ -250,7 +263,7 @@ _register_generated(
     "generated.poly",
     normalize=lambda p: dict(
         {k: v for k, v in p.items() if k != "degree"},
-        basis=list(range(int(p["degree"]) + 1)) if "degree" in p else p.get("basis", [0]),
+        basis=_basis_degrees({"degree": p["degree"]}) if "degree" in p else p.get("basis", [0]),
     ),
 )
 

@@ -531,6 +531,7 @@ def corruption_battery(scheme_id, case, rng, count, max_attempts_factor=60):
 # -- the case table -----------------------------------------------------------------
 
 _LEN = corrupt_truncate
+_FAR_LENGTH = 10**4  # far past any generated column; an unchecked decode allocates it
 
 
 CASES = {
@@ -594,7 +595,7 @@ CASES = {
     "indexset.dense": Case(gen_indexset_sparse, []),
     "indexset.contiguous": Case(
         gen_indexset_contiguous,
-        [corrupt_set("length", 0, 10**6)],
+        [corrupt_set("length", 0, _FAR_LENGTH)],
     ),
     "partition": Case(gen_partition, [corrupt_out_of_range("partition", lambda i: 10**6)]),
     "partition.k": Case(
@@ -612,7 +613,7 @@ CASES = {
     "varwidth.capped": Case(
         gen_capped_width,
         [
-            corrupt_set("lengths", 0, 10**6),
+            corrupt_set("lengths", 0, _FAR_LENGTH),
             _LEN("data"),
             lambda rng, inst: corrupt_set("max_length", 0, 0)(rng, inst)
             if len(inst.columns["data"])
@@ -658,7 +659,7 @@ CASES = {
     "run.rle": Case(gen_runs, [corrupt_set("length", 0, 0), _LEN("value")]),
     "run.rle.capped": Case(
         gen_capped_runs,
-        [corrupt_set("length", 0, 0), corrupt_out_of_range("length", lambda i: 10**6), corrupt_set("cap", 0, 0)],
+        [corrupt_set("length", 0, 0), corrupt_out_of_range("length", lambda i: _FAR_LENGTH), corrupt_set("cap", 0, 0)],
     ),
     "spline.generalized": Case(
         gen_spline_generalized,

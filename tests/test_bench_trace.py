@@ -1,8 +1,8 @@
 """The benchmark's traced run still finds every layer it hooks into.
 
-``bench/tracing.py`` wraps functions and methods of ``colcirc`` by name, so a
-rename under ``src/`` would silently drop a per-layer metric; this runs one
-short traced round of the ``small`` workload and checks each one.
+``bench/tracing.py`` wraps functions of ``colcirc`` by name, so a rename, or a
+path that bypasses a wrapped function, would silently drop a per-layer
+metric; this runs one short traced round of each workload and checks them.
 """
 
 import json
@@ -11,12 +11,15 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_small_run_reports_every_per_layer_metric():
+@pytest.mark.parametrize("workload", ["bulk", "small", "cli"])
+def test_traced_run_reports_every_per_layer_metric(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "small", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

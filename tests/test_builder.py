@@ -294,7 +294,9 @@ class TestBuildFailures:
         b = CircuitBuilder()
         b.output("y", b.ew("scale", {"type": "u32", "k": 2}, arguments=b.scalar("u8", 1)))
         assert _violation_kinds(b) == ["type-mismatch"]
-        assert b.build(validate=False).signature.outputs["y"] == U32
+        one, scale = instantiate("scalar", {"type": "u8", "value": 1}), instantiate("elementwise", {"fn": "scale", "type": "u32", "k": 2})
+        edges = {(PortRef("one", "value", OUT), PortRef("scale", "arguments", IN))}
+        assert circuit({"one": one, "scale": scale}, edges, {"y": PortRef("scale", "result", OUT)}).signature.outputs["y"] == U32
 
     def test_wire_of_another_builder(self):
         other = CircuitBuilder()
@@ -322,9 +324,9 @@ class TestBuildFailures:
         assert _violation_kinds(b) == ["unmapped-disengaged-input"]
 
     def test_embedded_circuit_with_a_type_mismatched_edge(self):
-        inner = CircuitBuilder()
-        inner.output("y", inner.add_cols("u32", inner.input("x"), inner.scalar("u8", 1)))
-        bad = inner.build(validate=False)
+        one, add = instantiate("scalar", {"type": "u8", "value": 1}), instantiate("elementwise", {"fn": "add", "type": "u32"})
+        edges = {(PortRef("one", "value", OUT), PortRef("add", "rhs", IN))}
+        bad = circuit({"one": one, "add": add}, edges, {"x": PortRef("add", "lhs", IN), "y": PortRef("add", "result", OUT)})
         b = CircuitBuilder()
         b.output("y", b.embed(bad, {"x": b.input("x")})["y"])
         assert _violation_kinds(b) == ["type-mismatch"]

@@ -1,24 +1,21 @@
-"""Per-call fast paths give what the checked paths give, and stay cheap.
+"""Per-call fast paths stay cheap and keep the checks they must keep.
 
 An operator call reads the facts of its element types from the type
 (interned, with bounds and kind predicates computed once), a ``scalar``
 vertex builds its column once, and a widening integer cast of a well-typed
-column passes the values through.  The differential tests run every
-elementwise function and the structural operators on boundary values twice:
-as they are, and with every shortcut turned off and the inputs rebuilt with
-``Column(...)`` over copied (so not interned) types.  The count guard at the
-end pins the number of checked ``Column`` constructions per evaluation, so a
-per-call check that comes back fails here deterministically, not by timing.
+column passes the values through.  That every operator gives on boundary
+values what it gives with every shortcut off is ``test_paths.py``'s
+``checked`` path; here are the casts, messages and interning those shortcuts
+rest on.  The count guard at the end pins the number of checked ``Column``
+constructions per evaluation, so a per-call check that comes back fails here
+deterministically, not by timing.
 """
 
 import copy
 import dataclasses
 import importlib
 import itertools
-import math
 import random
-import sys
-from contextlib import contextmanager
 
 import pytest
 
@@ -39,186 +36,19 @@ from colcirc import ops as ops_mod
 from colcirc import types as types_mod
 from colcirc.column import read_col_bytes, write_col_bytes
 from colcirc.errors import ColcircError, EvaluationError, OperatorError, TypeDomainError, VerificationFailed
-from colcirc.gallery import q6_circuit
-from colcirc.transform import assign_input, circuit_union, drop_output, rename_labels
-from colcirc.types import (
-    BIT,
-    BOTTOM,
-    F32,
-    F64,
-    I8,
-    I16,
-    I32,
-    I64,
-    U8,
-    U16,
-    U32,
-    U64,
-    UNIT,
-    ElementType,
-    parse_type,
-)
+from colcirc.types import BIT, BOTTOM, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, UNIT, ElementType, parse_type
+from paths import count_checked_columns, edges, encoded, lineitem, splice_q6
 
 # the package exports functions named after these modules
 codec_mod = importlib.import_module("colcirc.codec")
-
-F32_MAX = 3.4028234663852886e38
-F32_TINY = 1.401298464324817e-45  # the least positive f32 (subnormal)
-
-
-def edges(t):
-    """Boundary values of ``t``: 0, the maximum, the signed minimum, the f32 extremes."""
-    if t is F32:
-        return [0.0, -0.0, F32_MAX, -F32_MAX, F32_TINY, math.inf, -math.inf]
-    if t is F64:
-        return [0.0, sys.float_info.max, -sys.float_info.max, 5e-324, math.inf, -math.inf]
-    lo, hi = t.bounds()
-    return sorted({lo, 0, 1 if hi >= 1 else 0, hi - 1, hi})
-
-
-NUMERIC = [BIT, U8, U16, U32, U64, I8, I16, I32, I64, ElementType.unsigned(24), ElementType.signed(33), F32, F64]
 
 
 def col(t, values):
     return make_column(t, values)
 
 
-def zeros(t, n):
-    return col(t, [t.zero()] * n)
-
-
 def idx(*values):
     return col(U64, values)
-
-
-def count_checked_columns(monkeypatch):
-    """The element types of the checked ``Column(...)`` calls made from here on."""
-    built = []
-    init = Column.__init__
-
-    def counting(self, t, values):
-        built.append(t)
-        init(self, t, values)
-
-    monkeypatch.setattr(Column, "__init__", counting)
-    return built
-
-
-# -- the reference: every shortcut off ------------------------------------------------
-
-
-@contextmanager
-def checked_paths():
-    """Every output through ``Column(...)``, and every integer result range-checked."""
-    saved = (ops_mod._well_typed, ops_mod._interval, Column.__dict__["_trusted"])
-    ops_mod._well_typed = lambda inst, cols: False
-    ops_mod._interval = lambda col: None
-    Column._trusted = classmethod(lambda cls, t, values: Column(t, values))
-    try:
-        yield
-    finally:
-        ops_mod._well_typed, ops_mod._interval, Column._trusted = saved
-
-
-def rebuilt(inputs):
-    """The inputs rebuilt by the checked constructor over copied element types."""
-    return {label: Column(copy.deepcopy(c.element_type), c.values) for label, c in inputs.items()}
-
-
-def outcome(inst, inputs):
-    try:
-        out = inst.apply(inputs)
-    except ColcircError as exc:
-        return type(exc), str(exc)
-    return {label: (c.element_type, tuple(map(type, c.values)), c.values) for label, c in out.items()}
-
-
-def same(a, b):
-    """Equal outcomes, NaNs at the same places counted equal."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
-    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
-        return math.isnan(b)
-    return a == b
-
-
-def cases():
-    """``(id, op, params, inputs)`` over boundary values of every numeric type."""
-    out = []
-
-    def add(case_id, op, params, inputs):
-        out.append(pytest.param(op, params, inputs, id=case_id))
-
-    for t in NUMERIC:
-        vals = edges(t)
-        n = len(vals)
-        c, z = col(t, vals), zeros(t, n)
-        rev = col(t, vals[::-1])
-        name = str(t)
-        if t is not BIT:
-            for fn in ("add", "sub", "mul"):
-                add(f"{fn}-{name}-zero", "elementwise", {"fn": fn, "type": name}, {"lhs": c, "rhs": z})
-                add(f"{fn}-{name}-self", "elementwise", {"fn": fn, "type": name}, {"lhs": c, "rhs": rev})
-            add(f"scale-{name}", "elementwise", {"fn": "scale", "type": name, "k": 2}, {"arguments": c})
-            add(f"scale-neg-{name}", "elementwise", {"fn": "scale", "type": name, "k": -1}, {"arguments": c})
-            add(f"clip_by-{name}", "elementwise", {"fn": "clip_by", "type": name, "k": 3}, {"arguments": c})
-        for fn in ("eq", "lt", "le"):
-            add(f"{fn}-{name}", "elementwise", {"fn": fn, "type": name}, {"lhs": c, "rhs": rev})
-        lo, hi = vals[0], vals[-1]
-        add(f"in_range-{name}", "elementwise", {"fn": "in_range", "type": name, "lo": lo, "hi": hi}, {"arguments": c})
-        params = {"fn": "const_compare", "type": name, "cmp": "ge", "value": vals[n // 2]}
-        add(f"const_compare-{name}", "elementwise", params, {"arguments": c})
-        add(f"identity-{name}", "elementwise", {"fn": "identity", "type": name}, {"arguments": c})
-        add(f"tuple_make-{name}", "elementwise", {"fn": "tuple_make", "types": [name, "u8"]}, {"component_1": c, "component_2": zeros(U8, n)})
-        add(f"gather-{name}", "gather", {"type": name}, {"pos": idx(*range(n - 1, -1, -1)), "data": c})
-        add(f"select-{name}", "select", {"type": name}, {"data": c, "selection": col(BIT, [i % 2 for i in range(n)])})
-        add(f"replicate-{name}", "replicate", {"type": name}, {"value": col(t, [hi]), "factor": idx(3)})
-        add(f"concatenate-{name}", "concatenate", {"type": name, "k": 2}, {"col_1": c, "col_2": rev})
-        add(f"scatter-{name}", "scatter", {"type": name}, {"col": z, "pos": idx(0, n - 1), "data": col(t, [hi, lo])})
-        add(f"permute-{name}", "permute", {"type": name}, {"permutation": idx(*range(n - 1, -1, -1)), "data": c})
-        add(f"transpose-{name}", "transpose", {"type": name}, {"segment_length": idx(1), "col": c})
-        add(f"split_first-{name}", "split_first", {"type": name}, {"col": c})
-        add(f"zip-{name}", "zip", {"types": [name, name]}, {"component_1": c, "component_2": rev})
-        add(f"compose_segments-{name}", "compose_segments", {"type": name, "k": n}, {"segment_length": idx(1), "components": c})
-        add(f"assemble-{name}", "assemble", {"type": name, "k": 1}, {"segment_length": idx(1), "components": c})
-        for op in ("replicate_segments", "replicate_within_segments"):
-            add(f"{op}-{name}", op, {"type": name}, {"col": c, "segment_length": idx(1), "factor": idx(2)})
-        add(f"derivative-{name}", "derivative", {"type": name}, {"col": c})
-        add(f"is_same_as_previous-{name}", "is_same_as_previous", {"type": name}, {"col": col(t, [hi, hi, lo])})
-        add(f"length-{name}", "length", {"type": name}, {"col": c})
-        add(f"no_op-{name}", "no_op", {"type": name}, {"arguments": c})
-        add(f"scalar-{name}", "scalar", {"type": name, "value": hi}, {})
-        for op in ("add", "max", "min"):
-            add(f"prefix-{op}-{name}", "prefix_aggregate", {"op": op, "type": name}, {"data": c})
-        if t.is_integer:
-            add(f"iota-{name}", "iota", {"type": name}, {"n": idx(min(hi, 5) + 1)})
-        if t.kind is types_mod.Kind.UNSIGNED and t.width_bits > 1:
-            params = {"w": t.width_bits, "p": t.width_bits // 2}
-            add(f"carve-{name}", "carve", params, {"arguments": c})
-        for dst in NUMERIC:
-            add(f"cast-{name}-{dst}", "elementwise", {"fn": "cast", "from": name, "to": str(dst)}, {"arguments": c})
-    bits = col(BIT, [0, 1, 1, 0])
-    for fn in ("and", "or"):
-        add(f"{fn}-bit", "elementwise", {"fn": fn}, {"lhs": bits, "rhs": col(BIT, [0, 0, 1, 1])})
-    add("not-bit", "elementwise", {"fn": "not"}, {"arguments": bits})
-    for op in ("and", "or"):
-        add(f"prefix-{op}-bit", "prefix_aggregate", {"op": op}, {"data": bits})
-    add("select_indices", "select_indices", {}, {"characteristic": bits})
-    return out
-
-
-@pytest.mark.parametrize("op, params, inputs", cases())
-def test_fast_path_equals_checked_path(op, params, inputs):
-    inst = instantiate(op, params)
-    fast = outcome(inst, inputs)
-    with checked_paths():
-        checked = outcome(instantiate(op, params), rebuilt(inputs))
-    assert same(fast, checked), (fast, checked)
-    if isinstance(fast, dict):
-        for t, _, values in fast.values():
-            assert t.check_values(values) is values  # every output, trusted or not, is in its domain
 
 
 # -- casts ---------------------------------------------------------------------------------
@@ -490,28 +320,12 @@ def test_composed_decode_looks_no_inner_decoder_up(monkeypatch, kind, inner, opt
 # -- the count guard: checked Column constructions per evaluation ------------------------------
 
 
-LINEITEM = {
-    "shipdate": ("for", {"type": "u64", "offset_type": "u16", "segment_length": 4}),
-    "discount": ("dict", {"type": "u64"}),
-    "quantity": ("nullsup", {"type": "u64", "narrow_type": "u8"}),
-    "extended_price": ("nullsup", {"type": "u64", "narrow_type": "u32"}),
-}
-
-
 def tiny_q6():
     """Q6 with each lineitem column's decoder spliced in, over 9 rows, and its inputs."""
     rng = random.Random(12)
     ranges = {"shipdate": (8700, 9200), "discount": (0, 11), "quantity": (1, 50), "extended_price": (1000, 90000)}
-    plan, inputs = q6_circuit(), {}
-    for name, (sid, params) in LINEITEM.items():
-        entry = codec(sid)
-        p = entry.normalize_params(params)
-        mapping = {"out:col": f"dec:{name}", **{label: f"{name}:{label}" for label in entry.form_spec(p)}}
-        plan = circuit_union(plan, rename_labels(entry.decoder(p), mapping))
-        plan = drop_output(assign_input(plan, name, plan.interface[f"dec:{name}"]), f"dec:{name}")
-        inst = encode(sid, params, col(U64, [rng.randrange(*ranges[name]) for _ in range(9)]))
-        inputs.update({f"{name}:{label}": c for label, c in inst.columns.items()})
-    return plan, inputs
+    table = {name: [rng.randrange(*bounds) for _ in range(9)] for name, bounds in ranges.items()}
+    return splice_q6({}, lineitem(4)), encoded(table, lineitem(4))
 
 
 def rle_decoder():

@@ -154,44 +154,6 @@ class TestOrderIndependence:
             par = evaluate_circuit(c, inputs, parallel=True)
             assert ref == par
 
-    def test_function_at_port_matches_inductive_definition(self):
-        # oracle: the inductive definition evaluated by naive recursion
-        def reference_port_value(c, port, inputs, memo):
-            if port in memo:
-                return memo[port]
-            if port.direction == IN:
-                for label, p in c.interface.items():
-                    if p == port and label in c.signature.inputs:
-                        return inputs[label]
-                for src, dst in c.edges:
-                    if dst == port:
-                        return reference_port_value(c, src, inputs, memo)
-                raise AssertionError(f"unfed port {port}")
-            op = c.vertices[port.vertex_id]
-            args = {
-                label: reference_port_value(
-                    c, PortRef(port.vertex_id, label, IN), inputs, memo
-                )
-                for label in op.signature.inputs
-            }
-            outs = op.apply(args)
-            for label, colv in outs.items():
-                memo[PortRef(port.vertex_id, label, OUT)] = colv
-            return memo[port]
-
-        rng = random.Random(21)
-        for _ in range(15):
-            c = random_circuit(rng, n_inputs=2, n_steps=6)
-            inputs = random_inputs(rng, c)
-            try:
-                ports = evaluate_ports(c, inputs)
-            except EvaluationError:
-                continue
-            memo = {}
-            for port, col in ports.items():
-                if port.direction == OUT:
-                    assert reference_port_value(c, port, inputs, memo) == col
-
 
 class TestDecisionCircuits:
     def test_trivially_true(self):

@@ -1,4 +1,4 @@
-"""Column ranges are sound, and they change nothing a caller can observe.
+"""Column ranges are sound, and spare the scans they prove.
 
 An integer column may carry a private proven ``(lo, hi)`` around its values
 (``Column._range``).  The checked constructor records the ``min``/``max`` of
@@ -11,18 +11,17 @@ result type skips its ``min``/``max`` scan.  Columns shorter than
 * The soundness test applies every operator that records or derives a
   range to random columns with random sound input ranges, and requires
   every recorded range, on outputs and inputs alike, to hold its values.
-* The differential test decodes every scheme case, its corruptions and
-  instances edited to their type's bounds, and evaluates random spliced Q6
-  plans, three ways: with input ranges, with them stripped, and with every
-  range check replaced by a scan.  Outputs, error types and messages must
-  be identical.
+* That ranges change nothing a caller can observe is ``test_paths.py``'s
+  ``ranges_everywhere``, ``stripped`` and ``ranges_off`` paths: scheme
+  cases, their corruptions and bound edits, and spliced Q6 plans decoded
+  and verified with input ranges, with them stripped, and with every range
+  check replaced by a scan.
 * The count guard pins that 8000-element ``for`` and composed
   ``elementwise-add`` decodes read no full-length column with ``min`` or
   ``max`` once their inputs are built.
 """
 
 import builtins
-import contextlib
 import itertools
 import random
 
@@ -30,38 +29,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import colcirc.column as column_mod
 import colcirc.ops as ops_mod
 import colcirc.types as types_mod
-from colcirc import Column, CompositionRecipe, codec, compose, encode, evaluate_circuit, instantiate, verify
+from colcirc import Column, CompositionRecipe, codec, compose, encode, evaluate_circuit, instantiate
 from colcirc.column import _range_of, _set_range
 from colcirc.errors import ColcircError
 from colcirc.types import BIT, INT, ElementType
-from scheme_cases import CASES
-from test_splice import encoded, random_query, splice_q6
-
-
-@contextlib.contextmanager
-def ranges_everywhere():
-    """Columns of every length record, derive and inherit ranges."""
-    saved = column_mod._RANGED, ops_mod._RANGED
-    column_mod._RANGED = ops_mod._RANGED = 0
-    try:
-        yield
-    finally:
-        column_mod._RANGED, ops_mod._RANGED = saved
-
-
-@contextlib.contextmanager
-def ranges_off():
-    """Every range check scans, and no operator reads a recorded range."""
-    saved = ops_mod._interval, ops_mod._known
-    ops_mod._interval = lambda col: None
-    ops_mod._known = lambda col, n: None
-    try:
-        yield
-    finally:
-        ops_mod._interval, ops_mod._known = saved
+from paths import count_checked_columns, far_edges, ranges_everywhere
 
 
 def sound(col):
@@ -75,17 +49,11 @@ def sound(col):
 INT_TYPES = [BIT] + [ElementType.unsigned(w) for w in range(1, 65)] + [ElementType.signed(w) for w in range(1, 65)]
 
 
-def edge_values(t):
-    lo, hi = t.bounds()
-    picks = {lo, hi, 0, 1, -1, hi // 2, lo // 2, hi - 1, lo + 1, 2**63, 2**63 - 1, 2**63 + 1, 255, -128}
-    return sorted(v for v in picks if lo <= v <= hi)
-
-
 @st.composite
 def columns(draw, t, min_size=0, max_size=12):
     """A column of ``t``, with no range, its exact range or a looser sound one."""
     lo, hi = t.bounds()
-    value = st.one_of(st.sampled_from(edge_values(t)), st.integers(lo, hi))
+    value = st.one_of(st.sampled_from(far_edges(t)), st.integers(lo, hi))
     values = draw(st.lists(value, min_size=min_size, max_size=max_size))
     col = Column._trusted(t, values)
     how = draw(st.sampled_from(["none", "exact", "loose"]))
@@ -178,7 +146,7 @@ def test_every_recorded_range_holds_its_values(data):
     op, params, inputs = _cases(data.draw)
     with ranges_everywhere():
         if op == "checked":
-            col = Column(parse_type(params["type"]), inputs["values"])
+            col = Column(types_mod.parse_type(params["type"]), inputs["values"])
             assert sound(col)
             if col.values:
                 assert _range_of(col) == (min(col.values), max(col.values))
@@ -189,10 +157,6 @@ def test_every_recorded_range_holds_its_values(data):
             out = {}
     for label, col in [*inputs.items(), *out.items()]:
         assert sound(col), (op, params, label, col.values, _range_of(col))
-
-
-def parse_type(name):
-    return types_mod.parse_type(name)
 
 
 def test_u64_prefix_sums_of_lengths_are_proved_without_a_scan(monkeypatch):
@@ -210,84 +174,6 @@ def test_an_unsigned_sub_of_correlated_positions_still_scans(monkeypatch):
     (diffs,) = ops_mod.elementwise("sub", [ends, starts])
     assert reads == [64, 64]
     assert diffs.values == (3,) * 64 and _range_of(diffs) == (3, 3)
-
-
-# -- differential: with ranges, stripped, off ---------------------------------------------------
-
-
-def outcome(fn):
-    try:
-        out = fn()
-    except ColcircError as exc:
-        return type(exc), str(exc), type(getattr(exc, "cause", None)), str(getattr(exc, "cause", None))
-    if isinstance(out, dict):
-        return {label: (col.element_type, col.values, tuple(map(type, col.values))) for label, col in out.items()}
-    return out
-
-
-def three_ways(run, inputs):
-    """``run(inputs)``'s outcome with input ranges, with them stripped, and with ranges off."""
-    with ranges_everywhere():
-        ranged = outcome(lambda: run({k: Column(c.element_type, c.values) for k, c in inputs.items()}))
-        stripped = outcome(lambda: run({k: Column._trusted(c.element_type, c.values) for k, c in inputs.items()}))
-        with ranges_off():
-            off = outcome(lambda: run({k: Column._trusted(c.element_type, c.values) for k, c in inputs.items()}))
-    return ranged, stripped, off
-
-
-def at_bounds(rng, inst):
-    """Copies of ``inst`` with one integer of one column moved to its type's bound, or by 300."""
-    out = []
-    for label, col in sorted(inst.columns.items()):
-        t = col.element_type
-        if not t.is_integer or not col.values:
-            continue
-        lo, hi = t.bounds()
-        i = rng.randrange(len(col))
-        for v in (lo, hi, col.values[i] + 300, col.values[i] - 300):
-            vals = list(col.values)
-            vals[i] = min(max(v, lo), hi)
-            out.append(inst.with_columns(**{label: Column(t, vals)}))
-    return out
-
-
-def battery(sid, case, rng):
-    """Three valid instances, each edited at its bounds, and the corruptions of the first."""
-    out = []
-    for round in range(3):
-        params, family = case.gen(rng)
-        inst = encode(sid, params, family)
-        out += [inst, *at_bounds(rng, inst)]
-        if round == 0:
-            out += [bad for bad in (fn(rng, inst) for fn in case.corruptions) if bad is not None]
-    return out
-
-
-@pytest.mark.parametrize("sid", sorted(CASES))
-def test_scheme_decoders_give_the_same_outcome_with_and_without_ranges(sid):
-    rng = random.Random(sid)
-    entry = codec(sid)
-    for inst in battery(sid, CASES[sid], rng):
-        decoder = entry.decoder(entry.normalize_params(inst.params))
-        ranged, stripped, off = three_ways(lambda cols: evaluate_circuit(decoder, cols), inst.columns)
-        assert ranged == stripped == off, (sid, inst.columns)
-        verdicts = three_ways(lambda cols: verify(inst.with_columns(**cols)), inst.columns)
-        assert verdicts[0] == verdicts[1] == verdicts[2], sid
-
-
-def test_spliced_queries_give_the_same_outcome_with_and_without_ranges():
-    rng = random.Random(16)
-    for _ in range(200):
-        table, constants = random_query(rng)
-        plan = splice_q6(constants)
-        inputs = encoded(table)
-        if inputs and rng.random() < 0.3:  # now and then a code past the dictionary, or a huge price
-            label = rng.choice(["discount:indices", "extended_price:narrow"])
-            col = inputs[label]
-            if col.values:
-                inputs[label] = Column(col.element_type, [*col.values[:-1], col.element_type.bounds()[1]])
-        ranged, stripped, off = three_ways(lambda cols: evaluate_circuit(plan, cols), inputs)
-        assert ranged == stripped == off, constants
 
 
 # -- count guard ---------------------------------------------------------------------------------
@@ -341,14 +227,7 @@ def test_long_decodes_read_no_full_column(scheme, monkeypatch):
     decoder = entry.decoder(entry.normalize_params(inst.params))
     evaluate_circuit(decoder, inst.columns)  # scalar constants are built on a first evaluation
     reads = count_full_reads(monkeypatch, 8000)
-    built = []
-    init = Column.__init__
-
-    def counting(self, t, vals):
-        built.append(t)
-        init(self, t, vals)
-
-    monkeypatch.setattr(Column, "__init__", counting)
+    built = count_checked_columns(monkeypatch)
     out = evaluate_circuit(decoder, inst.columns)["out:col"]
     assert out.values == tuple(values)
     assert reads == [] and built == []

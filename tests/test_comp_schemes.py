@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import random
 import struct
 import sys
@@ -10,6 +11,7 @@ from colcirc import (
     Column,
     CompositionRecipe,
     SchemeInstance,
+    codec,
     compose,
     decode,
     encode,
@@ -17,6 +19,7 @@ from colcirc import (
     make_column,
     scalar_column,
     verify,
+    write_bundle,
     write_col_file,
 )
 from colcirc import comp_schemes as cs
@@ -64,6 +67,24 @@ class TestGenerated:
         col = Column(f64, [0.5 + 0.25 * i for i in range(6)])
         inst = encode("generated", {"type": "f64", "basis": [0, 1]}, col)
         assert decode(inst)["col"] == col
+
+    @pytest.mark.parametrize("sid", ["generated", "generated.poly"])
+    @pytest.mark.parametrize(
+        "bad", [{"basis": [0, 1024]}, {"basis": ["a"]}, {"basis": [True]}, {"basis": 5}, {"degree": "x"}, {"degree": 1024}]
+    )
+    def test_a_degree_outside_0_to_1023_is_not_encodable(self, sid, bad, tmp_path):
+        # past 1023, position 2 to that power overflows f64
+        params = dict(bad, type="u32")
+        with pytest.raises(NotEncodable, match="basis"):
+            encode(sid, params, u32([1, 2]))
+        manifest = pathlib.Path(write_bundle(encode(sid, {"type": "u32", "degree": 1}, u32([1, 2])), tmp_path / "b"))
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), params=params)))
+        assert main(["verify", str(tmp_path / "b")]) == 2
+        assert main(["decode", str(tmp_path / "b"), str(tmp_path / "d")]) == 2
+
+    def test_degree_1023_builds_its_decoder(self):
+        entry = codec("generated")
+        assert len(entry.decoder(entry.normalize_params({"type": "f64", "basis": [1023]})).signature.inputs) == 2
 
 
 class TestNoisy:

@@ -15,40 +15,22 @@ from colcirc import (
     make_column,
     out_port,
 )
-from colcirc.circuit import IN, OUT, PortRef, dump_circuit
+from colcirc.circuit import OUT, PortRef, dump_circuit
 from colcirc.errors import InvalidCircuitError, OperatorError
 from colcirc.gallery import double_plus_three, q6_circuit
 from colcirc.transform import assign_input, circuit_union, rename_labels
 from colcirc.types import U32, U64
 
 from circuit_gen import random_circuit, random_inputs
+from paths import inductive_port_value
 
 # the package re-exports the ``circuit`` function over its submodule
 circuit_mod = importlib.import_module("colcirc.circuit")
 
 
-def reference_port_value(c, port, inputs, memo):
-    """The inductive definition of the column at a port, by naive recursion."""
-    if port in memo:
-        return memo[port]
-    if port.direction == IN:
-        for label, p in c.interface.items():
-            if p == port and label in c.signature.inputs:
-                return inputs[label]
-        for src, dst in c.edges:
-            if dst == port:
-                return reference_port_value(c, src, inputs, memo)
-        raise AssertionError(f"unfed port {port}")
-    op = c.vertices[port.vertex_id]
-    args = {label: reference_port_value(c, PortRef(port.vertex_id, label, IN), inputs, memo) for label in op.signature.inputs}
-    for label, col in op.apply(args).items():
-        memo[PortRef(port.vertex_id, label, OUT)] = col
-    return memo[port]
-
-
 def reference_outputs(c, inputs):
     memo = {}
-    return {label: reference_port_value(c, c.interface[label], inputs, memo) for label in c.signature.outputs}
+    return {label: inductive_port_value(c, c.interface[label], inputs, memo) for label in c.signature.outputs}
 
 
 def evaluable_random_circuits(seed, count):
@@ -122,7 +104,7 @@ class TestPortMapping:
             assert len(ports) == len(self.expected_ports(c)) == len(list(ports.items()))
             memo = {}
             for port, col in ports.items():
-                assert col == reference_port_value(c, port, inputs, memo)
+                assert col == inductive_port_value(c, port, inputs, memo)
 
     def test_read_only(self):
         c = double_plus_three()

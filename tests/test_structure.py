@@ -18,7 +18,6 @@ from colcirc import (
     ColumnarCircuit,
     circuit,
     codec,
-    encode,
     evaluate_circuit,
     in_port,
     instantiate,
@@ -31,10 +30,11 @@ from colcirc.cli import main
 from colcirc.column import read_col_file, write_col_file
 from colcirc.errors import ColcircError, EvaluationError, TypeDomainError
 from colcirc.gallery import q6_circuit, q6_reference
-from colcirc.transform import assign_input, circuit_union, drop_output, rename_label, rename_labels
-from colcirc.types import BIT, U32, U64
+from colcirc.transform import rename_label, rename_labels
+from colcirc.types import BIT, U32
 
 from circuit_gen import random_circuit
+from paths import encoded, lineitem, splice_q6
 from scheme_cases import CASES
 
 # the package re-exports the ``circuit`` function over its submodule
@@ -227,26 +227,9 @@ class TestDifferentialValidation:
         assert exc.value.vertex_id == "sel" and type(exc.value.cause) is TypeDomainError
 
 
-LINEITEM = {
-    "shipdate": ("for", {"type": "u64", "offset_type": "u16", "segment_length": 4}),
-    "discount": ("dict", {"type": "u64"}),
-    "quantity": ("nullsup", {"type": "u64", "narrow_type": "u8"}),
-    "extended_price": ("nullsup", {"type": "u64", "narrow_type": "u32"}),
-}
-
-
 def spliced_q6(columns):
     """Q6 with each column's decoder spliced in front of its input, and the encoded inputs."""
-    plan, inputs = q6_circuit(), {}
-    for name, (sid, params) in LINEITEM.items():
-        entry = codec(sid)
-        p = entry.normalize_params(params)
-        mapping = {"out:col": f"dec:{name}", **{label: f"{name}:{label}" for label in entry.form_spec(p)}}
-        plan = circuit_union(plan, rename_labels(entry.decoder(p), mapping))
-        plan = drop_output(assign_input(plan, name, plan.interface[f"dec:{name}"]), f"dec:{name}")
-        inst = encode(sid, params, make_column(U64, columns[name]))
-        inputs.update({f"{name}:{label}": col for label, col in inst.columns.items()})
-    return plan, inputs
+    return splice_q6({}, lineitem(4)), encoded(columns, lineitem(4))
 
 
 def count_passes(monkeypatch):

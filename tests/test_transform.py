@@ -168,7 +168,7 @@ class TestAssign:
         inner = double_plus_three()
         b = CircuitBuilder()
         b.output("final", b.ew("add", {"type": "u32"}, lhs=b.input("u"), rhs=b.input("v")))
-        outer = b.build(validate=False)
+        outer = b.build()
         u = circuit_union(inner, outer)
         c = assign_input(u, "u", u.interface["result"])
         col = make_column(U32, [1, 4])
@@ -272,7 +272,7 @@ class TestReplace:
         lhs = b.noop(b.input("a"), "u32")
         rhs = b.noop(b.input("b"), "u32")
         b.output("prod", b.ew("mul", {"type": "u32"}, lhs=lhs, rhs=rhs))
-        gadget = b.build(validate=False)
+        gadget = b.build()
         rho = {
             gadget.interface["a"]: PortRef("mul", "lhs", IN),
             gadget.interface["b"]: PortRef("mul", "rhs", IN),
