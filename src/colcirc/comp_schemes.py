@@ -9,9 +9,9 @@ supported up to 63 bits of magnitude.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, compress, repeat
+from operator import add, mul, ne, sub
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
 from .codec import CodecEntry, register_codec
@@ -20,7 +20,9 @@ from .errors import NotEncodable
 from .rep_schemes import (
     _et,
     _is_distinct,
+    _ranges_within,
     _t,
+    canonical_varwidth,
     indexset_equivalent,
     varwidth_elements,
     varwidth_equivalent,
@@ -145,28 +147,40 @@ def _generated_verify(params, cols):
 
 
 def _eval_basis(params, coeffs, n):
-    # one degree at a time, each term added in the order ``sum(c * i**d for
-    # c, d in ...)`` would add it, so float results are the same bits
-    values = [0] * n
-    for c, d in zip(coeffs, _basis_degrees(params)):
-        terms = map(operator.mul, repeat(c, n), map(pow, range(n), repeat(d, n)))
-        values = list(map(operator.add, values, terms))
-    return values
+    """``sum(c * i**d for c, d in zip(coeffs, degrees))`` for each ``i`` in ``range(n)``."""
+    degrees = _basis_degrees(params)
+    if all(type(c) is int for c in coeffs):
+        # exact: any order of additions gives the same integers
+        c0 = sum(c for c, d in zip(coeffs, degrees) if d == 0)
+        c1 = sum(c for c, d in zip(coeffs, degrees) if d == 1)
+        values = range(c0, c0 + c1 * n, c1) if c1 else repeat(c0, n)
+        for c, d in zip(coeffs, degrees):
+            if d > 1 and c:
+                values = map(add, values, map(mul, repeat(c, n), map(pow, range(n), repeat(d, n))))
+        return list(values)
+    # a term at a time in the formula's order, starting from the integer 0 (so
+    # that a first term of -0.0 gives 0.0): float results are the same bits;
+    # ``c * 1`` is ``c`` and ``c * i**1`` is ``c * i``, so those need no ``pow``
+    values = repeat(0, n)
+    for c, d in zip(coeffs, degrees):
+        if d == 0:
+            terms = repeat(c, n)
+        elif d == 1:
+            terms = map(mul, repeat(c, n), range(n))
+        else:
+            terms = map(mul, repeat(c, n), map(pow, range(n), repeat(d, n)))
+        values = map(add, values, terms)
+    return list(values)
 
 
 def _generated_encode(params, family):
     col = family["col"]
     et = _et(params)
-    degrees = _basis_degrees(params)
-    n = len(col)
-    if _is_float(params):
-        coeffs = _fit_poly_float(col.values, degrees)
-    else:
-        coeffs = _fit_poly_int(col.values, degrees)
-    if coeffs is None or _eval_basis(params, coeffs, n) != list(col.values):
+    coeffs = _fit_segment(params, col.values)
+    if coeffs is None:
         raise NotEncodable("column is not generated by the basis")
     coeffs = _checked_narrow(et, coeffs, "coefficient")
-    return {"length": scalar_column(INT, n), "coefficients": Column(et, coeffs)}
+    return {"length": scalar_column(INT, len(col)), "coefficients": Column(et, coeffs)}
 
 
 def _fit_poly_int(values, degrees):
@@ -225,12 +239,12 @@ def _shifted_int_fit(params, values):
     base = _eval_basis(params, coeffs, len(values))
     if et.kind is Kind.UNSIGNED and 0 in degrees and values:
         # pull the constant term down so residuals are non-negative
-        worst = min(v - m for v, m in zip(values, base))
+        worst = min(map(sub, values, base))
         j = degrees.index(0)
         if worst < 0 and lo <= coeffs[j] + worst <= hi:
             coeffs[j] += worst
-            base = [m + worst for m in base]
-    if any(not lo <= m <= hi for m in base):
+            base = list(map(add, base, repeat(worst, len(base))))
+    if base and not (lo <= min(base) and max(base) <= hi):
         raise NotEncodable("fitted model leaves the decoded type's domain")
     return coeffs, base
 
@@ -356,25 +370,51 @@ def _noisy_encode(params, family):
         lo, hi = et.bounds()
         coeffs = [min(max(c, lo), hi) for c in coeffs]  # the noise absorbs the clamping
     base = _eval_basis(params, coeffs, len(col))
-    noise = [v - g for v, g in zip(col.values, base)]
+    noise = list(map(sub, col.values, base))
     noise = _checked_narrow(noise_et, noise, "noise residual")
     coeffs = _checked_narrow(et, coeffs, "coefficient")
     return {"coefficients": Column(et, coeffs), "noise": Column(noise_et, noise)}
 
 
 def _fit_int_least_squares(values, degrees):
-    coeffs = _fit_float_least_squares([float(v) for v in values], degrees)
+    coeffs = _fit_float_least_squares(list(map(float, values)), degrees)
     return [int(round(c)) for c in coeffs]
 
 
+def _float_powers(d, n):
+    """``float(i**d)`` for each ``i`` in ``range(n)``."""
+    if d == 0:
+        return [1.0] * n
+    if d == 1:
+        # 0.0 + 1.0 + ... is exact below 2**53, so this is ``float(i)``
+        return list(accumulate(repeat(1.0, n - 1), initial=0.0)) if n else []
+    return [float(i**d) for i in range(n)]
+
+
 def _fit_float_least_squares(values, degrees):
+    """Coefficients minimizing the squared residual, from the normal equations.
+
+    Each entry of the normal equations sums its products in row order
+    (``i`` = 0, 1, ...), as the textbook ``sum(x[a] * x[c] for x in rows)``
+    does, so the coefficients are the same bits; a column of degree 0 is all
+    1.0, and ``1.0 * x`` is ``x``, so its entries sum the other factor alone.
+    """
     n = len(values)
     k = len(degrees)
     if n == 0:
         return [0.0] * k
-    xs = [[float(i**d) for d in degrees] for i in range(n)]
-    ata = [[sum(x[a] * x[c] for x in xs) for c in range(k)] for a in range(k)]
-    atb = [sum(x[a] * v for x, v in zip(xs, values)) for a in range(k)]
+    cols = [_float_powers(d, n) for d in degrees]
+
+    def dot(a, other):
+        """The sum of ``x[a] * y`` over rows ``x`` and ``y`` in ``other``."""
+        return sum(other) if degrees[a] == 0 else sum(map(mul, cols[a], other))
+
+    ata = [[0.0] * k for _ in range(k)]
+    for a in range(k):
+        for c in range(a, k):
+            # x[a] * x[c] is x[c] * x[a], so one half gives the other
+            ata[a][c] = ata[c][a] = dot(c, cols[a]) if degrees[a] else dot(a, cols[c])
+    atb = [dot(a, values) for a in range(k)]
     coeffs = _solve_exact(ata, atb)
     return [0.0] * k if coeffs is None else [float(c) for c in coeffs]
 
@@ -474,7 +514,7 @@ def _dict_encode_factory(variant):
         index_of = {v: i for i, v in enumerate(entries)}
         return {
             "dictionary": Column(et, entries),
-            "indices": Column(INT, [index_of[v] for v in col.values]),
+            "indices": Column(INT, list(map(index_of.__getitem__, col.values))),
         }
 
     return encode
@@ -499,13 +539,18 @@ for _variant, _verifier in (
 
 
 def _runs_of(values):
-    runs = []
-    for v in values:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
+    """The runs of ``values`` as ``(starts, lengths, run values)``.
+
+    A run goes on while each value is ``==`` to the one before it, so a NaN
+    never continues a run, and ``0.0`` and ``-0.0`` form one run that keeps
+    its first value.
+    """
+    n = len(values)
+    if not n:
+        return [], [], []
+    starts = [0, *compress(range(1, n), map(ne, values[1:], values))]
+    lengths = list(map(sub, [*starts[1:], n], starts))
+    return starts, lengths, list(map(values.__getitem__, starts))
 
 
 def _run_decode_tail(b, params, starts: Wire, overall: Wire, values: Wire) -> Wire:
@@ -538,13 +583,7 @@ def _run_full_verify(params, cols):
 
 def _run_full_encode(params, family):
     col = family["col"]
-    starts, lengths, values = [], [], []
-    at = 0
-    for v, l in _runs_of(col.values):
-        starts.append(at)
-        lengths.append(l)
-        values.append(v)
-        at += l
+    starts, lengths, values = _runs_of(col.values)
     return {
         "start_position": Column(INT, starts),
         "length": Column(INT, lengths),
@@ -585,12 +624,7 @@ def _rpe_verify(params, cols):
 
 def _rpe_encode(params, family):
     col = family["col"]
-    starts, values = [], []
-    at = 0
-    for v, l in _runs_of(col.values):
-        starts.append(at)
-        values.append(v)
-        at += l
+    starts, _, values = _runs_of(col.values)
     return {
         "start_position": Column(INT, starts),
         "value": Column(_et(params), values),
@@ -641,11 +675,11 @@ def _rle_verify(params, cols):
 def _rle_encode(params, family):
     col = family["col"]
     int_et = _int_et(params)
-    runs = _runs_of(col.values)
-    lengths = _checked_narrow(int_et, [l for _, l in runs], "run length")
+    _, lengths, values = _runs_of(col.values)
+    lengths = _checked_narrow(int_et, lengths, "run length")
     return {
         "length": Column(int_et, lengths),
-        "value": Column(_et(params), [v for v, _ in runs]),
+        "value": Column(_et(params), values),
     }
 
 
@@ -688,7 +722,8 @@ def _capped_rle_encode(params, family):
         raise NotEncodable("cap must be positive")
     int_et = _int_et(params)
     lengths, values = [], []
-    for v, l in _runs_of(col.values):
+    _, run_lengths, run_values = _runs_of(col.values)
+    for v, l in zip(run_values, run_lengths):
         while l > r:
             lengths.append(r)
             values.append(v)
@@ -1025,7 +1060,7 @@ def _for_encode(params, family):
         seg = col.values[at : at + ell]
         ref = min(seg)
         refs.append(ref)
-        offs.extend(v - ref for v in seg)
+        offs.extend(map(sub, seg, repeat(ref, len(seg))))
     offs = _checked_narrow(off_et, offs, "offset")
     return {
         "segment_length": scalar_column(INT, ell),
@@ -1075,7 +1110,7 @@ def _naive_delta_encode(params, family):
     if not col.values:
         return {"base": scalar_column(et, et.zero()), "delta": Column(delta_et, [])}
     base = col.values[0]
-    deltas = [0] + [col.values[i + 1] - col.values[i] for i in range(len(col) - 1)]
+    deltas = [0, *map(sub, col.values[1:], col.values)]
     deltas = _checked_narrow(delta_et, deltas, "delta")
     return {"base": scalar_column(et, base), "delta": Column(delta_et, deltas)}
 
@@ -1133,7 +1168,7 @@ def _delta_encode_parts(params, col):
         seg = col.values[at : at + ell]
         bases.append(seg[0])
         deltas.append(0)
-        deltas.extend(seg[i + 1] - seg[i] for i in range(len(seg) - 1))
+        deltas.extend(map(sub, seg[1:], seg))
     return bases, deltas
 
 
@@ -1760,10 +1795,7 @@ def _vwdict_verify_base(params, cols):
     m = len(cols["entry_start_positions"])
     if len(cols["entry_lengths"]) != m:
         return False
-    n_data = len(cols["entry_data"])
-    starts = cols["entry_start_positions"].values
-    lengths = cols["entry_lengths"].values
-    if any(s + l > n_data for s, l in zip(starts, lengths)):
+    if not _ranges_within(cols["entry_start_positions"].values, cols["entry_lengths"].values, len(cols["entry_data"])):
         return False
     return all(i < m for i in cols["indices"].values)
 
@@ -1791,18 +1823,12 @@ def _vwdict_encode_factory(variant):
         else:
             entries = list(dict.fromkeys(elements))
         index_of = {e: i for i, e in enumerate(entries)}
-        starts, lengths, data = [], [], []
-        at = 0
-        for e in entries:
-            starts.append(at)
-            lengths.append(len(e))
-            data.extend(e)
-            at += len(e)
+        stored = canonical_varwidth(entries, base_et)
         return {
-            "indices": Column(INT, [index_of[e] for e in elements]),
-            "entry_start_positions": Column(INT, starts),
-            "entry_lengths": Column(INT, lengths),
-            "entry_data": Column(base_et, data),
+            "indices": Column(INT, list(map(index_of.__getitem__, elements))),
+            "entry_start_positions": stored["start_position"],
+            "entry_lengths": stored["length"],
+            "entry_data": stored["data"],
         }
 
     return encode

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
+from operator import sub
 
 from .builder import CircuitBuilder, Input
 from .circuit import evaluate_circuit
@@ -205,7 +206,7 @@ class _ElementwiseAddCodec(_ComposedCodec):
         col = family["col"]
         entry, iparams, _ = self.inners[0]
         base = entry.fit_additive(iparams, col)
-        residual = Column(col.element_type, [v - m for v, m in zip(col.values, base.values)])
+        residual = Column(col.element_type, list(map(sub, col.values, base.values)))
         out = self._encoded(0, {"col": base})
         out.update(self._encoded(1, {"col": residual}))
         return out
@@ -522,7 +523,8 @@ class _SegmentizedCodec(_ComposedCodec):
         gathered = {label: [] for label in spec}
         at = 0
         for seg_len in segments:
-            enc = entry.encode(iparams, {"col": Column(col.element_type, col.values[at : at + seg_len])})
+            # a slice of a column holds values of its type
+            enc = entry.encode(iparams, {"col": Column._trusted(col.element_type, col.values[at : at + seg_len])})
             for label in spec:
                 gathered[label].extend(enc[label].values)
             at += seg_len

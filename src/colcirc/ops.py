@@ -575,6 +575,8 @@ _simple("no_op", _noop_sig, _noop_run)
 
 
 def _too_long(n):
+    # past 2**63 - 1 a length overflows an index; below it, the interpreter
+    # may still refuse the allocation (MemoryError) before any memory is taken
     return OperatorError("too-long", f"a length of {n} does not fit an index")
 
 
@@ -591,7 +593,7 @@ def _replicate_run(inst, cols):
     t = inst.signature.outputs["replicated"]
     try:
         values = (value,) * factor
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise _too_long(factor) from None
     rng = (value, value) if factor >= _RANGED and t.is_integer else None
     return {"replicated": _out(t, values, rng)}
@@ -637,7 +639,7 @@ def _iota_run(inst, cols):
     try:
         # 0 and n - 1 are in t
         return {"result": _out(t, range(n), (0, n - 1) if n >= _RANGED else None)}
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise _too_long(n) from None
 
 
@@ -828,7 +830,7 @@ def _replicate_segments_run(inst, cols):
         for j in range(len(col) // ell):
             seg = col.values[j * ell : (j + 1) * ell]
             out.extend(seg * factor)
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise _too_long(factor) from None
     return {
         "replicated": _out(inst.signature.outputs["replicated"], out),
@@ -858,7 +860,7 @@ def _replicate_within_run(inst, cols):
     try:
         for v in col.values:
             out.extend([v] * factor)
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise _too_long(factor) from None
     return {
         "replicated": _out(inst.signature.outputs["replicated"], out),

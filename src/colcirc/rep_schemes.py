@@ -9,6 +9,8 @@ verifiers here are host decision procedures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import add
 
 from .builder import CircuitBuilder, expand_ranges
 from .codec import CodecEntry, SchemeInstance, decode, register_codec
@@ -957,11 +959,21 @@ register_codec(
 
 
 def varwidth_elements(family: dict) -> list:
-    """Element list view: tuple of base values per element."""
+    """Element list view: tuple of base values per element.
+
+    Raises ``NotEncodable`` unless there is one length per start position.
+    """
     start = family["start_position"].values
     length = family["length"].values
+    if len(start) != len(length):
+        raise NotEncodable(f"{len(start)} start positions but {len(length)} lengths")
     data = family["data"].values
-    return [tuple(data[start[i] : start[i] + length[i]]) for i in range(len(start))]
+    return [tuple(data[s : s + l]) for s, l in zip(start, length)]
+
+
+def _ranges_within(starts, lengths, n) -> bool:
+    """True if every range ``[s, s + l)`` ends at or before ``n``."""
+    return max(map(add, starts, lengths), default=0) <= n
 
 
 def varwidth_equivalent(params, a, b):
@@ -972,13 +984,11 @@ def varwidth_equivalent(params, a, b):
 
 
 def canonical_varwidth(elements, base_type: ElementType) -> dict:
-    starts, lengths, data = [], [], []
-    at = 0
-    for e in elements:
-        starts.append(at)
-        lengths.append(len(e))
-        data.extend(e)
-        at += len(e)
+    """The standard form of a sequence of elements: each stored right after the one before."""
+    lengths = list(map(len, elements))
+    starts = list(accumulate(lengths, initial=0))
+    del starts[-1]  # where an element after the last would start
+    data = list(chain.from_iterable(elements))
     return {
         "start_position": Column(INT, starts),
         "length": Column(INT, lengths),
@@ -1004,8 +1014,7 @@ def _varwidth_std_verify(params, cols):
     lengths = cols["length"].values
     if len(starts) != len(lengths):
         return False
-    n_data = len(cols["data"])
-    return all(s + l <= n_data for s, l in zip(starts, lengths))
+    return _ranges_within(starts, lengths, len(cols["data"]))
 
 
 def _varwidth_std_encode(params, family):
@@ -1176,7 +1185,8 @@ def nullable_build(strategy: str, base: Column, null_positions, null_value) -> S
     t = base.element_type
     params = {"type": str(t), "null_value": null_value}
     if strategy == "complementing":
-        keep = [i for i in range(n) if i not in set(nulls)]
+        null_set = set(nulls)
+        keep = [i for i in range(n) if i not in null_set]
         cols = {
             "pos": Column(INT, keep),
             "data": Column(t, [base[i] for i in keep]),

@@ -1,11 +1,14 @@
 import json
 import math
+from itertools import accumulate
 import pathlib
 import random
 import struct
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from colcirc import (
     Column,
@@ -694,6 +697,8 @@ class TestEvalBasis:
             ({"degree": 3}, [1, 0, -5, 2]),
             ({"basis": [2, 0, 1]}, [2**40, -(2**63), 9]),
             ({"basis": []}, []),
+            ({"basis": [1, 0, 1, 0]}, [2, 3, -5, 4]),
+            ({"basis": [1, 1]}, [4, -4]),
         ],
     )
     def test_integer_params(self, params, coeffs):
@@ -723,3 +728,84 @@ class TestEvalBasis:
         for p, cf in cases:
             got = cs._eval_basis(p, cf, 40)
             assert _bits(got) == _bits(_per_element_basis(p, cf, 40))
+
+
+def _row_major_least_squares(values, degrees):
+    """The normal equations ``_fit_float_least_squares`` replaced: row-major basis rows, k² generator sums."""
+    n, k = len(values), len(degrees)
+    if n == 0:
+        return [0.0] * k
+    xs = [[float(i**d) for d in degrees] for i in range(n)]
+    ata = [[sum(x[a] * x[c] for x in xs) for c in range(k)] for a in range(k)]
+    atb = [sum(x[a] * v for x, v in zip(xs, values)) for a in range(k)]
+    coeffs = cs._solve_exact(ata, atb)
+    return [0.0] * k if coeffs is None else [float(c) for c in coeffs]
+
+
+def _least_squares_inputs(n):
+    rng = random.Random(n)
+    noisy = [float(900 + 3 * i + rng.randrange(-40, 40)) for i in range(n)]
+    wide = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+    specials = [rng.choice([-0.0, 0.0, 1e300, -1e300, 0.1, float(i)]) for i in range(n)]
+    with_inf = [math.inf if i == n // 2 else v for i, v in enumerate(wide)]
+    with_nan = [math.nan if i == n - 1 else v for i, v in enumerate(noisy)]
+    return [noisy, wide, specials, with_inf, with_nan, [-0.0] * n]
+
+
+class TestLeastSquares:
+    """The column-wise normal equations sum the row-major formula's products in its order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8000])
+    @pytest.mark.parametrize("degrees", [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [1, 3]])
+    def test_same_bits_as_the_row_major_formula(self, degrees, n):
+        for values in _least_squares_inputs(n):
+            got = cs._fit_float_least_squares(values, degrees)
+            assert _bits(got) == _bits(_row_major_least_squares(values, degrees))
+            assert all(type(c) is float for c in got)
+
+    def test_integer_fit_rounds_the_float_fit(self):
+        values = [900 + 3 * i + (i * 7919) % 81 - 40 for i in range(500)]
+        want = [int(round(c)) for c in _row_major_least_squares([float(v) for v in values], [0, 1, 2])]
+        assert cs._fit_int_least_squares(values, [0, 1, 2]) == want
+
+
+def _runs_by_loop(values):
+    """The per-element loop ``_runs_of`` replaced: ``[first value, length]`` per run."""
+    runs = []
+    for v in values:
+        if runs and runs[-1][0] == v:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1])
+    return runs
+
+
+_RUN_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(-2, 2), max_size=40), st.lists(_RUN_FLOATS, max_size=40)))
+def test_runs_of_matches_the_per_element_loop(values):
+    values = tuple(values)
+    starts, lengths, run_values = cs._runs_of(values)
+    runs = _runs_by_loop(values)
+    assert lengths == [l for _, l in runs]
+    # the run's first value, to the bit: 0.0 and -0.0 share a run, a NaN never continues one
+    assert _bits(run_values) == _bits([v for v, _ in runs])
+    assert starts == list(accumulate(lengths, initial=0))[:-1]
+
+
+@pytest.mark.parametrize(
+    "scheme, params",
+    [
+        ("vwdict", {"type": "u8"}),
+        ("pvw", {"type": "u8", "period": 2}),
+        ("varwidth.capped", {"type": "u8"}),
+        ("varwidth.std", {"type": "u8"}),
+    ],
+)
+@pytest.mark.parametrize("starts, lengths", [([0, 1], [1]), ([0], [1, 1])])
+def test_a_family_with_unpaired_starts_and_lengths_is_not_encodable(scheme, params, starts, lengths):
+    family = {"start_position": idx(starts), "length": idx(lengths), "data": u8([5, 6])}
+    with pytest.raises(NotEncodable):
+        encode(scheme, params, family)

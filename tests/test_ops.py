@@ -113,20 +113,30 @@ class TestSimpleOps:
         assert ops.select_indices(bits([0, 1])).values == (1,)
 
 
+_allocating_calls = pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: ops.replicate(u8([1]), n),
+        lambda n: ops.iota(n),
+        lambda n: ops.replicate_segments(u8([1, 2]), 1, n),
+        lambda n: ops.replicate_within_segments(u8([1, 2]), 1, n),
+    ],
+    ids=["replicate", "iota", "replicate_segments", "replicate_within_segments"],
+)
+
+
 class TestLengthBeyondAnIndex:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda n: ops.replicate(u8([1]), n),
-            lambda n: ops.iota(n),
-            lambda n: ops.replicate_segments(u8([1, 2]), 1, n),
-            lambda n: ops.replicate_within_segments(u8([1, 2]), 1, n),
-        ],
-        ids=["replicate", "iota", "replicate_segments", "replicate_within_segments"],
-    )
+    @_allocating_calls
     def test_operator_error(self, call):
         with pytest.raises(OperatorError, match="too-long"):
             call(2**64 - 1)
+
+    @_allocating_calls
+    def test_a_length_the_interpreter_cannot_allocate(self, call):
+        # 2**63 - 1 fits an index, but its allocation fails the interpreter's
+        # size check (MemoryError) before any memory is taken
+        with pytest.raises(OperatorError, match="too-long"):
+            call(2**63 - 1)
 
 
 class TestSegmentedOps:
