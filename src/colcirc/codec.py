@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .circuit import ColumnarCircuit, evaluate_circuit
 from .column import Column, representation_size_bytes, scalar_column
-from .errors import ColcircError, NotEncodable, OperatorError, RegistryError, VerificationFailed
+from .errors import ColcircError, NotEncodable, OperatorError, RegistryError, TypeDomainError, VerificationFailed
 from .ops import REGISTRY_LOCK, OperatorInstance, Signature, register_operator
 from .types import BIT
 
@@ -103,7 +103,9 @@ class CodecEntry:
       declares that the form check alone decides (see
       ``verifies_form_only``).
     - ``encode(params, family)``: canonical encoded columns, or raises
-      :class:`NotEncodable`.
+      :class:`NotEncodable`.  It builds them with the checked ``Column``,
+      the one check that a value lies in its column's type; :func:`encode`
+      turns that check's :class:`TypeDomainError` into ``NotEncodable``.
     - ``equivalent(params, a, b)``: the scheme's ``~`` relation over decoded
       families (defaults to exact equality).
     - ``normalize_params``, ``encoded_lengths``, ``fit`` and ``fit_additive``:
@@ -293,6 +295,23 @@ def _ensure_builtins():
             _builtins_loaded = True
 
 
+def _segments_hint(params, n: int) -> list:
+    """The ``segments`` encoder hint: positive integer lengths that cover ``n`` values.
+
+    Absent, it is one segment of ``n`` (none when ``n`` is 0).
+    """
+    segments = params.get("segments")
+    if segments is None:
+        return [n] if n else []
+    if (
+        not isinstance(segments, (list, tuple))
+        or not all(type(s) is int and s >= 1 for s in segments)
+        or sum(segments) != n
+    ):
+        raise NotEncodable(f"hint 'segments' must be positive integer lengths that cover {n} values, not {segments!r}")
+    return list(segments)
+
+
 # -- uniform entry points --------------------------------------------------------
 
 
@@ -329,7 +348,11 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
             raise NotEncodable(f"{scheme_id} family member {label!r} is not a column")
         if col.element_type != t:
             raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {col.element_type}")
-    return SchemeInstance(scheme_id, normalized, entry.encode(raw, dict(family)))
+    try:
+        encoded = entry.encode(raw, dict(family))
+    except TypeDomainError as exc:  # an encoded value outside its column's type
+        raise NotEncodable(f"{scheme_id}: {exc}") from exc
+    return SchemeInstance(scheme_id, normalized, encoded)
 
 
 def equivalent(scheme_id: str, params: dict, a: dict, b: dict) -> bool:

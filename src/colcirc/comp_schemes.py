@@ -14,13 +14,14 @@ from itertools import accumulate, compress, repeat
 from operator import add, mul, ne, sub
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
-from .codec import CodecEntry, register_codec
+from .codec import CodecEntry, _segments_hint, register_codec
 from .column import Column, scalar_column
 from .errors import NotEncodable
 from .rep_schemes import (
     _et,
     _is_distinct,
     _ranges_within,
+    _segment_length,
     _t,
     canonical_varwidth,
     indexset_equivalent,
@@ -39,27 +40,6 @@ def _int_t(params):
 
 def _int_et(params):
     return parse_type(_int_t(params))
-
-
-def _fits(et: ElementType, value) -> bool:
-    if et.kind is Kind.FLOAT:
-        return et.contains(float(value))
-    lo, hi = et.bounds()
-    return lo <= value <= hi
-
-
-def _checked_narrow(et: ElementType, values, what):
-    values = list(values)
-    if values and et.kind is not Kind.FLOAT:
-        # one pass settles an integer target; a float among the values could
-        # be a NaN, which min/max can skip, so that takes the loop below
-        lo, hi = et.bounds()
-        if lo <= min(values) and max(values) <= hi and float not in map(type, values):
-            return values
-    for i, v in enumerate(values):
-        if not _fits(et, v):
-            raise NotEncodable(f"{what}: value {v} at index {i} does not fit {et}")
-    return values
 
 
 def _is_float(params) -> bool:
@@ -170,7 +150,10 @@ def _eval_basis(params, coeffs, n):
         else:
             terms = map(mul, repeat(c, n), map(pow, range(n), repeat(d, n)))
         values = map(add, values, terms)
-    return list(values)
+    try:
+        return list(values)
+    except OverflowError:  # some ``i**d`` is past the float range
+        raise NotEncodable(f"basis {degrees} leaves the float range over {n} positions") from None
 
 
 def _generated_encode(params, family):
@@ -179,7 +162,6 @@ def _generated_encode(params, family):
     coeffs = _fit_segment(params, col.values)
     if coeffs is None:
         raise NotEncodable("column is not generated by the basis")
-    coeffs = _checked_narrow(et, coeffs, "coefficient")
     return {"length": scalar_column(INT, len(col)), "coefficients": Column(et, coeffs)}
 
 
@@ -206,7 +188,7 @@ def _fit_poly_float(values, degrees):
     if n == 0:
         return [0.0] * k
     use = degrees[: min(n, k)]
-    rows = [[float(i**d) for d in use] for i in range(len(use))]
+    rows = list(zip(*(_float_powers(d, len(use)) for d in use)))
     coeffs = _solve_exact(rows, list(values[: len(use)]))
     return None if coeffs is None else [float(c) for c in coeffs] + [0.0] * (k - len(use))
 
@@ -299,10 +281,7 @@ def _constant_encode(params, family):
     if len(support) > 1:
         raise NotEncodable(f"column has {len(support)} distinct values")
     value = col.values[0] if col.values else et.zero()
-    int_et = _int_et(params)
-    if not _fits(int_et, len(col)):
-        raise NotEncodable(f"length {len(col)} does not fit {int_et}")
-    return {"value": scalar_column(et, value), "length": scalar_column(int_et, len(col))}
+    return {"value": scalar_column(et, value), "length": scalar_column(_int_et(params), len(col))}
 
 
 def _constant_fit(params, family):
@@ -370,10 +349,7 @@ def _noisy_encode(params, family):
         lo, hi = et.bounds()
         coeffs = [min(max(c, lo), hi) for c in coeffs]  # the noise absorbs the clamping
     base = _eval_basis(params, coeffs, len(col))
-    noise = list(map(sub, col.values, base))
-    noise = _checked_narrow(noise_et, noise, "noise residual")
-    coeffs = _checked_narrow(et, coeffs, "coefficient")
-    return {"coefficients": Column(et, coeffs), "noise": Column(noise_et, noise)}
+    return {"coefficients": Column(et, coeffs), "noise": Column(noise_et, map(sub, col.values, base))}
 
 
 def _fit_int_least_squares(values, degrees):
@@ -388,7 +364,10 @@ def _float_powers(d, n):
     if d == 1:
         # 0.0 + 1.0 + ... is exact below 2**53, so this is ``float(i)``
         return list(accumulate(repeat(1.0, n - 1), initial=0.0)) if n else []
-    return [float(i**d) for i in range(n)]
+    try:
+        return [float(i**d) for i in range(n)]
+    except OverflowError:
+        raise NotEncodable(f"basis degree {d} leaves the float range over {n} positions") from None
 
 
 def _fit_float_least_squares(values, degrees):
@@ -464,9 +443,7 @@ def _nullsup_decoder(params):
 
 def _nullsup_encode(params, family):
     col = family["col"]
-    narrow_et = parse_type(_narrow_t(params))
-    vals = _checked_narrow(narrow_et, col.values, "narrowed value")
-    return {"narrow": Column(narrow_et, vals)}
+    return {"narrow": Column(parse_type(_narrow_t(params)), col.values)}
 
 
 register_codec(
@@ -674,11 +651,9 @@ def _rle_verify(params, cols):
 
 def _rle_encode(params, family):
     col = family["col"]
-    int_et = _int_et(params)
     _, lengths, values = _runs_of(col.values)
-    lengths = _checked_narrow(int_et, lengths, "run length")
     return {
-        "length": Column(int_et, lengths),
+        "length": Column(_int_et(params), lengths),
         "value": Column(_et(params), values),
     }
 
@@ -731,7 +706,6 @@ def _capped_rle_encode(params, family):
         if l:
             lengths.append(l)
             values.append(v)
-    lengths = _checked_narrow(int_et, lengths, "run length")
     return {
         "cap": scalar_column(INT, r),
         "length": Column(int_et, lengths),
@@ -811,28 +785,26 @@ def _fit_segment(params, values):
     return coeffs
 
 
-def _spline_generalized_encode(params, family):
-    col = family["col"]
-    et = _et(params)
-    segments = params.get("segments")
-    n = len(col)
-    if segments is None:
-        segments = [n] if n else []
-    if sum(segments) != n or any(l < 1 for l in segments):
-        raise NotEncodable("segment lengths must be positive and cover the column")
-    starts, coeffs = [], []
+def _fit_segments(params, values, segments) -> list:
+    """The coefficients of each consecutive segment's exact fit, in segment order."""
+    coeffs = []
     at = 0
     for l in segments:
-        seg_coeffs = _fit_segment(params, list(col.values[at : at + l]))
+        seg_coeffs = _fit_segment(params, values[at : at + l])
         if seg_coeffs is None:
             raise NotEncodable(f"segment at {at} does not follow the basis")
-        starts.append(at)
-        coeffs.extend(_checked_narrow(et, seg_coeffs, "coefficient"))
+        coeffs.extend(seg_coeffs)
         at += l
+    return coeffs
+
+
+def _spline_generalized_encode(params, family):
+    col = family["col"]
+    segments = _segments_hint(params, len(col))
     return {
-        "segment_start_pos": Column(INT, starts),
-        "segment_length": Column(INT, list(segments)),
-        "coefficients": Column(et, coeffs),
+        "segment_start_pos": Column(INT, list(accumulate(segments, initial=0))[:-1]),
+        "segment_length": Column(INT, segments),
+        "coefficients": Column(_et(params), _fit_segments(params, col.values, segments)),
     }
 
 
@@ -911,22 +883,13 @@ def _knotted_encode(params, family):
         # the knot convention (first 0, last n-1, strictly increasing)
         # cannot delimit a segment inside a shorter column
         raise NotEncodable("knotted splines need at least two elements")
-    segments = params.get("segments", [n])
-    if sum(segments) != n or any(l < 1 for l in segments):
-        raise NotEncodable("segment lengths must be positive and cover the column")
+    segments = _segments_hint(params, n)
     if len(segments) > 1 and segments[-1] < 2:
         # the last knot is n-1 and delimits an inclusive final segment, so a
         # singleton final segment would collide with the previous knot
         raise NotEncodable("the final knotted segment needs at least two elements")
-    knots, coeffs = [0], []
-    at = 0
-    for l in segments:
-        seg_coeffs = _fit_segment(params, list(col.values[at : at + l]))
-        if seg_coeffs is None:
-            raise NotEncodable(f"segment at {at} does not follow the basis")
-        coeffs.extend(_checked_narrow(et, seg_coeffs, "coefficient"))
-        at += l
-        knots.append(min(at, n - 1))
+    coeffs = _fit_segments(params, col.values, segments)
+    knots = list(accumulate(segments, initial=0))
     knots[-1] = n - 1
     if _knots_float(params):
         knots_col = Column(parse_type("f64"), [float(x) for x in knots])
@@ -978,13 +941,8 @@ def _equiknotted_encode(params, family):
     ell = int(params["interval_length"])
     if ell < 1:
         raise NotEncodable("interval_length must be positive")
-    coeffs = []
     n = len(col)
-    for at in range(0, n, ell):
-        seg_coeffs = _fit_segment(params, list(col.values[at : at + ell]))
-        if seg_coeffs is None:
-            raise NotEncodable(f"segment at {at} does not follow the basis")
-        coeffs.extend(_checked_narrow(et, seg_coeffs, "coefficient"))
+    coeffs = _fit_segments(params, col.values, [min(ell, n - at) for at in range(0, n, ell)])
     return {
         "interval_length": scalar_column(INT, ell),
         "length": scalar_column(INT, n),
@@ -1054,14 +1012,13 @@ def _for_encode(params, family):
     col = family["col"]
     et = _et(params)
     off_et = parse_type(_offset_t(params))
-    ell = int(params["segment_length"])
+    ell = _segment_length(params)
     refs, offs = [], []
     for at in range(0, len(col), ell):
         seg = col.values[at : at + ell]
         ref = min(seg)
         refs.append(ref)
         offs.extend(map(sub, seg, repeat(ref, len(seg))))
-    offs = _checked_narrow(off_et, offs, "offset")
     return {
         "segment_length": scalar_column(INT, ell),
         "reference": Column(et, refs),
@@ -1111,7 +1068,6 @@ def _naive_delta_encode(params, family):
         return {"base": scalar_column(et, et.zero()), "delta": Column(delta_et, [])}
     base = col.values[0]
     deltas = [0, *map(sub, col.values[1:], col.values)]
-    deltas = _checked_narrow(delta_et, deltas, "delta")
     return {"base": scalar_column(et, base), "delta": Column(delta_et, deltas)}
 
 
@@ -1162,7 +1118,7 @@ def _delta_verify(params, cols):
 
 
 def _delta_encode_parts(params, col):
-    ell = int(params["segment_length"])
+    ell = _segment_length(params)
     bases, deltas = [], []
     for at in range(0, len(col), ell):
         seg = col.values[at : at + ell]
@@ -1177,7 +1133,6 @@ def _delta_encode(params, family):
     et = _et(params)
     delta_et = parse_type(_delta_t(params))
     bases, deltas = _delta_encode_parts(params, col)
-    deltas = _checked_narrow(delta_et, deltas, "delta")
     return {
         "segment_length": scalar_column(INT, int(params["segment_length"])),
         "base": Column(et, bases),
@@ -1227,7 +1182,7 @@ def _patched_delta_encode(params, family):
     bases, deltas = _delta_encode_parts(params, col)
     patch_pos, patch_data, stored = [], [], []
     for i, d in enumerate(deltas):
-        if _fits(delta_et, d):
+        if delta_et.contains(d):
             stored.append(d)
         else:
             patch_pos.append(i)
@@ -1295,7 +1250,7 @@ def _segdict_verify(params, cols, two_level=False):
 
 
 def _segdict_encode_entries(params, values, code_of, filler):
-    ell = int(params["segment_length"])
+    ell = _segment_length(params)
     d = int(params["dict_size"])
     entries, indices = [], []
     for at in range(0, len(values), ell):
@@ -1561,14 +1516,11 @@ def _common_prefix_groups(params, family):
 
 
 def _common_prefix_encode(params, family):
-    w, p = int(params["w"]), int(params["p"])
     pre_et, suf_et = _cp_types(params)
     groups = _common_prefix_groups(params, family)
     prefixes, counts, suffixes = [], [], []
     for g in sorted(groups):
         members = groups[g]
-        if len(members) >= (1 << (w - p)):
-            raise NotEncodable(f"group {g} has {len(members)} members; counts are {w - p}-bit")
         prefixes.append(g)
         counts.append(len(members))
         suffixes.extend(members)
@@ -1645,8 +1597,6 @@ def _common_upper_half_encode(params, family):
         if len(members) == 1:
             naive.append((g << half) | members[0])
         else:
-            if len(members) >= (1 << half):
-                raise NotEncodable(f"group {g} overflows the {half}-bit count")
             prefixes.append(g)
             counts.append(len(members))
             suffixes.extend(members)

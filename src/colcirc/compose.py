@@ -23,9 +23,9 @@ from operator import sub
 
 from .builder import CircuitBuilder, Input
 from .circuit import evaluate_circuit
-from .codec import CodecEntry, _ResolvedParams, codec, register_codec
+from .codec import CodecEntry, _ResolvedParams, _segments_hint, codec, register_codec
 from .column import Column, scalar_column
-from .errors import ColcircError, NotEncodable, OperatorError, TypeDomainError
+from .errors import ColcircError, NotEncodable, OperatorError
 from .ops import OperatorInstance, Signature, register_operator
 from .types import INT, Kind, parse_type
 
@@ -257,10 +257,7 @@ class _DifferentiateCodec(_ComposedCodec):
         col = family["col"]
         if len(col) == 0:
             raise NotEncodable("differentiation needs at least one element")
-        try:
-            diffs = Column(parse_type(self.diff_type), [b - a for a, b in zip(col.values, col.values[1:])])
-        except TypeDomainError as e:
-            raise NotEncodable(f"difference {e.value} at index {e.index} does not fit {self.diff_type}") from None
+        diffs = Column(parse_type(self.diff_type), map(sub, col.values[1:], col.values))
         out = self._encoded(0, {"col": diffs})
         out["first"] = scalar_column(parse_type(self.data_type), col.values[0])
         return out
@@ -513,11 +510,7 @@ class _SegmentizedCodec(_ComposedCodec):
         if self.uniform:
             segments = _segment_lengths_uniform(self.ell, len(col))
         else:
-            segments = _hint(params, "segments")
-            if segments is None:
-                segments = [len(col)] if len(col) else []
-            if sum(segments) != len(col) or any(s < 1 for s in segments):
-                raise NotEncodable("segment lengths must be positive and cover the column")
+            segments = _segments_hint(params, len(col))
         entry, iparams, decoder = self.inners[0]
         spec = decoder.signature.inputs
         gathered = {label: [] for label in spec}
@@ -528,7 +521,8 @@ class _SegmentizedCodec(_ComposedCodec):
             for label in spec:
                 gathered[label].extend(enc[label].values)
             at += seg_len
-        out = {f"seg:{label}": Column(spec[label], vals) for label, vals in gathered.items()}
+        # the inner encoder built each piece as a column of its label's type
+        out = {f"seg:{label}": Column._trusted(spec[label], vals) for label, vals in gathered.items()}
         if self.uniform:
             out["segment_length"] = scalar_column(INT, self.ell)
             out["total_length"] = scalar_column(INT, len(col))

@@ -30,6 +30,14 @@ def _et(params, key="type") -> ElementType:
     return parse_type(v) if isinstance(v, str) else v
 
 
+def _segment_length(params) -> int:
+    """An encoder's ``segment_length`` param, which must be positive."""
+    ell = int(params["segment_length"])
+    if ell < 1:
+        raise NotEncodable(f"segment_length must be positive, not {ell}")
+    return ell
+
+
 def _is_distinct(values) -> bool:
     return len(set(values)) == len(values)
 
@@ -492,7 +500,7 @@ def _segmented_subcolumn_verify(params, cols):
 
 
 def _segmented_subcolumn_encode(params, family):
-    ell = int(params["segment_length"])
+    ell = _segment_length(params)
     sc = SubcolumnStd(family["pos"], family["data"]).canonical()
     pos = sc.pos.values
     segs, data_order = [], []

@@ -18,7 +18,7 @@ from colcirc import (
 )
 from colcirc.cli import main
 from colcirc.gallery import double_plus_three
-from colcirc.types import INT, U8, U32, U64
+from colcirc.types import F64, INT, U8, U32, U64
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
 
@@ -49,6 +49,12 @@ class TestEncodeDecodeVerify:
         path = tmp_path / "mixed.col"
         write_col_file(path, make_column(U8, [5, 6]))
         assert main(["encode", "--scheme", "constant", str(path), str(tmp_path / "b")]) == 2
+
+    def test_a_value_outside_its_encoded_type_exits_2(self, tmp_path):
+        path = tmp_path / "floats.col"
+        write_col_file(path, make_column(F64, [1.5, 2.5]))
+        params = json.dumps({"type": "f64", "offset_type": "u8", "segment_length": 4})
+        assert main(["encode", "--scheme", "for", "--params", params, str(path), str(tmp_path / "b")]) == 2
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["encode", "--scheme", "constant", str(tmp_path / "nope.col"), str(tmp_path / "b")]) == 1

@@ -3,6 +3,7 @@ import math
 from itertools import accumulate
 import pathlib
 import random
+import re
 import struct
 import sys
 
@@ -30,7 +31,7 @@ from colcirc import ops
 from colcirc.cli import main
 from colcirc.errors import NotEncodable
 from colcirc.rep_schemes import canonical_varwidth, varwidth_elements
-from colcirc.types import I8, INT, U8, U16, U32, ElementType, parse_type
+from colcirc.types import F64, I8, INT, U8, U16, U32, ElementType, parse_type
 
 from scheme_cases import CASES, corruption_battery, roundtrip_battery
 
@@ -528,6 +529,13 @@ class TestIndexCompression:
         assert inst.columns["prefix"].values == (4,)  # block 64..79
         assert sorted(decode(inst)["elements"].values) == [3, 64, 65, 200]
 
+    @pytest.mark.parametrize("scheme_id, params", [("idx.common_prefix", {"w": 4, "p": 2}), ("idx.common_upper_half", {"w": 4})])
+    def test_a_full_group_has_a_count_outside_its_type(self, scheme_id, params):
+        # the 4 members of block 0 count one past the 2-bit count type
+        fam = {"full_length": scalar_column(INT, 16), "elements": idx([0, 1, 2, 3])}
+        with pytest.raises(NotEncodable, match=rf"^{re.escape(scheme_id)}: value 4 not in domain of u2"):
+            encode(scheme_id, params, fam)
+
     def test_size_bound_spot_check(self):
         from colcirc import representation_size_bits
 
@@ -649,31 +657,109 @@ class TestBatteries:
         corruption_battery(scheme_id, CASES[scheme_id], rng, 25)
 
 
-class TestCheckedNarrow:
-    """The one-pass range check of encoders agrees with the per-value one."""
+class TestValuesOutsideTheType:
+    """``Column`` is the one check that an encoded value lies in its type, and ``encode``
+    turns its error into ``NotEncodable`` naming the scheme, the value, its index and the type."""
 
     @pytest.mark.parametrize(
-        "et, values, index",
+        "scheme_id, params, values, value, index, narrow",
         [
-            (U8, [0, 255, 256, 300], 2),
-            (U8, [-1, 5], 0),
-            (I8, [-128, 127, 128], 2),
-            (ElementType.unsigned(64), [2**64 - 1, 2**64], 1),
-            (I8, [1.0, float("nan"), 2.0], 1),
-            (ElementType.float_(32), [0.5, 0.1], 1),
+            ("nullsup", {"type": "u32", "narrow_type": "u8"}, [0, 255, 256, 300], 256, 2, "u8"),
+            ("delta", {"type": "u32", "delta_type": "i8", "segment_length": 4}, [0, 300, 301], 300, 1, "i8"),
+            ("run.rle", {"type": "u32", "int_type": "u8"}, [7] * 300 + [8], 300, 0, "u8"),
+            ("for", {"type": "u32", "offset_type": "u16", "segment_length": 4}, [3, 2, 65538, 9], 65536, 2, "u16"),
         ],
+        ids=["nullsup", "delta", "run.rle", "for"],
     )
-    def test_first_value_that_does_not_fit_is_named(self, et, values, index):
+    def test_the_value_is_named(self, scheme_id, params, values, value, index, narrow):
         with pytest.raises(NotEncodable) as exc:
-            cs._checked_narrow(et, values, "delta")
-        assert str(exc.value) == f"delta: value {values[index]} at index {index} does not fit {et}"
+            encode(scheme_id, params, u32(values))
+        assert str(exc.value) == f"{scheme_id}: value {value} not in domain of {narrow} (at index {index})"
+
+    # each of these escaped as a raw TypeDomainError while a narrowing
+    # check of its own let a float through for an integer type
+    def test_float_offsets_for_an_integer_offset_type(self):
+        with pytest.raises(NotEncodable, match=r"^for: value 0\.0 not in domain of u8"):
+            encode("for", {"type": "f64", "offset_type": "u8", "segment_length": 4}, make_column(F64, [1.5, 2.5]))
+
+    def test_float_noise_for_an_integer_noise_type(self):
+        with pytest.raises(NotEncodable, match=r"^noisy\.generated: value .* not in domain of i8"):
+            encode("noisy.generated", {"type": "f64", "noise_type": "i8", "basis": [0]}, make_column(F64, [0.0, 1.5, 3.25]))
+
+    def test_a_negative_residual_of_a_composed_codec(self):
+        sid = "testonly.outside.ewadd"
+        inner = (("generated", {"type": "u32", "basis": [1]}), ("nullsup", {"type": "u32", "narrow_type": "u8"}))
+        compose(CompositionRecipe("elementwise-add", sid, inner))
+        with pytest.raises(NotEncodable, match=rf"^{re.escape(sid)}: value -1 not in domain of u32"):
+            encode(sid, {}, u32([5, 0, 7, 1, 9, 2]))
+
+
+class TestEncoderParams:
+    """An encoder param or hint that no encoding can follow is ``NotEncodable``."""
+
+    @pytest.fixture(scope="class")
+    def segmentized(self):
+        sid = "testonly.hint.segv"
+        compose(CompositionRecipe("segmentize-variable", sid, (("nullsup", {"type": "u32", "narrow_type": "u8"}),)))
+        return sid
+
+    def _hinted(self, scheme_id, segmentized):
+        if scheme_id == "segmentize-variable":
+            return segmentized, {}
+        return scheme_id, {"type": "u32", "basis": [0, 1]}
+
+    @pytest.mark.parametrize("scheme_id", ["spline.generalized", "spline.knotted", "segmentize-variable"])
+    @pytest.mark.parametrize(
+        "segments",
+        ["x", 7, [2.0, 2.0], [True] * 4, [0, 4], [-1, 5], [1, 2], [5]],
+        ids=["str", "int", "floats", "bools", "zero", "negative", "short", "long"],
+    )
+    def test_segments_that_are_not_lengths_covering_the_column(self, scheme_id, segments, segmentized):
+        sid, params = self._hinted(scheme_id, segmentized)
+        with pytest.raises(NotEncodable, match="hint 'segments'"):
+            encode(sid, dict(params, segments=segments), u32([1, 2, 3, 4]))
+
+    @pytest.mark.parametrize("scheme_id", ["spline.generalized", "spline.knotted", "segmentize-variable"])
+    def test_segments_that_cover_the_column(self, scheme_id, segmentized):
+        sid, params = self._hinted(scheme_id, segmentized)
+        col = u32([1, 2, 3, 4])
+        assert decode(encode(sid, dict(params, segments=(2, 2)), col))["col"] == col
 
     @pytest.mark.parametrize(
-        "et, values",
-        [(U8, (0, 255)), (ElementType.unsigned(64), (0, 2**63, 2**64 - 1)), (I8, [1.0, -2.5]), (U8, [])],
+        "scheme_id, params",
+        [
+            ("delta", {"type": "u32", "delta_type": "i8"}),
+            ("delta.patched", {"type": "u32", "delta_type": "i8"}),
+            ("for", {"type": "u32", "offset_type": "u8"}),
+            ("segdict", {"type": "u32", "dict_size": 2}),
+            ("segdict.two_level", {"type": "u32", "dict_size": 2}),
+            ("subcolumn.segmented", {"type": "u32"}),
+        ],
+        ids=["delta", "delta.patched", "for", "segdict", "segdict.two_level", "subcolumn.segmented"],
     )
-    def test_fitting_values_come_back_as_a_list(self, et, values):
-        assert cs._checked_narrow(et, values, "delta") == list(values)
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_a_segment_length_below_one(self, scheme_id, params, ell):
+        family = u32([1, 2, 3])
+        if scheme_id == "subcolumn.segmented":
+            family = {"pos": idx([0, 1, 2]), "data": family}
+        with pytest.raises(NotEncodable, match=f"segment_length must be positive, not {ell}"):
+            encode(scheme_id, dict(params, segment_length=ell), family)
+
+    @pytest.mark.parametrize(
+        "scheme_id, params",
+        [
+            ("generated", {"type": "f64"}),
+            ("noisy.generated", {"type": "f64", "noise_type": "f64"}),
+            ("noisy.generated", {"type": "u32", "noise_type": "i64"}),
+        ],
+        ids=["generated-f64", "noisy-f64", "noisy-u32"],
+    )
+    def test_a_basis_past_the_float_range(self, scheme_id, params):
+        # 399**200 is past f64, though the degree is inside the basis bound
+        t = parse_type(params["type"])
+        col = make_column(t, [t.zero()] * 400)
+        with pytest.raises(NotEncodable, match="leaves the float range over 400 positions"):
+            encode(scheme_id, dict(params, basis=[0, 200]), col)
 
 
 def _per_element_basis(params, coeffs, n):
