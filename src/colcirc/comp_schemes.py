@@ -9,6 +9,7 @@ supported up to 63 bits of magnitude.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import accumulate, compress, repeat
 from operator import add, mul, ne, sub
@@ -18,11 +19,17 @@ from .codec import CodecEntry, _segments_hint, register_codec
 from .column import Column, scalar_column
 from .errors import NotEncodable
 from .rep_schemes import (
+    _below,
     _et,
+    _holds,
+    _increasing,
     _is_distinct,
+    _positions,
     _ranges_within,
+    _segment_count,
     _segment_length,
     _t,
+    _tiled,
     canonical_varwidth,
     indexset_equivalent,
     varwidth_elements,
@@ -233,7 +240,7 @@ def _shifted_int_fit(params, values):
 
 def _generated_fit_additive(params, col):
     if _is_float(params):
-        coeffs = _fit_float_least_squares(list(col.values), _basis_degrees(params))
+        coeffs = _fit_least_squares(list(col.values), _basis_degrees(params))
         base = _eval_basis(params, coeffs, len(col))
     else:
         _, base = _shifted_int_fit(params, list(col.values))
@@ -343,7 +350,7 @@ def _noisy_encode(params, family):
     noise_et = parse_type(_noise_t(params))
     degrees = _basis_degrees(params)
     if _is_float(params):
-        coeffs = _fit_float_least_squares(list(col.values), degrees)
+        coeffs = _fit_least_squares(list(col.values), degrees)
     else:
         coeffs = _fit_int_least_squares(col.values, degrees)
         lo, hi = et.bounds()
@@ -353,8 +360,14 @@ def _noisy_encode(params, family):
 
 
 def _fit_int_least_squares(values, degrees):
-    coeffs = _fit_float_least_squares(list(map(float, values)), degrees)
-    return [int(round(c)) for c in coeffs]
+    return [int(round(c)) for c in _fit_least_squares(list(map(float, values)), degrees)]
+
+
+def _fit_least_squares(values, degrees):
+    """``_fit_float_least_squares``, or the zero model where that fit is not finite (a
+    normal-equation sum past the float range makes it NaN)."""
+    coeffs = _fit_float_least_squares(values, degrees)
+    return coeffs if all(map(math.isfinite, coeffs)) else [0.0] * len(degrees)
 
 
 def _float_powers(d, n):
@@ -465,8 +478,7 @@ def _dict_decoder(params):
 
 
 def _dict_verify_base(params, cols):
-    d = len(cols["dictionary"])
-    return all(i < d for i in cols["indices"].values)
+    return _below(cols["indices"].values, len(cols["dictionary"]))
 
 
 def _dict_verify_unique(params, cols):
@@ -474,10 +486,7 @@ def _dict_verify_unique(params, cols):
 
 
 def _dict_verify_monotone(params, cols):
-    if not _dict_verify_unique(params, cols):
-        return False
-    vals = cols["dictionary"].values
-    return all(a < b for a, b in zip(vals, vals[1:]))
+    return _dict_verify_unique(params, cols) and _increasing(cols["dictionary"].values)
 
 
 def _dict_encode_factory(variant):
@@ -549,13 +558,7 @@ def _run_full_decoder(params):
 def _run_full_verify(params, cols):
     starts = cols["start_position"].values
     lengths = cols["length"].values
-    if len(starts) != len(lengths) or len(starts) != len(cols["value"]):
-        return False
-    if not starts:
-        return True
-    if starts[0] != 0 or any(l < 1 for l in lengths):
-        return False
-    return all(starts[i] == starts[i - 1] + lengths[i - 1] for i in range(1, len(starts)))
+    return len(starts) == len(cols["value"]) and _tiled(starts, lengths) and min(lengths, default=1) >= 1
 
 
 def _run_full_encode(params, family):
@@ -594,9 +597,7 @@ def _rpe_verify(params, cols):
     overall = cols["overall_length"][0]
     if not starts:
         return overall == 0
-    if starts[0] != 0 or any(a >= b for a, b in zip(starts, starts[1:])):
-        return False
-    return starts[-1] < overall
+    return starts[0] == 0 and _increasing(starts) and starts[-1] < overall
 
 
 def _rpe_encode(params, family):
@@ -633,9 +634,11 @@ register_codec(
 )
 
 
-def _rle_decoder(params):
+def _rle_decoder(params, capped=False):
     int_t = _int_t(params)
     b = CircuitBuilder()
+    if capped:
+        b.sink(b.input("cap"), _INT)
     lengths = b.cast(int_t, _INT, b.input("length"))
     values = b.input("value")
     starts = b.prefix(_INT, "add", lengths, mode="exclusive")
@@ -646,7 +649,7 @@ def _rle_decoder(params):
 
 def _rle_verify(params, cols):
     lengths = cols["length"].values
-    return len(lengths) == len(cols["value"]) and all(l >= 1 for l in lengths)
+    return len(lengths) == len(cols["value"]) and min(lengths, default=1) >= 1
 
 
 def _rle_encode(params, family):
@@ -668,26 +671,9 @@ register_codec(
 )
 
 
-def _capped_rle_decoder(params):
-    int_t = _int_t(params)
-    b = CircuitBuilder()
-    b.sink(b.input("cap"), _INT)
-    lengths = b.cast(int_t, _INT, b.input("length"))
-    values = b.input("value")
-    starts = b.prefix(_INT, "add", lengths, mode="exclusive")
-    overall = b.total(_INT, lengths)
-    b.result("col", _run_decode_tail(b, params, starts, overall, values))
-    return b.build()
-
-
 def _capped_rle_verify(params, cols):
     r = int(params["cap"])
-    if len(cols["cap"]) != 1 or cols["cap"][0] != r:
-        return False
-    lengths = cols["length"].values
-    if len(lengths) != len(cols["value"]):
-        return False
-    return all(1 <= l <= r for l in lengths)
+    return _holds(cols, "cap", r) and _rle_verify(params, cols) and max(cols["length"].values, default=0) <= r
 
 
 def _capped_rle_encode(params, family):
@@ -716,7 +702,7 @@ def _capped_rle_encode(params, family):
 register_codec(
     CodecEntry(
         "run.rle.capped",
-        build_decoder=_capped_rle_decoder,
+        build_decoder=lambda p: _rle_decoder(p, capped=True),
         encode=_capped_rle_encode,
         host_verify=_capped_rle_verify,
     )
@@ -763,13 +749,7 @@ def _spline_generalized_verify(params, cols):
     starts = cols["segment_start_pos"].values
     lengths = cols["segment_length"].values
     k = len(_basis_degrees(params))
-    if len(starts) != len(lengths) or len(cols["coefficients"]) != k * len(starts):
-        return False
-    if not starts:
-        return True
-    if starts[0] != 0 or any(l < 1 for l in lengths):
-        return False
-    return all(starts[i] == starts[i - 1] + lengths[i - 1] for i in range(1, len(starts)))
+    return len(cols["coefficients"]) == k * len(starts) and _tiled(starts, lengths) and min(lengths, default=1) >= 1
 
 
 def _fit_segment(params, values):
@@ -856,23 +836,17 @@ def _knotted_decoder(params):
 
 
 def _knotted_verify(params, cols):
-    import math
-
     knots = cols["knots"].values
     k = len(_basis_degrees(params))
-    if len(knots) < 2:
+    if len(knots) < 2 or len(cols["coefficients"]) != k * (len(knots) - 1):
         return False
-    if len(cols["coefficients"]) != k * (len(knots) - 1):
+    floats = _knots_float(params)
+    if floats and not all(map(math.isfinite, knots)):
+        return False  # neither ``int`` nor ``math.ceil`` takes an infinity or a NaN
+    if knots[0] != 0 or not _increasing(knots):
         return False
-    if knots[0] != 0 or any(a >= b for a, b in zip(knots, knots[1:])):
-        return False
-    if _knots_float(params):
-        if knots[-1] != int(knots[-1]):
-            return False
-        ceils = [math.ceil(x) for x in knots[:-1]]
-        if any(a >= b for a, b in zip(ceils, ceils[1:])):
-            return False  # a knot interval without any integer index
-    return True
+    # float knots: the last is a whole number, and each knot interval holds an integer index
+    return not floats or knots[-1] == int(knots[-1]) and _increasing([math.ceil(x) for x in knots[:-1]])
 
 
 def _knotted_encode(params, family):
@@ -926,13 +900,10 @@ def _equiknotted_decoder(params):
 
 def _equiknotted_verify(params, cols):
     ell = int(params["interval_length"])
-    if ell < 1 or len(cols["interval_length"]) != 1 or cols["interval_length"][0] != ell:
+    if ell < 1 or not _holds(cols, "interval_length", ell) or len(cols["length"]) != 1:
         return False
-    if len(cols["length"]) != 1:
-        return False
-    n = cols["length"][0]
     k = len(_basis_degrees(params))
-    return len(cols["coefficients"]) == k * -(-n // ell)
+    return len(cols["coefficients"]) == k * _segment_count(cols["length"][0], ell)
 
 
 def _equiknotted_encode(params, family):
@@ -956,7 +927,7 @@ def _equiknotted_fit_additive(params, col):
     for at in range(0, len(col), ell):
         seg = list(col.values[at : at + ell])
         if _is_float(params):
-            coeffs = _fit_float_least_squares(seg, _basis_degrees(params))
+            coeffs = _fit_least_squares(seg, _basis_degrees(params))
             base.extend(_eval_basis(params, coeffs, len(seg)))
         else:
             _, seg_base = _shifted_int_fit(params, seg)
@@ -973,7 +944,7 @@ register_codec(
         encoded_lengths=lambda p, n: {
             "interval_length": 1,
             "length": 1,
-            "coefficients": len(_basis_degrees(p)) * -(-n // int(p["interval_length"])),
+            "coefficients": len(_basis_degrees(p)) * _segment_count(n, int(p["interval_length"])),
         },
         fit_additive=_equiknotted_fit_additive,
     )
@@ -1002,10 +973,8 @@ def _for_decoder(params):
 
 def _for_verify(params, cols):
     ell = int(params["segment_length"])
-    if ell < 1 or len(cols["segment_length"]) != 1 or cols["segment_length"][0] != ell:
-        return False
     n = len(cols["offsets"])
-    return len(cols["reference"]) == -(-n // ell)
+    return ell >= 1 and _holds(cols, "segment_length", ell) and len(cols["reference"]) == _segment_count(n, ell)
 
 
 def _for_encode(params, family):
@@ -1034,7 +1003,7 @@ register_codec(
         host_verify=_for_verify,
         encoded_lengths=lambda p, n: {
             "segment_length": 1,
-            "reference": -(-n // int(p["segment_length"])),
+            "reference": _segment_count(n, int(p["segment_length"])),
             "offsets": n,
         },
     )
@@ -1082,10 +1051,17 @@ register_codec(
 )
 
 
-def _delta_pipeline(b, params, widened: Wire, base, n: Wire) -> Wire:
-    """Segmented integration over an i64 delta column."""
+def _delta_decoder(params, patched=False):
+    """Segmented integration of the deltas in i64; ``patched`` scatters ``patch_data`` over them first."""
     t = _t(params)
     ell = int(params["segment_length"])
+    b = CircuitBuilder()
+    b.sink(b.input("segment_length"), _INT)
+    delta = b.input("delta")
+    n = b.length(delta, _delta_t(params))
+    widened = b.cast(_delta_t(params), _WIDE, delta)
+    if patched:
+        widened = b.scatter(_WIDE, widened, b.input("patch_pos"), b.input("patch_data"))
     ps = b.prefix(_WIDE, "add", widened)
     ps0 = b.concat(_WIDE, b.scalar(_WIDE, 0), ps)
     idx = b.iota(n)
@@ -1095,26 +1071,15 @@ def _delta_pipeline(b, params, widened: Wire, base, n: Wire) -> Wire:
     seg_floor = b.ew("scale", {"type": _INT, "k": ell}, arguments=seg)
     before_seg = b.gather(_WIDE, seg_floor, ps0)
     within = b.sub_cols(_WIDE, upto_i, before_seg)
-    base_w = b.gather(_WIDE, seg, b.cast(t, _WIDE, base))
-    return b.cast(_WIDE, t, b.add_cols(_WIDE, base_w, within))
-
-
-def _delta_decoder(params):
-    b = CircuitBuilder()
-    b.sink(b.input("segment_length"), _INT)
-    delta = b.input("delta")
-    n = b.length(delta, _delta_t(params))
-    widened = b.cast(_delta_t(params), _WIDE, delta)
-    b.result("col", _delta_pipeline(b, params, widened, b.input("base"), n))
+    base_w = b.gather(_WIDE, seg, b.cast(t, _WIDE, b.input("base")))
+    b.result("col", b.cast(_WIDE, t, b.add_cols(_WIDE, base_w, within)))
     return b.build()
 
 
 def _delta_verify(params, cols):
     ell = int(params["segment_length"])
-    if ell < 1 or len(cols["segment_length"]) != 1 or cols["segment_length"][0] != ell:
-        return False
     n = len(cols["delta"])
-    return len(cols["base"]) == -(-n // ell)
+    return ell >= 1 and _holds(cols, "segment_length", ell) and len(cols["base"]) == _segment_count(n, ell)
 
 
 def _delta_encode_parts(params, col):
@@ -1148,31 +1113,16 @@ register_codec(
         host_verify=_delta_verify,
         encoded_lengths=lambda p, n: {
             "segment_length": 1,
-            "base": -(-n // int(p["segment_length"])),
+            "base": _segment_count(n, int(p["segment_length"])),
             "delta": n,
         },
     )
 )
 
 
-def _patched_delta_decoder(params):
-    b = CircuitBuilder()
-    b.sink(b.input("segment_length"), _INT)
-    delta = b.input("delta")
-    n = b.length(delta, _delta_t(params))
-    widened = b.cast(_delta_t(params), _WIDE, delta)
-    patched = b.scatter(_WIDE, widened, b.input("patch_pos"), b.input("patch_data"))
-    b.result("col", _delta_pipeline(b, params, patched, b.input("base"), n))
-    return b.build()
-
-
 def _patched_delta_verify(params, cols):
-    if not _delta_verify(params, {k: cols[k] for k in ("segment_length", "base", "delta")}):
-        return False
     pos = cols["patch_pos"].values
-    if len(pos) != len(cols["patch_data"]) or not _is_distinct(pos):
-        return False
-    return all(p < len(cols["delta"]) for p in pos)
+    return _delta_verify(params, cols) and len(pos) == len(cols["patch_data"]) and _positions(pos, len(cols["delta"]))
 
 
 def _patched_delta_encode(params, family):
@@ -1200,7 +1150,7 @@ def _patched_delta_encode(params, family):
 register_codec(
     CodecEntry(
         "delta.patched",
-        build_decoder=_patched_delta_decoder,
+        build_decoder=lambda p: _delta_decoder(p, patched=True),
         encode=_patched_delta_encode,
         host_verify=_patched_delta_verify,
     )
@@ -1235,18 +1185,12 @@ def _segdict_verify(params, cols, two_level=False):
     d = int(params["dict_size"])
     if ell < 1 or d < 1:
         return False
-    if len(cols["segment_length"]) != 1 or cols["segment_length"][0] != ell:
+    if not _holds(cols, "segment_length", ell) or not _below(cols["indices"].values, d):
         return False
-    n = len(cols["indices"])
-    m = -(-n // ell)
-    if len(cols["dictionary_entries"]) != d * m:
+    entries = cols["dictionary_entries"].values
+    if len(entries) != d * _segment_count(len(cols["indices"]), ell):
         return False
-    if any(i >= d for i in cols["indices"].values):
-        return False
-    if two_level:
-        g = len(cols["global_dictionary"])
-        return all(e < g for e in cols["dictionary_entries"].values)
-    return True
+    return not two_level or _below(entries, len(cols["global_dictionary"]))
 
 
 def _segdict_encode_entries(params, values, code_of, filler):
@@ -1356,9 +1300,9 @@ def _cascade_verify(params, cols):
             return False
         if len(indices) != remaining:
             return False
-        if any(v >= len(dictionary) for v in indices.values):
+        if not _below(indices.values, len(dictionary)):
             return False
-        remaining = sum(1 for v in indices.values if v == 0)
+        remaining = indices.values.count(0)
     return remaining == 0
 
 
@@ -1418,12 +1362,8 @@ def _subdict_decoder(params):
 
 def _subdict_verify(params, cols):
     d = len(cols["dictionary"])
-    if d < 1:
-        return False
     vals = cols["indices"].values
-    if any(v >= d for v in vals):
-        return False
-    return len(cols["residual_data"]) == sum(1 for v in vals if v == 0)
+    return d >= 1 and _below(vals, d) and len(cols["residual_data"]) == vals.count(0)
 
 
 def _subdict_encode(params, family):
@@ -1461,19 +1401,23 @@ def _cp_types(params):
     return ElementType.unsigned(p), ElementType.unsigned(w - p)
 
 
-def _common_prefix_decoder(params):
-    w, p = int(params["w"]), int(params["p"])
-    pre_t, suf_t = (str(t) for t in _cp_types(params))
-    b = CircuitBuilder()
+def _prefix_groups(b: CircuitBuilder, pre_t, suf_t, shift) -> Wire:
+    """The elements of the ``prefix`` groups: each ``suffix`` plus its group's prefix shifted up
+    ``shift`` bits, the groups sized by ``suffix_count``."""
     prefix = b.cast(pre_t, _INT, b.input("prefix"))
     counts = b.cast(suf_t, _INT, b.input("suffix_count"))
     suffix = b.cast(suf_t, _INT, b.input("suffix"))
     starts = b.prefix(_INT, "add", counts, mode="exclusive")
-    total = b.total(_INT, counts)
-    group = run_index_wires(b, starts, total)
-    pre_of = b.gather(_INT, group, prefix)
-    shifted = b.ew("scale", {"type": _INT, "k": 1 << (w - p)}, arguments=pre_of)
-    elements = b.add_cols(_INT, shifted, suffix)
+    group = run_index_wires(b, starts, b.total(_INT, counts))
+    shifted = b.ew("scale", {"type": _INT, "k": 1 << shift}, arguments=b.gather(_INT, group, prefix))
+    return b.add_cols(_INT, shifted, suffix)
+
+
+def _common_prefix_decoder(params):
+    w, p = int(params["w"]), int(params["p"])
+    pre_t, suf_t = (str(t) for t in _cp_types(params))
+    b = CircuitBuilder()
+    elements = _prefix_groups(b, pre_t, suf_t, w - p)
     b.result("full_length", b.scalar(_INT, 1 << w))
     b.result("elements", elements)
     return b.build()
@@ -1483,19 +1427,11 @@ def _common_prefix_verify(params, cols):
     prefixes = cols["prefix"].values
     counts = cols["suffix_count"].values
     suffixes = cols["suffix"].values
-    if len(prefixes) != len(counts):
+    if len(prefixes) != len(counts) or not _increasing(prefixes):
         return False
-    if any(a >= b for a, b in zip(prefixes, prefixes[1:])):
+    if min(counts, default=1) < 1 or sum(counts) != len(suffixes):
         return False
-    if any(c < 1 for c in counts) or sum(counts) != len(suffixes):
-        return False
-    at = 0
-    for c in counts:
-        window = suffixes[at : at + c]
-        if any(a >= b for a, b in zip(window, window[1:])):
-            return False
-        at += c
-    return True
+    return all(_increasing(suffixes[at : at + c]) for at, c in zip(accumulate(counts, initial=0), counts))
 
 
 def _common_prefix_groups(params, family):
@@ -1549,16 +1485,7 @@ def _common_upper_half_decoder(params):
     half_t = str(ElementType.unsigned(half))
     b = CircuitBuilder()
     naive = b.cast(naive_t, _INT, b.input("naive"))
-    prefix = b.cast(half_t, _INT, b.input("prefix"))
-    counts = b.cast(half_t, _INT, b.input("suffix_count"))
-    suffix = b.cast(half_t, _INT, b.input("suffix"))
-    starts = b.prefix(_INT, "add", counts, mode="exclusive")
-    total = b.total(_INT, counts)
-    group = run_index_wires(b, starts, total)
-    pre_of = b.gather(_INT, group, prefix)
-    shifted = b.ew("scale", {"type": _INT, "k": 1 << half}, arguments=pre_of)
-    grouped = b.add_cols(_INT, shifted, suffix)
-    elements = b.concat(_INT, naive, grouped)
+    elements = b.concat(_INT, naive, _prefix_groups(b, half_t, half_t, half))
     b.result("full_length", b.scalar(_INT, 1 << w))
     b.result("elements", elements)
     return b.build()
@@ -1566,23 +1493,11 @@ def _common_upper_half_decoder(params):
 
 def _common_upper_half_verify(params, cols):
     w = int(params["w"])
-    if w % 2:
+    if w % 2 or not _common_prefix_verify(params, cols):
         return False
-    half = w // 2
-    inner = {
-        "prefix": cols["prefix"],
-        "suffix_count": cols["suffix_count"],
-        "suffix": cols["suffix"],
-    }
-    if not _common_prefix_verify({"w": w, "p": half}, inner):
-        return False
-    naive = cols["naive"].values
-    if not _is_distinct(naive):
-        return False
-    naive_blocks = [e >> half for e in naive]
-    if len(set(naive_blocks)) != len(naive_blocks):
-        return False  # two naive elements share a block
-    return not (set(naive_blocks) & set(cols["prefix"].values))
+    naive_blocks = [e >> w // 2 for e in cols["naive"].values]
+    # no two naive elements, and no naive element and group, share a block
+    return _is_distinct(naive_blocks) and not (set(naive_blocks) & set(cols["prefix"].values))
 
 
 def _common_upper_half_encode(params, family):
@@ -1650,15 +1565,10 @@ def _pvw_decoder(params):
 
 def _pvw_verify(params, cols):
     period = int(params["period"])
-    if period < 1 or len(cols["period"]) != 1 or cols["period"][0] != period:
+    if period < 1 or not _holds(cols, "period", period) or len(cols["length"]) != 1:
         return False
-    if len(cols["length"]) != 1:
-        return False
-    n = cols["length"][0]
     widths = cols["widths"].values
-    if len(widths) != -(-n // period):
-        return False
-    return len(cols["data"]) == period * sum(widths)
+    return len(widths) == _segment_count(cols["length"][0], period) and len(cols["data"]) == period * sum(widths)
 
 
 def padded_varwidth_equivalent(params, a, b):
@@ -1747,21 +1657,15 @@ def _vwdict_verify_base(params, cols):
         return False
     if not _ranges_within(cols["entry_start_positions"].values, cols["entry_lengths"].values, len(cols["entry_data"])):
         return False
-    return all(i < m for i in cols["indices"].values)
+    return _below(cols["indices"].values, m)
 
 
 def _vwdict_verify_unique(params, cols):
-    if not _vwdict_verify_base(params, cols):
-        return False
-    entries = _vwdict_entries(cols)
-    return len(set(entries)) == len(entries)
+    return _vwdict_verify_base(params, cols) and _is_distinct(_vwdict_entries(cols))
 
 
 def _vwdict_verify_monotone(params, cols):
-    if not _vwdict_verify_unique(params, cols):
-        return False
-    entries = _vwdict_entries(cols)
-    return all(a < b for a, b in zip(entries, entries[1:]))
+    return _vwdict_verify_unique(params, cols) and _increasing(_vwdict_entries(cols))
 
 
 def _vwdict_encode_factory(variant):

@@ -15,7 +15,6 @@ cannot be unrolled into a fixed circuit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -27,6 +26,7 @@ from .codec import CodecEntry, _ResolvedParams, _segments_hint, codec, register_
 from .column import Column, scalar_column
 from .errors import ColcircError, NotEncodable, OperatorError
 from .ops import OperatorInstance, Signature, register_operator
+from .rep_schemes import _below, _holds, _positions
 from .types import INT, Kind, parse_type
 
 _INT = str(INT)
@@ -165,9 +165,7 @@ class _PatchedCodec(_ComposedCodec):
 
     def _relation(self, columns, parts):
         pos = columns["patch_pos"].values
-        if len(pos) != len(columns["patch_data"]) or len(set(pos)) != len(pos):
-            return False
-        return all(p < len(parts[0]) for p in pos)
+        return len(pos) == len(columns["patch_data"]) and _positions(pos, len(parts[0]))
 
     def encode(self, params, family):
         col = family["col"]
@@ -281,35 +279,28 @@ def _running_sums_fit(t, first, diffs) -> bool:
 
 
 class _SmallDictFitCodec(_ComposedCodec):
+    """``subdict`` whose ``residual_data`` column the inner scheme encodes."""
+
     def __init__(self, recipe):
         super().__init__(recipe, ["residual:"])
-        self.bits = _int_option(recipe, "bits", 8, most=64)
+        self.subdict = codec("subdict")
+        self.subdict_params = {"type": self.data_type, "bits": _int_option(recipe, "bits", 8, most=64)}
 
     def build_decoder(self, params):
-        t = self.data_type
         b = CircuitBuilder()
-        idx = b.cast(f"u{self.bits}", _INT, b.input("indices"))
-        zero_mask = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": 0}, arguments=idx)
-        pos_z = b.add("select_indices", {}, characteristic=zero_mask)
-        base = b.gather(t, idx, b.input("dictionary"))
-        b.result("col", b.scatter(t, base, pos_z, self._embed(b, 0)))
+        residual = self._embed(b, 0)
+        feeds = {"dictionary": b.input("dictionary"), "indices": b.input("indices"), "residual_data": residual}
+        b.result("col", b.embed(self.subdict.decoder(self.subdict_params), feeds)["out:col"])
         return b.build()
 
     def _relation(self, columns, parts):
-        d = len(columns["dictionary"])
-        vals = columns["indices"].values
-        return d >= 1 and all(v < d for v in vals) and len(parts[0]) == vals.count(0)
+        subdict = {"dictionary": columns["dictionary"], "indices": columns["indices"], "residual_data": parts[0]}
+        return self.subdict.host_verify(self.subdict_params, subdict)
 
     def encode(self, params, family):
-        col = family["col"]
-        t = parse_type(self.data_type)
-        room = (1 << self.bits) - 1
-        freq = Counter(col.values)
-        ranked = [v for v, _ in sorted(freq.items(), key=lambda kv: (-kv[1], repr(kv[0])))][:room]
-        code = {v: j + 1 for j, v in enumerate(ranked)}
-        out = self._encoded(0, {"col": Column(t, [v for v in col.values if v not in code])})
-        out["dictionary"] = Column(t, [t.zero()] + ranked)
-        out["indices"] = Column(parse_type(f"u{self.bits}"), [code.get(v, 0) for v in col.values])
+        encoded = self.subdict.encode(self.subdict_params, family)
+        out = self._encoded(0, {"col": encoded.pop("residual_data")})
+        out.update(encoded)
         return out
 
 
@@ -334,8 +325,7 @@ class _AlternatingCodec(_ComposedCodec):
 
     def _relation(self, columns, parts):
         partition = columns["partition"].values
-        k = len(parts)
-        return all(v < k for v in partition) and all(len(p) == partition.count(i) for i, p in enumerate(parts))
+        return _below(partition, len(parts)) and all(len(p) == partition.count(i) for i, p in enumerate(parts))
 
     def encode(self, params, family):
         col = family["col"]
@@ -482,7 +472,7 @@ class _SegmentizedCodec(_ComposedCodec):
         return b.build()
 
     def host_verify(self, params, columns):
-        if self.uniform and (columns["segment_length"].values != (self.ell,) or len(columns["total_length"]) != 1):
+        if self.uniform and (not _holds(columns, "segment_length", self.ell) or len(columns["total_length"]) != 1):
             return False
         if self.lifted:
             return self._lengths_fit(columns)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import add
+from operator import add, eq, lt
 
 from .builder import CircuitBuilder, expand_ranges
 from .codec import CodecEntry, SchemeInstance, decode, register_codec
@@ -38,8 +38,47 @@ def _segment_length(params) -> int:
     return ell
 
 
+# -- the rules verifiers state about encoded columns, each written once ------------
+
+
 def _is_distinct(values) -> bool:
     return len(set(values)) == len(values)
+
+
+def _positions(pos, n) -> bool:
+    """True if ``pos`` holds distinct positions, each below ``n``."""
+    return _below(pos, n) and _is_distinct(pos)
+
+
+def _below(values, n) -> bool:
+    """True if every value is below ``n``: indices into ``n`` entries."""
+    return not values or max(values) < n
+
+
+def _increasing(values) -> bool:
+    """True if each value is ``<`` the one after it (a NaN is ``<`` nothing)."""
+    return all(map(lt, values, values[1:]))
+
+
+def _tiled(starts, lengths) -> bool:
+    """True if the ranges ``[s, s + l)`` follow one another from 0, each starting where the one before ends."""
+    return len(starts) == len(lengths) and all(map(eq, starts, accumulate(lengths, initial=0)))
+
+
+def _ranges_within(starts, lengths, n) -> bool:
+    """True if every range ``[s, s + l)`` ends at or before ``n``."""
+    return max(map(add, starts, lengths), default=0) <= n
+
+
+def _holds(cols, label, value) -> bool:
+    """True if column ``label`` holds the one value ``value`` (the param it repeats)."""
+    col = cols[label]
+    return len(col) == 1 and col.values[0] == value
+
+
+def _segment_count(n, ell) -> int:
+    """The number of segments of ``ell`` (the last one shorter) that cover ``n`` values."""
+    return -(-n // ell)
 
 
 # -- host-level subcolumn values ------------------------------------------------
@@ -63,7 +102,7 @@ class SubcolumnStd:
 
     @property
     def is_canonical(self) -> bool:
-        return all(a < b for a, b in zip(self.pos.values, self.pos.values[1:]))
+        return _increasing(self.pos.values)
 
     def canonical(self) -> "SubcolumnStd":
         items = sorted(self.mapping().items())
@@ -125,10 +164,8 @@ def _indexed_decoder(params):
 
 
 def _indexed_verify(params, cols):
-    pos, data = cols["pos"], cols["data"]
-    if len(pos) != len(data):
-        return False
-    return sorted(pos.values) == list(range(len(pos)))
+    pos = cols["pos"].values
+    return len(pos) == len(cols["data"]) and _positions(pos, len(pos))  # a permutation
 
 
 def _indexed_encode(params, family):
@@ -286,11 +323,8 @@ def _complementing_decoder(params):
 
 
 def _complementing_verify(params, cols):
-    pos, d1, d2 = cols["pos"], cols["data_1"], cols["data_2"]
-    n = len(d1) + len(d2)
-    if len(pos) != len(d1) or not _is_distinct(pos.values):
-        return False
-    return all(p < n for p in pos.values)
+    pos, d1 = cols["pos"], cols["data_1"]
+    return len(pos) == len(d1) and _positions(pos.values, len(d1) + len(cols["data_2"]))
 
 
 def _complementing_encode(params, family):
@@ -320,9 +354,7 @@ def _overlaid_decoder(params):
 
 def _overlaid_verify(params, cols):
     pos = cols["overlay_pos"]
-    if len(pos) != len(cols["overlay_data"]) or not _is_distinct(pos.values):
-        return False
-    return all(p < len(cols["data"]) for p in pos.values)
+    return len(pos) == len(cols["overlay_data"]) and _positions(pos.values, len(cols["data"]))
 
 
 def _overlaid_encode(params, family):
@@ -347,16 +379,7 @@ register_codec(
 
 
 def _segmentation_ok(start, length, n=None):
-    m = len(start)
-    if m != len(length) or m == 0:
-        return False
-    if start[0] != 0:
-        return False
-    for i in range(1, m):
-        if start[i] != start[i - 1] + length[i - 1]:
-            return False
-    total = start[m - 1] + length[m - 1]
-    return total == n if n is not None else True
+    return len(start) > 0 and _tiled(start, length) and (n is None or start[-1] + length[-1] == n)
 
 
 def _segmentation_decoder(params):
@@ -486,17 +509,13 @@ def _segmented_subcolumn_decoder(params):
 
 def _segmented_subcolumn_verify(params, cols):
     ell = int(params["segment_length"])
-    if ell < 1 or len(cols["segment_length"]) != 1 or cols["segment_length"][0] != ell:
+    if ell < 1 or not _holds(cols, "segment_length", ell):
         return False
     n = len(cols["data"])
     segs = cols["segment_pos"].values
-    if len(segs) != -(-n // ell):
+    if len(segs) != _segment_count(n, ell) or not _is_distinct(segs):
         return False
-    if not _is_distinct(segs):
-        return False
-    if n % ell and segs[-1] != max(segs):
-        return False  # slack participates only as the maximal position
-    return True
+    return not n % ell or segs[-1] == max(segs)  # slack participates only as the maximal position
 
 
 def _segmented_subcolumn_encode(params, family):
@@ -556,11 +575,7 @@ def _sparse_indexset_decoder(params):
 
 def _sparse_indexset_verify(params, cols):
     full = cols["full_length"]
-    if len(full) != 1:
-        return False
-    n = full[0]
-    vals = cols["elements"].values
-    return _is_distinct(vals) and all(v < n for v in vals)
+    return len(full) == 1 and _positions(cols["elements"].values, full[0])
 
 
 def _sparse_indexset_encode(params, family):
@@ -673,7 +688,7 @@ def _partition_decoder(params):
 
 def _partition_verify(params, cols):
     k = _partition_k(params)
-    return all(v < k for v in cols["partition"].values)
+    return _below(cols["partition"].values, k)
 
 
 def _partition_encode(params, family):
@@ -730,17 +745,10 @@ def _partitioned_k_decoder(params):
 
 def _partitioned_k_verify(params, cols):
     k = _partition_k(params)
-    seen = set()
-    total = 0
-    for j in range(k):
-        pos = cols[f"pos_{j + 1}"].values
-        if len(pos) != len(cols[f"data_{j + 1}"]):
-            return False
-        if seen & set(pos):
-            return False
-        seen |= set(pos)
-        total += len(pos)
-    return sorted(seen) == list(range(total))
+    if any(len(cols[f"pos_{j + 1}"]) != len(cols[f"data_{j + 1}"]) for j in range(k)):
+        return False
+    pos = [p for j in range(k) for p in cols[f"pos_{j + 1}"].values]
+    return _positions(pos, len(pos))  # the parts are disjoint and cover every index
 
 
 def _partitioned_k_encode(params, family):
@@ -888,9 +896,7 @@ def _shattered_decoder(params):
 
 def _shattered_verify(params, cols):
     k = int(params["k"])
-    if len(cols["segment_length"]) != 1 or cols["segment_length"][0] != k:
-        return False
-    return len(cols["components"]) % k == 0
+    return _holds(cols, "segment_length", k) and len(cols["components"]) % k == 0
 
 
 def _shattered_encode(params, family):
@@ -932,7 +938,7 @@ def _value_indicators_decoder(params):
 
 def _value_indicators_verify(params, cols):
     d = int(params["domain_size"])
-    if len(cols["domain_size"]) != 1 or cols["domain_size"][0] != d:
+    if not _holds(cols, "domain_size", d):
         return False
     bits = cols["bitmaps"].values
     if len(bits) % d:
@@ -977,11 +983,6 @@ def varwidth_elements(family: dict) -> list:
         raise NotEncodable(f"{len(start)} start positions but {len(length)} lengths")
     data = family["data"].values
     return [tuple(data[s : s + l]) for s, l in zip(start, length)]
-
-
-def _ranges_within(starts, lengths, n) -> bool:
-    """True if every range ``[s, s + l)`` ends at or before ``n``."""
-    return max(map(add, starts, lengths), default=0) <= n
 
 
 def varwidth_equivalent(params, a, b):
@@ -1118,9 +1119,8 @@ def _nullable_complementing_decoder(params):
 def _nullable_complementing_verify(params, cols):
     if len(cols["length"]) != 1 or len(cols["null_value"]) != 1:
         return False
-    n = cols["length"][0]
     pos = cols["pos"].values
-    return len(pos) == len(cols["data"]) and _is_distinct(pos) and all(p < n for p in pos)
+    return len(pos) == len(cols["data"]) and _positions(pos, cols["length"][0])
 
 
 def _nullable_complementing_encode(params, family):
@@ -1157,10 +1157,7 @@ def _nullable_patched_decoder(params):
 
 
 def _nullable_patched_verify(params, cols):
-    if len(cols["null_value"]) != 1:
-        return False
-    pos = cols["overlay_pos"].values
-    return _is_distinct(pos) and all(p < len(cols["data"]) for p in pos)
+    return len(cols["null_value"]) == 1 and _positions(cols["overlay_pos"].values, len(cols["data"]))
 
 
 def _nullable_patched_encode(params, family):

@@ -29,7 +29,7 @@ from colcirc import (
 from colcirc import comp_schemes as cs
 from colcirc import ops
 from colcirc.cli import main
-from colcirc.errors import NotEncodable
+from colcirc.errors import EvaluationError, NotEncodable, VerificationFailed
 from colcirc.rep_schemes import canonical_varwidth, varwidth_elements
 from colcirc.types import F64, I8, INT, U8, U16, U32, ElementType, parse_type
 
@@ -287,6 +287,29 @@ class TestSplines:
         assert verify(inst)
         assert inst.columns["knots"].element_type == f64
         assert decode(inst)["col"] == col
+
+    # ``int`` and ``math.ceil`` in the verifier used to raise on these
+    NON_FINITE_KNOTS = [[0.0, 3.0, math.inf], [0.0, math.nan, 5.0], [0.0, 3.0, math.nan]]
+
+    def _non_finite_knots(self, knots):
+        columns = {"knots": make_column(F64, knots), "coefficients": make_column(F64, [1.0, 0.5] * 2)}
+        return SchemeInstance("spline.knotted", {"type": "f64", "basis": [0, 1], "knots_float": True}, columns)
+
+    @pytest.mark.parametrize("knots", NON_FINITE_KNOTS, ids=["inf-last", "nan-inside", "nan-last"])
+    def test_non_finite_float_knots_are_rejected(self, knots):
+        inst = self._non_finite_knots(knots)
+        assert verify(inst) is False
+        with pytest.raises(VerificationFailed):
+            decode(inst)
+        with pytest.raises(EvaluationError):
+            decode(inst, check=False)
+
+    @pytest.mark.parametrize("knots", NON_FINITE_KNOTS, ids=["inf-last", "nan-inside", "nan-last"])
+    def test_non_finite_float_knots_exit_3(self, tmp_path, knots):
+        bundle = str(tmp_path / "bundle")
+        write_bundle(self._non_finite_knots(knots), bundle)
+        assert main(["verify", bundle]) == 3
+        assert main(["decode", bundle, str(tmp_path / "out")]) == 3
 
 
 class TestFrameOfReference:
@@ -853,6 +876,43 @@ class TestLeastSquares:
         values = [900 + 3 * i + (i * 7919) % 81 - 40 for i in range(500)]
         want = [int(round(c)) for c in _row_major_least_squares([float(v) for v in values], [0, 1, 2])]
         assert cs._fit_int_least_squares(values, [0, 1, 2]) == want
+
+
+class TestFitsPastTheFloatRange:
+    """A least-squares fit whose normal equations leave the float range is NaN; its callers
+    use the zero model instead, so the column still encodes and decodes."""
+
+    VALUES = [i % 7 for i in range(100)]  # with basis [0, 100]: sums of i**200 past the float range
+
+    def test_noisy_float_round_trips(self):
+        col = make_column(F64, [float(v) for v in self.VALUES])
+        inst = encode("noisy.generated", {"type": "f64", "basis": [0, 100], "noise_type": "f64"}, col)
+        assert inst.columns["coefficients"].values == (0.0, 0.0)
+        assert verify(inst) and decode(inst)["col"] == col
+
+    def test_noisy_integer_fit_encodes(self):
+        # the integer decoder raises each ``i`` to the 100th power in i64, which
+        # overflows however small the coefficient, so this instance cannot decode
+        inst = encode("noisy.generated", {"type": "u32", "basis": [0, 100], "noise_type": "i64"}, u32(self.VALUES))
+        assert inst.columns["coefficients"].values == (0, 0)
+        assert inst.columns["noise"].values == tuple(self.VALUES)
+
+    @pytest.mark.parametrize(
+        "scheme_id, params",
+        [
+            ("generated", {"type": "f64", "basis": [0, 100]}),
+            ("spline.equiknotted", {"type": "f64", "basis": [0, 100], "interval_length": 100}),
+        ],
+        ids=["generated", "spline.equiknotted"],
+    )
+    def test_additive_fits_round_trip(self, scheme_id, params):
+        sid = f"testonly.nonfinite.{scheme_id}"
+        residual = ("nullsup", {"type": "f64", "narrow_type": "f64"})
+        compose(CompositionRecipe("elementwise-add", sid, ((scheme_id, params), residual)))
+        col = make_column(F64, [float(v) for v in self.VALUES])
+        inst = encode(sid, {}, col)
+        assert set(inst.columns["a:coefficients"].values) == {0.0}
+        assert verify(inst) and decode(inst)["col"] == col
 
 
 def _runs_by_loop(values):

@@ -1,6 +1,10 @@
+import math
 import random
+from itertools import accumulate
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from colcirc import (
     Column,
@@ -326,3 +330,71 @@ class TestBatteries:
         rng = random.Random(hash(scheme_id) & 0xFFFF)
         roundtrip_battery(scheme_id, CASES[scheme_id], rng, 25)
         corruption_battery(scheme_id, CASES[scheme_id], rng, 25)
+
+
+# -- the verifier rules against the inline formulas they replaced ------------------------
+
+U64_EDGES = [0, 1, 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+u64s = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(U64_EDGES))
+small = st.integers(0, 6)  # small enough that distinct, in-range and tiling inputs come up often
+floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+entries = st.lists(st.integers(0, 3), max_size=3).map(tuple)  # the elements ``vwdict`` orders
+ordered = st.one_of(st.lists(small), st.lists(u64s), st.lists(floats), st.lists(entries)).map(tuple)
+
+
+class TestVerifierRules:
+    """Each rule in ``rep_schemes`` decides what the formula it replaced in the verifiers decides."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(st.tuples(st.lists(small).map(tuple), small), st.tuples(st.lists(u64s).map(tuple), u64s)))
+    def test_positions(self, case):
+        pos, n = case
+        assert rs._positions(pos, n) is (len(set(pos)) == len(pos) and all(p < n for p in pos))
+
+    @settings(max_examples=150)
+    @given(st.one_of(st.tuples(st.lists(small).map(tuple), small), st.tuples(st.lists(u64s).map(tuple), u64s)))
+    def test_below(self, case):
+        values, n = case
+        assert rs._below(values, n) is all(v < n for v in values)
+
+    @settings(max_examples=200)
+    @given(ordered)
+    def test_increasing(self, values):
+        want = all(a < b for a, b in zip(values, values[1:]))
+        assert rs._increasing(values) is want
+        if all(type(v) is int for v in values):  # the integer sites' ``not any(a >= b)``
+            assert want is not any(a >= b for a, b in zip(values, values[1:]))
+
+    def test_increasing_floats(self):
+        assert rs._increasing((-math.inf, -0.0, 1.5, math.inf))
+        assert not rs._increasing((0.0, -0.0)) and not rs._increasing((0.0, math.nan, 1.0))
+        assert rs._increasing(()) and rs._increasing((math.nan,))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_tiled(self, data):
+        lengths = data.draw(st.lists(st.integers(0, 3)).map(tuple))  # zero-length ranges among them
+        starts = list(accumulate(lengths, initial=0))[:-1]
+        edit = data.draw(st.sampled_from(["none", "shift", "drop", "extend"]))
+        if edit == "shift" and starts:
+            i = data.draw(st.integers(0, len(starts) - 1))
+            starts[i] += data.draw(st.sampled_from([-1, 1, 2**63]))
+        elif edit == "drop" and starts:
+            starts.pop()
+        elif edit == "extend":
+            starts.append(sum(lengths))
+        starts = tuple(starts)
+        follows = all(starts[i] == starts[i - 1] + lengths[i - 1] for i in range(1, len(starts)))
+        want = len(starts) == len(lengths) and (not starts or starts[0] == 0 and follows)
+        assert rs._tiled(starts, lengths) is want
+
+    @given(st.lists(u64s, max_size=2), st.one_of(u64s, small))
+    def test_holds(self, values, value):
+        cols = {"c": make_column(INT, values)}
+        assert rs._holds(cols, "c", value) is (len(values) == 1 and values[0] == value)
+
+    @given(st.one_of(small, u64s), st.one_of(st.integers(1, 7), u64s.filter(bool)))
+    def test_segment_count(self, n, ell):
+        assert rs._segment_count(n, ell) == -(-n // ell) == (n + ell - 1) // ell
+        if n < 2**20:
+            assert rs._segment_count(n, ell) == len(range(0, n, ell))  # the segments an encoder cuts
