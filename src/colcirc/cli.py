@@ -249,8 +249,21 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line the parser refused; its message is already on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 1 through :func:`main`, not 2 from ``sys.exit``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="colcirc", description=__doc__)
+    parser = _Parser(prog="colcirc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode .col files into a scheme bundle")
@@ -304,9 +317,21 @@ def build_parser():
     return parser
 
 
+# built by the first ``main`` call and shared by every later one; parsing
+# leaves it unchanged, so threads may share it, and two that race to build
+# it each build an equal parser, either of which may stay
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    parser = _parser
+    if parser is None:
+        parser = _parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError:
+        return EXIT_IO
     try:
         return args.fn(args)
     except NotEncodable as exc:

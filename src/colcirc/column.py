@@ -54,12 +54,14 @@ class Column:
     def _trusted(cls, element_type: ElementType, values) -> "Column":
         """A column whose values the caller has already proved in the domain.
 
-        Skips :meth:`ElementType.check_values`.  Only two kinds of caller
+        Skips :meth:`ElementType.check_values`.  Only three kinds of caller
         may use it: a catalog kernel whose own logic establishes the output
         domain, given inputs of their declared types (through ``ops._out``;
         ``OperatorInstance.apply`` rebuilds the outputs checked when an
-        input has another type), and a host loop that slices or
-        concatenates columns already of ``element_type``.
+        input has another type), a host loop that slices or concatenates
+        columns already of ``element_type``, and :func:`read_col_bytes` for
+        a payload whose byte format bounds every value to the type (bit
+        payloads, and native-width integer and float arrays).
         """
         col = _new(cls)
         _set_type(col, element_type)
@@ -288,8 +290,8 @@ def read_col_bytes(data: bytes) -> Column:
         if len(payload) != need:
             raise ColcircError(f"bit payload of {len(payload)} bytes, expected {need}")
         bits = int.from_bytes(payload, "little") & ((1 << n) - 1)  # padding bits are ignored
-        vals = list(format(bits, "b").zfill(n)[::-1].encode().translate(_DIGIT_BITS)) if n else []
-        return Column(et, vals)
+        vals = format(bits, "b").zfill(n)[::-1].encode().translate(_DIGIT_BITS) if n else b""
+        return Column._trusted(et, vals)  # each value is one bit: 0 or 1
     if kind is Kind.UNIT:
         if payload:
             raise ColcircError("unit column carries no payload")
@@ -308,6 +310,10 @@ def read_col_bytes(data: bytes) -> Column:
         unpacked.frombytes(payload)
         if sys.byteorder == "big":
             unpacked.byteswap()
+        if 8 * unpacked.itemsize == et.width_bits:
+            # the array's typecode bounds every value to the type: no second
+            # domain pass, and no range (``ops._interval`` falls back to the bounds)
+            return Column._trusted(et, unpacked.tolist())
         return Column(et, unpacked.tolist())
     signed = kind is Kind.SIGNED
     vals = [int.from_bytes(payload[i * step : (i + 1) * step], "little", signed=signed) for i in range(n)]

@@ -941,7 +941,7 @@ def _value_indicators_verify(params, cols):
     if not _holds(cols, "domain_size", d):
         return False
     bits = cols["bitmaps"].values
-    if len(bits) % d:
+    if d < 1 or len(bits) % d:
         return False
     n = len(bits) // d
     return all(sum(bits[j * n + i] for j in range(d)) == 1 for i in range(n))
@@ -949,6 +949,8 @@ def _value_indicators_verify(params, cols):
 
 def _value_indicators_encode(params, family):
     d = int(params["domain_size"])
+    if d < 1:
+        raise NotEncodable(f"domain_size must be at least 1, got {d}")
     col = family["col"]
     if any(v >= d for v in col.values):
         raise NotEncodable(f"value outside the {d}-value domain")

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 
 from colcirc import Column, make_column, ops, read_col_bytes, write_col_bytes
+from colcirc.column import _range_of
 from colcirc.errors import ColcircError, OperatorError, TypeDomainError
-from colcirc.types import BIT, F32, F64, I8, I16, I64, U8, U64, UNIT, ElementType, Kind
+from colcirc.types import BIT, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, UNIT, ElementType, Kind
+from paths import count_checked_columns, same
 
 
 class IntSub(int):
@@ -316,12 +318,67 @@ def test_col_payload_roundtrip(et, vals):
     assert read_col_bytes(data) == Column(et, vals)
 
 
-def test_odd_width_payload_keeps_its_bound_check():
-    data = bytearray(write_col_bytes(Column(ElementType.unsigned(12), [1, 2])))
-    data[17:19] = (0xFFFF).to_bytes(2, "little")
-    with pytest.raises(TypeDomainError) as exc:
-        read_col_bytes(bytes(data))
-    assert exc.value.index == 1 and exc.value.value == 0xFFFF
+NATIVE_PAYLOADS = [
+    (U8, [0, 255, 7]),
+    (U16, [0, 2**16 - 1, 7]),
+    (U32, [0, 2**32 - 1, 7]),
+    (U64, [0, 2**63, 2**64 - 1]),
+    (I8, [-128, 127, -1]),
+    (I16, [-(2**15), 2**15 - 1, -1]),
+    (I32, [-(2**31), 2**31 - 1, -1]),
+    (I64, [-(2**63), 2**63 - 1, -1]),
+    (BIT, [1, 0, 1, 1, 0, 0, 0, 0, 1]),
+    (F32, [0.5, -0.0, 0.0, INF, -INF, NAN]),
+    (F64, [0.1, -0.0, 0.0, INF, -INF, NAN]),
+]
+
+
+@pytest.mark.parametrize("et, vals", NATIVE_PAYLOADS, ids=[str(et) for et, _ in NATIVE_PAYLOADS])
+def test_native_width_payload_is_read_unchecked(et, vals, monkeypatch):
+    col = Column(et, vals)
+    data = write_col_bytes(col)
+    built = count_checked_columns(monkeypatch)
+    back = read_col_bytes(data)
+    assert built == []  # the payload's format is the domain check
+    assert back.element_type is et
+    if any(map(math.isnan, vals)):
+        assert same(back.values, col.values)
+    else:
+        assert back == col
+    assert write_col_bytes(back) == data  # -0.0 and the NaN's bits included
+
+
+def test_unchecked_read_records_no_range_and_kernels_still_check():
+    a = read_col_bytes(write_col_bytes(Column(U8, [200] * 40)))
+    b = read_col_bytes(write_col_bytes(Column(U8, [100] * 40)))
+    assert _range_of(a) is None and _range_of(b) is None
+    assert "outside u8" in overflow(lambda: ops.elementwise("add", [a, b]))
+    c = read_col_bytes(write_col_bytes(Column(U8, [55] * 40)))
+    assert ops.elementwise("add", [a, c])[0].values == (255,) * 40
+
+
+def test_odd_width_payload_keeps_its_bound_check(monkeypatch):
+    # (type, values, first byte of value 1, its replacement bytes, the value they read as)
+    cases = [
+        (ElementType.unsigned(12), [1, 2], 17, (0xFFFF).to_bytes(2, "little"), 0xFFFF),
+        (ElementType.signed(12), [1, -2], 17, (0x7FFF).to_bytes(2, "little"), 0x7FFF),
+        (ElementType.signed(12), [1, -2], 17, (0x8000).to_bytes(2, "little"), -0x8000),
+        (ElementType.unsigned(20), [1, 2], 18, (0xFFFFFF).to_bytes(3, "little"), 0xFFFFFF),
+        (ElementType.signed(20), [1, -2], 18, (0x800000).to_bytes(3, "little"), -0x800000),
+    ]
+    for et, vals, at, patch, value in cases:
+        data = bytearray(write_col_bytes(Column(et, vals)))
+        data[at : at + len(patch)] = patch
+        with pytest.raises(TypeDomainError) as exc:
+            read_col_bytes(bytes(data))
+        assert exc.value.index == 1 and exc.value.value == value
+    # u24 and i24 fill their three bytes, so no payload leaves the domain; they
+    # still take the checked constructor, as every width without an array does
+    odd = [(ElementType.unsigned(24), [0, 2**24 - 1]), (ElementType.signed(24), [-(2**23), 2**23 - 1])]
+    datas = [write_col_bytes(Column(et, vals)) for et, vals in odd]
+    built = count_checked_columns(monkeypatch)
+    assert [read_col_bytes(data).values for data in datas] == [tuple(vals) for _, vals in odd]
+    assert built == [et for et, _ in odd]
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 @pytest.fixture()
@@ -507,3 +508,108 @@ class TestEvalTraceFiles:
         assert main(["eval", str(cpath), "--input", f"col={inpath}", "-o", str(out), "--trace"]) == 0
         written = {p.name: p.read_bytes().hex() for p in out.iterdir()}
         assert written == self.EXPECTED
+
+
+class TestUsageErrorsExitOne:
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            ([], "required: command"),
+            (["verify"], "required: bundle"),
+            (["nosuch"], "invalid choice: 'nosuch'"),
+            (["verify", "a", "b"], "unrecognized arguments: b"),
+            (["gen", "--kind", "runs", "--n", "many", "x.col"], "invalid int value: 'many'"),
+        ],
+    )
+    def test_exit_1_with_usage_on_stderr(self, argv, says, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: colcirc")
+        assert says in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: colcirc")
+
+
+class TestSharedParser:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        import colcirc.cli as cli
+
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        return calls
+
+    @pytest.fixture()
+    def bundles(self, tmp_path, runs_col):
+        paths = []
+        for scheme, params in (("run.rle", {}), ("dict", {}), ("nullsup", {"narrow_type": "u8"})):
+            path = str(tmp_path / f"bundle_{scheme}")
+            assert main(["encode", "--scheme", scheme, "--params", json.dumps(params), runs_col, path]) == 0
+            paths.append(path)
+        return paths
+
+    def test_built_once_for_many_calls(self, tmp_path, runs_col, builds):
+        bundle = str(tmp_path / "bundle")
+        assert builds == []  # nothing is built before the first call
+        assert main(["encode", "--scheme", "run.rle", runs_col, bundle]) == 0
+        for _ in range(5):
+            assert main(["verify", bundle]) == 0
+            assert main(["decode", bundle, str(tmp_path / "out")]) == 0
+            assert main(["verify"]) == 1
+        assert builds == [1]
+
+    def test_eval_inputs_do_not_carry_over(self, tmp_path, capsys):
+        cpath = tmp_path / "circuit.json"
+        cpath.write_text(json.dumps(circuit_to_json(double_plus_three())))
+        first, second = tmp_path / "first.col", tmp_path / "second.col"
+        write_col_file(first, make_column(U32, [1, 5]))
+        write_col_file(second, make_column(U32, [7]))
+        out = str(tmp_path / "out")
+        assert main(["eval", str(cpath), "--input", f"col={first}", "-o", out]) == 0
+        assert main(["eval", str(cpath), "--input", f"col={second}", "-o", out]) == 0
+        assert read_col_file(os.path.join(out, "result.col")).values == (17,)
+        capsys.readouterr()
+        # with no --input, the first call's inputs must not come back
+        assert main(["eval", str(cpath), "-o", out]) != 0
+        assert "col" in capsys.readouterr().err
+
+    def test_threads_share_it(self, tmp_path, runs_col, bundles, builds):
+        import threading
+
+        expected = sha(runs_col)
+        results = [None] * 8
+        start = threading.Barrier(8, timeout=60)
+
+        def run(i):
+            bundle = bundles[i % len(bundles)]
+            out = str(tmp_path / f"out_{i}")
+            start.wait()
+            codes = [main(["verify", bundle]), main(["decode", bundle, out]), main(["verify", bundle])]
+            results[i] = codes, sha(os.path.join(out, "col.col"))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so first calls race to build
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [([0, 0, 0], expected)] * 8
+        assert 1 <= len(builds) <= 8  # racing first calls may each build one

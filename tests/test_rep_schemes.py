@@ -14,9 +14,11 @@ from colcirc import (
     make_column,
     scalar_column,
     verify,
+    write_bundle,
 )
 from colcirc import rep_schemes as rs
-from colcirc.errors import OperatorError
+from colcirc.cli import main
+from colcirc.errors import NotEncodable, OperatorError, VerificationFailed
 from colcirc.rep_schemes import SubcolumnStd, subcolumn_overlay, subcolumn_union
 from colcirc.types import BIT, INT, U8, U16, ElementType
 
@@ -242,6 +244,38 @@ class TestComponents:
         bits = inst.columns["bitmaps"].values
         assert bits[2 * n] == 1 and sum(bits) == 1
         assert decode(inst)["col"].values == (2,)
+
+
+class TestValueIndicatorsDomainSize:
+    """A ``domain_size`` below 1 names no value: reject it, never divide by it."""
+
+    @staticmethod
+    def _instance(bits):
+        return SchemeInstance(
+            "value.indicators",
+            {"domain_size": 0},
+            {"domain_size": scalar_column(INT, 0), "bitmaps": make_column(BIT, bits)},
+        )
+
+    @pytest.mark.parametrize("bits", [[], [1, 0]], ids=["empty", "two-bits"])
+    def test_zero_is_rejected(self, bits):
+        inst = self._instance(bits)
+        assert verify(inst) is False
+        with pytest.raises(VerificationFailed):
+            decode(inst)
+
+    @pytest.mark.parametrize("bits", [[], [1, 0]], ids=["empty", "two-bits"])
+    def test_zero_exits_3(self, tmp_path, bits):
+        bundle = str(tmp_path / "bundle")
+        write_bundle(self._instance(bits), bundle)
+        assert main(["verify", bundle]) == 3
+        assert main(["decode", bundle, str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("values", [[], [0]], ids=["empty", "one"])
+    def test_encode_refuses(self, d, values):
+        with pytest.raises(NotEncodable, match="domain_size"):
+            encode("value.indicators", {"domain_size": d}, {"col": idx(values)})
 
 
 class TestVarWidth:
