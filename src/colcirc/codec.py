@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from .circuit import ColumnarCircuit, evaluate_circuit
 from .column import Column, representation_size_bytes, scalar_column
-from .errors import ColcircError, NotEncodable, OperatorError, RegistryError, TypeDomainError, VerificationFailed
-from .ops import REGISTRY_LOCK, OperatorInstance, Signature, register_operator
+from .errors import NotEncodable, RegistryError, TypeDomainError, VerificationFailed
+from .ops import REGISTRY_LOCK, OperatorInstance, Signature, _param, register_operator
+from .params import NAME, OBJECT, check
 from .types import BIT
 
 
@@ -43,20 +44,7 @@ def params_key(params: dict) -> str:
     return repr(sorted(params.items()))
 
 
-class _SchemeParams(dict):
-    """Params as a scheme's callables see them: a missing one is a ColcircError."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        raise ColcircError(f"missing scheme param {key!r}")
-
-
-def _scheme_params(params) -> _SchemeParams:
-    return params if isinstance(params, _SchemeParams) else _SchemeParams(params)
-
-
-class _ResolvedParams(_SchemeParams):
+class _ResolvedParams(dict):
     """Params that remember their entry's decoder once it is looked up.
 
     ``decode`` hands one to ``verify_columns``, so the decoder that the form
@@ -87,10 +75,17 @@ def _without_out_prefix(outputs: dict) -> dict:
 
 
 class CodecEntry:
-    """Registry record binding a scheme id to its codec callables.
+    """Registry record binding a scheme id to its params and codec callables.
 
-    Builtin schemes pass callables, each called with params whose missing
-    keys raise :class:`ColcircError`; composed codecs override the methods.
+    Builtin schemes pass callables; composed codecs override the methods.
+
+    ``params`` declares the scheme's params, a ``{name: ParamKind}`` table
+    (see :mod:`colcirc.params`).  :meth:`decoder` checks params against it
+    before it builds their decoder, once per ``params_key``: a malformed
+    param is :class:`NotEncodable`, a missing one a :class:`ColcircError`,
+    and the callables read checked params as given.  Encoder hints are no
+    part of an instance's params: ``normalize_params`` drops them, and
+    :func:`encode` checks them on each call.
 
     A scheme's interface is its decoder circuit's: ``form_spec(params)`` is
     the decoder's input signature, the ordered ``{label: ElementType}`` of
@@ -108,8 +103,11 @@ class CodecEntry:
       turns that check's :class:`TypeDomainError` into ``NotEncodable``.
     - ``equivalent(params, a, b)``: the scheme's ``~`` relation over decoded
       families (defaults to exact equality).
-    - ``normalize_params``, ``encoded_lengths``, ``fit`` and ``fit_additive``:
-      see the methods of the same names.
+    - ``normalize_params``: a rewrite of params into the form an instance
+      keeps, run after the hints are dropped and before the check, so it
+      leaves a malformed value for the check to report.
+    - ``encoded_lengths``, ``fit`` and ``fit_additive``: see the methods of
+      the same names.
     """
 
     # callables left out stay at these class defaults, so a subclass's
@@ -119,6 +117,7 @@ class CodecEntry:
     def __init__(
         self,
         scheme_id,
+        params=None,
         build_decoder=None,
         encode=None,
         host_verify=None,
@@ -129,6 +128,8 @@ class CodecEntry:
         fit_additive=None,
     ):
         self.scheme_id = scheme_id
+        self.declared = params or {}
+        self.hints = {name: kind for name, kind in self.declared.items() if kind.hint}
         self._decoder_cache = {}
         callables = {
             "_build_decoder": build_decoder,
@@ -145,15 +146,15 @@ class CodecEntry:
                 setattr(self, attr, fn)
 
     def build_decoder(self, params) -> ColumnarCircuit:
-        return self._build_decoder(_scheme_params(params))
+        return self._build_decoder(params)
 
     def encode(self, params, family: dict) -> dict:
-        return self._encode(_scheme_params(params), family)
+        return self._encode(params, family)
 
     def host_verify(self, params, columns: dict) -> bool:
         if self._host_verify is None:  # the form check decides
             return True
-        return self._host_verify(_scheme_params(params), columns)
+        return self._host_verify(params, columns)
 
     def verifies_form_only(self) -> bool:
         """True if ``check_form`` alone decides membership: a builtin without ``host_verify``."""
@@ -162,12 +163,13 @@ class CodecEntry:
     def equivalent(self, params, a: dict, b: dict) -> bool:
         if self._equivalent is None:
             return a == b
-        return self._equivalent(_scheme_params(params), a, b)
+        return self._equivalent(params, a, b)
 
     def normalize_params(self, params: dict) -> dict:
-        if self._normalize is None:
-            return _SchemeParams(params)
-        return _SchemeParams(self._normalize(_scheme_params(params)))
+        """``params`` without the declared hints, in the form an instance keeps."""
+        if self.hints:
+            params = {name: v for name, v in params.items() if name not in self.hints}
+        return params if self._normalize is None else self._normalize(params)
 
     def encoded_lengths(self, params, n: int) -> dict | None:
         """Per-label encoded lengths when they depend only on ``n``.
@@ -177,7 +179,7 @@ class CodecEntry:
         """
         if self._encoded_lengths is None:
             return None
-        return self._encoded_lengths(_scheme_params(params), n)
+        return self._encoded_lengths(params, n)
 
     def fit(self, params, family: dict):
         """Best effort ``(encodable_family, patches)`` decomposition.
@@ -189,7 +191,7 @@ class CodecEntry:
         """
         if self._fit is None:
             raise NotEncodable(f"{self.scheme_id} offers no outlier-removal fit")
-        return self._fit(_scheme_params(params), family)
+        return self._fit(params, family)
 
     def fit_additive(self, params, col):
         """Best-effort modeled column whose residual another scheme absorbs.
@@ -199,7 +201,7 @@ class CodecEntry:
         """
         if self._fit_additive is None:
             raise NotEncodable(f"{self.scheme_id} offers no additive fit")
-        return self._fit_additive(_scheme_params(params), col)
+        return self._fit_additive(params, col)
 
     # -- shared behavior -------------------------------------------------------
 
@@ -210,6 +212,7 @@ class CodecEntry:
         key = params_key(params)
         c = self._decoder_cache.get(key)
         if c is None:
+            check(self.declared, params)
             c = self.build_decoder(params)
             if len(self._decoder_cache) < _DECODER_CACHE_KEYS:
                 self._decoder_cache[key] = c
@@ -265,6 +268,11 @@ def register_codec(entry: CodecEntry) -> CodecEntry:
     return entry
 
 
+def register_scheme(scheme_id, params: dict, **callables) -> CodecEntry:
+    """Register a builtin scheme: its declared ``params``, and its callables as :class:`CodecEntry` takes them."""
+    return register_codec(CodecEntry(scheme_id, params, **callables))
+
+
 def codec(scheme_id: str) -> CodecEntry:
     _ensure_builtins()
     entry = _REGISTRY.get(scheme_id)
@@ -296,19 +304,15 @@ def _ensure_builtins():
 
 
 def _segments_hint(params, n: int) -> list:
-    """The ``segments`` encoder hint: positive integer lengths that cover ``n`` values.
+    """The ``segments`` hint (a checked ``SEGMENTS``), which must cover ``n`` values.
 
     Absent, it is one segment of ``n`` (none when ``n`` is 0).
     """
     segments = params.get("segments")
     if segments is None:
         return [n] if n else []
-    if (
-        not isinstance(segments, (list, tuple))
-        or not all(type(s) is int and s >= 1 for s in segments)
-        or sum(segments) != n
-    ):
-        raise NotEncodable(f"hint 'segments' must be positive integer lengths that cover {n} values, not {segments!r}")
+    if sum(segments) != n:
+        raise NotEncodable(f"hint 'segments' must cover {n} values, not {segments!r}")
     return list(segments)
 
 
@@ -334,7 +338,7 @@ def decode(inst: SchemeInstance, check: bool = True) -> dict:
 def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
     entry = codec(scheme_id)
     raw = dict(params)
-    normalized = entry.normalize_params(raw)  # encoder-only hints are dropped here
+    normalized = entry.normalize_params(raw)
     decoded = _without_out_prefix(entry.decoder(normalized).signature.outputs)
     if isinstance(family, Column) and len(decoded) == 1:
         family = dict.fromkeys(decoded, family)
@@ -348,8 +352,12 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
             raise NotEncodable(f"{scheme_id} family member {label!r} is not a column")
         if col.element_type != t:
             raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {col.element_type}")
+    hinted = normalized  # the encoder sees the decoder's params and the hints
+    if entry.hints:  # no part of the decoder's key, so checked on each call
+        check(entry.hints, raw, what="hint")
+        hinted = dict(normalized, **{name: raw[name] for name in entry.hints if name in raw})
     try:
-        encoded = entry.encode(raw, dict(family))
+        encoded = entry.encode(hinted, dict(family))
     except TypeDomainError as exc:  # an encoded value outside its column's type
         raise NotEncodable(f"{scheme_id}: {exc}") from exc
     return SchemeInstance(scheme_id, normalized, encoded)
@@ -357,7 +365,9 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
 
 def equivalent(scheme_id: str, params: dict, a: dict, b: dict) -> bool:
     entry = codec(scheme_id)
-    return entry.equivalent(entry.normalize_params(params), a, b)
+    params = entry.normalize_params(params)
+    entry.decoder(params)  # checks the params, once per key
+    return entry.equivalent(params, a, b)
 
 
 def compression_ratio(inst: SchemeInstance) -> Fraction:
@@ -369,10 +379,7 @@ def compression_ratio(inst: SchemeInstance) -> Fraction:
 
 
 def _host_verify_target(params):
-    for key in ("scheme", "params"):
-        if key not in params:
-            raise OperatorError("bad-params", f"missing {key!r} parameter")
-    return codec(params["scheme"]), params["params"]
+    return codec(_param(params, "scheme", NAME)), _param(params, "params", OBJECT)
 
 
 def _host_verify_instantiate(params):

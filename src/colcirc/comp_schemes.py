@@ -15,10 +15,12 @@ from itertools import accumulate, compress, repeat
 from operator import add, mul, ne, sub
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
-from .codec import CodecEntry, _segments_hint, register_codec
+from .codec import _segments_hint, register_scheme
 from .column import Column, scalar_column
 from .errors import NotEncodable
+from .params import BOOL, DEGREE, DEGREES, EVEN_WIDTH, POSITIVE, SEGMENTS, TYPE, WIDTH, WIDTHS
 from .rep_schemes import (
+    _TYPED,
     _below,
     _et,
     _holds,
@@ -27,7 +29,6 @@ from .rep_schemes import (
     _positions,
     _ranges_within,
     _segment_count,
-    _segment_length,
     _t,
     _tiled,
     canonical_varwidth,
@@ -39,6 +40,8 @@ from .types import INT, ElementType, Kind, parse_type
 
 _INT = str(INT)
 _WIDE = "i64"
+_WIDE_HI = parse_type(_WIDE).bounds()[1]
+_POLY = {"type": TYPE, "basis": DEGREES, "degree": DEGREE}  # ``degree`` d stands for the basis 0..d
 
 
 def _int_t(params):
@@ -68,24 +71,21 @@ def _narrow_out(b: CircuitBuilder, params, wire) -> Wire:
 # -- generated columns ------------------------------------------------------------
 
 
-# 2.0 ** 1024 overflows f64, so at a higher degree position 2 overflows every type
-_MAX_DEGREE = 1023
-
-
-def _degree(d):
-    if type(d) is not int or not 0 <= d <= _MAX_DEGREE:
-        raise NotEncodable(f"basis degree {d!r} is not an integer in 0..{_MAX_DEGREE}")
-    return d
-
-
 def _basis_degrees(params):
     """The degrees of ``params``' basis: ``basis``, or 0 to ``degree``."""
     basis = params.get("basis")
-    if basis is None:
-        return list(range(_degree(params["degree"]) + 1))
-    if not isinstance(basis, (list, tuple)):
-        raise NotEncodable(f"basis {basis!r} is not a list of degrees")
-    return [_degree(d) for d in basis]
+    return list(range(params["degree"] + 1)) if basis is None else basis
+
+
+def _powers_fit(params, n) -> bool:
+    """True if an integer decoder's powers ``i**d`` of the positions ``i`` below ``n`` stay in ``i64``."""
+    degrees = _basis_degrees(params)
+    return _is_float(params) or n < 2 or not degrees or (n - 1) ** max(degrees) <= _WIDE_HI
+
+
+def _refuse_past_i64(params, n):
+    if not _powers_fit(params, n):
+        raise NotEncodable(f"basis {_basis_degrees(params)} over {n} positions leaves i64")
 
 
 def _poly_eval_wires(b: CircuitBuilder, params, rel: Wire, coeff_of, n: Wire) -> Wire:
@@ -130,7 +130,10 @@ def _generated_decoder(params):
 
 
 def _generated_verify(params, cols):
-    return len(cols["length"]) == 1 and len(cols["coefficients"]) == len(_basis_degrees(params))
+    length = cols["length"]
+    if len(length) != 1 or len(cols["coefficients"]) != len(_basis_degrees(params)):
+        return False
+    return _powers_fit(params, length[0])
 
 
 def _eval_basis(params, coeffs, n):
@@ -166,6 +169,7 @@ def _eval_basis(params, coeffs, n):
 def _generated_encode(params, family):
     col = family["col"]
     et = _et(params)
+    _refuse_past_i64(params, len(col))
     coeffs = _fit_segment(params, col.values)
     if coeffs is None:
         raise NotEncodable("column is not generated by the basis")
@@ -248,27 +252,27 @@ def _generated_fit_additive(params, col):
 
 
 def _register_generated(scheme_id, normalize=None):
-    register_codec(
-        CodecEntry(
-            scheme_id,
-            build_decoder=_generated_decoder,
-            encode=_generated_encode,
-            host_verify=_generated_verify,
-            normalize_params=normalize,
-            encoded_lengths=lambda p, n: {"length": 1, "coefficients": len(_basis_degrees(p))},
-            fit_additive=_generated_fit_additive,
-        )
+    register_scheme(
+        scheme_id,
+        _POLY,
+        build_decoder=_generated_decoder,
+        encode=_generated_encode,
+        host_verify=_generated_verify,
+        normalize_params=normalize,
+        encoded_lengths=lambda p, n: {"length": 1, "coefficients": len(_basis_degrees(p))},
+        fit_additive=_generated_fit_additive,
     )
 
 
+def _degree_as_basis(params):
+    """``degree`` d as the basis 0..d (a malformed one is left for the params check), and no basis as ``[0]``."""
+    if "degree" in params and DEGREE.ok(params["degree"]):
+        return dict({k: v for k, v in params.items() if k != "degree"}, basis=list(range(params["degree"] + 1)))
+    return params if "basis" in params or "degree" in params else dict(params, basis=[0])
+
+
 _register_generated("generated")
-_register_generated(
-    "generated.poly",
-    normalize=lambda p: dict(
-        {k: v for k, v in p.items() if k != "degree"},
-        basis=_basis_degrees({"degree": p["degree"]}) if "degree" in p else p.get("basis", [0]),
-    ),
-)
+_register_generated("generated.poly", normalize=_degree_as_basis)
 
 
 def _constant_decoder(params):
@@ -308,21 +312,16 @@ def _constant_fit_additive(params, col):
     return Column(et, [base] * len(col))
 
 
-register_codec(
-    CodecEntry(
-        "constant",
-        build_decoder=_constant_decoder,
-        encode=_constant_encode,
-        host_verify=lambda p, cols: len(cols["value"]) == 1 and len(cols["length"]) == 1,
-        encoded_lengths=lambda p, n: {"value": 1, "length": 1},
-        fit=_constant_fit,
-        fit_additive=_constant_fit_additive,
-    )
+register_scheme(
+    "constant",
+    {"type": TYPE, "int_type": TYPE.optional()},
+    build_decoder=_constant_decoder,
+    encode=_constant_encode,
+    host_verify=lambda p, cols: len(cols["value"]) == 1 and len(cols["length"]) == 1,
+    encoded_lengths=lambda p, n: {"value": 1, "length": 1},
+    fit=_constant_fit,
+    fit_additive=_constant_fit_additive,
 )
-
-
-def _noise_t(params):
-    return str(params["noise_type"])
 
 
 def _noisy_decoder(params):
@@ -330,7 +329,7 @@ def _noisy_decoder(params):
     b = CircuitBuilder()
     noise = b.input("noise")
     coeffs = _widen(b, params, b.input("coefficients"))
-    n = b.length(noise, _noise_t(params))
+    n = b.length(noise, _t(params, "noise_type"))
     idx = b.iota(n)
     rel = b.cast(_INT, ct, idx)
 
@@ -339,7 +338,7 @@ def _noisy_decoder(params):
         return b.replicate(ct, cj, n)
 
     gen = _poly_eval_wires(b, params, rel, coeff_of, n)
-    up = b.cast(_noise_t(params), ct, noise)
+    up = b.cast(_t(params, "noise_type"), ct, noise)
     b.result("col", _narrow_out(b, params, b.add_cols(ct, gen, up)))
     return b.build()
 
@@ -347,12 +346,13 @@ def _noisy_decoder(params):
 def _noisy_encode(params, family):
     col = family["col"]
     et = _et(params)
-    noise_et = parse_type(_noise_t(params))
+    noise_et = _et(params, "noise_type")
     degrees = _basis_degrees(params)
     if _is_float(params):
         coeffs = _fit_least_squares(list(col.values), degrees)
     else:
         coeffs = _fit_int_least_squares(col.values, degrees)
+        _refuse_past_i64(params, len(col))
         lo, hi = et.bounds()
         coeffs = [min(max(c, lo), hi) for c in coeffs]  # the noise absorbs the clamping
     base = _eval_basis(params, coeffs, len(col))
@@ -411,22 +411,21 @@ def _fit_float_least_squares(values, degrees):
     return [0.0] * k if coeffs is None else [float(c) for c in coeffs]
 
 
-register_codec(
-    CodecEntry(
-        "noisy.generated",
-        build_decoder=_noisy_decoder,
-        encode=_noisy_encode,
-        host_verify=lambda p, cols: len(cols["coefficients"]) == len(_basis_degrees(p)),
-        encoded_lengths=lambda p, n: {"coefficients": len(_basis_degrees(p)), "noise": n},
-    )
+def _noisy_verify(params, cols):
+    return len(cols["coefficients"]) == len(_basis_degrees(params)) and _powers_fit(params, len(cols["noise"]))
+
+
+register_scheme(
+    "noisy.generated",
+    {**_POLY, "noise_type": TYPE},
+    build_decoder=_noisy_decoder,
+    encode=_noisy_encode,
+    host_verify=_noisy_verify,
+    encoded_lengths=lambda p, n: {"coefficients": len(_basis_degrees(p)), "noise": n},
 )
 
 
 # -- support compaction ------------------------------------------------------------
-
-
-def _narrow_t(params):
-    return str(params["narrow_type"])
 
 
 def _narrows(t: ElementType, narrow: ElementType) -> bool:
@@ -438,7 +437,7 @@ def _narrows(t: ElementType, narrow: ElementType) -> bool:
 
 
 def _nullsup_decoder(params):
-    t, narrow_t = _t(params), _narrow_t(params)
+    t, narrow_t = _t(params), _t(params, "narrow_type")
     b = CircuitBuilder()
     narrow = b.input("narrow")
     if narrow_t == t:
@@ -456,16 +455,15 @@ def _nullsup_decoder(params):
 
 def _nullsup_encode(params, family):
     col = family["col"]
-    return {"narrow": Column(parse_type(_narrow_t(params)), col.values)}
+    return {"narrow": Column(_et(params, "narrow_type"), col.values)}
 
 
-register_codec(
-    CodecEntry(
-        "nullsup",
-        build_decoder=_nullsup_decoder,
-        encode=_nullsup_encode,
-        encoded_lengths=lambda p, n: {"narrow": n},
-    )
+register_scheme(
+    "nullsup",
+    {"type": TYPE, "narrow_type": TYPE},
+    build_decoder=_nullsup_decoder,
+    encode=_nullsup_encode,
+    encoded_lengths=lambda p, n: {"narrow": n},
 )
 
 
@@ -511,13 +509,12 @@ for _variant, _verifier in (
     ("dict.unique", _dict_verify_unique),
     ("dict.monotone", _dict_verify_monotone),
 ):
-    register_codec(
-        CodecEntry(
-            _variant,
-            build_decoder=_dict_decoder,
-            encode=_dict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
-            host_verify=_verifier,
-        )
+    register_scheme(
+        _variant,
+        _TYPED,
+        build_decoder=_dict_decoder,
+        encode=_dict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
+        host_verify=_verifier,
     )
 
 
@@ -571,13 +568,12 @@ def _run_full_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "run.full",
-        build_decoder=_run_full_decoder,
-        encode=_run_full_encode,
-        host_verify=_run_full_verify,
-    )
+register_scheme(
+    "run.full",
+    _TYPED,
+    build_decoder=_run_full_decoder,
+    encode=_run_full_encode,
+    host_verify=_run_full_verify,
 )
 
 
@@ -624,13 +620,12 @@ def rpe_encoder_circuit(params):
     return b.build()
 
 
-register_codec(
-    CodecEntry(
-        "run.rpe",
-        build_decoder=_rpe_decoder,
-        encode=_rpe_encode,
-        host_verify=_rpe_verify,
-    )
+register_scheme(
+    "run.rpe",
+    _TYPED,
+    build_decoder=_rpe_decoder,
+    encode=_rpe_encode,
+    host_verify=_rpe_verify,
 )
 
 
@@ -661,26 +656,23 @@ def _rle_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "run.rle",
-        build_decoder=_rle_decoder,
-        encode=_rle_encode,
-        host_verify=_rle_verify,
-    )
+register_scheme(
+    "run.rle",
+    {"type": TYPE, "int_type": TYPE.optional()},
+    build_decoder=_rle_decoder,
+    encode=_rle_encode,
+    host_verify=_rle_verify,
 )
 
 
 def _capped_rle_verify(params, cols):
-    r = int(params["cap"])
+    r = params["cap"]
     return _holds(cols, "cap", r) and _rle_verify(params, cols) and max(cols["length"].values, default=0) <= r
 
 
 def _capped_rle_encode(params, family):
     col = family["col"]
-    r = int(params["cap"])
-    if r < 1:
-        raise NotEncodable("cap must be positive")
+    r = params["cap"]
     int_et = _int_et(params)
     lengths, values = [], []
     _, run_lengths, run_values = _runs_of(col.values)
@@ -699,13 +691,12 @@ def _capped_rle_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "run.rle.capped",
-        build_decoder=lambda p: _rle_decoder(p, capped=True),
-        encode=_capped_rle_encode,
-        host_verify=_capped_rle_verify,
-    )
+register_scheme(
+    "run.rle.capped",
+    {"type": TYPE, "int_type": TYPE.optional(), "cap": POSITIVE},
+    build_decoder=lambda p: _rle_decoder(p, capped=True),
+    encode=_capped_rle_encode,
+    host_verify=_capped_rle_verify,
 )
 
 
@@ -788,25 +779,19 @@ def _spline_generalized_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "spline.generalized",
-        build_decoder=_spline_generalized_decoder,
-        encode=_spline_generalized_encode,
-        host_verify=_spline_generalized_verify,
-        normalize_params=lambda p: {k: v for k, v in p.items() if k != "segments"},
-    )
+register_scheme(
+    "spline.generalized",
+    {**_POLY, "segments": SEGMENTS},
+    build_decoder=_spline_generalized_decoder,
+    encode=_spline_generalized_encode,
+    host_verify=_spline_generalized_verify,
 )
-
-
-def _knots_float(params) -> bool:
-    return bool(params.get("knots_float"))
 
 
 def _knotted_decoder(params):
     ct = _compute_t(params)
     b = CircuitBuilder()
-    if _knots_float(params):
+    if params.get("knots_float", False):
         if ct != "f64":
             raise NotEncodable("float knots require a float decoded type")
         knots = b.input("knots")
@@ -840,7 +825,7 @@ def _knotted_verify(params, cols):
     k = len(_basis_degrees(params))
     if len(knots) < 2 or len(cols["coefficients"]) != k * (len(knots) - 1):
         return False
-    floats = _knots_float(params)
+    floats = params.get("knots_float", False)
     if floats and not all(map(math.isfinite, knots)):
         return False  # neither ``int`` nor ``math.ceil`` takes an infinity or a NaN
     if knots[0] != 0 or not _increasing(knots):
@@ -865,27 +850,25 @@ def _knotted_encode(params, family):
     coeffs = _fit_segments(params, col.values, segments)
     knots = list(accumulate(segments, initial=0))
     knots[-1] = n - 1
-    if _knots_float(params):
+    if params.get("knots_float", False):
         knots_col = Column(parse_type("f64"), [float(x) for x in knots])
     else:
         knots_col = Column(INT, knots)
     return {"knots": knots_col, "coefficients": Column(et, coeffs)}
 
 
-register_codec(
-    CodecEntry(
-        "spline.knotted",
-        build_decoder=_knotted_decoder,
-        encode=_knotted_encode,
-        host_verify=_knotted_verify,
-        normalize_params=lambda p: {k: v for k, v in p.items() if k != "segments"},
-    )
+register_scheme(
+    "spline.knotted",
+    {**_POLY, "knots_float": BOOL.optional(), "segments": SEGMENTS},
+    build_decoder=_knotted_decoder,
+    encode=_knotted_encode,
+    host_verify=_knotted_verify,
 )
 
 
 def _equiknotted_decoder(params):
     ct = _compute_t(params)
-    ell = int(params["interval_length"])
+    ell = params["interval_length"]
     b = CircuitBuilder()
     b.sink(b.input("interval_length"), _INT)
     n = b.input("length")
@@ -899,8 +882,8 @@ def _equiknotted_decoder(params):
 
 
 def _equiknotted_verify(params, cols):
-    ell = int(params["interval_length"])
-    if ell < 1 or not _holds(cols, "interval_length", ell) or len(cols["length"]) != 1:
+    ell = params["interval_length"]
+    if not _holds(cols, "interval_length", ell) or len(cols["length"]) != 1:
         return False
     k = len(_basis_degrees(params))
     return len(cols["coefficients"]) == k * _segment_count(cols["length"][0], ell)
@@ -909,9 +892,7 @@ def _equiknotted_verify(params, cols):
 def _equiknotted_encode(params, family):
     col = family["col"]
     et = _et(params)
-    ell = int(params["interval_length"])
-    if ell < 1:
-        raise NotEncodable("interval_length must be positive")
+    ell = params["interval_length"]
     n = len(col)
     coeffs = _fit_segments(params, col.values, [min(ell, n - at) for at in range(0, n, ell)])
     return {
@@ -922,7 +903,7 @@ def _equiknotted_encode(params, family):
 
 
 def _equiknotted_fit_additive(params, col):
-    ell = int(params["interval_length"])
+    ell = params["interval_length"]
     base = []
     for at in range(0, len(col), ell):
         seg = list(col.values[at : at + ell])
@@ -935,30 +916,25 @@ def _equiknotted_fit_additive(params, col):
     return Column(_et(params), base)
 
 
-register_codec(
-    CodecEntry(
-        "spline.equiknotted",
-        build_decoder=_equiknotted_decoder,
-        encode=_equiknotted_encode,
-        host_verify=_equiknotted_verify,
-        encoded_lengths=lambda p, n: {
-            "interval_length": 1,
-            "length": 1,
-            "coefficients": len(_basis_degrees(p)) * _segment_count(n, int(p["interval_length"])),
-        },
-        fit_additive=_equiknotted_fit_additive,
-    )
+register_scheme(
+    "spline.equiknotted",
+    {**_POLY, "interval_length": POSITIVE},
+    build_decoder=_equiknotted_decoder,
+    encode=_equiknotted_encode,
+    host_verify=_equiknotted_verify,
+    encoded_lengths=lambda p, n: {
+        "interval_length": 1,
+        "length": 1,
+        "coefficients": len(_basis_degrees(p)) * _segment_count(n, p["interval_length"]),
+    },
+    fit_additive=_equiknotted_fit_additive,
 )
-
-
-def _offset_t(params):
-    return str(params["offset_type"])
 
 
 def _for_decoder(params):
     ct = _compute_t(params)
-    off_t = _offset_t(params)
-    ell = int(params["segment_length"])
+    off_t = _t(params, "offset_type")
+    ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     offsets = b.input("offsets")
@@ -972,16 +948,16 @@ def _for_decoder(params):
 
 
 def _for_verify(params, cols):
-    ell = int(params["segment_length"])
+    ell = params["segment_length"]
     n = len(cols["offsets"])
-    return ell >= 1 and _holds(cols, "segment_length", ell) and len(cols["reference"]) == _segment_count(n, ell)
+    return _holds(cols, "segment_length", ell) and len(cols["reference"]) == _segment_count(n, ell)
 
 
 def _for_encode(params, family):
     col = family["col"]
     et = _et(params)
-    off_et = parse_type(_offset_t(params))
-    ell = _segment_length(params)
+    off_et = _et(params, "offset_type")
+    ell = params["segment_length"]
     refs, offs = [], []
     for at in range(0, len(col), ell):
         seg = col.values[at : at + ell]
@@ -995,33 +971,28 @@ def _for_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "for",
-        build_decoder=_for_decoder,
-        encode=_for_encode,
-        host_verify=_for_verify,
-        encoded_lengths=lambda p, n: {
-            "segment_length": 1,
-            "reference": _segment_count(n, int(p["segment_length"])),
-            "offsets": n,
-        },
-    )
+register_scheme(
+    "for",
+    {"type": TYPE, "offset_type": TYPE, "segment_length": POSITIVE},
+    build_decoder=_for_decoder,
+    encode=_for_encode,
+    host_verify=_for_verify,
+    encoded_lengths=lambda p, n: {
+        "segment_length": 1,
+        "reference": _segment_count(n, p["segment_length"]),
+        "offsets": n,
+    },
 )
 
 
 # -- compressed differences ---------------------------------------------------------------
 
 
-def _delta_t(params):
-    return str(params["delta_type"])
-
-
 def _naive_delta_decoder(params):
     t = _t(params)
     b = CircuitBuilder()
     base = b.cast(t, _WIDE, b.input("base"))
-    delta = b.cast(_delta_t(params), _WIDE, b.input("delta"))
+    delta = b.cast(_t(params, "delta_type"), _WIDE, b.input("delta"))
     ps = b.prefix(_WIDE, "add", delta)
     n = b.length(ps, _WIDE)
     basecol = b.replicate(_WIDE, base, n)
@@ -1032,7 +1003,7 @@ def _naive_delta_decoder(params):
 def _naive_delta_encode(params, family):
     col = family["col"]
     et = _et(params)
-    delta_et = parse_type(_delta_t(params))
+    delta_et = _et(params, "delta_type")
     if not col.values:
         return {"base": scalar_column(et, et.zero()), "delta": Column(delta_et, [])}
     base = col.values[0]
@@ -1040,26 +1011,28 @@ def _naive_delta_encode(params, family):
     return {"base": scalar_column(et, base), "delta": Column(delta_et, deltas)}
 
 
-register_codec(
-    CodecEntry(
-        "delta.naive",
-        build_decoder=_naive_delta_decoder,
-        encode=_naive_delta_encode,
-        host_verify=lambda p, cols: len(cols["base"]) == 1,
-        encoded_lengths=lambda p, n: {"base": 1, "delta": n},
-    )
+register_scheme(
+    "delta.naive",
+    {"type": TYPE, "delta_type": TYPE},
+    build_decoder=_naive_delta_decoder,
+    encode=_naive_delta_encode,
+    host_verify=lambda p, cols: len(cols["base"]) == 1,
+    encoded_lengths=lambda p, n: {"base": 1, "delta": n},
 )
+
+
+_DELTA = {"type": TYPE, "delta_type": TYPE, "segment_length": POSITIVE}
 
 
 def _delta_decoder(params, patched=False):
     """Segmented integration of the deltas in i64; ``patched`` scatters ``patch_data`` over them first."""
     t = _t(params)
-    ell = int(params["segment_length"])
+    ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     delta = b.input("delta")
-    n = b.length(delta, _delta_t(params))
-    widened = b.cast(_delta_t(params), _WIDE, delta)
+    n = b.length(delta, _t(params, "delta_type"))
+    widened = b.cast(_t(params, "delta_type"), _WIDE, delta)
     if patched:
         widened = b.scatter(_WIDE, widened, b.input("patch_pos"), b.input("patch_data"))
     ps = b.prefix(_WIDE, "add", widened)
@@ -1077,13 +1050,13 @@ def _delta_decoder(params, patched=False):
 
 
 def _delta_verify(params, cols):
-    ell = int(params["segment_length"])
+    ell = params["segment_length"]
     n = len(cols["delta"])
-    return ell >= 1 and _holds(cols, "segment_length", ell) and len(cols["base"]) == _segment_count(n, ell)
+    return _holds(cols, "segment_length", ell) and len(cols["base"]) == _segment_count(n, ell)
 
 
 def _delta_encode_parts(params, col):
-    ell = _segment_length(params)
+    ell = params["segment_length"]
     bases, deltas = [], []
     for at in range(0, len(col), ell):
         seg = col.values[at : at + ell]
@@ -1096,27 +1069,26 @@ def _delta_encode_parts(params, col):
 def _delta_encode(params, family):
     col = family["col"]
     et = _et(params)
-    delta_et = parse_type(_delta_t(params))
+    delta_et = _et(params, "delta_type")
     bases, deltas = _delta_encode_parts(params, col)
     return {
-        "segment_length": scalar_column(INT, int(params["segment_length"])),
+        "segment_length": scalar_column(INT, params["segment_length"]),
         "base": Column(et, bases),
         "delta": Column(delta_et, deltas),
     }
 
 
-register_codec(
-    CodecEntry(
-        "delta",
-        build_decoder=_delta_decoder,
-        encode=_delta_encode,
-        host_verify=_delta_verify,
-        encoded_lengths=lambda p, n: {
-            "segment_length": 1,
-            "base": _segment_count(n, int(p["segment_length"])),
-            "delta": n,
-        },
-    )
+register_scheme(
+    "delta",
+    _DELTA,
+    build_decoder=_delta_decoder,
+    encode=_delta_encode,
+    host_verify=_delta_verify,
+    encoded_lengths=lambda p, n: {
+        "segment_length": 1,
+        "base": _segment_count(n, p["segment_length"]),
+        "delta": n,
+    },
 )
 
 
@@ -1128,7 +1100,7 @@ def _patched_delta_verify(params, cols):
 def _patched_delta_encode(params, family):
     col = family["col"]
     et = _et(params)
-    delta_et = parse_type(_delta_t(params))
+    delta_et = _et(params, "delta_type")
     bases, deltas = _delta_encode_parts(params, col)
     patch_pos, patch_data, stored = [], [], []
     for i, d in enumerate(deltas):
@@ -1139,7 +1111,7 @@ def _patched_delta_encode(params, family):
             patch_data.append(d)
             stored.append(0)
     return {
-        "segment_length": scalar_column(INT, int(params["segment_length"])),
+        "segment_length": scalar_column(INT, params["segment_length"]),
         "base": Column(et, bases),
         "delta": Column(delta_et, stored),
         "patch_pos": Column(INT, patch_pos),
@@ -1147,23 +1119,25 @@ def _patched_delta_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "delta.patched",
-        build_decoder=lambda p: _delta_decoder(p, patched=True),
-        encode=_patched_delta_encode,
-        host_verify=_patched_delta_verify,
-    )
+register_scheme(
+    "delta.patched",
+    _DELTA,
+    build_decoder=lambda p: _delta_decoder(p, patched=True),
+    encode=_patched_delta_encode,
+    host_verify=_patched_delta_verify,
 )
 
 
 # -- segment dictionaries ------------------------------------------------------------------
 
 
+_SEGDICT = {"type": TYPE, "segment_length": POSITIVE, "dict_size": POSITIVE}
+
+
 def _segdict_decoder(params, two_level=False):
     t = _t(params)
-    ell = int(params["segment_length"])
-    d = int(params["dict_size"])
+    ell = params["segment_length"]
+    d = params["dict_size"]
     entry_t = _INT if two_level else t
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
@@ -1181,10 +1155,8 @@ def _segdict_decoder(params, two_level=False):
 
 
 def _segdict_verify(params, cols, two_level=False):
-    ell = int(params["segment_length"])
-    d = int(params["dict_size"])
-    if ell < 1 or d < 1:
-        return False
+    ell = params["segment_length"]
+    d = params["dict_size"]
     if not _holds(cols, "segment_length", ell) or not _below(cols["indices"].values, d):
         return False
     entries = cols["dictionary_entries"].values
@@ -1194,8 +1166,8 @@ def _segdict_verify(params, cols, two_level=False):
 
 
 def _segdict_encode_entries(params, values, code_of, filler):
-    ell = _segment_length(params)
-    d = int(params["dict_size"])
+    ell = params["segment_length"]
+    d = params["dict_size"]
     entries, indices = [], []
     for at in range(0, len(values), ell):
         seg = values[at : at + ell]
@@ -1216,19 +1188,18 @@ def _segdict_encode(params, family):
     et = _et(params)
     entries, indices = _segdict_encode_entries(params, list(col.values), lambda v: v, et.zero())
     return {
-        "segment_length": scalar_column(INT, int(params["segment_length"])),
+        "segment_length": scalar_column(INT, params["segment_length"]),
         "dictionary_entries": Column(et, entries),
         "indices": Column(INT, indices),
     }
 
 
-register_codec(
-    CodecEntry(
-        "segdict",
-        build_decoder=lambda p: _segdict_decoder(p, two_level=False),
-        encode=_segdict_encode,
-        host_verify=lambda p, cols: _segdict_verify(p, cols, two_level=False),
-    )
+register_scheme(
+    "segdict",
+    _SEGDICT,
+    build_decoder=lambda p: _segdict_decoder(p, two_level=False),
+    encode=_segdict_encode,
+    host_verify=lambda p, cols: _segdict_verify(p, cols, two_level=False),
 )
 
 
@@ -1241,33 +1212,28 @@ def _segdict2_encode(params, family):
         global_entries = [et.zero()]
     entries, indices = _segdict_encode_entries(params, list(col.values), lambda v: code[v], None)
     return {
-        "segment_length": scalar_column(INT, int(params["segment_length"])),
+        "segment_length": scalar_column(INT, params["segment_length"]),
         "dictionary_entries": Column(INT, entries),
         "indices": Column(INT, indices),
         "global_dictionary": Column(et, global_entries),
     }
 
 
-register_codec(
-    CodecEntry(
-        "segdict.two_level",
-        build_decoder=lambda p: _segdict_decoder(p, two_level=True),
-        encode=_segdict2_encode,
-        host_verify=lambda p, cols: _segdict_verify(p, cols, two_level=True),
-    )
+register_scheme(
+    "segdict.two_level",
+    _SEGDICT,
+    build_decoder=lambda p: _segdict_decoder(p, two_level=True),
+    encode=_segdict2_encode,
+    host_verify=lambda p, cols: _segdict_verify(p, cols, two_level=True),
 )
 
 
 # -- frequency-skew schemes -----------------------------------------------------------------
 
 
-def _cascade_bits(params):
-    return [int(x) for x in params["bits"]]
-
-
 def _cascade_decoder(params):
     t = _t(params)
-    bits = _cascade_bits(params)
+    bits = params["bits"]
     b = CircuitBuilder()
     idx1_t = str(ElementType.unsigned(bits[0]))
     first = b.input("indices_1")
@@ -1291,7 +1257,7 @@ def _cascade_decoder(params):
 
 
 def _cascade_verify(params, cols):
-    bits = _cascade_bits(params)
+    bits = params["bits"]
     remaining = len(cols["indices_1"])
     for i, b_i in enumerate(bits):
         dictionary = cols[f"dictionary_{i + 1}"]
@@ -1309,7 +1275,7 @@ def _cascade_verify(params, cols):
 def _cascade_encode(params, family):
     col = family["col"]
     et = _et(params)
-    bits = _cascade_bits(params)
+    bits = params["bits"]
     freq = Counter(col.values)
     ranked = [v for v, _ in sorted(freq.items(), key=lambda kv: (-kv[1], repr(kv[0])))]
     level_of = {}
@@ -1334,23 +1300,18 @@ def _cascade_encode(params, family):
     return columns
 
 
-register_codec(
-    CodecEntry(
-        "cascade",
-        build_decoder=_cascade_decoder,
-        encode=_cascade_encode,
-        host_verify=_cascade_verify,
-    )
+register_scheme(
+    "cascade",
+    {"type": TYPE, "bits": WIDTHS},
+    build_decoder=_cascade_decoder,
+    encode=_cascade_encode,
+    host_verify=_cascade_verify,
 )
-
-
-def _subdict_bits(params):
-    return int(params.get("bits", 16))
 
 
 def _subdict_decoder(params):
     t = _t(params)
-    it = str(ElementType.unsigned(_subdict_bits(params)))
+    it = str(ElementType.unsigned(params.get("bits", 16)))
     b = CircuitBuilder()
     indices = b.cast(it, _INT, b.input("indices"))
     zero_mask = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": 0}, arguments=indices)
@@ -1369,7 +1330,7 @@ def _subdict_verify(params, cols):
 def _subdict_encode(params, family):
     col = family["col"]
     et = _et(params)
-    bits = _subdict_bits(params)
+    bits = params.get("bits", 16)
     room = (1 << bits) - 1
     freq = Counter(col.values)
     ranked = [v for v, _ in sorted(freq.items(), key=lambda kv: (-kv[1], repr(kv[0])))][:room]
@@ -1383,13 +1344,12 @@ def _subdict_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "subdict",
-        build_decoder=_subdict_decoder,
-        encode=_subdict_encode,
-        host_verify=_subdict_verify,
-    )
+register_scheme(
+    "subdict",
+    {"type": TYPE, "bits": WIDTH.optional()},
+    build_decoder=_subdict_decoder,
+    encode=_subdict_encode,
+    host_verify=_subdict_verify,
 )
 
 
@@ -1397,7 +1357,9 @@ register_codec(
 
 
 def _cp_types(params):
-    w, p = int(params["w"]), int(params["p"])
+    w, p = params["w"], params["p"]
+    if p >= w:
+        raise NotEncodable(f"idx.common_prefix needs a prefix narrower than the width, not p={p} w={w}")
     return ElementType.unsigned(p), ElementType.unsigned(w - p)
 
 
@@ -1414,7 +1376,7 @@ def _prefix_groups(b: CircuitBuilder, pre_t, suf_t, shift) -> Wire:
 
 
 def _common_prefix_decoder(params):
-    w, p = int(params["w"]), int(params["p"])
+    w, p = params["w"], params["p"]
     pre_t, suf_t = (str(t) for t in _cp_types(params))
     b = CircuitBuilder()
     elements = _prefix_groups(b, pre_t, suf_t, w - p)
@@ -1435,7 +1397,7 @@ def _common_prefix_verify(params, cols):
 
 
 def _common_prefix_groups(params, family):
-    w, p = int(params["w"]), int(params["p"])
+    w, p = params["w"], params["p"]
     n_full = family["full_length"].scalar()
     if n_full != 1 << w:
         raise NotEncodable(f"scheme covers index sets over exactly 2^{w} = {1 << w}")
@@ -1467,19 +1429,18 @@ def _common_prefix_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "idx.common_prefix",
-        build_decoder=_common_prefix_decoder,
-        encode=_common_prefix_encode,
-        host_verify=_common_prefix_verify,
-        equivalent=indexset_equivalent,
-    )
+register_scheme(
+    "idx.common_prefix",
+    {"w": WIDTH, "p": WIDTH},
+    build_decoder=_common_prefix_decoder,
+    encode=_common_prefix_encode,
+    host_verify=_common_prefix_verify,
+    equivalent=indexset_equivalent,
 )
 
 
 def _common_upper_half_decoder(params):
-    w = int(params["w"])
+    w = params["w"]
     half = w // 2
     naive_t = str(ElementType.unsigned(w))
     half_t = str(ElementType.unsigned(half))
@@ -1492,8 +1453,8 @@ def _common_upper_half_decoder(params):
 
 
 def _common_upper_half_verify(params, cols):
-    w = int(params["w"])
-    if w % 2 or not _common_prefix_verify(params, cols):
+    w = params["w"]
+    if not _common_prefix_verify(params, cols):
         return False
     naive_blocks = [e >> w // 2 for e in cols["naive"].values]
     # no two naive elements, and no naive element and group, share a block
@@ -1501,9 +1462,7 @@ def _common_upper_half_verify(params, cols):
 
 
 def _common_upper_half_encode(params, family):
-    w = int(params["w"])
-    if w % 2:
-        raise NotEncodable("width must be even")
+    w = params["w"]
     half = w // 2
     groups = _common_prefix_groups({"w": w, "p": half}, family)
     naive, prefixes, counts, suffixes = [], [], [], []
@@ -1524,14 +1483,13 @@ def _common_upper_half_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "idx.common_upper_half",
-        build_decoder=_common_upper_half_decoder,
-        encode=_common_upper_half_encode,
-        host_verify=_common_upper_half_verify,
-        equivalent=indexset_equivalent,
-    )
+register_scheme(
+    "idx.common_upper_half",
+    {"w": EVEN_WIDTH},
+    build_decoder=_common_upper_half_decoder,
+    encode=_common_upper_half_encode,
+    host_verify=_common_upper_half_verify,
+    equivalent=indexset_equivalent,
 )
 
 
@@ -1540,7 +1498,7 @@ register_codec(
 
 def _pvw_decoder(params):
     t = _t(params)
-    period = int(params["period"])
+    period = params["period"]
     b = CircuitBuilder()
     b.sink(b.input("period"), _INT)
     widths = b.input("widths")
@@ -1564,8 +1522,8 @@ def _pvw_decoder(params):
 
 
 def _pvw_verify(params, cols):
-    period = int(params["period"])
-    if period < 1 or not _holds(cols, "period", period) or len(cols["length"]) != 1:
+    period = params["period"]
+    if not _holds(cols, "period", period) or len(cols["length"]) != 1:
         return False
     widths = cols["widths"].values
     return len(widths) == _segment_count(cols["length"][0], period) and len(cols["data"]) == period * sum(widths)
@@ -1594,9 +1552,7 @@ def padded_varwidth_equivalent(params, a, b):
 
 
 def _pvw_encode(params, family):
-    period = int(params["period"])
-    if period < 1:
-        raise NotEncodable("period must be positive")
+    period = params["period"]
     elements = varwidth_elements(family)
     base_et = family["data"].element_type
     filler = base_et.zero()
@@ -1617,14 +1573,13 @@ def _pvw_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "pvw",
-        build_decoder=_pvw_decoder,
-        encode=_pvw_encode,
-        host_verify=_pvw_verify,
-        equivalent=padded_varwidth_equivalent,
-    )
+register_scheme(
+    "pvw",
+    {"type": TYPE, "period": POSITIVE},
+    build_decoder=_pvw_decoder,
+    encode=_pvw_encode,
+    host_verify=_pvw_verify,
+    equivalent=padded_varwidth_equivalent,
 )
 
 
@@ -1693,14 +1648,13 @@ for _variant, _vverify in (
     ("vwdict.unique", _vwdict_verify_unique),
     ("vwdict.monotone", _vwdict_verify_monotone),
 ):
-    register_codec(
-        CodecEntry(
-            _variant,
-            build_decoder=_vwdict_decoder,
-            encode=_vwdict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
-            host_verify=_vverify,
-            equivalent=varwidth_equivalent,
-        )
+    register_scheme(
+        _variant,
+        _TYPED,
+        build_decoder=_vwdict_decoder,
+        encode=_vwdict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
+        host_verify=_vverify,
+        equivalent=varwidth_equivalent,
     )
 
 

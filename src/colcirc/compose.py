@@ -25,7 +25,8 @@ from .circuit import evaluate_circuit
 from .codec import CodecEntry, _ResolvedParams, _segments_hint, codec, register_codec
 from .column import Column, scalar_column
 from .errors import ColcircError, NotEncodable, OperatorError
-from .ops import OperatorInstance, Signature, register_operator
+from .ops import OperatorInstance, Signature, _param, register_operator
+from .params import NAME, PARTITION, POSITIVE, SEGMENTS, TYPE, WIDTH, check
 from .rep_schemes import _below, _holds, _positions
 from .types import INT, Kind, parse_type
 
@@ -44,30 +45,12 @@ class CompositionRecipe:
 
 
 def compose(recipe: CompositionRecipe) -> CodecEntry:
-    builder = _KINDS.get(recipe.kind)
-    if builder is None:
+    """A new codec of ``recipe``, registered; its options are checked against its kind's declared ones first."""
+    if recipe.kind not in _KINDS:
         raise NotEncodable(f"unknown composition kind {recipe.kind!r}")
-    return register_codec(builder(recipe))
-
-
-def _int_option(recipe, name, default=None, most=None):
-    value = recipe.options.get(name, default)
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        n = 0
-    if n < 1 or n > (most or n):
-        upto = f" up to {most}" if most else ""
-        raise NotEncodable(f"{recipe.kind} option {name!r} must be a positive integer{upto}, not {value!r}")
-    return n
-
-
-def _hint(params, name):
-    """A per-call encoder hint: absent, or a list of non-negative integers."""
-    values = params.get(name)
-    if values is None or isinstance(values, (list, tuple)) and all(isinstance(v, int) and v >= 0 for v in values):
-        return values
-    raise NotEncodable(f"hint {name!r} must be a list of non-negative integers, not {values!r}")
+    make, options = _KINDS[recipe.kind]
+    check(options, recipe.options, missing=NotEncodable, what=f"{recipe.kind} option")
+    return register_codec(make(recipe))
 
 
 def _strip(prefix, columns):
@@ -95,8 +78,8 @@ class _ComposedCodec(CodecEntry):
     and the decoded parts decides.
     """
 
-    def __init__(self, recipe, prefixes):
-        super().__init__(recipe.scheme_id)
+    def __init__(self, recipe, prefixes, hints=None):
+        super().__init__(recipe.scheme_id, params=hints)
         if not prefixes or len(recipe.inner) != len(prefixes):
             raise NotEncodable(f"{recipe.kind} cannot compose {len(recipe.inner)} inner schemes")
         self.recipe = recipe
@@ -116,9 +99,6 @@ class _ComposedCodec(CodecEntry):
         if len(types) != 1:
             raise NotEncodable(f"{recipe.kind} needs inner schemes of one decoded type, not {sorted(types)}")
         self.data_type = types.pop()
-
-    def normalize_params(self, params):
-        return {k: v for k, v in params.items() if k not in ("partition", "segments")}
 
     def _embed(self, b, i):
         """Inner decoder ``i`` embedded in ``b``, fed from its prefixed labels: its decoded column."""
@@ -229,8 +209,6 @@ def _sums_fit(t, xs, ys) -> bool:
 class _DifferentiateCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["diff:"])
-        if "type" not in recipe.options:
-            raise NotEncodable("differentiate needs the option 'type'")
         self.diff_type, self.data_type = self.data_type, str(recipe.options["type"])
         if not (parse_type(self.diff_type).is_integer and parse_type(self.data_type).is_integer):
             raise NotEncodable(f"differentiate needs integer types, not {self.diff_type} and {self.data_type}")
@@ -284,7 +262,7 @@ class _SmallDictFitCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["residual:"])
         self.subdict = codec("subdict")
-        self.subdict_params = {"type": self.data_type, "bits": _int_option(recipe, "bits", 8, most=64)}
+        self.subdict_params = {"type": self.data_type, "bits": recipe.options.get("bits", 8)}
 
     def build_decoder(self, params):
         b = CircuitBuilder()
@@ -309,7 +287,7 @@ class _SmallDictFitCodec(_ComposedCodec):
 
 class _AlternatingCodec(_ComposedCodec):
     def __init__(self, recipe):
-        super().__init__(recipe, [f"s{i}:" for i in range(len(recipe.inner))])
+        super().__init__(recipe, [f"s{i}:" for i in range(len(recipe.inner))], {"partition": PARTITION})
 
     def build_decoder(self, params):
         t = self.data_type
@@ -329,7 +307,7 @@ class _AlternatingCodec(_ComposedCodec):
 
     def encode(self, params, family):
         col = family["col"]
-        partition = _hint(params, "partition") or [0] * len(col)
+        partition = params.get("partition") or [0] * len(col)
         k = len(self.inners)
         if len(partition) != len(col) or any(v >= k for v in partition):
             raise NotEncodable("partition assignment does not match the column")
@@ -391,14 +369,14 @@ class _SegmentizedCodec(_ComposedCodec):
     """
 
     def __init__(self, recipe, uniform):
-        super().__init__(recipe, ["seg:"])
+        super().__init__(recipe, ["seg:"], None if uniform else {"segments": SEGMENTS})
         self.uniform = uniform
         entry, iparams, decoder = self.inners[0]
         self.lengths = partial(entry.encoded_lengths, iparams)  # of one segment's encoded form, by label
         if self.lengths(1) is None:
             raise NotEncodable(f"incompatible inner scheme {entry.scheme_id}: encoded lengths are data-dependent")
         if uniform:
-            self.ell = _int_option(recipe, "segment_length")
+            self.ell = recipe.options["segment_length"]
         extra = {"segment_length": INT, "total_length": INT} if uniform else {"segment_lengths": INT}
         self.spec = {**extra, **{f"seg:{label}": t for label, t in decoder.signature.inputs.items()}}
         self.lifted = _position_wise(entry, iparams, decoder, {0, 1, 2, 3, self.ell if uniform else 4})
@@ -525,9 +503,7 @@ class _SegmentizedCodec(_ComposedCodec):
 
 
 def _segmentized_codec(params):
-    if "scheme" not in params:
-        raise OperatorError("bad-params", "missing 'scheme' parameter")
-    entry = codec(params["scheme"])
+    entry = codec(_param(params, "scheme", NAME))
     if not isinstance(entry, _SegmentizedCodec):
         raise OperatorError("bad-params", f"{entry.scheme_id} is not a segmentized scheme")
     return entry
@@ -546,12 +522,13 @@ def _segmentized_apply(inst, cols):
 register_operator("segmentized", _segmentized_instantiate, _segmentized_apply)
 
 
+# each kind's codec, and the recipe options it declares
 _KINDS = {
-    "patch": _PatchedCodec,
-    "elementwise-add": _ElementwiseAddCodec,
-    "differentiate": _DifferentiateCodec,
-    "small-dict-fit": _SmallDictFitCodec,
-    "alternate": _AlternatingCodec,
-    "segmentize-uniform": lambda r: _SegmentizedCodec(r, uniform=True),
-    "segmentize-variable": lambda r: _SegmentizedCodec(r, uniform=False),
+    "patch": (_PatchedCodec, {}),
+    "elementwise-add": (_ElementwiseAddCodec, {}),
+    "differentiate": (_DifferentiateCodec, {"type": TYPE}),
+    "small-dict-fit": (_SmallDictFitCodec, {"bits": WIDTH.optional()}),
+    "alternate": (_AlternatingCodec, {}),
+    "segmentize-uniform": (lambda r: _SegmentizedCodec(r, uniform=True), {"segment_length": POSITIVE}),
+    "segmentize-variable": (lambda r: _SegmentizedCodec(r, uniform=False), {}),
 }

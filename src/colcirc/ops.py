@@ -17,10 +17,12 @@ import threading
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, compress
 
 from .column import _RANGED, Column, _range_of, _set_range, scalar_column
 from .errors import OperatorError, RegistryError
+from .params import INTEGER, POSITIVE, TYPE, TYPES, VALUE
 from .types import BIT, INT, ElementType, Kind, parse_type
 
 # an enum member is a descriptor lookup on its class; the hot paths read these
@@ -109,11 +111,29 @@ def instantiate(op_name: str, params: dict | None = None) -> OperatorInstance:
     return _CATALOG[op_name].instantiate(params or {})
 
 
+def _param(params, key, kind, default=None):
+    """``params[key]``, or ``default`` when absent; a missing one, or one not of ``kind``, is ``bad-params``."""
+    value = params.get(key, default)
+    if value is None:
+        raise OperatorError("bad-params", f"missing parameter {key!r}")
+    return kind.checked(key, value, partial(OperatorError, "bad-params"), "parameter")
+
+
 def _typ(params, key="type", default=None):
-    t = params.get(key, default)
-    if t is None:
-        raise OperatorError("bad-params", f"missing {key!r} parameter")
+    t = _param(params, key, TYPE, default)
     return parse_type(t) if isinstance(t, str) else t
+
+
+def _types(params) -> list:
+    return [parse_type(t) if isinstance(t, str) else t for t in _param(params, "types", TYPES)]
+
+
+def _product(params, components) -> ElementType:
+    """The product of ``components``, which ``params`` give; one past the width cap is ``bad-params``."""
+    try:
+        return ElementType.product(*components)
+    except ValueError as exc:
+        raise OperatorError("bad-params", f"{exc}, in {params}") from None
 
 
 def _require_equal_lengths(cols, labels):
@@ -443,9 +463,9 @@ def _fn_scale():
 
 def _fn_tuple_make():
     def sig(params):
-        comps = [parse_type(t) if isinstance(t, str) else t for t in params["types"]]
+        comps = _types(params)
         ins = {f"component_{i + 1}": t for i, t in enumerate(comps)}
-        return ins, {"result": ElementType.product(*comps)}
+        return ins, {"result": _product(params, comps)}
 
     def run(inst, cols):
         labels = list(inst.signature.inputs)
@@ -458,7 +478,7 @@ def _fn_tuple_make():
 
 def _fn_carve():
     def sig(params):
-        w, p = params["w"], params["p"]
+        w, p = _param(params, "w", INTEGER), _param(params, "p", INTEGER)
         if not 0 < p < w <= 64:
             raise OperatorError("bad-params", f"carve needs 0 < p < w <= 64, got w={w} p={p}")
         return (
@@ -547,8 +567,8 @@ def _simple(name, sig_fn, run_fn):
 
 
 def _scalar_sig(params):
-    t = _typ(params)
-    return {}, {"value": t}
+    _param(params, "value", VALUE)
+    return {}, {"value": _typ(params)}
 
 
 def _scalar_run(inst, cols):
@@ -683,9 +703,7 @@ _simple("length", _length_sig, _length_run)
 
 def _concat_sig(params):
     t = _typ(params)
-    k = params.get("k", 2)
-    if k < 1:
-        raise OperatorError("bad-params", "concatenate needs k >= 1")
+    k = _param(params, "k", POSITIVE, 2)
     return {f"col_{i + 1}": t for i in range(k)}, {"result": t}
 
 
@@ -872,11 +890,9 @@ _simple("replicate_within_segments", _replicate_within_sig, _replicate_within_ru
 
 
 def _zip_sig(params):
-    comps = [parse_type(t) if isinstance(t, str) else t for t in params["types"]]
-    if not comps:
-        raise OperatorError("bad-params", "zip needs at least one component type")
+    comps = _types(params)
     ins = {f"component_{i + 1}": t for i, t in enumerate(comps)}
-    return ins, {"zipped": ElementType.product(*comps)}
+    return ins, {"zipped": _product(params, comps)}
 
 
 def _zip_run(inst, cols):
@@ -892,12 +908,10 @@ _simple("zip", _zip_sig, _zip_run)
 
 def _compose_segments_sig(params):
     base = _typ(params)
-    k = params["k"]
-    if k < 1:
-        raise OperatorError("bad-params", "compose_segments needs k >= 1")
+    k = _param(params, "k", POSITIVE)
     return (
         {"segment_length": INT, "components": base},
-        {"composed": ElementType.product(*([base] * k))},
+        {"composed": _product(params, [base] * k)},
     )
 
 
@@ -919,12 +933,10 @@ _simple("compose_segments", _compose_segments_sig, _compose_segments_run)
 
 def _assemble_sig(params):
     base = _typ(params)
-    k = params["k"]
-    if k < 1:
-        raise OperatorError("bad-params", "assemble needs k >= 1")
+    k = _param(params, "k", POSITIVE)
     return (
         {"segment_length": INT, "components": base},
-        {"composed": ElementType.product(*([base] * k))},
+        {"composed": _product(params, [base] * k)},
     )
 
 

@@ -13,12 +13,14 @@ from itertools import accumulate, chain
 from operator import add, eq, lt
 
 from .builder import CircuitBuilder, expand_ranges
-from .codec import CodecEntry, SchemeInstance, decode, register_codec
+from .codec import SchemeInstance, decode, register_scheme
 from .column import Column, scalar_column
 from .errors import NotEncodable, OperatorError
+from .params import INTEGER, PARTITION, POSITIVE, TYPE, TYPES, VALUE
 from .types import BIT, INT, ElementType, parse_type
 
 _INT = str(INT)
+_TYPED = {"type": TYPE}
 
 
 def _t(params, key="type"):
@@ -28,14 +30,6 @@ def _t(params, key="type"):
 def _et(params, key="type") -> ElementType:
     v = params[key]
     return parse_type(v) if isinstance(v, str) else v
-
-
-def _segment_length(params) -> int:
-    """An encoder's ``segment_length`` param, which must be positive."""
-    ell = int(params["segment_length"])
-    if ell < 1:
-        raise NotEncodable(f"segment_length must be positive, not {ell}")
-    return ell
 
 
 # -- the rules verifiers state about encoded columns, each written once ------------
@@ -176,14 +170,13 @@ def _indexed_encode(params, family):
     return {"pos": Column(INT, range(len(col))), "data": col}
 
 
-register_codec(
-    CodecEntry(
-        "indexed",
-        build_decoder=_indexed_decoder,
-        encode=_indexed_encode,
-        host_verify=_indexed_verify,
-        encoded_lengths=lambda p, n: {"pos": n, "data": n},
-    )
+register_scheme(
+    "indexed",
+    _TYPED,
+    build_decoder=_indexed_decoder,
+    encode=_indexed_encode,
+    host_verify=_indexed_verify,
+    encoded_lengths=lambda p, n: {"pos": n, "data": n},
 )
 
 
@@ -207,14 +200,13 @@ def _subcol_std_encode(params, family):
     return {"pos": sc.pos, "data": sc.data}
 
 
-register_codec(
-    CodecEntry(
-        "subcolumn.std",
-        build_decoder=_subcol_std_decoder,
-        encode=_subcol_std_encode,
-        host_verify=_subcol_std_verify,
-        equivalent=subcolumn_family_equivalent,
-    )
+register_scheme(
+    "subcolumn.std",
+    _TYPED,
+    build_decoder=_subcol_std_decoder,
+    encode=_subcol_std_encode,
+    host_verify=_subcol_std_verify,
+    equivalent=subcolumn_family_equivalent,
 )
 
 
@@ -262,14 +254,13 @@ def _overlay_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "subcolumn.overlay",
-        build_decoder=_overlay_decoder,
-        encode=_overlay_encode,
-        host_verify=_overlay_verify,
-        equivalent=subcolumn_family_equivalent,
-    )
+register_scheme(
+    "subcolumn.overlay",
+    _TYPED,
+    build_decoder=_overlay_decoder,
+    encode=_overlay_encode,
+    host_verify=_overlay_verify,
+    equivalent=subcolumn_family_equivalent,
 )
 
 
@@ -293,14 +284,13 @@ def _disjoint_union_encode(params, family):
     return {"pos_1": sc.pos, "data_1": sc.data, "pos_2": Column(INT, []), "data_2": Column(t, [])}
 
 
-register_codec(
-    CodecEntry(
-        "subcolumn.union.disjoint",
-        build_decoder=_disjoint_union_decoder,
-        encode=_disjoint_union_encode,
-        host_verify=_disjoint_union_verify,
-        equivalent=subcolumn_family_equivalent,
-    )
+register_scheme(
+    "subcolumn.union.disjoint",
+    _TYPED,
+    build_decoder=_disjoint_union_decoder,
+    encode=_disjoint_union_encode,
+    host_verify=_disjoint_union_verify,
+    equivalent=subcolumn_family_equivalent,
 )
 
 
@@ -334,13 +324,12 @@ def _complementing_encode(params, family):
     return {"pos": Column(INT, []), "data_1": Column(t, []), "data_2": col}
 
 
-register_codec(
-    CodecEntry(
-        "column.complementing",
-        build_decoder=_complementing_decoder,
-        encode=_complementing_encode,
-        host_verify=_complementing_verify,
-    )
+register_scheme(
+    "column.complementing",
+    _TYPED,
+    build_decoder=_complementing_decoder,
+    encode=_complementing_encode,
+    host_verify=_complementing_verify,
 )
 
 
@@ -365,13 +354,12 @@ def _overlaid_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "column.overlaid",
-        build_decoder=_overlaid_decoder,
-        encode=_overlaid_encode,
-        host_verify=_overlaid_verify,
-    )
+register_scheme(
+    "column.overlaid",
+    _TYPED,
+    build_decoder=_overlaid_decoder,
+    encode=_overlaid_encode,
+    host_verify=_overlaid_verify,
 )
 
 
@@ -399,13 +387,12 @@ def _segmentation_encode(params, family):
     return {"start": Column(INT, [0]), "length": Column(INT, [len(col)])}
 
 
-register_codec(
-    CodecEntry(
-        "segmentation",
-        build_decoder=_segmentation_decoder,
-        encode=_segmentation_encode,
-        host_verify=lambda p, cols: _segmentation_ok(cols["start"].values, cols["length"].values),
-    )
+register_scheme(
+    "segmentation",
+    {},
+    build_decoder=_segmentation_decoder,
+    encode=_segmentation_encode,
+    host_verify=lambda p, cols: _segmentation_ok(cols["start"].values, cols["length"].values),
 )
 
 
@@ -420,19 +407,18 @@ def _uniform_segmentation_encode(params, family):
     col = family["col"]
     if list(col.values) != list(range(len(col))):
         raise NotEncodable("segmentations represent identity columns only")
-    ell = int(params.get("segment_length", max(1, len(col))))
+    ell = params.get("segment_length", max(1, len(col)))
     return {"segment_length": scalar_column(INT, ell), "overall_length": scalar_column(INT, len(col))}
 
 
-register_codec(
-    CodecEntry(
-        "segmentation.uniform",
-        build_decoder=_uniform_segmentation_decoder,
-        encode=_uniform_segmentation_encode,
-        host_verify=lambda p, cols: len(cols["segment_length"]) == 1
-        and len(cols["overall_length"]) == 1
-        and cols["segment_length"][0] >= 1,
-    )
+register_scheme(
+    "segmentation.uniform",
+    {"segment_length": POSITIVE.optional()},
+    build_decoder=_uniform_segmentation_decoder,
+    encode=_uniform_segmentation_encode,
+    host_verify=lambda p, cols: len(cols["segment_length"]) == 1
+    and len(cols["overall_length"]) == 1
+    and cols["segment_length"][0] >= 1,
 )
 
 
@@ -454,15 +440,14 @@ def _segmented_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "segmented",
-        build_decoder=_segmented_decoder,
-        encode=_segmented_encode,
-        host_verify=lambda p, cols: _segmentation_ok(
-            cols["segment_start_pos"].values, cols["segment_length"].values, len(cols["data"])
-        ),
-    )
+register_scheme(
+    "segmented",
+    _TYPED,
+    build_decoder=_segmented_decoder,
+    encode=_segmented_encode,
+    host_verify=lambda p, cols: _segmentation_ok(
+        cols["segment_start_pos"].values, cols["segment_length"].values, len(cols["data"])
+    ),
 )
 
 
@@ -475,23 +460,22 @@ def _uniformly_segmented_decoder(params):
 
 
 def _uniformly_segmented_encode(params, family):
-    ell = int(params.get("segment_length", 1))
+    ell = params.get("segment_length", 1)
     return {"data": family["col"], "segment_length": scalar_column(INT, ell)}
 
 
-register_codec(
-    CodecEntry(
-        "segmented.uniform",
-        build_decoder=_uniformly_segmented_decoder,
-        encode=_uniformly_segmented_encode,
-        host_verify=lambda p, cols: len(cols["segment_length"]) == 1 and cols["segment_length"][0] >= 1,
-    )
+register_scheme(
+    "segmented.uniform",
+    {"type": TYPE, "segment_length": POSITIVE.optional()},
+    build_decoder=_uniformly_segmented_decoder,
+    encode=_uniformly_segmented_encode,
+    host_verify=lambda p, cols: len(cols["segment_length"]) == 1 and cols["segment_length"][0] >= 1,
 )
 
 
 def _segmented_subcolumn_decoder(params):
     t = _t(params)
-    ell = int(params["segment_length"])
+    ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     segment_pos = b.input("segment_pos")
@@ -508,8 +492,8 @@ def _segmented_subcolumn_decoder(params):
 
 
 def _segmented_subcolumn_verify(params, cols):
-    ell = int(params["segment_length"])
-    if ell < 1 or not _holds(cols, "segment_length", ell):
+    ell = params["segment_length"]
+    if not _holds(cols, "segment_length", ell):
         return False
     n = len(cols["data"])
     segs = cols["segment_pos"].values
@@ -519,7 +503,7 @@ def _segmented_subcolumn_verify(params, cols):
 
 
 def _segmented_subcolumn_encode(params, family):
-    ell = _segment_length(params)
+    ell = params["segment_length"]
     sc = SubcolumnStd(family["pos"], family["data"]).canonical()
     pos = sc.pos.values
     segs, data_order = [], []
@@ -542,14 +526,13 @@ def _segmented_subcolumn_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "subcolumn.segmented",
-        build_decoder=_segmented_subcolumn_decoder,
-        encode=_segmented_subcolumn_encode,
-        host_verify=_segmented_subcolumn_verify,
-        equivalent=subcolumn_family_equivalent,
-    )
+register_scheme(
+    "subcolumn.segmented",
+    {"type": TYPE, "segment_length": POSITIVE},
+    build_decoder=_segmented_subcolumn_decoder,
+    encode=_segmented_subcolumn_encode,
+    host_verify=_segmented_subcolumn_verify,
+    equivalent=subcolumn_family_equivalent,
 )
 
 
@@ -586,14 +569,13 @@ def _sparse_indexset_encode(params, family):
     return {"full_length": scalar_column(INT, n), "elements": Column(INT, vals)}
 
 
-register_codec(
-    CodecEntry(
-        "indexset.sparse",
-        build_decoder=_sparse_indexset_decoder,
-        encode=_sparse_indexset_encode,
-        host_verify=_sparse_indexset_verify,
-        equivalent=indexset_equivalent,
-    )
+register_scheme(
+    "indexset.sparse",
+    {},
+    build_decoder=_sparse_indexset_decoder,
+    encode=_sparse_indexset_encode,
+    host_verify=_sparse_indexset_verify,
+    equivalent=indexset_equivalent,
 )
 
 
@@ -613,13 +595,12 @@ def _dense_indexset_encode(params, family):
     return {"characteristic": Column(BIT, [1 if i in members else 0 for i in range(n)])}
 
 
-register_codec(
-    CodecEntry(
-        "indexset.dense",
-        build_decoder=_dense_indexset_decoder,
-        encode=_dense_indexset_encode,
-        equivalent=indexset_equivalent,
-    )
+register_scheme(
+    "indexset.dense",
+    {},
+    build_decoder=_dense_indexset_decoder,
+    encode=_dense_indexset_encode,
+    equivalent=indexset_equivalent,
 )
 
 
@@ -656,26 +637,21 @@ def _contiguous_indexset_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "indexset.contiguous",
-        build_decoder=_contiguous_indexset_decoder,
-        encode=_contiguous_indexset_encode,
-        host_verify=_contiguous_indexset_verify,
-        equivalent=indexset_equivalent,
-    )
+register_scheme(
+    "indexset.contiguous",
+    {},
+    build_decoder=_contiguous_indexset_decoder,
+    encode=_contiguous_indexset_encode,
+    host_verify=_contiguous_indexset_verify,
+    equivalent=indexset_equivalent,
 )
 
 
 # -- partitions -------------------------------------------------------------------------
 
 
-def _partition_k(params) -> int:
-    return int(params["k"])
-
-
 def _partition_decoder(params):
-    k = _partition_k(params)
+    k = params["k"]
     b = CircuitBuilder()
     part = b.input("partition")
     for j in range(k):
@@ -687,12 +663,12 @@ def _partition_decoder(params):
 
 
 def _partition_verify(params, cols):
-    k = _partition_k(params)
+    k = params["k"]
     return _below(cols["partition"].values, k)
 
 
 def _partition_encode(params, family):
-    k = _partition_k(params)
+    k = params["k"]
     n = None
     assignment = {}
     for j in range(k):
@@ -708,7 +684,7 @@ def _partition_encode(params, family):
 
 
 def _partition_equivalent(params, a, b):
-    k = _partition_k(params)
+    k = params["k"]
 
     def parts(fam):
         return [tuple(sorted(fam[f"pos_{j + 1}"].values)) for j in range(k)]
@@ -716,19 +692,18 @@ def _partition_equivalent(params, a, b):
     return parts(a) == parts(b)
 
 
-register_codec(
-    CodecEntry(
-        "partition",
-        build_decoder=_partition_decoder,
-        encode=_partition_encode,
-        host_verify=_partition_verify,
-        equivalent=_partition_equivalent,
-    )
+register_scheme(
+    "partition",
+    {"k": POSITIVE},
+    build_decoder=_partition_decoder,
+    encode=_partition_encode,
+    host_verify=_partition_verify,
+    equivalent=_partition_equivalent,
 )
 
 
 def _partitioned_k_decoder(params):
-    k = _partition_k(params)
+    k = params["k"]
     t = _t(params)
     b = CircuitBuilder()
     poss = [b.input(f"pos_{j + 1}") for j in range(k)]
@@ -744,7 +719,7 @@ def _partitioned_k_decoder(params):
 
 
 def _partitioned_k_verify(params, cols):
-    k = _partition_k(params)
+    k = params["k"]
     if any(len(cols[f"pos_{j + 1}"]) != len(cols[f"data_{j + 1}"]) for j in range(k)):
         return False
     pos = [p for j in range(k) for p in cols[f"pos_{j + 1}"].values]
@@ -752,7 +727,7 @@ def _partitioned_k_verify(params, cols):
 
 
 def _partitioned_k_encode(params, family):
-    k = _partition_k(params)
+    k = params["k"]
     col = family["col"]
     partition = params.get("partition")
     n = len(col)
@@ -770,14 +745,12 @@ def _partitioned_k_encode(params, family):
     return out
 
 
-register_codec(
-    CodecEntry(
-        "partition.k",
-        build_decoder=_partitioned_k_decoder,
-        encode=_partitioned_k_encode,
-        host_verify=_partitioned_k_verify,
-        normalize_params=lambda p: {key: v for key, v in p.items() if key != "partition"},
-    )
+register_scheme(
+    "partition.k",
+    {"type": TYPE, "k": POSITIVE, "partition": PARTITION},
+    build_decoder=_partitioned_k_decoder,
+    encode=_partitioned_k_encode,
+    host_verify=_partitioned_k_verify,
 )
 
 
@@ -826,18 +799,17 @@ def _components_encode(params, family):
     return {f"component_{i + 1}": Column(types[i], columns[i]) for i in range(len(types))}
 
 
-register_codec(
-    CodecEntry(
-        "components",
-        build_decoder=_components_decoder,
-        encode=_components_encode,
-        host_verify=_components_verify,
-    )
+register_scheme(
+    "components",
+    {"types": TYPES},
+    build_decoder=_components_decoder,
+    encode=_components_encode,
+    host_verify=_components_verify,
 )
 
 
 def _concat_components_decoder(params):
-    k = int(params["k"])
+    k = params["k"]
     t = _t(params)
     b = CircuitBuilder()
     comp = b.add(
@@ -851,7 +823,7 @@ def _concat_components_decoder(params):
 
 
 def _concat_components_verify(params, cols):
-    k = int(params["k"])
+    k = params["k"]
     if len(cols["segment_length"]) != 1:
         return False
     ell = cols["segment_length"][0]
@@ -859,7 +831,7 @@ def _concat_components_verify(params, cols):
 
 
 def _concat_components_encode(params, family):
-    k = int(params["k"])
+    k = params["k"]
     zipped = family["composed"]
     t = _et(params)
     parts = [[v[j] for v in zipped.values] for j in range(k)]
@@ -870,18 +842,17 @@ def _concat_components_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "components.concatenated",
-        build_decoder=_concat_components_decoder,
-        encode=_concat_components_encode,
-        host_verify=_concat_components_verify,
-    )
+register_scheme(
+    "components.concatenated",
+    {"type": TYPE, "k": POSITIVE},
+    build_decoder=_concat_components_decoder,
+    encode=_concat_components_encode,
+    host_verify=_concat_components_verify,
 )
 
 
 def _shattered_decoder(params):
-    k = int(params["k"])
+    k = params["k"]
     t = _t(params)
     b = CircuitBuilder()
     comp = b.add(
@@ -895,30 +866,29 @@ def _shattered_decoder(params):
 
 
 def _shattered_verify(params, cols):
-    k = int(params["k"])
+    k = params["k"]
     return _holds(cols, "segment_length", k) and len(cols["components"]) % k == 0
 
 
 def _shattered_encode(params, family):
-    k = int(params["k"])
+    k = params["k"]
     zipped = family["composed"]
     t = _et(params)
     flat = [x for v in zipped.values for x in v]
     return {"segment_length": scalar_column(INT, k), "components": Column(t, flat)}
 
 
-register_codec(
-    CodecEntry(
-        "components.shattered",
-        build_decoder=_shattered_decoder,
-        encode=_shattered_encode,
-        host_verify=_shattered_verify,
-    )
+register_scheme(
+    "components.shattered",
+    {"type": TYPE, "k": POSITIVE},
+    build_decoder=_shattered_decoder,
+    encode=_shattered_encode,
+    host_verify=_shattered_verify,
 )
 
 
 def _value_indicators_decoder(params):
-    d = int(params["domain_size"])
+    d = params["domain_size"]
     b = CircuitBuilder()
     b.sink(b.input("domain_size"), _INT)
     bitmaps = b.input("bitmaps")
@@ -937,7 +907,7 @@ def _value_indicators_decoder(params):
 
 
 def _value_indicators_verify(params, cols):
-    d = int(params["domain_size"])
+    d = params["domain_size"]
     if not _holds(cols, "domain_size", d):
         return False
     bits = cols["bitmaps"].values
@@ -948,7 +918,7 @@ def _value_indicators_verify(params, cols):
 
 
 def _value_indicators_encode(params, family):
-    d = int(params["domain_size"])
+    d = params["domain_size"]
     if d < 1:
         raise NotEncodable(f"domain_size must be at least 1, got {d}")
     col = family["col"]
@@ -961,13 +931,12 @@ def _value_indicators_encode(params, family):
     return {"domain_size": scalar_column(INT, d), "bitmaps": Column(BIT, bits)}
 
 
-register_codec(
-    CodecEntry(
-        "value.indicators",
-        build_decoder=_value_indicators_decoder,
-        encode=_value_indicators_encode,
-        host_verify=_value_indicators_verify,
-    )
+register_scheme(
+    "value.indicators",
+    {"domain_size": INTEGER},
+    build_decoder=_value_indicators_decoder,
+    encode=_value_indicators_encode,
+    host_verify=_value_indicators_verify,
 )
 
 
@@ -1034,14 +1003,13 @@ def _varwidth_std_encode(params, family):
     return canonical_varwidth(varwidth_elements(family), family["data"].element_type)
 
 
-register_codec(
-    CodecEntry(
-        "varwidth.std",
-        build_decoder=_varwidth_std_decoder,
-        encode=_varwidth_std_encode,
-        host_verify=_varwidth_std_verify,
-        equivalent=varwidth_equivalent,
-    )
+register_scheme(
+    "varwidth.std",
+    _TYPED,
+    build_decoder=_varwidth_std_decoder,
+    encode=_varwidth_std_encode,
+    host_verify=_varwidth_std_verify,
+    equivalent=varwidth_equivalent,
 )
 
 
@@ -1074,9 +1042,7 @@ def _capped_width_verify(params, cols):
 def _capped_width_encode(params, family):
     elements = varwidth_elements(family)
     base = family["data"].element_type
-    m = int(params.get("max_length", max((len(e) for e in elements), default=1) or 1))
-    if m < 1:
-        raise NotEncodable("max_length must be positive")
+    m = params.get("max_length", max((len(e) for e in elements), default=1) or 1)
     filler = base.zero()
     data, lengths = [], []
     for e in elements:
@@ -1092,14 +1058,13 @@ def _capped_width_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "varwidth.capped",
-        build_decoder=_capped_width_decoder,
-        encode=_capped_width_encode,
-        host_verify=_capped_width_verify,
-        equivalent=varwidth_equivalent,
-    )
+register_scheme(
+    "varwidth.capped",
+    {"type": TYPE, "max_length": POSITIVE.optional()},
+    build_decoder=_capped_width_decoder,
+    encode=_capped_width_encode,
+    host_verify=_capped_width_verify,
+    equivalent=varwidth_equivalent,
 )
 
 
@@ -1137,13 +1102,12 @@ def _nullable_complementing_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "nullable.complementing",
-        build_decoder=_nullable_complementing_decoder,
-        encode=_nullable_complementing_encode,
-        host_verify=_nullable_complementing_verify,
-    )
+register_scheme(
+    "nullable.complementing",
+    {"type": TYPE, "null_value": VALUE},
+    build_decoder=_nullable_complementing_decoder,
+    encode=_nullable_complementing_encode,
+    host_verify=_nullable_complementing_verify,
 )
 
 
@@ -1173,13 +1137,12 @@ def _nullable_patched_encode(params, family):
     }
 
 
-register_codec(
-    CodecEntry(
-        "nullable.patched",
-        build_decoder=_nullable_patched_decoder,
-        encode=_nullable_patched_encode,
-        host_verify=_nullable_patched_verify,
-    )
+register_scheme(
+    "nullable.patched",
+    {"type": TYPE, "null_value": VALUE},
+    build_decoder=_nullable_patched_decoder,
+    encode=_nullable_patched_encode,
+    host_verify=_nullable_patched_verify,
 )
 
 

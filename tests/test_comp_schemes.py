@@ -765,7 +765,7 @@ class TestEncoderParams:
         family = u32([1, 2, 3])
         if scheme_id == "subcolumn.segmented":
             family = {"pos": idx([0, 1, 2]), "data": family}
-        with pytest.raises(NotEncodable, match=f"segment_length must be positive, not {ell}"):
+        with pytest.raises(NotEncodable, match=f"'segment_length' must be a positive integer, not {ell}"):
             encode(scheme_id, dict(params, segment_length=ell), family)
 
     @pytest.mark.parametrize(
@@ -890,12 +890,11 @@ class TestFitsPastTheFloatRange:
         assert inst.columns["coefficients"].values == (0.0, 0.0)
         assert verify(inst) and decode(inst)["col"] == col
 
-    def test_noisy_integer_fit_encodes(self):
+    def test_noisy_integer_fit_past_i64_is_not_encodable(self):
         # the integer decoder raises each ``i`` to the 100th power in i64, which
-        # overflows however small the coefficient, so this instance cannot decode
-        inst = encode("noisy.generated", {"type": "u32", "basis": [0, 100], "noise_type": "i64"}, u32(self.VALUES))
-        assert inst.columns["coefficients"].values == (0, 0)
-        assert inst.columns["noise"].values == tuple(self.VALUES)
+        # overflows however small the coefficient, so no instance of it decodes
+        with pytest.raises(NotEncodable, match="leaves i64"):
+            encode("noisy.generated", {"type": "u32", "basis": [0, 100], "noise_type": "i64"}, u32(self.VALUES))
 
     @pytest.mark.parametrize(
         "scheme_id, params",

@@ -1,0 +1,213 @@
+"""The params surface: scheme, recipe and operator params are checked against declared kinds.
+
+A malformed scheme param is ``NotEncodable`` from ``verify``, ``decode`` and
+``encode``; a missing one is a plain ``ColcircError``; a malformed operator
+param is ``OperatorError("bad-params")``.  Nothing else escapes, and no
+value is converted: ``2.5`` is refused wherever an integer is declared.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import random
+
+import pytest
+
+from colcirc import (
+    ColcircError,
+    CompositionRecipe,
+    NotEncodable,
+    OperatorError,
+    SchemeInstance,
+    circuit_to_json,
+    codec,
+    compose,
+    decode,
+    encode,
+    instantiate,
+    make_column,
+    scalar_column,
+    verify,
+)
+from colcirc.builder import CircuitBuilder
+from colcirc.cli import main
+from colcirc.types import F64, INT, U32
+
+from scheme_cases import CASES
+
+codec_mod = importlib.import_module("colcirc.codec")
+
+INT_BAD = ["x", None, 2.5, -1, 0, []]
+TYPE_BAD = ["x", None, 7, [], {}]
+TYPE_KEYS = ("type", "types", "bits", "partition", "narrow_type", "noise_type", "offset_type", "delta_type")
+
+
+def _first(sid):
+    """A valid ``(params, family, instance)`` of ``sid``'s case (seed 1)."""
+    params, family = CASES[sid].gen(random.Random(1))
+    return params, family, encode(sid, params, family)
+
+
+def _calls(sid, params, family, inst):
+    yield lambda: verify(SchemeInstance(sid, params, inst.columns))
+    yield lambda: decode(SchemeInstance(sid, params, inst.columns), check=False)
+    yield lambda: encode(sid, params, family)
+
+
+def _probe(sid, keys_of, bads):
+    """The calls with one param set to each bad value that escape with anything but a ColcircError."""
+    params, family, inst = _first(sid)
+    escaped = []
+    for key in keys_of(params):
+        for bad in bads:
+            for call in _calls(sid, dict(params, **{key: bad}), family, inst):
+                try:
+                    call()
+                except ColcircError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the escape is what is counted
+                    escaped.append((key, bad, type(exc).__name__))
+    return escaped
+
+
+def _declared_ints(sid, params):
+    """The params given as an ``int`` whose declared kind refuses ``2.5``."""
+    declared = codec(sid).declared
+    return [k for k, v in params.items() if type(v) is int and k in declared and not declared[k].ok(2.5)]
+
+
+INT_SCHEMES = sorted(sid for sid in CASES if _declared_ints(sid, _first(sid)[0]))
+
+
+@pytest.mark.parametrize("sid", sorted(CASES))
+def test_bad_integer_params_raise_only_colcirc_errors(sid):
+    assert _probe(sid, lambda p: [k for k, v in p.items() if type(v) is int], INT_BAD) == []
+
+
+@pytest.mark.parametrize("sid", sorted(CASES))
+def test_bad_type_like_params_raise_only_colcirc_errors(sid):
+    assert _probe(sid, lambda p: [k for k in TYPE_KEYS if k in p], TYPE_BAD) == []
+
+
+@pytest.mark.parametrize("sid", INT_SCHEMES)
+def test_encode_refuses_a_float_where_an_int_is_declared(sid):
+    params, family, _ = _first(sid)
+    for key in _declared_ints(sid, params):
+        with pytest.raises(NotEncodable, match=f"'{key}' must be"):
+            encode(sid, dict(params, **{key: 2.5}), family)
+
+
+@pytest.mark.parametrize("sid", ["delta", "cascade", "value.indicators"])
+def test_an_accepted_dict_is_kept_as_given(sid):
+    params, family, inst = _first(sid)
+    assert inst.params == params and verify(inst)
+
+
+def test_missing_and_malformed_params_are_told_apart():
+    col = make_column(U32, [1, 2, 3])
+    with pytest.raises(ColcircError, match="missing scheme param 'offset_type'") as missing:
+        encode("for", {"type": "u32"}, col)
+    assert not isinstance(missing.value, NotEncodable)
+    with pytest.raises(NotEncodable, match="'offset_type' must be an element type name, not 8"):
+        encode("for", {"type": "u32", "offset_type": 8, "segment_length": 2}, col)
+
+
+def test_hints_are_checked_on_every_encode_and_kept_out_of_the_instance():
+    col = make_column(U32, [1, 2, 3, 4])
+    params = {"type": "u32", "basis": [0, 1]}
+    assert encode("spline.generalized", dict(params, segments=[2, 2]), col).params == params
+    with pytest.raises(NotEncodable, match="hint 'segments' must be a list of positive integer lengths"):
+        encode("spline.generalized", dict(params, segments=[2.0, 2.0]), col)
+
+
+def test_the_check_runs_once_per_params_key(monkeypatch):
+    checks = []
+    check = codec_mod.check
+    monkeypatch.setattr(codec_mod, "check", lambda *a, **k: checks.append(a[0]) or check(*a, **k))
+    params = {"type": "u32", "delta_type": "i8", "segment_length": 97}  # a key no other test builds
+    inst = encode("delta", params, make_column(U32, [5, 6, 8, 9]))
+    for _ in range(3):
+        decode(inst)
+        verify(inst)
+        encode("delta", params, make_column(U32, [5, 6]))
+    assert checks == [codec_mod.codec("delta").declared]  # with the decoder the first encode built
+
+
+def test_compose_refuses_a_float_segment_length():
+    inner = (("nullsup", {"type": "u32", "narrow_type": "u8"}),)
+    recipe = CompositionRecipe("segmentize-uniform", "testonly.params.seg", inner, {"segment_length": 2.5})
+    with pytest.raises(NotEncodable, match="option 'segment_length' must be a positive integer, not 2.5"):
+        compose(recipe)
+
+
+# -- the polynomial decoders' i64 powers ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sid, params",
+    [
+        ("noisy.generated", {"type": "u32", "noise_type": "i64", "basis": [0, 30]}),
+        ("generated", {"type": "u32", "basis": [0, 30]}),
+        ("generated.poly", {"type": "u32", "basis": [0, 30]}),
+    ],
+)
+def test_powers_past_i64_are_refused_and_rejected(sid, params):
+    values = [i % 7 for i in range(100)] if sid == "noisy.generated" else [0] * 100
+    with pytest.raises(NotEncodable, match="leaves i64"):
+        encode(sid, params, make_column(U32, values))
+    fits = encode(sid, params, make_column(U32, values[:4]))  # 3**30 is inside i64
+    assert decode(fits)["col"].values == tuple(values[:4])
+    if sid == "noisy.generated":
+        too_long = fits.with_columns(noise=make_column(fits.columns["noise"].element_type, [0] * 100))
+    else:
+        too_long = fits.with_columns(length=scalar_column(INT, 100))
+    assert verify(too_long) is False
+
+
+def test_float_powers_are_not_bounded_by_i64():
+    col = make_column(F64, [0.0] * 100)
+    assert verify(encode("generated", {"type": "f64", "basis": [0, 30]}, col))
+
+
+# -- operator params ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "op, params, message",
+    [
+        ("scalar", {"type": "u8"}, "missing parameter 'value'"),
+        ("iota", {"type": 7}, "'type' must be an element type name"),
+        ("concatenate", {"type": "u8", "k": "x"}, "'k' must be a positive integer"),
+        ("concatenate", {"type": "u8", "k": 2.5}, "'k' must be a positive integer"),
+        ("carve", {"w": "x", "p": 2}, "'w' must be an integer"),
+        ("derivative", {"type": "u8", "out_type": 5}, "'out_type' must be an element type name"),
+        ("compose_segments", {"type": "u8", "k": 65}, "512-bit cap"),
+        ("host_verify", {"scheme": ["dict"], "params": {}}, "'scheme' must be a name"),
+    ],
+)
+def test_bad_operator_params(op, params, message):
+    with pytest.raises(OperatorError, match=message) as raised:
+        instantiate(op, params)
+    assert raised.value.code == "bad-params"
+
+
+def test_a_float_scale_stays_valid():
+    inst = instantiate("elementwise", {"fn": "scale", "type": "f64", "k": 0.5})
+    assert inst.apply({"arguments": make_column(F64, [2.0, 3.0])})["result"].values == (1.0, 1.5)
+
+
+@pytest.mark.parametrize("edit", ["drop-value", "iota-type"])
+def test_eval_of_a_circuit_with_bad_params_exits_1(tmp_path, capsys, edit):
+    b = CircuitBuilder()
+    b.output("n", b.iota(b.scalar("u64", 3)))
+    doc = circuit_to_json(b.build())
+    for v in doc["vertices"]:
+        if edit == "drop-value" and v["op"] == "scalar":
+            del v["params"]["value"]
+        if edit == "iota-type" and v["op"] == "iota":
+            v["params"]["type"] = 7
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert "bad-params" in capsys.readouterr().err

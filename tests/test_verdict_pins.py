@@ -69,8 +69,8 @@ PINS = {
     'dict.monotone': 'f2e6d1d411d9d214083ef8b4aa9f4b622c95edb778372a097d9dfaade0b5a40c',
     'dict.unique': '14dec29f4f78fd4ef6b719d210a00eeac763cfae8f3c2d0d1af99875de28b39b',
     'for': '1a7202694ee96c19f23a260703d2cc3b0b774e3814994ecc4f363de16f2a4537',
-    'generated': 'ac65b13e74266bdd5701239f5befdcc53ec554543231a495bcb8cdb2a5d90eb2',
-    'generated.poly': '5e198a539fb6570da9e266f916f2d76734b28654a12e29239ce82a108fc7d665',
+    'generated': 'e3fbec2e6d9202498c403c7d53c2a59fbe35a654ddc2a5030e7b7c49421e42e3',
+    'generated.poly': '5809b994a8d60bfc2a5fde4b5ab4ad19079e4b594423ade8be529eeb53d9a156',
     'idx.common_prefix': 'e9d3d314f3b639fb080e6ab842d78de82b5a5a9ae1621ece1537713beec9892b',
     'idx.common_upper_half': 'c3d53b413e243ff6f2390960b8a8aad26a9a5ee5b20e28d80fda544b8b53a1b0',
     'indexed': '2c49aa5c77d0a494240d4ba45806427025de6a2fa937b8b4fd2519685e7235b1',
