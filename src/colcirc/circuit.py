@@ -82,6 +82,7 @@ class ColumnarCircuit:
     # ignore them
     _plan = None
     _structure = None
+    _decoded = None  # a codec's decoded-family spec, when the circuit is a decoder (``codec._decoded_spec``)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))

@@ -74,6 +74,20 @@ def _without_out_prefix(outputs: dict) -> dict:
     return {label[n:] if label.startswith(DECODED_PREFIX) else label: v for label, v in outputs.items()}
 
 
+def _decoded_spec(decoder: ColumnarCircuit) -> dict:
+    """The decoded family's ``{label: ElementType}``: the decoder's output types without ``out:``.
+
+    Memoized on the decoder circuit beside its evaluation plan, so it lives
+    as long as the circuit (an entry's decoder cache holds at most
+    ``_DECODER_CACHE_KEYS``); do not mutate it.
+    """
+    spec = decoder._decoded
+    if spec is None:
+        spec = _without_out_prefix(decoder.signature.outputs)
+        object.__setattr__(decoder, "_decoded", spec)
+    return spec
+
+
 class CodecEntry:
     """Registry record binding a scheme id to its params and codec callables.
 
@@ -225,7 +239,7 @@ class CodecEntry:
         return self.decoder(params).signature.inputs
 
     def decoded_labels(self, params) -> list:
-        return list(_without_out_prefix(self.decoder(params).signature.outputs))
+        return list(_decoded_spec(self.decoder(params)))
 
     def check_form(self, params, columns: dict) -> bool:
         spec = self.form_spec(params)
@@ -339,19 +353,22 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
     entry = codec(scheme_id)
     raw = dict(params)
     normalized = entry.normalize_params(raw)
-    decoded = _without_out_prefix(entry.decoder(normalized).signature.outputs)
+    # the decoder lookup keys the params once; the decoded family's spec is
+    # memoized on the decoder circuit (``_decoded_spec``)
+    decoded = _decoded_spec(entry.decoder(normalized))
     if isinstance(family, Column) and len(decoded) == 1:
         family = dict.fromkeys(decoded, family)
     # the family is checked before the encoder sees it, so an ill-typed one
     # is NotEncodable whatever its values
-    if not isinstance(family, Mapping) or family.keys() != decoded.keys():
+    if not (type(family) is dict or isinstance(family, Mapping)) or family.keys() != decoded.keys():
         raise NotEncodable(f"{scheme_id} expects the labeled family {list(decoded)}")
     for label, t in decoded.items():
         col = family[label]
         if not isinstance(col, Column):
             raise NotEncodable(f"{scheme_id} family member {label!r} is not a column")
-        if col.element_type != t:
-            raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {col.element_type}")
+        found = col.element_type
+        if found is not t and found != t:
+            raise NotEncodable(f"{scheme_id} decodes {label!r} as {t}, but the family gives {found}")
     hinted = normalized  # the encoder sees the decoder's params and the hints
     if entry.hints:  # no part of the decoder's key, so checked on each call
         check(entry.hints, raw, what="hint")

@@ -177,20 +177,42 @@ def _generated_encode(params, family):
 
 
 def _fit_poly_int(values, degrees):
-    from fractions import Fraction
+    """The exact integer coefficients of ``degrees`` through ``values``, or None.
 
+    Solves in the integers: fraction-free (Bareiss) elimination divides only
+    where the division is exact, and back-substitution's ``divmod`` leaves a
+    remainder exactly where the rational solution is not integral.  None when
+    the system is singular or its solution is not integral.
+    """
     k = len(degrees)
     n = len(values)
     if n == 0:
         return [0] * k
     # under-determined fits interpolate on a basis prefix, zero-padding the rest
     use = degrees[: min(n, k)]
-    rows = [[Fraction(i**d) for d in use] for i in range(len(use))]
-    rhs = [Fraction(v) for v in values[: len(use)]]
-    coeffs = _solve_exact(rows, rhs)
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs] + [0] * (k - len(use))
+    m = len(use)
+    aug = [[i**d for d in use] + [values[i]] for i in range(m)]
+    prev = 1
+    for c in range(m):
+        # the pivot is the first nonzero entry in the column, as in ``_solve_exact``
+        pivot = next((r for r in range(c, m) if aug[r][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        top = aug[c]
+        pv = top[c]
+        for r in range(c + 1, m):
+            f = aug[r][c]
+            aug[r] = [(pv * x - f * y) // prev for x, y in zip(aug[r], top)]
+        prev = pv
+    coeffs = [0] * m
+    for c in reversed(range(m)):
+        row = aug[c]
+        q, rest = divmod(row[m] - sum(map(mul, row[c + 1 : m], coeffs[c + 1 :])), row[c])
+        if rest:
+            return None
+        coeffs[c] = q
+    return coeffs + [0] * (k - m)
 
 
 def _fit_poly_float(values, degrees):
@@ -205,7 +227,12 @@ def _fit_poly_float(values, degrees):
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination in the entries' field; None when singular."""
+    """Gauss-Jordan elimination in the entries' field; None when singular.
+
+    The float fits (``_fit_poly_float``, ``_fit_float_least_squares``) solve
+    in the floats with it, so their coefficients keep these exact bits; the
+    integer fit solves in the integers (``_fit_poly_int``).
+    """
     k = len(rhs)
     aug = [list(r) + [v] for r, v in zip(rows, rhs)]
     for c in range(k):

@@ -22,7 +22,7 @@ from itertools import accumulate, compress
 
 from .column import _RANGED, Column, _range_of, _set_range, scalar_column
 from .errors import OperatorError, RegistryError
-from .params import INTEGER, POSITIVE, TYPE, TYPES, VALUE
+from .params import INTEGER, NUMBER, POSITIVE, TYPE, TYPES, VALUE, one_of
 from .types import BIT, INT, ElementType, Kind, parse_type
 
 # an enum member is a descriptor lookup on its class; the hot paths read these
@@ -111,12 +111,17 @@ def instantiate(op_name: str, params: dict | None = None) -> OperatorInstance:
     return _CATALOG[op_name].instantiate(params or {})
 
 
+_BAD_PARAMS = partial(OperatorError, "bad-params")
+
+
 def _param(params, key, kind, default=None):
     """``params[key]``, or ``default`` when absent; a missing one, or one not of ``kind``, is ``bad-params``."""
     value = params.get(key, default)
     if value is None:
         raise OperatorError("bad-params", f"missing parameter {key!r}")
-    return kind.checked(key, value, partial(OperatorError, "bad-params"), "parameter")
+    if kind.ok(value):  # the common case, without the method call that names the failure
+        return value
+    return kind.checked(key, value, _BAD_PARAMS, "parameter")
 
 
 def _typ(params, key="type", default=None):
@@ -331,6 +336,8 @@ def _fn_identity():
 def _fn_in_range():
     def sig(params):
         t = _typ(params)
+        _param(params, "lo", NUMBER)
+        _param(params, "hi", NUMBER)
         return {"arguments": t}, {"result": BIT}
 
     def run(inst, cols):
@@ -350,11 +357,14 @@ _CONST_COMPARES = {
     "gt": lambda vals, ref: [1 if v > ref else 0 for v in vals],
     "ge": lambda vals, ref: [1 if v >= ref else 0 for v in vals],
 }
+_CMP = one_of(_CONST_COMPARES)
 
 
 def _fn_const_compare():
     def sig(params):
         t = _typ(params)
+        _param(params, "cmp", _CMP, "eq")
+        _param(params, "value", NUMBER)
         return {"arguments": t}, {"result": BIT}
 
     def run(inst, cols):
@@ -424,6 +434,8 @@ def _fn_cast():
 def _fn_clip_by():
     def sig(params):
         t = _typ(params)
+        # k > 0 is checked on apply: a decoder may hold k = 0 for an instance its verifier rejects
+        _param(params, "k", NUMBER)
         return {"arguments": t}, {"result": t}
 
     def run(inst, cols):
@@ -444,6 +456,7 @@ def _fn_clip_by():
 def _fn_scale():
     def sig(params):
         t = _typ(params)
+        _param(params, "k", NUMBER)
         return {"arguments": t}, {"result": t}
 
     def run(inst, cols):
@@ -524,12 +537,11 @@ _ELEMENTWISE_FNS = {
     "tuple_make": _fn_tuple_make(),
     "carve": _fn_carve(),
 }
+_FN = one_of(_ELEMENTWISE_FNS)
 
 
 def _ew_instantiate(params):
-    fn = params.get("fn")
-    if fn not in _ELEMENTWISE_FNS:
-        raise OperatorError("bad-params", f"unknown elementwise fn {fn!r}")
+    fn = _param(params, "fn", _FN)
     ins, outs = _ELEMENTWISE_FNS[fn][0](params)
     return OperatorInstance("elementwise", dict(params), Signature(ins, outs))
 
@@ -1004,12 +1016,13 @@ _AGG_OPS = {
     "and": (lambda a, b: a & b, lambda t: 1),
     "or": (lambda a, b: a | b, lambda t: 0),
 }
+_AGG_OP = one_of(_AGG_OPS)
+_MODE = one_of(("inclusive", "exclusive"))
 
 
 def _prefix_sig(params):
-    op = params.get("op", "add")
-    if op not in _AGG_OPS:
-        raise OperatorError("bad-params", f"unknown prefix aggregate op {op!r}")
+    op = _param(params, "op", _AGG_OP, "add")
+    _param(params, "mode", _MODE, "inclusive")
     t = _typ(params) if op not in ("and", "or") else BIT
     return {"data": t}, {"aggregates": t}
 

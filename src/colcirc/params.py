@@ -16,6 +16,9 @@ from .types import ElementType, parse_type
 
 # 2.0 ** 1024 overflows f64, so at a higher degree position 2 overflows every type
 MAX_DEGREE = 1023
+# decoders that build vertices per part or per domain value take at most this many,
+# so a well-formed but huge param is refused before any vertex is built
+MAX_PARTS = 4096
 
 
 class ParamKind(NamedTuple):
@@ -52,10 +55,18 @@ def _int_in(lo, hi=float("inf")):
     return lambda v: type(v) is int and lo <= v <= hi
 
 
+def one_of(table) -> ParamKind:
+    """A name that keys ``table``."""
+    return ParamKind(f"one of {', '.join(sorted(table))}", lambda v: isinstance(v, str) and v in table)
+
+
 TYPE = ParamKind("an element type name", _is_type)
 TYPES = ParamKind("a non-empty list of element type names", _list_of(_is_type, nonempty=True))
 INTEGER = ParamKind("an integer", lambda v: type(v) is int)
 POSITIVE = ParamKind("a positive integer", _int_in(1))
+PARTS = ParamKind(f"a positive integer at most {MAX_PARTS}", _int_in(1, MAX_PARTS))
+DOMAIN_SIZE = ParamKind(f"an integer at most {MAX_PARTS}", _int_in(float("-inf"), MAX_PARTS))
+NUMBER = ParamKind("a number", lambda v: type(v) is int or type(v) is float)
 WIDTH = ParamKind("an integer width in 1..64", _int_in(1, 64))
 EVEN_WIDTH = ParamKind("an even integer width in 2..64", lambda v: WIDTH.ok(v) and v % 2 == 0)
 WIDTHS = ParamKind("a non-empty list of integer widths in 1..64", _list_of(_int_in(1, 64), nonempty=True))

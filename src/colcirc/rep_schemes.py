@@ -16,7 +16,7 @@ from .builder import CircuitBuilder, expand_ranges
 from .codec import SchemeInstance, decode, register_scheme
 from .column import Column, scalar_column
 from .errors import NotEncodable, OperatorError
-from .params import INTEGER, PARTITION, POSITIVE, TYPE, TYPES, VALUE
+from .params import DOMAIN_SIZE, PARTITION, PARTS, POSITIVE, TYPE, TYPES, VALUE
 from .types import BIT, INT, ElementType, parse_type
 
 _INT = str(INT)
@@ -694,7 +694,7 @@ def _partition_equivalent(params, a, b):
 
 register_scheme(
     "partition",
-    {"k": POSITIVE},
+    {"k": PARTS},
     build_decoder=_partition_decoder,
     encode=_partition_encode,
     host_verify=_partition_verify,
@@ -747,7 +747,7 @@ def _partitioned_k_encode(params, family):
 
 register_scheme(
     "partition.k",
-    {"type": TYPE, "k": POSITIVE, "partition": PARTITION},
+    {"type": TYPE, "k": PARTS, "partition": PARTITION},
     build_decoder=_partitioned_k_decoder,
     encode=_partitioned_k_encode,
     host_verify=_partitioned_k_verify,
@@ -933,7 +933,7 @@ def _value_indicators_encode(params, family):
 
 register_scheme(
     "value.indicators",
-    {"domain_size": INTEGER},
+    {"domain_size": DOMAIN_SIZE},
     build_decoder=_value_indicators_decoder,
     encode=_value_indicators_encode,
     host_verify=_value_indicators_verify,

@@ -16,6 +16,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,10 +33,11 @@ from colcirc import (
     make_column,
     out_port,
 )
+from colcirc import comp_schemes as cs_mod
 from colcirc import ops as ops_mod
 from colcirc import types as types_mod
 from colcirc.column import read_col_bytes, write_col_bytes
-from colcirc.errors import ColcircError, EvaluationError, OperatorError, TypeDomainError, VerificationFailed
+from colcirc.errors import ColcircError, EvaluationError, NotEncodable, OperatorError, TypeDomainError, VerificationFailed
 from colcirc.types import BIT, BOTTOM, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, UNIT, ElementType, parse_type
 from paths import count_checked_columns, edges, encoded, lineitem, splice_q6
 
@@ -315,6 +317,40 @@ def test_composed_decode_looks_no_inner_decoder_up(monkeypatch, kind, inner, opt
     monkeypatch.setattr(codec_mod, "params_key", lambda params: keys.append(params) or params_key(params))
     assert codec_mod.decode(inst)["col"].values == tuple(values)
     assert len(keys) == 1
+
+
+# -- encode: exact integer fits and once-per-decoder bookkeeping ----------------------------------
+
+
+def test_an_integer_fit_constructs_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    assert Fraction(1, 2) and made  # the counter counts
+    made.clear()
+    assert cs_mod._fit_poly_int([7, 10, 17], [0, 1, 2]) == [7, 1, 2]
+    assert cs_mod._fit_poly_int([0, 1, 3], [0, 1, 2]) is None
+    inst = encode("spline.generalized", {"type": "u32", "degree": 2, "segments": [3, 2]}, col(U32, [7, 10, 17, 4, 4]))
+    assert inst.columns["coefficients"].values == (7, 1, 2, 4, 0, 0)
+    assert made == []
+
+
+def test_a_repeat_encode_keys_its_params_once_and_derives_no_spec(monkeypatch):
+    params = {"type": "u32", "narrow_type": "u8"}
+    family = col(U32, [1, 2, 3])
+    want = encode("nullsup", params, family)  # finds or builds the decoder, and its decoded spec
+    keys, derived = [], []
+    params_key = codec_mod.params_key
+    without_out_prefix = codec_mod._without_out_prefix
+    monkeypatch.setattr(codec_mod, "params_key", lambda p: keys.append(p) or params_key(p))
+    monkeypatch.setattr(codec_mod, "_without_out_prefix", lambda o: derived.append(o) or without_out_prefix(o))
+    for _ in range(3):
+        keys.clear()
+        assert encode("nullsup", dict(params), {"col": family}) == want
+        assert len(keys) == 1
+    assert derived == []
+    with pytest.raises(NotEncodable, match="decodes 'col' as u32, but the family gives u8"):
+        encode("nullsup", params, col(U8, [1, 2, 3]))
 
 
 # -- the count guard: checked Column constructions per evaluation ------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import accumulate
 import pathlib
 import random
@@ -9,7 +10,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from colcirc import (
     Column,
@@ -876,6 +877,71 @@ class TestLeastSquares:
         values = [900 + 3 * i + (i * 7919) % 81 - 40 for i in range(500)]
         want = [int(round(c)) for c in _row_major_least_squares([float(v) for v in values], [0, 1, 2])]
         assert cs._fit_int_least_squares(values, [0, 1, 2]) == want
+
+
+def _fraction_fit_poly_int(values, degrees):
+    """The integer fit ``_fit_poly_int`` replaced: Gauss-Jordan elimination over ``Fraction``s."""
+    k, n = len(degrees), len(values)
+    if n == 0:
+        return [0] * k
+    use = degrees[: min(n, k)]
+    m = len(use)
+    aug = [[Fraction(i**d) for d in use] + [Fraction(values[i])] for i in range(m)]
+    for c in range(m):
+        pivot = next((r for r in range(c, m) if aug[r][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for r in range(m):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    coeffs = [aug[r][m] for r in range(m)]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return [int(c) for c in coeffs] + [0] * (k - m)
+
+
+_FIT_BOUNDS = [0, 1, -1, 2**64 - 1, 2**63 - 1, 2**63, -(2**63)]  # the u64 and i64 bounds, and one past
+_fit_ints = st.one_of(st.integers(-1000, 1000), st.sampled_from(_FIT_BOUNDS))
+
+
+@st.composite
+def _int_fits(draw):
+    """``(values, degrees)``: bases with gaps, repeats and no 0, over n below, at and above their size."""
+    degrees = draw(st.one_of(st.lists(st.integers(0, 6), max_size=5), st.sampled_from([[0, 30], [1, 2], [3, 1, 0]])))
+    n = draw(st.integers(0, len(degrees) + 2))
+    if draw(st.booleans()):  # exactly polynomial
+        coeffs = draw(st.lists(_fit_ints, min_size=len(degrees), max_size=len(degrees)))
+        values = [sum(c * i**d for c, d in zip(coeffs, degrees)) for i in range(n)]
+    else:
+        values = draw(st.lists(_fit_ints, min_size=n, max_size=n))
+    return values, degrees
+
+
+class TestIntegerFit:
+    """The integer fit solves in the integers and agrees with the ``Fraction`` solver it replaced."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_int_fits())
+    @example(([1, 2], [1, 2]))  # singular: every row is zero at node 0
+    @example(([0, 1, 3], [0, 1, 2]))  # i/2 + i*i/2: exact, but not integral
+    @example(([5, 5 + 2**64 - 1], [0, 30]))
+    @example(([2**64 - 1, -(2**63), 0], [2, 0, 1]))
+    def test_matches_the_fraction_solver(self, case):
+        values, degrees = case
+        got = cs._fit_poly_int(values, degrees)
+        assert got == _fraction_fit_poly_int(values, degrees)
+        assert got is None or all(type(c) is int for c in got)
+
+    def test_singular_and_non_integral_systems_have_no_fit(self):
+        assert cs._fit_poly_int([1, 2], [1, 2]) is None
+        assert cs._fit_poly_int([1, 2], [1, 1]) is None  # a repeated degree
+        assert cs._fit_poly_int([0, 1, 3], [0, 1, 2]) is None
+        assert cs._fit_poly_int([7, 9], [0, 1, 2]) == [7, 2, 0]  # a basis prefix, zero-padded
+        assert cs._fit_poly_int([], [1, 2]) == [0, 0]
 
 
 class TestFitsPastTheFloatRange:

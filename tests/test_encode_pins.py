@@ -77,6 +77,15 @@ def _piecewise_affine(rng, segments):
     return values
 
 
+def _piecewise_quadratic(rng, segments, half=False):
+    """Each segment ``a + b*i + c*i*i``; with ``half``, ``a + i*(i+1)/2``, whose exact fit has coefficients 1/2."""
+    values = []
+    for l in segments:
+        a, b, c = rng.randrange(0, 60), rng.randrange(0, 6), rng.randrange(0, 3)
+        values.extend(a + i * (i + 1) // 2 if half else a + b * i + c * i * i for i in range(l))
+    return values
+
+
 def _float_specials(rng, n):
     pool = [0.0, -0.0, 1.5, -2.25, 1e300, -1e300, float("inf"), float("-inf"), float("nan")]
     return _runs(rng, n, lambda: rng.choice(pool))
@@ -124,6 +133,16 @@ CASES = {
         {"type": "i64", "basis": [0, 1, 3]},
         _col("i64", [4 - 5 * i + 2 * i**3 for i in range(n)]),
     ),
+    "generated.poly.no_constant": lambda rng, n: (
+        "generated.poly",
+        {"type": "i64", "basis": [1, 2]},  # every row at node 0 is zero: the fit is singular
+        _col("i64", [i * i - 3 * i for i in range(n)]),
+    ),
+    "generated.poly.half": lambda rng, n: (
+        "generated.poly",
+        {"type": "u32", "degree": 2},  # i*(i+1)/2: an exact fit, but not an integral one
+        _col("u32", [i * (i + 1) // 2 for i in range(n)]),
+    ),
     "noisy.generated.u32": lambda rng, n: (
         "noisy.generated",
         {"type": "u32", "basis": [0, 1], "noise_type": "i8"},
@@ -158,6 +177,17 @@ CASES = {
         "spline.knotted",
         {"type": "u32", "basis": [0, 1], "segments": (segs := _segments(rng, max(n - 2, 0), 40) + [min(n, 2)])},
         _col("u32", _piecewise_affine(rng, [s for s in segs if s])),
+    ),
+    "spline.knotted.quadratic": lambda rng, n: (
+        "spline.knotted",
+        # the last segment holds 2 values under a 3-term basis
+        {"type": "u32", "degree": 2, "segments": (segs := _segments(rng, max(n - 2, 0), 40) + [min(n, 2)])},
+        _col("u32", _piecewise_quadratic(rng, [s for s in segs if s])),
+    ),
+    "spline.knotted.half": lambda rng, n: (
+        "spline.knotted",
+        {"type": "u32", "basis": [0, 1, 2], "segments": (segs := [min(n, 3)] + _segments(rng, max(n - 3, 0), 40))},
+        _col("u32", _piecewise_quadratic(rng, [s for s in segs if s], half=True)),
     ),
     "spline.equiknotted": lambda rng, n: (
         "spline.equiknotted",
@@ -276,10 +306,18 @@ PINS = {
     'generated.f64.inexact/1': {'coefficients': 'c96643a25ad89672b818cf39722d00c0400ae2a142950d11f09b8fb56c360f2f', 'length': 'c88bd38cda994a32d42799108f1de7d322b8f6e9cb42992c8e45f17fc8d56dab'},
     'generated.f64.inexact/5': {'coefficients': '301843572fada549afe643d5554bd17b3f3c62bd390c9363e1c11f6969853592', 'length': '435eb0444b8af154fd548475a650ffd70960ac418f1d263f75fcdb5ed58cc6ad'},
     'generated.f64.inexact/8000': {'coefficients': '301843572fada549afe643d5554bd17b3f3c62bd390c9363e1c11f6969853592', 'length': '6aee473a88e2bb8e9ebe105505e15c3bd0ea635e8e453305cc7568cc91d55570'},
+    'generated.poly.half/0': {'coefficients': '53b43597b3270319d29f64d0836a7da85933500328b5788ef95a938cdd4a187f', 'length': '842027a5a836de1f713b5d61db0e60ebe8451778f0a3780f1bde428b2fd2da48'},
+    'generated.poly.half/1': {'coefficients': '53b43597b3270319d29f64d0836a7da85933500328b5788ef95a938cdd4a187f', 'length': 'c88bd38cda994a32d42799108f1de7d322b8f6e9cb42992c8e45f17fc8d56dab'},
+    'generated.poly.half/5': 'not-encodable',
+    'generated.poly.half/8000': 'not-encodable',
     'generated.poly.i64.sparse/0': {'coefficients': 'c346ac0e24a2489a982c6caaa161bb4e2d6216538f72ffe01abf4294c000bc84', 'length': '842027a5a836de1f713b5d61db0e60ebe8451778f0a3780f1bde428b2fd2da48'},
     'generated.poly.i64.sparse/1': {'coefficients': 'a26a9ed64d16d61f9d3a5b18332f256de110c3887ec8f799045e2408fb3446e6', 'length': 'c88bd38cda994a32d42799108f1de7d322b8f6e9cb42992c8e45f17fc8d56dab'},
     'generated.poly.i64.sparse/5': {'coefficients': '326e598e30d98d6709b4b7db4b3d6f22999526066aded6f49c72460aa85014af', 'length': '435eb0444b8af154fd548475a650ffd70960ac418f1d263f75fcdb5ed58cc6ad'},
     'generated.poly.i64.sparse/8000': {'coefficients': '326e598e30d98d6709b4b7db4b3d6f22999526066aded6f49c72460aa85014af', 'length': '6aee473a88e2bb8e9ebe105505e15c3bd0ea635e8e453305cc7568cc91d55570'},
+    'generated.poly.no_constant/0': {'coefficients': '8b3fe4c023cec0d6c0676d3a10a2f6c8476a34f945c99b0670bd14753d348188', 'length': '842027a5a836de1f713b5d61db0e60ebe8451778f0a3780f1bde428b2fd2da48'},
+    'generated.poly.no_constant/1': 'not-encodable',
+    'generated.poly.no_constant/5': 'not-encodable',
+    'generated.poly.no_constant/8000': 'not-encodable',
     'generated.poly.u32/0': {'coefficients': '53b43597b3270319d29f64d0836a7da85933500328b5788ef95a938cdd4a187f', 'length': '842027a5a836de1f713b5d61db0e60ebe8451778f0a3780f1bde428b2fd2da48'},
     'generated.poly.u32/1': {'coefficients': '2a039a4081f2ac312306f06630e98b5b80ad5699fe664e6a2c2e79a0b282937e', 'length': 'c88bd38cda994a32d42799108f1de7d322b8f6e9cb42992c8e45f17fc8d56dab'},
     'generated.poly.u32/5': {'coefficients': '73f63371c85d772c6782f8392d7931670fa59ff3a01e6ffa56e0f8937d4165c4', 'length': '435eb0444b8af154fd548475a650ffd70960ac418f1d263f75fcdb5ed58cc6ad'},
@@ -360,6 +398,14 @@ PINS = {
     'spline.knotted/1': 'not-encodable',
     'spline.knotted/5': {'coefficients': '2cafdaf451b743b95af8de26c45a89483d1f5a4cb7c7dc224d27ede5ab690b72', 'knots': '417ffef39d30ec249aa6c49737042617478636d1fa5eeab9e20dc7bcd9afba4e'},
     'spline.knotted/8000': {'coefficients': 'c5590d7e426e909df4bb681aeeb82b36481a0e50c4e450c40d26e79e0086cbd6', 'knots': '6034fda62d0733e1668af0e3bb6ffa855ddb6799bc5171eb4e2dc35f990b1dc1'},
+    'spline.knotted.half/0': 'not-encodable',
+    'spline.knotted.half/1': 'not-encodable',
+    'spline.knotted.half/5': 'not-encodable',
+    'spline.knotted.half/8000': 'not-encodable',
+    'spline.knotted.quadratic/0': 'not-encodable',
+    'spline.knotted.quadratic/1': 'not-encodable',
+    'spline.knotted.quadratic/5': {'coefficients': 'bc57e3dab1af41f2b2495536043e7184b94cee363c408f283c2effefe0d3ee93', 'knots': '417ffef39d30ec249aa6c49737042617478636d1fa5eeab9e20dc7bcd9afba4e'},
+    'spline.knotted.quadratic/8000': {'coefficients': '3bed0fc4c22279a503fffada24cda953c4256c89b1ccd8319ad27ba425fda41b', 'knots': 'b9f666090d4a713fffa3c911e000af4f24fe6dfe5c55a0f8b2fc22d89d791474'},
     'varwidth.capped/0': {'data': '4b6e9cc1363c470a1957c615ecdbd4e3995260c8947bbe05ba7b14ff37e73869', 'lengths': 'ede04d97f9988297a1406b3d86449f3c912daf3ab5d4034be4998eb89d1790c4', 'max_length': 'c88bd38cda994a32d42799108f1de7d322b8f6e9cb42992c8e45f17fc8d56dab'},
     'varwidth.capped/1': {'data': 'edd597fa1e34fc7cce13a8e3de9468f5c8d09ef41d216205722e60537f52b1b9', 'lengths': 'cc6a49292c91d428dfb0567a539fa574fa21b6a8985da6276463fc9a51a37667', 'max_length': 'cc6a49292c91d428dfb0567a539fa574fa21b6a8985da6276463fc9a51a37667'},
     'varwidth.capped/5': {'data': 'dad140e0a7f7be1ec4c96527d1df54b2c08d6753f975af4c6bc9eca22f1b350c', 'lengths': '9e4761b628660c63523c7ba8c32514760900e3710b4fdde2407a01c86f4ee52d', 'max_length': 'cc6a49292c91d428dfb0567a539fa574fa21b6a8985da6276463fc9a51a37667'},

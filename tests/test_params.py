@@ -29,10 +29,11 @@ from colcirc import (
     make_column,
     scalar_column,
     verify,
+    write_col_file,
 )
 from colcirc.builder import CircuitBuilder
 from colcirc.cli import main
-from colcirc.types import F64, INT, U32
+from colcirc.types import F64, INT, U32, parse_type
 
 from scheme_cases import CASES
 
@@ -211,3 +212,118 @@ def test_eval_of_a_circuit_with_bad_params_exits_1(tmp_path, capsys, edit):
     path.write_text(json.dumps(doc))
     assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
     assert "bad-params" in capsys.readouterr().err
+
+
+# -- operator params that name a table entry or a constant ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"fn": ["add"], "type": "u64"}, "'fn' must be one of add, and,"),
+        ({"type": "u64"}, "missing parameter 'fn'"),
+        ({"fn": "const_compare", "type": "u64", "cmp": "zz", "value": 1}, "'cmp' must be one of eq, ge, gt, le, lt, ne"),
+        ({"fn": "const_compare", "type": "u64", "cmp": ["eq"], "value": 1}, "'cmp' must be one of"),
+        ({"fn": "const_compare", "type": "u64", "value": "1"}, "'value' must be a number, not '1'"),
+        ({"fn": "const_compare", "type": "u64", "value": True}, "'value' must be a number, not True"),
+        ({"fn": "const_compare", "type": "u64"}, "missing parameter 'value'"),
+        ({"fn": "in_range", "type": "u64", "lo": "1", "hi": 2}, "'lo' must be a number"),
+        ({"fn": "in_range", "type": "u64", "lo": 1, "hi": [2]}, "'hi' must be a number"),
+        ({"fn": "in_range", "type": "u64", "hi": 2}, "missing parameter 'lo'"),
+        ({"fn": "scale", "type": "u64", "k": "2"}, "'k' must be a number"),
+        ({"fn": "clip_by", "type": "u64", "k": None}, "missing parameter 'k'"),
+        ({"fn": "clip_by", "type": "u64", "k": False}, "'k' must be a number"),
+    ],
+)
+def test_bad_elementwise_params_are_refused_at_instantiation(params, message):
+    with pytest.raises(OperatorError, match=message) as raised:
+        instantiate("elementwise", params)
+    assert raised.value.code == "bad-params"
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"op": ["add"], "type": "u64"}, "'op' must be one of add, and, max, min, or"),
+        ({"op": "avg", "type": "u64"}, "'op' must be one of"),
+        ({"mode": "zz", "type": "u64"}, "'mode' must be one of exclusive, inclusive, not 'zz'"),
+        ({"mode": ["inclusive"], "type": "u64"}, "'mode' must be one of"),
+    ],
+)
+def test_bad_prefix_aggregate_params_are_refused_at_instantiation(params, message):
+    with pytest.raises(OperatorError, match=message) as raised:
+        instantiate("prefix_aggregate", params)
+    assert raised.value.code == "bad-params"
+
+
+@pytest.mark.parametrize(
+    "params, values, want",
+    [
+        ({"fn": "const_compare", "type": "f64", "cmp": "ge", "value": 1}, [0.5, 1.0, 2.0], (0, 1, 1)),
+        ({"fn": "const_compare", "type": "u64", "value": 2.5}, [2, 3], (0, 0)),  # cmp defaults to eq
+        ({"fn": "in_range", "type": "f64", "lo": -1, "hi": 1.5}, [-2.0, 0.0, 1.5], (0, 1, 1)),
+        ({"fn": "scale", "type": "f64", "k": 2}, [1.5], (3.0,)),
+        ({"fn": "clip_by", "type": "u64", "k": 2}, [5, 6], (2, 3)),
+    ],
+)
+def test_numbers_of_either_kind_stay_valid(params, values, want):
+    inst = instantiate("elementwise", params)
+    assert inst.apply({"arguments": make_column(parse_type(params["type"]), values)})["result"].values == want
+
+
+def test_clip_by_a_nonpositive_k_is_refused_on_apply():
+    inst = instantiate("elementwise", {"fn": "clip_by", "type": "u64", "k": 0})
+    with pytest.raises(OperatorError, match="clip_by needs a positive k"):
+        inst.apply({"arguments": make_column(INT, [1])})
+
+
+@pytest.mark.parametrize("edit", [("cmp", "zz"), ("value", "7")], ids=["cmp", "value"])
+def test_eval_of_a_circuit_with_a_bad_const_compare_exits_1(tmp_path, capsys, edit):
+    b = CircuitBuilder()
+    small = b.ew("const_compare", {"type": "u64", "cmp": "lt", "value": 2}, arguments=b.iota(b.scalar("u64", 3)))
+    b.output("small", small)
+    doc = circuit_to_json(b.build())
+    (vertex,) = [v for v in doc["vertices"] if v["params"].get("fn") == "const_compare"]
+    vertex["params"][edit[0]] = edit[1]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", str(path), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "bad-params" in err and f"'{edit[0]}'" in err
+
+
+# -- ceilings on params that size a decoder --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sid, params, family",
+    [
+        ("value.indicators", {"domain_size": 10**30}, {"col": make_column(INT, [0, 1])}),
+        ("value.indicators", {"domain_size": 4097}, {"col": make_column(INT, [0, 1])}),
+        ("partition", {"k": 10**30}, {"pos_1": make_column(INT, [0]), "data_1": make_column(INT, [0])}),
+        ("partition.k", {"type": "u32", "k": 4097}, {"col": make_column(U32, [5])}),
+    ],
+)
+def test_a_param_past_its_ceiling_is_refused_before_a_decoder_is_built(monkeypatch, sid, params, family):
+    entry = codec(sid)
+    built = []
+    build = entry.build_decoder
+    monkeypatch.setattr(entry, "build_decoder", lambda p: built.append(p) or build(p))
+    inst = SchemeInstance(sid, params, {})
+    for call in (lambda: encode(sid, params, family), lambda: verify(inst), lambda: decode(inst)):
+        with pytest.raises(NotEncodable, match="at most 4096"):
+            call()
+    assert built == []
+
+
+@pytest.mark.parametrize("sid, name", [("value.indicators", "domain_size"), ("partition", "k"), ("partition.k", "k")])
+def test_the_ceiling_itself_is_accepted(sid, name):
+    kind = codec(sid).declared[name]
+    assert kind.ok(4096) and not kind.ok(4097)
+
+
+def test_a_domain_size_past_its_ceiling_exits_2(tmp_path):
+    src = str(tmp_path / "c.col")
+    write_col_file(src, make_column(INT, [0, 1]))
+    argv = ["encode", "--scheme", "value.indicators", "--params", '{"domain_size": 5000}', src, str(tmp_path / "b")]
+    assert main(argv) == 2
