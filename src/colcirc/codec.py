@@ -19,7 +19,7 @@ from fractions import Fraction
 from .circuit import ColumnarCircuit, evaluate_circuit
 from .column import Column, representation_size_bytes, scalar_column
 from .errors import NotEncodable, RegistryError, TypeDomainError, VerificationFailed
-from .ops import REGISTRY_LOCK, OperatorInstance, Signature, _param, register_operator
+from .ops import REGISTRY_LOCK, register_operator
 from .params import NAME, OBJECT, check
 from .types import BIT
 
@@ -395,19 +395,13 @@ def compression_ratio(inst: SchemeInstance) -> Fraction:
 # -- the lifted host verifier --------------------------------------------------------
 
 
-def _host_verify_target(params):
-    return codec(_param(params, "scheme", NAME)), _param(params, "params", OBJECT)
-
-
-def _host_verify_instantiate(params):
-    entry, scheme_params = _host_verify_target(params)
-    spec = entry.form_spec(scheme_params)
-    return OperatorInstance("host_verify", dict(params), Signature(dict(spec), {"accept": BIT}))
+def _host_verify_sig(params):
+    return dict(codec(params["scheme"]).form_spec(params["params"])), {"accept": BIT}
 
 
 def _host_verify_apply(inst, cols):
-    entry, scheme_params = _host_verify_target(inst.params)
-    return {"accept": scalar_column(BIT, 1 if entry.host_verify(scheme_params, cols) else 0)}
+    accepted = codec(inst.params["scheme"]).host_verify(inst.params["params"], cols)
+    return {"accept": scalar_column(BIT, 1 if accepted else 0)}
 
 
-register_operator("host_verify", _host_verify_instantiate, _host_verify_apply)
+register_operator("host_verify", _host_verify_sig, _host_verify_apply, {"scheme": NAME, "params": OBJECT})

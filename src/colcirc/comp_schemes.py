@@ -26,6 +26,7 @@ from .rep_schemes import (
     _holds,
     _increasing,
     _is_distinct,
+    _padding,
     _positions,
     _ranges_within,
     _segment_count,
@@ -1203,7 +1204,7 @@ def _segdict_encode_entries(params, values, code_of, filler):
             raise NotEncodable(
                 f"segment at {at} has {len(local)} distinct values, dictionary holds {d}"
             )
-        padded = local + [local[0] if local else filler] * (d - len(local))
+        padded = local + _padding(local[0] if local else filler, d - len(local))
         index_of = {v: i for i, v in enumerate(local)}
         entries.extend(code_of(v) for v in padded)
         indices.extend(index_of[v] for v in seg)
@@ -1591,7 +1592,7 @@ def _pvw_encode(params, family):
         for e in group:
             data.extend(e)
             data.extend([filler] * (width - len(e)))
-        data.extend([filler] * (width * (period - len(group))))
+        data.extend(_padding(filler, width * (period - len(group))))
     return {
         "period": scalar_column(INT, period),
         "widths": Column(INT, widths),

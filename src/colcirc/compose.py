@@ -25,7 +25,7 @@ from .circuit import evaluate_circuit
 from .codec import CodecEntry, _ResolvedParams, _segments_hint, codec, register_codec
 from .column import Column, scalar_column
 from .errors import ColcircError, NotEncodable, OperatorError
-from .ops import OperatorInstance, Signature, _param, register_operator
+from .ops import register_operator
 from .params import NAME, PARTITION, POSITIVE, SEGMENTS, TYPE, WIDTH, check
 from .rep_schemes import _below, _holds, _positions
 from .types import INT, Kind, parse_type
@@ -503,23 +503,22 @@ class _SegmentizedCodec(_ComposedCodec):
 
 
 def _segmentized_codec(params):
-    entry = codec(_param(params, "scheme", NAME))
+    entry = codec(params["scheme"])
     if not isinstance(entry, _SegmentizedCodec):
         raise OperatorError("bad-params", f"{entry.scheme_id} is not a segmentized scheme")
     return entry
 
 
-def _segmentized_instantiate(params):
+def _segmentized_sig(params):
     entry = _segmentized_codec(params)
-    outs = {"result": parse_type(entry.data_type)}
-    return OperatorInstance("segmentized", dict(params), Signature(dict(entry.spec), outs))
+    return dict(entry.spec), {"result": parse_type(entry.data_type)}
 
 
 def _segmentized_apply(inst, cols):
     return {"result": _segmentized_codec(inst.params).decode_segments(cols)}
 
 
-register_operator("segmentized", _segmentized_instantiate, _segmentized_apply)
+register_operator("segmentized", _segmentized_sig, _segmentized_apply, {"scheme": NAME})
 
 
 # each kind's codec, and the recipe options it declares

@@ -22,7 +22,7 @@ from itertools import accumulate, compress
 
 from .column import _RANGED, Column, _range_of, _set_range, scalar_column
 from .errors import OperatorError, RegistryError
-from .params import INTEGER, NUMBER, POSITIVE, TYPE, TYPES, VALUE, one_of
+from .params import BOOL, INTEGER, NUMBER, PARTS, TYPE, TYPES, VALUE, check, one_of
 from .types import BIT, INT, ElementType, Kind, parse_type
 
 # an enum member is a descriptor lookup on its class; the hot paths read these
@@ -37,8 +37,8 @@ class Signature:
     outputs: dict
 
     def __post_init__(self):
-        overlap = set(self.inputs) & set(self.outputs)
-        if overlap:
+        if not self.inputs.keys().isdisjoint(self.outputs):  # no set is built for the common, disjoint case
+            overlap = set(self.inputs) & set(self.outputs)
             raise ValueError(f"input and output labels must be disjoint, both have {overlap}")
 
 
@@ -81,10 +81,11 @@ class OperatorInstance:
 
 
 class _OpDef:
-    def __init__(self, name, instantiate, apply):
+    def __init__(self, name, signature, apply, params):
         self.name = name
-        self.instantiate = instantiate  # params -> OperatorInstance
+        self.signature = signature  # checked params -> (inputs, outputs) or (inputs, outputs, inner)
         self.apply = apply  # (inst, {label: Column}) -> {label: Column}
+        self.params = params  # {param name: ParamKind}
 
 
 _CATALOG: dict[str, _OpDef] = {}
@@ -94,11 +95,19 @@ _CATALOG: dict[str, _OpDef] = {}
 REGISTRY_LOCK = threading.RLock()
 
 
-def register_operator(name, instantiate, apply):
+def register_operator(name, signature, apply, params=None):
+    """Add operator ``name`` to the catalog.
+
+    Its declaration holds ``params``, a dict from each param it reads to a
+    ``colcirc.params`` kind, and ``signature``, which maps params that passed
+    that check (the instance's own copy) to ``(inputs, outputs)``, two dicts
+    from label to element type, or to ``(inputs, outputs, inner)`` for an
+    instance that carries a parsed subcircuit.  ``apply(inst, cols)`` runs it.
+    """
     with REGISTRY_LOCK:
         if name in _CATALOG:
             raise RegistryError(f"operator {name!r} already registered")
-        _CATALOG[name] = _OpDef(name, instantiate, apply)
+        _CATALOG[name] = _OpDef(name, signature, apply, params or {})
 
 
 def catalog_names():
@@ -106,31 +115,27 @@ def catalog_names():
 
 
 def instantiate(op_name: str, params: dict | None = None) -> OperatorInstance:
-    if op_name not in _CATALOG:
+    """The instance of ``op_name`` over ``params``: the one place that checks operator params."""
+    entry = _CATALOG.get(op_name)
+    if entry is None:
         raise RegistryError(f"unknown operator {op_name!r}")
-    return _CATALOG[op_name].instantiate(params or {})
+    params = dict(params) if params else {}
+    check(entry.params, params, _BAD_PARAMS, _BAD_PARAMS, "parameter", none_missing=True)
+    sig = entry.signature(params)
+    return OperatorInstance(op_name, params, Signature(sig[0], sig[1]), sig[2] if len(sig) > 2 else None)
 
 
+# a missing, ``None`` or malformed operator param
 _BAD_PARAMS = partial(OperatorError, "bad-params")
 
 
-def _param(params, key, kind, default=None):
-    """``params[key]``, or ``default`` when absent; a missing one, or one not of ``kind``, is ``bad-params``."""
-    value = params.get(key, default)
-    if value is None:
-        raise OperatorError("bad-params", f"missing parameter {key!r}")
-    if kind.ok(value):  # the common case, without the method call that names the failure
-        return value
-    return kind.checked(key, value, _BAD_PARAMS, "parameter")
-
-
-def _typ(params, key="type", default=None):
-    t = _param(params, key, TYPE, default)
+def _typ(params, key="type"):
+    t = params[key]
     return parse_type(t) if isinstance(t, str) else t
 
 
 def _types(params) -> list:
-    return [parse_type(t) if isinstance(t, str) else t for t in _param(params, "types", TYPES)]
+    return [parse_type(t) if isinstance(t, str) else t for t in params["types"]]
 
 
 def _product(params, components) -> ElementType:
@@ -259,19 +264,52 @@ def _out(t: ElementType, values, rng=None) -> Column:
     return col
 
 
+# -- signatures ---------------------------------------------------------------
+
+# in a fixed signature, the element type that the ``type`` param names
+_T = None
+
+
+def _fixed(inputs, outputs):
+    """The signature of an operator whose shape no param changes; ``_T`` stands for its ``type``."""
+    typed_in = [label for label, et in inputs.items() if et is _T]
+    typed_out = [label for label, et in outputs.items() if et is _T]
+
+    def sig(params):
+        ins, outs = inputs.copy(), outputs.copy()  # copies, not comprehensions: this runs per instance
+        if typed_in or typed_out:
+            t = _typ(params)
+            for label in typed_in:
+                ins[label] = t
+            for label in typed_out:
+                outs[label] = t
+        return ins, outs
+
+    return sig
+
+
+_TYPED = {"type": TYPE}
+_UNARY = _fixed({"arguments": _T}, {"result": _T})
+_PREDICATE = _fixed({"arguments": _T}, {"result": BIT})
+
+
+def _components(label):
+    """The signature that zips one column per name in ``types`` into the product column ``label``."""
+
+    def sig(params):
+        comps = _types(params)
+        return {f"component_{i + 1}": t for i, t in enumerate(comps)}, {label: _product(params, comps)}
+
+    return sig
+
+
 # -- elementwise functions ---------------------------------------------------
 #
-# Each builtin is described by (derive_signature, vectorized apply).  The
-# signature derivation receives the params dict and returns (inputs, outputs)
-# as ordered label->type dicts.
+# Each builtin is (declared params, signature, vectorized run).
 
 
 def _binary_arith(pyop, bound):
     """A checked binary operator; ``bound`` maps the operands' intervals to the result's."""
-
-    def sig(params):
-        t = _typ(params)
-        return {"lhs": t, "rhs": t}, {"result": t}
 
     def run(inst, cols):
         t = inst.signature.outputs["result"]
@@ -285,67 +323,38 @@ def _binary_arith(pyop, bound):
             rng = a and b and bound(a, b)
         return {"result": _out(t, vals, _fit(t, vals, rng))}
 
-    return sig, run
+    return _TYPED, _fixed({"lhs": _T, "rhs": _T}, {"result": _T}), run
 
 
 def _binary_bool(pyop):
-    def sig(params):
-        return {"lhs": BIT, "rhs": BIT}, {"result": BIT}
-
     def run(inst, cols):
         vals = list(map(pyop, cols["lhs"].values, cols["rhs"].values))
         return {"result": _out(BIT, vals)}
 
-    return sig, run
+    return {}, _fixed({"lhs": BIT, "rhs": BIT}, {"result": BIT}), run
 
 
 def _comparison(pyop):
-    def sig(params):
-        t = _typ(params)
-        return {"lhs": t, "rhs": t}, {"result": BIT}
-
     def run(inst, cols):
         vals = [1 if pyop(a, b) else 0 for a, b in zip(cols["lhs"].values, cols["rhs"].values)]
         return {"result": _out(BIT, vals)}
 
-    return sig, run
+    return _TYPED, _fixed({"lhs": _T, "rhs": _T}, {"result": BIT}), run
 
 
-def _fn_not():
-    def sig(params):
-        return {"arguments": BIT}, {"result": BIT}
-
-    def run(inst, cols):
-        vals = [1 - v for v in cols["arguments"].values]
-        return {"result": _out(BIT, vals)}
-
-    return sig, run
+def _not_run(inst, cols):
+    vals = [1 - v for v in cols["arguments"].values]
+    return {"result": _out(BIT, vals)}
 
 
-def _fn_identity():
-    def sig(params):
-        t = _typ(params)
-        return {"arguments": t}, {"result": t}
-
-    def run(inst, cols):
-        return {"result": cols["arguments"]}
-
-    return sig, run
+def _identity_run(inst, cols):
+    return {"result": cols["arguments"]}
 
 
-def _fn_in_range():
-    def sig(params):
-        t = _typ(params)
-        _param(params, "lo", NUMBER)
-        _param(params, "hi", NUMBER)
-        return {"arguments": t}, {"result": BIT}
-
-    def run(inst, cols):
-        lo, hi = inst.params["lo"], inst.params["hi"]
-        vals = [1 if lo <= v <= hi else 0 for v in cols["arguments"].values]
-        return {"result": _out(BIT, vals)}
-
-    return sig, run
+def _in_range_run(inst, cols):
+    lo, hi = inst.params["lo"], inst.params["hi"]
+    vals = [1 if lo <= v <= hi else 0 for v in cols["arguments"].values]
+    return {"result": _out(BIT, vals)}
 
 
 # one comprehension per comparison, so no function is called per element
@@ -357,22 +366,12 @@ _CONST_COMPARES = {
     "gt": lambda vals, ref: [1 if v > ref else 0 for v in vals],
     "ge": lambda vals, ref: [1 if v >= ref else 0 for v in vals],
 }
-_CMP = one_of(_CONST_COMPARES)
 
 
-def _fn_const_compare():
-    def sig(params):
-        t = _typ(params)
-        _param(params, "cmp", _CMP, "eq")
-        _param(params, "value", NUMBER)
-        return {"arguments": t}, {"result": BIT}
-
-    def run(inst, cols):
-        compare = _CONST_COMPARES[inst.params.get("cmp", "eq")]
-        vals = compare(cols["arguments"].values, inst.params["value"])
-        return {"result": _out(BIT, vals)}
-
-    return sig, run
+def _const_compare_run(inst, cols):
+    compare = _CONST_COMPARES[inst.params.get("cmp", "eq")]
+    vals = compare(cols["arguments"].values, inst.params["value"])
+    return {"result": _out(BIT, vals)}
 
 
 _F64_EXACT = 1 << 53
@@ -400,158 +399,134 @@ def _float_cast(arg: Column, src: ElementType, dst: ElementType):
     return out
 
 
-def _fn_cast():
-    def sig(params):
-        src = _typ(params, "from")
-        dst = _typ(params, "to")
-        if not (src.is_numeric and dst.is_numeric):
-            raise OperatorError("bad-params", f"cast needs numeric types, got {src} to {dst}")
-        return {"arguments": src}, {"result": dst}
-
-    def run(inst, cols):
-        src = inst.signature.inputs["arguments"]
-        dst = inst.signature.outputs["result"]
-        arg = cols["arguments"]
-        vals = arg.values
-        if dst.kind is _FLOAT:  # a float result may still leave f32: it stays checked
-            return {"result": Column(dst, _float_cast(arg, src, dst))}
-        if src.kind is _FLOAT:
-            try:
-                out = list(map(int, vals))  # truncation toward zero
-            except (ValueError, OverflowError):
-                bad = next(v for v in vals if not math.isfinite(v))
-                raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
-            rng = _fit(dst, out, None, sources=vals)
-        else:  # integers pass through; an interval inside dst (a widening cast) reads none
-            out = vals
-            rng = _interval(arg) if len(vals) >= _RANGED else arg.element_type._bounds
-            rng = _fit(dst, out, rng, sources=vals)
-        return {"result": _out(dst, out, rng)}
-
-    return sig, run
+def _cast_sig(params):
+    src = _typ(params, "from")
+    dst = _typ(params, "to")
+    if not (src.is_numeric and dst.is_numeric):
+        raise OperatorError("bad-params", f"cast needs numeric types, got {src} to {dst}")
+    return {"arguments": src}, {"result": dst}
 
 
-def _fn_clip_by():
-    def sig(params):
-        t = _typ(params)
-        # k > 0 is checked on apply: a decoder may hold k = 0 for an instance its verifier rejects
-        _param(params, "k", NUMBER)
-        return {"arguments": t}, {"result": t}
-
-    def run(inst, cols):
-        k = inst.params["k"]
-        if k <= 0:
-            raise OperatorError("bad-params", "clip_by needs a positive k")
-        t = inst.signature.outputs["result"]
-        arg = cols["arguments"]
-        vals = [v // k for v in arg.values]
-        # 0 <= v // k <= v for v >= 0, and v <= v // k < 0 otherwise
-        proved = type(k) is int and t.is_integer
-        rng = _interval(arg) if proved and len(vals) >= _RANGED else None
-        return {"result": _out(t, vals, rng and (rng[0] // k, rng[1] // k)) if proved else Column(t, vals)}
-
-    return sig, run
-
-
-def _fn_scale():
-    def sig(params):
-        t = _typ(params)
-        _param(params, "k", NUMBER)
-        return {"arguments": t}, {"result": t}
-
-    def run(inst, cols):
-        k = inst.params["k"]
-        t = inst.signature.outputs["result"]
-        arg = cols["arguments"]
-        vals = [v * k for v in arg.values]
-        if t.kind is _FLOAT:  # as for _binary_arith; a float times an int or float is a float
-            f64 = t.width_bits == 64 and type(k) in (int, float)
-            return {"result": _out(t, vals) if f64 else Column(t, vals)}
-        a = _interval(arg) if type(k) is int and len(vals) >= _RANGED else None
-        rng = _fit(t, vals, a and _span(a[0] * k, a[1] * k))
-        return {"result": _out(t, vals, rng) if type(k) is int else Column(t, vals)}
-
-    return sig, run
+def _cast_run(inst, cols):
+    src = inst.signature.inputs["arguments"]
+    dst = inst.signature.outputs["result"]
+    arg = cols["arguments"]
+    vals = arg.values
+    if dst.kind is _FLOAT:  # a float result may still leave f32: it stays checked
+        return {"result": Column(dst, _float_cast(arg, src, dst))}
+    if src.kind is _FLOAT:
+        try:
+            out = list(map(int, vals))  # truncation toward zero
+        except (ValueError, OverflowError):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise OperatorError("overflow", f"cast of {bad} has no integer value") from None
+        rng = _fit(dst, out, None, sources=vals)
+    else:  # integers pass through; an interval inside dst (a widening cast) reads none
+        out = vals
+        rng = _interval(arg) if len(vals) >= _RANGED else arg.element_type._bounds
+        rng = _fit(dst, out, rng, sources=vals)
+    return {"result": _out(dst, out, rng)}
 
 
-def _fn_tuple_make():
-    def sig(params):
-        comps = _types(params)
-        ins = {f"component_{i + 1}": t for i, t in enumerate(comps)}
-        return ins, {"result": _product(params, comps)}
-
-    def run(inst, cols):
-        labels = list(inst.signature.inputs)
-        t = inst.signature.outputs["result"]
-        vals = list(zip(*(cols[lb].values for lb in labels))) if labels else []
-        return {"result": _out(t, vals)}
-
-    return sig, run
-
-
-def _fn_carve():
-    def sig(params):
-        w, p = _param(params, "w", INTEGER), _param(params, "p", INTEGER)
-        if not 0 < p < w <= 64:
-            raise OperatorError("bad-params", f"carve needs 0 < p < w <= 64, got w={w} p={p}")
-        return (
-            {"arguments": ElementType.unsigned(w)},
-            {"prefixes": ElementType.unsigned(p), "suffixes": ElementType.unsigned(w - p)},
-        )
-
-    def run(inst, cols):
-        w, p = inst.params["w"], inst.params["p"]
-        shift = w - p
-        mask = (1 << shift) - 1
-        pre, suf = [], []
-        for v in cols["arguments"].values:
-            if v >> w:
-                raise OperatorError("out-of-range", f"value {v} exceeds {w} bits")
-            pre.append(v >> shift)
-            suf.append(v & mask)
-        # an int v with v >> w == 0 lies in [0, 2**w): both parts fit
-        return {
-            "prefixes": _out(inst.signature.outputs["prefixes"], pre),
-            "suffixes": _out(inst.signature.outputs["suffixes"], suf),
-        }
-
-    return sig, run
+def _clip_by_run(inst, cols):
+    # k > 0 is checked here: a decoder may hold k = 0 for an instance its verifier rejects
+    k = inst.params["k"]
+    if k <= 0:
+        raise OperatorError("bad-params", "clip_by needs a positive k")
+    t = inst.signature.outputs["result"]
+    arg = cols["arguments"]
+    vals = [v // k for v in arg.values]
+    # 0 <= v // k <= v for v >= 0, and v <= v // k < 0 otherwise
+    proved = type(k) is int and t.is_integer
+    rng = _interval(arg) if proved and len(vals) >= _RANGED else None
+    return {"result": _out(t, vals, rng and (rng[0] // k, rng[1] // k)) if proved else Column(t, vals)}
 
 
+def _scale_run(inst, cols):
+    k = inst.params["k"]
+    t = inst.signature.outputs["result"]
+    arg = cols["arguments"]
+    vals = [v * k for v in arg.values]
+    if t.kind is _FLOAT:  # as for _binary_arith; a float times an int or float is a float
+        f64 = t.width_bits == 64 and type(k) in (int, float)
+        return {"result": _out(t, vals) if f64 else Column(t, vals)}
+    a = _interval(arg) if type(k) is int and len(vals) >= _RANGED else None
+    rng = _fit(t, vals, a and _span(a[0] * k, a[1] * k))
+    return {"result": _out(t, vals, rng) if type(k) is int else Column(t, vals)}
+
+
+def _tuple_make_run(inst, cols):
+    labels = list(inst.signature.inputs)
+    t = inst.signature.outputs["result"]
+    vals = list(zip(*(cols[lb].values for lb in labels))) if labels else []
+    return {"result": _out(t, vals)}
+
+
+def _carve_sig(params):
+    w, p = params["w"], params["p"]
+    if not 0 < p < w <= 64:
+        raise OperatorError("bad-params", f"carve needs 0 < p < w <= 64, got w={w} p={p}")
+    return (
+        {"arguments": ElementType.unsigned(w)},
+        {"prefixes": ElementType.unsigned(p), "suffixes": ElementType.unsigned(w - p)},
+    )
+
+
+def _carve_run(inst, cols):
+    w, p = inst.params["w"], inst.params["p"]
+    shift = w - p
+    mask = (1 << shift) - 1
+    pre, suf = [], []
+    for v in cols["arguments"].values:
+        if v >> w:
+            raise OperatorError("out-of-range", f"value {v} exceeds {w} bits")
+        pre.append(v >> shift)
+        suf.append(v & mask)
+    # an int v with v >> w == 0 lies in [0, 2**w): both parts fit
+    return {
+        "prefixes": _out(inst.signature.outputs["prefixes"], pre),
+        "suffixes": _out(inst.signature.outputs["suffixes"], suf),
+    }
+
+
+_WITH_K = {"type": TYPE, "k": NUMBER}
 _ELEMENTWISE_FNS = {
     "add": _binary_arith(operator.add, lambda a, b: (a[0] + b[0], a[1] + b[1])),
     "sub": _binary_arith(operator.sub, lambda a, b: (a[0] - b[1], a[1] - b[0])),
     "mul": _binary_arith(operator.mul, lambda a, b: _span(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])),
     "and": _binary_bool(operator.and_),
     "or": _binary_bool(operator.or_),
-    "not": _fn_not(),
+    "not": ({}, _fixed({"arguments": BIT}, {"result": BIT}), _not_run),
     "eq": _comparison(lambda a, b: a == b),
     "lt": _comparison(lambda a, b: a < b),
     "le": _comparison(lambda a, b: a <= b),
-    "in_range": _fn_in_range(),
-    "const_compare": _fn_const_compare(),
-    "identity": _fn_identity(),
-    "cast": _fn_cast(),
-    "clip_by": _fn_clip_by(),
-    "scale": _fn_scale(),
-    "tuple_make": _fn_tuple_make(),
-    "carve": _fn_carve(),
+    "in_range": ({"type": TYPE, "lo": NUMBER, "hi": NUMBER}, _PREDICATE, _in_range_run),
+    "const_compare": (
+        {"type": TYPE, "cmp": one_of(_CONST_COMPARES).optional(), "value": NUMBER},
+        _PREDICATE,
+        _const_compare_run,
+    ),
+    "identity": (_TYPED, _UNARY, _identity_run),
+    "cast": ({"from": TYPE, "to": TYPE}, _cast_sig, _cast_run),
+    "clip_by": (_WITH_K, _UNARY, _clip_by_run),
+    "scale": (_WITH_K, _UNARY, _scale_run),
+    "tuple_make": ({"types": TYPES}, _components("result"), _tuple_make_run),
+    "carve": ({"w": INTEGER, "p": INTEGER}, _carve_sig, _carve_run),
 }
-_FN = one_of(_ELEMENTWISE_FNS)
 
 
-def _ew_instantiate(params):
-    fn = _param(params, "fn", _FN)
-    ins, outs = _ELEMENTWISE_FNS[fn][0](params)
-    return OperatorInstance("elementwise", dict(params), Signature(ins, outs))
+def _ew_sig(params):
+    declared, sig, _ = _ELEMENTWISE_FNS[params["fn"]]
+    check(declared, params, _BAD_PARAMS, _BAD_PARAMS, "parameter", none_missing=True)
+    return sig(params)
 
 
 def _ew_apply(inst, cols):
     _require_equal_lengths(cols, inst.signature.inputs)
-    return _ELEMENTWISE_FNS[inst.params["fn"]][1](inst, cols)
+    return _ELEMENTWISE_FNS[inst.params["fn"]][2](inst, cols)
 
 
-register_operator("elementwise", _ew_instantiate, _ew_apply)
+register_operator("elementwise", _ew_sig, _ew_apply, {"fn": one_of(_ELEMENTWISE_FNS)})
 
 
 def elementwise(fn: str, args, **params) -> list[Column]:
@@ -570,19 +545,6 @@ def elementwise(fn: str, args, **params) -> list[Column]:
 # -- simple generators and structural operators -------------------------------
 
 
-def _simple(name, sig_fn, run_fn):
-    def inst_fn(params):
-        ins, outs = sig_fn(params)
-        return OperatorInstance(name, dict(params), Signature(ins, outs))
-
-    register_operator(name, inst_fn, run_fn)
-
-
-def _scalar_sig(params):
-    _param(params, "value", VALUE)
-    return {}, {"value": _typ(params)}
-
-
 def _scalar_run(inst, cols):
     col = inst._constant
     if col is None:  # a value outside the type raises here, on every call
@@ -591,30 +553,20 @@ def _scalar_run(inst, cols):
     return {"value": col}
 
 
-_simple("scalar", _scalar_sig, _scalar_run)
-
-
-def _noop_sig(params):
-    t = _typ(params)
-    return {"arguments": t}, {"result": t}
+register_operator("scalar", _fixed({}, {"value": _T}), _scalar_run, {"value": VALUE, "type": TYPE})
 
 
 def _noop_run(inst, cols):
     return {"result": cols["arguments"]}
 
 
-_simple("no_op", _noop_sig, _noop_run)
+register_operator("no_op", _UNARY, _noop_run, _TYPED)
 
 
 def _too_long(n):
     # past 2**63 - 1 a length overflows an index; below it, the interpreter
     # may still refuse the allocation (MemoryError) before any memory is taken
     return OperatorError("too-long", f"a length of {n} does not fit an index")
-
-
-def _replicate_sig(params):
-    t = _typ(params)
-    return {"value": t, "factor": INT}, {"replicated": t}
 
 
 def _replicate_run(inst, cols):
@@ -631,12 +583,7 @@ def _replicate_run(inst, cols):
     return {"replicated": _out(t, values, rng)}
 
 
-_simple("replicate", _replicate_sig, _replicate_run)
-
-
-def _select_sig(params):
-    t = _typ(params)
-    return {"data": t, "selection": BIT}, {"selected": t}
+register_operator("replicate", _fixed({"value": _T, "factor": INT}, {"replicated": _T}), _replicate_run, _TYPED)
 
 
 def _select_run(inst, cols):
@@ -651,11 +598,16 @@ def _select_run(inst, cols):
     return {"selected": _out(t, vals, rng)}
 
 
-_simple("select", _select_sig, _select_run)
+register_operator(
+    "select",
+    _fixed({"data": _T, "selection": BIT}, {"selected": _T}),
+    _select_run,
+    {"type": TYPE, "ordered": BOOL.optional()},
+)
 
 
 def _iota_sig(params):
-    t = _typ(params, default=str(INT))
+    t = _typ(params) if "type" in params else INT
     if not t.is_integer:
         raise OperatorError("bad-params", "iota output type must be an integer type")
     return {"n": INT}, {"result": t}
@@ -675,12 +627,7 @@ def _iota_run(inst, cols):
         raise _too_long(n) from None
 
 
-_simple("iota", _iota_sig, _iota_run)
-
-
-def _permute_sig(params):
-    t = _typ(params)
-    return {"permutation": INT, "data": t}, {"permuted": t}
+register_operator("iota", _iota_sig, _iota_run, {"type": TYPE.optional()})
 
 
 def _permute_run(inst, cols):
@@ -698,24 +645,19 @@ def _permute_run(inst, cols):
     return {"permuted": _out(inst.signature.outputs["permuted"], out)}
 
 
-_simple("permute", _permute_sig, _permute_run)
-
-
-def _length_sig(params):
-    t = _typ(params)
-    return {"col": t}, {"result": INT}
+register_operator("permute", _fixed({"permutation": INT, "data": _T}, {"permuted": _T}), _permute_run, _TYPED)
 
 
 def _length_run(inst, cols):
     return {"result": _out(INT, (len(cols["col"]),))}
 
 
-_simple("length", _length_sig, _length_run)
+register_operator("length", _fixed({"col": _T}, {"result": INT}), _length_run, _TYPED)
 
 
 def _concat_sig(params):
     t = _typ(params)
-    k = _param(params, "k", POSITIVE, 2)
+    k = params.get("k", 2)
     return {f"col_{i + 1}": t for i in range(k)}, {"result": t}
 
 
@@ -729,12 +671,7 @@ def _concat_run(inst, cols):
     return {"result": _out(t, vals, rng)}
 
 
-_simple("concatenate", _concat_sig, _concat_run)
-
-
-def _scatter_sig(params):
-    t = _typ(params)
-    return {"col": t, "pos": INT, "data": t}, {"result": t}
+register_operator("concatenate", _concat_sig, _concat_run, {"type": TYPE, "k": PARTS.optional()})
 
 
 def _scatter_run(inst, cols):
@@ -754,12 +691,7 @@ def _scatter_run(inst, cols):
     return {"result": _out(inst.signature.outputs["result"], base, rng)}
 
 
-_simple("scatter", _scatter_sig, _scatter_run)
-
-
-def _gather_sig(params):
-    t = _typ(params)
-    return {"pos": INT, "data": t}, {"result": t}
+register_operator("scatter", _fixed({"col": _T, "pos": INT, "data": _T}, {"result": _T}), _scatter_run, _TYPED)
 
 
 def _gather_run(inst, cols):
@@ -791,11 +723,7 @@ def _gather_run(inst, cols):
     return {"result": _out(inst.signature.outputs["result"], out, rng)}
 
 
-_simple("gather", _gather_sig, _gather_run)
-
-
-def _select_indices_sig(params):
-    return {"characteristic": BIT}, {"indices": INT}
+register_operator("gather", _fixed({"pos": INT, "data": _T}, {"result": _T}), _gather_run, _TYPED)
 
 
 def _select_indices_run(inst, cols):
@@ -804,7 +732,7 @@ def _select_indices_run(inst, cols):
     return {"indices": _out(INT, compress(range(len(flags)), flags), rng)}
 
 
-_simple("select_indices", _select_indices_sig, _select_indices_run)
+register_operator("select_indices", _fixed({"characteristic": BIT}, {"indices": INT}), _select_indices_run)
 
 
 # -- segmented-view operators --------------------------------------------------
@@ -817,11 +745,6 @@ def _seg_divisible(col, ell):
         raise OperatorError(
             "slack-segment-present", f"segment length {ell} does not divide column length {len(col)}"
         )
-
-
-def _transpose_sig(params):
-    t = _typ(params)
-    return {"segment_length": INT, "col": t}, {"transposed": t, "transposed_segment_length": INT}
 
 
 def _transpose_run(inst, cols):
@@ -837,15 +760,15 @@ def _transpose_run(inst, cols):
     }
 
 
-_simple("transpose", _transpose_sig, _transpose_run)
+register_operator(
+    "transpose",
+    _fixed({"segment_length": INT, "col": _T}, {"transposed": _T, "transposed_segment_length": INT}),
+    _transpose_run,
+    _TYPED,
+)
 
 
-def _replicate_segments_sig(params):
-    t = _typ(params)
-    return (
-        {"col": t, "segment_length": INT, "factor": INT},
-        {"replicated": t, "out_segment_length": INT},
-    )
+_REPLICATED = _fixed({"col": _T, "segment_length": INT, "factor": INT}, {"replicated": _T, "out_segment_length": INT})
 
 
 def _replicate_segments_run(inst, cols):
@@ -868,15 +791,7 @@ def _replicate_segments_run(inst, cols):
     }
 
 
-_simple("replicate_segments", _replicate_segments_sig, _replicate_segments_run)
-
-
-def _replicate_within_sig(params):
-    t = _typ(params)
-    return (
-        {"col": t, "segment_length": INT, "factor": INT},
-        {"replicated": t, "out_segment_length": INT},
-    )
+register_operator("replicate_segments", _REPLICATED, _replicate_segments_run, _TYPED)
 
 
 def _replicate_within_run(inst, cols):
@@ -898,13 +813,7 @@ def _replicate_within_run(inst, cols):
     }
 
 
-_simple("replicate_within_segments", _replicate_within_sig, _replicate_within_run)
-
-
-def _zip_sig(params):
-    comps = _types(params)
-    ins = {f"component_{i + 1}": t for i, t in enumerate(comps)}
-    return ins, {"zipped": _product(params, comps)}
+register_operator("replicate_within_segments", _REPLICATED, _replicate_within_run, _TYPED)
 
 
 def _zip_run(inst, cols):
@@ -915,16 +824,18 @@ def _zip_run(inst, cols):
     return {"zipped": _out(t, vals)}
 
 
-_simple("zip", _zip_sig, _zip_run)
+register_operator("zip", _components("zipped"), _zip_run, {"types": TYPES})
 
 
-def _compose_segments_sig(params):
+def _composed_sig(params):
     base = _typ(params)
-    k = _param(params, "k", POSITIVE)
     return (
         {"segment_length": INT, "components": base},
-        {"composed": _product(params, [base] * k)},
+        {"composed": _product(params, [base] * params["k"])},
     )
+
+
+_COMPOSED = {"type": TYPE, "k": PARTS}
 
 
 def _compose_segments_run(inst, cols):
@@ -940,16 +851,7 @@ def _compose_segments_run(inst, cols):
     return {"composed": _out(inst.signature.outputs["composed"], out)}
 
 
-_simple("compose_segments", _compose_segments_sig, _compose_segments_run)
-
-
-def _assemble_sig(params):
-    base = _typ(params)
-    k = _param(params, "k", POSITIVE)
-    return (
-        {"segment_length": INT, "components": base},
-        {"composed": _product(params, [base] * k)},
-    )
+register_operator("compose_segments", _composed_sig, _compose_segments_run, _COMPOSED)
 
 
 def _assemble_run(inst, cols):
@@ -963,7 +865,7 @@ def _assemble_run(inst, cols):
     return {"composed": _out(inst.signature.outputs["composed"], out)}
 
 
-_simple("assemble", _assemble_sig, _assemble_run)
+register_operator("assemble", _composed_sig, _assemble_run, _COMPOSED)
 
 
 # -- arithmetic over adjacency -------------------------------------------------
@@ -1006,7 +908,7 @@ def _derivative_run(inst, cols):
     return {"differences": _out(out_t, diffs, rng) if proved else Column(out_t, diffs)}
 
 
-_simple("derivative", _derivative_sig, _derivative_run)
+register_operator("derivative", _derivative_sig, _derivative_run, {"type": TYPE, "out_type": TYPE.optional()})
 
 
 _AGG_OPS = {
@@ -1016,14 +918,15 @@ _AGG_OPS = {
     "and": (lambda a, b: a & b, lambda t: 1),
     "or": (lambda a, b: a | b, lambda t: 0),
 }
-_AGG_OP = one_of(_AGG_OPS)
-_MODE = one_of(("inclusive", "exclusive"))
 
 
 def _prefix_sig(params):
-    op = _param(params, "op", _AGG_OP, "add")
-    _param(params, "mode", _MODE, "inclusive")
-    t = _typ(params) if op not in ("and", "or") else BIT
+    if params.get("op", "add") in ("and", "or"):
+        t = BIT
+    elif "type" in params:
+        t = _typ(params)
+    else:  # the other ops aggregate values of the named type
+        raise OperatorError("bad-params", "missing parameter 'type'")
     return {"data": t}, {"aggregates": t}
 
 
@@ -1047,12 +950,12 @@ def _prefix_run(inst, cols):
     return {"aggregates": _out(t, out, rng) if t.is_integer else Column(t, out)}
 
 
-_simple("prefix_aggregate", _prefix_sig, _prefix_run)
-
-
-def _same_as_prev_sig(params):
-    t = _typ(params)
-    return {"col": t}, {"result": BIT}
+register_operator(
+    "prefix_aggregate",
+    _prefix_sig,
+    _prefix_run,
+    {"op": one_of(_AGG_OPS).optional(), "mode": one_of(("inclusive", "exclusive")).optional(), "type": TYPE.optional()},
+)
 
 
 def _same_as_prev_run(inst, cols):
@@ -1063,12 +966,7 @@ def _same_as_prev_run(inst, cols):
     return {"result": _out(BIT, out)}
 
 
-_simple("is_same_as_previous", _same_as_prev_sig, _same_as_prev_run)
-
-
-def _split_first_sig(params):
-    t = _typ(params)
-    return {"col": t}, {"head": t, "tail": t}
+register_operator("is_same_as_previous", _fixed({"col": _T}, {"result": BIT}), _same_as_prev_run, _TYPED)
 
 
 def _split_first_run(inst, cols):
@@ -1079,16 +977,15 @@ def _split_first_run(inst, cols):
     return {"head": _out(t, col.values[:1]), "tail": _out(t, col.values[1:])}
 
 
-_simple("split_first", _split_first_sig, _split_first_run)
+register_operator("split_first", _fixed({"col": _T}, {"head": _T, "tail": _T}), _split_first_run, _TYPED)
 
 
-def _carve_inst(params):
-    p = dict(params, fn="carve")
-    ins, outs = _ELEMENTWISE_FNS["carve"][0](p)
-    return OperatorInstance("carve", p, Signature(ins, outs))
+def _carve_op_sig(params):
+    params["fn"] = "carve"  # the instance runs, and is written, as elementwise carve
+    return _carve_sig(params)
 
 
-register_operator("carve", _carve_inst, _ew_apply)
+register_operator("carve", _carve_op_sig, _ew_apply, _ELEMENTWISE_FNS["carve"][0])
 
 
 # -- convenience wrappers (direct library calls, mirrors of the catalog) -------

@@ -31,12 +31,6 @@ class ParamKind(NamedTuple):
     def optional(self) -> ParamKind:
         return self._replace(required=False)
 
-    def checked(self, name, value, bad=NotEncodable, what="scheme param"):
-        """``value``, if it is of this kind; else ``bad`` is raised, naming param ``name``."""
-        if not self.ok(value):
-            raise bad(f"{what} {name!r} must be {self.what}, not {value!r}")
-        return value
-
 
 def _is_type(v) -> bool:
     if isinstance(v, ElementType):
@@ -80,10 +74,20 @@ SEGMENTS = ParamKind("a list of positive integer lengths", _list_of(_int_in(1)),
 PARTITION = ParamKind("a list of non-negative part numbers", _list_of(_int_in(0)), required=False, hint=True)
 
 
-def check(declared: dict, params, bad=NotEncodable, missing=ColcircError, what="scheme param") -> None:
-    """Raise ``missing`` for the first absent required param, ``bad`` for the first given one not of its kind."""
+def check(
+    declared: dict, params, bad=NotEncodable, missing=ColcircError, what="scheme param", none_missing=False
+) -> None:
+    """Raise ``missing`` for the first absent required param, ``bad`` for the first given one not of its kind.
+
+    With ``none_missing`` (the operator rule), a param given as ``None`` is
+    missing, even where the declaration makes it optional.
+    """
     for name, kind in declared.items():
         if name in params:
-            kind.checked(name, params[name], bad, what)
+            value = params[name]
+            if value is None and none_missing:
+                raise missing(f"missing {what} {name!r}")
+            if not kind.ok(value):
+                raise bad(f"{what} {name!r} must be {kind.what}, not {value!r}")
         elif kind.required and (kind.unless is None or kind.unless not in params):
             raise missing(f"missing {what} {name!r}")

@@ -75,6 +75,14 @@ def _segment_count(n, ell) -> int:
     return -(-n // ell)
 
 
+def _padding(filler, count) -> list:
+    """``count`` copies of ``filler``, the padding a param sizes; one no list can hold is not encodable."""
+    try:
+        return [filler] * count
+    except (OverflowError, MemoryError):
+        raise NotEncodable(f"a padding of {count} values does not fit a column") from None
+
+
 # -- host-level subcolumn values ------------------------------------------------
 
 
@@ -844,7 +852,7 @@ def _concat_components_encode(params, family):
 
 register_scheme(
     "components.concatenated",
-    {"type": TYPE, "k": POSITIVE},
+    {"type": TYPE, "k": PARTS},
     build_decoder=_concat_components_decoder,
     encode=_concat_components_encode,
     host_verify=_concat_components_verify,
@@ -880,7 +888,7 @@ def _shattered_encode(params, family):
 
 register_scheme(
     "components.shattered",
-    {"type": TYPE, "k": POSITIVE},
+    {"type": TYPE, "k": PARTS},
     build_decoder=_shattered_decoder,
     encode=_shattered_encode,
     host_verify=_shattered_verify,
@@ -1050,7 +1058,7 @@ def _capped_width_encode(params, family):
             raise NotEncodable(f"element of width {len(e)} exceeds the cap {m}")
         lengths.append(len(e))
         data.extend(e)
-        data.extend([filler] * (m - len(e)))
+        data.extend(_padding(filler, m - len(e)))
     return {
         "max_length": scalar_column(INT, m),
         "lengths": Column(INT, lengths),

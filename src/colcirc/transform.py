@@ -26,6 +26,7 @@ from .circuit import (
 )
 from .errors import ColcircError, InvalidCircuitError, OperatorError
 from .ops import OperatorInstance, Signature, instantiate, register_operator
+from .params import VALUE
 
 
 def _retagged(c: ColumnarCircuit, tag: str) -> ColumnarCircuit:
@@ -222,18 +223,16 @@ def fuse_subcircuit(c: ColumnarCircuit, vertex_set, fused_name: str | None = Non
     return replace_subcircuit(c, keep, lifted, rho)
 
 
-def _fused_instantiate(params):
-    if "circuit" not in params:
-        raise OperatorError("bad-params", "missing 'circuit' parameter")
+def _fused_sig(params):
     inner = check_valid(circuit_from_json(params["circuit"]))
-    return OperatorInstance("fused", dict(params), inner.signature, inner=inner)
+    return inner.signature.inputs, inner.signature.outputs, inner
 
 
 def _fused_apply(inst, cols):
     return evaluate_circuit(inst.inner, cols)
 
 
-register_operator("fused", _fused_instantiate, _fused_apply)
+register_operator("fused", _fused_sig, _fused_apply, {"circuit": VALUE})
 
 
 def rename_label(c: ColumnarCircuit, old: str, new: str) -> ColumnarCircuit:

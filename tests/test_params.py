@@ -39,7 +39,7 @@ from scheme_cases import CASES
 
 codec_mod = importlib.import_module("colcirc.codec")
 
-INT_BAD = ["x", None, 2.5, -1, 0, []]
+INT_BAD = ["x", None, 2.5, -1, 0, [], 10**30]
 TYPE_BAD = ["x", None, 7, [], {}]
 TYPE_KEYS = ("type", "types", "bits", "partition", "narrow_type", "noise_type", "offset_type", "delta_type")
 
