@@ -34,7 +34,7 @@ def read_bundle(directory) -> SchemeInstance:
     if os.path.isfile(directory):
         path = directory
         directory = os.path.dirname(directory)
-    with open(path) as f:
+    with open(path, "rb") as f:
         manifest = json_document(f.read(), "manifest")
     if not isinstance(manifest, dict):
         raise ColcircError("manifest is not a JSON object")
@@ -51,5 +51,7 @@ def read_bundle(directory) -> SchemeInstance:
         path = os.path.realpath(os.path.join(root, rel))
         if os.path.commonpath([root, path]) != root:
             raise ColcircError(f"manifest path {rel!r} for {label!r} leaves the bundle directory")
+        if not os.path.isfile(path):
+            raise ColcircError(f"manifest path {rel!r} for {label!r} names no file")
         columns[label] = read_col_file(path)
     return SchemeInstance(manifest["scheme"], manifest["params"], columns)

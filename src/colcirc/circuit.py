@@ -15,7 +15,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .column import Column
 from .errors import (
     ColcircError,
     EvaluationError,
@@ -310,15 +309,6 @@ def _compile(c: ColumnarCircuit) -> _Plan:
     return _Plan(tuple(inputs), tuple(steps), outputs, n_slots)
 
 
-def _check_outputs(vid, op, outs):
-    for label, col in outs.items():
-        if not isinstance(col, Column):
-            raise EvaluationError(vid, OperatorError("bad-output", f"{label} is not a column"))
-    for label in op.signature.outputs:
-        if label not in outs:
-            raise EvaluationError(vid, OperatorError("bad-output", f"missing output {label}"))
-
-
 class PortValues(Mapping):
     """The column observed at every port of one evaluation, read-only.
 
@@ -362,8 +352,11 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
     plan is cached on it, so a circuit must not be mutated after
     construction.  Each out-port is computed exactly once per run; fan-out
     shares the same immutable column.  Vertices run one at a time in a
-    fixed topological order.  ``parallel`` is accepted for compatibility
-    and ignored: under the GIL a thread pool only added hand-off latency.
+    fixed topological order.  Every catalog kernel returns exactly its
+    declared output labels, each a column of its declared type, so each
+    result goes straight into its slot.  ``parallel`` is accepted for
+    compatibility and ignored: under the GIL a thread pool only added
+    hand-off latency.
     """
     plan = c._plan
     if plan is None:
@@ -392,13 +385,8 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
             raise EvaluationError(vid, exc) from exc
         except RecursionError:  # fused vertices nested past the recursion limit
             raise EvaluationError(vid, ColcircError("circuits are nested too deeply")) from None
-        if len(result) != len(outs):
-            _check_outputs(vid, op, result)
         for label, slot in outs:
-            col = result.get(label)
-            if not isinstance(col, Column):
-                _check_outputs(vid, op, result)
-            slots[slot] = col
+            slots[slot] = result[label]
     return PortValues(plan, slots)
 
 
@@ -524,12 +512,15 @@ def dump_circuit(c: ColumnarCircuit) -> str:
         raise ColcircError("circuit JSON is nested too deeply") from None
 
 
-def json_document(text: str, what: str):
-    """``json.loads(text)``, with nesting past the recursion limit a ``ColcircError``."""
+def json_document(text, what: str):
+    """``json.loads(text)`` of a ``str`` or of bytes; malformed JSON, bytes that are no text and
+    nesting past the recursion limit are a ``ColcircError``."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ColcircError(f"{what} is nested too deeply") from None
+    except ValueError as exc:  # ``JSONDecodeError`` and ``UnicodeDecodeError``
+        raise ColcircError(f"{what} is not JSON: {exc}") from None
 
 
 def load_circuit(text: str) -> ColumnarCircuit:

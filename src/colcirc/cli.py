@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .bundle import read_bundle, write_bundle
 from .circuit import (
+    _port_from_str,
     check_valid,
     circuit_to_json,
     evaluate_circuit,
@@ -60,13 +61,16 @@ def _load_params(text):
     if text is None:
         return {}
     if text.startswith("@"):
-        with open(text[1:]) as f:
+        with open(text[1:], "rb") as f:
             text = f.read()
-    return json_document(text, "params JSON")
+    params = json_document(text, "params JSON")
+    if not isinstance(params, dict):
+        raise ColcircError("params JSON is not an object")
+    return params
 
 
 def _load_circuit_file(path):
-    with open(path) as f:
+    with open(path, "rb") as f:
         return check_valid(load_circuit(f.read()))
 
 
@@ -176,20 +180,23 @@ def cmd_stats(args):
     return EXIT_OK
 
 
-def _parse_port(c, s):
-    from .circuit import _port_from_str
-
-    return _port_from_str(s, c.vertices)
+# the options each transform reads
+_TRANSFORM_OPTIONS = {"union": ("other",), "assign": ("label", "source"), "induce": ("vertices",),
+                      "replace": ("vertices", "replacement"), "fuse": ("vertices",), "dedup": ()}
 
 
 def cmd_transform(args):
-    c = _load_circuit_file(args.circuit)
     op = args.op
+    for name in _TRANSFORM_OPTIONS[op]:
+        if getattr(args, name) is None:
+            print(f"error: --op {op} needs --{name}", file=sys.stderr)
+            return EXIT_IO
+    c = _load_circuit_file(args.circuit)
     if op == "union":
         other = _load_circuit_file(args.other)
         result = circuit_union(c, other)
     elif op == "assign":
-        result = assign_input(c, args.label, _parse_port(c, args.source))
+        result = assign_input(c, args.label, _port_from_str(args.source, c.vertices))
     elif op == "induce":
         result = induced_subcircuit(c, args.vertices.split(","))
     elif op == "replace":
@@ -199,15 +206,12 @@ def cmd_transform(args):
             if not pair:
                 continue
             r, _, o = pair.partition("=")
-            rho[_parse_port(replacement, r)] = _parse_port(c, o)
+            rho[_port_from_str(r, replacement.vertices)] = _port_from_str(o, c.vertices)
         result = replace_subcircuit(c, args.vertices.split(","), replacement, rho)
     elif op == "fuse":
         result = fuse_subcircuit(c, args.vertices.split(","), args.name)
-    elif op == "dedup":
-        result = eliminate_duplicate_vertices(c)
     else:
-        print(f"error: unknown transform {op!r}", file=sys.stderr)
-        return EXIT_IO
+        result = eliminate_duplicate_vertices(c)
     _dump_json(circuit_to_json(result), args.out)
     return EXIT_OK
 
@@ -242,9 +246,6 @@ def cmd_gen(args):
         fam = canonical_varwidth(elements, U8)
         inst = SchemeInstance("varwidth.std", {"type": "u8"}, fam)
         write_bundle(inst, args.out)
-    else:
-        print(f"error: unknown generator {args.kind!r}", file=sys.stderr)
-        return EXIT_IO
     print(f"generated {args.kind} data at {args.out}")
     return EXIT_OK
 
@@ -296,7 +297,7 @@ def build_parser():
 
     p = sub.add_parser("transform", help="structural circuit transformations")
     p.add_argument("circuit", metavar="circuit.json")
-    p.add_argument("--op", required=True, choices=["union", "assign", "induce", "replace", "fuse", "dedup"])
+    p.add_argument("--op", required=True, choices=list(_TRANSFORM_OPTIONS))
     p.add_argument("--other", help="second circuit file (union)")
     p.add_argument("--label", help="input label (assign)")
     p.add_argument("--source", help="source out-port v.port (assign)")
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         print(f"operator failure: {exc}", file=sys.stderr)
         return EXIT_OPERATOR_FAILURE
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ColcircError as exc:

@@ -396,11 +396,12 @@ def compression_ratio(inst: SchemeInstance) -> Fraction:
 
 
 def _host_verify_sig(params):
-    return dict(codec(params["scheme"]).form_spec(params["params"])), {"accept": BIT}
+    entry = codec(params["scheme"])  # kept as the instance's ``inner``
+    return dict(entry.form_spec(params["params"])), {"accept": BIT}, entry
 
 
 def _host_verify_apply(inst, cols):
-    accepted = codec(inst.params["scheme"]).host_verify(inst.params["params"], cols)
+    accepted = inst.inner.host_verify(inst.params["params"], cols)
     return {"accept": scalar_column(BIT, 1 if accepted else 0)}
 
 

@@ -18,7 +18,7 @@ from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
 from .codec import _segments_hint, register_scheme
 from .column import Column, scalar_column
 from .errors import NotEncodable
-from .params import BOOL, DEGREE, DEGREES, EVEN_WIDTH, POSITIVE, SEGMENTS, TYPE, WIDTH, WIDTHS
+from .params import BOOL, DEGREE, DEGREES, EVEN_WIDTH, PARTS, POSITIVE, SEGMENTS, TYPE, WIDTH, WIDTHS
 from .rep_schemes import (
     _TYPED,
     _below,
@@ -30,7 +30,6 @@ from .rep_schemes import (
     _positions,
     _ranges_within,
     _segment_count,
-    _t,
     _tiled,
     canonical_varwidth,
     indexset_equivalent,
@@ -46,7 +45,7 @@ _POLY = {"type": TYPE, "basis": DEGREES, "degree": DEGREE}  # ``degree`` d stand
 
 
 def _int_t(params):
-    return str(params.get("int_type", _INT))
+    return params.get("int_type", _INT)
 
 
 def _int_et(params):
@@ -62,11 +61,11 @@ def _compute_t(params) -> str:
 
 
 def _widen(b: CircuitBuilder, params, wire, src_t=None) -> Wire:
-    return b.cast(src_t or _t(params), _compute_t(params), wire)
+    return b.cast(src_t or params["type"], _compute_t(params), wire)
 
 
 def _narrow_out(b: CircuitBuilder, params, wire) -> Wire:
-    return b.cast(_compute_t(params), _t(params), wire)
+    return b.cast(_compute_t(params), params["type"], wire)
 
 
 # -- generated columns ------------------------------------------------------------
@@ -304,7 +303,7 @@ _register_generated("generated.poly", normalize=_degree_as_basis)
 
 
 def _constant_decoder(params):
-    t = _t(params)
+    t = params["type"]
     int_t = _int_t(params)
     b = CircuitBuilder()
     value = b.input("value")
@@ -357,7 +356,7 @@ def _noisy_decoder(params):
     b = CircuitBuilder()
     noise = b.input("noise")
     coeffs = _widen(b, params, b.input("coefficients"))
-    n = b.length(noise, _t(params, "noise_type"))
+    n = b.length(noise, params["noise_type"])
     idx = b.iota(n)
     rel = b.cast(_INT, ct, idx)
 
@@ -366,7 +365,7 @@ def _noisy_decoder(params):
         return b.replicate(ct, cj, n)
 
     gen = _poly_eval_wires(b, params, rel, coeff_of, n)
-    up = b.cast(_t(params, "noise_type"), ct, noise)
+    up = b.cast(params["noise_type"], ct, noise)
     b.result("col", _narrow_out(b, params, b.add_cols(ct, gen, up)))
     return b.build()
 
@@ -465,7 +464,7 @@ def _narrows(t: ElementType, narrow: ElementType) -> bool:
 
 
 def _nullsup_decoder(params):
-    t, narrow_t = _t(params), _t(params, "narrow_type")
+    t, narrow_t = params["type"], params["narrow_type"]
     b = CircuitBuilder()
     narrow = b.input("narrow")
     if narrow_t == t:
@@ -496,7 +495,7 @@ register_scheme(
 
 
 def _dict_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     out = b.gather(t, b.input("indices"), b.input("dictionary"))
     b.result("col", out)
@@ -566,7 +565,7 @@ def _runs_of(values):
 
 def _run_decode_tail(b, params, starts: Wire, overall: Wire, values: Wire) -> Wire:
     run_of = run_index_wires(b, starts, overall)
-    return b.gather(_t(params), run_of, values)
+    return b.gather(params["type"], run_of, values)
 
 
 def _run_full_decoder(params):
@@ -636,7 +635,7 @@ def _rpe_encode(params, family):
 
 def rpe_encoder_circuit(params):
     """The run-position encoder circuit: run starts via IsSameAsPrevious."""
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     col = b.input("col")
     same = b.add("is_same_as_previous", {"type": t}, col=col)
@@ -961,7 +960,7 @@ register_scheme(
 
 def _for_decoder(params):
     ct = _compute_t(params)
-    off_t = _t(params, "offset_type")
+    off_t = params["offset_type"]
     ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
@@ -1017,10 +1016,10 @@ register_scheme(
 
 
 def _naive_delta_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     base = b.cast(t, _WIDE, b.input("base"))
-    delta = b.cast(_t(params, "delta_type"), _WIDE, b.input("delta"))
+    delta = b.cast(params["delta_type"], _WIDE, b.input("delta"))
     ps = b.prefix(_WIDE, "add", delta)
     n = b.length(ps, _WIDE)
     basecol = b.replicate(_WIDE, base, n)
@@ -1054,13 +1053,13 @@ _DELTA = {"type": TYPE, "delta_type": TYPE, "segment_length": POSITIVE}
 
 def _delta_decoder(params, patched=False):
     """Segmented integration of the deltas in i64; ``patched`` scatters ``patch_data`` over them first."""
-    t = _t(params)
+    t = params["type"]
     ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     delta = b.input("delta")
-    n = b.length(delta, _t(params, "delta_type"))
-    widened = b.cast(_t(params, "delta_type"), _WIDE, delta)
+    n = b.length(delta, params["delta_type"])
+    widened = b.cast(params["delta_type"], _WIDE, delta)
     if patched:
         widened = b.scatter(_WIDE, widened, b.input("patch_pos"), b.input("patch_data"))
     ps = b.prefix(_WIDE, "add", widened)
@@ -1159,11 +1158,11 @@ register_scheme(
 # -- segment dictionaries ------------------------------------------------------------------
 
 
-_SEGDICT = {"type": TYPE, "segment_length": POSITIVE, "dict_size": POSITIVE}
+_SEGDICT = {"type": TYPE, "segment_length": POSITIVE, "dict_size": PARTS}  # padding per segment
 
 
 def _segdict_decoder(params, two_level=False):
-    t = _t(params)
+    t = params["type"]
     ell = params["segment_length"]
     d = params["dict_size"]
     entry_t = _INT if two_level else t
@@ -1260,7 +1259,7 @@ register_scheme(
 
 
 def _cascade_decoder(params):
-    t = _t(params)
+    t = params["type"]
     bits = params["bits"]
     b = CircuitBuilder()
     idx1_t = str(ElementType.unsigned(bits[0]))
@@ -1338,7 +1337,7 @@ register_scheme(
 
 
 def _subdict_decoder(params):
-    t = _t(params)
+    t = params["type"]
     it = str(ElementType.unsigned(params.get("bits", 16)))
     b = CircuitBuilder()
     indices = b.cast(it, _INT, b.input("indices"))
@@ -1525,7 +1524,7 @@ register_scheme(
 
 
 def _pvw_decoder(params):
-    t = _t(params)
+    t = params["type"]
     period = params["period"]
     b = CircuitBuilder()
     b.sink(b.input("period"), _INT)
@@ -1603,7 +1602,7 @@ def _pvw_encode(params, family):
 
 register_scheme(
     "pvw",
-    {"type": TYPE, "period": POSITIVE},
+    {"type": TYPE, "period": PARTS},  # padding per group
     build_decoder=_pvw_decoder,
     encode=_pvw_encode,
     host_verify=_pvw_verify,
@@ -1612,7 +1611,7 @@ register_scheme(
 
 
 def _vwdict_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     indices = b.input("indices")
     entry_starts = b.input("entry_start_positions")

@@ -209,7 +209,7 @@ def _sums_fit(t, xs, ys) -> bool:
 class _DifferentiateCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["diff:"])
-        self.diff_type, self.data_type = self.data_type, str(recipe.options["type"])
+        self.diff_type, self.data_type = self.data_type, recipe.options["type"]
         if not (parse_type(self.diff_type).is_integer and parse_type(self.data_type).is_integer):
             raise NotEncodable(f"differentiate needs integer types, not {self.diff_type} and {self.data_type}")
 
@@ -502,20 +502,15 @@ class _SegmentizedCodec(_ComposedCodec):
 # -- the segmentized operator: one catalog entry serving every segmentized scheme ----------
 
 
-def _segmentized_codec(params):
-    entry = codec(params["scheme"])
+def _segmentized_sig(params):
+    entry = codec(params["scheme"])  # kept as the instance's ``inner``
     if not isinstance(entry, _SegmentizedCodec):
         raise OperatorError("bad-params", f"{entry.scheme_id} is not a segmentized scheme")
-    return entry
-
-
-def _segmentized_sig(params):
-    entry = _segmentized_codec(params)
-    return dict(entry.spec), {"result": parse_type(entry.data_type)}
+    return dict(entry.spec), {"result": parse_type(entry.data_type)}, entry
 
 
 def _segmentized_apply(inst, cols):
-    return {"result": _segmentized_codec(inst.params).decode_segments(cols)}
+    return {"result": inst.inner.decode_segments(cols)}
 
 
 register_operator("segmentized", _segmentized_sig, _segmentized_apply, {"scheme": NAME})

@@ -49,8 +49,10 @@ class OperatorInstance:
     op_name: str
     params: dict
     signature: Signature
-    # a ``fused`` instance's parsed subcircuit; everything else leaves this None
-    inner: object = field(default=None, compare=False)
+    # what ``instantiate`` resolved once for the kernel from the params: a
+    # ``fused`` instance's parsed subcircuit, a ``segmentized`` or
+    # ``host_verify`` instance's codec entry; everything else leaves this None
+    inner: object = field(default=None, compare=False, repr=False)
 
     # a ``scalar`` instance's output column, made and checked on its first
     # apply; not a field, so equality and repr ignore it
@@ -73,11 +75,8 @@ class OperatorInstance:
         out = _CATALOG[self.op_name].apply(self, inputs)
         if typed:
             return out
-        declared = self.signature.outputs  # a missing or non-column output is the evaluation's to report
-        return {
-            label: Column(declared[label], col.values) if label in declared and isinstance(col, Column) else col
-            for label, col in out.items()
-        }
+        declared = self.signature.outputs
+        return {label: Column(declared[label], col.values) for label, col in out.items()}
 
 
 class _OpDef:
@@ -102,7 +101,10 @@ def register_operator(name, signature, apply, params=None):
     ``colcirc.params`` kind, and ``signature``, which maps params that passed
     that check (the instance's own copy) to ``(inputs, outputs)``, two dicts
     from label to element type, or to ``(inputs, outputs, inner)`` for an
-    instance that carries a parsed subcircuit.  ``apply(inst, cols)`` runs it.
+    instance that carries what its kernel needs resolved (a parsed
+    subcircuit, a codec entry).  ``apply(inst, cols)`` runs it.  The kernel
+    returns exactly the declared output labels, each a column of its
+    declared type: evaluation stores them unchecked.
     """
     with REGISTRY_LOCK:
         if name in _CATALOG:
@@ -130,12 +132,7 @@ _BAD_PARAMS = partial(OperatorError, "bad-params")
 
 
 def _typ(params, key="type"):
-    t = params[key]
-    return parse_type(t) if isinstance(t, str) else t
-
-
-def _types(params) -> list:
-    return [parse_type(t) if isinstance(t, str) else t for t in params["types"]]
+    return parse_type(params[key])
 
 
 def _product(params, components) -> ElementType:
@@ -297,7 +294,7 @@ def _components(label):
     """The signature that zips one column per name in ``types`` into the product column ``label``."""
 
     def sig(params):
-        comps = _types(params)
+        comps = list(map(parse_type, params["types"]))
         return {f"component_{i + 1}": t for i, t in enumerate(comps)}, {label: _product(params, comps)}
 
     return sig

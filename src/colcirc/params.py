@@ -12,12 +12,13 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import ColcircError, NotEncodable
-from .types import ElementType, parse_type
+from .types import parse_type
 
 # 2.0 ** 1024 overflows f64, so at a higher degree position 2 overflows every type
 MAX_DEGREE = 1023
-# decoders that build vertices per part or per domain value take at most this many,
-# so a well-formed but huge param is refused before any vertex is built
+# decoders that build vertices per part or per domain value, and encoders that pad
+# to a length a param sets, take at most this many, so a well-formed but huge param
+# is refused before any vertex is built or any padding allocated
 MAX_PARTS = 4096
 
 
@@ -33,8 +34,6 @@ class ParamKind(NamedTuple):
 
 
 def _is_type(v) -> bool:
-    if isinstance(v, ElementType):
-        return True
     try:
         return isinstance(v, str) and parse_type(v) is not None
     except ColcircError:

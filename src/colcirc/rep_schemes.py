@@ -23,13 +23,8 @@ _INT = str(INT)
 _TYPED = {"type": TYPE}
 
 
-def _t(params, key="type"):
-    return params[key] if isinstance(params[key], str) else str(params[key])
-
-
 def _et(params, key="type") -> ElementType:
-    v = params[key]
-    return parse_type(v) if isinstance(v, str) else v
+    return parse_type(params[key])
 
 
 # -- the rules verifiers state about encoded columns, each written once ------------
@@ -158,7 +153,7 @@ def _membership_bitmap(b: CircuitBuilder, domain_size, pos):
 
 
 def _indexed_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     permuted = b.add("permute", {"type": t}, permutation=b.input("pos"), data=b.input("data"))
     b.result("col", permuted)
@@ -192,7 +187,7 @@ register_scheme(
 
 
 def _subcol_std_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     b.result("pos", b.noop(b.input("pos"), _INT))
     b.result("data", b.noop(b.input("data"), t))
@@ -219,7 +214,7 @@ register_scheme(
 
 
 def _overlay_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     pos1 = b.input("pos_1")
     data1 = b.input("data_1")
@@ -273,7 +268,7 @@ register_scheme(
 
 
 def _disjoint_union_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     b.result("pos", b.concat(_INT, b.input("pos_1"), b.input("pos_2")))
     b.result("data", b.concat(t, b.input("data_1"), b.input("data_2")))
@@ -306,7 +301,7 @@ register_scheme(
 
 
 def _complementing_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     pos = b.input("pos")
     data1 = b.input("data_1")
@@ -342,7 +337,7 @@ register_scheme(
 
 
 def _overlaid_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     out = b.scatter(t, b.input("data"), b.input("overlay_pos"), b.input("overlay_data"))
     b.result("col", out)
@@ -431,7 +426,7 @@ register_scheme(
 
 
 def _segmented_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     b.sink(b.input("segment_start_pos"), _INT)
     b.sink(b.input("segment_length"), _INT)
@@ -460,7 +455,7 @@ register_scheme(
 
 
 def _uniformly_segmented_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     b.result("col", b.noop(b.input("data"), t))
@@ -482,7 +477,7 @@ register_scheme(
 
 
 def _segmented_subcolumn_decoder(params):
-    t = _t(params)
+    t = params["type"]
     ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
@@ -712,7 +707,7 @@ register_scheme(
 
 def _partitioned_k_decoder(params):
     k = params["k"]
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     poss = [b.input(f"pos_{j + 1}") for j in range(k)]
     datas = [b.input(f"data_{j + 1}") for j in range(k)]
@@ -780,7 +775,7 @@ def canonical_partition(partition: Column) -> Column:
 
 
 def _components_types(params):
-    return [parse_type(t) if isinstance(t, str) else t for t in params["types"]]
+    return list(map(parse_type, params["types"]))
 
 
 def _components_decoder(params):
@@ -818,7 +813,7 @@ register_scheme(
 
 def _concat_components_decoder(params):
     k = params["k"]
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     comp = b.add(
         "compose_segments",
@@ -861,7 +856,7 @@ register_scheme(
 
 def _shattered_decoder(params):
     k = params["k"]
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     comp = b.add(
         "assemble",
@@ -985,7 +980,7 @@ def canonical_varwidth(elements, base_type: ElementType) -> dict:
 
 
 def _varwidth_std_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     starts = b.input("start_position")
     lengths = b.noop(b.input("length"), _INT)
@@ -1022,7 +1017,7 @@ register_scheme(
 
 
 def _capped_width_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     max_len = b.input("max_length")
     lengths = b.noop(b.input("lengths"), _INT)
@@ -1068,7 +1063,7 @@ def _capped_width_encode(params, family):
 
 register_scheme(
     "varwidth.capped",
-    {"type": TYPE, "max_length": POSITIVE.optional()},
+    {"type": TYPE, "max_length": PARTS.optional()},  # padding per element
     build_decoder=_capped_width_decoder,
     encode=_capped_width_encode,
     host_verify=_capped_width_verify,
@@ -1080,7 +1075,7 @@ register_scheme(
 
 
 def _nullable_complementing_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     pos = b.input("pos")
     data = b.input("data")
@@ -1120,7 +1115,7 @@ register_scheme(
 
 
 def _nullable_patched_decoder(params):
-    t = _t(params)
+    t = params["type"]
     b = CircuitBuilder()
     data = b.input("data")
     pos = b.input("overlay_pos")

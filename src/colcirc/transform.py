@@ -17,6 +17,8 @@ from .circuit import (
     RESERVED_LABEL_PREFIX,
     ColumnarCircuit,
     PortRef,
+    _structure,
+    _toposort,
     check_valid,
     circuit,
     circuit_from_json,
@@ -277,53 +279,39 @@ def _params_key(params: dict) -> str:
 def eliminate_duplicate_vertices(c: ColumnarCircuit) -> ColumnarCircuit:
     """Merge vertices with identical operator, params, and input sources.
 
-    Runs to a fixpoint; the evaluated function is unchanged.  Two ``fused``
-    vertices merge when their subcircuits' JSON documents are equal.
+    Value numbering (Cocke & Schwartz, 1970) in one topological pass: a
+    vertex's key is its operator, its params and, per in-port, the class
+    and out-port of its source, so it joins the class of an earlier vertex
+    with the same key.  A vertex fed by a circuit input is a class of its
+    own.  Each class keeps its least vertex id, and the evaluated function
+    is unchanged.  Two ``fused`` vertices merge when their subcircuits'
+    JSON documents are equal.  A cyclic or broken circuit raises
+    ``InvalidCircuitError``.
     """
-    current = c
-    while True:
-        feeders = {}
-        input_of = {port: label for label, port in current.interface.items() if port.direction == IN}
-        for s, t in current.edges:
-            feeders[t] = ("edge", s.vertex_id, s.port_label)
-        keys = {}
-        for vid, op in sorted(current.vertices.items()):
-            sources = []
-            for label in op.signature.inputs:
-                port = PortRef(vid, label, IN)
-                if port in feeders:
-                    sources.append((label,) + feeders[port])
-                else:
-                    sources.append((label, "input", input_of.get(port)))
-            key = (op.op_name, _params_key(op.params), tuple(sources))
-            keys.setdefault(key, []).append(vid)
+    order = _toposort(c)
+    sources = _structure(c)[1]
+    classes, number, least = {}, {}, {}  # key -> class; vertex id -> class; class -> least vertex id
+    for vid in order:
+        op = c.vertices[vid]
+        key = (op.op_name, _params_key(op.params))
+        for label in op.signature.inputs:
+            src = sources.get((vid, label, IN))
+            key += ((label, number[src[0]], src[1]) if src else (label, vid),)
+        n = number[vid] = classes.setdefault(key, len(classes))
+        if n not in least or vid < least[n]:
+            least[n] = vid
+    merge = {vid: least[n] for vid, n in number.items() if least[n] != vid}
+    if not merge:
+        return c
 
-        merge = {}
-        for key, vids in keys.items():
-            if len(vids) > 1 and key[2] and all(src[1] == "edge" for src in key[2]):
-                rep = vids[0]
-                for dup in vids[1:]:
-                    merge[dup] = rep
-            elif len(vids) > 1 and not key[2]:
-                # zero-input vertices (scalars, fused sources) always merge
-                rep = vids[0]
-                for dup in vids[1:]:
-                    merge[dup] = rep
-        if not merge:
-            return current
+    def moved(port: PortRef) -> PortRef:
+        new_vid = merge.get(port.vertex_id)
+        return PortRef(new_vid, port.port_label, port.direction) if new_vid else port
 
-        def moved(port: PortRef) -> PortRef:
-            new_vid = merge.get(port.vertex_id)
-            return PortRef(new_vid, port.port_label, port.direction) if new_vid else port
-
-        vertices = {vid: op for vid, op in current.vertices.items() if vid not in merge}
-        edges = set()
-        for s, t in current.edges:
-            if t.vertex_id in merge:
-                continue  # the duplicate's inputs disappear with it
-            edges.add((moved(s), t))
-        interface = {label: moved(port) for label, port in current.interface.items()}
-        current = circuit(vertices, edges, interface)
+    vertices = {vid: op for vid, op in c.vertices.items() if vid not in merge}
+    # a duplicate's inputs disappear with it
+    edges = {(moved(s), t) for s, t in c.edges if t.vertex_id not in merge}
+    return circuit(vertices, edges, {label: moved(port) for label, port in c.interface.items()})
 
 
 __all__ = [

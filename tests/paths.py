@@ -36,12 +36,15 @@ from typing import Callable
 
 import hypothesis.strategies as st
 
-from colcirc import Column, CompositionRecipe, SchemeInstance, codec, compose, encode, make_column, scalar_column, verify
+from colcirc import (
+    Column, CompositionRecipe, SchemeInstance, circuit_to_json, codec, compose, decode, encode, make_column, scalar_column,
+    verify,
+)
 from colcirc import column as column_mod
 from colcirc import ops as ops_mod
 from colcirc.circuit import IN, OUT, PortRef
 from colcirc.errors import ColcircError
-from colcirc.gallery import q6_circuit
+from colcirc.gallery import double_plus_three, q6_circuit
 from colcirc.transform import assign_input, circuit_union, drop_output, rename_labels
 from colcirc.types import BIT, F32, F64, I8, I16, I32, I64, INT, U8, U16, U32, U64, ElementType, Kind
 from scheme_cases import corrupt_extend, corrupt_set, corrupt_truncate
@@ -754,6 +757,113 @@ def lifted_battery(entry, t):
         yield inst, (params, col)
         for bad in [*_corruptions(entry, rng, inst), *_mismatches(entry, inst)]:
             yield bad, None
+
+
+# -- segmentized codecs on the host loop: inner schemes that are not position-wise ----------------------
+
+
+def _quadratic(rng, n):
+    a, b, c = rng.randint(0, 40), rng.randint(0, 5), rng.randint(0, 2)
+    return [a + b * i + c * i * i for i in range(n)]
+
+
+# (inner scheme, family(rng, n)): values every segment of which the inner scheme encodes
+HOST_LOOP_INNER = [
+    (("generated", {"type": "u32", "basis": [0, 1]}), _linear),
+    (("generated.poly", {"type": "u32", "degree": 2}), _quadratic),
+    (("noisy.generated", {"type": "u32", "basis": [0, 1], "noise_type": "i8"}),
+     lambda rng, n: [v + rng.randint(0, 9) for v in _linear(rng, n)]),
+    (("for", {"type": "u32", "offset_type": "u8", "segment_length": 2}),
+     lambda rng, n: [rng.randint(1000, 1200) for _ in range(n)]),
+    (("delta.naive", {"type": "u32", "delta_type": "i8"}), lambda rng, n: _walk(rng, n, -60, 60)),
+    (("delta", {"type": "u32", "delta_type": "i8", "segment_length": 2}), lambda rng, n: _walk(rng, n, -60, 60)),
+    (("spline.equiknotted", {"type": "u32", "basis": [0, 1], "interval_length": 2}), _linear),
+    (("indexed", {"type": "u16"}), lambda rng, n: [rng.randint(0, 50) for _ in range(n)]),
+]
+
+# (tag, entry, inner scheme, family) under each segment shape
+HOST_LOOP = [
+    (f"{inner[0]}-{kind[11:]}", compose(CompositionRecipe(kind, f"testonly.hostloop.{kind}.{next(_ids)}", (inner,), options)),
+     inner, family)
+    for (inner, family), (kind, options) in itertools.product(
+        HOST_LOOP_INNER, [("segmentize-uniform", {"segment_length": 3}), ("segmentize-variable", {})]
+    )
+]
+
+
+def host_loop_battery(entry, family):
+    """Valid instances of 0, 1 and 7 values, and every mutant of the last."""
+    rng = random.Random(f"host-{entry.scheme_id}")
+    t = entry.decoder({}).signature.outputs["out:col"]
+    for n in (0, 1, 7):
+        inst = encode(entry.scheme_id, {} if entry.uniform else {"segments": _segments(rng, n)}, Column(t, family(rng, n)))
+        yield inst
+    yield from mutants(rng, inst)
+
+
+def segments_rule(entry, inner, inst):
+    """The host loop's verdict, read off the encoded form: the segment lengths cover the ``seg:``
+    columns exactly, and every segment passes its inner verifier and decodes to its length."""
+    sid, iparams = inner
+    lengths = functools.partial(codec(sid).encoded_lengths, iparams)
+    cols = inst.columns
+    if entry.uniform:
+        if cols["segment_length"].values != (entry.ell,) or len(cols["total_length"]) != 1:
+            return False
+        full, rest = divmod(cols["total_length"].values[0], entry.ell)
+        runs = [(entry.ell, full), (rest, 1 if rest else 0)]  # (segment length, how many)
+    else:
+        runs = [(seg_len, 1) for seg_len in cols["segment_lengths"].values]
+    need = {label[4:]: 0 for label in cols if label.startswith("seg:")}
+    for seg_len, times in runs:  # counted before a segment is cut: ``times`` may be huge
+        for label, count in lengths(seg_len).items():
+            need[label] += count * times
+    if any(len(cols["seg:" + label]) != count for label, count in need.items()):
+        return False
+    at = dict.fromkeys(need, 0)
+    for seg_len, times in runs:
+        for _ in range(times):
+            piece = {}
+            for label, count in lengths(seg_len).items():
+                col = cols["seg:" + label]
+                piece[label] = Column(col.element_type, col.values[at[label] : at[label] + count])
+                at[label] += count
+            part = SchemeInstance(sid, iparams, piece)
+            if not verify(part):
+                return False
+            try:
+                if len(decode(part, check=False)["col"]) != seg_len:
+                    return False
+            except ColcircError:
+                return False
+    return True
+
+
+# -- direct calls of the operators that lift a circuit or a codec -----------------------------------------
+
+
+def lifting_calls():
+    """``(id, op, params, inputs)`` of ``fused``, ``segmentized`` and ``host_verify``: valid inputs and
+    faulty ones (an overflow inside the subcircuit, mutated encoded forms)."""
+    out = []
+    doc = circuit_to_json(double_plus_three("u8"))
+    for vals in ([], [0, 1, 126], [127, 255]):  # 2 * 127 + 3 leaves u8
+        out.append((f"fused-{len(vals)}", "fused", {"circuit": doc}, {"col": make_column(U8, vals)}))
+    for tag, entry, (sid, iparams), family in HOST_LOOP:
+        rng = random.Random(f"call-{tag}")
+        t = entry.decoder({}).signature.outputs["out:col"]
+        hints = {} if entry.uniform else {"segments": [3, 2, 2]}
+        inst = encode(entry.scheme_id, hints, Column(t, family(rng, 7)))
+        for i, bad in enumerate([None, *itertools.islice(mutants(rng, inst), 0, None, 37)]):
+            cols = (bad or inst).columns
+            out.append((f"segmentized-{tag}-{i}", "segmentized", {"scheme": entry.scheme_id}, cols))
+            out.append((f"host_verify-{tag}-{i}", "host_verify", {"scheme": entry.scheme_id, "params": {}}, cols))
+        if entry.uniform:  # the inner scheme's own verifier, once per inner scheme
+            part = encode(sid, iparams, Column(t, family(rng, 5)))
+            for i, bad in enumerate([None, *itertools.islice(mutants(rng, part), 0, None, 11)]):
+                cols = (bad or part).columns
+                out.append((f"host_verify-{sid}-{i}", "host_verify", {"scheme": sid, "params": iparams}, cols))
+    return out
 
 
 # -- a circuit's function by its inductive definition: the reference ``plain`` is checked against ----

@@ -613,3 +613,81 @@ class TestSharedParser:
         assert not any(t.is_alive() for t in threads)
         assert results == [([0, 0, 0], expected)] * 8
         assert 1 <= len(builds) <= 8  # racing first calls may each build one
+
+
+class TestTransformAssignAndReplace:
+    """``colcirc transform --op assign`` and ``--op replace`` write what the library calls return,
+    and a bad port or a cycle exits 1 with a message."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        from colcirc import circuit, in_port, instantiate, lift_operator, out_port
+
+        base = double_plus_three()
+        relay = instantiate("no_op", {"type": "u32"})
+        spare = circuit(
+            {**base.vertices, "spare": relay}, base.edges,
+            {**base.interface, "x": in_port("spare", "arguments"), "y": out_port("spare", "result")},
+        )
+        replacement = lift_operator(instantiate("elementwise", {"fn": "mul", "type": "u32"}), "m2")
+        paths = {"c": tmp_path / "c.json", "r": tmp_path / "r.json", "out": tmp_path / "out.json"}
+        paths["c"].write_text(json.dumps(circuit_to_json(spare)))
+        paths["r"].write_text(json.dumps(circuit_to_json(replacement)))
+        return spare, replacement, {k: str(p) for k, p in paths.items()}
+
+    def transform(self, files, *argv):
+        return main(["transform", files[2]["c"], *argv, "-o", files[2]["out"]])
+
+    def written(self, files):
+        with open(files[2]["out"]) as f:
+            return json.load(f)
+
+    def test_assign_round_trip(self, files):
+        from colcirc import assign_input, out_port
+
+        assert self.transform(files, "--op", "assign", "--label", "x", "--source", "add.result") == 0
+        assert self.written(files) == circuit_to_json(assign_input(files[0], "x", out_port("add", "result")))
+
+    def test_replace_round_trip(self, files):
+        from colcirc import in_port, out_port, replace_subcircuit
+
+        rho = "m2.lhs=mul.lhs;m2.rhs=mul.rhs;m2.result=mul.result"
+        argv = ["--op", "replace", "--vertices", "mul", "--replacement", files[2]["r"], "--rho", rho]
+        assert self.transform(files, *argv) == 0
+        mapping = {
+            in_port("m2", "lhs"): in_port("mul", "lhs"),
+            in_port("m2", "rhs"): in_port("mul", "rhs"),
+            out_port("m2", "result"): out_port("mul", "result"),
+        }
+        assert self.written(files) == circuit_to_json(replace_subcircuit(files[0], ["mul"], files[1], mapping))
+
+    @pytest.mark.parametrize(
+        "source, says",
+        [
+            ("nodot", "bad port reference 'nodot'"),
+            ("zz.result", "names unknown vertex 'zz'"),
+            ("add.zz", "has no any-port 'zz'"),
+            ("relay.arguments", "is not a vertex out-port"),
+        ],
+    )
+    def test_a_bad_source_exits_1(self, files, source, says, capsys):
+        assert self.transform(files, "--op", "assign", "--label", "x", "--source", source) == 1
+        assert says in capsys.readouterr().err
+
+    def test_an_assign_that_would_create_a_cycle_exits_1(self, files, capsys):
+        assert self.transform(files, "--op", "assign", "--label", "col", "--source", "add.result") == 1
+        assert "would-create-cycle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rho, says",
+        [
+            ("m2.zz=mul.lhs", "has no any-port 'zz'"),
+            ("m2.lhs=nodot", "bad port reference 'nodot'"),
+            ("m2.lhs=mul.lhs;m2.rhs=mul.rhs", "bijection-incomplete"),
+            ("m2.lhs=mul.rhs;m2.rhs=mul.rhs;m2.result=mul.result", "bijection-incomplete"),
+        ],
+    )
+    def test_a_bad_rho_exits_1(self, files, rho, says, capsys):
+        argv = ["--op", "replace", "--vertices", "mul", "--replacement", files[2]["r"], "--rho", rho]
+        assert self.transform(files, *argv) == 1
+        assert says in capsys.readouterr().err

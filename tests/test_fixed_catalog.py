@@ -93,6 +93,30 @@ class TestFixedCatalog:
             instantiate("host_verify", {"scheme": "run.rle"})
 
 
+class TestLiftingOperatorsKeepTheirCodec:
+    def test_evaluation_looks_no_codec_up(self, monkeypatch):
+        sid = unique_id("segmentize-uniform")
+        compose(CompositionRecipe("segmentize-uniform", sid, (("constant", {"type": "u8"}),), {"segment_length": 3}))
+        col = make_column(U8, [1, 1, 1, 2, 2, 2, 2])
+        inst = encode(sid, {}, col)
+        rle = encode("run.rle", {"type": "u8"}, col)
+        decoder = codec(sid).decoder(inst.params)
+        assert [op.op_name for op in decoder.vertices.values()] == ["segmentized"]
+        verifiers = [(codec(sid).verifier_circuit(inst.params), inst), (codec("run.rle").verifier_circuit(rle.params), rle)]
+        lookups = []
+        codec_mod = sys.modules["colcirc.codec"]
+        counting = lambda scheme_id, find=codec_mod.codec: lookups.append(scheme_id) or find(scheme_id)  # noqa: E731
+        for mod in (codec_mod, sys.modules["colcirc.compose"]):
+            monkeypatch.setattr(mod, "codec", counting)
+        assert evaluate_circuit(decoder, inst.columns)["out:col"] == col
+        for verifier, checked in verifiers:
+            assert evaluate_decision_circuit(verifier, checked.columns)
+        assert lookups == []
+        instantiate("segmentized", {"scheme": sid})  # instantiation is where the codec is resolved
+        instantiate("host_verify", {"scheme": "run.rle", "params": rle.params})
+        assert lookups == [sid, "run.rle"]
+
+
 class TestDumpedVerifiers:
     def test_loaded_verifier_agrees_with_verify(self):
         rng = random.Random(5)

@@ -327,3 +327,51 @@ def test_a_domain_size_past_its_ceiling_exits_2(tmp_path):
     write_col_file(src, make_column(INT, [0, 1]))
     argv = ["encode", "--scheme", "value.indicators", "--params", '{"domain_size": 5000}', src, str(tmp_path / "b")]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "sid, name",
+    [("pvw", "period"), ("segdict", "dict_size"), ("segdict.two_level", "dict_size"), ("varwidth.capped", "max_length")],
+)
+def test_a_padding_length_past_its_ceiling_is_refused_before_the_encoder_runs(monkeypatch, sid, name):
+    # ``pvw`` with ``period=2 * 10**6`` once wrote an 8,000,000-value data column
+    params, family = CASES[sid].gen(random.Random(1))
+    entry = codec(sid)
+    encoded = []
+    monkeypatch.setattr(entry, "_encode", lambda p, f, enc=entry._encode: encoded.append(p) or enc(p, f))
+    for value in (4097, 2 * 10**6):
+        with pytest.raises(NotEncodable, match="at most 4096"):
+            encode(sid, dict(params, **{name: value}), family)
+    assert encoded == []
+    assert entry.declared[name].ok(4096)
+    encode(sid, params, family)
+    assert len(encoded) == 1
+
+
+# -- type params are element type names ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "op, params", [("no_op", {"type": U32}), ("zip", {"types": ["u8", U32]}), ("derivative", {"type": "u8", "out_type": U32})]
+)
+def test_an_element_type_object_is_a_bad_operator_param(op, params):
+    with pytest.raises(OperatorError, match="bad-params.*element type name"):
+        instantiate(op, params)
+
+
+@pytest.mark.parametrize("sid, params", [("constant", {"type": U32}), ("components", {"types": [U32, "u32"]})])
+def test_an_element_type_object_is_a_bad_scheme_param(sid, params):
+    inst = SchemeInstance(sid, params, {})
+    one = make_column(U32, [1])
+    family = make_column(U32, [1, 1]) if sid == "constant" else {"component_1": one, "component_2": one}
+    for call in (lambda: encode(sid, params, family), lambda: verify(inst), lambda: decode(inst)):
+        with pytest.raises(NotEncodable, match="element type name"):
+            call()
+
+
+def test_an_element_type_object_is_a_bad_recipe_option_or_inner_param():
+    nullsup = ("nullsup", {"type": "i16", "narrow_type": "i8"})
+    with pytest.raises(NotEncodable, match="element type name"):
+        compose(CompositionRecipe("differentiate", "testonly.params.typed-option", (nullsup,), {"type": U32}))
+    with pytest.raises(NotEncodable, match="element type name"):
+        compose(CompositionRecipe("patch", "testonly.params.typed-inner", (("constant", {"type": U32}),)))

@@ -12,13 +12,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from colcirc import Column, SchemeInstance, codec, decode, evaluate_ports, instantiate, verify
+from colcirc import Column, SchemeInstance, catalog_names, codec, decode, evaluate_ports, instantiate, verify
 from colcirc.circuit import OUT
 from colcirc.codec import DECODED_PREFIX
 from colcirc.errors import EvaluationError, OperatorError, VerificationFailed
 from paths import (
-    LIFTED, PATHS, RANDOM_CALLS, RECIPES, Failure, boundary_calls, composed_battery, composed_rule, encoded,
-    inductive_port_value, lifted_battery, on_every_path, outcome, random_query, same, scheme_battery, splice_q6,
+    HOST_LOOP, LIFTED, PATHS, RANDOM_CALLS, RECIPES, Failure, boundary_calls, composed_battery, composed_rule, encoded,
+    host_loop_battery, inductive_port_value, lifted_battery, lifting_calls, on_every_path, outcome, random_query, same,
+    scheme_battery, segments_rule, splice_q6,
 )
 
 from circuit_gen import random_circuit, random_inputs
@@ -51,12 +52,20 @@ def evaluation(c, columns):
 
 
 def check_call(op, params, inputs):
+    """The call on every path against ``plain``.  A call that succeeds returns exactly its declared
+    output labels, each a column of its declared type whose values lie in that type's domain:
+    evaluation stores a kernel's outputs without checking them."""
     seen = on_every_path(lambda cols: {"outputs": outcome(lambda: instantiate(op, params).apply(cols))}, inputs)
     assert_agree(seen, (op, params))
-    out = seen["plain"]["outputs"]
-    if not isinstance(out, Failure):
-        for t, values, _ in out.values():
-            assert t.check_values(values) is values  # every output, trusted or not, is in its domain
+    if isinstance(seen["plain"]["outputs"], Failure):
+        return
+    inst = instantiate(op, params)
+    declared = inst.signature.outputs
+    out = inst.apply(inputs)
+    assert out.keys() == declared.keys(), (op, params, list(out))
+    for label, col in out.items():
+        assert isinstance(col, Column) and col.element_type == declared[label], (op, params, label)
+        assert col.element_type.check_values(col.values) is col.values  # trusted or not, in its domain
 
 
 def check_instance(inst):
@@ -88,6 +97,16 @@ def check_instance(inst):
 @pytest.mark.parametrize("op, params, inputs", [pytest.param(*case, id=case_id) for case_id, *case in boundary_calls()])
 def test_boundary_calls(op, params, inputs):
     check_call(op, params, inputs)
+
+
+@pytest.mark.parametrize("op, params, inputs", [pytest.param(*case, id=case_id) for case_id, *case in lifting_calls()])
+def test_lifting_calls(op, params, inputs):
+    check_call(op, params, inputs)
+
+
+def test_every_catalog_operator_has_a_direct_call():
+    called = {op for _, op, _, _ in [*boundary_calls(), *lifting_calls()]}
+    assert {name for name in catalog_names() if not name.startswith("testonly.")} <= called
 
 
 @pytest.mark.parametrize("case", sorted(RANDOM_CALLS))
@@ -158,6 +177,19 @@ def test_composed_recipes(kind, inner, options, t, family):
         checked += 1
         rejected += not want
     assert 0 < rejected < checked
+
+
+@pytest.mark.parametrize("entry, inner, family", [pytest.param(e, i, f, id=tag) for tag, e, i, f in HOST_LOOP])
+def test_host_loop_segmentations(entry, inner, family):
+    """Segmentized over an inner scheme that is not position-wise, on the ``segmentized`` host loop:
+    accept exactly when every segment passes its inner verifier and decodes to its length."""
+    assert not entry.lifted
+    verdicts = []
+    for inst in host_loop_battery(entry, family):
+        ref = check_instance(inst)
+        assert ref["verdict"] is segments_rule(entry, inner, inst), inst.columns
+        verdicts.append(ref["verdict"])
+    assert all(verdicts[:3]) and not all(verdicts)
 
 
 @pytest.mark.parametrize("entry, t", [pytest.param(entry, t, id=tag) for tag, entry, _, t in LIFTED])
