@@ -12,6 +12,7 @@ programs too.
 from __future__ import annotations
 
 from .circuit import IN, OUT, ColumnarCircuit, PortRef, ValidationReport, Violation, circuit, validate_circuit
+from .circuit import _port, _proven_if
 from .errors import ColcircError, InvalidCircuitError
 from .ops import instantiate
 from .types import INT
@@ -55,16 +56,17 @@ class CircuitBuilder:
         Returns a single :class:`Wire` when the operator has one output,
         else a dict of them.
         """
-        inst = instantiate(op_name, params or {})
-        if wired.keys() != inst.signature.inputs.keys():
-            raise ColcircError(f"{op_name} wires ports {sorted(wired)}, not its inputs {sorted(inst.signature.inputs)}")
+        inst = instantiate(op_name, params)
+        inputs, outputs = inst.signature.inputs, inst.signature.outputs
+        if wired.keys() != inputs.keys():
+            raise ColcircError(f"{op_name} wires ports {sorted(wired)}, not its inputs {sorted(inputs)}")
         vid = self._place(inst)
         for label, src in wired.items():
-            self._feed(src, PortRef(vid, label, IN))
-        outs = {label: Wire(self, PortRef(vid, label, OUT)) for label in inst.signature.outputs}
-        if len(outs) == 1:
-            return next(iter(outs.values()))
-        return outs
+            self._feed(src, _port((vid, label, IN)))
+        if len(outputs) == 1:
+            (label,) = outputs
+            return Wire(self, _port((vid, label, OUT)))
+        return {label: Wire(self, _port((vid, label, OUT))) for label in outputs}
 
     def _place(self, inst) -> str:
         vid = f"v{len(self._vertices) + 1}_{inst.op_name}"
@@ -199,6 +201,7 @@ class CircuitBuilder:
         self.output(f"out:{label}", wire)
 
     def build(self) -> ColumnarCircuit:
+        """The circuit wired so far, marked proven: ``add`` proved it as it wired, else validation did."""
         vertices, edges, interface = dict(self._vertices), set(self._edges), {}
         for label, targets in self._inputs.items():
             if len(targets) == 1:
@@ -221,7 +224,7 @@ class CircuitBuilder:
             violations = (*self._flaws, *validate_circuit(c).violations)
             if violations:
                 raise InvalidCircuitError(ValidationReport(violations))
-        return c
+        return _proven_if(c, True)
 
 
 def run_index_wires(b: CircuitBuilder, starts: Wire, total: Wire, int_t: str = str(INT)) -> Wire:

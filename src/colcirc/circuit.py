@@ -10,9 +10,11 @@ order.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     MissingInputError,
     OperatorError,
 )
-from .ops import Signature, instantiate
+from .ops import Signature, _set, instantiate
 from .types import parse_type
 
 RESERVED_LABEL_PREFIX = "cut:"
@@ -41,6 +43,11 @@ class PortRef(NamedTuple):
 
     def __str__(self):
         return f"{self.vertex_id}.{self.port_label}"
+
+
+# ``PortRef(...)`` runs the named tuple's ``__new__``, a Python function; this
+# makes the same port from a plain tuple at C speed, for the hot paths
+_port = partial(tuple.__new__, PortRef)
 
 
 def in_port(vertex_id, label) -> PortRef:
@@ -69,7 +76,10 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+_NO_VIOLATIONS = ValidationReport(())
+
+
+@dataclass(frozen=True, init=False)
 class ColumnarCircuit:
     vertices: dict  # vertex_id -> OperatorInstance
     edges: frozenset  # of (PortRef out, PortRef in)
@@ -82,9 +92,16 @@ class ColumnarCircuit:
     _plan = None
     _structure = None
     _decoded = None  # a codec's decoded-family spec, when the circuit is a decoder (``codec._decoded_spec``)
+    # True once the circuit is proven valid: ``CircuitBuilder.build`` proved
+    # it, ``validate_circuit`` passed it, or an algebra operation made it
+    # from proven operands (``_proven_if``); no check looks at it again
+    _proven = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
+    def __init__(self, vertices: dict, edges, interface: dict, signature: Signature):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", frozenset(edges))
+        _set(self, "interface", interface)
+        _set(self, "signature", signature)
 
     # -- structural helpers -------------------------------------------------
 
@@ -135,6 +152,13 @@ def circuit(vertices, edges, interface) -> ColumnarCircuit:
     return ColumnarCircuit(vertices, edges, interface, Signature(ins, outs))
 
 
+def _proven_if(c: ColumnarCircuit, proof) -> ColumnarCircuit:
+    """``c``, marked proven valid when ``proof`` holds."""
+    if proof:
+        _set(c, "_proven", True)
+    return c
+
+
 def _structure(c: ColumnarCircuit):
     """One walk over the circuit's edges, shared by validation and plan compilation.
 
@@ -142,49 +166,59 @@ def _structure(c: ColumnarCircuit):
     vertex port keyed by ``(vertex id, port label, direction)``, the source of
     every engaged in-port, the edge violations, and the vertex ids in
     topological order (``None`` when the layout graph has a cycle).  Cached
-    on the circuit until its plan is compiled.
+    on the circuit until its plan is compiled.  A proven circuit has no
+    violations to find, so its walk keys no port types (``types`` is None)
+    and finds only the sources and the order.
     """
     found = c._structure
     if found is not None:
         return found
-    types = {}
-    for vid, op in c.vertices.items():
-        for label, t in op.signature.inputs.items():
-            types[vid, label, IN] = t
-        for label, t in op.signature.outputs.items():
-            types[vid, label, OUT] = t
-    sources, fed_again, violations = {}, {}, []
+    types, sources, fed_again, violations = None, {}, {}, []
     pending = dict.fromkeys(c.vertices, 0)  # vertex -> edges from vertices not yet ordered
     consumers = {}
-    for src, dst in c.edges:
-        if src[0] in pending and dst[0] in pending:
+    if c._proven:
+        for src, dst in c.edges:
+            sources[dst] = src
             pending[dst[0]] += 1
             consumers.setdefault(src[0], []).append(dst[0])
-        t_src = types.get(src) if src[2] == OUT else None
-        if t_src is None:
-            violations.append(Violation("bad-edge-source", f"{src} is not a vertex out-port"))
-            continue
-        t_dst = types.get(dst) if dst[2] == IN else None
-        if t_dst is None:
-            violations.append(Violation("bad-edge-target", f"{dst} is not a vertex in-port"))
-            continue
-        if dst in sources:
-            fed_again[dst] = fed_again.get(dst, 1) + 1
-        else:
-            sources[dst] = src
-        if t_src is not t_dst and t_src != t_dst:
-            violations.append(Violation("type-mismatch", f"edge {src} ({t_src}) -> {dst} ({t_dst})"))
-    for dst, n in fed_again.items():
-        violations.append(Violation("multi-fed-port", f"{dst} is the target of {n} edges"))
+    else:
+        types = {}
+        for vid, op in c.vertices.items():
+            for label, t in op.signature.inputs.items():
+                types[vid, label, IN] = t
+            for label, t in op.signature.outputs.items():
+                types[vid, label, OUT] = t
+        for src, dst in c.edges:
+            if src[0] in pending and dst[0] in pending:
+                pending[dst[0]] += 1
+                consumers.setdefault(src[0], []).append(dst[0])
+            t_src = types.get(src) if src[2] == OUT else None
+            if t_src is None:
+                violations.append(Violation("bad-edge-source", f"{src} is not a vertex out-port"))
+                continue
+            t_dst = types.get(dst) if dst[2] == IN else None
+            if t_dst is None:
+                violations.append(Violation("bad-edge-target", f"{dst} is not a vertex in-port"))
+                continue
+            if dst in sources:
+                fed_again[dst] = fed_again.get(dst, 1) + 1
+            else:
+                sources[dst] = src
+            if t_src is not t_dst and t_src != t_dst:
+                violations.append(Violation("type-mismatch", f"edge {src} ({t_src}) -> {dst} ({t_dst})"))
+        for dst, n in fed_again.items():
+            violations.append(Violation("multi-fed-port", f"{dst} is the target of {n} edges"))
     order = []
     ready = sorted(v for v, n in pending.items() if not n)
     while ready:
         v = ready.pop()
         order.append(v)
-        for u in sorted(consumers.get(v, ())):
-            pending[u] -= 1
-            if not pending[u]:
-                ready.append(u)
+        after = consumers.get(v)
+        if after:  # sorted: the order, and so the vertex an evaluation fails at, depends on no hash order
+            for u in sorted(after) if len(after) > 1 else after:
+                pending[u] -= 1
+                if not pending[u]:
+                    ready.append(u)
     found = (types, sources, tuple(violations), order if len(order) == len(pending) else None)
     if c._plan is None:
         object.__setattr__(c, "_structure", found)
@@ -192,8 +226,16 @@ def _structure(c: ColumnarCircuit):
 
 
 def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
-    """Full structural check; violations are data, not failures."""
+    """Full structural check; violations are data, not failures.
+
+    A proven circuit reports nothing without a look; one that passes is
+    marked proven.
+    """
+    if c._proven:
+        return _NO_VIOLATIONS
     types, sources, edge_violations, order = _structure(c)
+    if types is None:  # only a proven circuit's walk keys no types: another thread proved it meanwhile
+        return _NO_VIOLATIONS
     violations = list(edge_violations)
     if order is None:
         violations.append(Violation("cycle", "layout graph contains a directed cycle"))
@@ -229,7 +271,10 @@ def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
         elif t_port is not t and t_port != t:
             violations.append(Violation("type-mismatch", f"output label {label!r} type differs from {port}"))
 
-    return ValidationReport(tuple(violations))
+    if violations:
+        return ValidationReport(tuple(violations))
+    _proven_if(c, True)
+    return _NO_VIOLATIONS
 
 
 def check_valid(c: ColumnarCircuit) -> ColumnarCircuit:
@@ -432,15 +477,21 @@ def _port_from_str(s: str, c_vertices, direction_hint=None):
 
 
 def circuit_to_json(c: ColumnarCircuit) -> dict:
+    """The circuit's JSON document.  Each vertex's params are a deep copy, so
+    no edit of the document reaches the circuit's operators."""
+    try:
+        vertices = [
+            {"id": vid, "op": op.op_name, "params": copy.deepcopy(op.params)}
+            for vid, op in sorted(c.vertices.items())
+        ]
+    except RecursionError:  # fused vertices nested past the recursion limit
+        raise ColcircError("circuit JSON is nested too deeply") from None
     return {
         "signature": {
             "inputs": {k: str(t) for k, t in c.signature.inputs.items()},
             "outputs": {k: str(t) for k, t in c.signature.outputs.items()},
         },
-        "vertices": [
-            {"id": vid, "op": op.op_name, "params": op.params}
-            for vid, op in sorted(c.vertices.items())
-        ],
+        "vertices": vertices,
         "edges": [
             {"from": f, "to": t}
             for f, t in sorted((_port_to_str(src), _port_to_str(dst)) for src, dst in c.edges)

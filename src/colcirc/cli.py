@@ -128,19 +128,37 @@ def cmd_eval(args):
             print(f"error: --input needs label=path, got {item!r}", file=sys.stderr)
             return EXIT_IO
         inputs[label] = read_col_file(path)
-    os.makedirs(args.out, exist_ok=True)
+    files = []  # (name, column), every name checked before the first file is written
     if args.trace:
         ports = evaluate_ports(c, inputs)
         for port, col in sorted(ports.items(), key=lambda kv: str(kv[0])):
-            name = f"{port.vertex_id}.{port.port_label}.{port.direction}.col"
-            write_col_file(os.path.join(args.out, name), col)
+            files.append((f"{port.vertex_id}.{port.port_label}.{port.direction}.col", col))
         outputs = {label: ports[c.interface[label]] for label in c.signature.outputs}
     else:
         outputs = evaluate_circuit(c, inputs)
-    for label, col in outputs.items():
-        write_col_file(os.path.join(args.out, label + ".col"), col)
+    files += [(label + ".col", col) for label, col in outputs.items()]
+    paths = [(_inside(args.out, name), col) for name, col in files]
+    os.makedirs(args.out, exist_ok=True)
+    for path, col in paths:
+        write_col_file(path, col)
     print(f"evaluated {args.circuit}: outputs {sorted(outputs)} in {args.out}")
     return EXIT_OK
+
+
+def _inside(directory, name):
+    """The path of file ``name`` in ``directory``; a name that resolves outside it is a ``ColcircError``.
+
+    A plain file name that is no symbolic link stays in ``directory``, so it
+    costs one ``lstat``; any other name is resolved, as ``read_bundle``
+    resolves a manifest path.
+    """
+    path = os.path.join(directory, name)
+    if os.sep not in name and name not in (os.curdir, os.pardir) and not os.path.islink(path):
+        return path
+    root = os.path.realpath(directory)
+    if os.path.commonpath([root, os.path.realpath(path)]) != root:
+        raise ColcircError(f"output file {name!r} would leave the output directory")
+    return path
 
 
 def _col_report(label, col):

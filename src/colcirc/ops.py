@@ -29,20 +29,29 @@ from .types import BIT, INT, ElementType, Kind, parse_type
 _FLOAT = Kind.FLOAT
 
 
-@dataclass(frozen=True)
+# The frozen dataclasses here and in ``circuit`` write their own ``__init__``,
+# at about half the cost of the generated one.  It sets fields with ``_set``,
+# not through ``self.__dict__``: a materialized ``__dict__`` makes every later
+# attribute read several times slower.  Equality, repr and hashing are generated.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Signature:
     """Labeled input and output element types of an operator or circuit."""
 
     inputs: dict
     outputs: dict
 
-    def __post_init__(self):
-        if not self.inputs.keys().isdisjoint(self.outputs):  # no set is built for the common, disjoint case
-            overlap = set(self.inputs) & set(self.outputs)
+    def __init__(self, inputs: dict, outputs: dict):
+        if not inputs.keys().isdisjoint(outputs):  # no set is built for the common, disjoint case
+            overlap = set(inputs) & set(outputs)
             raise ValueError(f"input and output labels must be disjoint, both have {overlap}")
+        _set(self, "inputs", inputs)
+        _set(self, "outputs", outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorInstance:
     """A catalog operator bound to concrete params and element types."""
 
@@ -53,6 +62,12 @@ class OperatorInstance:
     # ``fused`` instance's parsed subcircuit, a ``segmentized`` or
     # ``host_verify`` instance's codec entry; everything else leaves this None
     inner: object = field(default=None, compare=False, repr=False)
+
+    def __init__(self, op_name: str, params: dict, signature: Signature, inner: object = None):
+        _set(self, "op_name", op_name)
+        _set(self, "params", params)
+        _set(self, "signature", signature)
+        _set(self, "inner", inner)
 
     # a ``scalar`` instance's output column, made and checked on its first
     # apply; not a field, so equality and repr ignore it
@@ -512,10 +527,17 @@ _ELEMENTWISE_FNS = {
 }
 
 
+# ``fn`` decides which other params an elementwise operator reads, so the
+# operator declares none and ``_ew_sig`` checks them all in one pass, ``fn`` first
+_FN = {"fn": one_of(_ELEMENTWISE_FNS)}
+_EW_PARAMS = {fn: {**_FN, **declared} for fn, (declared, _, _) in _ELEMENTWISE_FNS.items()}
+
+
 def _ew_sig(params):
-    declared, sig, _ = _ELEMENTWISE_FNS[params["fn"]]
+    fn = params.get("fn")
+    declared = _EW_PARAMS.get(fn, _FN) if isinstance(fn, str) else _FN
     check(declared, params, _BAD_PARAMS, _BAD_PARAMS, "parameter", none_missing=True)
-    return sig(params)
+    return _ELEMENTWISE_FNS[fn][1](params)
 
 
 def _ew_apply(inst, cols):
@@ -523,7 +545,7 @@ def _ew_apply(inst, cols):
     return _ELEMENTWISE_FNS[inst.params["fn"]][2](inst, cols)
 
 
-register_operator("elementwise", _ew_sig, _ew_apply, {"fn": one_of(_ELEMENTWISE_FNS)})
+register_operator("elementwise", _ew_sig, _ew_apply)
 
 
 def elementwise(fn: str, args, **params) -> list[Column]:

@@ -17,6 +17,8 @@ from .circuit import (
     RESERVED_LABEL_PREFIX,
     ColumnarCircuit,
     PortRef,
+    _port,
+    _proven_if,
     _structure,
     _toposort,
     check_valid,
@@ -31,19 +33,23 @@ from .ops import OperatorInstance, Signature, instantiate, register_operator
 from .params import VALUE
 
 
+# The operations below keep validity by their own checks: each result of a
+# proven operand (two, for a union) is proven too.
+
+
 def _retagged(c: ColumnarCircuit, tag: str) -> ColumnarCircuit:
     """``c`` with every vertex id prefixed by ``tag``; labels and signature stay."""
     vertices = {tag + vid: op for vid, op in c.vertices.items()}
-    edges = {(PortRef(tag + s[0], s[1], OUT), PortRef(tag + t[0], t[1], IN)) for s, t in c.edges}
-    interface = {label: PortRef(tag + p[0], p[1], p[2]) for label, p in c.interface.items()}
-    return ColumnarCircuit(vertices, edges, interface, c.signature)
+    edges = frozenset([(_port((tag + s[0], s[1], OUT)), _port((tag + t[0], t[1], IN))) for s, t in c.edges])
+    interface = {label: _port((tag + p[0], p[1], p[2])) for label, p in c.interface.items()}
+    return _proven_if(ColumnarCircuit(vertices, edges, interface, c.signature), c._proven)
 
 
 def _renamed(c: ColumnarCircuit, name) -> ColumnarCircuit:
-    """``c`` with every interface label ``label`` renamed ``name(label)``, in place."""
+    """``c`` with every interface label ``label`` renamed ``name(label)``, in place; ``name`` is injective."""
     sides = (c.signature.inputs, c.signature.outputs, c.interface)
     ins, outs, interface = ({name(label): v for label, v in side.items()} for side in sides)
-    return ColumnarCircuit(c.vertices, c.edges, interface, Signature(ins, outs))
+    return _proven_if(ColumnarCircuit(c.vertices, c.edges, interface, Signature(ins, outs)), c._proven)
 
 
 def circuit_union(c1: ColumnarCircuit, c2: ColumnarCircuit) -> ColumnarCircuit:
@@ -57,21 +63,31 @@ def circuit_union(c1: ColumnarCircuit, c2: ColumnarCircuit) -> ColumnarCircuit:
     s1, s2 = c1.signature, c2.signature
     signature = Signature({**s1.inputs, **s2.inputs}, {**s1.outputs, **s2.outputs})
     interface = {**c1.interface, **c2.interface}
-    return ColumnarCircuit({**c1.vertices, **c2.vertices}, c1.edges | c2.edges, interface, signature)
+    union = ColumnarCircuit({**c1.vertices, **c2.vertices}, c1.edges | c2.edges, interface, signature)
+    return _proven_if(union, c1._proven and c2._proven)
 
 
 def _reaches(c: ColumnarCircuit, start_vertex: str, goal_vertex: str) -> bool:
-    consumers = {}
+    """Whether a path of edges leads from ``start_vertex`` to ``goal_vertex``.
+
+    The walk goes back from the goal: a spliced decoder's output has few
+    ancestors, the plan input it feeds many descendants.
+    """
+    feeders = {}  # vertex -> the source vertex of each edge into it; a list, not a set per edge
     for s, t in c.edges:
-        consumers.setdefault(s[0], set()).add(t[0])
-    seen, stack = {start_vertex}, [start_vertex]
+        if t[0] in feeders:
+            feeders[t[0]].append(s[0])
+        else:
+            feeders[t[0]] = [s[0]]
+    seen, stack = {goal_vertex}, [goal_vertex]
     while stack:
         v = stack.pop()
-        if v == goal_vertex:
+        if v == start_vertex:
             return True
-        fresh = consumers.get(v, set()) - seen
-        seen |= fresh
-        stack.extend(fresh)
+        for u in feeders.get(v, ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
     return False
 
 
@@ -88,9 +104,10 @@ def assign_input(c: ColumnarCircuit, input_label: str, source: PortRef) -> Colum
         raise OperatorError("type-mismatch", f"{source} has type {src_type}, input expects {inputs[input_label]}")
     if _reaches(c, target.vertex_id, source.vertex_id):
         raise OperatorError("would-create-cycle", f"{source} depends on {target}")
-    interface = {k: v for k, v in c.interface.items() if k != input_label}
-    signature = Signature({k: t for k, t in inputs.items() if k != input_label}, c.signature.outputs)
-    return ColumnarCircuit(c.vertices, c.edges | {(source, target)}, interface, signature)
+    interface, inputs = dict(c.interface), dict(inputs)
+    del interface[input_label], inputs[input_label]
+    signature = Signature(inputs, c.signature.outputs)
+    return _proven_if(ColumnarCircuit(c.vertices, c.edges | {(source, target)}, interface, signature), c._proven)
 
 
 def cut_label(port: PortRef) -> str:
@@ -262,9 +279,11 @@ def drop_output(c: ColumnarCircuit, label: str) -> ColumnarCircuit:
     """Remove an output label from the interface (the vertex stays)."""
     if label not in c.signature.outputs:
         raise ColcircError(f"{label!r} is not an output label")
-    outputs = {k: t for k, t in c.signature.outputs.items() if k != label}
-    interface = {k: v for k, v in c.interface.items() if k != label}
-    return ColumnarCircuit(c.vertices, c.edges, interface, Signature(c.signature.inputs, outputs))
+    outputs, interface = dict(c.signature.outputs), dict(c.interface)
+    del outputs[label]
+    interface.pop(label, None)
+    dropped = ColumnarCircuit(c.vertices, c.edges, interface, Signature(c.signature.inputs, outputs))
+    return _proven_if(dropped, c._proven)
 
 
 def _params_key(params: dict) -> str:

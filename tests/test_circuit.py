@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import random
 
 import pytest
 
 from colcirc import (
     circuit,
+    codec,
     circuit_from_json,
     circuit_to_json,
     evaluate_circuit,
@@ -16,9 +19,10 @@ from colcirc import (
     validate_circuit,
 )
 from colcirc.builder import CircuitBuilder
-from colcirc.circuit import IN, OUT, PortRef
+from colcirc.circuit import IN, OUT, ColumnarCircuit, PortRef, _port, dump_circuit, load_circuit
 from colcirc.errors import EvaluationError, MissingInputError, OperatorError
 from colcirc.gallery import double_plus_three, q6_circuit, q6_reference
+from colcirc.ops import OperatorInstance, Signature
 from colcirc.types import BIT, INT, U32, U64
 
 from circuit_gen import random_circuit, random_inputs
@@ -194,8 +198,61 @@ class TestJson:
         col = make_column(U32, [3, 10])
         assert evaluate_circuit(c, {"col": col}) == evaluate_circuit(c2, {"col": col})
 
+    def test_editing_the_document_leaves_the_circuit_alone(self):
+        def vandalize(value):
+            """Edit every dict and list inside ``value``, at every depth."""
+            if isinstance(value, dict):
+                for key in list(value):
+                    vandalize(value[key])
+                    value[key] = "zz"
+                value["zz"] = "zz"
+            elif isinstance(value, list):
+                for item in value:
+                    vandalize(item)
+                value.append("zz")
+
+        entry = codec("for")
+        params = entry.normalize_params({"type": "u64", "offset_type": "u16", "segment_length": 128})
+        for c in (q6_circuit(), entry.decoder(params)):
+            text = dump_circuit(c)
+            doc = circuit_to_json(c)
+            doc["vertices"][0]["params"]["lo"] = "zz"
+            for vertex in doc["vertices"]:
+                vandalize(vertex["params"])
+            assert c == load_circuit(text) and dump_circuit(c) == text
+        # the decoder cache still holds the decoder it held
+        assert entry.decoder(params) == load_circuit(dump_circuit(entry.build_decoder(params)))
+
     def test_declared_signature_checked(self):
         doc = circuit_to_json(double_plus_three())
         doc["signature"]["inputs"]["col"] = "u8"
         with pytest.raises(Exception):
             circuit_from_json(doc)
+
+
+class TestHandWrittenInits:
+    """``Signature``, ``OperatorInstance`` and ``ColumnarCircuit`` write their
+    own ``__init__`` and ``_port`` builds ports from plain tuples; a field
+    added later and missed there would otherwise go unnoticed."""
+
+    @pytest.mark.parametrize("cls", [Signature, OperatorInstance, ColumnarCircuit])
+    def test_the_init_takes_and_sets_every_field_in_order(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(cls.__init__).parameters)[1:] == names
+        values = {name: object() for name in names}
+        if cls is Signature:
+            values = {"inputs": {"a": U32}, "outputs": {"b": U32}}
+        if cls is ColumnarCircuit:
+            values["edges"] = [(out_port("a", "result"), in_port("b", "col"))]
+        made = cls(**values)
+        for name in names:
+            got = getattr(made, name)
+            assert (got == frozenset(values[name])) if name == "edges" else (got is values[name]), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, names[0], None)
+
+    def test_port_from_a_tuple_is_a_full_port_ref(self):
+        p = PortRef("v1", "result", OUT)
+        made = _port(tuple(p))
+        assert type(made) is PortRef and made == p and len(made) == len(PortRef._fields)
+        assert (made.vertex_id, made.port_label, made.direction) == ("v1", "result", OUT)

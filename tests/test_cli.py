@@ -9,6 +9,7 @@ import pytest
 import colcirc
 from colcirc import (
     SchemeInstance,
+    circuit,
     circuit_to_json,
     make_column,
     read_bundle,
@@ -16,9 +17,12 @@ from colcirc import (
     write_bundle,
     write_col_file,
 )
+from colcirc.circuit import PortRef
 from colcirc.cli import main
 from colcirc.gallery import double_plus_three
 from colcirc.types import F64, INT, U8, U32, U64
+
+from paths import encoded, splice_q6
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
 
@@ -508,6 +512,77 @@ class TestEvalTraceFiles:
         assert main(["eval", str(cpath), "--input", f"col={inpath}", "-o", str(out), "--trace"]) == 0
         written = {p.name: p.read_bytes().hex() for p in out.iterdir()}
         assert written == self.EXPECTED
+
+
+class TestEvalWritesOnlyUnderOut:
+    """``eval`` refuses an output label or a traced vertex id that would put a file outside ``-o``."""
+
+    def run_eval(self, tmp_path, doc, *extra):
+        cpath = tmp_path / "circuit.json"
+        cpath.write_text(json.dumps(doc))
+        inpath = tmp_path / "in.col"
+        write_col_file(inpath, make_column(U32, [1, 5]))
+        out = tmp_path / "run" / "out"
+        return main(["eval", str(cpath), "--input", f"col={inpath}", "-o", str(out), *extra]), out
+
+    def test_an_output_label_that_climbs_out(self, tmp_path, capsys):
+        doc = circuit_to_json(double_plus_three())
+        doc["signature"]["outputs"] = {"../escaped": doc["signature"]["outputs"].pop("result")}
+        doc["interface"]["../escaped"] = doc["interface"].pop("result")
+        code, out = self.run_eval(tmp_path, doc)
+        assert code == 1
+        assert "would leave the output directory" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "escaped.col").exists()
+        assert not out.exists()  # refused before anything was written
+
+    def test_a_traced_vertex_id_that_is_an_absolute_path(self, tmp_path, capsys):
+        outside = tmp_path / "elsewhere" / "v"
+        if "." in str(outside):
+            pytest.skip("vertex ids may not hold '.'")
+        c = double_plus_three()
+
+        def moved(port):
+            return PortRef(str(outside), port.port_label, port.direction) if port.vertex_id == "add" else port
+
+        vertices = {(str(outside) if vid == "add" else vid): op for vid, op in c.vertices.items()}
+        edges = {(moved(src), moved(dst)) for src, dst in c.edges}
+        doc = circuit_to_json(circuit(vertices, edges, {label: moved(p) for label, p in c.interface.items()}))
+        code, out = self.run_eval(tmp_path, doc, "--trace")
+        assert code == 1
+        assert "would leave the output directory" in capsys.readouterr().err
+        assert not (tmp_path / "elsewhere").exists()
+        assert not out.exists()
+        # without the trace, only the output label names a file
+        code, out = self.run_eval(tmp_path, doc)
+        assert code == 0 and [p.name for p in out.iterdir()] == ["result.col"]
+
+    def test_an_output_file_that_is_a_link_out(self, tmp_path, capsys):
+        out = tmp_path / "run" / "out"
+        out.mkdir(parents=True)
+        (out / "result.col").symlink_to(tmp_path / "elsewhere.col")
+        code, _ = self.run_eval(tmp_path, circuit_to_json(double_plus_three()))
+        assert code == 1
+        assert "would leave the output directory" in capsys.readouterr().err
+        assert not (tmp_path / "elsewhere.col").exists()
+
+    def test_the_spliced_q6_plans_still_write_revenue(self, tmp_path):
+        table = {
+            "shipdate": [8800, 9000, 9100],
+            "discount": [6, 2, 5],
+            "quantity": [3, 30, 4],
+            "extended_price": [1000, 2000, 300],
+        }
+        cpath = tmp_path / "q6.json"
+        # the constants' defaults are TPC-H's, as in the benchmark's second plan
+        cpath.write_text(json.dumps(circuit_to_json(splice_q6({}))))
+        argv = ["eval", str(cpath), "-o", str(tmp_path / "out")]
+        for label, col in encoded(table).items():
+            path = tmp_path / (label.replace(":", "_") + ".col")
+            write_col_file(path, col)
+            argv += ["--input", f"{label}={path}"]
+        assert main(argv) == 0
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["revenue.col"]
+        assert read_col_file(tmp_path / "out" / "revenue.col").values == (1000 * 6 + 300 * 5,)
 
 
 class TestUsageErrorsExitOne:

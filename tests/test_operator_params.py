@@ -21,7 +21,7 @@ from colcirc import ColcircError, CompositionRecipe, OperatorError, catalog_name
 from colcirc import params as kinds
 from colcirc.cli import main
 from colcirc.gallery import double_plus_three
-from colcirc.ops import _CATALOG, _ELEMENTWISE_FNS, instantiate
+from colcirc.ops import _CATALOG, _ELEMENTWISE_FNS, _EW_PARAMS, instantiate
 
 _TYPE_NAMES = ["u8", "u32", "u64", "i8", "i64", "f32", "f64", "bit", "unit", "prod(u8,i16)"]
 _TYPE = st.sampled_from(_TYPE_NAMES)
@@ -56,8 +56,8 @@ _BAD = ["x", None, 2.5, -1, 0, [], {}, True, 10**30]
 _OPS = [name for name in catalog_names() if not name.startswith("testonly.")]
 # each case: the operator, the params every draw keeps, and the declaration the rest is drawn from
 _CASES = {name: (name, {}, _CATALOG[name].params) for name in _OPS if name not in _EXAMPLES and name != "elementwise"}
-for _fn, (_declared, _, _) in _ELEMENTWISE_FNS.items():
-    _CASES[f"elementwise.{_fn}"] = ("elementwise", {"fn": _fn}, {**_CATALOG["elementwise"].params, **_declared})
+for _fn in _ELEMENTWISE_FNS:
+    _CASES[f"elementwise.{_fn}"] = ("elementwise", {"fn": _fn}, _EW_PARAMS[_fn])
 
 
 def _strategy(kind):

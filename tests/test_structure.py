@@ -1,8 +1,11 @@
-"""One structural pass per circuit, shared by validation and plan compilation.
+"""One structural pass per circuit, shared by validation and plan compilation,
+and a proof of validity that the circuit algebra carries.
 
 ``validate_circuit`` is checked against the per-port validation it replaced,
 kept here as an oracle; the pass is checked to run once for a validated and
-then evaluated plan, and to leave a circuit's value, JSON and repr alone.
+then evaluated plan, to be skipped by validation of a proven circuit, and to
+leave a circuit's value, JSON and repr alone; and every circuit the algebra
+marks proven is checked to pass the full check.
 """
 
 import importlib
@@ -28,10 +31,10 @@ from colcirc import (
 from colcirc.circuit import IN, OUT, PortRef, Violation, dump_circuit, load_circuit
 from colcirc.cli import main
 from colcirc.column import read_col_file, write_col_file
-from colcirc.errors import ColcircError, EvaluationError, TypeDomainError
+from colcirc.errors import ColcircError, EvaluationError, OperatorError, TypeDomainError
 from colcirc.gallery import q6_circuit, q6_reference
-from colcirc.transform import rename_label, rename_labels
-from colcirc.types import BIT, U32
+from colcirc.transform import assign_input, circuit_union, drop_output, rename_label, rename_labels
+from colcirc.types import BIT, U32, Kind
 
 from circuit_gen import random_circuit
 from paths import encoded, lineitem, splice_q6
@@ -251,12 +254,14 @@ class TestOnePass:
         columns = {"shipdate": [8800, 9000], "discount": [6, 2], "quantity": [3, 30], "extended_price": [1000, 2000]}
         walks = count_passes(monkeypatch)
         plan, inputs = spliced_q6(columns)
-        # the builder proves ``q6_circuit`` valid as it wires it, and the
-        # algebra derives each signature from its operands'
-        assert walks == []
+        # the builder proves ``q6_circuit`` and each decoder valid as it wires
+        # them, and the algebra carries the proof to the spliced plan
+        assert walks == [] and plan._proven
         assert validate_circuit(plan).ok
+        assert walks == []
         for _ in range(3):
             assert evaluate_circuit(plan, inputs)["revenue"].values == (6000,)
+        # the compile walks once, for the sources and the order
         assert walks == [plan]
 
     def test_validate_then_three_evaluations_walk_the_plan_once(self, monkeypatch):
@@ -271,29 +276,43 @@ class TestOnePass:
         plan, inputs = spliced_q6(columns)
         walks = count_passes(monkeypatch)
         assert validate_circuit(plan).ok
+        assert walks == []
         want = q6_reference(*(columns[k] for k in ("shipdate", "discount", "quantity", "extended_price")))
         for _ in range(3):
             assert evaluate_circuit(plan, inputs)["revenue"].values == (want,)
         assert walks == [plan]
         # the compiled plan replaces the pass, so it is not kept alive
         assert plan._plan is not None and plan._structure is None
+        # an unproven copy of the plan takes the full pass once, and its
+        # evaluation reuses it
+        copy = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
+        assert not copy._proven and validate_circuit(copy).ok and copy._proven
+        assert evaluate_circuit(copy, inputs)["revenue"].values == (want,)
+        assert len(walks) == 2 and walks[1] is copy
 
     def test_the_pass_changes_neither_json_repr_nor_equality(self):
         circuits = [(sid, lambda sid=sid: codec(sid).build_decoder(CASES[sid].gen(random.Random(0))[0])) for sid in sorted(CASES)]
         circuits.append(("q6", q6_circuit))
         for name, make in circuits:
-            c, twin = make(), make()
-            object.__setattr__(c, "_structure", None)  # the builder's check left one
-            object.__setattr__(twin, "_structure", None)
+            proven, twin = make(), make()
+            assert proven._proven and proven._structure is None, name
+            # the same circuit without the mark, as loading it from JSON gives
+            c = ColumnarCircuit(proven.vertices, proven.edges, proven.interface, proven.signature)
+            assert not c._proven, name
             text, shown = dump_circuit(c), repr(c)
+            assert (dump_circuit(proven), repr(proven), proven) == (text, shown, c), name
             assert validate_circuit(c).ok
-            assert c._structure is not None, name
+            assert c._structure is not None and c._proven, name
             assert (dump_circuit(c), repr(c), c) == (text, shown, twin), name
-            assert load_circuit(text) == c, name
+            loaded = load_circuit(text)
+            assert loaded == c and not loaded._proven, name
 
     def test_threads_validating_and_evaluating_one_fresh_plan(self):
-        # the pass and the plan are cached on the shared circuit without a lock;
-        # a thread that finds the pass dropped by another's compile redoes it
+        # the pass, the plan and the proven mark are cached on the shared
+        # circuit without a lock; a thread that finds the pass dropped by
+        # another's compile redoes it, and one that finds the circuit proven
+        # between its first look and its walk reports nothing.  The plan runs
+        # proven, as spliced, and as an unproven copy that starts the full pass
         rng = random.Random(8)
         columns = {k: [rng.randrange(1, 40) for _ in range(6)] for k in ("discount", "quantity", "extended_price")}
         columns["shipdate"] = [rng.randrange(8700, 9200) for _ in range(6)]
@@ -301,8 +320,11 @@ class TestOnePass:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):
+            for i in range(20):
                 plan, inputs = spliced_q6(columns)
+                if i % 2:
+                    plan = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
+                    assert not plan._proven
                 barrier = threading.Barrier(6)
                 results = []
 
@@ -320,6 +342,21 @@ class TestOnePass:
                 assert results == [(True, (want,))] * 6
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_circuit_proven_between_the_first_look_and_the_walk_reports_nothing(self, monkeypatch):
+        # the interleaving the thread test can only hope to hit: another thread
+        # validates the circuit after this one found it unproven, and compiles
+        # it, which drops the pass, before this one walks it
+        plan = splice_q6({}, lineitem(4))
+        c = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
+        walk = circuit_mod._structure
+
+        def proven_meanwhile(circuit):
+            object.__setattr__(circuit, "_proven", True)
+            return walk(circuit)
+
+        monkeypatch.setattr(circuit_mod, "_structure", proven_meanwhile)
+        assert validate_circuit(c).ok
 
     def test_portref_is_a_named_tuple(self):
         p = PortRef("v1", "result", OUT)
@@ -402,3 +439,151 @@ class TestRenameLabels:
         assert rename_label(c, "discount", "d") == rename_labels(c, {"discount": "d"})
         with pytest.raises(ColcircError, match="already in use"):
             rename_label(c, "discount", "quantity")
+
+
+# -- the proof mark ------------------------------------------------------------
+
+
+def _column(rng, t):
+    """A short random column of element type ``t``; None for a product type."""
+    if t.components:
+        return None
+    n = rng.randrange(0, 6)
+    if t.kind is Kind.FLOAT:
+        return make_column(t, [rng.choice([0.0, 1.5, -2.0]) for _ in range(n)])
+    lo, hi = t.bounds()
+    return make_column(t, [rng.randrange(max(lo, 0), min(hi, 3) + 1) for _ in range(n)])
+
+
+def outcome(c, inputs):
+    """The outputs of ``c`` on ``inputs`` as types and values, or the error and its vertex."""
+    try:
+        out = evaluate_circuit(c, inputs)
+    except ColcircError as exc:
+        return type(exc), getattr(exc, "vertex_id", None)
+    return {label: (col.element_type, col.values) for label, col in out.items()}
+
+
+def unproven(c):
+    return ColumnarCircuit(c.vertices, c.edges, c.interface, c.signature)
+
+
+class TestProvenMark:
+    """The algebra passes the mark on only where the full check would pass."""
+
+    def check_sound(self, rng, c):
+        if not c._proven:
+            return
+        fresh = unproven(c)
+        assert validate_circuit(fresh).violations == ()
+        inputs = {label: _column(rng, t) for label, t in c.signature.inputs.items()}
+        if None not in inputs.values():
+            assert outcome(c, inputs) == outcome(fresh, inputs)
+
+    def step(self, rng, pool):
+        """One algebra operation on members of ``pool``; returns its result, or None."""
+        c = rng.choice(pool)
+        move = rng.choice(["union", "rename", "drop", "assign", "assign"])
+        if move == "union":
+            other = rng.choice(pool)
+            if len(c.vertices) + len(other.vertices) > 60:
+                return None
+            result = circuit_union(c, other)
+            assert result._proven == (c._proven and other._proven)
+            return result
+        if move == "rename":
+            labels = list(c.interface)
+            picked = rng.sample(labels, rng.randrange(0, len(labels) + 1))
+            result = rename_labels(c, {label: f"r{rng.randrange(10**6)}:{label}" for label in picked})
+        elif move == "drop":
+            if not c.signature.outputs:
+                return None
+            result = drop_output(c, rng.choice(sorted(c.signature.outputs)))
+        else:
+            if not c.signature.inputs:
+                return None
+            label = rng.choice(sorted(c.signature.inputs))
+            sources = [p for p in sorted(c.out_ports(), key=str) if c.port_type(p) == c.signature.inputs[label]]
+            if not sources:
+                return None
+            source = rng.choice(sources)
+            interface = {k: v for k, v in c.interface.items() if k != label}
+            edged = ColumnarCircuit(c.vertices, c.edges | {(source, c.interface[label])}, interface, c.signature)
+            if any(v.kind == "cycle" for v in validate_circuit(edged).violations):
+                with pytest.raises(OperatorError, match="would-create-cycle"):
+                    assign_input(c, label, source)
+                return None
+            result = assign_input(c, label, source)
+        assert result._proven == c._proven
+        return result
+
+    def test_chained_algebra_over_random_circuits_and_decoders(self):
+        rng = random.Random(30)
+        pool = []
+        for i in range(12):
+            c = random_circuit(rng, n_inputs=rng.randrange(1, 4), n_steps=rng.randrange(1, 10))
+            if i % 3:
+                assert validate_circuit(c).ok and c._proven  # passing the check marks it
+            pool.append(c)
+        for sid in sorted(CASES):
+            decoder = codec(sid).build_decoder(CASES[sid].gen(rng)[0])
+            assert decoder._proven, sid  # the builder proved it
+            pool.append(decoder)
+        proven = 0
+        for _ in range(400):
+            result = self.step(rng, pool)
+            if result is None:
+                continue
+            self.check_sound(rng, result)
+            proven += result._proven
+            pool.append(result)
+        assert proven > 200
+
+    def test_proven_and_unproven_plans_run_in_one_order(self):
+        def kahn(c):
+            """Kahn's algorithm, the last ready vertex first, each vertex's consumers pushed in sorted order."""
+            pending, consumers = dict.fromkeys(c.vertices, 0), {vid: [] for vid in c.vertices}
+            for src, dst in c.edges:
+                pending[dst.vertex_id] += 1
+                consumers[src.vertex_id].append(dst.vertex_id)
+            order, ready = [], sorted(vid for vid, n in pending.items() if not n)
+            while ready:
+                order.append(ready.pop())
+                for u in sorted(consumers[order[-1]]):
+                    pending[u] -= 1
+                    if not pending[u]:
+                        ready.append(u)
+            return order
+
+        rng = random.Random(12)
+        circuits = [splice_q6({}, lineitem(4))]
+        circuits += [codec(sid).build_decoder(CASES[sid].gen(rng)[0]) for sid in sorted(CASES)]
+        circuits += [random_circuit(rng, n_inputs=3, n_steps=14) for _ in range(40)]
+        for c in circuits:
+            validate_circuit(c)
+            fresh = unproven(c)
+            assert c._proven and not fresh._proven
+            for plan in (circuit_mod._compile(c), circuit_mod._compile(fresh)):
+                assert [vid for vid, _, _, _ in plan.steps] == kahn(c)
+
+    def test_a_cycle_is_refused_on_a_proven_circuit(self):
+        q6 = q6_circuit()
+        assert q6._proven
+        relay = q6.interface["discount"].vertex_id  # discount feeds two ports, through one relay
+        assert q6.vertices[relay].op_name == "no_op"
+        for c in (q6, unproven(q6)):
+            # a self-loop, and a back edge from the end of the longest chain
+            with pytest.raises(OperatorError, match="would-create-cycle"):
+                assign_input(c, "discount", PortRef(relay, "result", OUT))
+            with pytest.raises(OperatorError, match="would-create-cycle"):
+                assign_input(c, "extended_price", c.interface["revenue"])
+
+    def test_an_unproven_circuit_keeps_the_full_check(self):
+        q6 = q6_circuit()
+        dangling = {**q6.interface, "revenue": PortRef("nope", "x", OUT)}
+        broken = ColumnarCircuit(q6.vertices, q6.edges, dangling, q6.signature)
+        for result in (drop_output(broken, "revenue"), rename_labels(broken, {"revenue": "r"}), circuit_union(q6, broken)):
+            assert not result._proven
+        renamed = rename_labels(broken, {"shipdate": "s"})
+        assert [v.kind for v in validate_circuit(renamed).violations] == ["dangling-interface"]
+        assert not renamed._proven
