@@ -47,19 +47,27 @@ def params_key(params: dict) -> str:
 class _ResolvedParams(dict):
     """Params that remember their entry's decoder once it is looked up.
 
-    ``decode`` hands one to ``verify_columns``, so the decoder that the form
-    check looks up is the one ``decode`` runs, for one ``params_key``; it
-    lives only for that call.  A composed codec keeps one per inner scheme,
-    made once from its recipe, so checking or decoding a part keys nothing.
+    ``normalize_params`` returns them, so a caller that asks for the form
+    and then the decoder (``decode`` checking first, for one) keys the
+    params once.  They live as long as that caller holds them: an instance
+    keeps a plain dict.  A composed codec keeps one per inner scheme, made
+    once from its recipe, so checking or decoding a part keys nothing.
     Nothing changes the params after the lookup.
     """
 
     __slots__ = ("_entry", "_decoder")
 
-    def __init__(self, entry, params):
-        super().__init__(params)
-        self._entry = entry
-        self._decoder = None
+
+def _resolved(entry, params) -> _ResolvedParams:
+    """``params`` as ``_ResolvedParams`` of ``entry``, with no decoder yet.
+
+    A function, not an ``__init__``: that would cost twice as much, once
+    per ``normalize_params``.
+    """
+    out = _ResolvedParams(params)
+    out._entry = entry
+    out._decoder = None
+    return out
 
 
 DECODED_PREFIX = "out:"
@@ -179,11 +187,14 @@ class CodecEntry:
             return a == b
         return self._equivalent(params, a, b)
 
-    def normalize_params(self, params: dict) -> dict:
-        """``params`` without the declared hints, in the form an instance keeps."""
+    def normalize_params(self, params: dict) -> _ResolvedParams:
+        """``params`` without the declared hints, in the form an instance keeps.
+
+        The result remembers this entry's decoder once it is looked up.
+        """
         if self.hints:
             params = {name: v for name, v in params.items() if name not in self.hints}
-        return params if self._normalize is None else self._normalize(params)
+        return _resolved(self, params if self._normalize is None else self._normalize(params))
 
     def encoded_lengths(self, params, n: int) -> dict | None:
         """Per-label encoded lengths when they depend only on ``n``.
@@ -343,7 +354,6 @@ def decode(inst: SchemeInstance, check: bool = True) -> dict:
     entry = codec(inst.scheme_id)
     params = entry.normalize_params(inst.params)
     if check:
-        params = _ResolvedParams(entry, params)
         if not entry.verify_columns(params, inst.columns):
             raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
     return _without_out_prefix(evaluate_circuit(entry.decoder(params), inst.columns))
@@ -377,7 +387,7 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
         encoded = entry.encode(hinted, dict(family))
     except TypeDomainError as exc:  # an encoded value outside its column's type
         raise NotEncodable(f"{scheme_id}: {exc}") from exc
-    return SchemeInstance(scheme_id, normalized, encoded)
+    return SchemeInstance(scheme_id, dict(normalized), encoded)  # no instance keeps a decoder alive
 
 
 def equivalent(scheme_id: str, params: dict, a: dict, b: dict) -> bool:

@@ -22,7 +22,7 @@ from operator import sub
 
 from .builder import CircuitBuilder, Input
 from .circuit import evaluate_circuit
-from .codec import CodecEntry, _ResolvedParams, _segments_hint, codec, register_codec
+from .codec import CodecEntry, _resolved, _segments_hint, codec, register_codec
 from .column import Column, scalar_column
 from .errors import ColcircError, NotEncodable, OperatorError
 from .ops import register_operator
@@ -87,7 +87,7 @@ class _ComposedCodec(CodecEntry):
         self.inners = []
         for sid, iparams in recipe.inner:
             entry = codec(sid)
-            iparams = _ResolvedParams(entry, iparams)
+            iparams = _resolved(entry, iparams)
             try:
                 decoder = entry.decoder(iparams)
             except ColcircError as e:

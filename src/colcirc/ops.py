@@ -548,19 +548,6 @@ def _ew_apply(inst, cols):
 register_operator("elementwise", _ew_sig, _ew_apply)
 
 
-def elementwise(fn: str, args, **params) -> list[Column]:
-    """Direct invocation helper; returns the output columns in label order."""
-    params = dict(params, fn=fn)
-    if "type" not in params and args and fn not in ("tuple_make",):
-        params.setdefault("type", str(args[0].element_type))
-    inst = instantiate("elementwise", params)
-    labels = list(inst.signature.inputs)
-    if len(labels) != len(args):
-        raise OperatorError("length-mismatch", f"{fn} takes {len(labels)} columns, got {len(args)}")
-    out = inst.apply(dict(zip(labels, args)))
-    return [out[lb] for lb in inst.signature.outputs]
-
-
 # -- simple generators and structural operators -------------------------------
 
 
@@ -1005,142 +992,3 @@ def _carve_op_sig(params):
 
 
 register_operator("carve", _carve_op_sig, _ew_apply, _ELEMENTWISE_FNS["carve"][0])
-
-
-# -- convenience wrappers (direct library calls, mirrors of the catalog) -------
-
-
-def _one(inst, **cols):
-    out = inst.apply(cols)
-    (only,) = out.values()
-    return only
-
-
-def replicate(value: Column, factor: int | Column) -> Column:
-    f = factor if isinstance(factor, Column) else scalar_column(INT, factor)
-    inst = instantiate("replicate", {"type": str(value.element_type)})
-    return _one(inst, value=value, factor=f)
-
-
-def select(data: Column, selection: Column, ordered: bool = True) -> Column:
-    inst = instantiate("select", {"type": str(data.element_type), "ordered": ordered})
-    return _one(inst, data=data, selection=selection)
-
-
-def iota(n: int | Column, type: str | ElementType = INT) -> Column:
-    nc = n if isinstance(n, Column) else scalar_column(INT, n)
-    return _one(instantiate("iota", {"type": str(type)}), n=nc)
-
-
-def permute(permutation: Column, data: Column) -> Column:
-    inst = instantiate("permute", {"type": str(data.element_type)})
-    return _one(inst, permutation=permutation, data=data)
-
-
-def length_of(col: Column) -> Column:
-    return _one(instantiate("length", {"type": str(col.element_type)}), col=col)
-
-
-def concatenate(*cols: Column) -> Column:
-    if not cols:
-        raise OperatorError("bad-params", "concatenate needs at least one column")
-    types = {str(c.element_type) for c in cols}
-    if len(types) > 1:
-        raise OperatorError("type-mismatch", f"mixed element types {sorted(types)}")
-    inst = instantiate("concatenate", {"type": str(cols[0].element_type), "k": len(cols)})
-    return _one(inst, **{f"col_{i + 1}": c for i, c in enumerate(cols)})
-
-
-def scatter(col: Column, pos: Column, data: Column) -> Column:
-    inst = instantiate("scatter", {"type": str(col.element_type)})
-    return _one(inst, col=col, pos=pos, data=data)
-
-
-def gather(pos: Column, data: Column) -> Column:
-    inst = instantiate("gather", {"type": str(data.element_type)})
-    return _one(inst, pos=pos, data=data)
-
-
-def select_indices(characteristic: Column) -> Column:
-    return _one(instantiate("select_indices", {}), characteristic=characteristic)
-
-
-def transpose(segment_length: int, col: Column) -> tuple[Column, int]:
-    inst = instantiate("transpose", {"type": str(col.element_type)})
-    out = inst.apply({"segment_length": scalar_column(INT, segment_length), "col": col})
-    return out["transposed"], out["transposed_segment_length"].scalar()
-
-
-def replicate_segments(col: Column, segment_length: int, factor: int) -> tuple[Column, int]:
-    inst = instantiate("replicate_segments", {"type": str(col.element_type)})
-    out = inst.apply(
-        {
-            "col": col,
-            "segment_length": scalar_column(INT, segment_length),
-            "factor": scalar_column(INT, factor),
-        }
-    )
-    return out["replicated"], out["out_segment_length"].scalar()
-
-
-def replicate_within_segments(col: Column, segment_length: int, factor: int) -> tuple[Column, int]:
-    inst = instantiate("replicate_within_segments", {"type": str(col.element_type)})
-    out = inst.apply(
-        {
-            "col": col,
-            "segment_length": scalar_column(INT, segment_length),
-            "factor": scalar_column(INT, factor),
-        }
-    )
-    return out["replicated"], out["out_segment_length"].scalar()
-
-
-def zip_k(*components: Column) -> Column:
-    inst = instantiate("zip", {"types": [str(c.element_type) for c in components]})
-    return _one(inst, **{f"component_{i + 1}": c for i, c in enumerate(components)})
-
-
-def compose_segments(segment_length: int, components: Column) -> Column:
-    if segment_length <= 0 or len(components) % segment_length:
-        raise OperatorError(
-            "slack-segment-present",
-            f"segment length {segment_length} does not divide {len(components)}",
-        )
-    k = len(components) // segment_length
-    if k == 0:
-        k = 1  # l = n gives a single wrap; empty input wraps to nothing
-    inst = instantiate("compose_segments", {"type": str(components.element_type), "k": k})
-    return _one(inst, segment_length=scalar_column(INT, segment_length), components=components)
-
-
-def assemble_k(k: int, components: Column) -> Column:
-    inst = instantiate("assemble", {"type": str(components.element_type), "k": k})
-    return _one(inst, segment_length=scalar_column(INT, k), components=components)
-
-
-def derivative(col: Column, out_type=None) -> Column:
-    params = {"type": str(col.element_type)}
-    if out_type is not None:
-        params["out_type"] = str(out_type)
-    return _one(instantiate("derivative", params), col=col)
-
-
-def prefix_aggregate(op: str, col: Column, mode: str = "inclusive") -> Column:
-    inst = instantiate("prefix_aggregate", {"op": op, "mode": mode, "type": str(col.element_type)})
-    return _one(inst, data=col)
-
-
-def is_same_as_previous(col: Column) -> Column:
-    return _one(instantiate("is_same_as_previous", {"type": str(col.element_type)}), col=col)
-
-
-def split_first(col: Column) -> tuple:
-    inst = instantiate("split_first", {"type": str(col.element_type)})
-    out = inst.apply({"col": col})
-    return out["head"].scalar(), out["tail"]
-
-
-def carve(w: int, p: int, col: Column) -> tuple[Column, Column]:
-    inst = instantiate("carve", {"w": w, "p": p})
-    out = inst.apply({"arguments": col})
-    return out["prefixes"], out["suffixes"]

@@ -13,7 +13,7 @@ from itertools import accumulate, chain
 from operator import add, eq, lt
 
 from .builder import CircuitBuilder, expand_ranges
-from .codec import SchemeInstance, decode, register_scheme
+from .codec import register_scheme
 from .column import Column, scalar_column
 from .errors import NotEncodable, OperatorError
 from .params import DOMAIN_SIZE, PARTITION, PARTS, POSITIVE, TYPE, TYPES, VALUE
@@ -97,37 +97,12 @@ class SubcolumnStd:
     def mapping(self) -> dict:
         return dict(zip(self.pos.values, self.data.values))
 
-    @property
-    def is_canonical(self) -> bool:
-        return _increasing(self.pos.values)
-
     def canonical(self) -> "SubcolumnStd":
         items = sorted(self.mapping().items())
         return SubcolumnStd(
             Column(self.pos.element_type, [p for p, _ in items]),
             Column(self.data.element_type, [d for _, d in items]),
         )
-
-
-def subcolumn_overlay(sc1: SubcolumnStd, sc2: SubcolumnStd) -> SubcolumnStd:
-    """Partial function agreeing with sc2 on its domain, sc1 elsewhere."""
-    merged = sc1.mapping()
-    merged.update(sc2.mapping())
-    items = sorted(merged.items())
-    return SubcolumnStd(
-        Column(sc1.pos.element_type, [p for p, _ in items]),
-        Column(sc1.data.element_type, [d for _, d in items]),
-    )
-
-
-def subcolumn_union(sc1: SubcolumnStd, sc2: SubcolumnStd) -> SubcolumnStd:
-    m1, m2 = sc1.mapping(), sc2.mapping()
-    for p in set(m1) & set(m2):
-        if m1[p] != m2[p]:
-            raise OperatorError(
-                "incompatible-subcolumns", f"subcolumns disagree at index {p}: {m1[p]!r} vs {m2[p]!r}"
-            )
-    return subcolumn_overlay(sc1, sc2)
 
 
 def subcolumn_family_equivalent(params, a: dict, b: dict) -> bool:
@@ -757,20 +732,6 @@ register_scheme(
 )
 
 
-def partition_materialize(partition: Column, k: int) -> list:
-    """The decode direction of the partition scheme: k index subcolumns."""
-    inst = SchemeInstance("partition", {"k": k}, {"partition": partition})
-    out = decode(inst)
-    return [SubcolumnStd(out[f"pos_{j + 1}"], out[f"data_{j + 1}"]) for j in range(k)]
-
-
-def canonical_partition(partition: Column) -> Column:
-    """Squeeze out empty part ids, preserving part order."""
-    seen = sorted(set(partition.values))
-    remap = {v: i for i, v in enumerate(seen)}
-    return Column(partition.element_type, [remap[v] for v in partition.values])
-
-
 # -- components -------------------------------------------------------------------------
 
 
@@ -1147,79 +1108,3 @@ register_scheme(
     encode=_nullable_patched_encode,
     host_verify=_nullable_patched_verify,
 )
-
-
-def nullable_build(strategy: str, base: Column, null_positions, null_value) -> SchemeInstance:
-    """Build a nullable instance from a column and its null index set."""
-    n = len(base)
-    nulls = sorted(set(null_positions))
-    if any(p >= n for p in nulls):
-        raise OperatorError("out-of-range", "null position beyond column length")
-    t = base.element_type
-    params = {"type": str(t), "null_value": null_value}
-    if strategy == "complementing":
-        null_set = set(nulls)
-        keep = [i for i in range(n) if i not in null_set]
-        cols = {
-            "pos": Column(INT, keep),
-            "data": Column(t, [base[i] for i in keep]),
-            "length": scalar_column(INT, n),
-            "null_value": scalar_column(t, null_value),
-        }
-        return SchemeInstance("nullable.complementing", params, cols)
-    if strategy == "patched":
-        cols = {
-            "data": base,
-            "overlay_pos": Column(INT, nulls),
-            "null_value": scalar_column(t, null_value),
-        }
-        return SchemeInstance("nullable.patched", params, cols)
-    raise OperatorError("bad-params", f"unknown nullable strategy {strategy!r}")
-
-
-# -- host-level decode fronts (the spec's operation surface) ---------------------------------
-
-
-def indexed_decode(pos: Column, data: Column) -> Column:
-    inst = SchemeInstance("indexed", {"type": str(data.element_type)}, {"pos": pos, "data": data})
-    return decode(inst)["col"]
-
-
-def complementing_subcolumns_decode(pos: Column, data1: Column, data2: Column) -> Column:
-    inst = SchemeInstance(
-        "column.complementing",
-        {"type": str(data1.element_type)},
-        {"pos": pos, "data_1": data1, "data_2": data2},
-    )
-    return decode(inst)["col"]
-
-
-def overlaid_column_decode(data: Column, overlay_pos: Column, overlay_data: Column) -> Column:
-    inst = SchemeInstance(
-        "column.overlaid",
-        {"type": str(data.element_type)},
-        {"data": data, "overlay_pos": overlay_pos, "overlay_data": overlay_data},
-    )
-    return decode(inst)["col"]
-
-
-def segmented_subcolumn_decode(segment_length: int, segment_pos: Column, data: Column) -> SubcolumnStd:
-    inst = SchemeInstance(
-        "subcolumn.segmented",
-        {"type": str(data.element_type), "segment_length": segment_length},
-        {
-            "segment_length": scalar_column(INT, segment_length),
-            "segment_pos": segment_pos,
-            "data": data,
-        },
-    )
-    out = decode(inst)
-    return SubcolumnStd(out["pos"], out["data"]).canonical()
-
-
-def index_set_decode(variant: str, columns: dict) -> tuple:
-    scheme = {"sparse": "indexset.sparse", "dense": "indexset.dense", "contiguous": "indexset.contiguous"}[
-        variant
-    ]
-    out = decode(SchemeInstance(scheme, {}, columns))
-    return out["full_length"].scalar(), sorted(out["elements"].values)

@@ -254,11 +254,6 @@ def _fused_apply(inst, cols):
 register_operator("fused", _fused_sig, _fused_apply, {"circuit": VALUE})
 
 
-def rename_label(c: ColumnarCircuit, old: str, new: str) -> ColumnarCircuit:
-    """Rename one interface label; the port mapping is unchanged."""
-    return rename_labels(c, {old: new})
-
-
 def rename_labels(c: ColumnarCircuit, mapping: dict) -> ColumnarCircuit:
     """Rename interface labels as if one ``old: new`` pair at a time, in one pass.
 

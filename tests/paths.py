@@ -37,8 +37,8 @@ from typing import Callable
 import hypothesis.strategies as st
 
 from colcirc import (
-    Column, CompositionRecipe, SchemeInstance, circuit_to_json, codec, compose, decode, encode, make_column, scalar_column,
-    verify,
+    Column, CompositionRecipe, SchemeInstance, circuit_to_json, codec, compose, decode, encode, instantiate,
+    make_column, scalar_column, verify,
 )
 from colcirc import column as column_mod
 from colcirc import ops as ops_mod
@@ -293,6 +293,21 @@ def mutants(rng, inst):
             yield inst.with_columns(**{label: Column(t, vals + vals[-1:])})
         for v in rng.sample(picks, 2):
             yield inst.with_columns(**{label: Column(t, vals + [v])})
+
+
+# -- operator calls ------------------------------------------------------------------------------
+
+
+def call(op, params, **inputs):
+    """``instantiate(op, params).apply(inputs)``, held to the kernel contract that evaluation relies
+    on: exactly the declared output labels, each a column of its declared type."""
+    inst = instantiate(op, params)
+    out = inst.apply(inputs)
+    declared = inst.signature.outputs
+    assert out.keys() == declared.keys(), (op, params, list(out))
+    for label, col in out.items():
+        assert isinstance(col, Column) and col.element_type == declared[label], (op, params, label)
+    return out
 
 
 # -- operator calls at the boundary values of every numeric type ---------------------------------

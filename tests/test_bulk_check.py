@@ -13,11 +13,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from colcirc import Column, make_column, ops, read_col_bytes, write_col_bytes
+from colcirc import Column, make_column, read_col_bytes, write_col_bytes
 from colcirc.column import _range_of
 from colcirc.errors import ColcircError, OperatorError, TypeDomainError
 from colcirc.types import BIT, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, UNIT, ElementType, Kind
-from paths import count_checked_columns, same
+from paths import call, count_checked_columns, same
 
 
 class IntSub(int):
@@ -200,13 +200,14 @@ def test_finite_double_beyond_f32_range_is_a_domain_error():
 def test_cast_beyond_f32_range_overflows():
     f64 = Column(F64, [0.5, 1e300, 1e301])
     with pytest.raises(OperatorError) as exc:
-        ops.elementwise("cast", [f64], **{"from": "f64", "to": "f32"})
+        call("elementwise", {"fn": "cast", "from": "f64", "to": "f32"}, arguments=f64)
     assert exc.value.code == "overflow" and "1e+300" in str(exc.value)
 
 
 @pytest.mark.parametrize("src", [U64, I64, I16])
 def test_integer_cast_to_f32_is_exact_or_overflows(src):
-    cast = lambda vals: ops.elementwise("cast", [Column(src, vals)], **{"from": str(src), "to": "f32"})[0]
+    params = {"fn": "cast", "from": str(src), "to": "f32"}
+    cast = lambda vals: call("elementwise", params, arguments=Column(src, vals))["result"]
     assert cast([0, 1, 2**15 - 1]).values == (0.0, 1.0, 32767.0)
     if src.width_bits > 16:
         assert cast([2**24, 2**31]).values == (16777216.0, 2147483648.0)
@@ -215,7 +216,8 @@ def test_integer_cast_to_f32_is_exact_or_overflows(src):
 
 
 def test_cast_to_f32_keeps_nan_and_infinities():
-    out = ops.elementwise("cast", [Column(F64, [NAN, INF, -INF, 0.5])], **{"from": "f64", "to": "f32"})[0]
+    params = {"fn": "cast", "from": "f64", "to": "f32"}
+    out = call("elementwise", params, arguments=Column(F64, [NAN, INF, -INF, 0.5]))["result"]
     assert math.isnan(out.values[0]) and out.values[1:] == (INF, -INF, 0.5)
 
 
@@ -230,48 +232,56 @@ def overflow(fn):
 
 
 def test_add_overflow_boundary():
-    assert ops.elementwise("add", [make_column(U8, [254, 0]), make_column(U8, [1, 255])])[0].values == (255, 255)
-    msg = overflow(lambda: ops.elementwise("add", [make_column(U8, [255, 254, 255]), make_column(U8, [0, 2, 9])]))
+    add = lambda a, b: call("elementwise", {"fn": "add", "type": "u8"}, lhs=make_column(U8, a), rhs=make_column(U8, b))
+    assert add([254, 0], [1, 255])["result"].values == (255, 255)
+    msg = overflow(lambda: add([255, 254, 255], [0, 2, 9]))
     assert "result 256 outside u8" in msg
 
 
 def test_sub_overflow_boundary():
-    assert ops.elementwise("sub", [make_column(U8, [1]), make_column(U8, [1])])[0].values == (0,)
-    msg = overflow(lambda: ops.elementwise("sub", [make_column(U8, [5, 1, 0]), make_column(U8, [5, 2, 9])]))
+    sub = lambda a, b: call("elementwise", {"fn": "sub", "type": "u8"}, lhs=make_column(U8, a), rhs=make_column(U8, b))
+    assert sub([1], [1])["result"].values == (0,)
+    msg = overflow(lambda: sub([5, 1, 0], [5, 2, 9]))
     assert "result -1 outside u8" in msg
 
 
 def test_mul_overflow_boundary():
-    assert ops.elementwise("mul", [make_column(I8, [-64]), make_column(I8, [2])])[0].values == (-128,)
-    msg = overflow(lambda: ops.elementwise("mul", [make_column(I8, [-64, 64, -100]), make_column(I8, [2, 2, 2])]))
+    mul = lambda a, b: call("elementwise", {"fn": "mul", "type": "i8"}, lhs=make_column(I8, a), rhs=make_column(I8, b))
+    assert mul([-64], [2])["result"].values == (-128,)
+    msg = overflow(lambda: mul([-64, 64, -100], [2, 2, 2]))
     assert "result 128 outside i8" in msg
 
 
 def test_scale_overflow_boundary():
-    assert ops.elementwise("scale", [make_column(U8, [127])], k=2)[0].values == (254,)
-    msg = overflow(lambda: ops.elementwise("scale", [make_column(U8, [127, 128, 200])], k=2))
+    scale = lambda vals: call("elementwise", {"fn": "scale", "type": "u8", "k": 2}, arguments=make_column(U8, vals))
+    assert scale([127])["result"].values == (254,)
+    msg = overflow(lambda: scale([127, 128, 200]))
     assert "result 256 outside u8" in msg
 
 
 def test_scale_of_floats_is_unchecked_like_float_mul():
-    assert ops.elementwise("scale", [Column(F64, [1.5, -0.5])], k=2)[0].values == (3.0, -1.0)
+    out = call("elementwise", {"fn": "scale", "type": "f64", "k": 2}, arguments=Column(F64, [1.5, -0.5]))
+    assert out["result"].values == (3.0, -1.0)
 
 
 def test_derivative_overflow_boundary():
-    assert ops.derivative(make_column(U8, [0, 127, 0]), "i8").values == (127, -127)
-    msg = overflow(lambda: ops.derivative(make_column(U8, [0, 127, 255, 0]), "i8"))
+    diff = lambda vals: call("derivative", {"type": "u8", "out_type": "i8"}, col=make_column(U8, vals))
+    assert diff([0, 127, 0])["differences"].values == (127, -127)
+    msg = overflow(lambda: diff([0, 127, 255, 0]))
     assert "result 128 outside i8" in msg
 
 
 def test_integer_cast_overflow_boundary():
-    cast = lambda vals: ops.elementwise("cast", [make_column(I16, vals)], **{"from": "i16", "to": "u8"})[0]
+    params = {"fn": "cast", "from": "i16", "to": "u8"}
+    cast = lambda vals: call("elementwise", params, arguments=make_column(I16, vals))["result"]
     assert cast([0, 255]).values == (0, 255)
     msg = overflow(lambda: cast([255, -1, 256]))
     assert "cast of -1 outside u8" in msg
 
 
 def test_float_cast_without_integer_value_overflows():
-    cast = lambda vals: ops.elementwise("cast", [Column(F64, vals)], **{"from": "f64", "to": "i64"})[0]
+    params = {"fn": "cast", "from": "f64", "to": "i64"}
+    cast = lambda vals: call("elementwise", params, arguments=Column(F64, vals))["result"]
     assert cast([2.5, -2.5]).values == (2, -2)
     assert "cast of nan" in overflow(lambda: cast([1.0, NAN]))
     assert "cast of inf" in overflow(lambda: cast([INF]))
@@ -279,15 +289,18 @@ def test_float_cast_without_integer_value_overflows():
 
 
 def test_prefix_add_overflow_boundary_inclusive():
-    assert ops.prefix_aggregate("add", make_column(U8, [100, 155])).values == (100, 255)
-    msg = overflow(lambda: ops.prefix_aggregate("add", make_column(U8, [100, 155, 1, 200])))
+    sums = lambda vals: call("prefix_aggregate", {"op": "add", "type": "u8"}, data=make_column(U8, vals))
+    assert sums([100, 155])["aggregates"].values == (100, 255)
+    msg = overflow(lambda: sums([100, 155, 1, 200]))
     assert "prefix aggregate 256 outside u8" in msg
 
 
 def test_prefix_add_overflow_boundary_exclusive_checks_the_total():
-    assert ops.prefix_aggregate("add", make_column(U8, [100, 155]), "exclusive").values == (0, 100)
+    params = {"op": "add", "mode": "exclusive", "type": "u8"}
+    sums = lambda vals: call("prefix_aggregate", params, data=make_column(U8, vals))
+    assert sums([100, 155])["aggregates"].values == (0, 100)
     # every output is in range; only the dropped total overflows
-    msg = overflow(lambda: ops.prefix_aggregate("add", make_column(U8, [100, 155, 1]), "exclusive"))
+    msg = overflow(lambda: sums([100, 155, 1]))
     assert "prefix aggregate 256 outside u8" in msg
 
 
@@ -352,9 +365,10 @@ def test_unchecked_read_records_no_range_and_kernels_still_check():
     a = read_col_bytes(write_col_bytes(Column(U8, [200] * 40)))
     b = read_col_bytes(write_col_bytes(Column(U8, [100] * 40)))
     assert _range_of(a) is None and _range_of(b) is None
-    assert "outside u8" in overflow(lambda: ops.elementwise("add", [a, b]))
+    add = {"fn": "add", "type": "u8"}
+    assert "outside u8" in overflow(lambda: call("elementwise", add, lhs=a, rhs=b))
     c = read_col_bytes(write_col_bytes(Column(U8, [55] * 40)))
-    assert ops.elementwise("add", [a, c])[0].values == (255,) * 40
+    assert call("elementwise", add, lhs=a, rhs=c)["result"].values == (255,) * 40
 
 
 def test_odd_width_payload_keeps_its_bound_check(monkeypatch):

@@ -353,6 +353,18 @@ def test_a_repeat_encode_keys_its_params_once_and_derives_no_spec(monkeypatch):
         encode("nullsup", params, col(U8, [1, 2, 3]))
 
 
+def test_normalized_params_key_once_for_the_form_and_the_decoder(monkeypatch):
+    entry = codec_mod.codec("nullsup")
+    params = entry.normalize_params({"type": "u32", "narrow_type": "u8"})
+    keys = []
+    params_key = codec_mod.params_key
+    monkeypatch.setattr(codec_mod, "params_key", lambda p: keys.append(p) or params_key(p))
+    assert entry.form_spec(params) is entry.decoder(params).signature.inputs
+    assert len(keys) == 1
+    # an instance keeps plain params, so it keeps no decoder alive
+    assert type(encode("nullsup", params, col(U32, [1, 2, 3])).params) is dict
+
+
 # -- the count guard: checked Column constructions per evaluation ------------------------------
 
 

@@ -35,7 +35,7 @@ from colcirc import Column, CompositionRecipe, codec, compose, encode, evaluate_
 from colcirc.column import _range_of, _set_range
 from colcirc.errors import ColcircError
 from colcirc.types import BIT, INT, ElementType
-from paths import count_checked_columns, far_edges, ranges_everywhere
+from paths import call, count_checked_columns, far_edges, ranges_everywhere
 
 
 def sound(col):
@@ -162,16 +162,17 @@ def test_every_recorded_range_holds_its_values(data):
 def test_u64_prefix_sums_of_lengths_are_proved_without_a_scan(monkeypatch):
     lengths = Column(INT, [2**40 + i for i in range(64)])
     reads = count_full_reads(monkeypatch, len(lengths) + 1)
-    sums = ops_mod.prefix_aggregate("add", lengths)
+    sums = call("prefix_aggregate", {"op": "add", "type": str(INT)}, data=lengths)["aggregates"]
     assert reads == []
     assert _range_of(sums) == (0, 64 * (2**40 + 63))
 
 
 def test_an_unsigned_sub_of_correlated_positions_still_scans(monkeypatch):
-    starts = ops_mod.prefix_aggregate("add", Column(INT, [3] * 64), mode="exclusive")
-    ends = ops_mod.prefix_aggregate("add", Column(INT, [3] * 64))
+    sums = {"op": "add", "type": str(INT)}
+    starts = call("prefix_aggregate", {**sums, "mode": "exclusive"}, data=Column(INT, [3] * 64))["aggregates"]
+    ends = call("prefix_aggregate", sums, data=Column(INT, [3] * 64))["aggregates"]
     reads = count_full_reads(monkeypatch, 64)
-    (diffs,) = ops_mod.elementwise("sub", [ends, starts])
+    diffs = call("elementwise", {"fn": "sub", "type": str(INT)}, lhs=ends, rhs=starts)["result"]
     assert reads == [64, 64]
     assert diffs.values == (3,) * 64 and _range_of(diffs) == (3, 3)
 

@@ -28,12 +28,12 @@ from colcirc import (
     write_col_file,
 )
 from colcirc import comp_schemes as cs
-from colcirc import ops
 from colcirc.cli import main
 from colcirc.errors import EvaluationError, NotEncodable, VerificationFailed
 from colcirc.rep_schemes import canonical_varwidth, varwidth_elements
 from colcirc.types import F64, I8, INT, U8, U16, U32, ElementType, parse_type
 
+from paths import call
 from scheme_cases import CASES, corruption_battery, roundtrip_battery
 
 u8 = lambda v: make_column(U8, v)
@@ -411,7 +411,7 @@ class TestSegmentDictionaries:
                 },
             )
             codes = decode(local)["col"]
-            staged = ops.gather(codes, inst.columns["global_dictionary"])
+            staged = call("gather", {"type": "u16"}, pos=codes, data=inst.columns["global_dictionary"])["result"]
             assert staged == decode(inst)["col"] == col
 
 
@@ -502,14 +502,12 @@ class TestSurrogatePushdown:
             v = rng.choice(col.values)
             code = list(inst.columns["dictionary"].values).index(v)
             decoded = decode(inst)["col"]
-            by_value = ops.select_indices(
-                ops.elementwise("const_compare", [decoded], cmp="eq", value=v)[0]
-            )
-            by_code = ops.select_indices(
-                ops.elementwise(
-                    "const_compare", [inst.columns["indices"]], cmp="eq", value=code
-                )[0]
-            )
+            value_eq = {"fn": "const_compare", "type": "u16", "cmp": "eq", "value": v}
+            hits = call("elementwise", value_eq, arguments=decoded)["result"]
+            by_value = call("select_indices", {}, characteristic=hits)
+            code_eq = {"fn": "const_compare", "type": str(INT), "cmp": "eq", "value": code}
+            hits = call("elementwise", code_eq, arguments=inst.columns["indices"])["result"]
+            by_code = call("select_indices", {}, characteristic=hits)
             assert by_value == by_code
 
     def test_monotone_surrogate_order(self):

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from colcirc import (
+    ColumnarCircuit,
     circuit,
     evaluate_circuit,
     evaluate_ports,
@@ -163,8 +164,13 @@ class TestPlanErrors:
         assert [v.kind for v in exc.value.report.violations] == ["multi-fed-port"]
 
 
-def test_threads_share_one_fresh_circuit():
+@pytest.mark.parametrize("proven", [True, False], ids=["proven", "unproven"])
+def test_threads_share_one_fresh_circuit(proven):
+    # the builder marks q6 proven; a copy without the mark has the threads race its full pass
     c = q6_circuit()
+    if not proven:
+        c = ColumnarCircuit(c.vertices, c.edges, c.interface, c.signature)
+    assert c._proven is proven
     rng = random.Random(3)
     cols = {name: make_column(U64, [rng.randrange(1, 60) for _ in range(40)]) for name in c.signature.inputs}
     cols["shipdate"] = make_column(U64, [rng.randrange(8700, 9200) for _ in range(40)])
@@ -180,6 +186,7 @@ def test_threads_share_one_fresh_circuit():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert results[0] == reference_outputs(c, cols)
     assert all(r == results[0] for r in results)

@@ -18,8 +18,8 @@ from colcirc import (
 )
 from colcirc import rep_schemes as rs
 from colcirc.cli import main
-from colcirc.errors import NotEncodable, OperatorError, VerificationFailed
-from colcirc.rep_schemes import SubcolumnStd, subcolumn_overlay, subcolumn_union
+from colcirc.errors import NotEncodable, VerificationFailed
+from colcirc.rep_schemes import SubcolumnStd
 from colcirc.types import BIT, INT, U8, U16, ElementType
 
 from scheme_cases import CASES, corruption_battery, roundtrip_battery
@@ -29,16 +29,19 @@ u16 = lambda v: make_column(U16, v)
 idx = lambda v: make_column(INT, v)
 
 
-def sc(positions, values, t=U8):
-    return SubcolumnStd(idx(positions), make_column(t, values))
+def sc(mapping, j):
+    """``mapping`` as subcolumn ``j`` of a two-subcolumn family: ``pos_j`` and ``data_j``."""
+    return {f"pos_{j}": idx(list(mapping)), f"data_{j}": u8(list(mapping.values()))}
 
 
 class TestIndexed:
     def test_canonical(self):
-        assert rs.indexed_decode(idx([0, 1, 2]), u8([5, 6, 7])).values == (5, 6, 7)
+        inst = SchemeInstance("indexed", {"type": "u8"}, {"pos": idx([0, 1, 2]), "data": u8([5, 6, 7])})
+        assert decode(inst)["col"].values == (5, 6, 7)
 
     def test_permuted(self):
-        assert rs.indexed_decode(idx([2, 0, 1]), u8([1, 2, 3])).values == (2, 3, 1)
+        inst = SchemeInstance("indexed", {"type": "u8"}, {"pos": idx([2, 0, 1]), "data": u8([1, 2, 3])})
+        assert decode(inst)["col"].values == (2, 3, 1)
 
     def test_duplicate_rejected_at_verify(self):
         inst = SchemeInstance(
@@ -49,75 +52,57 @@ class TestIndexed:
 
 class TestSubcolumnCombinations:
     def test_helloworld_overlay_figure(self):
-        hw = [ord(c) for c in "helloworld"]
-        ha = [ord(c) for c in "hellowarts"]
-        sc1 = sc([0, 2, 4, 6, 8], [hw[i] for i in (0, 2, 4, 6, 8)])
-        sc2 = sc([2, 6, 7, 9], [ha[i] for i in (2, 6, 7, 9)])
-        merged = subcolumn_overlay(sc1, sc2)
-        expect = dict(zip(sc1.pos.values, sc1.data.values))
-        expect.update(zip(sc2.pos.values, sc2.data.values))
-        assert merged.mapping() == expect and merged.is_canonical
+        hw = {i: ord(c) for i, c in enumerate("helloworld") if i % 2 == 0}
+        ha = {i: ord("hellowarts"[i]) for i in (2, 6, 7, 9)}
+        out = decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc(hw, 1), **sc(ha, 2)}))
+        assert SubcolumnStd(**out).mapping() == hw | ha
 
     def test_overlay_with_empty(self):
-        sc1 = sc([4, 1], [9, 8])
-        out = subcolumn_overlay(sc1, sc([], []))
-        assert out.mapping() == sc1.mapping() and out.is_canonical
+        out = decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc({4: 9, 1: 8}, 1), **sc({}, 2)}))
+        assert SubcolumnStd(**out).mapping() == {4: 9, 1: 8}
 
     def test_disjoint_is_union(self):
-        a, b = sc([0], [1]), sc([5], [2])
-        assert subcolumn_union(a, b).mapping() == {0: 1, 5: 2}
-
-    def test_union_idempotent(self):
-        a = sc([3, 1], [7, 9])
-        assert subcolumn_union(a, a).mapping() == a.mapping()
+        out = decode(SchemeInstance("subcolumn.union.disjoint", {"type": "u8"}, {**sc({0: 1}, 1), **sc({5: 2}, 2)}))
+        assert SubcolumnStd(**out).mapping() == {0: 1, 5: 2}
 
     def test_union_conflict(self):
-        with pytest.raises(OperatorError, match="incompatible"):
-            subcolumn_union(sc([1], [5]), sc([1], [6]))
+        family = {**sc({1: 5}, 1), **sc({1: 6}, 2)}
+        assert not verify(SchemeInstance("subcolumn.union.disjoint", {"type": "u8"}, family))
 
     def test_lattice_laws(self):
         rng = random.Random(2)
         for _ in range(30):
             base = {i: rng.randrange(0, 99) for i in range(10)}
-
-            def sub():
-                dom = rng.sample(range(10), rng.randrange(0, 8))
-                return sc(dom, [base[i] for i in dom])
-
-            a, b, c = sub(), sub(), sub()
-            assert subcolumn_union(a, b).mapping() == subcolumn_union(b, a).mapping()
-            ab_c = subcolumn_union(subcolumn_union(a, b), c).mapping()
-            a_bc = subcolumn_union(a, subcolumn_union(b, c)).mapping()
-            assert ab_c == a_bc
-            merged = subcolumn_overlay(a, b).mapping()
-            assert all(merged[k] == v for k, v in b.mapping().items())
-            assert all(merged[k] == v for k, v in a.mapping().items() if k not in b.mapping())
+            a, b = ({i: base[i] for i in rng.sample(range(10), rng.randrange(0, 8))} for _ in "ab")
+            out = decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc(a, 1), **sc(b, 2)}))
+            merged = SubcolumnStd(**out).mapping()
+            assert all(merged[k] == v for k, v in b.items())
+            assert all(merged[k] == v for k, v in a.items() if k not in b)
 
     def test_overlay_associative(self):
         rng = random.Random(3)
         for _ in range(30):
-            def sub():
-                dom = rng.sample(range(8), rng.randrange(0, 6))
-                return sc(dom, [rng.randrange(0, 99) for _ in dom])
-
-            a, b, c = sub(), sub(), sub()
-            left = subcolumn_overlay(subcolumn_overlay(a, b), c).mapping()
-            right = subcolumn_overlay(a, subcolumn_overlay(b, c)).mapping()
-            assert left == right
+            a, b, c = ({p: rng.randrange(0, 99) for p in rng.sample(range(8), rng.randrange(0, 6))} for _ in "abc")
+            ab = SubcolumnStd(**decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc(a, 1), **sc(b, 2)})))
+            left = decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc(ab.mapping(), 1), **sc(c, 2)}))
+            bc = SubcolumnStd(**decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc(b, 1), **sc(c, 2)})))
+            right = decode(SchemeInstance("subcolumn.overlay", {"type": "u8"}, {**sc(a, 1), **sc(bc.mapping(), 2)}))
+            assert SubcolumnStd(**left).mapping() == SubcolumnStd(**right).mapping()
 
 
 class TestColumnSchemes:
     def test_complementing(self):
-        out = rs.complementing_subcolumns_decode(idx([1]), u8([42]), u8([7, 9]))
-        assert out.values == (7, 42, 9)
+        family = {"pos": idx([1]), "data_1": u8([42]), "data_2": u8([7, 9])}
+        assert decode(SchemeInstance("column.complementing", {"type": "u8"}, family))["col"].values == (7, 42, 9)
 
     def test_complementing_empty_pos(self):
         d2 = u8([3, 4])
-        assert rs.complementing_subcolumns_decode(idx([]), u8([]), d2) == d2
+        family = {"pos": idx([]), "data_1": u8([]), "data_2": d2}
+        assert decode(SchemeInstance("column.complementing", {"type": "u8"}, family))["col"] == d2
 
     def test_complementing_full_pos(self):
-        out = rs.complementing_subcolumns_decode(idx([2, 0, 1]), u8([1, 2, 3]), u8([]))
-        assert out.values == (2, 3, 1)
+        family = {"pos": idx([2, 0, 1]), "data_1": u8([1, 2, 3]), "data_2": u8([])}
+        assert decode(SchemeInstance("column.complementing", {"type": "u8"}, family))["col"].values == (2, 3, 1)
 
     def test_patching_figure_toy(self):
         # narrow base bytes with wide patch values at exceptional positions
@@ -125,24 +110,28 @@ class TestColumnSchemes:
         base = make_column(U16, [ord(c) for c in phrase])
         overlay_pos = idx([0, 12])
         overlay_data = make_column(U16, [ord("å"), ord("ä")])
-        out = rs.overlaid_column_decode(base, overlay_pos, overlay_data)
+        family = {"data": base, "overlay_pos": overlay_pos, "overlay_data": overlay_data}
+        out = decode(SchemeInstance("column.overlaid", {"type": "u16"}, family))["col"]
         assert "".join(chr(v) for v in out.values) == "ålarna och rävarna"
 
     def test_overlay_empty_and_full(self):
         data = u8([1, 2])
-        assert rs.overlaid_column_decode(data, idx([]), u8([])) == data
-        out = rs.overlaid_column_decode(data, idx([0, 1]), u8([9, 8]))
-        assert out.values == (9, 8)
+        family = {"data": data, "overlay_pos": idx([]), "overlay_data": u8([])}
+        assert decode(SchemeInstance("column.overlaid", {"type": "u8"}, family))["col"] == data
+        family = {"data": data, "overlay_pos": idx([0, 1]), "overlay_data": u8([9, 8])}
+        assert decode(SchemeInstance("column.overlaid", {"type": "u8"}, family))["col"].values == (9, 8)
 
 
 class TestSegmentedSubcolumn:
     def test_block_placement(self):
-        out = rs.segmented_subcolumn_decode(2, idx([0, 3]), u8([1, 2, 3, 4]))
-        assert out.mapping() == {0: 1, 1: 2, 6: 3, 7: 4}
+        family = {"segment_length": scalar_column(INT, 2), "segment_pos": idx([0, 3]), "data": u8([1, 2, 3, 4])}
+        out = decode(SchemeInstance("subcolumn.segmented", {"type": "u8", "segment_length": 2}, family))
+        assert SubcolumnStd(**out).mapping() == {0: 1, 1: 2, 6: 3, 7: 4}
 
     def test_iota_positions_give_prefix(self):
-        out = rs.segmented_subcolumn_decode(2, idx([0, 1]), u8([5, 6, 7, 8]))
-        assert out.mapping() == {0: 5, 1: 6, 2: 7, 3: 8}
+        family = {"segment_length": scalar_column(INT, 2), "segment_pos": idx([0, 1]), "data": u8([5, 6, 7, 8])}
+        out = decode(SchemeInstance("subcolumn.segmented", {"type": "u8", "segment_length": 2}, family))
+        assert SubcolumnStd(**out).mapping() == {0: 5, 1: 6, 2: 7, 3: 8}
 
     def test_helloworld_minus_low_figure(self):
         # "helloworld" without "low": domain blocks {0,1},{2,3},{8,9} of l=2?
@@ -151,8 +140,9 @@ class TestSegmentedSubcolumn:
         text = "helloworld"
         keep = [0, 1, 2, 6, 7, 8, 9]
         data = u8([ord(text[i]) for i in keep])
-        out = rs.segmented_subcolumn_decode(3, idx([0, 2, 3]), data)
-        assert out.mapping() == {i: ord(text[i]) for i in keep}
+        family = {"segment_length": scalar_column(INT, 3), "segment_pos": idx([0, 2, 3]), "data": data}
+        out = decode(SchemeInstance("subcolumn.segmented", {"type": "u8", "segment_length": 3}, family))
+        assert SubcolumnStd(**out).mapping() == {i: ord(text[i]) for i in keep}
 
     def test_slack_must_be_maximal(self):
         inst = SchemeInstance(
@@ -169,7 +159,8 @@ class TestSegmentedSubcolumn:
 
 class TestIndexSets:
     def test_dense(self):
-        assert rs.index_set_decode("dense", {"characteristic": make_column(BIT, [1, 0, 1])}) == (3, [0, 2])
+        out = decode(SchemeInstance("indexset.dense", {}, {"characteristic": make_column(BIT, [1, 0, 1])}))
+        assert out["full_length"].scalar() == 3 and out["elements"].values == (0, 2)
 
     def test_contiguous(self):
         cols = {
@@ -177,7 +168,8 @@ class TestIndexSets:
             "length": scalar_column(INT, 3),
             "full_length": scalar_column(INT, 10),
         }
-        assert rs.index_set_decode("contiguous", cols) == (10, [2, 3, 4])
+        out = decode(SchemeInstance("indexset.contiguous", {}, cols))
+        assert out["full_length"].scalar() == 10 and out["elements"].values == (2, 3, 4)
 
     def test_sparse_canonicalizes(self):
         inst = encode(
@@ -202,16 +194,12 @@ class TestIndexSets:
 
 class TestPartitions:
     def test_materialize(self):
-        parts = rs.partition_materialize(idx([0, 1, 0]), 2)
-        assert [p.pos.values for p in parts] == [(0, 2), (1,)]
+        out = decode(SchemeInstance("partition", {"k": 2}, {"partition": idx([0, 1, 0])}))
+        assert (out["pos_1"].values, out["pos_2"].values) == ((0, 2), (1,))
 
     def test_constant_partition(self):
-        parts = rs.partition_materialize(idx([1, 1, 1]), 3)
-        assert [len(p.pos) for p in parts] == [0, 3, 0]
-
-    def test_canonicalization_squeezes_empty_parts(self):
-        out = rs.canonical_partition(idx([4, 2, 4, 7]))
-        assert out.values == (1, 0, 1, 2)
+        out = decode(SchemeInstance("partition", {"k": 3}, {"partition": idx([1, 1, 1])}))
+        assert [len(out[f"pos_{j}"]) for j in (1, 2, 3)] == [0, 3, 0]
 
 
 class TestComponents:
@@ -310,11 +298,12 @@ class TestVarWidth:
 class TestNullable:
     def test_no_nulls_degenerate(self):
         col = u8([1, 2, 3])
-        inst = rs.nullable_build("complementing", col, [], 0)
+        inst = encode("nullable.complementing", {"type": "u8", "null_value": 0}, col)
         assert decode(inst)["col"] == col
 
     def test_all_nulls(self):
-        inst = rs.nullable_build("patched", u8([9, 9]), [0, 1], 0)
+        family = {"data": u8([9, 9]), "overlay_pos": idx([0, 1]), "null_value": scalar_column(U8, 0)}
+        inst = SchemeInstance("nullable.patched", {"type": "u8", "null_value": 0}, family)
         assert decode(inst)["col"].values == (0, 0)
 
     def test_mixed_roundtrip_masked(self):
@@ -322,13 +311,10 @@ class TestNullable:
         for strategy in ("complementing", "patched"):
             for _ in range(15):
                 n = rng.randrange(0, 16)
-                vals = [rng.randrange(1, 99) for _ in range(n)]
-                nulls = sorted(rng.sample(range(n), rng.randrange(0, n + 1))) if n else []
-                col = u8(vals)
-                inst = rs.nullable_build(strategy, col, nulls, 0)
-                out = decode(inst)["col"]
-                for i in range(n):
-                    assert out[i] == (0 if i in set(nulls) else vals[i])
+                nulls = set(rng.sample(range(n), rng.randrange(0, n + 1))) if n else set()
+                masked = u8([0 if i in nulls else rng.randrange(1, 99) for i in range(n)])
+                inst = encode(f"nullable.{strategy}", {"type": "u8", "null_value": 0}, masked)
+                assert decode(inst)["col"] == masked
 
 
 class TestBatteries:

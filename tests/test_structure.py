@@ -33,7 +33,7 @@ from colcirc.cli import main
 from colcirc.column import read_col_file, write_col_file
 from colcirc.errors import ColcircError, EvaluationError, OperatorError, TypeDomainError
 from colcirc.gallery import q6_circuit, q6_reference
-from colcirc.transform import assign_input, circuit_union, drop_output, rename_label, rename_labels
+from colcirc.transform import assign_input, circuit_union, drop_output, rename_labels
 from colcirc.types import BIT, U32, Kind
 
 from circuit_gen import random_circuit
@@ -433,12 +433,6 @@ class TestRenameLabels:
             assert got == want
             assert list(got.interface) == list(want.interface)
             assert list(got.signature.inputs) == list(want.signature.inputs)
-
-    def test_rename_label_is_a_one_pair_mapping(self):
-        c = q6_circuit()
-        assert rename_label(c, "discount", "d") == rename_labels(c, {"discount": "d"})
-        with pytest.raises(ColcircError, match="already in use"):
-            rename_label(c, "discount", "quantity")
 
 
 # -- the proof mark ------------------------------------------------------------
