@@ -92,6 +92,7 @@ class ColumnarCircuit:
     _plan = None
     _structure = None
     _decoded = None  # a codec's decoded-family spec, when the circuit is a decoder (``codec._decoded_spec``)
+    _tail = None  # a composed decoder's tail, set before the decoder is published (``compose._tail_of``)
     # True once the circuit is proven valid: ``CircuitBuilder.build`` proved
     # it, ``validate_circuit`` passed it, or an algebra operation made it
     # from proven operands (``_proven_if``); no check looks at it again

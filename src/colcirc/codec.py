@@ -49,10 +49,12 @@ class _ResolvedParams(dict):
 
     ``normalize_params`` returns them, so a caller that asks for the form
     and then the decoder (``decode`` checking first, for one) keys the
-    params once.  They live as long as that caller holds them: an instance
-    keeps a plain dict.  A composed codec keeps one per inner scheme, made
-    once from its recipe, so checking or decoding a part keys nothing.
-    Nothing changes the params after the lookup.
+    params once; ``verify``, ``encode`` and ``equivalent`` look it up once
+    and take the plain dict (``_normalized``).  They live as long as that
+    caller holds them: an instance keeps a plain dict.  A composed codec
+    keeps one per inner scheme, made once from its recipe, so checking or
+    decoding a part keys nothing.  Nothing changes the params after the
+    lookup.
     """
 
     __slots__ = ("_entry", "_decoder")
@@ -192,9 +194,14 @@ class CodecEntry:
 
         The result remembers this entry's decoder once it is looked up.
         """
+        return _resolved(self, self._normalized(params))
+
+    def _normalized(self, params: dict) -> dict:
+        """``normalize_params`` as a plain dict, for a caller that looks the decoder up once:
+        remembering it would not repay the copy."""
         if self.hints:
             params = {name: v for name, v in params.items() if name not in self.hints}
-        return _resolved(self, params if self._normalize is None else self._normalize(params))
+        return params if self._normalize is None else self._normalize(params)
 
     def encoded_lengths(self, params, n: int) -> dict | None:
         """Per-label encoded lengths when they depend only on ``n``.
@@ -262,8 +269,28 @@ class CodecEntry:
                 return False
         return True
 
-    def verify_columns(self, params, columns: dict) -> bool:
-        return self.check_form(params, columns) and bool(self.host_verify(params, columns))
+    def verify_columns(self, params, columns: dict, parts=None, guarded=False) -> bool:
+        """The form check, then ``host_verify``.
+
+        Only a composed codec's checked decode passes the others: ``parts``,
+        a list, collects the parts its verifier decoded, and ``guarded`` has
+        that verifier test only its ``_guard`` (see ``compose._ComposedCodec``).
+        Without ``guarded`` the verdict is the same with or without ``parts``.
+        """
+        if not self.check_form(params, columns):
+            return False
+        if parts is None:
+            return bool(self.host_verify(params, columns))
+        return bool(self.host_verify(params, columns, parts, guarded))
+
+    def decode_verified(self, params, columns: dict):
+        """The decoder's outputs on ``columns`` if they pass ``verify_columns``, else None.
+
+        A composed codec reuses what its verifier decoded.
+        """
+        if not self.verify_columns(params, columns):
+            return None
+        return evaluate_circuit(self.decoder(params), columns)
 
     def verifier_circuit(self, params) -> ColumnarCircuit:
         """The verifier as a complete decision circuit.
@@ -346,23 +373,24 @@ def _segments_hint(params, n: int) -> list:
 
 def verify(inst: SchemeInstance) -> bool:
     entry = codec(inst.scheme_id)
-    params = entry.normalize_params(inst.params)
-    return entry.verify_columns(params, inst.columns)
+    return entry.verify_columns(entry._normalized(inst.params), inst.columns)
 
 
 def decode(inst: SchemeInstance, check: bool = True) -> dict:
     entry = codec(inst.scheme_id)
     params = entry.normalize_params(inst.params)
-    if check:
-        if not entry.verify_columns(params, inst.columns):
-            raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
-    return _without_out_prefix(evaluate_circuit(entry.decoder(params), inst.columns))
+    if not check:
+        return _without_out_prefix(evaluate_circuit(entry.decoder(params), inst.columns))
+    decoded = entry.decode_verified(params, inst.columns)
+    if decoded is None:
+        raise VerificationFailed(f"{inst.scheme_id} instance failed verification")
+    return _without_out_prefix(decoded)
 
 
 def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
     entry = codec(scheme_id)
     raw = dict(params)
-    normalized = entry.normalize_params(raw)
+    normalized = entry._normalized(raw)
     # the decoder lookup keys the params once; the decoded family's spec is
     # memoized on the decoder circuit (``_decoded_spec``)
     decoded = _decoded_spec(entry.decoder(normalized))
@@ -387,12 +415,12 @@ def encode(scheme_id: str, params: dict, family) -> SchemeInstance:
         encoded = entry.encode(hinted, dict(family))
     except TypeDomainError as exc:  # an encoded value outside its column's type
         raise NotEncodable(f"{scheme_id}: {exc}") from exc
-    return SchemeInstance(scheme_id, dict(normalized), encoded)  # no instance keeps a decoder alive
+    return SchemeInstance(scheme_id, normalized, encoded)  # a dict of its own: ``raw`` is a copy
 
 
 def equivalent(scheme_id: str, params: dict, a: dict, b: dict) -> bool:
     entry = codec(scheme_id)
-    params = entry.normalize_params(params)
+    params = entry._normalized(params)
     entry.decoder(params)  # checks the params, once per key
     return entry.equivalent(params, a, b)
 

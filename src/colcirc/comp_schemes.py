@@ -16,12 +16,12 @@ from operator import add, mul, ne, sub
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
 from .codec import _segments_hint, register_scheme
-from .column import Column, scalar_column
+from .column import Column, _range_of, scalar_column
 from .errors import NotEncodable
 from .params import BOOL, DEGREE, DEGREES, EVEN_WIDTH, PARTS, POSITIVE, SEGMENTS, TYPE, WIDTH, WIDTHS
 from .rep_schemes import (
     _TYPED,
-    _below,
+    _col_below,
     _et,
     _holds,
     _increasing,
@@ -503,7 +503,7 @@ def _dict_decoder(params):
 
 
 def _dict_verify_base(params, cols):
-    return _below(cols["indices"].values, len(cols["dictionary"]))
+    return _col_below(cols["indices"], len(cols["dictionary"]))
 
 
 def _dict_verify_unique(params, cols):
@@ -670,8 +670,12 @@ def _rle_decoder(params, capped=False):
 
 
 def _rle_verify(params, cols):
-    lengths = cols["length"].values
-    return len(lengths) == len(cols["value"]) and min(lengths, default=1) >= 1
+    lengths = cols["length"]
+    values = lengths.values
+    if len(values) != len(cols["value"].values):
+        return False
+    rng = _range_of(lengths)  # a recorded range from 1 up spares the scan
+    return rng is not None and rng[0] >= 1 or min(values, default=1) >= 1
 
 
 def _rle_encode(params, family):
@@ -1184,12 +1188,12 @@ def _segdict_decoder(params, two_level=False):
 def _segdict_verify(params, cols, two_level=False):
     ell = params["segment_length"]
     d = params["dict_size"]
-    if not _holds(cols, "segment_length", ell) or not _below(cols["indices"].values, d):
+    if not _holds(cols, "segment_length", ell) or not _col_below(cols["indices"], d):
         return False
-    entries = cols["dictionary_entries"].values
+    entries = cols["dictionary_entries"]
     if len(entries) != d * _segment_count(len(cols["indices"]), ell):
         return False
-    return not two_level or _below(entries, len(cols["global_dictionary"]))
+    return not two_level or _col_below(entries, len(cols["global_dictionary"]))
 
 
 def _segdict_encode_entries(params, values, code_of, filler):
@@ -1293,7 +1297,7 @@ def _cascade_verify(params, cols):
             return False
         if len(indices) != remaining:
             return False
-        if not _below(indices.values, len(dictionary)):
+        if not _col_below(indices, len(dictionary)):
             return False
         remaining = indices.values.count(0)
     return remaining == 0
@@ -1350,8 +1354,8 @@ def _subdict_decoder(params):
 
 def _subdict_verify(params, cols):
     d = len(cols["dictionary"])
-    vals = cols["indices"].values
-    return d >= 1 and _below(vals, d) and len(cols["residual_data"]) == vals.count(0)
+    indices = cols["indices"]
+    return d >= 1 and _col_below(indices, d) and len(cols["residual_data"]) == indices.values.count(0)
 
 
 def _subdict_encode(params, family):
@@ -1639,7 +1643,7 @@ def _vwdict_verify_base(params, cols):
         return False
     if not _ranges_within(cols["entry_start_positions"].values, cols["entry_lengths"].values, len(cols["entry_data"])):
         return False
-    return _below(cols["indices"].values, m)
+    return _col_below(cols["indices"], m)
 
 
 def _vwdict_verify_unique(params, cols):

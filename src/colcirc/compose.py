@@ -11,23 +11,31 @@ adds the length checks.  Over any other inner scheme it lifts the catalog's
 ``segmentized`` operator, which runs the inner decoder per segment in a
 host loop: the number of segments is data-dependent, so that decoder
 cannot be unrolled into a fixed circuit.
+
+A composed verifier decodes every part (every segment, on the host loop)
+before its recipe's relation decides, so a checked decode reuses those
+columns: it evaluates only the decoder's *tail*, the vertices outside the
+embedded inner decoders, under the decoder's own vertex ids (on the host
+loop it concatenates the segments).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from operator import sub
+from typing import NamedTuple
 
 from .builder import CircuitBuilder, Input
-from .circuit import evaluate_circuit
+from .circuit import ColumnarCircuit, check_valid, evaluate_circuit
 from .codec import CodecEntry, _resolved, _segments_hint, codec, register_codec
-from .column import Column, scalar_column
-from .errors import ColcircError, NotEncodable, OperatorError
-from .ops import register_operator
+from .column import Column, _range_of, scalar_column
+from .errors import ColcircError, EvaluationError, NotEncodable, OperatorError
+from .ops import _set, register_operator
 from .params import NAME, PARTITION, POSITIVE, SEGMENTS, TYPE, WIDTH, check
-from .rep_schemes import _below, _holds, _positions
+from .rep_schemes import _col_below, _holds, _positions
+from .transform import cut_label, induced_subcircuit
 from .types import INT, Kind, parse_type
 
 _INT = str(INT)
@@ -67,6 +75,36 @@ def _inner_decode(decoder, columns) -> Column:
     return evaluate_circuit(decoder, columns)["out:col"]
 
 
+class _Tail(NamedTuple):
+    circuit: ColumnarCircuit  # the decoder's vertices outside its parts, under their own ids
+    feeds: tuple  # (tail input label, inner index): the cut in-ports each decoded part feeds
+
+
+def _tail_of(decoder: ColumnarCircuit, parts) -> _Tail:
+    """``decoder`` without the inner decoders ``parts`` lists: (inner index, its vertex ids) each.
+
+    An input relay that feeds part vertices only goes with them.  What is
+    left reads the recipe's own columns and, at each cut in-port, a decoded
+    part.
+    """
+    part_of = {vid: i for i, vids in parts for vid in vids}
+    feeds_parts_only = {}
+    for s, t in decoder.edges:
+        if s.vertex_id not in part_of:
+            feeds_parts_only[s.vertex_id] = feeds_parts_only.get(s.vertex_id, True) and t.vertex_id in part_of
+    keep = [
+        vid
+        for vid, op in decoder.vertices.items()
+        if vid not in part_of and not (op.op_name == "no_op" and feeds_parts_only.get(vid))
+    ]
+    feeds = sorted(
+        (cut_label(t), part_of[s.vertex_id])
+        for s, t in decoder.edges
+        if s.vertex_id in part_of and t.vertex_id not in part_of
+    )
+    return _Tail(check_valid(induced_subcircuit(decoder, keep)), tuple(feeds))
+
+
 class _ComposedCodec(CodecEntry):
     """Shared plumbing: the inner schemes, each under its label prefix.
 
@@ -75,8 +113,18 @@ class _ComposedCodec(CodecEntry):
 
     The verifier is the same for every recipe: each part must pass its inner
     verifier and decode, and then the recipe's ``_relation`` over the columns
-    and the decoded parts decides.
+    and the decoded parts decides.  A checked decode hands those parts to
+    the decoder's tail (:func:`_tail_of`), built with the decoder and kept
+    on it: a subclass wires its decoder in ``_wire(b, embed)``, where
+    ``embed(i)`` embeds inner decoder ``i`` and notes the vertices it took.
+
+    A recipe whose tail fails exactly when part of its relation does not
+    hold names the rest ``_guard``: a checked decode tests only that, and
+    when the tail then fails, the whole relation decides between a
+    rejection and the decoder's own error.
     """
+
+    _guard = None
 
     def __init__(self, recipe, prefixes, hints=None):
         super().__init__(recipe.scheme_id, params=hints)
@@ -100,6 +148,21 @@ class _ComposedCodec(CodecEntry):
             raise NotEncodable(f"{recipe.kind} needs inner schemes of one decoded type, not {sorted(types)}")
         self.data_type = types.pop()
 
+    def build_decoder(self, params):
+        b = CircuitBuilder()
+        parts = []
+
+        def embed(i):
+            placed = len(b._vertices)
+            out = self._embed(b, i)
+            parts.append((i, list(islice(b._vertices, placed, None))))
+            return out
+
+        self._wire(b, embed)
+        decoder = b.build()
+        _set(decoder, "_tail", _tail_of(decoder, parts))  # before any other thread can see the decoder
+        return decoder
+
     def _embed(self, b, i):
         """Inner decoder ``i`` embedded in ``b``, fed from its prefixed labels: its decoded column."""
         decoder = self.inners[i][2]
@@ -116,14 +179,33 @@ class _ComposedCodec(CodecEntry):
         except ColcircError:
             return None
 
-    def host_verify(self, params, columns):
-        parts = []
+    def host_verify(self, params, columns, parts=None, guarded=False):
+        """The verdict, or with ``guarded`` the ``_guard``'s; the decoded parts go to the list
+        ``parts`` when one is given."""
+        if parts is None:
+            parts = []
         for i, prefix in enumerate(self.prefixes):
             decoded = self._part_decoded(i, _strip(prefix, columns))
             if decoded is None:
                 return False
             parts.append(decoded)
-        return self._relation(columns, parts)
+        return (self._guard if guarded else self._relation)(columns, parts)
+
+    def decode_verified(self, params, columns):
+        parts = []
+        guarded = self._guard is not None
+        if not self.verify_columns(params, columns, parts, guarded):
+            return None
+        tail, feeds = self.decoder(params)._tail
+        inputs = dict(columns)
+        for label, i in feeds:
+            inputs[label] = parts[i]
+        try:
+            return evaluate_circuit(tail, inputs)
+        except EvaluationError:
+            if guarded and not self._relation(columns, parts):
+                return None
+            raise
 
     def _encoded(self, i, family):
         """Inner scheme ``i``'s encoding of ``family``, under its prefix."""
@@ -138,10 +220,8 @@ class _PatchedCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["base:"])
 
-    def build_decoder(self, params):
-        b = CircuitBuilder()
-        b.result("col", b.scatter(self.data_type, self._embed(b, 0), b.input("patch_pos"), b.input("patch_data")))
-        return b.build()
+    def _wire(self, b, embed):
+        b.result("col", b.scatter(self.data_type, embed(0), b.input("patch_pos"), b.input("patch_data")))
 
     def _relation(self, columns, parts):
         pos = columns["patch_pos"].values
@@ -167,18 +247,16 @@ class _ElementwiseAddCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, ["a:", "b:"])
 
-    def build_decoder(self, params):
+    def _wire(self, b, embed):
         t = self.data_type
         wide = _WIDE if parse_type(t).is_integer else t
-        b = CircuitBuilder()
-        lhs = b.cast(t, wide, self._embed(b, 0))
-        rhs = b.cast(t, wide, self._embed(b, 1))
+        lhs = b.cast(t, wide, embed(0))
+        rhs = b.cast(t, wide, embed(1))
         b.result("col", b.cast(wide, t, b.add_cols(wide, lhs, rhs)))
-        return b.build()
 
     def _relation(self, columns, parts):
         a, b = parts
-        return len(a) == len(b) and _sums_fit(parse_type(self.data_type), a.values, b.values)
+        return len(a) == len(b) and _sums_fit(parse_type(self.data_type), a, b)
 
     def encode(self, params, family):
         col = family["col"]
@@ -190,15 +268,21 @@ class _ElementwiseAddCodec(_ComposedCodec):
         return out
 
 
-def _sums_fit(t, xs, ys) -> bool:
-    """True if every ``x + y`` survives the decoder's add (in ``i64`` for integers) and cast back to ``t``."""
+def _sums_fit(t, a, b) -> bool:
+    """True if every ``x + y`` of columns ``a`` and ``b`` survives the decoder's add (in ``i64``
+    for integers) and cast back to ``t``.  Recorded ranges (``_range_of``) spare a scan."""
+    xs, ys = a.values, b.values
     if not xs:
         return True
     if t.kind is Kind.FLOAT:
         return t.width_bits == 64 or all(t.contains(x + y) for x, y in zip(xs, ys))
     lo, hi = _wide_bounds(t)
-    # non-negative values only need the upper bound
-    if max(xs) + max(ys) <= hi and (t.kind is Kind.UNSIGNED or lo <= min(xs) + min(ys)):
+
+    def fit(ra, rb):  # non-negative values only need the upper bound
+        return ra[1] + rb[1] <= hi and (t.kind is Kind.UNSIGNED or lo <= ra[0] + rb[0])
+
+    ra, rb = _range_of(a), _range_of(b)
+    if (ra and rb and fit(ra, rb)) or fit((min(xs), max(xs)), (min(ys), max(ys))):
         return True
     return all(lo <= x + y <= hi for x, y in zip(xs, ys))
 
@@ -213,21 +297,24 @@ class _DifferentiateCodec(_ComposedCodec):
         if not (parse_type(self.diff_type).is_integer and parse_type(self.data_type).is_integer):
             raise NotEncodable(f"differentiate needs integer types, not {self.diff_type} and {self.data_type}")
 
-    def build_decoder(self, params):
+    def _wire(self, b, embed):
         t = self.data_type
-        b = CircuitBuilder()
-        diffs = b.cast(self.diff_type, _WIDE, self._embed(b, 0))
+        diffs = b.cast(self.diff_type, _WIDE, embed(0))
         first = b.cast(t, _WIDE, b.input("first"))
         ps = b.prefix(_WIDE, "add", diffs)
         n1 = b.length(ps, _WIDE)
         shifted = b.add_cols(_WIDE, b.replicate(_WIDE, first, n1), ps)
         full = b.concat(_WIDE, first, shifted)
         b.result("col", b.cast(_WIDE, t, full))
-        return b.build()
+
+    def _guard(self, columns, parts):
+        # the tail's casts, prefix sum and add fail exactly when a running sum leaves ``i64``
+        # or the data type: without this guard a checked decode scans the sums twice
+        return len(columns["first"]) == 1
 
     def _relation(self, columns, parts):
         first = columns["first"].values
-        return len(first) == 1 and _running_sums_fit(parse_type(self.data_type), first[0], parts[0].values)
+        return len(first) == 1 and _running_sums_fit(parse_type(self.data_type), first[0], parts[0])
 
     def encode(self, params, family):
         col = family["col"]
@@ -240,17 +327,25 @@ class _DifferentiateCodec(_ComposedCodec):
 
 
 def _running_sums_fit(t, first, diffs) -> bool:
-    """True if the decoder's prefix sums of ``diffs`` and ``first`` plus each stay in ``i64``
-    and cast back to ``t``."""
+    """True if the decoder's prefix sums of the column ``diffs`` and ``first`` plus each stay
+    in ``i64`` and cast back to ``t``.  A recorded range (``_range_of``) may spare the scan."""
     lo, hi = _wide_bounds(t)
     if not lo <= first <= hi:
         return False
-    if not diffs:
+
+    def fit(low, high):  # ``low`` and ``high`` bound the sums
+        return _WIDE_LO <= low and high <= _WIDE_HI and lo <= first + low and first + high <= hi
+
+    values = diffs.values
+    if not values:
+        return True
+    rng = _range_of(diffs)
+    # the k-th sum of values in [a, b] lies in [k*a, k*b], for k in 1..n
+    if rng is not None and fit(min(0, len(values) * rng[0]), max(0, len(values) * rng[1])):
         return True
     # only a u64 difference can exceed i64, and then so does its (non-negative) prefix sum
-    sums = list(accumulate(diffs))
-    low, high = min(sums), max(sums)
-    return _WIDE_LO <= low and high <= _WIDE_HI and lo <= first + low and first + high <= hi
+    sums = list(accumulate(values))
+    return fit(min(sums), max(sums))
 
 
 # -- small-dictionary fitting ------------------------------------------------------------
@@ -264,12 +359,10 @@ class _SmallDictFitCodec(_ComposedCodec):
         self.subdict = codec("subdict")
         self.subdict_params = {"type": self.data_type, "bits": recipe.options.get("bits", 8)}
 
-    def build_decoder(self, params):
-        b = CircuitBuilder()
-        residual = self._embed(b, 0)
+    def _wire(self, b, embed):
+        residual = embed(0)
         feeds = {"dictionary": b.input("dictionary"), "indices": b.input("indices"), "residual_data": residual}
         b.result("col", b.embed(self.subdict.decoder(self.subdict_params), feeds)["out:col"])
-        return b.build()
 
     def _relation(self, columns, parts):
         subdict = {"dictionary": columns["dictionary"], "indices": columns["indices"], "residual_data": parts[0]}
@@ -289,21 +382,20 @@ class _AlternatingCodec(_ComposedCodec):
     def __init__(self, recipe):
         super().__init__(recipe, [f"s{i}:" for i in range(len(recipe.inner))], {"partition": PARTITION})
 
-    def build_decoder(self, params):
+    def _wire(self, b, embed):
         t = self.data_type
-        b = CircuitBuilder()
         part = b.input("partition")
         out = b.replicate(t, b.scalar(t, parse_type(t).zero()), b.length(part, _INT))
         for i in range(len(self.inners)):
             match = b.ew("const_compare", {"type": _INT, "cmp": "eq", "value": i}, arguments=part)
             pos = b.add("select_indices", {}, characteristic=match)
-            out = b.scatter(t, out, pos, self._embed(b, i))
+            out = b.scatter(t, out, pos, embed(i))
         b.result("col", out)
-        return b.build()
 
     def _relation(self, columns, parts):
-        partition = columns["partition"].values
-        return _below(partition, len(parts)) and all(len(p) == partition.count(i) for i, p in enumerate(parts))
+        partition = columns["partition"]
+        counts = partition.values.count
+        return _col_below(partition, len(parts)) and all(len(p) == counts(i) for i, p in enumerate(parts))
 
     def encode(self, params, family):
         col = family["col"]
@@ -378,7 +470,8 @@ class _SegmentizedCodec(_ComposedCodec):
         if uniform:
             self.ell = recipe.options["segment_length"]
         extra = {"segment_length": INT, "total_length": INT} if uniform else {"segment_lengths": INT}
-        self.spec = {**extra, **{f"seg:{label}": t for label, t in decoder.signature.inputs.items()}}
+        self.seg_labels = [f"seg:{label}" for label in decoder.signature.inputs]
+        self.spec = {**extra, **dict(zip(self.seg_labels, decoder.signature.inputs.values()))}
         self.lifted = _position_wise(entry, iparams, decoder, {0, 1, 2, 3, self.ell if uniform else 4})
 
     def form_spec(self, params):
@@ -424,12 +517,16 @@ class _SegmentizedCodec(_ComposedCodec):
                 raise OperatorError(
                     "length-mismatch", f"segment decoded to {len(decoded)} elements, wanted {seg_len}"
                 )
-            out.extend(decoded.values)
+            out.append(decoded)
+        return self._concatenated(out)
+
+    def _concatenated(self, decoded) -> Column:
+        """The decoded segments ``decoded``, end to end."""
         # the inner decoder's outputs hold values of ``data_type``
-        return Column._trusted(parse_type(self.data_type), out)
+        return Column._trusted(parse_type(self.data_type), list(chain.from_iterable(c.values for c in decoded)))
 
     def build_decoder(self, params):
-        b = CircuitBuilder()
+        b = CircuitBuilder()  # no tail: see ``decode_verified``
         if not self.lifted:
             wired = {label: b.input(label) for label in self.spec}
             b.result("col", b.add("segmentized", {"scheme": self.scheme_id}, **wired))
@@ -449,28 +546,38 @@ class _SegmentizedCodec(_ComposedCodec):
         b.result("col", col)
         return b.build()
 
-    def host_verify(self, params, columns):
+    def host_verify(self, params, columns, parts=None, guarded=False):
         if self.uniform and (not _holds(columns, "segment_length", self.ell) or len(columns["total_length"]) != 1):
             return False
         if self.lifted:
             return self._lengths_fit(columns)
         try:
-            return self._segments_verify(columns)
+            return self._segments_verify(columns, [] if parts is None else parts)
         except ColcircError:  # segment lengths that do not fit the columns
             return False
+
+    def decode_verified(self, params, columns):
+        """The lifted decoder on verified columns; on the host loop, the segments its verifier decoded."""
+        if self.lifted:  # the verifier decodes nothing
+            return CodecEntry.decode_verified(self, params, columns)
+        segments = []
+        if not self.verify_columns(params, columns, segments):
+            return None
+        return {"out:col": self._concatenated(segments)}
 
     def _lengths_fit(self, columns) -> bool:
         """The lifted decoder's length checks: every ``seg:`` column holds one value per element."""
         n = columns["total_length"].values[0] if self.uniform else sum(columns["segment_lengths"].values)
-        return all(len(columns[f"seg:{label}"]) == n for label in self.inners[0][2].signature.inputs)
+        return all(len(columns[label].values) == n for label in self.seg_labels)
 
-    def _segments_verify(self, columns) -> bool:
-        """Check and decode every segment."""
+    def _segments_verify(self, columns, parts) -> bool:
+        """Check and decode every segment, into ``parts``."""
         segments = self._segments(columns)
         for seg_len, piece in zip(segments, self._split(columns, segments)):
             decoded = self._part_decoded(0, piece)
             if decoded is None or len(decoded) != seg_len:
                 return False
+            parts.append(decoded)
         return True
 
     def encode(self, params, family):

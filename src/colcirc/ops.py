@@ -944,14 +944,25 @@ def _prefix_run(inst, cols):
     # acc[0] is the neutral element, acc[-1] the total; exclusive mode drops
     # the total, but an overflowing total is still an overflow
     data = cols["data"]
-    acc = list(accumulate(data.values, combine, initial=neutral(t)))
+    if op == "add":  # the default combination adds at C speed; ``operator.add`` is a call per value
+        acc = list(accumulate(data.values, initial=neutral(t)))
+    else:
+        acc = list(accumulate(data.values, combine, initial=neutral(t)))
+    exclusive = mode == "exclusive"
     rng = None
     if op == "add" and t.is_integer:
-        # the k-th sum of values in [lo, hi] lies in [k*lo, k*hi], for k in 0..n
         n = len(data.values)
         a = _interval(data) if n >= _RANGED else None
-        rng = _fit(t, acc, a and (min(0, n * a[0]), max(0, n * a[1])), what="prefix aggregate")
-    out = acc[:-1] if mode == "exclusive" else acc[1:]
+        if a is not None and a[0] >= 0 and n:
+            # sums of non-negative values never decrease: the total is the largest, and the
+            # output's two ends bound it exactly (Blelloch 1989)
+            if acc[-1] > t._bounds[1]:
+                _fit(t, acc, None, what="prefix aggregate")  # raises, naming the first sum past the type
+            rng = (acc[0], acc[-2]) if exclusive else (acc[1], acc[-1])
+        else:
+            # the k-th sum of values in [lo, hi] lies in [k*lo, k*hi], for k in 0..n
+            rng = _fit(t, acc, a and (min(0, n * a[0]), max(0, n * a[1])), what="prefix aggregate")
+    out = acc[:-1] if exclusive else acc[1:]
     # integer max/min pick inputs or t's bounds, and/or of bits stay bits
     return {"aggregates": _out(t, out, rng) if t.is_integer else Column(t, out)}
 

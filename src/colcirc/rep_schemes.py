@@ -14,7 +14,7 @@ from operator import add, eq, lt
 
 from .builder import CircuitBuilder, expand_ranges
 from .codec import register_scheme
-from .column import Column, scalar_column
+from .column import Column, _range_of, scalar_column
 from .errors import NotEncodable, OperatorError
 from .params import DOMAIN_SIZE, PARTITION, PARTS, POSITIVE, TYPE, TYPES, VALUE
 from .types import BIT, INT, ElementType, parse_type
@@ -41,6 +41,15 @@ def _positions(pos, n) -> bool:
 
 def _below(values, n) -> bool:
     """True if every value is below ``n``: indices into ``n`` entries."""
+    return not values or max(values) < n
+
+
+def _col_below(col, n) -> bool:
+    """``_below`` of a column's values: a recorded range (``_range_of``) below ``n`` spares the scan."""
+    rng = _range_of(col)
+    if rng is not None and rng[1] < n:
+        return True
+    values = col.values
     return not values or max(values) < n
 
 
@@ -642,7 +651,7 @@ def _partition_decoder(params):
 
 def _partition_verify(params, cols):
     k = params["k"]
-    return _below(cols["partition"].values, k)
+    return _col_below(cols["partition"], k)
 
 
 def _partition_encode(params, family):

@@ -16,9 +16,11 @@ result type skips its ``min``/``max`` scan.  Columns shorter than
   cases, their corruptions and bound edits, and spliced Q6 plans decoded
   and verified with input ranges, with them stripped, and with every range
   check replaced by a scan.
-* The count guard pins that 8000-element ``for`` and composed
-  ``elementwise-add`` decodes read no full-length column with ``min`` or
-  ``max`` once their inputs are built.
+* The count guard pins that 8000-element ``for``, composed
+  ``elementwise-add``, ``run.rle`` and ``run.rpe`` decodes read no
+  full-length column with ``min`` or ``max`` once their inputs are built:
+  a run-position decoder's run index is a prefix sum of non-negative
+  values, whose range its ends give.
 """
 
 import builtins
@@ -33,7 +35,7 @@ import colcirc.ops as ops_mod
 import colcirc.types as types_mod
 from colcirc import Column, CompositionRecipe, codec, compose, encode, evaluate_circuit, instantiate
 from colcirc.column import _range_of, _set_range
-from colcirc.errors import ColcircError
+from colcirc.errors import ColcircError, OperatorError
 from colcirc.types import BIT, INT, ElementType
 from paths import call, count_checked_columns, far_edges, ranges_everywhere
 
@@ -160,11 +162,38 @@ def test_every_recorded_range_holds_its_values(data):
 
 
 def test_u64_prefix_sums_of_lengths_are_proved_without_a_scan(monkeypatch):
+    # sums of non-negative values never decrease, so the output's two ends are its exact range
     lengths = Column(INT, [2**40 + i for i in range(64)])
     reads = count_full_reads(monkeypatch, len(lengths) + 1)
     sums = call("prefix_aggregate", {"op": "add", "type": str(INT)}, data=lengths)["aggregates"]
     assert reads == []
-    assert _range_of(sums) == (0, 64 * (2**40 + 63))
+    assert _range_of(sums) == (2**40, 64 * 2**40 + 2016)
+
+
+def test_exclusive_prefix_sums_take_the_range_of_their_own_ends(monkeypatch):
+    lengths = Column(INT, [2**40 + i for i in range(64)])
+    reads = count_full_reads(monkeypatch, len(lengths))
+    params = {"op": "add", "type": str(INT), "mode": "exclusive"}
+    starts = call("prefix_aggregate", params, data=lengths)["aggregates"]
+    assert reads == []
+    assert starts.values[0] == 0 and _range_of(starts) == (0, 63 * 2**40 + 1953) == (starts.values[0], starts.values[-1])
+
+
+def test_prefix_sums_of_data_reaching_below_zero_keep_the_k_times_rule():
+    data = Column(ElementType.signed(64), [(-3, 5, 0, 1)[i % 4] for i in range(64)])
+    assert _range_of(data) == (-3, 5)
+    for mode in ("inclusive", "exclusive"):
+        sums = call("prefix_aggregate", {"op": "add", "type": "i64", "mode": mode}, data=data)["aggregates"]
+        assert _range_of(sums) == (64 * -3, 64 * 5) and sound(sums)
+
+
+@pytest.mark.parametrize("mode", ["inclusive", "exclusive"])
+def test_an_overflowing_total_names_the_first_sum_past_the_type(mode):
+    # 4 * 2**62 is the first sum past u64; exclusive mode drops the total, but it still overflows
+    data = Column(INT, [2**62] * 64)
+    with pytest.raises(OperatorError) as exc:
+        call("prefix_aggregate", {"op": "add", "type": str(INT), "mode": mode}, data=data)
+    assert str(exc.value) == f"overflow: prefix aggregate {2**64} outside u64 range [0, {2**64 - 1}]"
 
 
 def test_an_unsigned_sub_of_correlated_positions_still_scans(monkeypatch):
@@ -217,8 +246,13 @@ def ewadd():
 
 @pytest.mark.parametrize(
     "scheme",
-    [lambda: ("for", {"type": "u32", "offset_type": "u16", "segment_length": 64}), ewadd],
-    ids=["for", "elementwise-add"],
+    [
+        lambda: ("for", {"type": "u32", "offset_type": "u16", "segment_length": 64}),
+        ewadd,
+        lambda: ("run.rle", {"type": "u32"}),
+        lambda: ("run.rpe", {"type": "u32"}),
+    ],
+    ids=["for", "elementwise-add", "run.rle", "run.rpe"],
 )
 def test_long_decodes_read_no_full_column(scheme, monkeypatch):
     sid, params = scheme()
