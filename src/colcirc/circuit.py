@@ -86,11 +86,17 @@ class ColumnarCircuit:
     interface: dict  # circuit label -> PortRef
     signature: Signature
 
-    # the evaluation plan, compiled on first evaluation, and the structural
-    # pass (``_structure``) until then; not fields, so equality, repr and JSON
-    # ignore them
-    _plan = None
-    _structure = None
+    # Lazy caches, on circuits and across the package, keep one rule, so
+    # that threads share what holds them without a lock: the value is built
+    # from immutable inputs and never changed after, it is published with
+    # one attribute store and never cleared, and a reader reads the
+    # attribute once and uses what it read.  Threads that race to fill a
+    # cache each build an equal value, and either may stay.  It covers
+    # ``_plan``, ``_decoded`` and ``_proven`` here, ``OperatorInstance._constant``,
+    # ``CodecEntry._decoder_cache``, ``_ResolvedParams._decoder``,
+    # ``Column._hash`` and ``Column._range``, ``PortValues._index`` and
+    # ``cli._parser``.  None is a field, so equality, repr and JSON ignore them.
+    _plan = None  # the evaluation plan, compiled on the first evaluation
     _decoded = None  # a codec's decoded-family spec, when the circuit is a decoder (``codec._decoded_spec``)
     _tail = None  # a composed decoder's tail, set before the decoder is published (``compose._tail_of``)
     # True once the circuit is proven valid: ``CircuitBuilder.build`` proved
@@ -107,21 +113,22 @@ class ColumnarCircuit:
     # -- structural helpers -------------------------------------------------
 
     def port_type(self, port: PortRef):
-        op = self.vertices.get(port.vertex_id)
+        """The element type of ``port``, a ``PortRef`` or a plain tuple; None if the circuit has no such port."""
+        op = self.vertices.get(port[0])
         if op is None:
             return None
-        side = op.signature.inputs if port.direction == IN else op.signature.outputs
-        return side.get(port.port_label)
+        side = op.signature.inputs if port[2] == IN else op.signature.outputs
+        return side.get(port[1])
 
     def in_ports(self):
         for vid, op in self.vertices.items():
             for label in op.signature.inputs:
-                yield PortRef(vid, label, IN)
+                yield _port((vid, label, IN))
 
     def out_ports(self):
         for vid, op in self.vertices.items():
             for label in op.signature.outputs:
-                yield PortRef(vid, label, OUT)
+                yield _port((vid, label, OUT))
 
     def engaged_in_ports(self):
         return {dst for _, dst in self.edges}
@@ -160,44 +167,36 @@ def _proven_if(c: ColumnarCircuit, proof) -> ColumnarCircuit:
     return c
 
 
-def _structure(c: ColumnarCircuit):
-    """One walk over the circuit's edges, shared by validation and plan compilation.
+def _structure(c: ColumnarCircuit, proven: bool):
+    """One walk over the circuit's edges, for validation and plan compilation.
 
-    Returns ``(types, sources, violations, order)``: the element type of every
-    vertex port keyed by ``(vertex id, port label, direction)``, the source of
-    every engaged in-port, the edge violations, and the vertex ids in
-    topological order (``None`` when the layout graph has a cycle).  Cached
-    on the circuit until its plan is compiled.  A proven circuit has no
-    violations to find, so its walk keys no port types (``types`` is None)
-    and finds only the sources and the order.
+    Returns ``(sources, violations, order)``: the source of every engaged
+    in-port, the edge violations, and the vertex ids in topological order
+    (``None`` when the layout graph has a cycle).  ``proven`` is the
+    caller's one read of ``c._proven``: a proven circuit has no violations
+    to find, so its walk checks no edge and finds only the sources and the
+    order.  Nothing is cached on the circuit.
     """
-    found = c._structure
-    if found is not None:
-        return found
-    types, sources, fed_again, violations = None, {}, {}, []
+    sources, violations = {}, []
     pending = dict.fromkeys(c.vertices, 0)  # vertex -> edges from vertices not yet ordered
     consumers = {}
-    if c._proven:
+    if proven:
         for src, dst in c.edges:
             sources[dst] = src
             pending[dst[0]] += 1
             consumers.setdefault(src[0], []).append(dst[0])
     else:
-        types = {}
-        for vid, op in c.vertices.items():
-            for label, t in op.signature.inputs.items():
-                types[vid, label, IN] = t
-            for label, t in op.signature.outputs.items():
-                types[vid, label, OUT] = t
+        fed_again = {}
+        port_type = c.port_type
         for src, dst in c.edges:
             if src[0] in pending and dst[0] in pending:
                 pending[dst[0]] += 1
                 consumers.setdefault(src[0], []).append(dst[0])
-            t_src = types.get(src) if src[2] == OUT else None
+            t_src = port_type(src) if src[2] == OUT else None
             if t_src is None:
                 violations.append(Violation("bad-edge-source", f"{src} is not a vertex out-port"))
                 continue
-            t_dst = types.get(dst) if dst[2] == IN else None
+            t_dst = port_type(dst) if dst[2] == IN else None
             if t_dst is None:
                 violations.append(Violation("bad-edge-target", f"{dst} is not a vertex in-port"))
                 continue
@@ -220,10 +219,7 @@ def _structure(c: ColumnarCircuit):
                 pending[u] -= 1
                 if not pending[u]:
                     ready.append(u)
-    found = (types, sources, tuple(violations), order if len(order) == len(pending) else None)
-    if c._plan is None:
-        object.__setattr__(c, "_structure", found)
-    return found
+    return sources, violations, order if len(order) == len(pending) else None
 
 
 def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
@@ -234,10 +230,7 @@ def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
     """
     if c._proven:
         return _NO_VIOLATIONS
-    types, sources, edge_violations, order = _structure(c)
-    if types is None:  # only a proven circuit's walk keys no types: another thread proved it meanwhile
-        return _NO_VIOLATIONS
-    violations = list(edge_violations)
+    sources, violations, order = _structure(c, False)
     if order is None:
         violations.append(Violation("cycle", "layout graph contains a directed cycle"))
 
@@ -248,7 +241,7 @@ def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
         if port is None:
             violations.append(Violation("dangling-interface", f"input label {label!r} is unmapped"))
             continue
-        t_port = types.get(port) if port[2] == IN else None
+        t_port = c.port_type(port) if port[2] == IN else None
         if t_port is None:
             violations.append(Violation("dangling-interface", f"input label {label!r} -> missing port {port}"))
             continue
@@ -261,12 +254,12 @@ def validate_circuit(c: ColumnarCircuit) -> ValidationReport:
         seen_ports[port] = label
         if t_port is not t and t_port != t:
             violations.append(Violation("type-mismatch", f"input label {label!r} type differs from {port}"))
-    unmapped = (PortRef._make(p) for p in types if p[2] == IN and p not in sources and p not in seen_ports)
+    unmapped = (p for p in c.in_ports() if p not in sources and p not in seen_ports)
     for port in sorted(unmapped, key=str):
         violations.append(Violation("unmapped-disengaged-input", f"{port} has no circuit input label"))
     for label, t in c.signature.outputs.items():
         port = c.interface.get(label)
-        t_port = types.get(port) if port is not None and port[2] == OUT else None
+        t_port = c.port_type(port) if port is not None and port[2] == OUT else None
         if t_port is None:
             violations.append(Violation("dangling-interface", f"output label {label!r} -> {port}"))
         elif t_port is not t and t_port != t:
@@ -293,17 +286,18 @@ def _invalid(kind, detail):
 
 
 def _toposort(c: ColumnarCircuit):
+    """``(order, sources)``: the vertex ids in topological order and the source of every engaged in-port."""
     # ``circuit()`` does not check edges, so an edge may name no port, and an
     # in-port fed twice would take whichever edge the hash order puts last; a
     # type mismatch is left to ``OperatorInstance.apply``, which then checks
     # every output of the operator against its declared type
-    _, _, violations, order = _structure(c)
+    sources, violations, order = _structure(c, c._proven)
     broken = tuple(v for v in violations if v.kind != "type-mismatch")
     if broken:
         raise InvalidCircuitError(ValidationReport(broken))
     if order is None:
         raise _invalid("cycle", "cannot order vertices")
-    return order
+    return order, sources
 
 
 class _Plan:
@@ -326,8 +320,7 @@ class _Plan:
 
 
 def _compile(c: ColumnarCircuit) -> _Plan:
-    order = _toposort(c)
-    sources = _structure(c)[1]
+    order, sources = _toposort(c)
     slot_of = {}  # port -> slot: an input's in-port, every out-port
     inputs = []
     for label, t in c.signature.inputs.items():
@@ -371,7 +364,8 @@ class PortValues(Mapping):
         self._index = None
 
     def _ports(self):
-        if self._index is None:
+        index = self._index
+        if index is None:
             index = {}
             for vid, _, ins, outs in self._plan.steps:
                 for label, slot in ins:
@@ -379,7 +373,7 @@ class PortValues(Mapping):
                 for label, slot in outs:
                     index[PortRef(vid, label, OUT)] = slot
             self._index = index
-        return self._index
+        return index
 
     def __getitem__(self, port):
         return self._slots[self._ports()[port]]
@@ -405,11 +399,9 @@ def evaluate_ports(c: ColumnarCircuit, inputs: dict, parallel: bool = False) -> 
     hand-off latency.
     """
     plan = c._plan
-    if plan is None:
-        # no lock: threads racing here compile equal plans, and either may stay
+    if plan is None:  # no lock: the lazy-cache rule on ``ColumnarCircuit``
         plan = _compile(c)
         object.__setattr__(c, "_plan", plan)
-        object.__setattr__(c, "_structure", None)  # the plan holds all later calls need
     slots = [None] * plan.n_slots
     for label, t, slot in plan.inputs:
         if label not in inputs:

@@ -11,7 +11,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .bundle import read_bundle, write_bundle
 from .circuit import (
@@ -23,7 +22,7 @@ from .circuit import (
     json_document,
     load_circuit,
 )
-from .codec import SchemeInstance, codec as codec_entry, decode, encode, verify
+from .codec import SchemeInstance, codec as codec_entry, compression_ratio, decode, encode, verify
 from .column import (
     Column,
     frequency_distribution,
@@ -177,14 +176,12 @@ def _col_report(label, col):
 def cmd_stats(args):
     if os.path.isdir(args.path):
         inst = read_bundle(args.path)
-        decoded = decode(inst)
+        ratio = compression_ratio(inst)  # decodes, so verifies, the bundle
         encoded_size = representation_size_bytes(inst.columns)
-        decoded_size = representation_size_bytes(decoded)
-        ratio = Fraction(decoded_size, encoded_size)
         report = {
             "scheme": inst.scheme_id,
             "encoded_size_bytes": encoded_size,
-            "decoded_size_bytes": decoded_size,
+            "decoded_size_bytes": int(ratio * encoded_size),  # exact; 0 encoded bytes have ratio 1 only when 0 are decoded
             "compression_ratio": [ratio.numerator, ratio.denominator],
             "columns": [_col_report(lb, c) for lb, c in sorted(inst.columns.items())],
         }
@@ -336,9 +333,8 @@ def build_parser():
     return parser
 
 
-# built by the first ``main`` call and shared by every later one; parsing
-# leaves it unchanged, so threads may share it, and two that race to build
-# it each build an equal parser, either of which may stay
+# built by the first ``main`` call and shared by every later one, threads
+# included (parsing leaves it unchanged): the lazy-cache rule on ``ColumnarCircuit``
 _parser = None
 
 

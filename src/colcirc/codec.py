@@ -87,9 +87,8 @@ def _without_out_prefix(outputs: dict) -> dict:
 def _decoded_spec(decoder: ColumnarCircuit) -> dict:
     """The decoded family's ``{label: ElementType}``: the decoder's output types without ``out:``.
 
-    Memoized on the decoder circuit beside its evaluation plan, so it lives
-    as long as the circuit (an entry's decoder cache holds at most
-    ``_DECODER_CACHE_KEYS``); do not mutate it.
+    Cached on the decoder circuit, so it lives as long as the circuit; do not
+    mutate it.
     """
     spec = decoder._decoded
     if spec is None:
@@ -239,15 +238,17 @@ class CodecEntry:
 
     def decoder(self, params) -> ColumnarCircuit:
         remember = type(params) is _ResolvedParams and params._entry is self
-        if remember and params._decoder is not None:
-            return params._decoder
+        c = params._decoder if remember else None
+        if c is not None:
+            return c
         key = params_key(params)
-        c = self._decoder_cache.get(key)
+        cache = self._decoder_cache
+        c = cache.get(key)
         if c is None:
             check(self.declared, params)
             c = self.build_decoder(params)
-            if len(self._decoder_cache) < _DECODER_CACHE_KEYS:
-                self._decoder_cache[key] = c
+            if len(cache) < _DECODER_CACHE_KEYS:
+                cache[key] = c
         if remember:
             params._decoder = c
         return c
@@ -426,8 +427,10 @@ def equivalent(scheme_id: str, params: dict, a: dict, b: dict) -> bool:
 
 
 def compression_ratio(inst: SchemeInstance) -> Fraction:
-    decoded = decode(inst)  # verifies first
-    return Fraction(representation_size_bytes(decoded), representation_size_bytes(inst.columns))
+    """Decoded bytes over encoded bytes; 1 for an empty family encoded in 0 bytes."""
+    decoded = representation_size_bytes(decode(inst))  # verifies first
+    encoded = representation_size_bytes(inst.columns)
+    return Fraction(decoded, encoded) if encoded or decoded else Fraction(1)
 
 
 # -- the lifted host verifier --------------------------------------------------------

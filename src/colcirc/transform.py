@@ -19,7 +19,6 @@ from .circuit import (
     PortRef,
     _port,
     _proven_if,
-    _structure,
     _toposort,
     check_valid,
     circuit,
@@ -302,8 +301,7 @@ def eliminate_duplicate_vertices(c: ColumnarCircuit) -> ColumnarCircuit:
     JSON documents are equal.  A cyclic or broken circuit raises
     ``InvalidCircuitError``.
     """
-    order = _toposort(c)
-    sources = _structure(c)[1]
+    order, sources = _toposort(c)
     classes, number, least = {}, {}, {}  # key -> class; vertex id -> class; class -> least vertex id
     for vid in order:
         op = c.vertices[vid]

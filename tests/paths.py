@@ -17,8 +17,10 @@ they are, re-checked, stripped of their ranges).  Add it to ``PATHS`` as a
 come from another vertex) takes ``same_circuits=False``: its errors are
 compared by type and its ports not at all.  One that can change only some
 schemes says which with ``touches``, and is skipped for the rest and for
-operator calls and circuits.  Every test of ``test_paths.py`` loops over
-``PATHS``; no path is the default.
+operator calls and circuits.  One that runs each case from several threads
+at once says how many with ``threads``; each thread must see what ``plain``
+sees.  One too slow for the whole battery runs one case in ``every``.  Every
+test of ``test_paths.py`` loops over ``PATHS``; no path is the default.
 """
 
 import copy
@@ -28,6 +30,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 from collections import namedtuple
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -37,8 +40,8 @@ from typing import Callable
 import hypothesis.strategies as st
 
 from colcirc import (
-    Column, CompositionRecipe, SchemeInstance, circuit_to_json, codec, compose, decode, encode, instantiate,
-    make_column, scalar_column, verify,
+    Column, ColumnarCircuit, CompositionRecipe, SchemeInstance, circuit_to_json, codec, compose, decode, encode,
+    instantiate, make_column, scalar_column, verify,
 )
 from colcirc import column as column_mod
 from colcirc import ops as ops_mod
@@ -50,6 +53,7 @@ from colcirc.types import BIT, F32, F64, I8, I16, I32, I64, INT, U8, U16, U32, U
 from scheme_cases import corrupt_extend, corrupt_set, corrupt_truncate
 
 # the package exports functions named after these modules
+circuit_mod = importlib.import_module("colcirc.circuit")
 codec_mod = importlib.import_module("colcirc.codec")
 compose_mod = importlib.import_module("colcirc.compose")
 
@@ -142,6 +146,68 @@ def host_loop():
             entry.lifted, entry._decoder_cache = True, cache
 
 
+class _Unfilled:
+    """A lazy cache attribute that reads as unfilled on every object until it is filled again.
+
+    Put over a class's cache attribute for a block, it hides what any object
+    cached before the block, so each object is as fresh as a new copy of it
+    for that cache.  It keeps each object it is filled on, so no object made
+    in the block inherits the value of a dead one with the same ``id``.
+    """
+
+    def __init__(self, unfilled):
+        self.unfilled = unfilled
+        self.filled = {}  # id(obj) -> (obj, value)
+
+    def __get__(self, obj, owner=None):
+        return self.filled.get(id(obj), (obj, self.unfilled))[1]
+
+    def __set__(self, obj, value):
+        self.filled[id(obj)] = (obj, value)
+
+
+_threaded_cases = itertools.count()
+
+
+@contextmanager
+def threaded():
+    """``plain`` from 4 threads at once (``Path.threads``), on fresh lazy caches.
+
+    Every circuit's plan and decoded spec, every ``scalar`` constant and every
+    codec entry's decoder cache start empty, and the input columns are new
+    and carry no range, so the threads race to fill every cache the battery
+    reaches.  A thread that compiles a plan validates its circuit first, as
+    ``colcirc eval`` does.  Every other case also forgets each circuit's
+    proven mark, so circuits run as their unproven copies
+    (``ColumnarCircuit(c.vertices, c.edges, c.interface, c.signature)``) and
+    the threads race to prove them; the rest run proven, as built.
+    """
+    compile_plan = circuit_mod._compile
+
+    def validated(c):
+        circuit_mod.validate_circuit(c)
+        return compile_plan(c)
+
+    patches = [
+        (circuit_mod, "_compile", validated),
+        (ColumnarCircuit, "_plan", _Unfilled(None)),
+        (ColumnarCircuit, "_decoded", _Unfilled(None)),
+        (ops_mod.OperatorInstance, "_constant", _Unfilled(None)),
+    ]
+    if next(_threaded_cases) % 2:
+        patches.append((ColumnarCircuit, "_proven", _Unfilled(False)))
+    entries = list(codec_mod._REGISTRY.values())
+    decoders = [e._decoder_cache for e in entries]
+    try:
+        for entry in entries:
+            entry._decoder_cache = {}
+        with _patched(*patches):
+            yield _stripped
+    finally:
+        for entry, cache in zip(entries, decoders):
+            entry._decoder_cache = cache
+
+
 def _over_lifted(sid):
     """True if scheme ``sid`` is, or composes, a lifted segmentized codec."""
     entry = sid and codec(sid)
@@ -153,6 +219,8 @@ class Path:
     enter: Callable  # () -> context manager yielding ``rebuild``
     same_circuits: bool = True  # evaluates the circuits ``plain`` evaluates
     touches: Callable = lambda sid: True  # can change the outcomes of scheme ``sid`` (None: a call or circuit)
+    threads: int = 1  # threads that run each case at once, on the same rebuilt columns
+    every: int = 1  # runs one case in ``every``
 
 
 PATHS = {
@@ -162,17 +230,58 @@ PATHS = {
     "stripped": Path(stripped),
     "ranges_off": Path(ranges_off),
     "host_loop": Path(host_loop, same_circuits=False, touches=_over_lifted),
+    "threaded": Path(threaded, threads=4, every=30),
 }
+
+_cases = itertools.count()
 
 
 def on_every_path(run, columns, sid=None):
-    """``{path name: run(columns as the path rebuilds them)}`` inside each path that touches scheme ``sid``."""
+    """``{path name: run(columns as the path rebuilds them)}`` inside each path that touches scheme ``sid``
+    and takes this case.  A threaded path's threads must all see the same: that is what it returns."""
     seen = {}
+    case = next(_cases)
     for name, path in PATHS.items():
-        if path.touches(sid):
+        if path.touches(sid) and case % path.every == 0:
             with path.enter() as rebuild:
-                seen[name] = run(rebuild(columns))
+                if path.threads == 1:
+                    seen[name] = run(rebuild(columns))
+                    continue
+                cols = rebuild(columns)
+                outcomes = in_threads(lambda i: run(cols), path.threads)
+                for got in outcomes:
+                    if isinstance(got, BaseException):
+                        raise got
+                    assert same(got, outcomes[0]), (name, got, outcomes[0])
+                seen[name] = outcomes[0]
     return seen
+
+
+def in_threads(fn, n):
+    """``fn(i)`` from threads ``i = 0 .. n-1`` released together, the interpreter switching between them
+    every microsecond: what each returned or raised, in thread order."""
+    barrier = threading.Barrier(n)
+    results = [None] * n
+
+    def run(i):
+        barrier.wait()
+        try:
+            results[i] = fn(i)
+        except BaseException as exc:  # returned, so the caller's assertion shows it
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, inside the builds the threads race
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
 
 
 # -- the count guards' probe ---------------------------------------------------------------------

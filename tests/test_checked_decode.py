@@ -11,8 +11,6 @@ columns stay as they were is ``test_paths.py``'s.
 import importlib
 import itertools
 import random
-import sys
-import threading
 
 import pytest
 
@@ -20,7 +18,7 @@ from colcirc import Column, CompositionRecipe, compose, decode, encode, verify
 from colcirc.codec import CodecEntry
 from colcirc.errors import EvaluationError, NotEncodable, VerificationFailed
 from colcirc.types import U8, U32
-from paths import HOST_LOOP, RECIPES, mutants
+from paths import HOST_LOOP, RECIPES, in_threads, mutants
 
 circuit_mod = importlib.import_module("colcirc.circuit")
 ops_mod = importlib.import_module("colcirc.ops")
@@ -190,32 +188,6 @@ def test_a_tail_failure_that_the_relation_allows_is_the_decoders_error(monkeypat
         decode(bad)
 
 
-def run_in_threads(fn, n=8):
-    """``fn()`` from ``n`` threads released together: each thread's result or raised exception."""
-    barrier = threading.Barrier(n)
-    results = [None] * n
-
-    def run(i):
-        barrier.wait()
-        try:
-            results[i] = fn()
-        except BaseException as exc:  # reported below, with the thread's index
-            results[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the builds they race
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    return results
-
-
 @pytest.mark.parametrize(
     "kind, inner, options",
     [
@@ -242,5 +214,5 @@ def test_threads_decode_checked_on_a_fresh_codec(kind, inner, options, built):
     if built:
         entry.decoder({})
     fresh = type(inst)(entry.scheme_id, inst.params, inst.columns)
-    results = run_in_threads(lambda: decode(fresh))
+    results = in_threads(lambda _: decode(fresh), 8)
     assert results == [{"col": Column(twin.decoder({}).signature.outputs["out:col"], values)}] * 8

@@ -22,7 +22,7 @@ from colcirc.cli import main
 from colcirc.gallery import double_plus_three
 from colcirc.types import F64, INT, U8, U32, U64
 
-from paths import encoded, splice_q6
+from paths import encoded, in_threads, splice_q6
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
 
@@ -166,6 +166,18 @@ class TestStats:
         assert main(["stats", bundle]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["compression_ratio"] == [500, 1]
+
+    @pytest.mark.parametrize("scheme, params", [("nullsup", '{"narrow_type": "u8"}'), ("dict", "{}")])
+    def test_an_empty_bundle_in_no_bytes_has_ratio_one(self, tmp_path, capsys, scheme, params):
+        src = tmp_path / "e.col"
+        write_col_file(src, make_column(U32, []))
+        bundle = str(tmp_path / "b")
+        assert main(["encode", "--scheme", scheme, "--params", params, str(src), bundle]) == 0
+        capsys.readouterr()
+        assert main(["stats", bundle]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["compression_ratio"] == [1, 1]
+        assert doc["encoded_size_bytes"] == doc["decoded_size_bytes"] == 0
 
     def test_uncompressed_ratio_is_one(self, runs_col, capsys):
         main(["stats", runs_col])
@@ -662,30 +674,15 @@ class TestSharedParser:
         assert "col" in capsys.readouterr().err
 
     def test_threads_share_it(self, tmp_path, runs_col, bundles, builds):
-        import threading
-
         expected = sha(runs_col)
-        results = [None] * 8
-        start = threading.Barrier(8, timeout=60)
 
-        def run(i):
+        def run(i):  # first calls race to build the parser
             bundle = bundles[i % len(bundles)]
             out = str(tmp_path / f"out_{i}")
-            start.wait()
             codes = [main(["verify", bundle]), main(["decode", bundle, out]), main(["verify", bundle])]
-            results[i] = codes, sha(os.path.join(out, "col.col"))
+            return codes, sha(os.path.join(out, "col.col"))
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, so first calls race to build
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        results = in_threads(run, 8)
         assert results == [([0, 0, 0], expected)] * 8
         assert 1 <= len(builds) <= 8  # racing first calls may each build one
 

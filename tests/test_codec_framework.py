@@ -125,6 +125,12 @@ class TestCompressionRatio:
         inst = encode("constant", {"type": "u32", "int_type": "u32"}, make_column(U32, [9] * 1000))
         assert compression_ratio(inst) == Fraction(4000, 8)
 
+    @pytest.mark.parametrize("sid, params", [("nullsup", {"type": "u32", "narrow_type": "u8"}), ("dict", {"type": "u32"})])
+    def test_an_empty_family_in_no_bytes_is_one(self, sid, params):
+        inst = encode(sid, params, make_column(U32, []))
+        assert all(len(col) == 0 for col in inst.columns.values())
+        assert compression_ratio(inst) == 1
+
     def test_indexed_identity_overhead(self):
         n = 16
         inst = encode("indexed", {"type": "u8"}, make_column(U8, range(n)))

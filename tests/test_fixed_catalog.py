@@ -29,6 +29,7 @@ from colcirc.errors import OperatorError, RegistryError
 from colcirc.gallery import double_plus_three
 from colcirc.ops import instantiate, register_operator
 from colcirc.types import U8
+from paths import in_threads
 from scheme_cases import CASES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
@@ -154,40 +155,20 @@ class TestSerialEvaluation:
         assert threading.active_count() == before
 
 
-def race(fn, n=8):
-    """Run ``fn`` in ``n`` threads released together; return what each one raised or returned."""
-    barrier = threading.Barrier(n)
-    results = [None] * n
-
-    def worker(i):
-        barrier.wait()
-        try:
-            results[i] = fn()
-        except Exception as exc:  # noqa: BLE001  (collected for the assertion)
-            results[i] = exc
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return results
-
-
 class TestThreadSafeRegistries:
     def test_one_operator_registration_wins(self):
         name = unique_id("op")
-        results = race(lambda: register_operator(name, lambda p: None, lambda i, c: {}))
+        results = in_threads(lambda _: register_operator(name, lambda p: None, lambda i, c: {}), 8)
         assert sum(r is None for r in results) == 1
         assert all(isinstance(r, RegistryError) for r in results if r is not None)
 
     def test_one_codec_registration_wins(self):
         sid = unique_id("codec")
 
-        def register():
+        def register(_):
             return register_codec(CodecEntry(sid))
 
-        results = race(register)
+        results = in_threads(register, 8)
         winners = [r for r in results if isinstance(r, CodecEntry)]
         assert len(winners) == 1 and codec(sid) is winners[0]
         assert all(isinstance(r, RegistryError) for r in results if r not in winners)

@@ -2,7 +2,6 @@
 
 import importlib
 import random
-import threading
 
 import pytest
 
@@ -23,7 +22,7 @@ from colcirc.transform import assign_input, circuit_union, rename_labels
 from colcirc.types import U32, U64
 
 from circuit_gen import random_circuit, random_inputs
-from paths import inductive_port_value
+from paths import in_threads, inductive_port_value
 
 # the package re-exports the ``circuit`` function over its submodule
 circuit_mod = importlib.import_module("colcirc.circuit")
@@ -175,18 +174,6 @@ def test_threads_share_one_fresh_circuit(proven):
     cols = {name: make_column(U64, [rng.randrange(1, 60) for _ in range(40)]) for name in c.signature.inputs}
     cols["shipdate"] = make_column(U64, [rng.randrange(8700, 9200) for _ in range(40)])
     cols["discount"] = make_column(U64, [rng.randrange(0, 11) for _ in range(40)])
-    barrier = threading.Barrier(8)
-    results = [None] * 8
-
-    def run(i):
-        barrier.wait()
-        results[i] = evaluate_circuit(c, cols)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
+    results = in_threads(lambda _: evaluate_circuit(c, cols), 8)
     assert results[0] == reference_outputs(c, cols)
     assert all(r == results[0] for r in results)

@@ -1,18 +1,18 @@
-"""One structural pass per circuit, shared by validation and plan compilation,
-and a proof of validity that the circuit algebra carries.
+"""One structural walk for validation and for plan compilation, and a proof of
+validity that the circuit algebra carries.
 
 ``validate_circuit`` is checked against the per-port validation it replaced,
-kept here as an oracle; the pass is checked to run once for a validated and
-then evaluated plan, to be skipped by validation of a proven circuit, and to
-leave a circuit's value, JSON and repr alone; and every circuit the algebra
-marks proven is checked to pass the full check.
+kept here as an oracle; the walks are counted (none to build, splice or
+validate a proven plan, one to compile it however often it is evaluated, and
+for an unproven copy one full walk to validate it and one proven walk to
+compile it), and validation is checked to leave a circuit's value, JSON and
+repr alone; and every circuit the algebra marks proven is checked to pass the
+full check.
 """
 
 import importlib
 import os
 import random
-import sys
-import threading
 from collections import Counter
 
 import pytest
@@ -37,7 +37,7 @@ from colcirc.transform import assign_input, circuit_union, drop_output, rename_l
 from colcirc.types import BIT, U32, Kind
 
 from circuit_gen import random_circuit
-from paths import encoded, lineitem, splice_q6
+from paths import encoded, in_threads, lineitem, splice_q6
 from scheme_cases import CASES
 
 # the package re-exports the ``circuit`` function over its submodule
@@ -235,15 +235,14 @@ def spliced_q6(columns):
     return splice_q6({}, lineitem(4)), encoded(columns, lineitem(4))
 
 
-def count_passes(monkeypatch):
-    """Circuits whose structural pass is computed from now on, one entry per pass."""
+def count_walks(monkeypatch):
+    """``(circuit, proven)`` for each structural walk from now on."""
     walks = []
-    original = circuit_mod._structure
+    walk = circuit_mod._structure
 
-    def counting(c):
-        if c._structure is None:
-            walks.append(c)
-        return original(c)
+    def counting(c, proven):
+        walks.append((c, proven))
+        return walk(c, proven)
 
     monkeypatch.setattr(circuit_mod, "_structure", counting)
     return walks
@@ -252,7 +251,7 @@ def count_passes(monkeypatch):
 class TestOnePass:
     def test_building_and_splicing_walk_nothing(self, monkeypatch):
         columns = {"shipdate": [8800, 9000], "discount": [6, 2], "quantity": [3, 30], "extended_price": [1000, 2000]}
-        walks = count_passes(monkeypatch)
+        walks = count_walks(monkeypatch)
         plan, inputs = spliced_q6(columns)
         # the builder proves ``q6_circuit`` and each decoder valid as it wires
         # them, and the algebra carries the proof to the spliced plan
@@ -262,7 +261,7 @@ class TestOnePass:
         for _ in range(3):
             assert evaluate_circuit(plan, inputs)["revenue"].values == (6000,)
         # the compile walks once, for the sources and the order
-        assert walks == [plan]
+        assert [(c is plan, proven) for c, proven in walks] == [(True, True)]
 
     def test_validate_then_three_evaluations_walk_the_plan_once(self, monkeypatch):
         rng = random.Random(4)
@@ -274,89 +273,79 @@ class TestOnePass:
             "extended_price": [rng.randrange(1000, 90000) for _ in range(n)],
         }
         plan, inputs = spliced_q6(columns)
-        walks = count_passes(monkeypatch)
+        walks = count_walks(monkeypatch)
         assert validate_circuit(plan).ok
         assert walks == []
         want = q6_reference(*(columns[k] for k in ("shipdate", "discount", "quantity", "extended_price")))
         for _ in range(3):
             assert evaluate_circuit(plan, inputs)["revenue"].values == (want,)
-        assert walks == [plan]
-        # the compiled plan replaces the pass, so it is not kept alive
-        assert plan._plan is not None and plan._structure is None
-        # an unproven copy of the plan takes the full pass once, and its
-        # evaluation reuses it
+        assert [(c is plan, proven) for c, proven in walks] == [(True, True)]
+        # an unproven copy of the plan takes the full walk to be validated,
+        # and then its first evaluation one proven walk
         copy = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
         assert not copy._proven and validate_circuit(copy).ok and copy._proven
-        assert evaluate_circuit(copy, inputs)["revenue"].values == (want,)
-        assert len(walks) == 2 and walks[1] is copy
+        assert [(c is copy, proven) for c, proven in walks[1:]] == [(True, False)]
+        for _ in range(3):
+            assert evaluate_circuit(copy, inputs)["revenue"].values == (want,)
+        assert [(c is copy, proven) for c, proven in walks[1:]] == [(True, False), (True, True)]
 
     def test_the_pass_changes_neither_json_repr_nor_equality(self):
         circuits = [(sid, lambda sid=sid: codec(sid).build_decoder(CASES[sid].gen(random.Random(0))[0])) for sid in sorted(CASES)]
         circuits.append(("q6", q6_circuit))
         for name, make in circuits:
             proven, twin = make(), make()
-            assert proven._proven and proven._structure is None, name
+            assert proven._proven, name
             # the same circuit without the mark, as loading it from JSON gives
             c = ColumnarCircuit(proven.vertices, proven.edges, proven.interface, proven.signature)
             assert not c._proven, name
             text, shown = dump_circuit(c), repr(c)
             assert (dump_circuit(proven), repr(proven), proven) == (text, shown, c), name
             assert validate_circuit(c).ok
-            assert c._structure is not None and c._proven, name
+            assert c._proven, name
             assert (dump_circuit(c), repr(c), c) == (text, shown, twin), name
             loaded = load_circuit(text)
             assert loaded == c and not loaded._proven, name
 
     def test_threads_validating_and_evaluating_one_fresh_plan(self):
-        # the pass, the plan and the proven mark are cached on the shared
-        # circuit without a lock; a thread that finds the pass dropped by
-        # another's compile redoes it, and one that finds the circuit proven
-        # between its first look and its walk reports nothing.  The plan runs
-        # proven, as spliced, and as an unproven copy that starts the full pass
+        # the plan and the proven mark are cached on the shared circuit
+        # without a lock; a thread that finds the circuit proven between its
+        # first look and its walk still finishes the full check.  The plan
+        # runs proven, as spliced, and as an unproven copy that starts the
+        # full walk
         rng = random.Random(8)
         columns = {k: [rng.randrange(1, 40) for _ in range(6)] for k in ("discount", "quantity", "extended_price")}
         columns["shipdate"] = [rng.randrange(8700, 9200) for _ in range(6)]
         want = q6_reference(*(columns[k] for k in ("shipdate", "discount", "quantity", "extended_price")))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for i in range(20):
-                plan, inputs = spliced_q6(columns)
-                if i % 2:
-                    plan = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
-                    assert not plan._proven
-                barrier = threading.Barrier(6)
-                results = []
+        for i in range(20):
+            plan, inputs = spliced_q6(columns)
+            if i % 2:
+                plan = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
+                assert not plan._proven
 
-                def run():
-                    barrier.wait()
-                    ok = validate_circuit(plan).ok
-                    results.append((ok, evaluate_circuit(plan, inputs)["revenue"].values))
+            def run(_):
+                ok = validate_circuit(plan).ok
+                return ok, evaluate_circuit(plan, inputs)["revenue"].values
 
-                threads = [threading.Thread(target=run) for _ in range(6)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert results == [(True, (want,))] * 6
-        finally:
-            sys.setswitchinterval(interval)
+            assert in_threads(run, 6) == [(True, (want,))] * 6
 
     def test_a_circuit_proven_between_the_first_look_and_the_walk_reports_nothing(self, monkeypatch):
         # the interleaving the thread test can only hope to hit: another thread
-        # validates the circuit after this one found it unproven, and compiles
-        # it, which drops the pass, before this one walks it
+        # validates the circuit after this one found it unproven, before this
+        # one walks it; the walk keeps this caller's look, so it checks every
+        # edge, and validation finishes its full check
         plan = splice_q6({}, lineitem(4))
         c = ColumnarCircuit(plan.vertices, plan.edges, plan.interface, plan.signature)
         walk = circuit_mod._structure
+        looks = []
 
-        def proven_meanwhile(circuit):
+        def proven_meanwhile(circuit, proven):
             object.__setattr__(circuit, "_proven", True)
-            return walk(circuit)
+            looks.append(proven)
+            return walk(circuit, proven)
 
         monkeypatch.setattr(circuit_mod, "_structure", proven_meanwhile)
         assert validate_circuit(c).ok
+        assert looks == [False]
 
     def test_portref_is_a_named_tuple(self):
         p = PortRef("v1", "result", OUT)
