@@ -270,19 +270,18 @@ class CodecEntry:
                 return False
         return True
 
-    def verify_columns(self, params, columns: dict, parts=None, guarded=False) -> bool:
+    def verify_columns(self, params, columns: dict, parts=None) -> bool:
         """The form check, then ``host_verify``.
 
-        Only a composed codec's checked decode passes the others: ``parts``,
-        a list, collects the parts its verifier decoded, and ``guarded`` has
-        that verifier test only its ``_guard`` (see ``compose._ComposedCodec``).
-        Without ``guarded`` the verdict is the same with or without ``parts``.
+        Only a composed codec's checked decode passes ``parts``, a list that
+        collects the parts its verifier decoded; with it, a recipe's
+        ``_guard`` may stand in for its relation (see ``compose._ComposedCodec``).
         """
         if not self.check_form(params, columns):
             return False
         if parts is None:
             return bool(self.host_verify(params, columns))
-        return bool(self.host_verify(params, columns, parts, guarded))
+        return bool(self.host_verify(params, columns, parts))
 
     def decode_verified(self, params, columns: dict):
         """The decoder's outputs on ``columns`` if they pass ``verify_columns``, else None.
@@ -367,6 +366,19 @@ def _segments_hint(params, n: int) -> list:
     if sum(segments) != n:
         raise NotEncodable(f"hint 'segments' must cover {n} values, not {segments!r}")
     return list(segments)
+
+
+def _partition_hint(params, n: int, k: int) -> list:
+    """The ``partition`` hint (a checked ``PARTITION``): a part below ``k`` for each of ``n`` values.
+
+    Absent, every value is in part 0.
+    """
+    partition = params.get("partition")
+    if partition is None:
+        return [0] * n
+    if len(partition) != n or max(partition, default=0) >= k:
+        raise NotEncodable("partition assignment does not match the column")
+    return list(partition)
 
 
 # -- uniform entry points --------------------------------------------------------

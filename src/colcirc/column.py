@@ -160,6 +160,17 @@ def frequency_distribution(col: Column) -> FrequencyTable:
     return FrequencyTable(dict(Counter(col.values)), len(col))
 
 
+def _segment_count(n, ell) -> int:
+    """The number of segments of ``ell`` (the last one shorter) that cover ``n`` values."""
+    return -(-n // ell)
+
+
+def _segment_lengths(n, ell) -> list:
+    """The lengths of those segments, in order."""
+    full, rest = divmod(n, ell)
+    return [ell] * full + ([rest] if rest else [])
+
+
 @dataclass(frozen=True)
 class SegmentedViewSpec:
     """Interpretation of a length-n column as ceil(n/l) consecutive segments."""
@@ -175,7 +186,7 @@ class SegmentedViewSpec:
 
     @property
     def segment_count(self) -> int:
-        return -(-self.column_length // self.segment_length)
+        return _segment_count(self.column_length, self.segment_length)
 
 
 def segmented_get(col: Column, spec: SegmentedViewSpec, i: int, j: int):

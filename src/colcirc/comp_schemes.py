@@ -16,7 +16,7 @@ from operator import add, mul, ne, sub
 
 from .builder import CircuitBuilder, Wire, expand_ranges, run_index_wires
 from .codec import _segments_hint, register_scheme
-from .column import Column, _range_of, scalar_column
+from .column import Column, _range_of, _segment_count, _segment_lengths, scalar_column
 from .errors import NotEncodable
 from .params import BOOL, DEGREE, DEGREES, EVEN_WIDTH, PARTS, POSITIVE, SEGMENTS, TYPE, WIDTH, WIDTHS
 from .rep_schemes import (
@@ -25,11 +25,11 @@ from .rep_schemes import (
     _et,
     _holds,
     _increasing,
+    _index_set,
     _is_distinct,
     _padding,
     _positions,
     _ranges_within,
-    _segment_count,
     _tiled,
     canonical_varwidth,
     indexset_equivalent,
@@ -112,20 +112,22 @@ def _poly_eval_wires(b: CircuitBuilder, params, rel: Wire, coeff_of, n: Wire) ->
     return acc
 
 
-def _generated_decoder(params):
+def _generated_wires(b: CircuitBuilder, params, coeffs: Wire, n: Wire) -> Wire:
+    """The basis with the widened coefficients ``coeffs`` at each position below ``n``, in the compute type."""
     ct = _compute_t(params)
+    rel = b.cast(_INT, ct, b.iota(n))
+
+    def coeff_of(j):
+        return b.replicate(ct, b.gather(ct, b.scalar(_INT, j), coeffs), n)
+
+    return _poly_eval_wires(b, params, rel, coeff_of, n)
+
+
+def _generated_decoder(params):
     b = CircuitBuilder()
     length = b.input("length")
     coeffs = _widen(b, params, b.input("coefficients"))
-    idx = b.iota(length)
-    rel = b.cast(_INT, ct, idx)
-
-    def coeff_of(j):
-        cj = b.gather(ct, b.scalar(_INT, j), coeffs)
-        return b.replicate(ct, cj, length)
-
-    acc = _poly_eval_wires(b, params, rel, coeff_of, length)
-    b.result("col", _narrow_out(b, params, acc))
+    b.result("col", _narrow_out(b, params, _generated_wires(b, params, coeffs, length)))
     return b.build()
 
 
@@ -249,10 +251,14 @@ def _solve_exact(rows, rhs):
     return [aug[r][k] for r in range(k)]
 
 
-def _shifted_int_fit(params, values):
-    """Rounded least-squares fit clamped into the type, residual-corrected."""
-    et = _et(params)
+def _fitted(params, values) -> list:
+    """The basis's fit to ``values`` that an additive residual corrects: least squares, and for
+    integers rounded, clamped into the type and, if it is unsigned, pulled down to leave no
+    negative residual."""
     degrees = _basis_degrees(params)
+    if _is_float(params):
+        return _eval_basis(params, _fit_least_squares(values, degrees), len(values))
+    et = _et(params)
     coeffs = _fit_int_least_squares(values, degrees)
     lo, hi = et.bounds()
     coeffs = [min(max(c, lo), hi) for c in coeffs]
@@ -266,16 +272,11 @@ def _shifted_int_fit(params, values):
             base = list(map(add, base, repeat(worst, len(base))))
     if base and not (lo <= min(base) and max(base) <= hi):
         raise NotEncodable("fitted model leaves the decoded type's domain")
-    return coeffs, base
+    return base
 
 
 def _generated_fit_additive(params, col):
-    if _is_float(params):
-        coeffs = _fit_least_squares(list(col.values), _basis_degrees(params))
-        base = _eval_basis(params, coeffs, len(col))
-    else:
-        _, base = _shifted_int_fit(params, list(col.values))
-    return Column(_et(params), base)
+    return Column(_et(params), _fitted(params, col.values))
 
 
 def _register_generated(scheme_id, normalize=None):
@@ -356,15 +357,7 @@ def _noisy_decoder(params):
     b = CircuitBuilder()
     noise = b.input("noise")
     coeffs = _widen(b, params, b.input("coefficients"))
-    n = b.length(noise, params["noise_type"])
-    idx = b.iota(n)
-    rel = b.cast(_INT, ct, idx)
-
-    def coeff_of(j):
-        cj = b.gather(ct, b.scalar(_INT, j), coeffs)
-        return b.replicate(ct, cj, n)
-
-    gen = _poly_eval_wires(b, params, rel, coeff_of, n)
+    gen = _generated_wires(b, params, coeffs, b.length(noise, params["noise_type"]))
     up = b.cast(params["noise_type"], ct, noise)
     b.result("col", _narrow_out(b, params, b.add_cols(ct, gen, up)))
     return b.build()
@@ -514,19 +507,18 @@ def _dict_verify_monotone(params, cols):
     return _dict_verify_unique(params, cols) and _increasing(cols["dictionary"].values)
 
 
+def _dictionary(values, variant) -> tuple:
+    """``(entries, indices)``: the distinct ``values`` (sorted for the ``monotone`` variant, else in
+    first-occurrence order), and the index of each value's entry."""
+    entries = sorted(set(values)) if variant == "monotone" else list(dict.fromkeys(values))
+    index_of = {v: i for i, v in enumerate(entries)}
+    return entries, list(map(index_of.__getitem__, values))
+
+
 def _dict_encode_factory(variant):
     def encode(params, family):
-        col = family["col"]
-        et = _et(params)
-        if variant == "monotone":
-            entries = sorted(set(col.values))
-        else:
-            entries = list(dict.fromkeys(col.values))  # first-occurrence order
-        index_of = {v: i for i, v in enumerate(entries)}
-        return {
-            "dictionary": Column(et, entries),
-            "indices": Column(INT, list(map(index_of.__getitem__, col.values))),
-        }
+        entries, indices = _dictionary(family["col"].values, variant)
+        return {"dictionary": Column(_et(params), entries), "indices": Column(INT, indices)}
 
     return encode
 
@@ -540,7 +532,7 @@ for _variant, _verifier in (
         _variant,
         _TYPED,
         build_decoder=_dict_decoder,
-        encode=_dict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
+        encode=_dict_encode_factory(_variant.rpartition(".")[2]),
         host_verify=_verifier,
     )
 
@@ -751,18 +743,22 @@ def _segment_poly_tail(b, params, idx: Wire, seg: Wire, seg_start_ct: Wire, coef
     return _poly_eval_wires(b, params, rel, coeff_of, n)
 
 
+def _run_segments(b: CircuitBuilder, params, starts: Wire, n: Wire) -> tuple:
+    """``(idx, seg, seg_start)`` of the positions below ``n`` cut into segments at ``starts``: each
+    position, its segment and its segment's start in the compute type."""
+    idx = b.iota(n)
+    seg = run_index_wires(b, starts, n)
+    return idx, seg, b.cast(_INT, _compute_t(params), b.gather(_INT, seg, starts))
+
+
 def _spline_generalized_decoder(params):
-    ct = _compute_t(params)
     b = CircuitBuilder()
     starts = b.input("segment_start_pos")
     lengths = b.input("segment_length")
     coeffs = _widen(b, params, b.input("coefficients"))
     ends = b.add_cols(_INT, starts, lengths)
     n = b.last_element(_INT, b.concat(_INT, b.scalar(_INT, 0), ends))
-    idx = b.iota(n)
-    seg = run_index_wires(b, starts, n)
-    seg_start = b.cast(_INT, ct, b.gather(_INT, seg, starts))
-    acc = _segment_poly_tail(b, params, idx, seg, seg_start, coeffs, n)
+    acc = _segment_poly_tail(b, params, *_run_segments(b, params, starts, n), coeffs, n)
     b.result("col", _narrow_out(b, params, acc))
     return b.build()
 
@@ -842,9 +838,7 @@ def _knotted_decoder(params):
         m = b.sub_cols(_INT, b.length(knots, _INT), b.scalar(_INT, 1))
         starts = b.gather(_INT, b.iota(m), knots)
         n = b.add_cols(_INT, b.last_element(_INT, knots), b.scalar(_INT, 1))
-        idx = b.iota(n)
-        seg = run_index_wires(b, starts, n)
-        seg_start_ct = b.cast(_INT, ct, b.gather(_INT, seg, starts))
+        idx, seg, seg_start_ct = _run_segments(b, params, starts, n)
     coeffs = _widen(b, params, b.input("coefficients"))
     acc = _segment_poly_tail(b, params, idx, seg, seg_start_ct, coeffs, n)
     b.result("col", _narrow_out(b, params, acc))
@@ -925,7 +919,7 @@ def _equiknotted_encode(params, family):
     et = _et(params)
     ell = params["interval_length"]
     n = len(col)
-    coeffs = _fit_segments(params, col.values, [min(ell, n - at) for at in range(0, n, ell)])
+    coeffs = _fit_segments(params, col.values, _segment_lengths(n, ell))
     return {
         "interval_length": scalar_column(INT, ell),
         "length": scalar_column(INT, n),
@@ -935,16 +929,8 @@ def _equiknotted_encode(params, family):
 
 def _equiknotted_fit_additive(params, col):
     ell = params["interval_length"]
-    base = []
-    for at in range(0, len(col), ell):
-        seg = list(col.values[at : at + ell])
-        if _is_float(params):
-            coeffs = _fit_least_squares(seg, _basis_degrees(params))
-            base.extend(_eval_basis(params, coeffs, len(seg)))
-        else:
-            _, seg_base = _shifted_int_fit(params, seg)
-            base.extend(seg_base)
-    return Column(_et(params), base)
+    values = col.values
+    return Column(_et(params), [x for at in range(0, len(values), ell) for x in _fitted(params, values[at : at + ell])])
 
 
 register_scheme(
@@ -1429,17 +1415,12 @@ def _common_prefix_verify(params, cols):
 
 def _common_prefix_groups(params, family):
     w, p = params["w"], params["p"]
-    n_full = family["full_length"].scalar()
-    if n_full != 1 << w:
+    n, elements = _index_set(family)
+    if n != 1 << w:
         raise NotEncodable(f"scheme covers index sets over exactly 2^{w} = {1 << w}")
-    elements = sorted(family["elements"].values)
-    if not _is_distinct(elements):
-        raise NotEncodable("index set elements must be distinct")
     shift = w - p
     groups = {}
     for e in elements:
-        if e >> w:
-            raise NotEncodable(f"element {e} exceeds {w} bits")
         groups.setdefault(e >> shift, []).append(e & ((1 << shift) - 1))
     return groups
 
@@ -1656,16 +1637,10 @@ def _vwdict_verify_monotone(params, cols):
 
 def _vwdict_encode_factory(variant):
     def encode(params, family):
-        elements = varwidth_elements(family)
-        base_et = family["data"].element_type
-        if variant == "monotone":
-            entries = sorted(set(elements))
-        else:
-            entries = list(dict.fromkeys(elements))
-        index_of = {e: i for i, e in enumerate(entries)}
-        stored = canonical_varwidth(entries, base_et)
+        entries, indices = _dictionary(varwidth_elements(family), variant)
+        stored = canonical_varwidth(entries, family["data"].element_type)
         return {
-            "indices": Column(INT, list(map(index_of.__getitem__, elements))),
+            "indices": Column(INT, indices),
             "entry_start_positions": stored["start_position"],
             "entry_lengths": stored["length"],
             "entry_data": stored["data"],
@@ -1683,7 +1658,7 @@ for _variant, _vverify in (
         _variant,
         _TYPED,
         build_decoder=_vwdict_decoder,
-        encode=_vwdict_encode_factory(_variant.rsplit(".", 1)[-1] if "." in _variant else "plain"),
+        encode=_vwdict_encode_factory(_variant.rpartition(".")[2]),
         host_verify=_vverify,
         equivalent=varwidth_equivalent,
     )

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from .builder import CircuitBuilder, Input
 from .circuit import ColumnarCircuit, check_valid, evaluate_circuit
-from .codec import CodecEntry, _resolved, _segments_hint, codec, register_codec
-from .column import Column, _range_of, scalar_column
+from .codec import CodecEntry, _partition_hint, _resolved, _segments_hint, codec, register_codec
+from .column import Column, _range_of, _segment_lengths, scalar_column
 from .errors import ColcircError, EvaluationError, NotEncodable, OperatorError
 from .ops import _set, register_operator
 from .params import NAME, PARTITION, POSITIVE, SEGMENTS, TYPE, WIDTH, check
@@ -119,9 +119,9 @@ class _ComposedCodec(CodecEntry):
     ``embed(i)`` embeds inner decoder ``i`` and notes the vertices it took.
 
     A recipe whose tail fails exactly when part of its relation does not
-    hold names the rest ``_guard``: a checked decode tests only that, and
-    when the tail then fails, the whole relation decides between a
-    rejection and the decoder's own error.
+    hold names the rest ``_guard``: a checked decode (the one caller that
+    passes ``parts``) tests only that, and when the tail then fails, the
+    whole relation decides between a rejection and the decoder's own error.
     """
 
     _guard = None
@@ -179,9 +179,10 @@ class _ComposedCodec(CodecEntry):
         except ColcircError:
             return None
 
-    def host_verify(self, params, columns, parts=None, guarded=False):
-        """The verdict, or with ``guarded`` the ``_guard``'s; the decoded parts go to the list
-        ``parts`` when one is given."""
+    def host_verify(self, params, columns, parts=None):
+        """The verdict; given a list ``parts``, the decoded parts go to it, and a ``_guard``
+        decides in place of the relation."""
+        checked = parts is not None and self._guard is not None
         if parts is None:
             parts = []
         for i, prefix in enumerate(self.prefixes):
@@ -189,12 +190,11 @@ class _ComposedCodec(CodecEntry):
             if decoded is None:
                 return False
             parts.append(decoded)
-        return (self._guard if guarded else self._relation)(columns, parts)
+        return (self._guard if checked else self._relation)(columns, parts)
 
     def decode_verified(self, params, columns):
         parts = []
-        guarded = self._guard is not None
-        if not self.verify_columns(params, columns, parts, guarded):
+        if not self.verify_columns(params, columns, parts):
             return None
         tail, feeds = self.decoder(params)._tail
         inputs = dict(columns)
@@ -203,7 +203,7 @@ class _ComposedCodec(CodecEntry):
         try:
             return evaluate_circuit(tail, inputs)
         except EvaluationError:
-            if guarded and not self._relation(columns, parts):
+            if self._guard is not None and not self._relation(columns, parts):
                 return None
             raise
 
@@ -399,10 +399,8 @@ class _AlternatingCodec(_ComposedCodec):
 
     def encode(self, params, family):
         col = family["col"]
-        partition = params.get("partition") or [0] * len(col)
         k = len(self.inners)
-        if len(partition) != len(col) or any(v >= k for v in partition):
-            raise NotEncodable("partition assignment does not match the column")
+        partition = _partition_hint(params, len(col), k)
         out = {"partition": Column(INT, partition)}
         for i in range(k):
             piece = Column(col.element_type, [v for v, p in zip(col.values, partition) if p == i])
@@ -411,11 +409,6 @@ class _AlternatingCodec(_ComposedCodec):
 
 
 # -- segmentization --------------------------------------------------------------------------
-
-
-def _segment_lengths_uniform(ell, n):
-    full, rest = divmod(n, ell)
-    return [ell] * full + ([rest] if rest else [])
 
 
 def _position_wise(entry, iparams, decoder, sizes) -> bool:
@@ -487,7 +480,7 @@ class _SegmentizedCodec(_ComposedCodec):
         for label, count in self.lengths(self.ell).items():
             if n // self.ell * count + rest.get(label, 0) != len(columns[f"seg:{label}"]):
                 raise OperatorError("length-mismatch", f"total_length {n} does not fit segmented label {label}")
-        return _segment_lengths_uniform(self.ell, n)
+        return _segment_lengths(n, self.ell)
 
     def _split(self, columns, segments):
         cursors = dict.fromkeys(self.inners[0][2].signature.inputs, 0)
@@ -546,7 +539,7 @@ class _SegmentizedCodec(_ComposedCodec):
         b.result("col", col)
         return b.build()
 
-    def host_verify(self, params, columns, parts=None, guarded=False):
+    def host_verify(self, params, columns, parts=None):
         if self.uniform and (not _holds(columns, "segment_length", self.ell) or len(columns["total_length"]) != 1):
             return False
         if self.lifted:
@@ -583,7 +576,7 @@ class _SegmentizedCodec(_ComposedCodec):
     def encode(self, params, family):
         col = family["col"]
         if self.uniform:
-            segments = _segment_lengths_uniform(self.ell, len(col))
+            segments = _segment_lengths(len(col), self.ell)
         else:
             segments = _segments_hint(params, len(col))
         entry, iparams, decoder = self.inners[0]

@@ -13,9 +13,9 @@ from itertools import accumulate, chain
 from operator import add, eq, lt
 
 from .builder import CircuitBuilder, expand_ranges
-from .codec import register_scheme
-from .column import Column, _range_of, scalar_column
-from .errors import NotEncodable, OperatorError
+from .codec import _partition_hint, register_scheme
+from .column import Column, _range_of, _segment_count, scalar_column
+from .errors import NotEncodable
 from .params import DOMAIN_SIZE, PARTITION, PARTS, POSITIVE, TYPE, TYPES, VALUE
 from .types import BIT, INT, ElementType, parse_type
 
@@ -74,11 +74,6 @@ def _holds(cols, label, value) -> bool:
     return len(col) == 1 and col.values[0] == value
 
 
-def _segment_count(n, ell) -> int:
-    """The number of segments of ``ell`` (the last one shorter) that cover ``n`` values."""
-    return -(-n // ell)
-
-
 def _padding(filler, count) -> list:
     """``count`` copies of ``filler``, the padding a param sizes; one no list can hold is not encodable."""
     try:
@@ -87,21 +82,48 @@ def _padding(filler, count) -> list:
         raise NotEncodable(f"a padding of {count} values does not fit a column") from None
 
 
-# -- host-level subcolumn values ------------------------------------------------
+def _partitions(parts) -> bool:
+    """True if the position lists ``parts`` hold each index below their total size once: they partition it."""
+    pos = list(chain.from_iterable(parts))
+    return _positions(pos, len(pos))
+
+
+# -- the families data structures decode to, each rule written once -------------
+
+
+def _index_set(family) -> tuple:
+    """An index set family's ``full_length`` value and its elements, sorted.
+
+    ``full_length`` holds one value, and the elements are distinct and below
+    it (``_positions``); any other family is not encodable.
+    """
+    full = family["full_length"].values
+    if len(full) != 1:
+        raise NotEncodable(f"full_length must hold one value, not {len(full)}")
+    elements = family["elements"].values
+    if not _positions(elements, full[0]):
+        raise NotEncodable("index set elements must be distinct and below full_length")
+    return full[0], sorted(elements)
+
+
+def _subcolumn(pos, data) -> bool:
+    """True if the columns ``pos`` and ``data`` form a subcolumn: one distinct position per value."""
+    return len(pos) == len(data) and _is_distinct(pos.values)
 
 
 @dataclass(frozen=True)
 class SubcolumnStd:
-    """Standard representation of a subcolumn: paired pos and data columns."""
+    """Standard representation of a subcolumn: paired pos and data columns (``_subcolumn``).
+
+    Any other pair is not encodable.
+    """
 
     pos: Column
     data: Column
 
     def __post_init__(self):
-        if len(self.pos) != len(self.data):
-            raise OperatorError("length-mismatch", "pos and data lengths must match")
-        if not _is_distinct(self.pos.values):
-            raise OperatorError("duplicate-position", "subcolumn positions must be distinct")
+        if not _subcolumn(self.pos, self.data):
+            raise NotEncodable("a subcolumn pairs each data value with a distinct position")
 
     def mapping(self) -> dict:
         return dict(zip(self.pos.values, self.data.values))
@@ -151,9 +173,6 @@ def _indexed_verify(params, cols):
 
 def _indexed_encode(params, family):
     col = family["col"]
-    et = _et(params)
-    if col.element_type != et:
-        raise NotEncodable(f"expected a {et} column")
     return {"pos": Column(INT, range(len(col))), "data": col}
 
 
@@ -179,7 +198,7 @@ def _subcol_std_decoder(params):
 
 
 def _subcol_std_verify(params, cols):
-    return len(cols["pos"]) == len(cols["data"]) and _is_distinct(cols["pos"].values)
+    return _subcolumn(cols["pos"], cols["data"])
 
 
 def _subcol_std_encode(params, family):
@@ -221,24 +240,13 @@ def _overlay_decoder(params):
 
 
 def _overlay_verify(params, cols):
-    return (
-        len(cols["pos_1"]) == len(cols["data_1"])
-        and len(cols["pos_2"]) == len(cols["data_2"])
-        and _is_distinct(cols["pos_1"].values)
-        and _is_distinct(cols["pos_2"].values)
-    )
+    return _subcolumn(cols["pos_1"], cols["data_1"]) and _subcolumn(cols["pos_2"], cols["data_2"])
 
 
 def _overlay_encode(params, family):
-    # canonical encoded form: the subcolumn itself plus an empty overlay
+    # canonical encoded form: the subcolumn itself plus an empty second one
     sc = SubcolumnStd(family["pos"], family["data"]).canonical()
-    t = _et(params)
-    return {
-        "pos_1": sc.pos,
-        "data_1": sc.data,
-        "pos_2": Column(INT, []),
-        "data_2": Column(t, []),
-    }
+    return {"pos_1": sc.pos, "data_1": sc.data, "pos_2": Column(INT, []), "data_2": Column(_et(params), [])}
 
 
 register_scheme(
@@ -265,17 +273,11 @@ def _disjoint_union_verify(params, cols):
     return not (set(cols["pos_1"].values) & set(cols["pos_2"].values))
 
 
-def _disjoint_union_encode(params, family):
-    sc = SubcolumnStd(family["pos"], family["data"]).canonical()
-    t = _et(params)
-    return {"pos_1": sc.pos, "data_1": sc.data, "pos_2": Column(INT, []), "data_2": Column(t, [])}
-
-
 register_scheme(
     "subcolumn.union.disjoint",
     _TYPED,
     build_decoder=_disjoint_union_decoder,
-    encode=_disjoint_union_encode,
+    encode=_overlay_encode,
     host_verify=_disjoint_union_verify,
     equivalent=subcolumn_family_equivalent,
 )
@@ -549,11 +551,8 @@ def _sparse_indexset_verify(params, cols):
 
 
 def _sparse_indexset_encode(params, family):
-    n = family["full_length"].scalar()
-    vals = sorted(family["elements"].values)
-    if any(v >= n for v in vals) or not _is_distinct(vals):
-        raise NotEncodable("index set elements must be distinct and below full_length")
-    return {"full_length": scalar_column(INT, n), "elements": Column(INT, vals)}
+    n, elements = _index_set(family)
+    return {"full_length": scalar_column(INT, n), "elements": Column(INT, elements)}
 
 
 register_scheme(
@@ -575,11 +574,11 @@ def _dense_indexset_decoder(params):
 
 
 def _dense_indexset_encode(params, family):
-    n = family["full_length"].scalar()
-    members = set(family["elements"].values)
-    if any(v >= n for v in members):
-        raise NotEncodable("index set elements must be below full_length")
-    return {"characteristic": Column(BIT, [1 if i in members else 0 for i in range(n)])}
+    n, elements = _index_set(family)
+    bits = _padding(0, n)
+    for e in elements:
+        bits[e] = 1
+    return {"characteristic": Column(BIT, bits)}
 
 
 register_scheme(
@@ -610,16 +609,13 @@ def _contiguous_indexset_verify(params, cols):
 
 
 def _contiguous_indexset_encode(params, family):
-    n = family["full_length"].scalar()
-    vals = sorted(family["elements"].values)
-    if vals and vals != list(range(vals[0], vals[0] + len(vals))):
+    n, elements = _index_set(family)  # so the range ends at or before ``n``
+    start = elements[0] if elements else 0
+    if elements != list(range(start, start + len(elements))):
         raise NotEncodable("index set is not contiguous")
-    start = vals[0] if vals else 0
-    if start + len(vals) > n:
-        raise NotEncodable("range exceeds full_length")
     return {
         "start": scalar_column(INT, start),
-        "length": scalar_column(INT, len(vals)),
+        "length": scalar_column(INT, len(elements)),
         "full_length": scalar_column(INT, n),
     }
 
@@ -655,19 +651,14 @@ def _partition_verify(params, cols):
 
 
 def _partition_encode(params, family):
-    k = params["k"]
-    n = None
-    assignment = {}
-    for j in range(k):
-        pos = family[f"pos_{j + 1}"].values
-        for p in pos:
-            if p in assignment:
-                raise NotEncodable(f"index {p} appears in two parts")
+    parts = [family[f"pos_{j + 1}"].values for j in range(params["k"])]
+    if not _partitions(parts):
+        raise NotEncodable("the parts must hold each index below their total size once")
+    assignment = [0] * sum(map(len, parts))
+    for j, part in enumerate(parts):
+        for p in part:
             assignment[p] = j
-    n = len(assignment)
-    if sorted(assignment) != list(range(n)):
-        raise NotEncodable("parts must cover the index range without gaps")
-    return {"partition": Column(INT, [assignment[i] for i in range(n)])}
+    return {"partition": Column(INT, assignment)}
 
 
 def _partition_equivalent(params, a, b):
@@ -709,24 +700,16 @@ def _partitioned_k_verify(params, cols):
     k = params["k"]
     if any(len(cols[f"pos_{j + 1}"]) != len(cols[f"data_{j + 1}"]) for j in range(k)):
         return False
-    pos = [p for j in range(k) for p in cols[f"pos_{j + 1}"].values]
-    return _positions(pos, len(pos))  # the parts are disjoint and cover every index
+    return _partitions(cols[f"pos_{j + 1}"].values for j in range(k))
 
 
 def _partitioned_k_encode(params, family):
     k = params["k"]
     col = family["col"]
-    partition = params.get("partition")
-    n = len(col)
-    if partition is None:
-        assignment = [0] * n  # canonical default: everything in part 1
-    else:
-        assignment = list(partition)
-        if len(assignment) != n or any(j >= k for j in assignment):
-            raise NotEncodable("partition assignment does not match the column")
+    assignment = _partition_hint(params, len(col), k)
     out = {}
     for j in range(k):
-        idxs = [i for i in range(n) if assignment[i] == j]
+        idxs = [i for i, part in enumerate(assignment) if part == j]
         out[f"pos_{j + 1}"] = Column(INT, idxs)
         out[f"data_{j + 1}"] = Column(col.element_type, [col[i] for i in idxs])
     return out

@@ -54,9 +54,9 @@ def count_work(monkeypatch):
         evaluated.append(c)
         return evaluate_ports(c, inputs, parallel)
 
-    def counting_verify(self, params, columns, parts=None, guarded=False):
+    def counting_verify(self, params, columns, parts=None):
         verified.append(self)
-        return verify_columns(self, params, columns, parts, guarded)
+        return verify_columns(self, params, columns, parts)
 
     def counting_apply(self, inputs):
         applied.append(self)

@@ -356,6 +356,42 @@ class TestEncodeChecksFamilyTypes:
         assert main(["verify", bundle]) == 0
 
 
+class TestMalformedFamiliesExitTwo:
+    """A family its data structure's rule refuses is not encodable: exit 2, and no bundle."""
+
+    @staticmethod
+    def _files(tmp_path, family):
+        paths = []
+        for label, values in family.items():
+            paths.append(str(tmp_path / f"{label}.col"))
+            write_col_file(paths[-1], make_column(U8 if label == "data" else INT, values))
+        return paths
+
+    @pytest.mark.parametrize(
+        "scheme, params, family",
+        [
+            ("indexset.sparse", "{}", {"full_length": [8, 8], "elements": [1]}),
+            ("indexset.dense", "{}", {"full_length": [8], "elements": [1, 1]}),
+            ("subcolumn.std", '{"type": "u8"}', {"pos": [0, 0], "data": [5, 6]}),
+        ],
+        ids=["two-full-lengths", "duplicate-elements", "duplicate-positions"],
+    )
+    def test_exit_2(self, tmp_path, scheme, params, family):
+        bundle = tmp_path / "b"
+        assert main(["encode", "--scheme", scheme, "--params", params, *self._files(tmp_path, family), str(bundle)]) == 2
+        assert not bundle.exists()
+
+    def test_a_dense_index_set_too_long_for_a_list_exits_2(self, tmp_path):
+        # in a child process under an address-space limit, where an unbounded allocation fails
+        files = self._files(tmp_path, {"full_length": [2**62], "elements": []})
+        code = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        code += "from colcirc.cli import main; sys.exit(main(sys.argv[1:]))"
+        cmd = [sys.executable, "-c", code, "encode", "--scheme", "indexset.dense", *files, str(tmp_path / "b")]
+        proc = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "does not fit a column" in proc.stderr
+
+
 class TestManifestPathsStayInBundle:
     @pytest.fixture()
     def bundle(self, tmp_path, runs_col):

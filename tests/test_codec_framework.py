@@ -401,6 +401,7 @@ class TestMalformedHints:
             pytest.param("segmentize-variable", (_NULLSUP,), {"segments": "ab"}, [1, 2], id="segments-a-string"),
             pytest.param("alternate", (("constant", {"type": "u32"}), _NULLSUP), {"partition": "ab"}, [1, 2], id="partition-a-string"),
             pytest.param("alternate", (("constant", {"type": "u32"}), _NULLSUP), {"partition": [-1, 0]}, [1, 2], id="partition-negative"),
+            pytest.param("alternate", (("constant", {"type": "u32"}), _NULLSUP), {"partition": []}, [1, 1], id="partition-empty"),
         ],
     )
     def test_encode_raises_not_encodable(self, kind, inner, hint, values):

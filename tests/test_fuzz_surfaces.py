@@ -1,9 +1,9 @@
-"""Fuzzing the input surfaces: ``.col`` bytes, circuit JSON, bundles and ``colcirc`` argument lists.
+"""Fuzzing the input surfaces: ``.col`` bytes, circuit JSON, bundles, scheme families and ``colcirc`` argument lists.
 
 The claim: a library call on malformed input raises only ``ColcircError``
-subclasses, and ``cli.main`` returns one of the README's exit codes (0 ok,
-1 IO or usage, 2 not encodable, 3 verify reject, 4 invalid circuit, 5
-operator failure) without a traceback.  Inputs are drawn by Hypothesis from
+subclasses (an encoder ``NotEncodable`` alone), and ``cli.main`` returns
+one of the README's exit codes (0 ok, 1 IO or usage, 2 not encodable, 3
+verify reject, 4 invalid circuit, 5 operator failure) without a traceback.  Inputs are drawn by Hypothesis from
 valid documents with a few edits, and from raw bytes.  Lengths stay small,
 so no case allocates without bound.  The named cases reach each branch that
 a surface must take.
@@ -14,6 +14,7 @@ import copy
 import io
 import json
 import os
+import random
 import shutil
 import tempfile
 
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 
 from colcirc import (
+    CodecEntry,
     ColcircError,
     circuit_to_json,
     decode,
@@ -29,15 +31,21 @@ from colcirc import (
     evaluate_circuit,
     make_column,
     read_bundle,
+    registered_schemes,
     verify,
     write_bundle,
     write_col_file,
 )
 from colcirc.circuit import check_valid, circuit_from_json, load_circuit
 from colcirc.cli import main
+from colcirc.codec import codec
 from colcirc.column import Column, read_col_bytes, write_col_bytes
+from colcirc.errors import NotEncodable
 from colcirc.gallery import double_plus_three
-from colcirc.types import BIT, BOTTOM, F32, I16, U8, U32, U64, UNIT
+from colcirc.types import BIT, BOTTOM, F32, I16, U8, U32, U64, UNIT, Kind
+
+from paths import edges
+from scheme_cases import CASES
 
 EXIT_CODES = range(6)
 FUZZ = settings(max_examples=150, deadline=None)
@@ -258,6 +266,44 @@ def test_a_manifest_that_is_no_json_text(data):
             f.write(data)
         with pytest.raises(ColcircError, match="manifest is not JSON"):
             read_bundle(path)
+
+
+# -- scheme families ------------------------------------------------------------------------------------
+
+BUILTINS = sorted(sid for sid in registered_schemes() if type(codec(sid)) is CodecEntry)
+
+
+def edge_value(draw, t):
+    """A boundary value of ``t`` (``paths.edges``); of a product type, one per component."""
+    if t.kind is Kind.PRODUCT:
+        return tuple(edge_value(draw, c) for c in t.components)
+    return draw(st.sampled_from(edges(t)))
+
+
+@st.composite
+def scheme_families(draw):
+    """A builtin scheme, params from its ``scheme_cases`` case, and a well-typed family of 0 to 6
+    boundary values per decoded label."""
+    sid = draw(st.sampled_from(BUILTINS))
+    params, _ = CASES[sid].gen(random.Random(draw(st.integers(0, 2**32))))
+    entry = codec(sid)
+    decoded = entry.decoder(entry.normalize_params(params)).signature.outputs
+    family = {
+        label.removeprefix("out:"): Column(t, [edge_value(draw, t) for _ in range(draw(st.integers(0, 6)))])
+        for label, t in decoded.items()
+    }
+    return sid, params, family
+
+
+@settings(max_examples=1000, deadline=None)
+@given(scheme_families())
+def test_an_encoder_returns_an_instance_or_raises_not_encodable(case):
+    sid, params, family = case
+    try:
+        inst = encode(sid, params, family)
+    except NotEncodable:
+        return
+    assert inst.scheme_id == sid
 
 
 # -- colcirc argument lists -----------------------------------------------------------------------------

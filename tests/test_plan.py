@@ -63,6 +63,18 @@ class TestCompiledOnce:
             assert out["result"].values == tuple(2 * v + 3 for v in values)
         assert sorts == [c]
 
+    def test_an_evaluation_reads_the_plan_once(self):
+        # a plan that reads None whatever is stored, as if another thread cleared it after
+        # every store: an evaluation that read the attribute again would find no plan
+        class Cleared(ColumnarCircuit):
+            _plan = property(lambda self: None, lambda self, plan: None)
+
+        c = double_plus_three()
+        cleared = Cleared(c.vertices, c.edges, c.interface, c.signature)
+        for values in ([1, 5], [], [7]):
+            out = evaluate_circuit(cleared, {"col": make_column(U32, values)})
+            assert out["result"].values == tuple(2 * v + 3 for v in values)
+
     def test_derived_circuits_get_their_own_plan(self):
         base = double_plus_three()
         col = make_column(U32, [1, 5])

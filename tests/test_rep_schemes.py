@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import accumulate
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import colcirc
 from colcirc import (
     Column,
     SchemeInstance,
@@ -27,6 +31,7 @@ from scheme_cases import CASES, corruption_battery, roundtrip_battery
 u8 = lambda v: make_column(U8, v)
 u16 = lambda v: make_column(U16, v)
 idx = lambda v: make_column(INT, v)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(colcirc.__file__)))
 
 
 def sc(mapping, j):
@@ -200,6 +205,61 @@ class TestPartitions:
     def test_constant_partition(self):
         out = decode(SchemeInstance("partition", {"k": 3}, {"partition": idx([1, 1, 1])}))
         assert [len(out[f"pos_{j}"]) for j in (1, 2, 3)] == [0, 3, 0]
+
+
+INDEX_SETS = [
+    ("indexset.sparse", {}),
+    ("indexset.dense", {}),
+    ("indexset.contiguous", {}),
+    ("idx.common_prefix", {"w": 8, "p": 3}),
+    ("idx.common_upper_half", {"w": 8}),
+]
+SUBCOLUMNS = [
+    ("subcolumn.std", {"type": "u8"}),
+    ("subcolumn.overlay", {"type": "u8"}),
+    ("subcolumn.union.disjoint", {"type": "u8"}),
+    ("subcolumn.segmented", {"type": "u8", "segment_length": 2}),
+]
+# malformed families of each data structure; every encoder of the structure refuses them
+MALFORMED_FAMILIES = [
+    *(
+        pytest.param(sid, params, {"full_length": idx([256, 256]), "elements": idx([1, 2])}, id=f"{sid}-two-full-lengths")
+        for sid, params in INDEX_SETS
+    ),
+    pytest.param("indexset.dense", {}, {"full_length": idx([4]), "elements": idx([1, 1])}, id="indexset.dense-duplicates"),
+    *(
+        pytest.param(sid, params, {"pos": idx([0, 1]), "data": u8([5])}, id=f"{sid}-lengths-differ")
+        for sid, params in SUBCOLUMNS
+    ),
+    *(
+        pytest.param(sid, params, {"pos": idx([1, 1]), "data": u8([5, 6])}, id=f"{sid}-duplicate-positions")
+        for sid, params in SUBCOLUMNS
+    ),
+    pytest.param("partition", {"k": 2}, {f"{l}_{j}": idx(p) for j, p in ((1, [0, 1]), (2, [1])) for l in ("pos", "data")},
+                 id="partition-overlapping-parts"),
+]
+
+
+class TestMalformedFamilies:
+    @pytest.mark.parametrize("scheme_id, params, family", MALFORMED_FAMILIES)
+    def test_not_encodable(self, scheme_id, params, family):
+        with pytest.raises(NotEncodable):
+            encode(scheme_id, params, family)
+
+    def test_a_dense_index_set_too_long_for_a_list(self):
+        # in a child process under an address-space limit: an encoder that grows the bitmap
+        # value by value fails there with a MemoryError instead of exhausting the host
+        code = """import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from colcirc import encode, make_column
+from colcirc.types import INT
+try:
+    encode("indexset.dense", {}, {"full_length": make_column(INT, [2**62]), "elements": make_column(INT, [])})
+except Exception as e:
+    print(type(e).__name__, e)
+"""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.startswith("NotEncodable a padding of 4611686018427387904 values"), proc.stdout + proc.stderr
 
 
 class TestComponents:
