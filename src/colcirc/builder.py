@@ -153,6 +153,25 @@ class CircuitBuilder:
     def iota(self, n, type_name: str = str(INT)) -> Wire:
         return self.add("iota", {"type": type_name}, n=n)
 
+    def spread(self, type_name: str, values, n, segment_length: int) -> Wire:
+        """Value ``j`` of ``values`` at each position below ``n`` of segment ``j``, segments ``segment_length`` long."""
+        return self.add("spread", {"type": type_name, "segment_length": segment_length}, values=values, n=n)
+
+    def multiples(self, count, step: int) -> Wire:
+        """``0, step, 2 * step, ...``, ``count`` of them: one per segment, its start when ``step`` is its length."""
+        return self.ew("scale", {"type": str(INT), "k": step}, arguments=self.iota(count))
+
+    def segment_multiples(self, n, segment_length: int, step: int) -> Wire:
+        """``multiples`` for the segments of ``n`` positions, and one more when ``segment_length`` divides ``n``.
+
+        There are ``n // segment_length + 1`` of them, so a ``spread`` over
+        the ``n`` positions never runs short (it ignores the extra one), and
+        with ``step = segment_length`` none lies past ``n``.
+        """
+        int_t = str(INT)
+        last = self.ew("clip_by", {"type": int_t, "k": segment_length}, arguments=n)
+        return self.multiples(self.add_cols(int_t, last, self.scalar(int_t, 1)), step)
+
     def gather(self, type_name: str, pos, data) -> Wire:
         return self.add("gather", {"type": type_name}, pos=pos, data=data)
 

@@ -894,15 +894,23 @@ register_scheme(
 def _equiknotted_decoder(params):
     ct = _compute_t(params)
     ell = params["interval_length"]
+    k = len(_basis_degrees(params))
     b = CircuitBuilder()
     b.sink(b.input("interval_length"), _INT)
     n = b.input("length")
     coeffs = _widen(b, params, b.input("coefficients"))
-    idx = b.iota(n)
-    seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=idx)
-    seg_start_ct = b.cast(_INT, ct, b.ew("scale", {"type": _INT, "k": ell}, arguments=seg))
-    acc = _segment_poly_tail(b, params, idx, seg, seg_start_ct, coeffs, n)
-    b.result("col", _narrow_out(b, params, acc))
+    rel = coeff_of = None
+    if k:  # an empty basis decodes to zeros and reads no segment
+        count = b.ew("clip_by", {"type": _INT, "k": k}, arguments=b.length(coeffs, ct))
+        start = b.spread(ct, b.cast(_INT, ct, b.multiples(count, ell)), n, ell)
+        rel = b.sub_cols(ct, b.cast(_INT, ct, b.iota(n)), start)
+        slots = b.multiples(count, k)
+
+        def coeff_of(j):
+            slot = b.add_cols(_INT, slots, b.replicate(_INT, b.scalar(_INT, j), count))
+            return b.spread(ct, b.gather(ct, slot, coeffs), n, ell)
+
+    b.result("col", _narrow_out(b, params, _poly_eval_wires(b, params, rel, coeff_of, n)))
     return b.build()
 
 
@@ -951,14 +959,11 @@ register_scheme(
 def _for_decoder(params):
     ct = _compute_t(params)
     off_t = params["offset_type"]
-    ell = params["segment_length"]
     b = CircuitBuilder()
     b.sink(b.input("segment_length"), _INT)
     offsets = b.input("offsets")
     reference = _widen(b, params, b.input("reference"))
-    n = b.length(offsets, off_t)
-    seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=b.iota(n))
-    ref_i = b.gather(ct, seg, reference)
+    ref_i = b.spread(ct, reference, b.length(offsets, off_t), params["segment_length"])
     up = b.cast(off_t, ct, offsets)
     b.result("col", _narrow_out(b, params, b.add_cols(ct, ref_i, up)))
     return b.build()
@@ -1042,7 +1047,12 @@ _DELTA = {"type": TYPE, "delta_type": TYPE, "segment_length": POSITIVE}
 
 
 def _delta_decoder(params, patched=False):
-    """Segmented integration of the deltas in i64; ``patched`` scatters ``patch_data`` over them first."""
+    """Segmented integration of the deltas in i64; ``patched`` scatters ``patch_data`` over them first.
+
+    Each position takes its segment's base plus its global prefix sum less the
+    global sum before its segment.  A segmented scan, or adding ``base - before``
+    first, gives the same column but overflows i64 on other instances.
+    """
     t = params["type"]
     ell = params["segment_length"]
     b = CircuitBuilder()
@@ -1054,15 +1064,10 @@ def _delta_decoder(params, patched=False):
         widened = b.scatter(_WIDE, widened, b.input("patch_pos"), b.input("patch_data"))
     ps = b.prefix(_WIDE, "add", widened)
     ps0 = b.concat(_WIDE, b.scalar(_WIDE, 0), ps)
-    idx = b.iota(n)
-    ip1 = b.add_cols(_INT, idx, b.replicate(_INT, b.scalar(_INT, 1), n))
-    upto_i = b.gather(_WIDE, ip1, ps0)
-    seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=idx)
-    seg_floor = b.ew("scale", {"type": _INT, "k": ell}, arguments=seg)
-    before_seg = b.gather(_WIDE, seg_floor, ps0)
-    within = b.sub_cols(_WIDE, upto_i, before_seg)
-    base_w = b.gather(_WIDE, seg, b.cast(t, _WIDE, b.input("base")))
-    b.result("col", b.cast(_WIDE, t, b.add_cols(_WIDE, base_w, within)))
+    before = b.gather(_WIDE, b.segment_multiples(n, ell, ell), ps0)  # the sum before each segment
+    within = b.sub_cols(_WIDE, ps, b.spread(_WIDE, before, n, ell))
+    base = b.spread(_WIDE, b.cast(t, _WIDE, b.input("base")), n, ell)
+    b.result("col", b.cast(_WIDE, t, b.add_cols(_WIDE, base, within)))
     return b.build()
 
 
@@ -1161,8 +1166,7 @@ def _segdict_decoder(params, two_level=False):
     entries = b.input("dictionary_entries")
     indices = b.input("indices")
     n = b.length(indices, _INT)
-    seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=b.iota(n))
-    slot = b.add_cols(_INT, indices, b.ew("scale", {"type": _INT, "k": d}, arguments=seg))
+    slot = b.add_cols(_INT, indices, b.spread(_INT, b.segment_multiples(n, ell, d), n, ell))
     codes = b.gather(entry_t, slot, entries)
     if two_level:
         b.result("col", b.gather(t, codes, b.input("global_dictionary")))
@@ -1516,14 +1520,13 @@ def _pvw_decoder(params):
     widths = b.input("widths")
     length = b.input("length")
     data = b.input("data")
-    idx = b.iota(length)
-    group = b.ew("clip_by", {"type": _INT, "k": period}, arguments=idx)
-    lengths = b.gather(_INT, group, widths)
+    lengths = b.spread(_INT, widths, length, period)
     group_base = b.ew(
         "scale", {"type": _INT, "k": period}, arguments=b.prefix(_INT, "add", widths, mode="exclusive")
     )
-    base = b.gather(_INT, group, group_base)
-    within = b.sub_cols(_INT, idx, b.ew("scale", {"type": _INT, "k": period}, arguments=group))
+    base = b.spread(_INT, group_base, length, period)
+    group_start = b.spread(_INT, b.multiples(b.length(group_base, _INT), period), length, period)
+    within = b.sub_cols(_INT, b.iota(length), group_start)
     offset = b.ew("mul", {"type": _INT}, lhs=within, rhs=lengths)
     src_starts = b.add_cols(_INT, base, offset)
     out_starts, out_data = expand_ranges(b, t, src_starts, lengths, data)

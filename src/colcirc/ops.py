@@ -18,11 +18,11 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, islice, repeat
 
 from .column import _RANGED, Column, _range_of, _set_range, scalar_column
 from .errors import OperatorError, RegistryError
-from .params import BOOL, INTEGER, NUMBER, PARTS, TYPE, TYPES, VALUE, check, one_of
+from .params import BOOL, INTEGER, NUMBER, PARTS, POSITIVE, TYPE, TYPES, VALUE, check, one_of
 from .types import BIT, INT, ElementType, Kind, parse_type
 
 # an enum member is a descriptor lookup on its class; the hot paths read these
@@ -820,6 +820,40 @@ def _replicate_within_run(inst, cols):
 
 
 register_operator("replicate_within_segments", _REPLICATED, _replicate_within_run, _TYPED)
+
+
+# a spread longer than this takes its length at once before it builds its output
+_GROWN = 1 << 20
+
+
+def _spread_run(inst, cols):
+    # Blelloch's distribute (1990): one value per segment of length ell, broadcast
+    # over the n positions, in one pass at C speed
+    ell = inst.params["segment_length"]
+    n = cols["n"].scalar()
+    if n < 0:
+        raise OperatorError("negative-length", f"spread over negative length {n}")
+    values = cols["values"]
+    k = -(-n // ell)
+    if len(values.values) < k:
+        raise OperatorError("out-of-range", f"spread of {len(values)} values over {k} segments of length {ell}")
+    try:
+        if n > _GROWN:  # taken at once, so a length no list can hold fails before the output grows toward it
+            [None] * n
+        # min(ell, n): a repeat count fits an index even where ell does not
+        out = tuple(islice(chain.from_iterable(map(repeat, values.values, repeat(min(ell, n), k))), n))
+    except (OverflowError, MemoryError):
+        raise _too_long(n) from None
+    # spread values are values' values
+    return {"spread": _out(inst.signature.outputs["spread"], out, _known(values, n) if n >= _RANGED else None)}
+
+
+register_operator(
+    "spread",
+    _fixed({"values": _T, "n": INT}, {"spread": _T}),
+    _spread_run,
+    {"type": TYPE, "segment_length": POSITIVE},
+)
 
 
 def _zip_run(inst, cols):

@@ -470,11 +470,8 @@ def _segmented_subcolumn_decoder(params):
     segment_pos = b.input("segment_pos")
     data = b.noop(b.input("data"), t)
     n = b.length(data, t)
-    idx = b.iota(n)
-    seg = b.ew("clip_by", {"type": _INT, "k": ell}, arguments=idx)
-    seg_base = b.gather(_INT, seg, segment_pos)
-    base = b.ew("scale", {"type": _INT, "k": ell}, arguments=seg_base)
-    offset = b.sub_cols(_INT, idx, b.ew("scale", {"type": _INT, "k": ell}, arguments=seg))
+    base = b.ew("scale", {"type": _INT, "k": ell}, arguments=b.spread(_INT, segment_pos, n, ell))
+    offset = b.sub_cols(_INT, b.iota(n), b.spread(_INT, b.segment_multiples(n, ell, ell), n, ell))
     b.result("pos", b.add_cols(_INT, base, offset))
     b.result("data", data)
     return b.build()
@@ -654,6 +651,9 @@ def _partition_encode(params, family):
     parts = [family[f"pos_{j + 1}"].values for j in range(params["k"])]
     if not _partitions(parts):
         raise NotEncodable("the parts must hold each index below their total size once")
+    for j, part in enumerate(parts):
+        if family[f"data_{j + 1}"].values != part:  # a part's data are its positions
+            raise NotEncodable(f"data_{j + 1} differs from pos_{j + 1}")
     assignment = [0] * sum(map(len, parts))
     for j, part in enumerate(parts):
         for p in part:

@@ -471,6 +471,7 @@ def boundary_calls():
         add(f"assemble-{name}", "assemble", {"type": name, "k": 1}, {"segment_length": _int(1), "components": c})
         for op in ("replicate_segments", "replicate_within_segments"):
             add(f"{op}-{name}", op, {"type": name}, {"col": c, "segment_length": _int(1), "factor": _int(2)})
+        add(f"spread-{name}", "spread", {"type": name, "segment_length": 2}, {"values": c, "n": _int(2 * n - 1)})
         add(f"derivative-{name}", "derivative", {"type": name}, {"col": c})
         add(f"is_same_as_previous-{name}", "is_same_as_previous", {"type": name}, {"col": make_column(t, [hi, hi, lo])})
         add(f"length-{name}", "length", {"type": name}, {"col": c})
@@ -575,6 +576,14 @@ def _replicate_segments(draw):
     t, ell, col = _segmented(draw)
     inputs = {"col": col, "segment_length": _int(ell), "factor": _int(draw(st.integers(0, 3)))}
     return draw(st.sampled_from(["replicate_segments", "replicate_within_segments"])), {"type": str(t)}, inputs
+
+
+def _spread(draw):
+    t = draw(any_types)
+    ell = draw(st.integers(1, 4))
+    values = _column(draw, t, max_size=4)
+    n = draw(st.integers(0, ell * len(values) + 2))  # past the values' segments too
+    return "spread", {"type": str(t), "segment_length": ell}, {"values": values, "n": _int(n)}
 
 
 def _split_first(draw):
@@ -687,7 +696,7 @@ RANDOM_CALLS = {
     f.__name__.lstrip("_"): f
     for f in [
         _gather, _select, _replicate, _concatenate, _scatter, _permute, _transpose, _replicate_segments,
-        _split_first, _zip, _compose, _comparison, _unary_bit, _boolean, _arith, _scale_clip, _cast, _carve,
+        _spread, _split_first, _zip, _compose, _comparison, _unary_bit, _boolean, _arith, _scale_clip, _cast, _carve,
         _derivative, _prefix, _iota, _indices,
     ]
 }

@@ -373,8 +373,9 @@ class TestMalformedFamiliesExitTwo:
             ("indexset.sparse", "{}", {"full_length": [8, 8], "elements": [1]}),
             ("indexset.dense", "{}", {"full_length": [8], "elements": [1, 1]}),
             ("subcolumn.std", '{"type": "u8"}', {"pos": [0, 0], "data": [5, 6]}),
+            ("partition", '{"k": 1}', {"pos_1": [0, 1], "data_1": [7, 9]}),
         ],
-        ids=["two-full-lengths", "duplicate-elements", "duplicate-positions"],
+        ids=["two-full-lengths", "duplicate-elements", "duplicate-positions", "partition-data-not-positions"],
     )
     def test_exit_2(self, tmp_path, scheme, params, family):
         bundle = tmp_path / "b"

@@ -20,7 +20,10 @@ result type skips its ``min``/``max`` scan.  Columns shorter than
   ``elementwise-add``, ``run.rle`` and ``run.rpe`` decodes read no
   full-length column with ``min`` or ``max`` once their inputs are built:
   a run-position decoder's run index is a prefix sum of non-negative
-  values, whose range its ends give.
+  values, whose range its ends give, and a ``spread`` reference takes the
+  range of the references.  A ``delta`` decode reads exactly its final
+  cast's ``min`` and ``max``: a segment's sum less the sum before it has
+  no range interval arithmetic can prove.
 """
 
 import builtins
@@ -93,7 +96,8 @@ def _cases(draw):
     kind = draw(
         st.sampled_from(
             ["add", "sub", "mul", "scale", "clip_by", "cast", "derivative", "prefix", "gather", "select",
-             "concatenate", "scatter", "replicate", "no_op", "iota", "length", "select_indices", "checked"]
+             "concatenate", "scatter", "replicate", "spread", "no_op", "iota", "length", "select_indices",
+             "checked"]
         )
     )
     n = draw(st.integers(0, 12))
@@ -133,6 +137,11 @@ def _cases(draw):
         return "replicate", {"type": name}, {"value": value, "factor": Column(INT, [n])}
     if kind == "no_op":
         return "no_op", {"type": name}, {"arguments": draw(columns(t, n, n))}
+    if kind == "spread":
+        ell = draw(st.integers(1, 4))
+        values = draw(columns(t, 0, 4))
+        m = draw(st.integers(0, ell * len(values)))
+        return "spread", {"type": name, "segment_length": ell}, {"values": values, "n": Column(INT, [m])}
     if kind == "iota":
         return "iota", {"type": name}, {"n": Column(INT, [n])}
     if kind == "length":
@@ -245,19 +254,22 @@ def ewadd():
 
 
 @pytest.mark.parametrize(
-    "scheme",
+    "scheme, width, expected_reads",
     [
-        lambda: ("for", {"type": "u32", "offset_type": "u16", "segment_length": 64}),
-        ewadd,
-        lambda: ("run.rle", {"type": "u32"}),
-        lambda: ("run.rpe", {"type": "u32"}),
+        (lambda: ("for", {"type": "u32", "offset_type": "u16", "segment_length": 64}), 32, []),
+        (lambda: ("for", {"type": "u64", "offset_type": "u16", "segment_length": 128}), 64, []),
+        (ewadd, 32, []),
+        (lambda: ("run.rle", {"type": "u32"}), 32, []),
+        (lambda: ("run.rpe", {"type": "u32"}), 32, []),
+        # the final i64-to-u32 cast's min and max, until the decode can prove a segment's sums in range
+        (lambda: ("delta", {"type": "u32", "delta_type": "i8", "segment_length": 128}), 32, [8000, 8000]),
     ],
-    ids=["for", "elementwise-add", "run.rle", "run.rpe"],
+    ids=["for", "for-u64", "elementwise-add", "run.rle", "run.rpe", "delta"],
 )
-def test_long_decodes_read_no_full_column(scheme, monkeypatch):
+def test_long_decodes_read_no_full_column(scheme, width, expected_reads, monkeypatch):
     sid, params = scheme()
     values = noisy_linear(8000)
-    inst = encode(sid, params, Column(ElementType.unsigned(32), values))
+    inst = encode(sid, params, Column(ElementType.unsigned(width), values))
     entry = codec(sid)
     decoder = entry.decoder(entry.normalize_params(inst.params))
     evaluate_circuit(decoder, inst.columns)  # scalar constants are built on a first evaluation
@@ -265,4 +277,4 @@ def test_long_decodes_read_no_full_column(scheme, monkeypatch):
     built = count_checked_columns(monkeypatch)
     out = evaluate_circuit(decoder, inst.columns)["out:col"]
     assert out.values == tuple(values)
-    assert reads == [] and built == []
+    assert reads == expected_reads and built == []

@@ -33,6 +33,7 @@ _VALID = {
     kinds.TYPES.ok: st.lists(_TYPE, min_size=1, max_size=3),
     kinds.INTEGER.ok: st.integers(-1, 66),
     kinds.PARTS.ok: st.integers(1, 8),
+    kinds.POSITIVE.ok: st.integers(1, 8) | st.just(2**64),
     kinds.NUMBER.ok: _NUMBER,
     kinds.BOOL.ok: st.booleans(),
     kinds.VALUE.ok: _NUMBER | st.sampled_from(["x", [], {}]),

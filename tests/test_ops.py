@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from colcirc import Column, make_column
+from colcirc.column import _range_of
 from colcirc.errors import OperatorError
 from colcirc.types import BIT, I8, INT, U8, U16, ElementType
 from paths import call
@@ -129,8 +132,9 @@ _allocating_calls = pytest.mark.parametrize(
         lambda n: call(
             "replicate_within_segments", {"type": "u8"}, col=u8([1, 2]), segment_length=idx([1]), factor=idx([n])
         ),
+        lambda n: call("spread", {"type": "u8", "segment_length": 2**64}, values=u8([1]), n=idx([n])),
     ],
-    ids=["replicate", "iota", "replicate_segments", "replicate_within_segments"],
+    ids=["replicate", "iota", "replicate_segments", "replicate_within_segments", "spread"],
 )
 
 
@@ -210,6 +214,51 @@ class TestSegmentedOps:
         params = {"type": "u8", "k": k}
         via = call("compose_segments", params, segment_length=idx([len(col) // k]), components=transposed)
         assert call("assemble", params, segment_length=idx([k]), components=col) == via
+
+
+def spread(values, n, ell=3):
+    return call("spread", {"type": str(values.element_type), "segment_length": ell}, values=values, n=idx([n]))["spread"]
+
+
+class TestSpread:
+    """``out[i] = values[i // ell]`` for ``i < n``."""
+
+    def test_no_positions(self):
+        assert spread(u8([]), 0).values == ()
+        assert spread(u8([4, 5]), 0).values == ()
+
+    def test_a_shorter_last_segment(self):
+        assert spread(u8([1, 2, 3]), 7).values == (1, 1, 1, 2, 2, 2, 3)
+        assert spread(u8([1, 2, 3]), 9).values == (1, 1, 1, 2, 2, 2, 3, 3, 3)
+
+    def test_one_value_short_is_out_of_range(self):
+        with pytest.raises(OperatorError, match="out-of-range"):
+            spread(u8([1, 2]), 7)
+        with pytest.raises(OperatorError, match="out-of-range"):
+            spread(u8([]), 1)
+
+    def test_extra_values_are_ignored(self):
+        assert spread(u8([1, 2, 3, 4]), 4).values == (1, 1, 1, 2)
+
+    def test_a_segment_longer_than_the_column(self):
+        assert spread(u8([9, 8]), 2, ell=5).values == (9, 9)
+        assert spread(u8([9]), 2, ell=2**70).values == (9, 9)
+
+    def test_a_long_spread_hands_its_values_range_on(self):
+        values = u16(range(100, 140))  # the checked constructor records (100, 139)
+        out = spread(values, 2 * len(values) - 1, ell=2)
+        assert out.values == tuple(v for v in range(100, 140) for _ in range(2))[:-1]
+        assert _range_of(values) == _range_of(out) == (100, 139)
+        short = u16([7, 3, 5])  # too short to record a range: read once, and kept
+        assert _range_of(spread(short, 32, ell=11)) == _range_of(short) == (3, 7)
+        assert _range_of(spread(short, 31, ell=11)) is None  # a short output keeps none
+
+    def test_is_gather_at_position_segments(self):
+        values = u16([5, 6, 7, 8])
+        for ell, n in itertools.product((1, 2, 3, 4), range(13)):
+            if -(-n // ell) <= len(values):
+                pos = idx([i // ell for i in range(n)])
+                assert spread(values, n, ell) == call("gather", {"type": "u16"}, pos=pos, data=values)["result"]
 
 
 class TestAdjacencyOps:

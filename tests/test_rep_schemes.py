@@ -237,6 +237,7 @@ MALFORMED_FAMILIES = [
     ),
     pytest.param("partition", {"k": 2}, {f"{l}_{j}": idx(p) for j, p in ((1, [0, 1]), (2, [1])) for l in ("pos", "data")},
                  id="partition-overlapping-parts"),
+    pytest.param("partition", {"k": 1}, {"pos_1": idx([0, 1]), "data_1": idx([7, 9])}, id="partition-data-not-positions"),
 ]
 
 
