@@ -270,23 +270,17 @@ class CodecEntry:
                 return False
         return True
 
-    def verify_columns(self, params, columns: dict, parts=None) -> bool:
-        """The form check, then ``host_verify``.
-
-        Only a composed codec's checked decode passes ``parts``, a list that
-        collects the parts its verifier decoded; with it, a recipe's
-        ``_guard`` may stand in for its relation (see ``compose._ComposedCodec``).
-        """
+    def verify_columns(self, params, columns: dict) -> bool:
+        """The form check, then ``host_verify``."""
         if not self.check_form(params, columns):
             return False
-        if parts is None:
-            return bool(self.host_verify(params, columns))
-        return bool(self.host_verify(params, columns, parts))
+        return bool(self.host_verify(params, columns))
 
     def decode_verified(self, params, columns: dict):
         """The decoder's outputs on ``columns`` if they pass ``verify_columns``, else None.
 
-        A composed codec reuses what its verifier decoded.
+        A composed codec decodes each of its parts once, for the check and the decode
+        alike (see ``compose._ComposedCodec``).
         """
         if not self.verify_columns(params, columns):
             return None

@@ -23,6 +23,7 @@ from .rep_schemes import (
     _TYPED,
     _col_below,
     _et,
+    _fits_index,
     _holds,
     _increasing,
     _index_set,
@@ -345,7 +346,9 @@ register_scheme(
     {"type": TYPE, "int_type": TYPE.optional()},
     build_decoder=_constant_decoder,
     encode=_constant_encode,
-    host_verify=lambda p, cols: len(cols["value"]) == 1 and len(cols["length"]) == 1,
+    host_verify=lambda p, cols: len(cols["value"]) == 1
+    and len(cols["length"]) == 1
+    and _fits_index(cols["length"][0]),
     encoded_lengths=lambda p, n: {"value": 1, "length": 1},
     fit=_constant_fit,
     fit_additive=_constant_fit_additive,
@@ -610,6 +613,8 @@ def _rpe_verify(params, cols):
     if len(starts) != len(cols["value"]) or len(cols["overall_length"]) != 1:
         return False
     overall = cols["overall_length"][0]
+    if not _fits_index(overall):
+        return False
     if not starts:
         return overall == 0
     return starts[0] == 0 and _increasing(starts) and starts[-1] < overall

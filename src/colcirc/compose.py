@@ -12,18 +12,16 @@ adds the length checks.  Over any other inner scheme it lifts the catalog's
 host loop: the number of segments is data-dependent, so that decoder
 cannot be unrolled into a fixed circuit.
 
-A composed verifier decodes every part (every segment, on the host loop)
-before its recipe's relation decides, so a checked decode reuses those
-columns: it evaluates only the decoder's *tail*, the vertices outside the
-embedded inner decoders, under the decoder's own vertex ids (on the host
-loop it concatenates the segments).
+Every composed codec verifies and decodes by one rule (see
+:class:`_ComposedCodec`): its parts are checked and decoded once, and a
+checked decode hands them to the rest of its decoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -75,6 +73,20 @@ def _inner_decode(decoder, columns) -> Column:
     return evaluate_circuit(decoder, columns)["out:col"]
 
 
+def _decoded(pieces):
+    """Each ``(inner, piece)`` of ``pieces`` decoded by its inner ``(entry, iparams, decoder)``; None
+    if an inner verifier rejects its piece or a decode fails."""
+    out = []
+    for (entry, iparams, decoder), piece in pieces:
+        if not entry.verify_columns(iparams, piece):
+            return None
+        try:
+            out.append(_inner_decode(decoder, piece))
+        except ColcircError:
+            return None
+    return out
+
+
 class _Tail(NamedTuple):
     circuit: ColumnarCircuit  # the decoder's vertices outside its parts, under their own ids
     feeds: tuple  # (tail input label, inner index): the cut in-ports each decoded part feeds
@@ -106,25 +118,21 @@ def _tail_of(decoder: ColumnarCircuit, parts) -> _Tail:
 
 
 class _ComposedCodec(CodecEntry):
-    """Shared plumbing: the inner schemes, each under its label prefix.
+    """Shared plumbing: the inner schemes, each under its label prefix, and the one checked-decode rule.
 
     ``inners`` holds ``(entry, iparams, decoder)`` per inner scheme, resolved
     once: the params remember the decoder, so checking a part keys nothing.
+    A subclass wires its decoder in ``_wire(b, embed)``, where ``embed(i)``
+    embeds inner decoder ``i`` and notes the vertices it took; the rest is
+    the decoder's *tail* (:func:`_tail_of`), built with it and kept on it.
 
-    The verifier is the same for every recipe: each part must pass its inner
-    verifier and decode, and then the recipe's ``_relation`` over the columns
-    and the decoded parts decides.  A checked decode hands those parts to
-    the decoder's tail (:func:`_tail_of`), built with the decoder and kept
-    on it: a subclass wires its decoder in ``_wire(b, embed)``, where
-    ``embed(i)`` embeds inner decoder ``i`` and notes the vertices it took.
-
-    A recipe whose tail fails exactly when part of its relation does not
-    hold names the rest ``_guard``: a checked decode (the one caller that
-    passes ``parts``) tests only that, and when the tail then fails, the
-    whole relation decides between a rejection and the decoder's own error.
+    ``_parts`` checks and decodes every part.  The verifier is ``_parts``
+    and then the recipe's ``_relation``.  A checked decode is the form
+    check, ``_parts``, the recipe's ``_guard`` (what of its relation the
+    tail does not enforce by failing) and ``_finish``, the tail on the
+    decoded parts; if the tail fails, the relation decides between a
+    rejection and the decoder's own error.
     """
-
-    _guard = None
 
     def __init__(self, recipe, prefixes, hints=None):
         super().__init__(recipe.scheme_id, params=hints)
@@ -169,43 +177,36 @@ class _ComposedCodec(CodecEntry):
         feeds = {label: b.input(self.prefixes[i] + label) for label in decoder.signature.inputs}
         return b.embed(decoder, feeds)["out:col"]
 
-    def _part_decoded(self, i, part):
-        """``part``, unprefixed, decoded by inner scheme ``i``; None if that rejects it or its decode fails."""
-        entry, iparams, decoder = self.inners[i]
-        if not entry.verify_columns(iparams, part):
-            return None
-        try:
-            return _inner_decode(decoder, part)
-        except ColcircError:
-            return None
+    def _parts(self, columns):
+        """Each part, unprefixed and decoded by its inner scheme; None if one rejects its part or fails to decode it."""
+        return _decoded(zip(self.inners, [_strip(prefix, columns) for prefix in self.prefixes]))
 
-    def host_verify(self, params, columns, parts=None):
-        """The verdict; given a list ``parts``, the decoded parts go to it, and a ``_guard``
-        decides in place of the relation."""
-        checked = parts is not None and self._guard is not None
-        if parts is None:
-            parts = []
-        for i, prefix in enumerate(self.prefixes):
-            decoded = self._part_decoded(i, _strip(prefix, columns))
-            if decoded is None:
-                return False
-            parts.append(decoded)
-        return (self._guard if checked else self._relation)(columns, parts)
+    def _guard(self, columns, parts) -> bool:
+        return True
+
+    def host_verify(self, params, columns):
+        parts = self._parts(columns)
+        return parts is not None and self._relation(columns, parts)
 
     def decode_verified(self, params, columns):
-        parts = []
-        if not self.verify_columns(params, columns, parts):
+        if not self.check_form(params, columns):
             return None
+        parts = self._parts(columns)
+        if parts is None or not self._guard(columns, parts):
+            return None
+        try:
+            return self._finish(params, columns, parts)
+        except EvaluationError:
+            if not self._relation(columns, parts):
+                return None
+            raise
+
+    def _finish(self, params, columns, parts):
         tail, feeds = self.decoder(params)._tail
         inputs = dict(columns)
         for label, i in feeds:
             inputs[label] = parts[i]
-        try:
-            return evaluate_circuit(tail, inputs)
-        except EvaluationError:
-            if self._guard is not None and not self._relation(columns, parts):
-                return None
-            raise
+        return evaluate_circuit(tail, inputs)
 
     def _encoded(self, i, family):
         """Inner scheme ``i``'s encoding of ``family``, under its prefix."""
@@ -309,7 +310,7 @@ class _DifferentiateCodec(_ComposedCodec):
 
     def _guard(self, columns, parts):
         # the tail's casts, prefix sum and add fail exactly when a running sum leaves ``i64``
-        # or the data type: without this guard a checked decode scans the sums twice
+        # or the data type
         return len(columns["first"]) == 1
 
     def _relation(self, columns, parts):
@@ -364,6 +365,10 @@ class _SmallDictFitCodec(_ComposedCodec):
         feeds = {"dictionary": b.input("dictionary"), "indices": b.input("indices"), "residual_data": residual}
         b.result("col", b.embed(self.subdict.decoder(self.subdict_params), feeds)["out:col"])
 
+    def _guard(self, columns, parts):
+        # with no values, the tail's gather and scatter have nothing to fail on
+        return len(columns["dictionary"]) > 0
+
     def _relation(self, columns, parts):
         subdict = {"dictionary": columns["dictionary"], "indices": columns["indices"], "residual_data": parts[0]}
         return self.subdict.host_verify(self.subdict_params, subdict)
@@ -392,10 +397,13 @@ class _AlternatingCodec(_ComposedCodec):
             out = b.scatter(t, out, pos, embed(i))
         b.result("col", out)
 
+    def _guard(self, columns, parts):
+        # a part number past the parts matches no part, so the tail's scatters never see it
+        return _col_below(columns["partition"], len(parts))
+
     def _relation(self, columns, parts):
-        partition = columns["partition"]
-        counts = partition.values.count
-        return _col_below(partition, len(parts)) and all(len(p) == counts(i) for i, p in enumerate(parts))
+        counts = columns["partition"].values.count
+        return self._guard(columns, parts) and all(len(p) == counts(i) for i, p in enumerate(parts))
 
     def encode(self, params, family):
         col = family["col"]
@@ -446,11 +454,12 @@ class _SegmentizedCodec(_ComposedCodec):
     is decided once, here.  If it is, ``lifted`` holds: the decoder embeds
     the inner decoder once over the ``seg:`` columns and checks that each
     holds ``total_length`` (uniform) or the sum of ``segment_lengths``
-    (variable) values, and the verifier checks those lengths in Python and
-    decodes nothing: a form check that decides membership leaves the inner
-    decoder nothing to fail on.  Otherwise the decoder lifts the
-    ``segmentized`` operator, which runs the inner decoder per segment, and
-    the verifier checks and decodes every segment.
+    (variable) values, ``_parts`` checks those lengths in Python and
+    decodes nothing (a form check that decides membership leaves the inner
+    decoder nothing to fail on), and a checked decode runs the decoder.
+    Otherwise the decoder lifts the ``segmentized`` operator, which runs
+    the inner decoder per segment, ``_parts`` checks and decodes every
+    segment, and a checked decode concatenates them.
     """
 
     def __init__(self, recipe, uniform):
@@ -519,7 +528,7 @@ class _SegmentizedCodec(_ComposedCodec):
         return Column._trusted(parse_type(self.data_type), list(chain.from_iterable(c.values for c in decoded)))
 
     def build_decoder(self, params):
-        b = CircuitBuilder()  # no tail: see ``decode_verified``
+        b = CircuitBuilder()  # no tail: see ``_finish``
         if not self.lifted:
             wired = {label: b.input(label) for label in self.spec}
             b.result("col", b.add("segmentized", {"scheme": self.scheme_id}, **wired))
@@ -539,39 +548,27 @@ class _SegmentizedCodec(_ComposedCodec):
         b.result("col", col)
         return b.build()
 
-    def host_verify(self, params, columns, parts=None):
+    def _parts(self, columns):
         if self.uniform and (not _holds(columns, "segment_length", self.ell) or len(columns["total_length"]) != 1):
-            return False
-        if self.lifted:
-            return self._lengths_fit(columns)
-        try:
-            return self._segments_verify(columns, [] if parts is None else parts)
-        except ColcircError:  # segment lengths that do not fit the columns
-            return False
-
-    def decode_verified(self, params, columns):
-        """The lifted decoder on verified columns; on the host loop, the segments its verifier decoded."""
-        if self.lifted:  # the verifier decodes nothing
-            return CodecEntry.decode_verified(self, params, columns)
-        segments = []
-        if not self.verify_columns(params, columns, segments):
             return None
-        return {"out:col": self._concatenated(segments)}
+        if self.lifted:
+            n = columns["total_length"].values[0] if self.uniform else sum(columns["segment_lengths"].values)
+            return [] if all(len(columns[label].values) == n for label in self.seg_labels) else None
+        try:
+            segments = self._segments(columns)
+            pieces = self._split(columns, segments)
+        except ColcircError:  # segment lengths that do not fit the columns
+            return None
+        parts = _decoded(zip(repeat(self.inners[0]), pieces))
+        return parts if parts is not None and list(map(len, parts)) == segments else None
 
-    def _lengths_fit(self, columns) -> bool:
-        """The lifted decoder's length checks: every ``seg:`` column holds one value per element."""
-        n = columns["total_length"].values[0] if self.uniform else sum(columns["segment_lengths"].values)
-        return all(len(columns[label].values) == n for label in self.seg_labels)
-
-    def _segments_verify(self, columns, parts) -> bool:
-        """Check and decode every segment, into ``parts``."""
-        segments = self._segments(columns)
-        for seg_len, piece in zip(segments, self._split(columns, segments)):
-            decoded = self._part_decoded(0, piece)
-            if decoded is None or len(decoded) != seg_len:
-                return False
-            parts.append(decoded)
+    def _relation(self, columns, parts):
         return True
+
+    def _finish(self, params, columns, parts):
+        if self.lifted:
+            return evaluate_circuit(self.decoder(params), columns)
+        return {"out:col": self._concatenated(parts)}
 
     def encode(self, params, family):
         col = family["col"]

@@ -8,6 +8,7 @@ verifiers here are host decision procedures.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import add, eq, lt
@@ -72,6 +73,11 @@ def _holds(cols, label, value) -> bool:
     """True if column ``label`` holds the one value ``value`` (the param it repeats)."""
     col = cols[label]
     return len(col) == 1 and col.values[0] == value
+
+
+def _fits_index(n) -> bool:
+    """True if ``n`` values fit an index: a decoded or replicated length past ``sys.maxsize`` is ``too-long``."""
+    return n <= sys.maxsize
 
 
 def _padding(filler, count) -> list:
@@ -381,7 +387,8 @@ register_scheme(
     {},
     build_decoder=_segmentation_decoder,
     encode=_segmentation_encode,
-    host_verify=lambda p, cols: _segmentation_ok(cols["start"].values, cols["length"].values),
+    host_verify=lambda p, cols: _segmentation_ok(cols["start"].values, cols["length"].values)
+    and _fits_index(cols["start"][-1] + cols["length"][-1]),
 )
 
 
@@ -407,7 +414,8 @@ register_scheme(
     encode=_uniform_segmentation_encode,
     host_verify=lambda p, cols: len(cols["segment_length"]) == 1
     and len(cols["overall_length"]) == 1
-    and cols["segment_length"][0] >= 1,
+    and cols["segment_length"][0] >= 1
+    and _fits_index(cols["overall_length"][0]),
 )
 
 
@@ -544,7 +552,7 @@ def _sparse_indexset_decoder(params):
 
 def _sparse_indexset_verify(params, cols):
     full = cols["full_length"]
-    return len(full) == 1 and _positions(cols["elements"].values, full[0])
+    return len(full) == 1 and _fits_index(full[0]) and _positions(cols["elements"].values, full[0])
 
 
 def _sparse_indexset_encode(params, family):
@@ -1040,7 +1048,7 @@ def _nullable_complementing_decoder(params):
 
 
 def _nullable_complementing_verify(params, cols):
-    if len(cols["length"]) != 1 or len(cols["null_value"]) != 1:
+    if len(cols["length"]) != 1 or len(cols["null_value"]) != 1 or not _fits_index(cols["length"][0]):
         return False
     pos = cols["pos"].values
     return len(pos) == len(cols["data"]) and _positions(pos, cols["length"][0])

@@ -1,24 +1,27 @@
 """A checked decode of a composed codec does each piece of work once.
 
-The composed entry's one ``verify_columns`` call decodes every part (every
-segment, on the host loop), and the decode hands those parts to the
-decoder's tail: the vertices outside the embedded inner decoders, under
-the decoder's own vertex ids.  The count guard pins that for every recipe
-of ``paths.RECIPES`` and for the host loop; that verdicts and decoded
-columns stay as they were is ``test_paths.py``'s.
+A composed codec checks and decodes every part once (every segment, on the
+host loop), tests its recipe's guard, and hands the parts to the decoder's
+tail: the vertices outside the embedded inner decoders, under the
+decoder's own vertex ids.  The whole relation runs only when the tail
+fails.  The count guard pins that for every recipe of ``paths.RECIPES`` and
+for the host loop, and the guard contract pins that the tail fails on every
+instance the guard lets through and the relation rejects; that verdicts and
+decoded columns stay as they were is ``test_paths.py``'s.
 """
 
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from colcirc import Column, CompositionRecipe, compose, decode, encode, verify
+from colcirc import Column, CompositionRecipe, codec, compose, decode, encode, verify
 from colcirc.codec import CodecEntry
 from colcirc.errors import EvaluationError, NotEncodable, VerificationFailed
 from colcirc.types import U8, U32
-from paths import HOST_LOOP, RECIPES, in_threads, mutants
+from paths import HOST_LOOP, RECIPES, composed_battery, in_threads, mutants
 
 circuit_mod = importlib.import_module("colcirc.circuit")
 ops_mod = importlib.import_module("colcirc.ops")
@@ -54,9 +57,9 @@ def count_work(monkeypatch):
         evaluated.append(c)
         return evaluate_ports(c, inputs, parallel)
 
-    def counting_verify(self, params, columns, parts=None):
+    def counting_verify(self, params, columns):
         verified.append(self)
-        return verify_columns(self, params, columns, parts)
+        return verify_columns(self, params, columns)
 
     def counting_apply(self, inputs):
         applied.append(self)
@@ -69,13 +72,18 @@ def count_work(monkeypatch):
 
 
 def assert_each_part_decoded_once(monkeypatch, entry, inst, parts):
-    """A checked decode of ``inst`` evaluates each inner decoder ``parts`` times and the tail once."""
+    """A checked decode of ``inst`` verifies and evaluates each inner decoder ``parts`` times, the
+    tail once, and neither the whole decoder nor the recipe's relation."""
     decoder = entry.decoder({})
     want = decode(inst, check=False)
     evaluated, verified, applied = count_work(monkeypatch)
+    relations = []
+    relation = entry._relation
+    monkeypatch.setattr(entry, "_relation", lambda columns, parts: relations.append(1) or relation(columns, parts))
     assert decode(inst) == want
+    assert relations == []
     inner = [decoder for _, _, decoder in entry.inners]
-    assert verified.count(entry) == 1
+    assert Counter(verified) == Counter(e for e, _, _ in entry.inners * parts)
     assert all(c is not decoder for c in evaluated)
     for c in inner:
         assert sum(e is c for e in evaluated) == parts
@@ -164,7 +172,7 @@ def test_differentiate_leaves_its_running_sums_to_the_tail_with_the_same_verdict
     # a checked ``differentiate`` decode tests only its guard, one ``first`` value, and its tail
     # fails exactly when the running sums leave the data type
     entry, inst = guarded_differentiate()
-    assert entry._guard is not None
+    assert entry._guard(inst.columns, []) and not entry._guard(inst.with_columns(first=Column(U8, [])).columns, [])
     for first in (0, 9, 10, 225, 226, 255):
         bad = inst.with_columns(first=Column(U8, [first]))
         assert verify(bad) is (10 <= first <= 225)
@@ -176,6 +184,28 @@ def test_differentiate_leaves_its_running_sums_to_the_tail_with_the_same_verdict
     for first in ([], [10, 10]):
         with pytest.raises(VerificationFailed):
             decode(inst.with_columns(first=Column(U8, first)))
+
+
+@pytest.mark.parametrize("kind", sorted({r[0] for r in RECIPES}))
+def test_the_tail_fails_wherever_the_guard_lets_a_rejection_through(kind):
+    # the guard contract: on every battery instance and mutant whose parts decode, a guard that
+    # holds where the relation does not leaves the rejection to the tail, which must fail
+    left_to_tail = 0
+    for recipe in (r for r in RECIPES if r[0] == kind):
+        for inst, _ in composed_battery(*recipe):
+            entry = codec(inst.scheme_id)
+            params = entry.normalize_params(inst.params)
+            columns = inst.columns
+            if not entry.check_form(params, columns):
+                continue
+            parts = entry._parts(columns)
+            if parts is None or not entry._guard(columns, parts) or entry._relation(columns, parts):
+                continue
+            left_to_tail += 1
+            with pytest.raises(EvaluationError):
+                entry._finish(params, columns, parts)
+            assert verify(inst) is False
+    assert left_to_tail
 
 
 def test_a_tail_failure_that_the_relation_allows_is_the_decoders_error(monkeypatch):

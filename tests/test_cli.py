@@ -486,13 +486,13 @@ class TestUnknownTypeNameExitOne:
 
 
 class TestLengthBeyondAnIndexExitFive:
-    # verify accepts these, so decoding reaches the operator that cannot allocate the length
+    # verify accepts a length up to the largest index, so decoding reaches the operator that cannot allocate it
     @pytest.mark.parametrize(
         "scheme, params, columns",
         [
-            ("run.rpe", {"type": "u8"}, {"start_position": [0], "value": [7], "overall_length": [2**64 - 1]}),
-            ("indexset.sparse", {}, {"full_length": [2**64 - 1], "elements": [0, 3]}),
-            ("segmentation.uniform", {"segment_length": 4}, {"segment_length": [4], "overall_length": [2**64 - 1]}),
+            ("run.rpe", {"type": "u8"}, {"start_position": [0], "value": [7], "overall_length": [sys.maxsize]}),
+            ("indexset.sparse", {}, {"full_length": [sys.maxsize], "elements": [0, 3]}),
+            ("segmentation.uniform", {"segment_length": 4}, {"segment_length": [4], "overall_length": [sys.maxsize]}),
         ],
     )
     def test_decode_exits_5(self, tmp_path, scheme, params, columns, capsys):
@@ -502,6 +502,29 @@ class TestLengthBeyondAnIndexExitFive:
         write_bundle(SchemeInstance(scheme, params, cols), bundle)
         assert main(["decode", bundle, str(tmp_path / "out")]) == 5
         assert "too-long" in capsys.readouterr().err
+
+
+# a bundle of each scheme whose decoded length is one value, set past the largest index (``sys.maxsize``)
+_PAST_AN_INDEX = [
+    ("constant", {"type": "u8"}, {"value": [7], "length": [2**64 - 1]}),
+    ("indexset.sparse", {}, {"full_length": [2**64 - 1], "elements": [0, 3]}),
+    ("nullable.complementing", {"type": "u8", "null_value": 0}, {"pos": [1], "data": [5], "length": [2**64 - 1], "null_value": [0]}),
+    ("run.rpe", {"type": "u8"}, {"start_position": [0], "value": [7], "overall_length": [2**64 - 1]}),
+    ("segmentation", {}, {"start": [0], "length": [2**64 - 1]}),
+    ("segmentation.uniform", {"segment_length": 4}, {"segment_length": [4], "overall_length": [2**64 - 1]}),
+]
+
+
+class TestLengthPastAnIndexExitThree:
+    @pytest.mark.parametrize("scheme, params, columns", _PAST_AN_INDEX, ids=[case[0] for case in _PAST_AN_INDEX])
+    def test_verify_and_decode_exit_3(self, tmp_path, scheme, params, columns):
+        small = {"value", "data", "null_value"}
+        cols = {label: make_column(U8 if label in small else U64, values) for label, values in columns.items()}
+        bundle = str(tmp_path / "bundle")
+        write_bundle(SchemeInstance(scheme, params, cols), bundle)
+        assert main(["verify", bundle]) == 3
+        assert main(["decode", bundle, str(tmp_path / "out")]) == 3
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestMalformedManifestExitOne:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -673,7 +674,39 @@ class TestComposedVerifiersCheckTheFinalCast:
             compose(CompositionRecipe("differentiate", unique_id("diff.f64"), (("nullsup", {"type": "i8", "narrow_type": "i8"}),), {"type": "f64"}))
 
 
+def with_length(n):
+    """``(scheme, params, columns)``: an instance of each scheme whose decoded length is the one value ``n``."""
+    return [
+        ("constant", {"type": "u8"}, {"value": [7], "length": [n]}),
+        ("indexset.sparse", {}, {"full_length": [n], "elements": [0, 3]}),
+        ("nullable.complementing", {"type": "u8", "null_value": 0}, {"pos": [1], "data": [5], "length": [n], "null_value": [0]}),
+        ("run.rpe", {"type": "u8"}, {"start_position": [0], "value": [7], "overall_length": [n]}),
+        ("segmentation", {}, {"start": [0], "length": [n]}),
+        ("segmentation.uniform", {"segment_length": 4}, {"segment_length": [4], "overall_length": [n]}),
+    ]
+
+
+def length_instance(scheme, params, columns):
+    small = {"value", "data", "null_value"}
+    return SchemeInstance(scheme, params, {label: make_column(U8 if label in small else INT, v) for label, v in columns.items()})
+
+
 class TestLengthBeyondAnIndex:
+    @pytest.mark.parametrize("scheme, params, columns", with_length(2**64 - 1), ids=[c[0] for c in with_length(0)])
+    def test_a_length_past_the_largest_index_is_rejected(self, scheme, params, columns):
+        inst = length_instance(scheme, params, columns)
+        assert verify(inst) is False
+        with pytest.raises(VerificationFailed):
+            decode(inst)
+
+    @pytest.mark.parametrize("scheme, params, columns", with_length(sys.maxsize), ids=[c[0] for c in with_length(0)])
+    def test_a_length_no_memory_holds_is_accepted_and_fails_as_too_long(self, scheme, params, columns):
+        # below the ceiling, the length is the decoder's to refuse: a resource error, not a rejection
+        inst = length_instance(scheme, params, columns)
+        assert verify(inst) is True
+        with pytest.raises(EvaluationError, match="too-long"):
+            decode(inst)
+
     @pytest.mark.parametrize(
         "scheme, params, columns",
         [

@@ -61,7 +61,7 @@ PINS = {
     'components': 'db5963b2652a3d4b0ff0199a9bc18bb71567bfee106f29576d84145829e4d29e',
     'components.concatenated': '7e68f10adb89744aa98f99d434d3b79c5f4ade084fe480987d5d2cfdf0dbfb8c',
     'components.shattered': 'b94d7fbb6881ee46a10322e24093c541ea3e86796be267c6163a51a529239d8a',
-    'constant': 'c301343f6c7430471d07af41eebf59c90a8b0967cf76fcc4342d4c9bf46692bf',
+    'constant': '2a0c57445c246e72f0e25819fd4a451b64b0222c63601fdd5049930d0488bc6f',
     'delta': '7b0b571b6a347afca9f398607c6626afa492e4948e3446eb149f514793ed3019',
     'delta.naive': '893f320d3640457cb91871950bdefb77c92d3c59ec24dc18f83e6137c747085b',
     'delta.patched': '0769aa5203537f7af40184dacb6128a90c91066d65adbe7a157d16445f4edd54',
@@ -76,9 +76,9 @@ PINS = {
     'indexed': '2c49aa5c77d0a494240d4ba45806427025de6a2fa937b8b4fd2519685e7235b1',
     'indexset.contiguous': 'be81c324ad0685c573f8e130fea02400676e3fd0d2c8b20827d2ea5e23c7966d',
     'indexset.dense': 'f0a5c19637d3c30cebfa254592a69a5155c6611b23144d2e9c8088aaa8eb9553',
-    'indexset.sparse': 'c5a27a992fe53f1858027ef1f5c66c45c5ec4a7702ee30af9a7d5a40e9aa72f7',
+    'indexset.sparse': '90126941472f391e3dd1717fde95b6c770fd65d883da22ebfa929a1ab46cb13b',
     'noisy.generated': '2673ffe29db8c851c17bfe322c1e4e879d4e8e4470f0e65ec2aef11d34d1a9c9',
-    'nullable.complementing': '8fce80159f29c2d6aeabe90fa22fb335e9b34ae66c12f76caa78ea6eabaffe79',
+    'nullable.complementing': 'bae57d5e4ee7a4aba93407ed4f75f6f298ffb1231ff1206e80607d6713c56fd7',
     'nullable.patched': 'a8b32247b90dc6c1c0f485d82035f7b11d1884e7de9e53225dbefc5bc008aed6',
     'nullsup': '857f9325f1be14be9010a919e5d159f26b4bc777871ef7ac3a8bc66cd3f1b0dd',
     'partition': 'ea5da2e27afd68dd650e1341db5d62407fea48aa9a4ede64755ab345c6703108',
@@ -87,11 +87,11 @@ PINS = {
     'run.full': 'cb4726f0593a1175d9aa5917052b17c73201caf57001fb6c899788b51c888fce',
     'run.rle': '59a0e5f41755319a67dd00f4a27a994a7371ac1cf35030d4a6e6aff7a4409a49',
     'run.rle.capped': '4f8483b452093a6dc4f7caa57fb4e099e6655f360988ee0fed746701f7a01cbc',
-    'run.rpe': '210601a45fdab0db6dd3b8fd01b414d900fe02fee77e4adfdf540e7e0c60ce0f',
+    'run.rpe': 'e60856d19839a3985f15ea3079d87267147d76da91036cf9c0446098e246bd13',
     'segdict': '3bbf3c007480a5429a5bc2de8d96db521533e5a5eab62ed6e0e1a760c8da132f',
     'segdict.two_level': 'b75e6fb419cac7cfacf50cfdea6447b4027291f54cdcf3df5963bb6f3cb23f1c',
-    'segmentation': '6b576ee7a1bdf014d7e92a1fd93295395d4b1db51fe82ca22d857278675e0eff',
-    'segmentation.uniform': '33ee43de28bc89d6b9f3eea98199cd3224d57a39126d393001cdd6d733f7a394',
+    'segmentation': 'dbe5ddb0bbea619a4507657841e055e0134d7870820064c1824204c2ecd60483',
+    'segmentation.uniform': 'e5156914ad7a2c54845b42847f4d6807c37e35754ce781d072e9aee8613667d0',
     'segmented': 'a5d890e1f1462df8f182176071ccefc5e0ecd5cc0de1937b27b7704d0cf15d25',
     'segmented.uniform': '759f18c7b1f112d94f4cc71a0d3e0908f9c28f2a43f525fdda05b6a70385496d',
     'spline.equiknotted': '5c34229b7f4eedfb5af86c2e2165427f72d0431ff5575793b4d9f36acdbd97f7',
